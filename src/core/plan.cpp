@@ -62,6 +62,7 @@ void PlanCache::evict_tail_to(std::size_t target) {
 
 std::size_t PlanCache::invalidate_all() {
   const std::size_t n = lru_.size();
+  for (const auto& p : lru_) p->stale = true;
   lru_.clear();
   index_.clear();
   stats_.invalidations += n;
@@ -73,6 +74,7 @@ std::size_t PlanCache::invalidate_if(
   std::size_t n = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (pred(**it)) {
+      (*it)->stale = true;
       index_.erase((*it)->key);
       it = lru_.erase(it);
       ++n;

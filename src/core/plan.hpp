@@ -20,7 +20,8 @@
 // rebuilt, so a cached plan can never serve a message its tuning decision
 // does not apply to. Eviction is LRU; invalidation (tuning reload, mode
 // switch) empties the cache wholesale. Handles hold shared_ptr ownership,
-// so an evicted or invalidated plan stays alive until its last handle drops.
+// so an evicted or invalidated plan stays alive until its last handle drops;
+// an invalidated one is marked stale, and its handles recompile on start().
 
 #include <cstdint>
 #include <functional>
@@ -95,6 +96,10 @@ struct Plan {
   std::size_t resident_bytes = 0;
   double build_us = 0.0;    ///< virtual time the build cost (splits, bootstrap)
   std::uint64_t hits = 0;   ///< cache hits served since build
+  /// Set when an invalidation (retune, table/mode swap, hier reconfig)
+  /// drops the plan — not by LRU eviction, which leaves it correct. A
+  /// persistent handle holding a stale plan recompiles on its next start().
+  bool stale = false;
 };
 
 struct PlanCacheStats {
@@ -123,13 +128,14 @@ class PlanCache {
   /// the number of plans evicted.
   std::size_t insert(std::shared_ptr<Plan> plan);
 
-  /// Drop every plan (tuning table or mode changed). Returns the count,
-  /// which is also added to stats().invalidations.
+  /// Drop every plan (tuning table or mode changed), marking each stale.
+  /// Returns the count, which is also added to stats().invalidations.
   std::size_t invalidate_all();
 
-  /// Drop only the plans for which `pred` returns true (an online retune
-  /// changed one arm's engine; untouched arms keep their compiled plans).
-  /// Returns the count, also added to stats().invalidations.
+  /// Drop (and mark stale) only the plans for which `pred` returns true (an
+  /// online retune changed one arm's engine; untouched arms keep their
+  /// compiled plans). Returns the count, also added to
+  /// stats().invalidations.
   std::size_t invalidate_if(const std::function<bool(const Plan&)>& pred);
 
   [[nodiscard]] const PlanCacheStats& stats() const { return stats_; }

@@ -146,16 +146,11 @@ EnginePick XcclMpi::pick_from_entry(CollOp op, const TuningTable::Entry& e) {
   return pick;
 }
 
-EnginePick XcclMpi::pick_from_table(const TuningTable& tuning,
-                                    CollOp op, std::size_t bytes) {
-  return pick_from_entry(op, tuning.select_entry(op, bytes));
-}
-
 EnginePick XcclMpi::pick_table(CollOp op, std::size_t bytes) const {
   if (adaptive_.manages(op)) {
     return pick_from_entry(op, adaptive_.select_entry(op, bytes));
   }
-  return pick_from_table(tuning_, op, bytes);
+  return pick_from_entry(op, tuning_.select_entry(op, bytes));
 }
 
 EnginePick XcclMpi::pick_classified(CollOp op, std::size_t bytes,
@@ -181,16 +176,13 @@ EnginePick XcclMpi::pick_engine_agreed(CollOp op,
                                        std::size_t local_bytes,
                                        const void* a, const void* b,
                                        mini::Comm& comm) {
-  if (options_.mode == Mode::PureMpi) return {};
-  if (!any_device_buffer(a, b)) {
-    return {Engine::Mpi, Engine::Mpi, 0, obs::FallbackReason::HostBuffer};
+  const bool device = any_device_buffer(a, b);
+  // Only a Hybrid device pick reads the byte count, so only it must agree.
+  if (options_.mode == Mode::Hybrid && device) {
+    local_bytes = static_cast<std::size_t>(
+        mpi_.max_over_ranks(static_cast<double>(local_bytes), comm));
   }
-  if (options_.mode == Mode::PureXccl) {
-    return {Engine::Xccl, Engine::Xccl, 0, obs::FallbackReason::None};
-  }
-  const double agreed =
-      mpi_.max_over_ranks(static_cast<double>(local_bytes), comm);
-  return pick_table(op, static_cast<std::size_t>(agreed));
+  return pick_classified(op, local_bytes, device);
 }
 
 xccl::CclComm& XcclMpi::ccl_comm(mini::Comm& comm) {
@@ -217,15 +209,14 @@ xccl::CclComm& XcclMpi::ccl_comm(mini::Comm& comm) {
 
 // ---- Plan/execute split -----------------------------------------------------
 
-std::shared_ptr<const Plan> XcclMpi::plan_for(CollOp op, std::size_t bytes,
-                                              DataType base, ReduceOp redop,
-                                              const void* a, const void* b,
+std::shared_ptr<const Plan> XcclMpi::plan_for(const CallArgs& a,
                                               mini::Comm& comm) {
+  const std::size_t bytes = a.bytes();
   PlanKey key;
-  key.op = op;
-  key.base = base;
-  key.redop = redop;
-  key.device = any_device_buffer(a, b);
+  key.op = a.op;
+  key.base = a.dt.base;
+  key.redop = a.redop;
+  key.device = any_device_buffer(a.sendbuf, a.recvbuf);
   key.size_class = plan_size_class(bytes);
   key.comm_uid = comm.uid();
   if (std::shared_ptr<Plan> hit = plans_.find(key, bytes)) {
@@ -244,7 +235,7 @@ std::shared_ptr<const Plan> XcclMpi::plan_for(CollOp op, std::size_t bytes,
   // call site (uids are rank-local values but assigned in the same order),
   // so hit/miss agrees across ranks and the collective build cannot skew.
   ctr_plan_miss_->add(1, rank());
-  std::shared_ptr<Plan> plan = build_plan(key, op, bytes, comm);
+  std::shared_ptr<Plan> plan = build_plan(key, a.op, bytes, comm);
   current_plan_id_ = plan->id;
   obs::fleet::note_plan(rank(), plan->id);
   const std::size_t evicted = plans_.insert(plan);
@@ -296,57 +287,89 @@ std::shared_ptr<Plan> XcclMpi::build_plan(const PlanKey& key, CollOp op,
   return plan;
 }
 
-XcclMpi::ScopedOpTimer::ScopedOpTimer(XcclMpi& rt, CollOp op)
-    : rt_(&rt),
+// ---- The completion record --------------------------------------------------
+
+XcclMpi::OpRecord::OpRecord(XcclMpi& rt, CollOp op, std::size_t bytes)
+    : rank_(rt.rank()),
       op_(op),
+      bytes_(bytes),
       t0_(rt.context().clock().now()),
-      seq0_(rt.note_seq_),
-      fleet_seq_(obs::fleet::dispatch_enter(rt.rank(), op, t0_)) {
+      fleet_seq_(obs::fleet::dispatch_enter(rank_, op, t0_)) {
   // Cleared so a dispatch that never consults the plan cache (composed ops,
   // scan) does not inherit the previous call's plan id in its flight record.
   rt.current_plan_id_ = 0;
 }
 
-XcclMpi::ScopedOpTimer::~ScopedOpTimer() {
-  // The dispatch never reached note() (it threw first): there is no current
-  // engine/byte record for this call, so recording anything would attribute
-  // the sample to the previous call. Drop it.
-  if (rt_->note_seq_ == seq0_) {
-    obs::fleet::dispatch_abort(rt_->rank());
-    return;
-  }
-  const double now = rt_->context().clock().now();
-  const double elapsed = now - t0_;
-  OpProfile& prof = rt_->op_profiles_[op_];
-  const std::uint64_t bytes = rt_->last_bytes_;
-  switch (rt_->last_.engine) {
+XcclMpi::OpRecord::~OpRecord() {
+  if (!closed_) obs::fleet::dispatch_abort(rank_);
+}
+
+void XcclMpi::complete(OpRecord& rec, const EnginePick& pick,
+                       const Completion& c, std::string_view level_path,
+                       bool log) {
+  rec.closed_ = true;
+  const CollOp op = rec.op_;
+  const std::size_t bytes = rec.bytes_;
+  const double us = c.done_us - rec.t0_;
+  last_ = Dispatch{c.engine, c.fell_back, c.composed};
+  OpProfile& prof = op_profiles_[op];
+  switch (c.engine) {
     case Engine::Xccl:
+      ++stats_.xccl_calls;
+      stats_.xccl_bytes += bytes;
       ++prof.xccl_calls;
       prof.xccl_bytes += bytes;
-      prof.xccl_us += elapsed;
+      prof.xccl_us += us;
       break;
     case Engine::Hier:
+      ++stats_.hier_calls;
+      stats_.hier_bytes += bytes;
       ++prof.hier_calls;
       prof.hier_bytes += bytes;
-      prof.hier_us += elapsed;
+      prof.hier_us += us;
       break;
     case Engine::Mpi:
+      ++stats_.mpi_calls;
+      stats_.mpi_bytes += bytes;
       ++prof.mpi_calls;
       prof.mpi_bytes += bytes;
-      prof.mpi_us += elapsed;
+      prof.mpi_us += us;
       break;
   }
-  obs::Registry::instance().record_latency(op_, rt_->last_.engine, bytes,
-                                           elapsed);
+  if (c.fell_back) ++stats_.fallbacks;
+
+  obs::DispatchDecision d;
+  d.rank = rank();
+  d.op = op;
+  d.bytes = bytes;
+  d.mode = options_.mode;
+  d.breakpoint = pick.breakpoint;
+  d.table_choice = pick.table_choice;
+  d.engine = c.engine;
+  d.reason = c.reason;
+  d.fell_back = c.fell_back;
+  d.composed = c.composed;
+  d.level_path = level_path;
+  // Issue time, inside [enter, done_us] for every flavour: attribution
+  // joins decisions to dispatch spans on it.
+  d.time_us = context().clock().now();
+  // Persistent replays keep seq 0: the init-time entry explains their
+  // routing, and the replay path must not pay the ring lock.
+  if (log) d.seq = obs::DecisionLog::instance().push(d);
+  last_decision_ = std::move(d);
+
+  auto& reg = obs::Registry::instance();
+  reg.record_call(op, c.engine, rank(), bytes);
+  reg.record_latency(op, c.engine, bytes, us);
   // Slow-call hook: the flight recorder keeps the top-K slowest dispatches
   // joined with the decision that routed them (fast path: one relaxed load).
   obs::FlightRecorder::instance().record(
-      obs::FlightRecord{op_, rt_->last_.engine, bytes, rt_->rank(), t0_, now,
-                        rt_->last_decision_, rt_->current_plan_id_});
-  sim::Trace::instance().record(rt_->rank(), to_string(op_),
-                                to_string(rt_->last_.engine), t0_, now);
-  obs::fleet::dispatch_exit(rt_->rank(), fleet_seq_, op_, bytes,
-                            rt_->last_.engine, now);
+      obs::FlightRecord{op, c.engine, bytes, rank(), rec.t0_, c.done_us,
+                        last_decision_, current_plan_id_});
+  sim::Trace::instance().record(rank(), to_string(op), to_string(c.engine),
+                                rec.t0_, c.done_us);
+  obs::fleet::dispatch_exit(rank(), rec.fleet_seq_, op, bytes, c.engine,
+                            c.done_us);
 }
 
 std::string XcclMpi::profile_report() const {
@@ -371,303 +394,335 @@ std::string XcclMpi::profile_report() const {
   return os.str();
 }
 
-void XcclMpi::note(CollOp op, std::size_t bytes, const EnginePick& pick,
-                   Engine engine, bool fell_back, bool composed,
-                   obs::FallbackReason reason, std::string level_path) {
-  ++note_seq_;
-  last_ = Dispatch{engine, fell_back, composed};
-  last_bytes_ = bytes;
-  switch (engine) {
-    case Engine::Xccl:
-      ++stats_.xccl_calls;
-      stats_.xccl_bytes += bytes;
+// ---- The dispatch ladder ----------------------------------------------------
+
+namespace {
+
+/// Point MPI_IN_PLACE at the buffer the engines actually read.
+CallArgs resolve_in_place(CallArgs a, int rank) {
+  if (a.sendbuf != mini::kInPlace) return a;
+  switch (a.op) {
+    case CollOp::Allreduce: a.sendbuf = a.recvbuf; break;
+    case CollOp::Reduce:
+      if (rank == a.root) a.sendbuf = a.recvbuf;
       break;
-    case Engine::Hier:
-      ++stats_.hier_calls;
-      stats_.hier_bytes += bytes;
+    case CollOp::Allgather:
+      a.sendbuf = cat(a.recvbuf,
+                      static_cast<std::size_t>(rank) * a.rcount * a.rdt.size());
+      a.count = a.rcount;
+      a.dt = a.rdt;
       break;
-    case Engine::Mpi:
-      ++stats_.mpi_calls;
-      stats_.mpi_bytes += bytes;
-      break;
+    default: break;
   }
-  if (fell_back) ++stats_.fallbacks;
-
-  obs::DispatchDecision d;
-  d.rank = rank();
-  d.op = op;
-  d.bytes = bytes;
-  d.mode = options_.mode;
-  d.breakpoint = pick.breakpoint;
-  d.table_choice = pick.table_choice;
-  d.engine = engine;
-  d.reason = reason;
-  d.fell_back = fell_back;
-  d.composed = composed;
-  d.level_path = std::move(level_path);
-  d.time_us = context().clock().now();
-  d.seq = obs::DecisionLog::instance().push(d);
-  last_decision_ = d;
-
-  obs::Registry::instance().record_call(op, engine, rank(), bytes);
+  return a;
 }
 
-void XcclMpi::note(Engine engine, bool fell_back, bool composed) {
-  ++note_seq_;
-  last_ = Dispatch{engine, fell_back, composed};
-  last_bytes_ = 0;
-  switch (engine) {
-    case Engine::Xccl: ++stats_.xccl_calls; break;
-    case Engine::Hier: ++stats_.hier_calls; break;
-    case Engine::Mpi: ++stats_.mpi_calls; break;
+bool run_hier(hier::HierEngine& h, hier::HierEngine::HierComms& hc,
+              const CallArgs& a, mini::Comm& comm) {
+  switch (a.op) {
+    case CollOp::Allreduce:
+      return h.allreduce(hc, a.sendbuf, a.recvbuf, a.count, a.dt, a.redop,
+                         comm);
+    case CollOp::Bcast:
+      return h.bcast(hc, a.recvbuf, a.count, a.dt, a.root, comm);
+    case CollOp::Reduce:
+      return h.reduce(hc, a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, a.root,
+                      comm);
+    case CollOp::Allgather:
+      return h.allgather(hc, a.sendbuf, a.count, a.dt, a.recvbuf, a.rcount,
+                         a.rdt, comm);
+    default:
+      return h.reduce_scatter_block(hc, a.sendbuf, a.recvbuf, a.count, a.dt,
+                                    a.redop, comm);
   }
-  if (fell_back) ++stats_.fallbacks;
 }
 
-// Shared tail for builtin-backed collectives: run the xccl op; on success
-// synchronize (blocking MPI semantics); on a capability error fall back
-// (recording the machine-readable reason the result code maps to). Success
-// keeps the pick's own reason: a hier->xccl remap made at pick time (e.g.
-// HierOpUnsupported) stays visible in the decision log as a redirect.
-// Returns true when the xccl path handled the call.
-#define MPIXCCL_TRY_XCCL(op_, bytes_, pick_, op_expr, composed_flag)      \
-  do {                                                                    \
-    device::Stream& stream_ = context().stream();                        \
-    const XcclResult r_ = (op_expr);                                      \
-    if (ok(r_)) {                                                         \
-      stream_.synchronize(context().clock());                            \
-      note(op_, bytes_, pick_, Engine::Xccl, false, composed_flag,        \
-           (pick_).reason);                                               \
-      return true;                                                        \
-    }                                                                     \
-    if (options_.allow_fallback && is_fallback_result(r_)) {              \
-      MPIXCCL_LOG_DEBUG("core", "fallback to MPI: ", to_string(r_));      \
-      note(op_, bytes_, pick_, Engine::Mpi, true, false,                  \
-           obs::fallback_reason_of(r_));                                  \
-      return false;                                                       \
-    }                                                                     \
-    throw_if_error(r_, "XcclMpi xccl path"); /* always throws here */     \
-    return false;                                                         \
-  } while (false)
+XcclResult launch_xccl(xccl::CclBackend& b, xccl::CclComm& cc,
+                       device::Stream& s, const CallArgs& a) {
+  const std::size_t n = a.count * a.dt.count;
+  switch (a.op) {
+    case CollOp::Allreduce:
+      return b.all_reduce(a.sendbuf, a.recvbuf, n, a.dt.base, a.redop, cc, s);
+    case CollOp::Bcast:
+      return b.broadcast(a.recvbuf, n, a.dt.base, a.root, cc, s);
+    case CollOp::Reduce:
+      return b.reduce(a.sendbuf, a.recvbuf, n, a.dt.base, a.redop, a.root, cc,
+                      s);
+    case CollOp::Allgather:
+      return b.all_gather(a.sendbuf, a.recvbuf, n, a.dt.base, cc, s);
+    default:
+      return b.reduce_scatter(a.sendbuf, a.recvbuf, n, a.dt.base, a.redop, cc,
+                              s);
+  }
+}
+
+/// The blocking MPI algorithm for every flavour: MiniMPI's nonblocking
+/// collectives complete eagerly, so this is what they would run anyway.
+void run_mpi(mini::Mpi& mpi, const CallArgs& a, mini::Comm& comm) {
+  switch (a.op) {
+    case CollOp::Allreduce:
+      mpi.allreduce(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, comm);
+      break;
+    case CollOp::Bcast: mpi.bcast(a.recvbuf, a.count, a.dt, a.root, comm); break;
+    case CollOp::Reduce:
+      mpi.reduce(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, a.root, comm);
+      break;
+    case CollOp::Allgather:
+      mpi.allgather(a.sendbuf, a.count, a.dt, a.recvbuf, a.rcount, a.rdt, comm);
+      break;
+    default:
+      mpi.reduce_scatter_block(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop,
+                               comm);
+      break;
+  }
+}
+
+}  // namespace
+
+Completion XcclMpi::xccl_rung(XcclResult r, const EnginePick& pick,
+                              bool composed) {
+  // Success keeps the pick's own reason: a hier->xccl remap made at pick
+  // time (HierOpUnsupported) stays visible in the decision log.
+  if (ok(r)) {
+    return {Engine::Xccl, false, composed, pick.reason,
+            context().stream().tail()};
+  }
+  if (!options_.allow_fallback || !is_fallback_result(r)) {
+    throw_if_error(r, "XcclMpi xccl path");  // r is an error: always throws
+  }
+  MPIXCCL_LOG_DEBUG("core", "fallback to MPI: ", to_string(r));
+  return {Engine::Mpi, true, false, obs::fallback_reason_of(r)};
+}
+
+Completion XcclMpi::settle(Completion c) {
+  if (c.engine == Engine::Xccl) {
+    context().stream().synchronize(context().clock());
+  }
+  c.done_us = context().clock().now();
+  return c;
+}
+
+Completion XcclMpi::execute(const Plan& p, const CallArgs& a,
+                            mini::Comm& comm) {
+  Completion c{.reason = p.pick.reason};
+  if (p.pick.engine == Engine::Hier) {
+    // The hierarchical engine is host-driven (its stages block on MiniMPI),
+    // so like the MPI engine it completes before returning.
+    if (run_hier(*hier_, *p.hier, a, comm)) {
+      return {Engine::Hier, false, true, obs::FallbackReason::None,
+              context().clock().now()};
+    }
+    // Not node-blocked (or op/type outside hier's set): flat MPI.
+    c.fell_back = true;
+    c.reason = p.hier->usable ? obs::FallbackReason::HierOpUnsupported
+                              : obs::FallbackReason::HierTopoMismatch;
+  } else if (p.pick.engine == Engine::Xccl) {
+    if (a.op == CollOp::Allgather && a.dt.size() != a.rdt.size()) {
+      // Mixed element sizes: the 1:1 builtin cannot serve the call.
+      c.reason = obs::FallbackReason::MixedDatatype;
+    } else {
+      c = xccl_rung(launch_xccl(*backend_, *p.ccl, context().stream(), a),
+                    p.pick, /*composed=*/false);
+      if (c.engine == Engine::Xccl) return c;
+    }
+  }
+  run_mpi(mpi_, a, comm);
+  c.done_us = context().clock().now();
+  return c;
+}
+
+double XcclMpi::dispatch(CallArgs a, mini::Comm& comm, bool blocking,
+                         std::shared_ptr<const Plan>* bound) {
+  a = resolve_in_place(a, comm.rank());
+  OpRecord rec(*this, a.op, a.bytes());
+  std::shared_ptr<const Plan> fetched;
+  std::shared_ptr<const Plan>& plan = bound != nullptr ? *bound : fetched;
+  // One-shot calls and stale persistent plans go through the cache (and
+  // log their decision); a live persistent plan replays as compiled.
+  const bool fetch = plan == nullptr || plan->stale;
+  if (fetch) {
+    plan = plan_for(a, comm);
+  } else {
+    current_plan_id_ = plan->id;
+    obs::fleet::note_plan(rank(), plan->id);
+  }
+  Completion c = execute(*plan, a, comm);
+  if (blocking) c = settle(c);
+  const std::string_view level_path =
+      c.engine == Engine::Hier ? std::string_view(plan->hier->level_path)
+                               : std::string_view();
+  complete(rec, plan->pick, c, level_path, fetch);
+  return c.done_us;
+}
 
 void XcclMpi::barrier(mini::Comm& comm) {
   // Barriers carry no data: the MPI dissemination barrier is strictly
-  // cheaper than a CCL launch, so the hybrid always routes it to MPI.
-  note(Engine::Mpi, false, false);
+  // cheaper than a CCL launch, so the hybrid always routes it to MPI. There
+  // is no CollOp for barrier: it counts in PathStats only.
+  last_ = Dispatch{};
+  ++stats_.mpi_calls;
   mpi_.barrier(comm);
 }
 
+// ---- Built-in collectives: blocking, nonblocking, persistent ----------------
+
 void XcclMpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                         mini::Datatype dt, ReduceOp op, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Allreduce);
-  if (sendbuf == mini::kInPlace) sendbuf = recvbuf;
-  const std::size_t bytes = count * dt.size();
-  const auto p =
-      plan_for(CollOp::Allreduce, bytes, dt.base, op, sendbuf, recvbuf, comm);
-  exec_allreduce(*p, sendbuf, recvbuf, count, dt, op, comm);
-}
-
-void XcclMpi::exec_allreduce(const Plan& p, const void* sendbuf, void* recvbuf,
-                             std::size_t count, mini::Datatype dt, ReduceOp op,
-                             mini::Comm& comm) {
-  const std::size_t bytes = count * dt.size();
-  const EnginePick& pick = p.pick;
-  if (pick.engine == Engine::Hier) {
-    if (hier_->allreduce(*p.hier, sendbuf, recvbuf, count, dt, op, comm)) {
-      note(CollOp::Allreduce, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p.hier->level_path);
-      return;
-    }
-    // Not node-blocked (or op/type outside hier's set): flat MPI.
-    note(CollOp::Allreduce, bytes, pick, Engine::Mpi, true, false,
-         p.hier->usable ? obs::FallbackReason::HierOpUnsupported
-                        : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl) {
-    auto run = [&]() -> bool {
-      MPIXCCL_TRY_XCCL(CollOp::Allreduce, bytes, pick,
-                       backend_->all_reduce(sendbuf, recvbuf, count * dt.count,
-                                            dt.base, op, *p.ccl,
-                                            context().stream()),
-                       false);
-    };
-    if (run()) return;
-  } else {
-    note(CollOp::Allreduce, bytes, pick, Engine::Mpi, false, false,
-         pick.reason);
-  }
-  mpi_.allreduce(sendbuf, recvbuf, count, dt, op, comm);
+  dispatch({.op = CollOp::Allreduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
+            .count = count, .dt = dt, .redop = op},
+           comm, /*blocking=*/true);
 }
 
 void XcclMpi::bcast(void* buf, std::size_t count, mini::Datatype dt, int root,
                     mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Bcast);
-  const std::size_t bytes = count * dt.size();
-  const auto p = plan_for(CollOp::Bcast, bytes, dt.base, ReduceOp::Sum, buf,
-                          nullptr, comm);
-  exec_bcast(*p, buf, count, dt, root, comm);
-}
-
-void XcclMpi::exec_bcast(const Plan& p, void* buf, std::size_t count,
-                         mini::Datatype dt, int root, mini::Comm& comm) {
-  const std::size_t bytes = count * dt.size();
-  const EnginePick& pick = p.pick;
-  if (pick.engine == Engine::Hier) {
-    if (hier_->bcast(*p.hier, buf, count, dt, root, comm)) {
-      note(CollOp::Bcast, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p.hier->level_path);
-      return;
-    }
-    note(CollOp::Bcast, bytes, pick, Engine::Mpi, true, false,
-         p.hier->usable ? obs::FallbackReason::HierOpUnsupported
-                        : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl) {
-    auto run = [&]() -> bool {
-      MPIXCCL_TRY_XCCL(CollOp::Bcast, bytes, pick,
-                       backend_->broadcast(buf, count * dt.count, dt.base, root,
-                                           *p.ccl, context().stream()),
-                       false);
-    };
-    if (run()) return;
-  } else {
-    note(CollOp::Bcast, bytes, pick, Engine::Mpi, false, false, pick.reason);
-  }
-  mpi_.bcast(buf, count, dt, root, comm);
+  dispatch({.op = CollOp::Bcast, .recvbuf = buf, .count = count, .dt = dt,
+            .root = root},
+           comm, /*blocking=*/true);
 }
 
 void XcclMpi::reduce(const void* sendbuf, void* recvbuf, std::size_t count,
                      mini::Datatype dt, ReduceOp op, int root, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Reduce);
-  if (sendbuf == mini::kInPlace && comm.rank() == root) sendbuf = recvbuf;
-  const std::size_t bytes = count * dt.size();
-  const auto p =
-      plan_for(CollOp::Reduce, bytes, dt.base, op, sendbuf, recvbuf, comm);
-  exec_reduce(*p, sendbuf, recvbuf, count, dt, op, root, comm);
-}
-
-void XcclMpi::exec_reduce(const Plan& p, const void* sendbuf, void* recvbuf,
-                          std::size_t count, mini::Datatype dt, ReduceOp op,
-                          int root, mini::Comm& comm) {
-  const std::size_t bytes = count * dt.size();
-  const EnginePick& pick = p.pick;
-  if (pick.engine == Engine::Hier) {
-    if (hier_->reduce(*p.hier, sendbuf, recvbuf, count, dt, op, root, comm)) {
-      note(CollOp::Reduce, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p.hier->level_path);
-      return;
-    }
-    note(CollOp::Reduce, bytes, pick, Engine::Mpi, true, false,
-         p.hier->usable ? obs::FallbackReason::HierOpUnsupported
-                        : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl) {
-    auto run = [&]() -> bool {
-      MPIXCCL_TRY_XCCL(CollOp::Reduce, bytes, pick,
-                       backend_->reduce(sendbuf, recvbuf, count * dt.count,
-                                        dt.base, op, root, *p.ccl,
-                                        context().stream()),
-                       false);
-    };
-    if (run()) return;
-  } else {
-    note(CollOp::Reduce, bytes, pick, Engine::Mpi, false, false, pick.reason);
-  }
-  mpi_.reduce(sendbuf, recvbuf, count, dt, op, root, comm);
+  dispatch({.op = CollOp::Reduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
+            .count = count, .dt = dt, .redop = op, .root = root},
+           comm, /*blocking=*/true);
 }
 
 void XcclMpi::allgather(const void* sendbuf, std::size_t sendcount,
                         mini::Datatype st, void* recvbuf, std::size_t recvcount,
                         mini::Datatype rt, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Allgather);
-  if (sendbuf == mini::kInPlace) {
-    sendbuf = cat(recvbuf, static_cast<std::size_t>(comm.rank()) * recvcount *
-                               rt.size());
-    sendcount = recvcount;
-    st = rt;
-  }
-  const std::size_t bytes = sendcount * st.size();
-  const auto p = plan_for(CollOp::Allgather, bytes, st.base, ReduceOp::Sum,
-                          sendbuf, recvbuf, comm);
-  exec_allgather(*p, sendbuf, sendcount, st, recvbuf, recvcount, rt, comm);
-}
-
-void XcclMpi::exec_allgather(const Plan& p, const void* sendbuf,
-                             std::size_t sendcount, mini::Datatype st,
-                             void* recvbuf, std::size_t recvcount,
-                             mini::Datatype rt, mini::Comm& comm) {
-  const std::size_t bytes = sendcount * st.size();
-  const EnginePick& pick = p.pick;
-  if (pick.engine == Engine::Hier) {
-    if (hier_->allgather(*p.hier, sendbuf, sendcount, st, recvbuf, recvcount,
-                         rt, comm)) {
-      note(CollOp::Allgather, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p.hier->level_path);
-      return;
-    }
-    note(CollOp::Allgather, bytes, pick, Engine::Mpi, true, false,
-         p.hier->usable ? obs::FallbackReason::HierOpUnsupported
-                        : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl && st.size() == rt.size()) {
-    auto run = [&]() -> bool {
-      MPIXCCL_TRY_XCCL(CollOp::Allgather, bytes, pick,
-                       backend_->all_gather(sendbuf, recvbuf,
-                                            sendcount * st.count, st.base,
-                                            *p.ccl, context().stream()),
-                       false);
-    };
-    if (run()) return;
-  } else {
-    // pick==Xccl with differing element sizes means the 1:1 builtin cannot
-    // serve the call (mixed datatypes); the table's Mpi picks land here too.
-    note(CollOp::Allgather, bytes, pick, Engine::Mpi, false, false,
-         pick.engine == Engine::Xccl ? obs::FallbackReason::MixedDatatype
-                                     : pick.reason);
-  }
-  mpi_.allgather(sendbuf, sendcount, st, recvbuf, recvcount, rt, comm);
+  dispatch({.op = CollOp::Allgather, .sendbuf = sendbuf, .recvbuf = recvbuf,
+            .count = sendcount, .dt = st, .rcount = recvcount, .rdt = rt},
+           comm, /*blocking=*/true);
 }
 
 void XcclMpi::reduce_scatter_block(const void* sendbuf, void* recvbuf,
                                    std::size_t recvcount, mini::Datatype dt,
                                    ReduceOp op, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::ReduceScatter);
-  const std::size_t bytes = recvcount * dt.size();
-  const auto p = plan_for(CollOp::ReduceScatter, bytes, dt.base, op, sendbuf,
-                          recvbuf, comm);
-  exec_reduce_scatter(*p, sendbuf, recvbuf, recvcount, dt, op, comm);
+  dispatch({.op = CollOp::ReduceScatter, .sendbuf = sendbuf, .recvbuf = recvbuf,
+            .count = recvcount, .dt = dt, .redop = op},
+           comm, /*blocking=*/true);
 }
 
-void XcclMpi::exec_reduce_scatter(const Plan& p, const void* sendbuf,
-                                  void* recvbuf, std::size_t recvcount,
-                                  mini::Datatype dt, ReduceOp op,
+mini::Request XcclMpi::iallreduce(const void* sendbuf, void* recvbuf,
+                                  std::size_t count, mini::Datatype dt,
+                                  ReduceOp op, mini::Comm& comm) {
+  return mini::Request::completed(
+      dispatch({.op = CollOp::Allreduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
+                .count = count, .dt = dt, .redop = op},
+               comm, /*blocking=*/false));
+}
+
+mini::Request XcclMpi::ibcast(void* buf, std::size_t count, mini::Datatype dt,
+                              int root, mini::Comm& comm) {
+  return mini::Request::completed(
+      dispatch({.op = CollOp::Bcast, .recvbuf = buf, .count = count, .dt = dt,
+                .root = root},
+               comm, /*blocking=*/false));
+}
+
+mini::Request XcclMpi::iallgather(const void* sendbuf, std::size_t sendcount,
+                                  mini::Datatype st, void* recvbuf,
+                                  std::size_t recvcount, mini::Datatype rt,
                                   mini::Comm& comm) {
-  const std::size_t bytes = recvcount * dt.size();
-  const EnginePick& pick = p.pick;
-  if (pick.engine == Engine::Hier) {
-    if (hier_->reduce_scatter_block(*p.hier, sendbuf, recvbuf, recvcount, dt,
-                                    op, comm)) {
-      note(CollOp::ReduceScatter, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p.hier->level_path);
-      return;
-    }
-    note(CollOp::ReduceScatter, bytes, pick, Engine::Mpi, true, false,
-         p.hier->usable ? obs::FallbackReason::HierOpUnsupported
-                        : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl) {
-    auto run = [&]() -> bool {
-      MPIXCCL_TRY_XCCL(CollOp::ReduceScatter, bytes, pick,
-                       backend_->reduce_scatter(sendbuf, recvbuf,
-                                                recvcount * dt.count, dt.base, op,
-                                                *p.ccl,
-                                                context().stream()),
-                       false);
-    };
-    if (run()) return;
-  } else {
-    note(CollOp::ReduceScatter, bytes, pick, Engine::Mpi, false, false,
-         pick.reason);
-  }
-  mpi_.reduce_scatter_block(sendbuf, recvbuf, recvcount, dt, op, comm);
+  return mini::Request::completed(
+      dispatch({.op = CollOp::Allgather, .sendbuf = sendbuf, .recvbuf = recvbuf,
+                .count = sendcount, .dt = st, .rcount = recvcount, .rdt = rt},
+               comm, /*blocking=*/false));
+}
+
+mini::Request XcclMpi::ireduce(const void* sendbuf, void* recvbuf,
+                               std::size_t count, mini::Datatype dt, ReduceOp op,
+                               int root, mini::Comm& comm) {
+  return mini::Request::completed(
+      dispatch({.op = CollOp::Reduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
+                .count = count, .dt = dt, .redop = op, .root = root},
+               comm, /*blocking=*/false));
+}
+
+mini::Request XcclMpi::ireduce_scatter_block(const void* sendbuf,
+                                            void* recvbuf,
+                                            std::size_t recvcount,
+                                            mini::Datatype dt, ReduceOp op,
+                                            mini::Comm& comm) {
+  return mini::Request::completed(
+      dispatch({.op = CollOp::ReduceScatter, .sendbuf = sendbuf,
+                .recvbuf = recvbuf, .count = recvcount, .dt = dt, .redop = op},
+               comm, /*blocking=*/false));
+}
+
+Persistent XcclMpi::make_persistent(CallArgs a, mini::Comm& comm) {
+  Persistent h;
+  h.rt_ = this;
+  h.args_ = resolve_in_place(a, comm.rank());
+  h.comm_ = &comm;
+  h.plan_ = plan_for(h.args_, comm);
+  // One init-time decision-log entry explains every subsequent start():
+  // replays update last_decision() but never the ring.
+  const Plan& p = *h.plan_;
+  obs::DispatchDecision d;
+  d.rank = rank();
+  d.op = a.op;
+  d.bytes = h.args_.bytes();
+  d.mode = p.mode;
+  d.breakpoint = p.pick.breakpoint;
+  d.table_choice = p.pick.table_choice;
+  d.engine = p.pick.engine;
+  d.reason = p.pick.reason;
+  if (p.hier != nullptr && p.hier->usable) d.level_path = p.hier->level_path;
+  d.time_us = context().clock().now();
+  obs::DecisionLog::instance().push(d);
+  return h;
+}
+
+Persistent XcclMpi::allreduce_init(const void* sendbuf, void* recvbuf,
+                                   std::size_t count, mini::Datatype dt,
+                                   ReduceOp op, mini::Comm& comm) {
+  return make_persistent({.op = CollOp::Allreduce, .sendbuf = sendbuf,
+                          .recvbuf = recvbuf, .count = count, .dt = dt,
+                          .redop = op},
+                         comm);
+}
+
+Persistent XcclMpi::bcast_init(void* buf, std::size_t count, mini::Datatype dt,
+                               int root, mini::Comm& comm) {
+  return make_persistent({.op = CollOp::Bcast, .recvbuf = buf, .count = count,
+                          .dt = dt, .root = root},
+                         comm);
+}
+
+Persistent XcclMpi::reduce_init(const void* sendbuf, void* recvbuf,
+                                std::size_t count, mini::Datatype dt,
+                                ReduceOp op, int root, mini::Comm& comm) {
+  return make_persistent({.op = CollOp::Reduce, .sendbuf = sendbuf,
+                          .recvbuf = recvbuf, .count = count, .dt = dt,
+                          .redop = op, .root = root},
+                         comm);
+}
+
+Persistent XcclMpi::allgather_init(const void* sendbuf, std::size_t sendcount,
+                                   mini::Datatype st, void* recvbuf,
+                                   std::size_t recvcount, mini::Datatype rt,
+                                   mini::Comm& comm) {
+  return make_persistent({.op = CollOp::Allgather, .sendbuf = sendbuf,
+                          .recvbuf = recvbuf, .count = sendcount, .dt = st,
+                          .rcount = recvcount, .rdt = rt},
+                         comm);
+}
+
+Persistent XcclMpi::reduce_scatter_init(const void* sendbuf, void* recvbuf,
+                                        std::size_t recvcount,
+                                        mini::Datatype dt, ReduceOp op,
+                                        mini::Comm& comm) {
+  return make_persistent({.op = CollOp::ReduceScatter, .sendbuf = sendbuf,
+                          .recvbuf = recvbuf, .count = recvcount, .dt = dt,
+                          .redop = op},
+                         comm);
 }
 
 // ---- Composed send/recv collectives (paper Sec. 3.3, Listing 1) -----------
+// Each picks its own engine (no plan), runs the ladder's xCCL rung when the
+// pick says xCCL, the MPI algorithm otherwise or on fallback, and closes
+// its record with blocking semantics.
 
 XcclResult XcclMpi::x_alltoallv(const void* sendbuf,
                                 std::span<const std::size_t> sendcounts,
@@ -706,17 +761,15 @@ XcclResult XcclMpi::x_alltoallv(const void* sendbuf,
 void XcclMpi::alltoall(const void* sendbuf, std::size_t sendcount,
                        mini::Datatype st, void* recvbuf, std::size_t recvcount,
                        mini::Datatype rt, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Alltoall);
-  if (sendbuf == mini::kInPlace) {
-    // In-place alltoall reads and writes the same blocks; the MPI engine
-    // snapshots the buffer, the grouped xCCL composition cannot.
-    note(CollOp::Alltoall, recvcount * rt.size(), EnginePick{}, Engine::Mpi,
-         false, false, obs::FallbackReason::InPlace);
-    mpi_.alltoall(sendbuf, sendcount, st, recvbuf, recvcount, rt, comm);
-    return;
-  }
-  const std::size_t bytes = sendcount * st.size();
-  const EnginePick pick = pick_engine(CollOp::Alltoall, bytes, sendbuf, recvbuf);
+  // In-place alltoall reads and writes the same blocks; the MPI engine
+  // snapshots the buffer, the grouped xCCL composition cannot.
+  const bool in_place = sendbuf == mini::kInPlace;
+  OpRecord rec(*this, CollOp::Alltoall,
+               in_place ? recvcount * rt.size() : sendcount * st.size());
+  const EnginePick pick =
+      in_place ? EnginePick{.reason = obs::FallbackReason::InPlace}
+               : pick_engine(CollOp::Alltoall, rec.bytes_, sendbuf, recvbuf);
+  Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
     const auto up = static_cast<std::size_t>(comm.size());
     std::vector<std::size_t> counts(up, sendcount);
@@ -726,22 +779,14 @@ void XcclMpi::alltoall(const void* sendbuf, std::size_t sendcount,
       sdispls[r] = r * sendcount;
       rdispls[r] = r * recvcount;
     }
-    const XcclResult r = x_alltoallv(sendbuf, counts, sdispls, st, recvbuf,
-                                     counts, rdispls, rt, comm);
-    if (ok(r)) {
-      context().stream().synchronize(context().clock());
-      note(CollOp::Alltoall, bytes, pick, Engine::Xccl, false, true,
-           pick.reason);
-      return;
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::alltoall: xccl path failed");
-    note(CollOp::Alltoall, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Alltoall, bytes, pick, Engine::Mpi, false, false, pick.reason);
+    c = xccl_rung(x_alltoallv(sendbuf, counts, sdispls, st, recvbuf, counts,
+                              rdispls, rt, comm),
+                  pick, /*composed=*/true);
   }
-  mpi_.alltoall(sendbuf, sendcount, st, recvbuf, recvcount, rt, comm);
+  if (c.engine == Engine::Mpi) {
+    mpi_.alltoall(sendbuf, sendcount, st, recvbuf, recvcount, rt, comm);
+  }
+  complete(rec, pick, settle(c));
 }
 
 void XcclMpi::alltoallv(const void* sendbuf,
@@ -750,30 +795,22 @@ void XcclMpi::alltoallv(const void* sendbuf,
                         void* recvbuf, std::span<const std::size_t> recvcounts,
                         std::span<const std::size_t> rdispls, mini::Datatype rt,
                         mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Alltoallv);
   std::size_t max_block = 0;
   for (std::size_t c : sendcounts) max_block = std::max(max_block, c * st.size());
+  OpRecord rec(*this, CollOp::Alltoallv, max_block);
   const EnginePick pick =
       pick_engine_agreed(CollOp::Alltoallv, max_block, sendbuf, recvbuf, comm);
+  Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
-    const XcclResult r = x_alltoallv(sendbuf, sendcounts, sdispls, st, recvbuf,
-                                     recvcounts, rdispls, rt, comm);
-    if (ok(r)) {
-      context().stream().synchronize(context().clock());
-      note(CollOp::Alltoallv, max_block, pick, Engine::Xccl, false, true,
-           pick.reason);
-      return;
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::alltoallv: xccl path failed");
-    note(CollOp::Alltoallv, max_block, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Alltoallv, max_block, pick, Engine::Mpi, false, false,
-         pick.reason);
+    c = xccl_rung(x_alltoallv(sendbuf, sendcounts, sdispls, st, recvbuf,
+                              recvcounts, rdispls, rt, comm),
+                  pick, /*composed=*/true);
   }
-  mpi_.alltoallv(sendbuf, sendcounts, sdispls, st, recvbuf, recvcounts, rdispls,
-                 rt, comm);
+  if (c.engine == Engine::Mpi) {
+    mpi_.alltoallv(sendbuf, sendcounts, sdispls, st, recvbuf, recvcounts,
+                   rdispls, rt, comm);
+  }
+  complete(rec, pick, settle(c));
 }
 
 XcclResult XcclMpi::x_gatherv(const void* sendbuf, std::size_t sendcount,
@@ -810,30 +847,23 @@ XcclResult XcclMpi::x_gatherv(const void* sendbuf, std::size_t sendcount,
 void XcclMpi::gather(const void* sendbuf, std::size_t sendcount, mini::Datatype st,
                      void* recvbuf, std::size_t recvcount, mini::Datatype rt,
                      int root, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Gather);
-  const std::size_t bytes = sendcount * st.size();
-  const EnginePick pick = pick_engine(CollOp::Gather, bytes, sendbuf, recvbuf);
+  OpRecord rec(*this, CollOp::Gather, sendcount * st.size());
+  const EnginePick pick =
+      pick_engine(CollOp::Gather, rec.bytes_, sendbuf, recvbuf);
+  Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
     const auto up = static_cast<std::size_t>(comm.size());
     std::vector<std::size_t> counts(up, recvcount);
     std::vector<std::size_t> displs(up);
     for (std::size_t r = 0; r < up; ++r) displs[r] = r * recvcount;
-    const XcclResult r =
-        x_gatherv(sendbuf, sendcount, st, recvbuf, counts, displs, rt, root, comm);
-    if (ok(r)) {
-      context().stream().synchronize(context().clock());
-      note(CollOp::Gather, bytes, pick, Engine::Xccl, false, true,
-           pick.reason);
-      return;
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::gather: xccl path failed");
-    note(CollOp::Gather, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Gather, bytes, pick, Engine::Mpi, false, false, pick.reason);
+    c = xccl_rung(x_gatherv(sendbuf, sendcount, st, recvbuf, counts, displs, rt,
+                            root, comm),
+                  pick, /*composed=*/true);
   }
-  mpi_.gather(sendbuf, sendcount, st, recvbuf, recvcount, rt, root, comm);
+  if (c.engine == Engine::Mpi) {
+    mpi_.gather(sendbuf, sendcount, st, recvbuf, recvcount, rt, root, comm);
+  }
+  complete(rec, pick, settle(c));
 }
 
 void XcclMpi::gatherv(const void* sendbuf, std::size_t sendcount,
@@ -841,29 +871,20 @@ void XcclMpi::gatherv(const void* sendbuf, std::size_t sendcount,
                       std::span<const std::size_t> recvcounts,
                       std::span<const std::size_t> displs, mini::Datatype rt,
                       int root, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Gather);
-  const std::size_t bytes = sendcount * st.size();
+  OpRecord rec(*this, CollOp::Gather, sendcount * st.size());
   const EnginePick pick =
-      pick_engine_agreed(CollOp::Gather, bytes, sendbuf, recvbuf, comm);
+      pick_engine_agreed(CollOp::Gather, rec.bytes_, sendbuf, recvbuf, comm);
+  Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
-    const XcclResult r =
-        x_gatherv(sendbuf, sendcount, st, recvbuf, recvcounts, displs, rt, root,
-                  comm);
-    if (ok(r)) {
-      context().stream().synchronize(context().clock());
-      note(CollOp::Gather, bytes, pick, Engine::Xccl, false, true,
-           pick.reason);
-      return;
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::gatherv: xccl path failed");
-    note(CollOp::Gather, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Gather, bytes, pick, Engine::Mpi, false, false, pick.reason);
+    c = xccl_rung(x_gatherv(sendbuf, sendcount, st, recvbuf, recvcounts, displs,
+                            rt, root, comm),
+                  pick, /*composed=*/true);
   }
-  mpi_.gatherv(sendbuf, sendcount, st, recvbuf, recvcounts, displs, rt, root,
-               comm);
+  if (c.engine == Engine::Mpi) {
+    mpi_.gatherv(sendbuf, sendcount, st, recvbuf, recvcounts, displs, rt, root,
+                 comm);
+  }
+  complete(rec, pick, settle(c));
 }
 
 XcclResult XcclMpi::x_scatterv(const void* sendbuf,
@@ -901,31 +922,23 @@ XcclResult XcclMpi::x_scatterv(const void* sendbuf,
 void XcclMpi::scatter(const void* sendbuf, std::size_t sendcount,
                       mini::Datatype st, void* recvbuf, std::size_t recvcount,
                       mini::Datatype rt, int root, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Scatter);
-  const std::size_t bytes = recvcount * rt.size();
-  const EnginePick pick = pick_engine(CollOp::Scatter, bytes, sendbuf, recvbuf);
+  OpRecord rec(*this, CollOp::Scatter, recvcount * rt.size());
+  const EnginePick pick =
+      pick_engine(CollOp::Scatter, rec.bytes_, sendbuf, recvbuf);
+  Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
     const auto up = static_cast<std::size_t>(comm.size());
     std::vector<std::size_t> counts(up, sendcount);
     std::vector<std::size_t> displs(up);
     for (std::size_t r = 0; r < up; ++r) displs[r] = r * sendcount;
-    const XcclResult r =
-        x_scatterv(sendbuf, counts, displs, st, recvbuf, recvcount, rt, root,
-                   comm);
-    if (ok(r)) {
-      context().stream().synchronize(context().clock());
-      note(CollOp::Scatter, bytes, pick, Engine::Xccl, false, true,
-           pick.reason);
-      return;
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::scatter: xccl path failed");
-    note(CollOp::Scatter, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Scatter, bytes, pick, Engine::Mpi, false, false, pick.reason);
+    c = xccl_rung(x_scatterv(sendbuf, counts, displs, st, recvbuf, recvcount, rt,
+                             root, comm),
+                  pick, /*composed=*/true);
   }
-  mpi_.scatter(sendbuf, sendcount, st, recvbuf, recvcount, rt, root, comm);
+  if (c.engine == Engine::Mpi) {
+    mpi_.scatter(sendbuf, sendcount, st, recvbuf, recvcount, rt, root, comm);
+  }
+  complete(rec, pick, settle(c));
 }
 
 void XcclMpi::scatterv(const void* sendbuf,
@@ -933,28 +946,51 @@ void XcclMpi::scatterv(const void* sendbuf,
                        std::span<const std::size_t> displs, mini::Datatype st,
                        void* recvbuf, std::size_t recvcount, mini::Datatype rt,
                        int root, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Scatter);
-  const std::size_t bytes = recvcount * rt.size();
+  OpRecord rec(*this, CollOp::Scatter, recvcount * rt.size());
   const EnginePick pick =
-      pick_engine_agreed(CollOp::Scatter, bytes, sendbuf, recvbuf, comm);
+      pick_engine_agreed(CollOp::Scatter, rec.bytes_, sendbuf, recvbuf, comm);
+  Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
-    const XcclResult r = x_scatterv(sendbuf, sendcounts, displs, st, recvbuf,
-                                    recvcount, rt, root, comm);
-    if (ok(r)) {
-      context().stream().synchronize(context().clock());
-      note(CollOp::Scatter, bytes, pick, Engine::Xccl, false, true,
-           pick.reason);
-      return;
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::scatterv: xccl path failed");
-    note(CollOp::Scatter, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Scatter, bytes, pick, Engine::Mpi, false, false, pick.reason);
+    c = xccl_rung(x_scatterv(sendbuf, sendcounts, displs, st, recvbuf, recvcount,
+                             rt, root, comm),
+                  pick, /*composed=*/true);
   }
-  mpi_.scatterv(sendbuf, sendcounts, displs, st, recvbuf, recvcount, rt, root,
-                comm);
+  if (c.engine == Engine::Mpi) {
+    mpi_.scatterv(sendbuf, sendcounts, displs, st, recvbuf, recvcount, rt, root,
+                  comm);
+  }
+  complete(rec, pick, settle(c));
+}
+
+XcclResult XcclMpi::x_allgatherv(const void* sendbuf, std::size_t sendcount,
+                                 mini::Datatype st, void* recvbuf,
+                                 std::span<const std::size_t> recvcounts,
+                                 std::span<const std::size_t> displs,
+                                 mini::Datatype rt, mini::Comm& comm) {
+  const auto& caps = backend_->capabilities();
+  if (!caps.can_move(st.base) || !caps.can_move(rt.base)) {
+    return XcclResult::UnsupportedDatatype;
+  }
+  xccl::CclComm& cc = ccl_comm(comm);
+  device::Stream& stream = context().stream();
+  const std::size_t rsz = rt.size();
+
+  // Every rank sends its block to everyone and receives all blocks (no CCL
+  // builtin handles ragged blocks).
+  obs::Span span(rank(), context().clock(), "allgatherv.group", "xccl.stage");
+  throw_if_error(backend_->group_start(), "allgatherv group_start");
+  for (int r = 0; r < comm.size(); ++r) {
+    const auto ur = static_cast<std::size_t>(r);
+    throw_if_error(backend_->send(sendbuf, sendcount * st.count, st.base, r, cc,
+                                  stream),
+                   "allgatherv send");
+    throw_if_error(backend_->recv(mat(recvbuf, displs[ur] * rsz),
+                                  recvcounts[ur] * rt.count, rt.base, r, cc,
+                                  stream),
+                   "allgatherv recv");
+  }
+  throw_if_error(backend_->group_end(), "allgatherv group_end");
+  return XcclResult::Success;
 }
 
 void XcclMpi::allgatherv(const void* sendbuf, std::size_t sendcount,
@@ -962,478 +998,35 @@ void XcclMpi::allgatherv(const void* sendbuf, std::size_t sendcount,
                          std::span<const std::size_t> recvcounts,
                          std::span<const std::size_t> displs, mini::Datatype rt,
                          mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Allgatherv);
-  const std::size_t bytes = sendcount * st.size();
-  const EnginePick pick =
-      pick_engine_agreed(CollOp::Allgatherv, bytes, sendbuf, recvbuf, comm);
+  OpRecord rec(*this, CollOp::Allgatherv, sendcount * st.size());
+  const EnginePick pick = pick_engine_agreed(CollOp::Allgatherv, rec.bytes_,
+                                             sendbuf, recvbuf, comm);
+  Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
-    // Composed: every rank sends its block to everyone and receives all
-    // blocks (no CCL builtin handles ragged blocks).
-    const auto& caps = backend_->capabilities();
-    if (caps.can_move(st.base) && caps.can_move(rt.base)) {
-      xccl::CclComm& cc = ccl_comm(comm);
-      device::Stream& stream = context().stream();
-      const std::size_t rsz = rt.size();
-      obs::Span span(rank(), context().clock(), "allgatherv.group",
-                     "xccl.stage");
-      throw_if_error(backend_->group_start(), "allgatherv group_start");
-      for (int r = 0; r < comm.size(); ++r) {
-        const auto ur = static_cast<std::size_t>(r);
-        throw_if_error(backend_->send(sendbuf, sendcount * st.count, st.base, r,
-                                      cc, stream),
-                       "allgatherv send");
-        throw_if_error(backend_->recv(mat(recvbuf, displs[ur] * rsz),
-                                      recvcounts[ur] * rt.count, rt.base, r, cc,
-                                      stream),
-                       "allgatherv recv");
-      }
-      throw_if_error(backend_->group_end(), "allgatherv group_end");
-      stream.synchronize(context().clock());
-      note(CollOp::Allgatherv, bytes, pick, Engine::Xccl, false, true,
-           pick.reason);
-      return;
-    }
-    note(CollOp::Allgatherv, bytes, pick, Engine::Mpi, true, false,
-         obs::FallbackReason::DtypeUnsupported);
-  } else {
-    note(CollOp::Allgatherv, bytes, pick, Engine::Mpi, false, false,
-         pick.reason);
+    c = xccl_rung(x_allgatherv(sendbuf, sendcount, st, recvbuf, recvcounts,
+                               displs, rt, comm),
+                  pick, /*composed=*/true);
   }
-  mpi_.allgatherv(sendbuf, sendcount, st, recvbuf, recvcounts, displs, rt, comm);
+  if (c.engine == Engine::Mpi) {
+    mpi_.allgatherv(sendbuf, sendcount, st, recvbuf, recvcounts, displs, rt,
+                    comm);
+  }
+  complete(rec, pick, settle(c));
 }
 
 void XcclMpi::scan(const void* sendbuf, void* recvbuf, std::size_t count,
                    mini::Datatype dt, ReduceOp op, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Scan);
   // No CCL builtin and a serial dependency chain: always MPI.
-  note(CollOp::Scan, count * dt.size(), EnginePick{}, Engine::Mpi, false, false,
-       obs::FallbackReason::None);
+  OpRecord rec(*this, CollOp::Scan, count * dt.size());
   mpi_.scan(sendbuf, recvbuf, count, dt, op, comm);
+  complete(rec, {}, settle({}));
 }
 
 void XcclMpi::exscan(const void* sendbuf, void* recvbuf, std::size_t count,
                      mini::Datatype dt, ReduceOp op, mini::Comm& comm) {
-  ScopedOpTimer op_timer_(*this, CollOp::Scan);
-  note(CollOp::Scan, count * dt.size(), EnginePick{}, Engine::Mpi, false, false,
-       obs::FallbackReason::None);
+  OpRecord rec(*this, CollOp::Scan, count * dt.size());
   mpi_.exscan(sendbuf, recvbuf, count, dt, op, comm);
-}
-
-// ---- Nonblocking collectives -------------------------------------------------
-
-mini::Request XcclMpi::iallreduce(const void* sendbuf, void* recvbuf,
-                                  std::size_t count, mini::Datatype dt,
-                                  ReduceOp op, mini::Comm& comm) {
-  const std::size_t bytes = count * dt.size();
-  const auto p =
-      plan_for(CollOp::Allreduce, bytes, dt.base, op, sendbuf, recvbuf, comm);
-  const EnginePick& pick = p->pick;
-  if (pick.engine == Engine::Hier) {
-    // The hierarchical engine is host-driven (its stages block on MiniMPI),
-    // so like the MPI engine it completes before returning.
-    if (hier_->allreduce(*p->hier, sendbuf, recvbuf, count, dt, op, comm)) {
-      note(CollOp::Allreduce, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p->hier->level_path);
-      return mini::Request::completed(context().clock().now());
-    }
-    note(CollOp::Allreduce, bytes, pick, Engine::Mpi, true, false,
-         p->hier->usable ? obs::FallbackReason::HierOpUnsupported
-                         : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl) {
-    device::Stream& stream = context().stream();
-    const XcclResult r = backend_->all_reduce(
-        sendbuf, recvbuf, count * dt.count, dt.base, op, *p->ccl, stream);
-    if (ok(r)) {
-      note(CollOp::Allreduce, bytes, pick, Engine::Xccl, false, false,
-           obs::FallbackReason::None);
-      // No stream sync: the request completes at the stream tail, so the
-      // caller can overlap compute until wait().
-      return mini::Request::completed(stream.tail());
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::iallreduce: xccl path failed");
-    note(CollOp::Allreduce, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Allreduce, bytes, pick, Engine::Mpi, false, false,
-         pick.reason);
-  }
-  return mpi_.iallreduce(sendbuf, recvbuf, count, dt, op, comm);
-}
-
-mini::Request XcclMpi::ibcast(void* buf, std::size_t count, mini::Datatype dt,
-                              int root, mini::Comm& comm) {
-  const std::size_t bytes = count * dt.size();
-  const auto p = plan_for(CollOp::Bcast, bytes, dt.base, ReduceOp::Sum, buf,
-                          nullptr, comm);
-  const EnginePick& pick = p->pick;
-  if (pick.engine == Engine::Hier) {
-    if (hier_->bcast(*p->hier, buf, count, dt, root, comm)) {
-      note(CollOp::Bcast, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p->hier->level_path);
-      return mini::Request::completed(context().clock().now());
-    }
-    note(CollOp::Bcast, bytes, pick, Engine::Mpi, true, false,
-         p->hier->usable ? obs::FallbackReason::HierOpUnsupported
-                         : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl) {
-    device::Stream& stream = context().stream();
-    const XcclResult r = backend_->broadcast(buf, count * dt.count, dt.base, root,
-                                             *p->ccl, stream);
-    if (ok(r)) {
-      note(CollOp::Bcast, bytes, pick, Engine::Xccl, false, false,
-           obs::FallbackReason::None);
-      return mini::Request::completed(stream.tail());
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::ibcast: xccl path failed");
-    note(CollOp::Bcast, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Bcast, bytes, pick, Engine::Mpi, false, false, pick.reason);
-  }
-  return mpi_.ibcast(buf, count, dt, root, comm);
-}
-
-mini::Request XcclMpi::iallgather(const void* sendbuf, std::size_t sendcount,
-                                  mini::Datatype st, void* recvbuf,
-                                  std::size_t recvcount, mini::Datatype rt,
-                                  mini::Comm& comm) {
-  if (sendbuf == mini::kInPlace) {
-    sendbuf = cat(recvbuf, static_cast<std::size_t>(comm.rank()) * recvcount *
-                               rt.size());
-    sendcount = recvcount;
-    st = rt;
-  }
-  const std::size_t bytes = sendcount * st.size();
-  const auto p = plan_for(CollOp::Allgather, bytes, st.base, ReduceOp::Sum,
-                          sendbuf, recvbuf, comm);
-  const EnginePick& pick = p->pick;
-  if (pick.engine == Engine::Hier) {
-    if (hier_->allgather(*p->hier, sendbuf, sendcount, st, recvbuf, recvcount,
-                         rt, comm)) {
-      note(CollOp::Allgather, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p->hier->level_path);
-      return mini::Request::completed(context().clock().now());
-    }
-    note(CollOp::Allgather, bytes, pick, Engine::Mpi, true, false,
-         p->hier->usable ? obs::FallbackReason::HierOpUnsupported
-                         : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl && st.size() == rt.size()) {
-    device::Stream& stream = context().stream();
-    const XcclResult r =
-        backend_->all_gather(sendbuf, recvbuf, sendcount * st.count, st.base,
-                             *p->ccl, stream);
-    if (ok(r)) {
-      note(CollOp::Allgather, bytes, pick, Engine::Xccl, false, false,
-           obs::FallbackReason::None);
-      return mini::Request::completed(stream.tail());
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::iallgather: xccl path failed");
-    note(CollOp::Allgather, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Allgather, bytes, pick, Engine::Mpi, false, false,
-         pick.engine == Engine::Xccl ? obs::FallbackReason::MixedDatatype
-                                     : pick.reason);
-  }
-  // MiniMPI has no nonblocking allgather; complete eagerly like its other
-  // i-collectives do.
-  mpi_.allgather(sendbuf, sendcount, st, recvbuf, recvcount, rt, comm);
-  return mini::Request::completed(context().clock().now());
-}
-
-mini::Request XcclMpi::ireduce(const void* sendbuf, void* recvbuf,
-                               std::size_t count, mini::Datatype dt, ReduceOp op,
-                               int root, mini::Comm& comm) {
-  if (sendbuf == mini::kInPlace && comm.rank() == root) sendbuf = recvbuf;
-  const std::size_t bytes = count * dt.size();
-  const auto p =
-      plan_for(CollOp::Reduce, bytes, dt.base, op, sendbuf, recvbuf, comm);
-  const EnginePick& pick = p->pick;
-  if (pick.engine == Engine::Hier) {
-    if (hier_->reduce(*p->hier, sendbuf, recvbuf, count, dt, op, root, comm)) {
-      note(CollOp::Reduce, bytes, pick, Engine::Hier, false, true,
-           obs::FallbackReason::None, p->hier->level_path);
-      return mini::Request::completed(context().clock().now());
-    }
-    note(CollOp::Reduce, bytes, pick, Engine::Mpi, true, false,
-         p->hier->usable ? obs::FallbackReason::HierOpUnsupported
-                         : obs::FallbackReason::HierTopoMismatch);
-  } else if (pick.engine == Engine::Xccl) {
-    device::Stream& stream = context().stream();
-    const XcclResult r =
-        backend_->reduce(sendbuf, recvbuf, count * dt.count, dt.base, op, root,
-                         *p->ccl, stream);
-    if (ok(r)) {
-      note(CollOp::Reduce, bytes, pick, Engine::Xccl, false, false,
-           obs::FallbackReason::None);
-      return mini::Request::completed(stream.tail());
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::ireduce: xccl path failed");
-    note(CollOp::Reduce, bytes, pick, Engine::Mpi, true, false,
-         obs::fallback_reason_of(r));
-  } else {
-    note(CollOp::Reduce, bytes, pick, Engine::Mpi, false, false, pick.reason);
-  }
-  mpi_.reduce(sendbuf, recvbuf, count, dt, op, root, comm);
-  return mini::Request::completed(context().clock().now());
-}
-
-// ---- Persistent collectives -------------------------------------------------
-
-void XcclMpi::note_replay(const Plan& p, CollOp op, std::size_t bytes,
-                          Engine engine, bool fell_back, bool composed,
-                          obs::FallbackReason reason) {
-  ++note_seq_;
-  last_ = Dispatch{engine, fell_back, composed};
-  last_bytes_ = bytes;
-  switch (engine) {
-    case Engine::Xccl:
-      ++stats_.xccl_calls;
-      stats_.xccl_bytes += bytes;
-      break;
-    case Engine::Hier:
-      ++stats_.hier_calls;
-      stats_.hier_bytes += bytes;
-      break;
-    case Engine::Mpi:
-      ++stats_.mpi_calls;
-      stats_.mpi_bytes += bytes;
-      break;
-  }
-  if (fell_back) ++stats_.fallbacks;
-
-  // Same fully-explained record note() builds, but never appended to the
-  // decision ring: the init-time entry already explains the routing and the
-  // replay hot path must not pay the ring lock (seq 0 marks it synthetic).
-  obs::DispatchDecision d;
-  d.rank = rank();
-  d.op = op;
-  d.bytes = bytes;
-  d.mode = p.mode;
-  d.breakpoint = p.pick.breakpoint;
-  d.table_choice = p.pick.table_choice;
-  d.engine = engine;
-  d.reason = reason;
-  d.fell_back = fell_back;
-  d.composed = composed;
-  if (engine == Engine::Hier && p.hier != nullptr) {
-    d.level_path = p.hier->level_path;
-  }
-  d.time_us = context().clock().now();
-  d.seq = 0;
-  last_decision_ = d;
-  current_plan_id_ = p.id;
-  obs::fleet::note_plan(rank(), p.id);
-
-  obs::Registry::instance().record_call(op, engine, rank(), bytes);
-}
-
-Persistent XcclMpi::make_persistent(CollOp op, const void* sendbuf,
-                                    void* recvbuf, std::size_t count,
-                                    mini::Datatype dt, std::size_t rcount,
-                                    mini::Datatype rdt, ReduceOp redop,
-                                    int root, mini::Comm& comm) {
-  const std::size_t bytes = count * dt.size();
-  Persistent h;
-  h.rt_ = this;
-  h.plan_ = plan_for(op, bytes, dt.base, redop, sendbuf, recvbuf, comm);
-  h.op_ = op;
-  h.sendbuf_ = sendbuf;
-  h.recvbuf_ = recvbuf;
-  h.count_ = count;
-  h.rcount_ = rcount;
-  h.dt_ = dt;
-  h.rdt_ = rdt;
-  h.redop_ = redop;
-  h.root_ = root;
-  h.comm_ = &comm;
-  // One init-time decision-log entry explains every subsequent start():
-  // replays update last_decision() but never the ring (see note_replay).
-  obs::DispatchDecision d;
-  d.rank = rank();
-  d.op = op;
-  d.bytes = bytes;
-  d.mode = h.plan_->mode;
-  d.breakpoint = h.plan_->pick.breakpoint;
-  d.table_choice = h.plan_->pick.table_choice;
-  d.engine = h.plan_->pick.engine;
-  d.reason = h.plan_->pick.reason;
-  if (h.plan_->hier != nullptr && h.plan_->hier->usable) {
-    d.level_path = h.plan_->hier->level_path;
-  }
-  d.time_us = context().clock().now();
-  obs::DecisionLog::instance().push(d);
-  return h;
-}
-
-Persistent XcclMpi::allreduce_init(const void* sendbuf, void* recvbuf,
-                                   std::size_t count, mini::Datatype dt,
-                                   ReduceOp op, mini::Comm& comm) {
-  if (sendbuf == mini::kInPlace) sendbuf = recvbuf;
-  return make_persistent(CollOp::Allreduce, sendbuf, recvbuf, count, dt, 0, dt,
-                         op, 0, comm);
-}
-
-Persistent XcclMpi::bcast_init(void* buf, std::size_t count, mini::Datatype dt,
-                               int root, mini::Comm& comm) {
-  return make_persistent(CollOp::Bcast, nullptr, buf, count, dt, 0, dt,
-                         ReduceOp::Sum, root, comm);
-}
-
-Persistent XcclMpi::reduce_init(const void* sendbuf, void* recvbuf,
-                                std::size_t count, mini::Datatype dt,
-                                ReduceOp op, int root, mini::Comm& comm) {
-  if (sendbuf == mini::kInPlace && comm.rank() == root) sendbuf = recvbuf;
-  return make_persistent(CollOp::Reduce, sendbuf, recvbuf, count, dt, 0, dt,
-                         op, root, comm);
-}
-
-Persistent XcclMpi::allgather_init(const void* sendbuf, std::size_t sendcount,
-                                   mini::Datatype st, void* recvbuf,
-                                   std::size_t recvcount, mini::Datatype rt,
-                                   mini::Comm& comm) {
-  if (sendbuf == mini::kInPlace) {
-    sendbuf = cat(recvbuf, static_cast<std::size_t>(comm.rank()) * recvcount *
-                               rt.size());
-    sendcount = recvcount;
-    st = rt;
-  }
-  return make_persistent(CollOp::Allgather, sendbuf, recvbuf, sendcount, st,
-                         recvcount, rt, ReduceOp::Sum, 0, comm);
-}
-
-Persistent XcclMpi::reduce_scatter_init(const void* sendbuf, void* recvbuf,
-                                        std::size_t recvcount,
-                                        mini::Datatype dt, ReduceOp op,
-                                        mini::Comm& comm) {
-  return make_persistent(CollOp::ReduceScatter, sendbuf, recvbuf, recvcount,
-                         dt, 0, dt, op, 0, comm);
-}
-
-void XcclMpi::persistent_start(Persistent& h) {
-  require(h.valid(), "Persistent::start: empty handle (freed or moved-from)");
-  require(!h.started_, "Persistent::start: previous start not yet waited");
-  const Plan& p = *h.plan_;
-  mini::Comm& comm = *h.comm_;
-  const std::size_t bytes = h.count_ * h.dt_.size();
-  device::Stream& stream = context().stream();
-  obs::Span span(rank(), context().clock(), "plan.exec", "core.plan");
-  h.started_ = true;
-
-  // Thin replay of the compiled decision. The xCCL engine launches on the
-  // stream and leaves the request at the stream tail (wait() absorbs it, so
-  // starts overlap compute like iallreduce); the host-driven hier and MPI
-  // engines complete before returning, exactly like the i-collectives.
-  if (p.pick.engine == Engine::Hier) {
-    bool served = false;
-    switch (h.op_) {
-      case CollOp::Allreduce:
-        served = hier_->allreduce(*p.hier, h.sendbuf_, h.recvbuf_, h.count_,
-                                  h.dt_, h.redop_, comm);
-        break;
-      case CollOp::Bcast:
-        served = hier_->bcast(*p.hier, h.recvbuf_, h.count_, h.dt_, h.root_,
-                              comm);
-        break;
-      case CollOp::Reduce:
-        served = hier_->reduce(*p.hier, h.sendbuf_, h.recvbuf_, h.count_,
-                               h.dt_, h.redop_, h.root_, comm);
-        break;
-      case CollOp::Allgather:
-        served = hier_->allgather(*p.hier, h.sendbuf_, h.count_, h.dt_,
-                                  h.recvbuf_, h.rcount_, h.rdt_, comm);
-        break;
-      default:
-        served = hier_->reduce_scatter_block(*p.hier, h.sendbuf_, h.recvbuf_,
-                                             h.count_, h.dt_, h.redop_, comm);
-        break;
-    }
-    if (served) {
-      note_replay(p, h.op_, bytes, Engine::Hier, false, true,
-                  obs::FallbackReason::None);
-      h.req_ = mini::Request::completed(context().clock().now());
-      return;
-    }
-    note_replay(p, h.op_, bytes, Engine::Mpi, true, false,
-                p.hier->usable ? obs::FallbackReason::HierOpUnsupported
-                               : obs::FallbackReason::HierTopoMismatch);
-  } else if (p.pick.engine == Engine::Xccl &&
-             (h.op_ != CollOp::Allgather || h.dt_.size() == h.rdt_.size())) {
-    XcclResult r = XcclResult::Success;
-    switch (h.op_) {
-      case CollOp::Allreduce:
-        r = backend_->all_reduce(h.sendbuf_, h.recvbuf_,
-                                 h.count_ * h.dt_.count, h.dt_.base, h.redop_,
-                                 *p.ccl, stream);
-        break;
-      case CollOp::Bcast:
-        r = backend_->broadcast(h.recvbuf_, h.count_ * h.dt_.count, h.dt_.base,
-                                h.root_, *p.ccl, stream);
-        break;
-      case CollOp::Reduce:
-        r = backend_->reduce(h.sendbuf_, h.recvbuf_, h.count_ * h.dt_.count,
-                             h.dt_.base, h.redop_, h.root_, *p.ccl, stream);
-        break;
-      case CollOp::Allgather:
-        r = backend_->all_gather(h.sendbuf_, h.recvbuf_,
-                                 h.count_ * h.dt_.count, h.dt_.base, *p.ccl,
-                                 stream);
-        break;
-      default:
-        r = backend_->reduce_scatter(h.sendbuf_, h.recvbuf_,
-                                     h.count_ * h.dt_.count, h.dt_.base,
-                                     h.redop_, *p.ccl, stream);
-        break;
-    }
-    if (ok(r)) {
-      note_replay(p, h.op_, bytes, Engine::Xccl, false, false, p.pick.reason);
-      h.req_ = mini::Request::completed(stream.tail());
-      return;
-    }
-    require(options_.allow_fallback && is_fallback_result(r),
-            "XcclMpi::persistent_start: xccl path failed");
-    note_replay(p, h.op_, bytes, Engine::Mpi, true, false,
-                obs::fallback_reason_of(r));
-  } else {
-    note_replay(p, h.op_, bytes, Engine::Mpi, false, false,
-                h.op_ == CollOp::Allgather &&
-                        p.pick.engine == Engine::Xccl
-                    ? obs::FallbackReason::MixedDatatype
-                    : p.pick.reason);
-  }
-
-  switch (h.op_) {
-    case CollOp::Allreduce:
-      h.req_ = mpi_.iallreduce(h.sendbuf_, h.recvbuf_, h.count_, h.dt_,
-                               h.redop_, comm);
-      return;
-    case CollOp::Bcast:
-      h.req_ = mpi_.ibcast(h.recvbuf_, h.count_, h.dt_, h.root_, comm);
-      return;
-    case CollOp::Reduce:
-      mpi_.reduce(h.sendbuf_, h.recvbuf_, h.count_, h.dt_, h.redop_, h.root_,
-                  comm);
-      break;
-    case CollOp::Allgather:
-      mpi_.allgather(h.sendbuf_, h.count_, h.dt_, h.recvbuf_, h.rcount_,
-                     h.rdt_, comm);
-      break;
-    default:
-      mpi_.reduce_scatter_block(h.sendbuf_, h.recvbuf_, h.count_, h.dt_,
-                                h.redop_, comm);
-      break;
-  }
-  h.req_ = mini::Request::completed(context().clock().now());
-}
-
-void XcclMpi::persistent_wait(Persistent& h) {
-  require(h.started_, "Persistent::wait: no start in flight");
-  mpi_.wait(h.req_);
-  h.started_ = false;
+  complete(rec, {}, settle({}));
 }
 
 }  // namespace mpixccl::core

@@ -18,15 +18,19 @@
 //   5. Execute: built-in CCL collectives map 1:1 (xcclAllReduce & friends);
 //      everything else (Alltoall(v), Gather(v), Scatter(v), ...) is composed
 //      from xcclSend/xcclRecv inside xcclGroupStart/End (paper Listing 1).
+//      The five built-ins share one ladder, execute(): hier -> xCCL -> MPI,
+//      returning a Completion (serving engine, fallback reason, done time).
 //   6. Blocking MPI semantics come from synchronizing the stream; the
-//      nonblocking variants (MPI_Iallreduce, ...) return requests that
-//      complete at the stream's tail, preserving communication/compute
-//      overlap in virtual time.
+//      nonblocking variants (MPI_Iallreduce, ...) and persistent starts
+//      return requests that complete at the stream's tail, preserving
+//      communication/compute overlap in virtual time. Every flavour closes
+//      one completion record (complete()) that feeds every telemetry sink.
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "core/plan.hpp"
@@ -54,6 +58,32 @@ struct Dispatch {
   Engine engine = Engine::Mpi;
   bool fell_back = false;   ///< chose xccl/hier, bounced back to MPI
   bool composed = false;    ///< served by group send/recv or staged composition
+};
+
+/// The argument tuple of one built-in collective (allreduce, bcast, reduce,
+/// allgather, reduce-scatter), bound once by a persistent handle.
+struct CallArgs {
+  CollOp op = CollOp::Allreduce;
+  const void* sendbuf = nullptr;  ///< nullptr for bcast
+  void* recvbuf = nullptr;        ///< bcast: the buffer
+  std::size_t count = 0;  ///< send count (reduce-scatter: recv count)
+  mini::Datatype dt = mini::kByte;
+  std::size_t rcount = 0;  ///< allgather recv count
+  mini::Datatype rdt = mini::kByte;
+  ReduceOp redop = ReduceOp::Sum;
+  int root = 0;
+
+  [[nodiscard]] std::size_t bytes() const { return count * dt.size(); }
+};
+
+/// How one dispatch ended: the engine that served it and the virtual time
+/// its result is ready (the stream tail for an unsynchronized xCCL launch).
+struct Completion {
+  Engine engine = Engine::Mpi;
+  bool fell_back = false;
+  bool composed = false;
+  obs::FallbackReason reason = obs::FallbackReason::None;
+  double done_us = 0.0;
 };
 
 /// Per-engine call and byte counters (one XcclMpi instance = one rank's
@@ -240,11 +270,14 @@ class XcclMpi {
   // MPI_Allreduce_init-shaped: init captures the tuning decision, engine,
   // CCL communicator / hier subcomm handles and pre-sized staging for the
   // bound (buffers, count, datatype, communicator) tuple; start() is a thin
-  // replay that skips tuning lookup, decision construction and comm-split.
-  // The caller keeps `comm` (and the buffers) alive for the handle's life;
-  // start/wait pairs must not overlap on one handle. xCCL-engine starts
-  // launch on the stream without synchronizing (wait() absorbs the tail),
-  // so persistent reductions overlap compute exactly like iallreduce.
+  // replay that skips tuning lookup and comm-split. A retune, table or mode
+  // swap, or hier reconfiguration marks the plan stale, and the next start()
+  // recompiles it through the plan cache (so those calls must stay uniform
+  // across ranks, as they already must). The caller keeps `comm` (and the
+  // buffers) alive for the handle's life; start/wait pairs must not overlap
+  // on one handle. xCCL-engine starts launch on the stream without
+  // synchronizing (wait() absorbs the tail), so persistent reductions
+  // overlap compute exactly like iallreduce.
   Persistent allreduce_init(const void* sendbuf, void* recvbuf,
                             std::size_t count, mini::Datatype dt, ReduceOp op,
                             mini::Comm& comm);
@@ -263,8 +296,8 @@ class XcclMpi {
 
   // ---- Nonblocking collectives (paper advantage #4) -------------------------
   // The xCCL engine launches on the stream without synchronizing, so the
-  // request overlaps with subsequent compute; the MPI engine completes
-  // immediately (see mini::Mpi).
+  // request overlaps with subsequent compute; the host-driven hier and MPI
+  // engines complete before returning (see mini::Mpi).
   mini::Request iallreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                            mini::Datatype dt, ReduceOp op, mini::Comm& comm);
   mini::Request ibcast(void* buf, std::size_t count, mini::Datatype dt, int root,
@@ -276,6 +309,9 @@ class XcclMpi {
   mini::Request ireduce(const void* sendbuf, void* recvbuf, std::size_t count,
                         mini::Datatype dt, ReduceOp op, int root,
                         mini::Comm& comm);
+  mini::Request ireduce_scatter_block(const void* sendbuf, void* recvbuf,
+                                     std::size_t recvcount, mini::Datatype dt,
+                                     ReduceOp op, mini::Comm& comm);
 
   // ---- Introspection ---------------------------------------------------------
   [[nodiscard]] Dispatch last_dispatch() const { return last_; }
@@ -317,11 +353,7 @@ class XcclMpi {
   /// Wrap one matched rule into a pick, remapping unsupported hier choices
   /// to Xccl (recorded as a redirect).
   static EnginePick pick_from_entry(CollOp op, const TuningTable::Entry& e);
-  /// Shared tail of both pick paths once the decided byte count is known:
-  /// consult the tuning table and remap unsupported hier picks to Xccl.
-  static EnginePick pick_from_table(const TuningTable& tuning, CollOp op,
-                                    std::size_t bytes);
-  /// Instance variant: the adaptive overlay shadows the static table.
+  /// Consult the tuning table (the adaptive overlay shadows the static one).
   [[nodiscard]] EnginePick pick_table(CollOp op, std::size_t bytes) const;
 
   /// Decide the engine for a collective touching `bytes` bytes with the
@@ -341,78 +373,67 @@ class XcclMpi {
   [[nodiscard]] bool any_device_buffer(const void* a, const void* b) const;
 
   // ---- Plan/execute split ---------------------------------------------------
-  /// Fetch the cached plan for this dispatch tuple or build one (resolving
-  /// the CCL communicator / hier splits under a "plan.build" span). The
-  /// build is collective on a cache miss, so lookups must be issued in the
-  /// same order on every member — true for MPI-ordered collectives.
-  std::shared_ptr<const Plan> plan_for(CollOp op, std::size_t bytes,
-                                       DataType base, ReduceOp redop,
-                                       const void* a, const void* b,
-                                       mini::Comm& comm);
+  /// Fetch the cached plan for this call or build one (resolving the CCL
+  /// communicator / hier splits under a "plan.build" span). The build is
+  /// collective on a cache miss, so lookups must be issued in the same
+  /// order on every member — true for MPI-ordered collectives.
+  std::shared_ptr<const Plan> plan_for(const CallArgs& a, mini::Comm& comm);
   std::shared_ptr<Plan> build_plan(const PlanKey& key, CollOp op,
                                    std::size_t bytes, mini::Comm& comm);
 
-  // Execute a compiled plan for one collective, preserving the one-shot
-  // dispatch semantics (note(), fallback behavior, stream sync).
-  void exec_allreduce(const Plan& p, const void* sendbuf, void* recvbuf,
-                      std::size_t count, mini::Datatype dt, ReduceOp op,
-                      mini::Comm& comm);
-  void exec_bcast(const Plan& p, void* buf, std::size_t count,
-                  mini::Datatype dt, int root, mini::Comm& comm);
-  void exec_reduce(const Plan& p, const void* sendbuf, void* recvbuf,
-                   std::size_t count, mini::Datatype dt, ReduceOp op, int root,
-                   mini::Comm& comm);
-  void exec_allgather(const Plan& p, const void* sendbuf, std::size_t sendcount,
-                      mini::Datatype st, void* recvbuf, std::size_t recvcount,
-                      mini::Datatype rt, mini::Comm& comm);
-  void exec_reduce_scatter(const Plan& p, const void* sendbuf, void* recvbuf,
-                           std::size_t recvcount, mini::Datatype dt,
-                           ReduceOp op, mini::Comm& comm);
+  /// The dispatch ladder of the built-in collectives: the plan's engine
+  /// (hier or xCCL) when it serves the call, else the MPI algorithm, with
+  /// the reason it fell back. An xCCL launch is left on the stream.
+  Completion execute(const Plan& p, const CallArgs& a, mini::Comm& comm);
+  /// The ladder's xCCL rung, shared with the composed collectives: a served
+  /// launch completes at the stream tail; a capability error maps to an MPI
+  /// completion carrying its reason (or throws when fallback is disabled).
+  Completion xccl_rung(XcclResult r, const EnginePick& pick, bool composed);
+  /// Blocking semantics: synchronize an xCCL completion's stream; the call
+  /// is done now.
+  Completion settle(Completion c);
 
-  /// Stats/introspection update for a persistent start: everything note()
-  /// does except the DecisionLog append (the init-time decision already
-  /// explains the routing; replays must not pay the ring lock).
-  void note_replay(const Plan& p, CollOp op, std::size_t bytes, Engine engine,
-                   bool fell_back, bool composed, obs::FallbackReason reason);
+  /// Every flavour of a built-in collective: open the record, resolve the
+  /// plan, execute(), close the record. `bound` is a persistent handle's
+  /// plan, replayed unless an invalidation marked it stale; replays skip
+  /// the decision-ring append. Returns the completion time.
+  double dispatch(CallArgs a, mini::Comm& comm, bool blocking,
+                  std::shared_ptr<const Plan>* bound = nullptr);
 
-  Persistent make_persistent(CollOp op, const void* sendbuf, void* recvbuf,
-                             std::size_t count, mini::Datatype dt,
-                             std::size_t rcount, mini::Datatype rdt,
-                             ReduceOp redop, int root, mini::Comm& comm);
-  void persistent_start(Persistent& h);
-  void persistent_wait(Persistent& h);
+  Persistent make_persistent(CallArgs a, mini::Comm& comm);
 
   /// Get or create (collectively!) the CCL communicator for `comm`.
   xccl::CclComm& ccl_comm(mini::Comm& comm);
 
-  /// Record one fully-explained dispatch: updates last_/last_decision_,
-  /// bumps the per-instance counters, and feeds the process-wide metrics
-  /// registry and (when enabled) the decision log.
-  void note(CollOp op, std::size_t bytes, const EnginePick& pick, Engine engine,
-            bool fell_back, bool composed, obs::FallbackReason reason,
-            std::string level_path = {});
-  /// Barrier-only variant (no CollOp for barrier; excluded from the
-  /// decision log and the per-op registry, counted in PathStats only).
-  void note(Engine engine, bool fell_back, bool composed);
-
-  /// Scope guard timing one public collective call in virtual time. Records
-  /// nothing when the guarded call never reached note() (e.g. it threw
-  /// before dispatch completed) — otherwise the sample would be attributed
-  /// to the PREVIOUS call's engine and byte count.
-  class ScopedOpTimer {
+  /// One collective call's telemetry record, opened at call entry (virtual
+  /// enter time, fleet arrival) and closed once by complete(). A record
+  /// that unwinds unclosed (the call threw) records nothing — otherwise the
+  /// sample would be attributed to the PREVIOUS call — and only clears the
+  /// fleet in-flight flag.
+  class OpRecord {
    public:
-    ScopedOpTimer(XcclMpi& rt, CollOp op);
-    ~ScopedOpTimer();
-    ScopedOpTimer(const ScopedOpTimer&) = delete;
-    ScopedOpTimer& operator=(const ScopedOpTimer&) = delete;
+    OpRecord(XcclMpi& rt, CollOp op, std::size_t bytes);
+    ~OpRecord();
+    OpRecord(const OpRecord&) = delete;
+    OpRecord& operator=(const OpRecord&) = delete;
 
    private:
-    XcclMpi* rt_;
+    friend class XcclMpi;
+    int rank_;
     CollOp op_;
+    std::size_t bytes_;
     double t0_;
-    std::uint64_t seq0_;  ///< note_seq_ at construction; unchanged => no note()
     std::uint64_t fleet_seq_;  ///< this rank's fleet dispatch seq (arrival key)
+    bool closed_ = false;
   };
+
+  /// Close `rec` with how the call completed: the single place that feeds
+  /// last_dispatch()/last_decision(), PathStats/OpProfile, the registry
+  /// (call + latency), the decision log (when `log`), the flight recorder,
+  /// sim::Trace and the fleet arrival ring. The latency spans call entry to
+  /// c.done_us.
+  void complete(OpRecord& rec, const EnginePick& pick, const Completion& c,
+                std::string_view level_path = {}, bool log = true);
 
   // Composed (send/recv-based) xCCL collectives; return a fallback-able
   // XcclResult (paper Sec. 3.3, Listing 1).
@@ -432,6 +453,11 @@ class XcclMpi {
                         std::span<const std::size_t> displs, mini::Datatype st,
                         void* recvbuf, std::size_t recvcount, mini::Datatype rt,
                         int root, mini::Comm& comm);
+  XcclResult x_allgatherv(const void* sendbuf, std::size_t sendcount,
+                          mini::Datatype st, void* recvbuf,
+                          std::span<const std::size_t> recvcounts,
+                          std::span<const std::size_t> displs,
+                          mini::Datatype rt, mini::Comm& comm);
 
   mini::Mpi mpi_;
   XcclMpiOptions options_;
@@ -451,56 +477,46 @@ class XcclMpi {
   obs::Counter* ctr_plan_invalidate_ = nullptr;
   Dispatch last_;
   obs::DispatchDecision last_decision_;
-  std::size_t last_bytes_ = 0;  ///< message bytes of the last noted dispatch
-  std::uint64_t note_seq_ = 0;  ///< bumped by every note(); see ScopedOpTimer
   PathStats stats_;
   std::map<CollOp, OpProfile> op_profiles_;
 };
 
 /// A compiled persistent collective: one plan plus the bound argument tuple.
-/// Obtained from XcclMpi::*_init; movable, not copyable. The referenced
-/// XcclMpi, communicator and buffers must outlive the handle (or free() it
-/// first). start()/wait() must alternate; free() releases the plan
-/// reference (letting an evicted plan die) and is idempotent.
+/// Obtained from XcclMpi::*_init; movable, not copyable (a moved-from handle
+/// is empty). The referenced XcclMpi, communicator and buffers must outlive
+/// the handle (or free() it first). start()/wait() must alternate; free()
+/// releases the plan reference (letting an evicted plan die) and is
+/// idempotent.
 class Persistent {
  public:
   Persistent() = default;
-  Persistent(Persistent&& o) noexcept { *this = std::move(o); }
-  Persistent& operator=(Persistent&& o) noexcept {
-    rt_ = std::exchange(o.rt_, nullptr);
-    plan_ = std::move(o.plan_);
-    op_ = o.op_;
-    sendbuf_ = o.sendbuf_;
-    recvbuf_ = o.recvbuf_;
-    count_ = o.count_;
-    rcount_ = o.rcount_;
-    dt_ = o.dt_;
-    rdt_ = o.rdt_;
-    redop_ = o.redop_;
-    root_ = o.root_;
-    comm_ = std::exchange(o.comm_, nullptr);
-    started_ = std::exchange(o.started_, false);
-    req_ = std::move(o.req_);
-    return *this;
-  }
+  Persistent(Persistent&&) = default;
+  Persistent& operator=(Persistent&&) = default;
   Persistent(const Persistent&) = delete;
   Persistent& operator=(const Persistent&) = delete;
 
-  /// Thin replay of the compiled plan: no tuning lookup, no decision-log
-  /// append, no comm resolution. xCCL launches return with the work on the
-  /// stream; wait() completes it.
-  void start() { rt_->persistent_start(*this); }
-  void wait() { rt_->persistent_wait(*this); }
+  /// Replay of the compiled plan through the one dispatch ladder: no tuning
+  /// lookup, no decision-log append, no comm resolution (unless the plan
+  /// went stale). xCCL launches return with the work on the stream; wait()
+  /// completes it.
+  void start() {
+    require(valid(), "Persistent::start: empty handle (freed or moved-from)");
+    require(!active(), "Persistent::start: previous start not yet waited");
+    req_ = mini::Request::completed(
+        rt_->dispatch(args_, *comm_, /*blocking=*/false, &plan_));
+  }
+  void wait() {
+    require(active(), "Persistent::wait: no start in flight");
+    rt_->wait(req_);
+  }
   /// Release the plan reference. Must not be active; safe to call twice.
   void free() {
-    require(!started_, "Persistent::free: operation still in flight");
+    require(!active(), "Persistent::free: operation still in flight");
     plan_.reset();
-    rt_ = nullptr;
-    comm_ = nullptr;
   }
 
-  [[nodiscard]] bool valid() const { return rt_ != nullptr && plan_ != nullptr; }
-  [[nodiscard]] bool active() const { return started_; }
+  [[nodiscard]] bool valid() const { return plan_ != nullptr; }
+  [[nodiscard]] bool active() const { return valid() && req_.valid(); }
   [[nodiscard]] const Plan& plan() const { return *plan_; }
 
  private:
@@ -508,18 +524,9 @@ class Persistent {
 
   XcclMpi* rt_ = nullptr;
   std::shared_ptr<const Plan> plan_;
-  CollOp op_ = CollOp::Allreduce;
-  const void* sendbuf_ = nullptr;
-  void* recvbuf_ = nullptr;
-  std::size_t count_ = 0;   ///< send count (allgather: per-rank sendcount)
-  std::size_t rcount_ = 0;  ///< allgather/reduce-scatter recv count
-  mini::Datatype dt_ = mini::kByte;
-  mini::Datatype rdt_ = mini::kByte;
-  ReduceOp redop_ = ReduceOp::Sum;
-  int root_ = 0;
+  CallArgs args_;
   mini::Comm* comm_ = nullptr;
-  bool started_ = false;
-  mini::Request req_;
+  mini::Request req_;  ///< in flight between start() and wait()
 };
 
 }  // namespace mpixccl::core

@@ -218,7 +218,7 @@ std::size_t default_fusion_bytes() {
 TrainerResult run_training(const sim::SystemProfile& profile, int nodes,
                            const TrainerConfig& config) {
   obs::init_from_env();
-  fabric::World world(fabric::WorldConfig{profile, nodes, 0, {}});
+  fabric::World world(fabric::WorldConfig{profile, nodes, 0, {}, {}});
   TrainerResult result;
 
   world.run([&](fabric::RankContext& ctx) {

@@ -848,7 +848,14 @@ bool check_once(const WatchdogConfig& cfg, HangReport& out) {
       blame_in_flight = in_flight;
     }
   }
-  if (!any_hung || blame < 0) return false;
+  // Report only once the blamed rank itself has been quiet past the
+  // timeout: a peer that entered the next collective earlier goes stale
+  // first, and a report naming a rank stalled for less than the timeout
+  // would contradict itself.
+  if (!any_hung || blame < 0 ||
+      static_cast<double>(now - blame_beat) / 1e6 <= cfg.timeout_ms) {
+    return false;
+  }
   {
     std::lock_guard lock(s.mu);
     if (blame == s.last_fired_rank && blame_enter == s.last_fired_seq) {

@@ -78,8 +78,9 @@ std::uint64_t dispatch_enter(int rank, core::CollOp op, double now_us);
 void dispatch_exit(int rank, std::uint64_t seq, core::CollOp op,
                    std::size_t bytes, core::Engine engine, double exit_us);
 
-/// Dispatch unwound without completing (exception before note()): clear the
-/// in-flight flag so the watchdog does not blame a rank that already threw.
+/// Dispatch unwound without completing (threw before its record closed):
+/// clear the in-flight flag so the watchdog does not blame a rank that
+/// already threw.
 void dispatch_abort(int rank);
 
 /// Plan-cache resolution hook: remember the plan id the in-flight dispatch

@@ -13,6 +13,8 @@
 //
 // The registry aggregates across ranks (records carry no rank label beyond
 // the shard index); per-rank views live in XcclMpi's PathStats/OpProfile.
+// Both are fed from one place, XcclMpi's per-call completion record, for
+// every call flavour (blocking, nonblocking, persistent start).
 
 #include <array>
 #include <atomic>

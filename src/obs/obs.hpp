@@ -88,8 +88,9 @@ void init_from_env();
 
 /// Merged human-readable report: per-(collective, engine) calls / bytes /
 /// mean size / mean virtual latency from the registry, followed by the
-/// decision-log summary when enabled. The process-wide, engine-annotated
-/// successor of XcclMpi::profile_report().
+/// decision-log summary when enabled. The process-wide counterpart of
+/// XcclMpi::profile_report(): both are fed by the same per-call completion
+/// record, so they agree for blocking, nonblocking and persistent calls.
 [[nodiscard]] std::string report();
 
 /// RAII span feeding sim::Trace: captures virtual begin/end times around a

@@ -65,7 +65,7 @@ P2pResult run_p2p(const sim::SystemProfile& profile, const P2pConfig& config) {
   obs::init_from_env();
   const int nodes = config.scope == sim::LinkScope::IntraNode ? 1 : 2;
   const int dpn = config.scope == sim::LinkScope::IntraNode ? 2 : 1;
-  fabric::World world(fabric::WorldConfig{profile, nodes, dpn, {}});
+  fabric::World world(fabric::WorldConfig{profile, nodes, dpn, {}, {}});
 
   P2pResult result;
   const xccl::UniqueId id = xccl::UniqueId::derive(0xb3, 7);
@@ -337,7 +337,7 @@ void run_flavor(Runtimes& rts, fabric::RankContext& ctx, Flavor flavor,
 FlavorSeries run_collective(const sim::SystemProfile& profile, int nodes,
                             const CollectiveConfig& config) {
   obs::init_from_env();
-  fabric::World world(fabric::WorldConfig{profile, nodes, 0, {}});
+  fabric::World world(fabric::WorldConfig{profile, nodes, 0, {}, {}});
   const xccl::CclKind kind =
       config.backend.value_or(xccl::native_ccl(profile.vendor));
   const xccl::UniqueId raw_id = xccl::UniqueId::derive(0xc0, 11);

@@ -1,12 +1,14 @@
 // Tests for the persistent-collective plan layer: the PlanCache data
 // structure (hit/miss byte bands, LRU eviction, invalidation), the XcclMpi
 // integration (one-shot dispatch populating and hitting the cache, tuning
-// reload invalidation, reset_stats hygiene), and bit-identical results
-// between one-shot and persistent start/wait across all three engines and
-// several topologies.
+// reload invalidation, reset_stats hygiene), bit-identical results between
+// one-shot and persistent start/wait across all three engines and several
+// topologies, stale persistent plans recompiling after a retune, and
+// blocking / nonblocking / persistent parity of the one dispatch ladder.
 
 #include <gtest/gtest.h>
 
+#include <complex>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -17,6 +19,8 @@
 #include "device/device.hpp"
 #include "fabric/world.hpp"
 #include "obs/analyze.hpp"
+#include "obs/fleet.hpp"
+#include "obs/metrics.hpp"
 #include "sim/profiles.hpp"
 
 namespace mpixccl::core {
@@ -421,6 +425,287 @@ TEST(PersistentEquivalence, EnginesMatchTheTable) {
         EXPECT_EQ(engine_at(1u << 20), Engine::Xccl);
       },
       2);
+}
+
+
+// ---- Stale persistent plans -------------------------------------------------
+
+TEST(PersistentStale, InvalidationMarksStaleEvictionDoesNot) {
+  PlanCache cache(/*capacity=*/1);
+  auto a = make_plan(key_of(CollOp::Allreduce, 64), 1);
+  auto b = make_plan(key_of(CollOp::Allreduce, 4096), 2);
+  cache.insert(a);
+  cache.insert(b);  // evicts a: still correct for its handles
+  EXPECT_FALSE(a->stale);
+  cache.invalidate_if([](const Plan&) { return true; });
+  EXPECT_TRUE(b->stale);
+  auto c = make_plan(key_of(CollOp::Bcast, 64), 3);
+  cache.insert(c);
+  cache.invalidate_all();
+  EXPECT_TRUE(c->stale);
+}
+
+TEST(PersistentStale, RetuneReachesLiveHandle) {
+  with_runtime(sim::thetagpu(), 1, {}, [](XcclMpi& rt) {
+    auto& dev = rt.context().device();
+    device::DeviceBuffer send(dev, 64 * sizeof(float));
+    device::DeviceBuffer recv(dev, 64 * sizeof(float));
+    for (int i = 0; i < 64; ++i) send.as<float>()[i] = 1.0f;
+    Persistent h = rt.allreduce_init(send.as<float>(), recv.as<float>(), 64,
+                                     mini::kFloat, ReduceOp::Sum,
+                                     rt.comm_world());
+    h.start();
+    h.wait();
+    ASSERT_EQ(rt.last_dispatch().engine, Engine::Mpi);  // 256 B: table says MPI
+
+    rt.retune_range(CollOp::Allreduce, 0, SIZE_MAX, Engine::Xccl);
+    EXPECT_TRUE(h.plan().stale);
+    h.start();
+    h.wait();
+    EXPECT_EQ(rt.last_dispatch().engine, Engine::Xccl);
+    EXPECT_FALSE(h.plan().stale);
+    EXPECT_EQ(h.plan().pick.engine, Engine::Xccl);
+    EXPECT_FLOAT_EQ(recv.as<float>()[7], static_cast<float>(rt.size()));
+  });
+}
+
+TEST(PersistentStale, HierReconfigReachesLiveHandle) {
+  with_runtime(
+      sim::thetagpu(), 2, {.tuning = TuningTable::uniform(Engine::Hier)},
+      [](XcclMpi& rt) {
+        auto& dev = rt.context().device();
+        const std::size_t n = 4096;
+        device::DeviceBuffer send(dev, n * sizeof(float));
+        device::DeviceBuffer recv(dev, n * sizeof(float));
+        for (std::size_t i = 0; i < n; ++i) send.as<float>()[i] = 2.0f;
+        Persistent h = rt.allreduce_init(send.as<float>(), recv.as<float>(), n,
+                                         mini::kFloat, ReduceOp::Sum,
+                                         rt.comm_world());
+        h.start();
+        h.wait();
+        ASSERT_EQ(rt.last_dispatch().engine, Engine::Hier);
+        EXPECT_EQ(rt.last_decision().level_path, "node(8).net(2)");
+
+        ASSERT_TRUE(rt.set_hier_levels("socket:2,numa:2"));
+        h.start();
+        h.wait();
+        EXPECT_EQ(rt.last_dispatch().engine, Engine::Hier);
+        EXPECT_EQ(rt.last_decision().level_path,
+                  "numa(2).socket(2).node(2).net(2)");
+        EXPECT_FLOAT_EQ(recv.as<float>()[n - 1], 2.0f * rt.size());
+      },
+      /*dpn=*/8);
+}
+
+// ---- Flavour parity ---------------------------------------------------------
+// One dispatch ladder serves blocking, nonblocking and persistent calls, so
+// every flavour must produce the same bytes, the same dispatch record and
+// exactly one sample in every telemetry sink per call.
+
+enum class Flavour { Blocking, Nonblocking, Persistent };
+
+constexpr CollOp kBuiltins[] = {CollOp::Allreduce, CollOp::Bcast,
+                                CollOp::Reduce, CollOp::Allgather,
+                                CollOp::ReduceScatter};
+
+/// Issue `op` once in `flavour` and complete it.
+void issue(XcclMpi& rt, CollOp op, Flavour flavour, const void* send,
+           void* recv, std::size_t n, mini::Datatype dt) {
+  auto& comm = rt.comm_world();
+  const ReduceOp sum = ReduceOp::Sum;
+  Persistent h;
+  mini::Request req;
+  const bool blocking = flavour == Flavour::Blocking;
+  const bool async = flavour == Flavour::Nonblocking;
+  switch (op) {
+    case CollOp::Allreduce:
+      if (blocking) rt.allreduce(send, recv, n, dt, sum, comm);
+      else if (async) req = rt.iallreduce(send, recv, n, dt, sum, comm);
+      else h = rt.allreduce_init(send, recv, n, dt, sum, comm);
+      break;
+    case CollOp::Bcast:
+      if (blocking) rt.bcast(recv, n, dt, 0, comm);
+      else if (async) req = rt.ibcast(recv, n, dt, 0, comm);
+      else h = rt.bcast_init(recv, n, dt, 0, comm);
+      break;
+    case CollOp::Reduce:
+      if (blocking) rt.reduce(send, recv, n, dt, sum, 0, comm);
+      else if (async) req = rt.ireduce(send, recv, n, dt, sum, 0, comm);
+      else h = rt.reduce_init(send, recv, n, dt, sum, 0, comm);
+      break;
+    case CollOp::Allgather:
+      if (blocking) rt.allgather(send, n, dt, recv, n, dt, comm);
+      else if (async) req = rt.iallgather(send, n, dt, recv, n, dt, comm);
+      else h = rt.allgather_init(send, n, dt, recv, n, dt, comm);
+      break;
+    default:
+      if (blocking) rt.reduce_scatter_block(send, recv, n, dt, sum, comm);
+      else if (async) req = rt.ireduce_scatter_block(send, recv, n, dt, sum, comm);
+      else h = rt.reduce_scatter_init(send, recv, n, dt, sum, comm);
+      break;
+  }
+  if (async) rt.wait(req);
+  if (h.valid()) {
+    h.start();
+    h.wait();
+  }
+}
+
+/// Latency samples the registry holds for `op`, over engines and bands.
+std::uint64_t latency_samples(CollOp op) {
+  std::uint64_t n = 0;
+  for (const Engine e : {Engine::Mpi, Engine::Xccl, Engine::Hier}) {
+    for (std::size_t band = 0; band < obs::kSizeBands; ++band) {
+      n += obs::Registry::instance().band_latency(op, e, band).count;
+    }
+  }
+  return n;
+}
+
+std::size_t flight_records(int rank) {
+  std::size_t n = 0;
+  for (const auto& r : obs::FlightRecorder::instance().records()) {
+    n += r.rank == rank ? 1 : 0;
+  }
+  return n;
+}
+
+struct ParityCase {
+  const char* name;
+  Engine table;     ///< every built-in routed here by the tuning table
+  int nodes;
+  int dpn;
+  bool complex;     ///< kDoubleComplex: no NCCL reduction, MPI fallback
+  Engine expect;    ///< engine the allreduce must land on
+  obs::FallbackReason reason;  ///< its decision's reason
+};
+
+void check_parity(const ParityCase& pc) {
+  SCOPED_TRACE(pc.name);
+  obs::Registry::instance().reset();
+  auto& fr = obs::FlightRecorder::instance();
+  const std::size_t fr_cap = fr.capacity();
+  fr.set_capacity(4096);
+  fr.clear();
+  obs::fleet::reset();
+  obs::fleet::set_profiling(true);
+  with_runtime(
+      sim::thetagpu(), pc.nodes, {.tuning = TuningTable::uniform(pc.table)},
+      [&](XcclMpi& rt) {
+        auto& dev = rt.context().device();
+        auto& comm = rt.comm_world();
+        const int me = rt.rank();
+        const auto p = static_cast<std::size_t>(rt.size());
+        const mini::Datatype dt = pc.complex ? mini::kDoubleComplex : mini::kFloat;
+        const std::size_t n = 1024;
+        const std::size_t esz = dt.size();
+        for (const CollOp op : kBuiltins) {
+          SCOPED_TRACE(std::string(to_string(op)));
+          const bool big_send = op == CollOp::ReduceScatter;
+          const bool big_recv = op == CollOp::Allgather;
+          const std::size_t send_bytes = n * esz * (big_send ? p : 1);
+          const std::size_t recv_bytes = n * esz * (big_recv ? p : 1);
+          std::vector<std::vector<std::byte>> outputs;
+          std::vector<Dispatch> dispatches;
+          std::vector<obs::DispatchDecision> decisions;
+          for (const Flavour f :
+               {Flavour::Blocking, Flavour::Nonblocking, Flavour::Persistent}) {
+            device::DeviceBuffer send(dev, send_bytes);
+            device::DeviceBuffer recv(dev, recv_bytes);
+            // Small exact values in either element type (doubles viewed as
+            // pairs for the complex case).
+            auto fill = [&](device::DeviceBuffer& b, std::size_t bytes) {
+              if (pc.complex) {
+                for (std::size_t i = 0; i < bytes / sizeof(double); ++i) {
+                  b.as<double>()[i] = me + 1.0 + static_cast<double>(i % 7);
+                }
+              } else {
+                for (std::size_t i = 0; i < bytes / sizeof(float); ++i) {
+                  b.as<float>()[i] = me + 1.0f + static_cast<float>(i % 13);
+                }
+              }
+            };
+            fill(send, send_bytes);
+            std::memset(recv.get(), 0, recv_bytes);
+            if (op == CollOp::Bcast) fill(recv, recv_bytes);
+
+            rt.mpi().barrier(comm);
+            const std::uint64_t samples0 = latency_samples(op);
+            const std::size_t flights0 = flight_records(me);
+            const std::size_t arrivals0 =
+                obs::fleet::local_rank_state(me).arrivals.size();
+            rt.mpi().barrier(comm);
+            issue(rt, op, f, send.get(), recv.get(), n, dt);
+            rt.mpi().barrier(comm);
+            EXPECT_EQ(latency_samples(op) - samples0, p) << "registry samples";
+            EXPECT_EQ(flight_records(me) - flights0, 1u) << "flight records";
+            EXPECT_EQ(obs::fleet::local_rank_state(me).arrivals.size() -
+                          arrivals0,
+                      1u)
+                << "fleet arrivals";
+            rt.mpi().barrier(comm);
+
+            const auto* bytes = static_cast<const std::byte*>(recv.get());
+            outputs.emplace_back(bytes, bytes + recv_bytes);
+            dispatches.push_back(rt.last_dispatch());
+            decisions.push_back(rt.last_decision());
+          }
+          if (op == CollOp::Allreduce) {
+            EXPECT_EQ(dispatches[0].engine, pc.expect);
+            EXPECT_EQ(decisions[0].reason, pc.reason);
+          }
+          for (std::size_t i = 1; i < outputs.size(); ++i) {
+            SCOPED_TRACE("flavour " + std::to_string(i));
+            EXPECT_EQ(outputs[i], outputs[0]) << "output bytes";
+            EXPECT_EQ(dispatches[i].engine, dispatches[0].engine);
+            EXPECT_EQ(dispatches[i].fell_back, dispatches[0].fell_back);
+            EXPECT_EQ(dispatches[i].composed, dispatches[0].composed);
+            const obs::DispatchDecision& a = decisions[0];
+            const obs::DispatchDecision& b = decisions[i];
+            EXPECT_EQ(b.rank, a.rank);
+            EXPECT_EQ(b.op, a.op);
+            EXPECT_EQ(b.bytes, a.bytes);
+            EXPECT_EQ(b.mode, a.mode);
+            EXPECT_EQ(b.breakpoint, a.breakpoint);
+            EXPECT_EQ(b.table_choice, a.table_choice);
+            EXPECT_EQ(b.engine, a.engine);
+            EXPECT_EQ(b.reason, a.reason);
+            EXPECT_EQ(b.fell_back, a.fell_back);
+            EXPECT_EQ(b.composed, a.composed);
+            EXPECT_EQ(b.level_path, a.level_path);
+          }
+        }
+      },
+      pc.dpn);
+  obs::fleet::set_profiling(false);
+  obs::fleet::reset();
+  fr.clear();
+  fr.set_capacity(fr_cap);
+}
+
+TEST(FlavourParity, MpiPick) {
+  check_parity({"mpi", Engine::Mpi, 1, 4, false, Engine::Mpi,
+                obs::FallbackReason::None});
+}
+
+TEST(FlavourParity, XcclPick) {
+  check_parity({"xccl", Engine::Xccl, 1, 4, false, Engine::Xccl,
+                obs::FallbackReason::None});
+}
+
+TEST(FlavourParity, XcclFallsBackOnDoubleComplex) {
+  check_parity({"xccl->mpi", Engine::Xccl, 1, 4, true, Engine::Mpi,
+                obs::FallbackReason::DtypeUnsupported});
+}
+
+TEST(FlavourParity, HierPickOnTwoByFour) {
+  check_parity({"hier", Engine::Hier, 2, 4, false, Engine::Hier,
+                obs::FallbackReason::None});
+}
+
+TEST(FlavourParity, HierTopoMismatchFallsBack) {
+  check_parity({"hier->mpi", Engine::Hier, 1, 4, false, Engine::Mpi,
+                obs::FallbackReason::HierTopoMismatch});
 }
 
 }  // namespace

@@ -11,7 +11,12 @@
 #include "dl/horovod.hpp"
 #include "dl/model.hpp"
 #include "fabric/world.hpp"
+#include "obs/analyze.hpp"
+#include "obs/fleet.hpp"
+#include "obs/metrics.hpp"
 #include "sim/profiles.hpp"
+#include "sim/trace.hpp"
+#include "tune/online.hpp"
 
 namespace mpixccl::dl {
 namespace {
@@ -179,6 +184,89 @@ TEST(Trainer, FusedBucketReductionMatchesPerTensor) {
     EXPECT_EQ(
         std::memcmp(fused.get(), per_tensor.get(), total * sizeof(float)), 0);
   });
+}
+
+
+TEST(Trainer, AsyncAndPersistentBucketsFeedTelemetry) {
+  // The trainer issues its buckets as iallreduce or persistent starts, never
+  // as blocking calls; each must still close one completion record. Fleet
+  // profiling is switched on directly (what MPIXCCL_FLEET=1 arms).
+  sim::SystemProfile prof = sim::thetagpu();
+  prof.devices_per_node = 2;  // thetagpu 2 x 2
+  const int ranks = 4;
+  for (const bool persistent : {false, true}) {
+    SCOPED_TRACE(persistent ? "persistent" : "iallreduce");
+    obs::Registry::instance().reset();
+    obs::FlightRecorder::instance().clear();
+    obs::fleet::reset();
+    obs::fleet::set_profiling(true);
+    auto& trace = sim::Trace::instance();
+    trace.clear();
+    trace.set_enabled(true);
+    TrainerConfig cfg = quick_config(omb::Flavor::HybridXccl);
+    cfg.persistent = persistent;
+    const TrainerResult r = run_training(prof, 2, cfg);
+    trace.set_enabled(false);
+    obs::fleet::set_profiling(false);
+
+    // Band latency: one sample per bucket, step and rank.
+    const std::uint64_t calls = static_cast<std::uint64_t>(r.buckets_per_step) *
+                                static_cast<std::uint64_t>(
+                                    cfg.warmup_steps + cfg.steps) *
+                                ranks;
+    std::uint64_t samples = 0;
+    for (const core::Engine e :
+         {core::Engine::Mpi, core::Engine::Xccl, core::Engine::Hier}) {
+      for (std::size_t band = 0; band < obs::kSizeBands; ++band) {
+        samples += obs::Registry::instance()
+                       .band_latency(core::CollOp::Allreduce, e, band)
+                       .count;
+      }
+    }
+    EXPECT_EQ(samples, calls);
+
+    // Fleet board: per-(collective, band) skew rounds for the buckets.
+    std::vector<obs::fleet::RankState> states;
+    for (int rank = 0; rank < ranks; ++rank) {
+      states.push_back(obs::fleet::local_rank_state(rank));
+    }
+    const obs::fleet::FleetSnapshot snap =
+        obs::fleet::assemble(std::move(states), "thetagpu", "2x2");
+    std::uint64_t rounds = 0;
+    for (const obs::fleet::SkewCell& c : snap.skew) {
+      if (c.op == core::CollOp::Allreduce) rounds += c.rounds;
+    }
+    EXPECT_EQ(rounds, calls / ranks);
+
+    // Flight recorder and Chrome trace.
+    bool flight = false;
+    for (const obs::FlightRecord& fr : obs::FlightRecorder::instance().records()) {
+      flight = flight || fr.op == core::CollOp::Allreduce;
+    }
+    EXPECT_TRUE(flight);
+    bool traced = false;
+    for (const sim::TraceEvent& e : trace.events()) {
+      traced = traced || e.name == "allreduce";
+    }
+    EXPECT_TRUE(traced);
+
+    // The online tuner scores arms from those samples.
+    fabric::World world(fabric::WorldConfig{prof, 2, 0});
+    world.run([&](fabric::RankContext& ctx) {
+      core::XcclMpi rt(ctx);
+      tune::OnlineTuner tuner;
+      tuner.step(rt, rt.comm_world());
+      if (ctx.rank() != 0) return;
+      std::uint64_t seen = 0;
+      for (const auto& [key, cell] : tuner.cells()) {
+        if (key.first != core::CollOp::Allreduce) continue;
+        for (const tune::ArmState& arm : cell.arms) seen += arm.samples;
+      }
+      EXPECT_GT(seen, 0u);
+    });
+    obs::fleet::reset();
+    trace.clear();
+  }
 }
 
 }  // namespace
