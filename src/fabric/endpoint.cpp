@@ -1,49 +1,131 @@
 #include "fabric/endpoint.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstring>
-#include <stdexcept>
+#include <exception>
+#include <string>
+#include <thread>
 
 #include "common/status.hpp"
 
 namespace mpixccl::fabric {
 
+namespace {
+
+/// Waits on transfers up to this size spin before parking: their peer is
+/// usually a few microseconds away, and a futex sleep plus wake-up costs
+/// more than that. Larger transfers park at once, so long waits never burn
+/// a core another rank thread needs.
+constexpr std::size_t kSpinMaxBytes = 64 * 1024;
+/// Polls of the state word before a small-transfer wait parks.
+constexpr int kSpinPolls = 2000;
+/// Every this many polls the spinner yields its core instead of pausing:
+/// when threads outnumber free cores, the peer it waits for may be queued
+/// behind it on the same core.
+constexpr int kYieldEvery = 32;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+}  // namespace
+
+/// One-shot completion shared by a handle and the thread that closes its
+/// match. The result (or error) is written before the state word publishes
+/// it, so a waiter that reads a final state also sees the result.
+class CompletionCell {
+ public:
+  explicit CompletionCell(std::size_t bytes) : spin_(bytes <= kSpinMaxBytes) {}
+
+  void set_value(const RecvResult& r) {
+    result_ = r;
+    publish(kValue);
+  }
+  void set_error(std::exception_ptr e) {
+    error_ = std::move(e);
+    publish(kError);
+  }
+
+  /// Blocks until published; rethrows a published error.
+  RecvResult get() {
+    std::uint32_t s = state_.load(std::memory_order_acquire);
+    for (int i = 1; s == kPending && spin_ && i <= kSpinPolls; ++i) {
+      if (i % kYieldEvery == 0) {
+        std::this_thread::yield();
+      } else {
+        cpu_relax();
+      }
+      s = state_.load(std::memory_order_acquire);
+    }
+    while (s == kPending) {
+      state_.wait(kPending, std::memory_order_acquire);
+      s = state_.load(std::memory_order_acquire);
+    }
+    if (s == kError) std::rethrow_exception(error_);
+    return result_;
+  }
+
+ private:
+  static constexpr std::uint32_t kPending = 0;
+  static constexpr std::uint32_t kValue = 1;
+  static constexpr std::uint32_t kError = 2;
+
+  void publish(std::uint32_t s) {
+    // seq_cst, not release: libstdc++'s notify skips the futex wake when it
+    // reads no registered waiter, and only a seq_cst store keeps that read
+    // from passing the store a parking waiter re-checks. With release, the
+    // waiter can park after the last notify and sleep forever.
+    state_.store(s, std::memory_order_seq_cst);
+    state_.notify_all();
+  }
+
+  std::atomic<std::uint32_t> state_{kPending};
+  const bool spin_;
+  RecvResult result_;
+  std::exception_ptr error_;
+};
+
 sim::TimeUs PendingSend::wait(sim::VirtualClock& clock) {
-  require(fut_.valid(), "PendingSend::wait: empty handle");
-  const sim::TimeUs t = fut_.get();
+  require(valid_, "PendingSend::wait: empty handle");
+  valid_ = false;
+  const std::shared_ptr<CompletionCell> cell = std::move(cell_);
+  const sim::TimeUs t = cell ? cell->get().completion : done_;
   clock.advance_to(t);
   return t;
 }
 
 RecvResult PendingRecv::wait(sim::VirtualClock& clock) {
-  require(fut_.valid(), "PendingRecv::wait: empty handle");
-  RecvResult r = fut_.get();
+  require(valid(), "PendingRecv::wait: empty handle");
+  const std::shared_ptr<CompletionCell> cell = std::move(cell_);
+  RecvResult r = cell->get();
   clock.advance_to(r.completion);
   return r;
 }
 
-void Endpoint::complete(PostedRecv& r, PostedSend& s) {
-  const std::size_t bytes = s.payload.size();
-  if (bytes > r.capacity) {
+void Endpoint::complete(const PostedRecv& r, const PostedSend& s) {
+  if (s.bytes > r.capacity) {
     auto err = std::make_exception_ptr(
-        Error("fabric: message truncation (got " + std::to_string(bytes) +
+        Error("fabric: message truncation (got " + std::to_string(s.bytes) +
               " bytes, capacity " + std::to_string(r.capacity) + ")"));
-    r.done->set_exception(err);
-    // Eager senders already resolved their promise at post time.
-    if (s.policy.rendezvous) s.done->set_exception(err);
+    r.done->set_error(err);
+    if (s.done) s.done->set_error(err);
     return;
   }
-  if (bytes > 0) std::memcpy(r.buf, s.payload.data(), bytes);
+  if (s.bytes > 0) std::memcpy(r.buf, s.data, s.bytes);
 
   const sim::TimeUs base =
       (s.sender_ready > r.recv_ready) ? s.sender_ready : r.recv_ready;
-  const double transfer_us = r.cost ? r.cost(s.src, bytes) : 0.0;
-  const sim::TimeUs completion = base + transfer_us;
+  const double transfer_us = r.cost ? r.cost(s.src, s.bytes) : 0.0;
+  const RecvResult res{s.bytes, s.src, s.tag, base + transfer_us};
 
-  r.done->set_value(RecvResult{bytes, s.src, s.tag, completion});
-  if (s.policy.rendezvous) {
-    s.done->set_value(completion);
-  }
-  // Eager sends resolved their future at post time.
+  r.done->set_value(res);
+  if (s.done) s.done->set_value(res);
 }
 
 PendingSend Endpoint::deliver(int src, int tag, ChannelId channel, const void* data,
@@ -51,30 +133,37 @@ PendingSend Endpoint::deliver(int src, int tag, ChannelId channel, const void* d
                               const SendPolicy& policy) {
   require(bytes == 0 || data != nullptr, "Endpoint::deliver: null payload");
 
-  PostedSend s;
-  s.src = src;
-  s.tag = tag;
-  s.channel = channel;
-  s.payload.resize(bytes);
-  if (bytes > 0) std::memcpy(s.payload.data(), data, bytes);
-  s.sender_ready = sender_ready;
-  s.policy = policy;
-  s.done = std::make_shared<std::promise<sim::TimeUs>>();
-  PendingSend handle(s.done->get_future());
+  PostedSend s{.src = src,
+               .tag = tag,
+               .channel = channel,
+               .data = data,
+               .bytes = bytes,
+               .sender_ready = sender_ready,
+               .buffered = nullptr,
+               .done = nullptr};
+  if (policy.rendezvous) s.done = std::make_shared<CompletionCell>(bytes);
+  PendingSend handle = s.done ? PendingSend(s.done)
+                              : PendingSend(sender_ready + policy.eager_complete_us);
 
-  if (!policy.rendezvous) {
-    s.done->set_value(sender_ready + policy.eager_complete_us);
-  }
-
-  std::lock_guard lock(mu_);
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (matches(*it, s)) {
-      complete(*it, s);
-      pending_.erase(it);
-      return handle;
+  std::unique_lock lock(mu_);
+  const auto it = std::find_if(pending_.begin(), pending_.end(),
+                               [&](const PostedRecv& r) { return matches(r, s); });
+  if (it == pending_.end()) {
+    // An eager sender owns its buffer again once deliver returns, so an
+    // unmatched eager payload is buffered here, before any receiver can
+    // see the entry.
+    if (!s.done && bytes > 0) {
+      s.buffered = std::make_unique_for_overwrite<std::byte[]>(bytes);
+      std::memcpy(s.buffered.get(), data, bytes);
+      s.data = s.buffered.get();
     }
+    unexpected_.push_back(std::move(s));
+    return handle;
   }
-  unexpected_.push_back(std::move(s));
+  PostedRecv r = std::move(*it);
+  pending_.erase(it);
+  lock.unlock();
+  complete(r, s);
   return handle;
 }
 
@@ -83,26 +172,27 @@ PendingRecv Endpoint::post_recv(int src, int tag, ChannelId channel, void* buf,
                                 CostFn cost) {
   require(capacity == 0 || buf != nullptr, "Endpoint::post_recv: null buffer");
 
-  PostedRecv r;
-  r.src = src;
-  r.tag = tag;
-  r.channel = channel;
-  r.buf = buf;
-  r.capacity = capacity;
-  r.recv_ready = recv_ready;
-  r.cost = std::move(cost);
-  r.done = std::make_shared<std::promise<RecvResult>>();
-  PendingRecv handle(r.done->get_future());
+  PostedRecv r{.src = src,
+               .tag = tag,
+               .channel = channel,
+               .buf = buf,
+               .capacity = capacity,
+               .recv_ready = recv_ready,
+               .cost = std::move(cost),
+               .done = std::make_shared<CompletionCell>(capacity)};
+  PendingRecv handle(r.done);
 
-  std::lock_guard lock(mu_);
-  for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-    if (matches(r, *it)) {
-      complete(r, *it);
-      unexpected_.erase(it);
-      return handle;
-    }
+  std::unique_lock lock(mu_);
+  const auto it = std::find_if(unexpected_.begin(), unexpected_.end(),
+                               [&](const PostedSend& s) { return matches(r, s); });
+  if (it == unexpected_.end()) {
+    pending_.push_back(std::move(r));
+    return handle;
   }
-  pending_.push_back(std::move(r));
+  const PostedSend s = std::move(*it);
+  unexpected_.erase(it);
+  lock.unlock();
+  complete(r, s);
   return handle;
 }
 

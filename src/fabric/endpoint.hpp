@@ -2,52 +2,75 @@
 // Per-rank fabric endpoint: posted-send / posted-recv matching with MPI
 // ordering semantics (FIFO, non-overtaking per (src, tag, channel)).
 //
-// Real data always moves by memcpy at match time; virtual completion times
-// synchronize the two ranks' clocks through the returned futures. Matching
-// runs under the receiving endpoint's mutex and is performed by whichever
-// thread closes the match (sender if a recv was pending, receiver if the
-// send was unexpected).
+// Buffer ownership: a send buffer belongs to the fabric until its
+// PendingSend resolves, and a receive buffer until its PendingRecv
+// resolves (MPI's isend/irecv contract). Matching runs under the receiving
+// endpoint's mutex and is closed by whichever thread completes the pair
+// (the sender if a recv was pending, the receiver if the send was
+// unexpected); that thread then copies the payload once, from the send
+// buffer straight into the receive buffer, outside the mutex.
+//
+// - A rendezvous payload is never copied before the match: its sender
+//   cannot resolve until the receiver has the bytes.
+// - An eager sender resolves at post time and may reuse its buffer at once,
+//   so an eager payload is buffered, but only when no receive is posted.
+//
+// Handles resolve through a one-shot completion cell: the closing thread
+// publishes the result (or error), and the waiter spins briefly on small
+// transfers before parking in std::atomic::wait. The resolved virtual
+// completion times synchronize the two ranks' clocks.
 
+#include <cstddef>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "fabric/message.hpp"
 #include "sim/time.hpp"
 
 namespace mpixccl::fabric {
 
-class Endpoint;
+class CompletionCell;
 
 /// Handle for an in-flight send. wait() yields the sender-side virtual
 /// completion time and advances the clock to it.
 class PendingSend {
  public:
   PendingSend() = default;
-  explicit PendingSend(std::future<sim::TimeUs> f) : fut_(std::move(f)) {}
 
   /// Blocks (real time) until resolved; advances `clock` to the completion.
+  /// Consumes the handle.
   sim::TimeUs wait(sim::VirtualClock& clock);
-  [[nodiscard]] bool valid() const { return fut_.valid(); }
+  [[nodiscard]] bool valid() const { return valid_; }
 
  private:
-  std::future<sim::TimeUs> fut_;
+  friend class Endpoint;
+  /// Eager send: resolved at post time, no cell needed.
+  explicit PendingSend(sim::TimeUs done) : done_(done), valid_(true) {}
+  /// Rendezvous send: resolved by whichever thread closes the match.
+  explicit PendingSend(std::shared_ptr<CompletionCell> cell)
+      : cell_(std::move(cell)), valid_(true) {}
+
+  std::shared_ptr<CompletionCell> cell_;
+  sim::TimeUs done_ = 0.0;
+  bool valid_ = false;
 };
 
 /// Handle for an in-flight receive.
 class PendingRecv {
  public:
   PendingRecv() = default;
-  explicit PendingRecv(std::future<RecvResult> f) : fut_(std::move(f)) {}
 
-  /// Blocks until a matching send arrives; advances `clock`.
+  /// Blocks until a matching send arrives; advances `clock`. Consumes the
+  /// handle.
   RecvResult wait(sim::VirtualClock& clock);
-  [[nodiscard]] bool valid() const { return fut_.valid(); }
+  [[nodiscard]] bool valid() const { return cell_ != nullptr; }
 
  private:
-  std::future<RecvResult> fut_;
+  friend class Endpoint;
+  explicit PendingRecv(std::shared_ptr<CompletionCell> cell) : cell_(std::move(cell)) {}
+
+  std::shared_ptr<CompletionCell> cell_;
 };
 
 class Endpoint {
@@ -59,13 +82,16 @@ class Endpoint {
 
   [[nodiscard]] int rank() const { return rank_; }
 
-  /// Post a send to this endpoint (the *destination's* endpoint). Called via
-  /// Fabric::post_send; payload is copied. Returns the sender's future.
+  /// Post a send to this endpoint (the *destination's* endpoint). `data`
+  /// belongs to the fabric until the returned handle resolves: a rendezvous
+  /// payload is read in place at match time; an eager one is copied into a
+  /// posted receive if there is one and buffered otherwise.
   PendingSend deliver(int src, int tag, ChannelId channel, const void* data,
                       std::size_t bytes, sim::TimeUs sender_ready,
                       const SendPolicy& policy);
 
-  /// Post a receive on this endpoint (the receiver's own endpoint).
+  /// Post a receive on this endpoint (the receiver's own endpoint). `buf`
+  /// belongs to the fabric until the returned handle resolves.
   PendingRecv post_recv(int src, int tag, ChannelId channel, void* buf,
                         std::size_t capacity, sim::TimeUs recv_ready, CostFn cost);
 
@@ -78,10 +104,11 @@ class Endpoint {
     int src;
     int tag;
     ChannelId channel;
-    std::vector<std::byte> payload;
+    const void* data;  ///< sender's buffer, or `buffered` for an unexpected eager send
+    std::size_t bytes;
     sim::TimeUs sender_ready;
-    SendPolicy policy;
-    std::shared_ptr<std::promise<sim::TimeUs>> done;
+    std::unique_ptr<std::byte[]> buffered;
+    std::shared_ptr<CompletionCell> done;  ///< null: eager, resolved at post time
   };
   struct PostedRecv {
     int src;  // kAnySource allowed
@@ -91,7 +118,7 @@ class Endpoint {
     std::size_t capacity;
     sim::TimeUs recv_ready;
     CostFn cost;
-    std::shared_ptr<std::promise<RecvResult>> done;
+    std::shared_ptr<CompletionCell> done;
   };
 
   static bool matches(const PostedRecv& r, const PostedSend& s) {
@@ -99,9 +126,9 @@ class Endpoint {
            (r.tag == kAnyTag || r.tag == s.tag);
   }
 
-  /// Complete a matched pair: copy payload, price the transfer, resolve both
-  /// futures. Caller holds mu_.
-  static void complete(PostedRecv& r, PostedSend& s);
+  /// Complete a matched pair: copy the payload, price the transfer, resolve
+  /// both handles. Called without mu_: the pair is off both queues.
+  static void complete(const PostedRecv& r, const PostedSend& s);
 
   int rank_;
   mutable std::mutex mu_;

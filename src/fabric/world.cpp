@@ -108,7 +108,7 @@ void World::do_sync_clocks(int rank) {
 
 void run_world(const sim::SystemProfile& profile, int nodes,
                const std::function<void(RankContext&)>& body) {
-  World world(WorldConfig{profile, nodes, 0});
+  World world(WorldConfig{.profile = profile, .nodes = nodes, .hier_levels = {}, .faults = {}});
   world.run(body);
 }
 

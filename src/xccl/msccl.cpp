@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "common/reduce.hpp"
@@ -290,7 +291,14 @@ sim::TimeUs MscclBackend::run_allreduce_program(const MscclAlgorithm& algo,
   // Send completions are collected across the whole program and folded into
   // the final time: waiting per step would deadlock, since a rendezvous send
   // only resolves once the peer posts the matching recv in a *later* step.
+  // A send buffer is the fabric's until its send resolves, while later steps
+  // may recv-reduce into a chunk already sent, so every send goes out of its
+  // own staging slot: a snapshot of the chunk at the send's step.
   std::vector<fabric::PendingSend> all_sends;
+  const auto n_sends = static_cast<std::size_t>(
+      std::count_if(prog.begin(), prog.end(),
+                    [](const MscclInstr& in) { return in.op == MscclInstr::Op::Send; }));
+  const auto staging = std::make_unique_for_overwrite<std::byte[]>(n_sends * chunk_bytes);
 
   std::size_t i = 0;
   while (i < prog.size()) {
@@ -313,10 +321,11 @@ sim::TimeUs MscclBackend::run_allreduce_program(const MscclAlgorithm& algo,
         // All program traffic shares tag 0: sender/receiver step numbers can
         // differ for the same transfer, and FIFO matching per (src, channel)
         // already mirrors program order.
-        all_sends.push_back(
-            ctx().endpoint_of(comm.world_rank(in.peer))
-                .deliver(ctx().rank(), 0, ch, chunk_ptr(in.src_chunk),
-                         chunk_len(in.src_chunk), t, policy));
+        std::byte* slot = staging.get() + all_sends.size() * chunk_bytes;
+        const std::size_t len = chunk_len(in.src_chunk);
+        std::memcpy(slot, chunk_ptr(in.src_chunk), len);
+        all_sends.push_back(ctx().endpoint_of(comm.world_rank(in.peer))
+                                .deliver(ctx().rank(), 0, ch, slot, len, t, policy));
       } else if (in.op == MscclInstr::Op::Copy) {
         std::memcpy(chunk_ptr(in.dst_chunk), chunk_ptr(in.src_chunk),
                     chunk_len(in.src_chunk));

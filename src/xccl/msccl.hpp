@@ -53,8 +53,8 @@ struct MscclAlgorithm {
   /// Parse the textual algorithm format (the stand-in for MSCCL-XML):
   ///
   ///   # comment
-  ///   algorithm <name> <allreduce|broadcast|...> nranks=<n> nchunks=<c> \
-  ///             min_bytes=<b> max_bytes=<b|max>
+  ///   algorithm <name> <allreduce|broadcast|...> nranks=<n> nchunks=<c>
+  ///             min_bytes=<b> max_bytes=<b|max>    (one line in the text)
   ///   rank <r>
   ///     send peer=<p> chunk=<c> step=<s>
   ///     recv peer=<p> chunk=<c> step=<s>

@@ -160,5 +160,49 @@ TEST(FabricStress, RandomizedSendRecvSoak) {
   });
 }
 
+TEST(FabricStress, HandOffSoakLosesNoWakeUp) {
+  // Every iteration shifts a small value around the ring and ping-pongs it
+  // between pairs (0<->1, 2<->3); every 16th ping-pong carries 80 KiB, a
+  // rendezvous transfer whose waits park at once, while the small waits
+  // spin first. A completion whose wake-up is lost hangs the test.
+  fabric::World world(fabric::WorldConfig{sim::thetagpu(), 1, 4});
+  world.run([](fabric::RankContext& ctx) {
+    Mpi mpi(ctx, ctx.profile().mpi);
+    Comm& comm = mpi.comm_world();
+    const int me = mpi.rank();
+    const int p = mpi.size();
+    const int right = (me + 1) % p;
+    const int left = (me - 1 + p) % p;
+    const int partner = me ^ 1;
+    constexpr int kIters = 25000;
+    std::vector<int> big(80 * 1024 / sizeof(int));
+    std::vector<int> small(1);
+    for (int i = 0; i < kIters; ++i) {
+      const int mine = me * kIters + i;
+      int got = -1;
+      mpi.sendrecv(&mine, 1, kInt, right, 0, &got, 1, kInt, left, 0, comm);
+      ASSERT_EQ(got, left * kIters + i) << "ring shift " << i;
+
+      // The even rank serves both ends of the buffer; the odd rank checks
+      // them and answers with both bumped.
+      std::vector<int>& buf = (i % 16 == 0) ? big : small;
+      if (me % 2 == 0) {
+        buf.front() = buf.back() = mine;
+        mpi.send(buf.data(), buf.size(), kInt, partner, 1, comm);
+        mpi.recv(buf.data(), buf.size(), kInt, partner, 2, comm);
+        ASSERT_EQ(buf.front(), mine + 1) << "ping-pong " << i;
+        ASSERT_EQ(buf.back(), mine + 1) << "ping-pong " << i;
+      } else {
+        mpi.recv(buf.data(), buf.size(), kInt, partner, 1, comm);
+        const int v = buf.front();
+        ASSERT_EQ(v, partner * kIters + i) << "ping-pong " << i;
+        ASSERT_EQ(buf.back(), v) << "ping-pong " << i;
+        buf.front() = buf.back() = v + 1;
+        mpi.send(buf.data(), buf.size(), kInt, partner, 2, comm);
+      }
+    }
+  });
+}
+
 }  // namespace
 }  // namespace mpixccl::mini

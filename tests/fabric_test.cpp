@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <vector>
@@ -108,6 +109,96 @@ TEST(Endpoint, TruncationIsAnError) {
   char small[8];
   PendingRecv r = ep.post_recv(1, 0, 3, small, sizeof(small), 0.0, flat_cost(0, 1));
   sim::VirtualClock clock;
+  EXPECT_THROW(r.wait(clock), Error);
+}
+
+TEST(Endpoint, RendezvousTruncationRaisesOnBothSides) {
+  std::vector<char> big(64, 'x');
+  char small[8];
+  SendPolicy rndv{.rendezvous = true, .eager_complete_us = 0.0};
+  sim::VirtualClock clock;
+  {
+    // The receiver closes the match (send unexpected).
+    Endpoint ep(0);
+    PendingSend s = ep.deliver(1, 0, 3, big.data(), big.size(), 0.0, rndv);
+    PendingRecv r = ep.post_recv(1, 0, 3, small, sizeof(small), 0.0, flat_cost(0, 1));
+    EXPECT_THROW(r.wait(clock), Error);
+    EXPECT_THROW(s.wait(clock), Error);
+  }
+  {
+    // The sender closes the match (recv pending).
+    Endpoint ep(0);
+    PendingRecv r = ep.post_recv(1, 0, 3, small, sizeof(small), 0.0, flat_cost(0, 1));
+    PendingSend s = ep.deliver(1, 0, 3, big.data(), big.size(), 0.0, rndv);
+    EXPECT_THROW(s.wait(clock), Error);
+    EXPECT_THROW(r.wait(clock), Error);
+  }
+}
+
+TEST(Endpoint, UnmatchedEagerSendIsBufferedAtPost) {
+  Endpoint ep(0);
+  std::vector<int> data{1, 2, 3, 4};
+  SendPolicy eager{.rendezvous = false, .eager_complete_us = 0.0};
+  PendingSend s = ep.deliver(1, 0, 3, data.data(), data.size() * sizeof(int), 0.0, eager);
+  // An eager sender owns its buffer again as soon as the post returns.
+  std::fill(data.begin(), data.end(), -1);
+  sim::VirtualClock clock;
+  s.wait(clock);
+  EXPECT_EQ(ep.unexpected_count(), 1u);
+
+  std::vector<int> out(4, 0);
+  PendingRecv r = ep.post_recv(1, 0, 3, out.data(), out.size() * sizeof(int), 0.0,
+                               flat_cost(0, 1));
+  r.wait(clock);
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(Endpoint, EagerSendIntoPostedRecvIsNotBuffered) {
+  Endpoint ep(0);
+  int out = 0;
+  PendingRecv r = ep.post_recv(1, 0, 3, &out, sizeof(out), 0.0, flat_cost(0, 1));
+  const int v = 9;
+  SendPolicy eager{.rendezvous = false, .eager_complete_us = 0.0};
+  PendingSend s = ep.deliver(1, 0, 3, &v, sizeof(v), 0.0, eager);
+  EXPECT_EQ(ep.unexpected_count(), 0u);
+  EXPECT_EQ(ep.pending_recv_count(), 0u);
+  sim::VirtualClock clock;
+  s.wait(clock);
+  r.wait(clock);
+  EXPECT_EQ(out, 9);
+}
+
+TEST(Endpoint, RendezvousPayloadIsReadAtMatchTime) {
+  // A rendezvous send buffer stays the fabric's until the send resolves:
+  // the payload is not copied at post, but read in place by the match.
+  Endpoint ep(0);
+  int v = 1;
+  SendPolicy rndv{.rendezvous = true, .eager_complete_us = 0.0};
+  PendingSend s = ep.deliver(1, 0, 3, &v, sizeof(v), 0.0, rndv);
+  v = 2;
+  int out = 0;
+  PendingRecv r = ep.post_recv(1, 0, 3, &out, sizeof(out), 0.0, flat_cost(0, 1));
+  sim::VirtualClock clock;
+  r.wait(clock);
+  s.wait(clock);
+  EXPECT_EQ(out, 2);
+}
+
+TEST(Endpoint, WaitConsumesTheHandle) {
+  Endpoint ep(0);
+  const int v = 5;
+  int out = 0;
+  SendPolicy rndv{.rendezvous = true, .eager_complete_us = 0.0};
+  PendingSend s = ep.deliver(1, 0, 3, &v, sizeof(v), 0.0, rndv);
+  PendingRecv r = ep.post_recv(1, 0, 3, &out, sizeof(out), 0.0, flat_cost(0, 1));
+  sim::VirtualClock clock;
+  ASSERT_TRUE(s.valid());
+  ASSERT_TRUE(r.valid());
+  s.wait(clock);
+  r.wait(clock);
+  EXPECT_FALSE(s.valid());
+  EXPECT_FALSE(r.valid());
+  EXPECT_THROW(s.wait(clock), Error);
   EXPECT_THROW(r.wait(clock), Error);
 }
 
