@@ -14,7 +14,7 @@ obs::fleet::FleetSnapshot gather_fleet(XcclMpi& rt, mini::Comm& comm,
   const int rank = comm.rank();
 
   // Capture before any gather traffic: the protocol's own collectives would
-  // otherwise stamp fresh arrivals into the very rings being shipped, and
+  // otherwise push fresh calls into the very rings being shipped, and
   // the rings would disagree across ranks (root sees one extra dispatch).
   const obs::fleet::RankState local =
       obs::fleet::local_rank_state(rt.rank());

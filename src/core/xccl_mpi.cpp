@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 #include "common/log.hpp"
 #include "device/buffer_registry.hpp"
@@ -70,8 +69,6 @@ XcclMpi::XcclMpi(fabric::RankContext& ctx, XcclMpiOptions options)
 
 void XcclMpi::reset_stats() {
   stats_ = {};
-  op_profiles_.clear();
-  last_ = {};
   last_decision_ = {};
   plans_.reset_stats();
   // Flight records carry the id of the plan that routed them; entries from
@@ -226,8 +223,6 @@ std::shared_ptr<const Plan> XcclMpi::plan_for(const CallArgs& a,
     // guards direct hier().set_levels() callers too.
     if (hit->hier == nullptr || hit->hier_epoch == hier_->config_epoch()) {
       ctr_plan_hit_->add(1, rank());
-      current_plan_id_ = hit->id;
-      obs::fleet::note_plan(rank(), hit->id);
       return hit;
     }
   }
@@ -236,8 +231,6 @@ std::shared_ptr<const Plan> XcclMpi::plan_for(const CallArgs& a,
   // so hit/miss agrees across ranks and the collective build cannot skew.
   ctr_plan_miss_->add(1, rank());
   std::shared_ptr<Plan> plan = build_plan(key, a.op, bytes, comm);
-  current_plan_id_ = plan->id;
-  obs::fleet::note_plan(rank(), plan->id);
   const std::size_t evicted = plans_.insert(plan);
   if (evicted > 0) ctr_plan_evict_->add(evicted, rank());
   return plan;
@@ -289,59 +282,23 @@ std::shared_ptr<Plan> XcclMpi::build_plan(const PlanKey& key, CollOp op,
 
 // ---- The completion record --------------------------------------------------
 
-XcclMpi::OpRecord::OpRecord(XcclMpi& rt, CollOp op, std::size_t bytes)
-    : rank_(rt.rank()),
-      op_(op),
-      bytes_(bytes),
-      t0_(rt.context().clock().now()),
-      fleet_seq_(obs::fleet::dispatch_enter(rank_, op, t0_)) {
-  // Cleared so a dispatch that never consults the plan cache (composed ops,
-  // scan) does not inherit the previous call's plan id in its flight record.
-  rt.current_plan_id_ = 0;
+XcclMpi::OpRecord::OpRecord(XcclMpi& rt, CollOp op, std::size_t bytes) {
+  d_.rank = rt.rank();
+  d_.op = op;
+  d_.bytes = bytes;
+  d_.enter_us = rt.context().clock().now();
+  d_.call_seq = obs::fleet::dispatch_enter(d_.rank, op);
 }
 
 XcclMpi::OpRecord::~OpRecord() {
-  if (!closed_) obs::fleet::dispatch_abort(rank_);
+  if (!closed_) obs::fleet::dispatch_abort(d_.rank);
 }
 
 void XcclMpi::complete(OpRecord& rec, const EnginePick& pick,
                        const Completion& c, std::string_view level_path,
                        bool log) {
   rec.closed_ = true;
-  const CollOp op = rec.op_;
-  const std::size_t bytes = rec.bytes_;
-  const double us = c.done_us - rec.t0_;
-  last_ = Dispatch{c.engine, c.fell_back, c.composed};
-  OpProfile& prof = op_profiles_[op];
-  switch (c.engine) {
-    case Engine::Xccl:
-      ++stats_.xccl_calls;
-      stats_.xccl_bytes += bytes;
-      ++prof.xccl_calls;
-      prof.xccl_bytes += bytes;
-      prof.xccl_us += us;
-      break;
-    case Engine::Hier:
-      ++stats_.hier_calls;
-      stats_.hier_bytes += bytes;
-      ++prof.hier_calls;
-      prof.hier_bytes += bytes;
-      prof.hier_us += us;
-      break;
-    case Engine::Mpi:
-      ++stats_.mpi_calls;
-      stats_.mpi_bytes += bytes;
-      ++prof.mpi_calls;
-      prof.mpi_bytes += bytes;
-      prof.mpi_us += us;
-      break;
-  }
-  if (c.fell_back) ++stats_.fallbacks;
-
-  obs::DispatchDecision d;
-  d.rank = rank();
-  d.op = op;
-  d.bytes = bytes;
+  obs::DispatchDecision& d = rec.d_;
   d.mode = options_.mode;
   d.breakpoint = pick.breakpoint;
   d.table_choice = pick.table_choice;
@@ -353,45 +310,39 @@ void XcclMpi::complete(OpRecord& rec, const EnginePick& pick,
   // Issue time, inside [enter, done_us] for every flavour: attribution
   // joins decisions to dispatch spans on it.
   d.time_us = context().clock().now();
+  d.done_us = c.done_us;
+  switch (c.engine) {
+    case Engine::Xccl:
+      ++stats_.xccl_calls;
+      stats_.xccl_bytes += d.bytes;
+      break;
+    case Engine::Hier:
+      ++stats_.hier_calls;
+      stats_.hier_bytes += d.bytes;
+      break;
+    case Engine::Mpi:
+      ++stats_.mpi_calls;
+      stats_.mpi_bytes += d.bytes;
+      break;
+  }
+  if (c.fell_back) ++stats_.fallbacks;
   // Persistent replays keep seq 0: the init-time entry explains their
   // routing, and the replay path must not pay the ring lock.
   if (log) d.seq = obs::DecisionLog::instance().push(d);
   last_decision_ = std::move(d);
 
+  // Every sink below reads the one finished record.
+  const obs::DispatchDecision& done = last_decision_;
   auto& reg = obs::Registry::instance();
-  reg.record_call(op, c.engine, rank(), bytes);
-  reg.record_latency(op, c.engine, bytes, us);
+  reg.record_call(done.op, done.engine, done.rank, done.bytes);
+  reg.record_latency(done.op, done.engine, done.bytes, done.elapsed_us());
   // Slow-call hook: the flight recorder keeps the top-K slowest dispatches
-  // joined with the decision that routed them (fast path: one relaxed load).
-  obs::FlightRecorder::instance().record(
-      obs::FlightRecord{op, c.engine, bytes, rank(), rec.t0_, c.done_us,
-                        last_decision_, current_plan_id_});
-  sim::Trace::instance().record(rank(), to_string(op), to_string(c.engine),
-                                rec.t0_, c.done_us);
-  obs::fleet::dispatch_exit(rank(), rec.fleet_seq_, op, bytes, c.engine,
-                            c.done_us);
-}
-
-std::string XcclMpi::profile_report() const {
-  std::ostringstream os;
-  os << "collective        mpi-calls   mpi-us  mpi-bytes  xccl-calls  xccl-us "
-        "xccl-bytes  hier-calls  hier-us hier-bytes\n";
-  for (const auto& [op, prof] : op_profiles_) {
-    char line[240];
-    std::snprintf(
-        line, sizeof(line),
-        "%-16s %10llu %10.1f %10llu %10llu %10.1f %10llu %10llu %10.1f "
-        "%10llu\n",
-        std::string(to_string(op)).c_str(),
-        static_cast<unsigned long long>(prof.mpi_calls), prof.mpi_us,
-        static_cast<unsigned long long>(prof.mpi_bytes),
-        static_cast<unsigned long long>(prof.xccl_calls), prof.xccl_us,
-        static_cast<unsigned long long>(prof.xccl_bytes),
-        static_cast<unsigned long long>(prof.hier_calls), prof.hier_us,
-        static_cast<unsigned long long>(prof.hier_bytes));
-    os << line;
-  }
-  return os.str();
+  // (fast path: one relaxed load, no copy).
+  obs::FlightRecorder::instance().record(done);
+  sim::Trace::instance().record(done.rank, to_string(done.op),
+                                to_string(done.engine), done.enter_us,
+                                done.done_us);
+  obs::fleet::dispatch_exit(done);
 }
 
 // ---- The dispatch ladder ----------------------------------------------------
@@ -540,12 +491,9 @@ double XcclMpi::dispatch(CallArgs a, mini::Comm& comm, bool blocking,
   // One-shot calls and stale persistent plans go through the cache (and
   // log their decision); a live persistent plan replays as compiled.
   const bool fetch = plan == nullptr || plan->stale;
-  if (fetch) {
-    plan = plan_for(a, comm);
-  } else {
-    current_plan_id_ = plan->id;
-    obs::fleet::note_plan(rank(), plan->id);
-  }
+  if (fetch) plan = plan_for(a, comm);
+  rec.d_.plan_id = plan->id;
+  obs::fleet::note_plan(rank(), plan->id);
   Completion c = execute(*plan, a, comm);
   if (blocking) c = settle(c);
   const std::string_view level_path =
@@ -558,8 +506,9 @@ double XcclMpi::dispatch(CallArgs a, mini::Comm& comm, bool blocking,
 void XcclMpi::barrier(mini::Comm& comm) {
   // Barriers carry no data: the MPI dissemination barrier is strictly
   // cheaper than a CCL launch, so the hybrid always routes it to MPI. There
-  // is no CollOp for barrier: it counts in PathStats only.
-  last_ = Dispatch{};
+  // is no CollOp for barrier: it counts in PathStats only, and leaves an
+  // empty (MPI) last-dispatch record.
+  last_decision_ = {};
   ++stats_.mpi_calls;
   mpi_.barrier(comm);
 }
@@ -768,7 +717,7 @@ void XcclMpi::alltoall(const void* sendbuf, std::size_t sendcount,
                in_place ? recvcount * rt.size() : sendcount * st.size());
   const EnginePick pick =
       in_place ? EnginePick{.reason = obs::FallbackReason::InPlace}
-               : pick_engine(CollOp::Alltoall, rec.bytes_, sendbuf, recvbuf);
+               : pick_engine(CollOp::Alltoall, rec.d_.bytes, sendbuf, recvbuf);
   Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
     const auto up = static_cast<std::size_t>(comm.size());
@@ -849,7 +798,7 @@ void XcclMpi::gather(const void* sendbuf, std::size_t sendcount, mini::Datatype 
                      int root, mini::Comm& comm) {
   OpRecord rec(*this, CollOp::Gather, sendcount * st.size());
   const EnginePick pick =
-      pick_engine(CollOp::Gather, rec.bytes_, sendbuf, recvbuf);
+      pick_engine(CollOp::Gather, rec.d_.bytes, sendbuf, recvbuf);
   Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
     const auto up = static_cast<std::size_t>(comm.size());
@@ -873,7 +822,7 @@ void XcclMpi::gatherv(const void* sendbuf, std::size_t sendcount,
                       int root, mini::Comm& comm) {
   OpRecord rec(*this, CollOp::Gather, sendcount * st.size());
   const EnginePick pick =
-      pick_engine_agreed(CollOp::Gather, rec.bytes_, sendbuf, recvbuf, comm);
+      pick_engine_agreed(CollOp::Gather, rec.d_.bytes, sendbuf, recvbuf, comm);
   Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
     c = xccl_rung(x_gatherv(sendbuf, sendcount, st, recvbuf, recvcounts, displs,
@@ -924,7 +873,7 @@ void XcclMpi::scatter(const void* sendbuf, std::size_t sendcount,
                       mini::Datatype rt, int root, mini::Comm& comm) {
   OpRecord rec(*this, CollOp::Scatter, recvcount * rt.size());
   const EnginePick pick =
-      pick_engine(CollOp::Scatter, rec.bytes_, sendbuf, recvbuf);
+      pick_engine(CollOp::Scatter, rec.d_.bytes, sendbuf, recvbuf);
   Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
     const auto up = static_cast<std::size_t>(comm.size());
@@ -948,7 +897,7 @@ void XcclMpi::scatterv(const void* sendbuf,
                        int root, mini::Comm& comm) {
   OpRecord rec(*this, CollOp::Scatter, recvcount * rt.size());
   const EnginePick pick =
-      pick_engine_agreed(CollOp::Scatter, rec.bytes_, sendbuf, recvbuf, comm);
+      pick_engine_agreed(CollOp::Scatter, rec.d_.bytes, sendbuf, recvbuf, comm);
   Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
     c = xccl_rung(x_scatterv(sendbuf, sendcounts, displs, st, recvbuf, recvcount,
@@ -999,7 +948,7 @@ void XcclMpi::allgatherv(const void* sendbuf, std::size_t sendcount,
                          std::span<const std::size_t> displs, mini::Datatype rt,
                          mini::Comm& comm) {
   OpRecord rec(*this, CollOp::Allgatherv, sendcount * st.size());
-  const EnginePick pick = pick_engine_agreed(CollOp::Allgatherv, rec.bytes_,
+  const EnginePick pick = pick_engine_agreed(CollOp::Allgatherv, rec.d_.bytes,
                                              sendbuf, recvbuf, comm);
   Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {

@@ -98,20 +98,6 @@ struct PathStats {
   std::uint64_t hier_bytes = 0;
 };
 
-/// Per-collective profile: call counts, message bytes and *virtual*
-/// microseconds spent, per engine (the analog of MV2/NCCL debug summaries).
-struct OpProfile {
-  std::uint64_t mpi_calls = 0;
-  std::uint64_t xccl_calls = 0;
-  std::uint64_t hier_calls = 0;
-  std::uint64_t mpi_bytes = 0;
-  std::uint64_t xccl_bytes = 0;
-  std::uint64_t hier_bytes = 0;
-  double mpi_us = 0.0;
-  double xccl_us = 0.0;
-  double hier_us = 0.0;
-};
-
 struct XcclMpiOptions {
   Mode mode = Mode::Hybrid;
   /// Backend override (e.g. force MSCCL on an NVIDIA system); default is
@@ -314,7 +300,10 @@ class XcclMpi {
                                      ReduceOp op, mini::Comm& comm);
 
   // ---- Introspection ---------------------------------------------------------
-  [[nodiscard]] Dispatch last_dispatch() const { return last_; }
+  [[nodiscard]] Dispatch last_dispatch() const {
+    return {last_decision_.engine, last_decision_.fell_back,
+            last_decision_.composed};
+  }
   /// Fully explained record of the last collective dispatch on this rank
   /// (breakpoint consulted, table answer, fallback reason). Unlike the
   /// process-wide obs::DecisionLog, this is always populated.
@@ -322,21 +311,12 @@ class XcclMpi {
     return last_decision_;
   }
   [[nodiscard]] const PathStats& stats() const { return stats_; }
-  /// Reset every per-instance view in one motion: path stats, per-op
-  /// profiles, the last-dispatch records (a stale `last_` outliving the
-  /// counters it summarized was a long-standing asymmetry), the plan-cache
-  /// counters, and this rank's flight-recorder entries referencing freed
-  /// plans. Process-wide state (obs::Registry, obs::DecisionLog) is reset
-  /// separately.
+  /// Reset every per-instance view in one motion: path stats, the
+  /// last-dispatch record, the plan-cache counters, and this rank's
+  /// flight-recorder entries referencing freed plans. Process-wide state
+  /// (obs::Registry, whose per-(collective, engine) table obs::report()
+  /// renders, and obs::DecisionLog) is reset separately.
   void reset_stats();
-
-  /// Per-collective virtual-time profile accumulated since construction (or
-  /// the last reset_stats()).
-  [[nodiscard]] const std::map<CollOp, OpProfile>& profile_stats() const {
-    return op_profiles_;
-  }
-  /// Human-readable profile table (one line per collective).
-  [[nodiscard]] std::string profile_report() const;
 
   /// The CCL communicator cache size (tests).
   [[nodiscard]] std::size_t ccl_comm_cache_size() const { return ccl_comms_.size(); }
@@ -405,11 +385,12 @@ class XcclMpi {
   /// Get or create (collectively!) the CCL communicator for `comm`.
   xccl::CclComm& ccl_comm(mini::Comm& comm);
 
-  /// One collective call's telemetry record, opened at call entry (virtual
-  /// enter time, fleet arrival) and closed once by complete(). A record
-  /// that unwinds unclosed (the call threw) records nothing — otherwise the
-  /// sample would be attributed to the PREVIOUS call — and only clears the
-  /// fleet in-flight flag.
+  /// One collective call's record under construction: the decision it
+  /// becomes, opened at call entry (rank, op, bytes, enter time, fleet
+  /// call_seq) and closed once by complete(). A record that unwinds
+  /// unclosed (the call threw) records nothing — otherwise the sample would
+  /// be attributed to the PREVIOUS call — and only clears the fleet
+  /// in-flight flag.
   class OpRecord {
    public:
     OpRecord(XcclMpi& rt, CollOp op, std::size_t bytes);
@@ -419,19 +400,15 @@ class XcclMpi {
 
    private:
     friend class XcclMpi;
-    int rank_;
-    CollOp op_;
-    std::size_t bytes_;
-    double t0_;
-    std::uint64_t fleet_seq_;  ///< this rank's fleet dispatch seq (arrival key)
+    obs::DispatchDecision d_;
     bool closed_ = false;
   };
 
   /// Close `rec` with how the call completed: the single place that feeds
-  /// last_dispatch()/last_decision(), PathStats/OpProfile, the registry
-  /// (call + latency), the decision log (when `log`), the flight recorder,
-  /// sim::Trace and the fleet arrival ring. The latency spans call entry to
-  /// c.done_us.
+  /// last_dispatch()/last_decision(), PathStats, the registry (call +
+  /// latency), the decision log (when `log`), the flight recorder,
+  /// sim::Trace and the fleet call ring, all from the one finished record.
+  /// The latency spans call entry to c.done_us.
   void complete(OpRecord& rec, const EnginePick& pick, const Completion& c,
                 std::string_view level_path = {}, bool log = true);
 
@@ -468,17 +445,14 @@ class XcclMpi {
   std::map<fabric::ChannelId, xccl::CclComm> ccl_comms_;
   std::uint64_t ccl_comm_seq_ = 0;
   PlanCache plans_;
-  std::uint64_t current_plan_id_ = 0;  ///< plan behind the in-flight dispatch
   // Cached registry counter refs (stable across Registry::reset): the plan
   // hot path must not pay the by-name map lookup per call.
   obs::Counter* ctr_plan_hit_ = nullptr;
   obs::Counter* ctr_plan_miss_ = nullptr;
   obs::Counter* ctr_plan_evict_ = nullptr;
   obs::Counter* ctr_plan_invalidate_ = nullptr;
-  Dispatch last_;
   obs::DispatchDecision last_decision_;
   PathStats stats_;
-  std::map<CollOp, OpProfile> op_profiles_;
 };
 
 /// A compiled persistent collective: one plan plus the bound argument tuple.

@@ -50,23 +50,24 @@ std::size_t FlightRecorder::capacity() const {
   return capacity_;
 }
 
-void FlightRecorder::record(const FlightRecord& r) {
-  const double elapsed = r.elapsed_us();
+void FlightRecorder::record(const DispatchDecision& d) {
+  const double elapsed = d.elapsed_us();
   // Fast path: once the table is full, anything faster than the K-th entry
   // cannot enter — one relaxed load, no lock, on the typical dispatch.
   if (elapsed <= floor_.load(std::memory_order_relaxed)) return;
   std::lock_guard lock(mu_);
   if (top_.size() >= capacity_ && elapsed <= top_.back().elapsed_us()) return;
-  const auto pos = std::find_if(top_.begin(), top_.end(), [&](const FlightRecord& t) {
-    return t.elapsed_us() < elapsed;
-  });
-  top_.insert(pos, r);
+  const auto pos = std::find_if(top_.begin(), top_.end(),
+                                [&](const DispatchDecision& t) {
+                                  return t.elapsed_us() < elapsed;
+                                });
+  top_.insert(pos, d);
   if (top_.size() > capacity_) top_.pop_back();
   floor_.store(top_.size() == capacity_ ? top_.back().elapsed_us() : 0.0,
                std::memory_order_relaxed);
 }
 
-std::vector<FlightRecord> FlightRecorder::records() const {
+std::vector<DispatchDecision> FlightRecorder::records() const {
   std::lock_guard lock(mu_);
   return top_;
 }
@@ -82,10 +83,10 @@ std::size_t FlightRecorder::purge_plan_records(
   std::lock_guard lock(mu_);
   const std::size_t before = top_.size();
   top_.erase(std::remove_if(top_.begin(), top_.end(),
-                            [&](const FlightRecord& r) {
-                              if (r.rank != rank || r.plan_id == 0) return false;
+                            [&](const DispatchDecision& d) {
+                              if (d.rank != rank || d.plan_id == 0) return false;
                               return std::find(live.begin(), live.end(),
-                                               r.plan_id) == live.end();
+                                               d.plan_id) == live.end();
                             }),
              top_.end());
   // Removals can reopen the table: recompute the admission floor so future
@@ -100,34 +101,36 @@ std::string FlightRecorder::to_json_field() const {
   std::ostringstream os;
   os << "\"flight_recorder\":[";
   bool first = true;
-  for (const FlightRecord& r : top_) {
+  for (const DispatchDecision& d : top_) {
     if (!first) os << ',';
     first = false;
-    os << "{\"op\":\"" << to_string(r.op) << "\",\"engine\":\""
-       << to_string(r.engine) << "\",\"bytes\":" << r.bytes
-       << ",\"rank\":" << r.rank << ",\"begin_us\":" << num(r.begin_us)
-       << ",\"end_us\":" << num(r.end_us)
-       << ",\"elapsed_us\":" << num(r.elapsed_us())
-       << ",\"plan_id\":" << r.plan_id << ",\"decision\":{"
-       << "\"seq\":" << r.decision.seq << ",\"mode\":\""
-       << to_string(r.decision.mode) << "\",\"breakpoint\":";
-    if (r.decision.breakpoint == SIZE_MAX) {
+    // The exported shape predates the single record: the routing fields
+    // render under "decision", the call's identity and timing beside it.
+    os << "{\"op\":\"" << to_string(d.op) << "\",\"engine\":\""
+       << to_string(d.engine) << "\",\"bytes\":" << d.bytes
+       << ",\"rank\":" << d.rank << ",\"begin_us\":" << num(d.enter_us)
+       << ",\"end_us\":" << num(d.done_us)
+       << ",\"elapsed_us\":" << num(d.elapsed_us())
+       << ",\"plan_id\":" << d.plan_id << ",\"decision\":{"
+       << "\"seq\":" << d.seq << ",\"mode\":\"" << to_string(d.mode)
+       << "\",\"breakpoint\":";
+    if (d.breakpoint == SIZE_MAX) {
       os << "\"max\"";
     } else {
-      os << r.decision.breakpoint;
+      os << d.breakpoint;
     }
-    os << ",\"table_choice\":\"" << to_string(r.decision.table_choice)
-       << "\",\"engine\":\"" << to_string(r.decision.engine)
-       << "\",\"reason\":\"" << to_string(r.decision.reason)
-       << "\",\"fell_back\":" << (r.decision.fell_back ? "true" : "false")
-       << ",\"composed\":" << (r.decision.composed ? "true" : "false") << "}}";
+    os << ",\"table_choice\":\"" << to_string(d.table_choice)
+       << "\",\"engine\":\"" << to_string(d.engine) << "\",\"reason\":\""
+       << to_string(d.reason)
+       << "\",\"fell_back\":" << (d.fell_back ? "true" : "false")
+       << ",\"composed\":" << (d.composed ? "true" : "false") << "}}";
   }
   os << ']';
   return os.str();
 }
 
 std::string FlightRecorder::report() const {
-  const std::vector<FlightRecord> recs = records();
+  const std::vector<DispatchDecision> recs = records();
   std::ostringstream os;
   os << "flight recorder: " << recs.size() << " slowest dispatches\n";
   if (recs.empty()) return os.str();
@@ -135,23 +138,22 @@ std::string FlightRecorder::report() const {
   std::snprintf(line, sizeof(line), "  %10s %-14s %-5s %12s %5s  %s\n",
                 "elapsed-us", "op", "eng", "bytes", "rank", "why routed here");
   os << line;
-  for (const FlightRecord& r : recs) {
+  for (const DispatchDecision& d : recs) {
     std::ostringstream why;
-    why << to_string(r.decision.table_choice);
-    if (r.decision.table_choice != r.decision.engine || r.decision.fell_back) {
-      why << "->" << to_string(r.decision.engine);
+    why << to_string(d.table_choice);
+    if (d.table_choice != d.engine || d.fell_back) {
+      why << "->" << to_string(d.engine);
     }
-    if (r.decision.reason != FallbackReason::None) {
-      why << " [" << to_string(r.decision.reason) << ']';
+    if (d.reason != FallbackReason::None) {
+      why << " [" << to_string(d.reason) << ']';
     }
-    if (r.decision.breakpoint != 0) {
-      why << " bp<=" << (r.decision.breakpoint == SIZE_MAX
-                             ? std::string("max")
-                             : std::to_string(r.decision.breakpoint));
+    if (d.breakpoint != 0) {
+      why << " bp<=" << (d.breakpoint == SIZE_MAX ? std::string("max")
+                                                  : std::to_string(d.breakpoint));
     }
     std::snprintf(line, sizeof(line), "  %10.1f %-14s %-5s %12zu %5d  %s\n",
-                  r.elapsed_us(), std::string(to_string(r.op)).c_str(),
-                  std::string(to_string(r.engine)).c_str(), r.bytes, r.rank,
+                  d.elapsed_us(), std::string(to_string(d.op)).c_str(),
+                  std::string(to_string(d.engine)).c_str(), d.bytes, d.rank,
                   why.str().c_str());
     os << line;
   }

@@ -4,10 +4,10 @@
 // *answers*, closing the telemetry→decision loop:
 //
 //  * Flight recorder — a bounded top-K table of the slowest collective
-//    dispatches, each joined with its DispatchDecision at record time, so
-//    one record answers both "why was this call slow" and "why was it
-//    routed there". Always on (the fast path is one relaxed load against
-//    the current K-th threshold); exported inside the metrics snapshot.
+//    dispatches, each kept as its DispatchDecision, so one record answers
+//    both "why was this call slow" and "why was it routed there". Always on
+//    (the fast path is one relaxed load against the current K-th
+//    threshold); exported inside the metrics snapshot.
 //  * Critical-path attribution — analyzes trace spans to attribute each
 //    dispatch's latency to its recorded child stages (hier's intra_rs /
 //    inter_ar / intra_ag, xccl group compositions), reporting per-stage
@@ -36,25 +36,10 @@ namespace mpixccl::obs {
 
 // ---- Flight recorder --------------------------------------------------------
 
-/// One slow dispatch, joined with the decision that routed it.
-struct FlightRecord {
-  core::CollOp op = core::CollOp::Allreduce;
-  core::Engine engine = core::Engine::Mpi;
-  std::size_t bytes = 0;
-  int rank = 0;
-  double begin_us = 0.0;
-  double end_us = 0.0;
-  DispatchDecision decision;  ///< the dispatch's fully-explained routing
-  /// Id of the compiled plan that routed this dispatch (joins against
-  /// PlanCache entries); 0 for planless paths (barrier, composed ops).
-  std::uint64_t plan_id = 0;
-
-  [[nodiscard]] double elapsed_us() const { return end_us - begin_us; }
-};
-
-/// Process-wide bounded table of the K slowest dispatches. Recording is
+/// Process-wide bounded table of the K slowest dispatches, each kept as the
+/// dispatch's own record (routing, timing and plan id in one). Recording is
 /// always on: calls faster than the current K-th entry bounce off one
-/// relaxed atomic load without taking the lock.
+/// relaxed atomic load without taking the lock or copying the record.
 class FlightRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = 16;
@@ -65,9 +50,9 @@ class FlightRecorder {
   void set_capacity(std::size_t k);
   [[nodiscard]] std::size_t capacity() const;
 
-  void record(const FlightRecord& r);
+  void record(const DispatchDecision& d);
   /// Retained records, slowest first.
-  [[nodiscard]] std::vector<FlightRecord> records() const;
+  [[nodiscard]] std::vector<DispatchDecision> records() const;
   void clear();
   /// Drop `rank`'s records whose plan_id is set but absent from `live` —
   /// they reference a plan that has been evicted or invalidated, so the
@@ -88,7 +73,7 @@ class FlightRecorder {
 
   mutable std::mutex mu_;
   std::atomic<double> floor_{0.0};  ///< K-th elapsed once full, else 0
-  std::vector<FlightRecord> top_;   ///< sorted by elapsed, descending
+  std::vector<DispatchDecision> top_;  ///< sorted by elapsed, descending
   std::size_t capacity_ = kDefaultCapacity;
 };
 

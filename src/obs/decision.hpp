@@ -88,9 +88,15 @@ constexpr std::string_view to_string(TuneAudit a) {
   return "?";
 }
 
-/// One dispatch decision, fully explained.
+/// One dispatch decision, fully explained: the single per-call record. It is
+/// built once by XcclMpi::complete() and read, without conversion, by every
+/// per-call sink (decision ring, flight recorder, fleet ring, watchdog dump).
 struct DispatchDecision {
   std::uint64_t seq = 0;  ///< assigned by the log at append time
+  /// Per-rank dispatch number (1-based). Uniform collectives are issued in
+  /// the same order on every rank, so call_seq k is round k fleet-wide; 0 on
+  /// records no dispatch closed (tuner audits, persistent inits).
+  std::uint64_t call_seq = 0;
   int rank = 0;
   core::CollOp op = core::CollOp::Allreduce;
   std::size_t bytes = 0;
@@ -108,9 +114,16 @@ struct DispatchDecision {
   /// (e.g. "numa(2).socket(2).node(2).net(2)"); empty for flat engines.
   std::string level_path;
   double time_us = 0.0;    ///< virtual time at completion of the decision
+  double enter_us = 0.0;   ///< virtual time at call entry
+  double done_us = 0.0;    ///< virtual time the result is ready
+  /// Compiled plan that routed the call; 0 for planless paths (composed
+  /// collectives, scan).
+  std::uint64_t plan_id = 0;
   /// Non-None marks an online-tuner table mutation rather than a dispatch
   /// (excluded from the per-engine/per-reason dispatch tallies).
   TuneAudit tune = TuneAudit::None;
+
+  [[nodiscard]] double elapsed_us() const { return done_us - enter_us; }
 };
 
 /// Render one decision as a single human-readable line.

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -17,6 +17,7 @@
 #include "common/format.hpp"
 #include "common/log.hpp"
 #include "common/status.hpp"
+#include "obs/obs.hpp"
 #include "sim/fault.hpp"
 #include "sim/trace.hpp"
 
@@ -40,11 +41,10 @@ std::int64_t steady_ns() {
 
 // ---- Activation state -------------------------------------------------------
 
-constexpr std::uint32_t kProfileBit = 1;    // arrival rings + level times
+constexpr std::uint32_t kProfileBit = 1;    // call rings + level times
 constexpr std::uint32_t kHeartbeatBit = 2;  // full heartbeat slot updates
 
 std::atomic<std::uint32_t> g_mask{0};
-std::atomic<std::size_t> g_ring_cap{1024};
 
 std::mutex g_activation_mu;
 bool g_profiling = false;
@@ -83,7 +83,8 @@ bool rank_ok(int rank) { return rank >= 0 && rank < kMaxRanks; }
 
 struct RankData {
   std::mutex mu;
-  std::deque<Arrival> ring;
+  std::vector<DispatchDecision> ring;  ///< circular once full
+  std::size_t head = 0;                ///< oldest record once wrapped
   std::map<std::string, std::pair<double, std::uint64_t>, std::less<>> levels;
 };
 
@@ -114,14 +115,6 @@ void set_profiling(bool on) {
   refresh_mask_locked();
 }
 
-std::size_t ring_capacity() {
-  return g_ring_cap.load(std::memory_order_relaxed);
-}
-
-void set_ring_capacity(std::size_t n) {
-  g_ring_cap.store(std::max<std::size_t>(n, 8), std::memory_order_relaxed);
-}
-
 void reset() {
   for (int r = 0; r < kMaxRanks; ++r) {
     Slot& s = slot(r);
@@ -136,11 +129,12 @@ void reset() {
     RankData& d = rank_data(r);
     std::lock_guard lock(d.mu);
     d.ring.clear();
+    d.head = 0;
     d.levels.clear();
   }
 }
 
-std::uint64_t dispatch_enter(int rank, core::CollOp op, double now_us) {
+std::uint64_t dispatch_enter(int rank, core::CollOp op) {
   if (!rank_ok(rank)) return 0;
   Slot& s = slot(rank);
   const std::uint64_t seq = s.enter_seq.load(std::memory_order_relaxed) + 1;
@@ -150,55 +144,36 @@ std::uint64_t dispatch_enter(int rank, core::CollOp op, double now_us) {
   auto& faults = sim::FaultInjector::instance();
   if (faults.active()) faults.maybe_stall(rank, seq);
   s.enter_seq.store(seq, std::memory_order_relaxed);
-  const std::uint32_t mask = g_mask.load(std::memory_order_relaxed);
-  if (mask == 0) return seq;  // disabled fast path ends here
-  if ((mask & kHeartbeatBit) != 0) {
+  if ((g_mask.load(std::memory_order_relaxed) & kHeartbeatBit) != 0) {
     s.op.store(static_cast<std::uint8_t>(op), std::memory_order_relaxed);
     s.in_flight.store(1, std::memory_order_relaxed);
     s.beat_ns.store(steady_ns(), std::memory_order_relaxed);
   }
-  if ((mask & kProfileBit) != 0) {
-    Arrival a;
-    a.seq = seq;
-    a.op = op;
-    a.enter_us = now_us;
-    RankData& d = rank_data(rank);
-    std::lock_guard lock(d.mu);
-    d.ring.push_back(a);
-    const std::size_t cap = ring_capacity();
-    while (d.ring.size() > cap) d.ring.pop_front();
-  }
   return seq;
 }
 
-void dispatch_exit(int rank, std::uint64_t seq, core::CollOp op,
-                   std::size_t bytes, core::Engine engine, double exit_us) {
-  if (!rank_ok(rank) || seq == 0) return;
-  Slot& s = slot(rank);
-  s.done_seq.store(seq, std::memory_order_relaxed);
+void dispatch_exit(const DispatchDecision& d) {
+  if (!rank_ok(d.rank) || d.call_seq == 0) return;
+  Slot& s = slot(d.rank);
+  s.done_seq.store(d.call_seq, std::memory_order_relaxed);
   const std::uint32_t mask = g_mask.load(std::memory_order_relaxed);
   if (mask == 0) return;
   if ((mask & kHeartbeatBit) != 0) {
-    s.op.store(static_cast<std::uint8_t>(op), std::memory_order_relaxed);
-    s.engine.store(static_cast<std::uint8_t>(engine),
+    s.op.store(static_cast<std::uint8_t>(d.op), std::memory_order_relaxed);
+    s.engine.store(static_cast<std::uint8_t>(d.engine),
                    std::memory_order_relaxed);
-    s.bytes.store(bytes, std::memory_order_relaxed);
+    s.bytes.store(d.bytes, std::memory_order_relaxed);
     s.in_flight.store(0, std::memory_order_relaxed);
     s.beat_ns.store(steady_ns(), std::memory_order_relaxed);
   }
   if ((mask & kProfileBit) != 0) {
-    RankData& d = rank_data(rank);
-    std::lock_guard lock(d.mu);
-    // The open record is the newest entry with our seq (profiling may have
-    // been toggled mid-dispatch, so tolerate a miss).
-    for (auto it = d.ring.rbegin(); it != d.ring.rend(); ++it) {
-      if (it->seq == seq) {
-        it->band = static_cast<std::uint8_t>(size_band_of(bytes));
-        it->engine = engine;
-        it->exit_us = exit_us;
-        break;
-      }
-      if (it->seq < seq) break;
+    RankData& rd = rank_data(d.rank);
+    std::lock_guard lock(rd.mu);
+    if (rd.ring.size() < kRingCapacity) {
+      rd.ring.push_back(d);
+    } else {
+      rd.ring[rd.head] = d;
+      rd.head = (rd.head + 1) % kRingCapacity;
     }
   }
 }
@@ -258,7 +233,7 @@ LevelSpan::~LevelSpan() {
 
 // ---- Rank-local capture -----------------------------------------------------
 
-RankState local_rank_state(int rank, std::size_t decision_tail) {
+RankState local_rank_state(int rank) {
   RankState st;
   st.rank = rank;
   if (!rank_ok(rank)) return st;
@@ -277,21 +252,11 @@ RankState local_rank_state(int rank, std::size_t decision_tail) {
   {
     RankData& d = rank_data(rank);
     std::lock_guard lock(d.mu);
-    st.arrivals.assign(d.ring.begin(), d.ring.end());
+    const auto head = static_cast<std::ptrdiff_t>(d.head);
+    st.calls.assign(d.ring.begin() + head, d.ring.end());
+    st.calls.insert(st.calls.end(), d.ring.begin(), d.ring.begin() + head);
     for (const auto& [level, acc] : d.levels) {
       st.levels.push_back({level, acc.first, acc.second});
-    }
-  }
-  if (decision_tail > 0) {
-    for (const DispatchDecision& d : DecisionLog::instance().records()) {
-      if (d.rank != rank || d.tune != TuneAudit::None) continue;
-      st.decision_tail.push_back(d);
-    }
-    if (st.decision_tail.size() > decision_tail) {
-      st.decision_tail.erase(
-          st.decision_tail.begin(),
-          st.decision_tail.end() -
-              static_cast<std::ptrdiff_t>(decision_tail));
     }
   }
   return st;
@@ -301,7 +266,7 @@ RankState local_rank_state(int rank, std::size_t decision_tail) {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x464C5431;  // "FLT1"
+constexpr std::uint32_t kMagic = 0x464C5432;  // "FLT2"
 
 template <typename T>
 void put(std::string& out, T v) {
@@ -353,25 +318,16 @@ std::string serialize(const RankState& st) {
   put<std::uint64_t>(out, hb.bytes);
   put<std::uint64_t>(out, hb.plan_id);
   put<double>(out, hb.age_ms);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(st.arrivals.size()));
-  for (const Arrival& a : st.arrivals) {
-    put<std::uint64_t>(out, a.seq);
-    put<std::uint8_t>(out, static_cast<std::uint8_t>(a.op));
-    put<std::uint8_t>(out, a.band);
-    put<std::uint8_t>(out, static_cast<std::uint8_t>(a.engine));
-    put<double>(out, a.enter_us);
-    put<double>(out, a.exit_us);
-  }
   put<std::uint32_t>(out, static_cast<std::uint32_t>(st.levels.size()));
   for (const LevelTime& lt : st.levels) {
     put_str(out, lt.level);
     put<double>(out, lt.us);
     put<std::uint64_t>(out, lt.calls);
   }
-  put<std::uint32_t>(out,
-                     static_cast<std::uint32_t>(st.decision_tail.size()));
-  for (const DispatchDecision& d : st.decision_tail) {
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(st.calls.size()));
+  for (const DispatchDecision& d : st.calls) {
     put<std::uint64_t>(out, d.seq);
+    put<std::uint64_t>(out, d.call_seq);
     put<std::uint8_t>(out, static_cast<std::uint8_t>(d.op));
     put<std::uint64_t>(out, d.bytes);
     put<std::uint8_t>(out, static_cast<std::uint8_t>(d.mode));
@@ -383,6 +339,9 @@ std::string serialize(const RankState& st) {
     put<std::uint8_t>(out, d.composed ? 1 : 0);
     put_str(out, d.level_path);
     put<double>(out, d.time_us);
+    put<double>(out, d.enter_us);
+    put<double>(out, d.done_us);
+    put<std::uint64_t>(out, d.plan_id);
     put<std::uint8_t>(out, static_cast<std::uint8_t>(d.tune));
   }
   return out;
@@ -401,18 +360,6 @@ RankState deserialize(std::string_view blob) {
   st.heartbeat.bytes = r.get<std::uint64_t>();
   st.heartbeat.plan_id = r.get<std::uint64_t>();
   st.heartbeat.age_ms = r.get<double>();
-  const auto n_arrivals = r.get<std::uint32_t>();
-  st.arrivals.reserve(n_arrivals);
-  for (std::uint32_t i = 0; i < n_arrivals; ++i) {
-    Arrival a;
-    a.seq = r.get<std::uint64_t>();
-    a.op = op_from_u8(r.get<std::uint8_t>());
-    a.band = r.get<std::uint8_t>();
-    a.engine = engine_from_u8(r.get<std::uint8_t>());
-    a.enter_us = r.get<double>();
-    a.exit_us = r.get<double>();
-    st.arrivals.push_back(a);
-  }
   const auto n_levels = r.get<std::uint32_t>();
   st.levels.reserve(n_levels);
   for (std::uint32_t i = 0; i < n_levels; ++i) {
@@ -422,11 +369,12 @@ RankState deserialize(std::string_view blob) {
     lt.calls = r.get<std::uint64_t>();
     st.levels.push_back(std::move(lt));
   }
-  const auto n_decisions = r.get<std::uint32_t>();
-  st.decision_tail.reserve(n_decisions);
-  for (std::uint32_t i = 0; i < n_decisions; ++i) {
+  const auto n_calls = r.get<std::uint32_t>();
+  st.calls.reserve(n_calls);
+  for (std::uint32_t i = 0; i < n_calls; ++i) {
     DispatchDecision d;
     d.seq = r.get<std::uint64_t>();
+    d.call_seq = r.get<std::uint64_t>();
     d.rank = st.rank;
     d.op = op_from_u8(r.get<std::uint8_t>());
     d.bytes = r.get<std::uint64_t>();
@@ -439,8 +387,11 @@ RankState deserialize(std::string_view blob) {
     d.composed = r.get<std::uint8_t>() != 0;
     d.level_path = r.get_str();
     d.time_us = r.get<double>();
+    d.enter_us = r.get<double>();
+    d.done_us = r.get<double>();
+    d.plan_id = r.get<std::uint64_t>();
     d.tune = static_cast<TuneAudit>(r.get<std::uint8_t>());
-    st.decision_tail.push_back(std::move(d));
+    st.calls.push_back(std::move(d));
   }
   require(r.pos == blob.size(), "fleet: trailing bytes in blob");
   return st;
@@ -462,16 +413,14 @@ FleetSnapshot assemble(std::vector<RankState> ranks, std::string profile,
   // Rank-merged dispatch-latency distribution (the histogram-merge path).
   for (const RankState& st : ranks) {
     Histogram h;
-    for (const Arrival& a : st.arrivals) {
-      if (a.exit_us >= 0.0) h.observe(a.exit_us - a.enter_us);
-    }
+    for (const DispatchDecision& d : st.calls) h.observe(d.elapsed_us());
     snap.fleet_latency_us =
         merge_histograms(snap.fleet_latency_us, h.snapshot());
   }
 
   // Join rounds by per-rank dispatch seq: uniform collectives are issued in
-  // the same order on every rank, so seq k is round k. Only rounds present
-  // (and completed) on every rank with a matching (op, band) count.
+  // the same order on every rank, so call_seq k is round k. Only rounds
+  // present on every rank with a matching (op, band) count.
   struct CellAcc {
     Histogram skew;
     double sum_skew = 0.0;
@@ -484,20 +433,21 @@ FleetSnapshot assemble(std::vector<RankState> ranks, std::string profile,
   std::map<int, std::uint64_t> times_last;
 
   if (ranks.size() >= 2) {
-    std::vector<std::unordered_map<std::uint64_t, const Arrival*>> by_seq;
+    std::vector<std::unordered_map<std::uint64_t, const DispatchDecision*>>
+        by_seq;
     by_seq.reserve(ranks.size());
     for (const RankState& st : ranks) {
       auto& m = by_seq.emplace_back();
-      for (const Arrival& a : st.arrivals) m.emplace(a.seq, &a);
+      for (const DispatchDecision& d : st.calls) m.emplace(d.call_seq, &d);
     }
-    for (const Arrival& a0 : ranks.front().arrivals) {
-      if (a0.exit_us < 0.0) continue;
-      std::vector<const Arrival*> round{&a0};
+    for (const DispatchDecision& d0 : ranks.front().calls) {
+      const std::size_t band = size_band_of(d0.bytes);
+      std::vector<const DispatchDecision*> round{&d0};
       bool full = true;
       for (std::size_t r = 1; r < ranks.size(); ++r) {
-        const auto it = by_seq[r].find(a0.seq);
-        if (it == by_seq[r].end() || it->second->exit_us < 0.0 ||
-            it->second->op != a0.op || it->second->band != a0.band) {
+        const auto it = by_seq[r].find(d0.call_seq);
+        if (it == by_seq[r].end() || it->second->op != d0.op ||
+            size_band_of(it->second->bytes) != band) {
           full = false;
           break;
         }
@@ -509,17 +459,18 @@ FleetSnapshot assemble(std::vector<RankState> ranks, std::string profile,
       double sum_dur = 0.0;
       std::size_t last_idx = 0;
       for (std::size_t r = 0; r < round.size(); ++r) {
-        const Arrival& a = *round[r];
-        min_enter = std::min(min_enter, a.enter_us);
-        if (a.enter_us > max_enter) {
-          max_enter = a.enter_us;
+        const DispatchDecision& d = *round[r];
+        min_enter = std::min(min_enter, d.enter_us);
+        if (d.enter_us > max_enter) {
+          max_enter = d.enter_us;
           last_idx = r;
         }
-        sum_dur += a.exit_us - a.enter_us;
+        sum_dur += d.elapsed_us();
       }
       const double skew = max_enter - min_enter;
       const int last_rank = ranks[last_idx].rank;
-      CellAcc& cell = cells[{static_cast<std::uint8_t>(a0.op), a0.band}];
+      CellAcc& cell = cells[{static_cast<std::uint8_t>(d0.op),
+                             static_cast<std::uint8_t>(band)}];
       cell.skew.observe(skew);
       cell.sum_skew += skew;
       cell.sum_dur += sum_dur / static_cast<double>(round.size());
@@ -634,9 +585,7 @@ std::string FleetSnapshot::to_json() const {
        << "\",\"bytes\":" << hb.bytes << ",\"plan\":" << hb.plan_id
        << ",\"age_ms\":" << num(hb.age_ms) << '}';
     Histogram lat;
-    for (const Arrival& a : st.arrivals) {
-      if (a.exit_us >= 0.0) lat.observe(a.exit_us - a.enter_us);
-    }
+    for (const DispatchDecision& d : st.calls) lat.observe(d.elapsed_us());
     os << ",\"latency_us\":" << hist_to_json(lat.snapshot());
     os << ",\"levels\":[";
     bool fl = true;
@@ -647,10 +596,11 @@ std::string FleetSnapshot::to_json() const {
          << num(lt.us) << ",\"calls\":" << lt.calls << '}';
     }
     os << "],\"decision_tail\":[";
-    bool fd = true;
-    for (const DispatchDecision& d : st.decision_tail) {
-      if (!fd) os << ',';
-      fd = false;
+    constexpr std::size_t kTail = 16;
+    const std::size_t tail = st.calls.size() > kTail ? st.calls.size() - kTail : 0;
+    for (std::size_t i = tail; i < st.calls.size(); ++i) {
+      const DispatchDecision& d = st.calls[i];
+      if (i != tail) os << ',';
       os << "{\"seq\":" << d.seq << ",\"op\":\"" << to_string(d.op)
          << "\",\"bytes\":" << d.bytes << ",\"engine\":\""
          << to_string(d.engine) << "\",\"reason\":\"" << to_string(d.reason)
@@ -777,12 +727,19 @@ std::string FleetSnapshot::report() const {
 
 namespace {
 
-double env_double(const char* name, double fallback) {
+/// Unset or empty reads as 0 (disabled); anything else must be a finite,
+/// non-negative number of milliseconds. A lenient parse would turn "5s"
+/// into a silently disabled watchdog and "nan" into a NaN poll period.
+double env_ms(const char* name) {
   const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
+  if (v == nullptr || *v == '\0') return 0.0;
   char* end = nullptr;
   const double parsed = std::strtod(v, &end);
-  return (end != v && *end == '\0') ? parsed : fallback;
+  if (end == v || *end != '\0' || !std::isfinite(parsed) || parsed < 0.0) {
+    throw Error(std::string("watchdog: malformed ") + name + "='" + v +
+                "' (want a finite number of milliseconds >= 0)");
+  }
+  return parsed;
 }
 
 struct WatchdogState {
@@ -975,11 +932,8 @@ void watchdog_loop() {
 
 WatchdogConfig WatchdogConfig::from_env() {
   WatchdogConfig cfg;
-  cfg.timeout_ms = env_double("MPIXCCL_WATCHDOG_TIMEOUT_MS", 0.0);
-  cfg.poll_ms = env_double("MPIXCCL_WATCHDOG_POLL_MS", 0.0);
-  const char* abort_env = std::getenv("MPIXCCL_WATCHDOG_ABORT");
-  cfg.abort_on_hang =
-      abort_env != nullptr && std::string_view(abort_env) == "1";
+  cfg.timeout_ms = env_ms("MPIXCCL_WATCHDOG_TIMEOUT_MS");
+  cfg.abort_on_hang = env_switch("MPIXCCL_WATCHDOG_ABORT");
   return cfg;
 }
 

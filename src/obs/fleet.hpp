@@ -5,19 +5,20 @@
 // so it can say *which engine* is slow but never *which rank* is holding a
 // collective back. This header adds the rank-resolved view:
 //
-//  * Arrival-skew profiling — every dispatch stamps (rank, seq, enter,
-//    exit) into a bounded per-rank ring. Because every rank issues uniform
-//    collectives in the same order, dispatch number `seq` aligns round k
-//    across ranks; the reducer joins rounds by seq and folds the per-round
-//    arrival spread into per-(collective, size-band) skew histograms, an
-//    imbalance score, and a straggler board naming the worst ranks. Hier
-//    dispatches additionally feed per-level stage times (LevelSpan), so the
-//    board can say *which level of the chain* the skew concentrates in.
+//  * Arrival-skew profiling — every completed dispatch appends its
+//    DispatchDecision (call_seq, enter and done times, routing) to a bounded
+//    per-rank ring. Because every rank issues uniform collectives in the
+//    same order, `call_seq` aligns round k across ranks; the reducer joins
+//    rounds on it and folds the per-round arrival spread into
+//    per-(collective, size-band) skew histograms, an imbalance score, and a
+//    straggler board naming the worst ranks. Hier dispatches additionally
+//    feed per-level stage times (LevelSpan), so the board can say *which
+//    level of the chain* the skew concentrates in.
 //  * Fleet snapshot protocol — core::gather_fleet() (core/fleet_gather.hpp)
-//    serializes every rank's state (arrival ring, level times, heartbeat,
-//    decision-ring tail) and gathers the blobs to rank 0 over the library's
-//    own collectives; assemble() reduces them into a FleetSnapshot
-//    renderable as versioned "mpixccl.fleet.v1" JSON or a human report.
+//    serializes every rank's state (call ring, level times, heartbeat) and
+//    gathers the blobs to rank 0 over the library's own collectives;
+//    assemble() reduces them into a FleetSnapshot renderable as versioned
+//    "mpixccl.fleet.v1" JSON or a human report.
 //  * Hang watchdog — every dispatch beats a per-rank heartbeat slot (last
 //    seq/op/bytes/engine/plan, wall-clock instant). A monitor thread checks
 //    the slots in *real* time (rank threads genuinely block on each other's
@@ -51,15 +52,13 @@ inline constexpr int kMaxRanks = 512;
 
 // ---- Activation -------------------------------------------------------------
 
-/// Arrival/level profiling switch (MPIXCCL_FLEET=1 or programmatic).
+/// Call-ring/level profiling switch (MPIXCCL_FLEET=1 or programmatic).
 [[nodiscard]] bool profiling_enabled();
 void set_profiling(bool on);
 
-/// Per-rank arrival ring capacity (MPIXCCL_FLEET_RING, default 1024). The
-/// ring bounds the profiled window: skew is computed over the most recent
-/// `capacity` dispatches per rank.
-[[nodiscard]] std::size_t ring_capacity();
-void set_ring_capacity(std::size_t n);
+/// Per-rank call-ring capacity: skew is computed over the most recent
+/// kRingCapacity dispatches per rank.
+inline constexpr std::size_t kRingCapacity = 1024;
 
 /// Drop all recorded per-rank state (rings, level times, heartbeats).
 /// Not thread-safe against in-flight dispatches — call between world runs.
@@ -68,19 +67,18 @@ void reset();
 // ---- Hot-path hooks (called from core dispatch) -----------------------------
 
 /// Dispatch entry: bumps the rank's dispatch counter, applies any injected
-/// stall (sim::FaultInjector), beats the heartbeat, and opens an arrival
-/// record when profiling. Returns the 1-based dispatch seq for this rank;
-/// the caller hands it back to dispatch_exit().
-std::uint64_t dispatch_enter(int rank, core::CollOp op, double now_us);
+/// stall (sim::FaultInjector) and beats the heartbeat. Returns the 1-based
+/// dispatch seq for this rank (the record's call_seq).
+std::uint64_t dispatch_enter(int rank, core::CollOp op);
 
-/// Dispatch exit: completes the arrival record and the heartbeat with the
-/// engine/bytes the call actually ran on.
-void dispatch_exit(int rank, std::uint64_t seq, core::CollOp op,
-                   std::size_t bytes, core::Engine engine, double exit_us);
+/// Dispatch exit: completes the heartbeat with the engine/bytes the call
+/// actually ran on and, when profiling, appends the closed record to the
+/// rank's call ring (one lock per call).
+void dispatch_exit(const DispatchDecision& d);
 
 /// Dispatch unwound without completing (threw before its record closed):
 /// clear the in-flight flag so the watchdog does not blame a rank that
-/// already threw.
+/// already threw. Nothing reaches the call ring.
 void dispatch_abort(int rank);
 
 /// Plan-cache resolution hook: remember the plan id the in-flight dispatch
@@ -119,16 +117,6 @@ class LevelSpan {
 
 // ---- Rank-local state and its wire format -----------------------------------
 
-/// One dispatch's arrival stamp (virtual microseconds).
-struct Arrival {
-  std::uint64_t seq = 0;  ///< 1-based per-rank dispatch number
-  core::CollOp op = core::CollOp::Allreduce;
-  std::uint8_t band = 0;  ///< size_band_of(bytes), filled at exit
-  core::Engine engine = core::Engine::Mpi;
-  double enter_us = 0.0;
-  double exit_us = -1.0;  ///< < 0 while in flight
-};
-
 /// Heartbeat slot contents at capture time.
 struct HeartbeatView {
   std::uint64_t enter_seq = 0;  ///< dispatches entered
@@ -152,15 +140,12 @@ struct LevelTime {
 struct RankState {
   int rank = -1;
   HeartbeatView heartbeat;
-  std::vector<Arrival> arrivals;  ///< oldest first
+  std::vector<DispatchDecision> calls;  ///< completed dispatches, oldest first
   std::vector<LevelTime> levels;
-  std::vector<DispatchDecision> decision_tail;  ///< this rank's, oldest first
 };
 
-/// Capture this rank's state right now (ring copy, heartbeat read, and the
-/// rank's most recent `decision_tail` records from the decision ring).
-[[nodiscard]] RankState local_rank_state(int rank,
-                                         std::size_t decision_tail = 16);
+/// Capture this rank's state right now (call-ring copy, heartbeat read).
+[[nodiscard]] RankState local_rank_state(int rank);
 
 /// Compact versioned binary blob for the gather protocol (rank-portable:
 /// fixed-width little-endian fields, length-prefixed strings).
@@ -177,7 +162,7 @@ struct SkewCell {
   std::uint64_t rounds = 0;        ///< seq-joined rounds seen on all ranks
   HistogramSnapshot skew_us;       ///< per-round max(enter) - min(enter)
   double mean_skew_us = 0.0;
-  double mean_duration_us = 0.0;   ///< mean per-round mean(exit - enter)
+  double mean_duration_us = 0.0;   ///< mean per-round mean(done - enter)
   double imbalance = 0.0;          ///< mean skew / mean duration
   int worst_rank = -1;             ///< most often last to arrive
   std::uint64_t worst_count = 0;
@@ -215,7 +200,8 @@ struct FleetSnapshot {
   std::vector<LevelRow> levels;            ///< sorted by spread, widest first
   std::vector<StragglerRow> stragglers;    ///< sorted by lateness
 
-  /// Versioned "mpixccl.fleet.v1" document.
+  /// Versioned "mpixccl.fleet.v1" document; each rank's "decision_tail"
+  /// renders its last 16 calls.
   [[nodiscard]] std::string to_json() const;
   /// Human tables for `mpixccl health`.
   [[nodiscard]] std::string report() const;
@@ -233,7 +219,10 @@ struct WatchdogConfig {
   double poll_ms = 0.0;       ///< 0 -> timeout/4, clamped to [1, 250]
   bool abort_on_hang = false; ///< MPIXCCL_WATCHDOG_ABORT=1: abort() on fire
 
-  /// MPIXCCL_WATCHDOG_TIMEOUT_MS / _POLL_MS / _ABORT.
+  /// MPIXCCL_WATCHDOG_TIMEOUT_MS / _ABORT (the poll period derives from the
+  /// timeout). Throws Error naming the variable and value on a timeout that
+  /// is malformed, non-finite or negative, and on an abort flag other than
+  /// 0/1.
   [[nodiscard]] static WatchdogConfig from_env();
 };
 

@@ -12,9 +12,10 @@
 // (first use of a named metric) and snapshots, which merge the shards.
 //
 // The registry aggregates across ranks (records carry no rank label beyond
-// the shard index); per-rank views live in XcclMpi's PathStats/OpProfile.
-// Both are fed from one place, XcclMpi's per-call completion record, for
-// every call flavour (blocking, nonblocking, persistent start).
+// the shard index); per-rank counters live in XcclMpi's PathStats, per-rank
+// calls in the fleet ring. All are fed from one place, XcclMpi's per-call
+// completion record, for every call flavour (blocking, nonblocking,
+// persistent start).
 
 #include <array>
 #include <atomic>

@@ -70,9 +70,23 @@ std::optional<Level> parse_level(std::string_view text) {
   return std::nullopt;
 }
 
+bool env_switch(const char* name) {
+  const std::string v = env_str(name);
+  if (v.empty() || v == "0") return false;
+  if (v == "1") return true;
+  throw Error(std::string("obs: malformed ") + name + "='" + v +
+              "' (want 0 or 1)");
+}
+
 EnvConfig env_config() {
   EnvConfig cfg;
-  cfg.level = parse_level(env_str("MPIXCCL_OBS_LEVEL"));
+  if (const std::string l = env_str("MPIXCCL_OBS_LEVEL"); !l.empty()) {
+    cfg.level = parse_level(l);
+    if (!cfg.level) {
+      throw Error("obs: unknown MPIXCCL_OBS_LEVEL='" + l +
+                  "' (want off|metrics|decisions|trace or 0..3)");
+    }
+  }
   cfg.metrics_file = env_str("MPIXCCL_METRICS_FILE");
   cfg.trace_file = env_str("MPIXCCL_TRACE_FILE");
   cfg.decisions_file = env_str("MPIXCCL_DECISIONS_FILE");
@@ -81,7 +95,11 @@ EnvConfig env_config() {
 
 void init_from_env() {
   std::call_once(g_env_once, [] {
+    // Parse everything before applying anything: a malformed variable
+    // throws with the process state untouched.
     EnvConfig cfg = env_config();
+    const bool fleet_profiling = env_switch("MPIXCCL_FLEET");
+    const fleet::WatchdogConfig wd = fleet::WatchdogConfig::from_env();
     Level l = level();
     if (cfg.level) {
       l = *cfg.level;
@@ -124,16 +142,8 @@ void init_from_env() {
 
     // Fleet telemetry layer (obs/fleet.hpp): arrival-skew profiling and the
     // hang watchdog, both off unless asked for.
-    if (env_str("MPIXCCL_FLEET") == "1") fleet::set_profiling(true);
-    if (const std::string ring = env_str("MPIXCCL_FLEET_RING");
-        !ring.empty()) {
-      const long n = std::strtol(ring.c_str(), nullptr, 10);
-      if (n > 0) fleet::set_ring_capacity(static_cast<std::size_t>(n));
-    }
-    if (const fleet::WatchdogConfig wd = fleet::WatchdogConfig::from_env();
-        wd.timeout_ms > 0.0) {
-      fleet::Watchdog::instance().start(wd);
-    }
+    if (fleet_profiling) fleet::set_profiling(true);
+    if (wd.timeout_ms > 0.0) fleet::Watchdog::instance().start(wd);
   });
 }
 

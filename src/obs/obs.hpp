@@ -52,9 +52,13 @@ void set_level(Level l);
 /// Parse "off"/"metrics"/"decisions"/"trace" or "0".."3".
 [[nodiscard]] std::optional<Level> parse_level(std::string_view text);
 
+/// Read a 0/1 switch variable (MPIXCCL_FLEET, MPIXCCL_WATCHDOG_ABORT): unset
+/// or empty is off; any other value throws Error naming variable and value.
+[[nodiscard]] bool env_switch(const char* name);
+
 /// The MPIXCCL_* observability environment, as read right now.
 struct EnvConfig {
-  std::optional<Level> level;  ///< MPIXCCL_OBS_LEVEL, if set and valid
+  std::optional<Level> level;  ///< MPIXCCL_OBS_LEVEL, if set
   std::string metrics_file;    ///< MPIXCCL_METRICS_FILE
   std::string trace_file;      ///< MPIXCCL_TRACE_FILE
   std::string decisions_file;  ///< MPIXCCL_DECISIONS_FILE
@@ -65,18 +69,20 @@ struct EnvConfig {
   }
 };
 
+/// Throws Error naming the variable and value on an unknown
+/// MPIXCCL_OBS_LEVEL (a typo must not silently keep the default level).
 [[nodiscard]] EnvConfig env_config();
 
 /// Apply the environment once per process (idempotent): set the level
 /// (export files imply the level they need), arm the fleet telemetry layer
-/// (MPIXCCL_FLEET=1 enables arrival profiling, MPIXCCL_FLEET_RING sizes the
-/// per-rank arrival ring, MPIXCCL_WATCHDOG_TIMEOUT_MS starts the hang
-/// watchdog), and register an atexit hook that writes every configured
-/// export file — so any bench or harness run "emits snapshots for free"
-/// when the variables are set. The exit hook makes the process exit with
-/// status 1 (after a clear stderr message) when any export file cannot be
-/// written: a run whose requested artifacts are missing must not look
-/// green to the harness that asked for them.
+/// (MPIXCCL_FLEET=1 enables call-ring profiling, MPIXCCL_WATCHDOG_TIMEOUT_MS
+/// starts the hang watchdog), and register an atexit hook that writes every
+/// configured export file — so any bench or harness run "emits snapshots for
+/// free" when the variables are set. The exit hook makes the process exit
+/// with status 1 (after a clear stderr message) when any export file cannot
+/// be written: a run whose requested artifacts are missing must not look
+/// green to the harness that asked for them. A malformed variable throws
+/// Error before any of it is applied.
 void init_from_env();
 
 /// Write all env-configured artifacts now (also runs at exit). Safe to call
@@ -88,9 +94,8 @@ void init_from_env();
 
 /// Merged human-readable report: per-(collective, engine) calls / bytes /
 /// mean size / mean virtual latency from the registry, followed by the
-/// decision-log summary when enabled. The process-wide counterpart of
-/// XcclMpi::profile_report(): both are fed by the same per-call completion
-/// record, so they agree for blocking, nonblocking and persistent calls.
+/// decision-log summary when enabled. Fed by XcclMpi's per-call completion
+/// record, so it covers blocking, nonblocking and persistent calls alike.
 [[nodiscard]] std::string report();
 
 /// RAII span feeding sim::Trace: captures virtual begin/end times around a

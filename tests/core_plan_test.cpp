@@ -173,12 +173,12 @@ TEST(FlightPurge, DropsDeadPlanRecordsForRankOnly) {
   auto& fr = obs::FlightRecorder::instance();
   fr.clear();
   auto rec = [&](int rank, std::uint64_t plan_id, double dur) {
-    obs::FlightRecord r;
-    r.rank = rank;
-    r.plan_id = plan_id;
-    r.begin_us = 0.0;
-    r.end_us = dur;
-    fr.record(r);
+    obs::DispatchDecision d;
+    d.rank = rank;
+    d.plan_id = plan_id;
+    d.enter_us = 0.0;
+    d.done_us = dur;
+    fr.record(d);
   };
   rec(0, 10, 100.0);  // dead plan, rank 0 -> purged
   rec(0, 11, 90.0);   // live plan, rank 0 -> kept
@@ -632,17 +632,20 @@ void check_parity(const ParityCase& pc) {
             rt.mpi().barrier(comm);
             const std::uint64_t samples0 = latency_samples(op);
             const std::size_t flights0 = flight_records(me);
-            const std::size_t arrivals0 =
-                obs::fleet::local_rank_state(me).arrivals.size();
+            const std::size_t calls0 =
+                obs::fleet::local_rank_state(me).calls.size();
             rt.mpi().barrier(comm);
             issue(rt, op, f, send.get(), recv.get(), n, dt);
             rt.mpi().barrier(comm);
             EXPECT_EQ(latency_samples(op) - samples0, p) << "registry samples";
             EXPECT_EQ(flight_records(me) - flights0, 1u) << "flight records";
-            EXPECT_EQ(obs::fleet::local_rank_state(me).arrivals.size() -
-                          arrivals0,
-                      1u)
-                << "fleet arrivals";
+            const obs::fleet::RankState st = obs::fleet::local_rank_state(me);
+            EXPECT_EQ(st.calls.size() - calls0, 1u) << "fleet records";
+            // ...and it is the record last_decision() holds.
+            if (!st.calls.empty()) {
+              EXPECT_EQ(st.calls.back().call_seq, rt.last_decision().call_seq);
+              EXPECT_EQ(st.calls.back().done_us, rt.last_decision().done_us);
+            }
             rt.mpi().barrier(comm);
 
             const auto* bytes = static_cast<const std::byte*>(recv.get());

@@ -1,5 +1,5 @@
-// Tests for the runtime profiler (per-collective virtual-time accounting)
-// and tuning-table file persistence.
+// Tests for the per-collective virtual-time profile (the registry table
+// obs::report() renders) and tuning-table file persistence.
 
 #include <gtest/gtest.h>
 
@@ -9,14 +9,21 @@
 #include "core/xccl_mpi.hpp"
 #include "device/device.hpp"
 #include "fabric/world.hpp"
+#include "obs/obs.hpp"
 #include "sim/profiles.hpp"
 
 namespace mpixccl::core {
 namespace {
 
 TEST(Profiler, AccumulatesPerCollectiveAndEngine) {
-  fabric::run_world(sim::thetagpu(), 1, [](fabric::RankContext& ctx) {
+  // The per-collective profile is the registry's (collective, engine) table,
+  // rendered by obs::report(); the runtime keeps only its PathStats.
+  auto& reg = obs::Registry::instance();
+  reg.reset();
+  int ranks = 0;
+  fabric::run_world(sim::thetagpu(), 1, [&](fabric::RankContext& ctx) {
     XcclMpi rt(ctx);
+    if (ctx.rank() == 0) ranks = rt.size();
     device::DeviceBuffer buf(ctx.device(), 4u << 20);
     // Two small allreduces (MPI engine) + one large (xccl engine) + a bcast.
     rt.allreduce(buf.get(), buf.get(), 64, mini::kFloat, ReduceOp::Sum,
@@ -26,24 +33,33 @@ TEST(Profiler, AccumulatesPerCollectiveAndEngine) {
     rt.allreduce(buf.get(), buf.get(), 1 << 20, mini::kFloat, ReduceOp::Sum,
                  rt.comm_world());
     rt.bcast(buf.get(), 32, mini::kFloat, 0, rt.comm_world());
-
-    const auto& prof = rt.profile_stats();
-    ASSERT_TRUE(prof.contains(CollOp::Allreduce));
-    ASSERT_TRUE(prof.contains(CollOp::Bcast));
-    const OpProfile& ar = prof.at(CollOp::Allreduce);
-    EXPECT_EQ(ar.mpi_calls, 2u);
-    EXPECT_EQ(ar.xccl_calls, 1u);
-    EXPECT_GT(ar.mpi_us, 0.0);
-    EXPECT_GT(ar.xccl_us, ar.mpi_us);  // the 4MB op dwarfs two tiny ones
-    EXPECT_EQ(prof.at(CollOp::Bcast).mpi_calls, 1u);
-
-    const std::string report = rt.profile_report();
-    EXPECT_NE(report.find("allreduce"), std::string::npos);
-    EXPECT_NE(report.find("bcast"), std::string::npos);
-
+    EXPECT_EQ(rt.stats().mpi_calls, 3u);
+    EXPECT_EQ(rt.stats().xccl_calls, 1u);
     rt.reset_stats();
-    EXPECT_TRUE(rt.profile_stats().empty());
+    EXPECT_EQ(rt.stats().mpi_calls, 0u);
+    EXPECT_EQ(rt.stats().xccl_calls, 0u);
   });
+
+  const auto row = [&](CollOp op, Engine e) {
+    for (const obs::CollRow& r : reg.snapshot().collectives) {
+      if (r.op == op && r.engine == e) return r;
+    }
+    return obs::CollRow{};
+  };
+  const auto n = static_cast<std::uint64_t>(ranks);
+  const obs::CollRow ar_mpi = row(CollOp::Allreduce, Engine::Mpi);
+  const obs::CollRow ar_xccl = row(CollOp::Allreduce, Engine::Xccl);
+  EXPECT_EQ(ar_mpi.calls, 2 * n);
+  EXPECT_EQ(ar_xccl.calls, n);
+  EXPECT_GT(ar_mpi.latency_us_hist.sum, 0.0);
+  // The 4MB op dwarfs two tiny ones.
+  EXPECT_GT(ar_xccl.latency_us_hist.sum, ar_mpi.latency_us_hist.sum);
+  EXPECT_EQ(row(CollOp::Bcast, Engine::Mpi).calls, n);
+
+  const std::string report = obs::report();
+  EXPECT_NE(report.find("allreduce"), std::string::npos);
+  EXPECT_NE(report.find("bcast"), std::string::npos);
+  reg.reset();
 }
 
 TEST(TuningFile, SaveLoadRoundTrip) {

@@ -11,6 +11,8 @@
 #include "core/xccl_mpi.hpp"
 #include "device/device.hpp"
 #include "fabric/world.hpp"
+#include "obs/analyze.hpp"
+#include "obs/fleet.hpp"
 #include "sim/profiles.hpp"
 
 namespace mpixccl::core {
@@ -147,30 +149,66 @@ TEST(Fallback, DisallowedFallbackThrows) {
 
 TEST(Fallback, ThrowingDispatchRecordsNoSample) {
   // A collective that throws before dispatch completes (allow_fallback=false)
-  // must not record a latency/byte sample — previously the op timer's
-  // destructor attributed one to the PREVIOUS call's engine and byte count.
+  // must record nothing: no registry sample (previously the op timer's
+  // destructor attributed one to the PREVIOUS call's engine and byte count),
+  // no flight record, no fleet record, and no heartbeat left in flight.
+  auto& reg = obs::Registry::instance();
+  auto& fr = obs::FlightRecorder::instance();
+  reg.reset();
+  fr.clear();
+  obs::fleet::reset();
+  obs::fleet::set_profiling(true);
+  const auto xccl_allreduce = [&reg] {
+    for (const obs::CollRow& r : reg.snapshot().collectives) {
+      if (r.op == CollOp::Allreduce && r.engine == Engine::Xccl) return r;
+    }
+    return obs::CollRow{};
+  };
   with_runtime(sim::thetagpu(), 1,
                {.mode = Mode::PureXccl, .allow_fallback = false},
-               [](XcclMpi& rt) {
+               [&](XcclMpi& rt) {
                  auto& dev = rt.context().device();
+                 auto& comm = rt.comm_world();
                  device::DeviceBuffer f(dev, 16 * sizeof(float));
                  for (int i = 0; i < 16; ++i) f.as<float>()[i] = 1.0f;
                  rt.allreduce(f.get(), f.get(), 16, mini::kFloat, ReduceOp::Sum,
-                              rt.comm_world());
-                 const OpProfile before = rt.profile_stats().at(CollOp::Allreduce);
-                 EXPECT_EQ(before.xccl_calls, 1u);
+                              comm);
+                 rt.mpi().barrier(comm);  // every rank's sample is in
+                 const obs::CollRow before = xccl_allreduce();
+                 EXPECT_EQ(before.calls, static_cast<std::uint64_t>(rt.size()));
+                 const std::uint64_t mpi_calls = reg.engine_calls(Engine::Mpi);
+                 const std::size_t flights = fr.records().size();
+                 const std::size_t calls =
+                     obs::fleet::local_rank_state(rt.rank()).calls.size();
+                 EXPECT_EQ(calls, 1u);
+                 rt.mpi().barrier(comm);  // every rank captured before a throw
 
                  device::DeviceBuffer d(dev, 16 * 16);
                  EXPECT_THROW(rt.allreduce(d.get(), d.get(), 16,
                                            mini::kDoubleComplex, ReduceOp::Sum,
-                                           rt.comm_world()),
+                                           comm),
                               Error);
-                 const OpProfile& after = rt.profile_stats().at(CollOp::Allreduce);
-                 EXPECT_EQ(after.xccl_calls, before.xccl_calls);
-                 EXPECT_EQ(after.xccl_bytes, before.xccl_bytes);
-                 EXPECT_DOUBLE_EQ(after.xccl_us, before.xccl_us);
-                 EXPECT_EQ(after.mpi_calls, before.mpi_calls);
+                 rt.mpi().barrier(comm);  // every rank has thrown
+                 const obs::CollRow after = xccl_allreduce();
+                 EXPECT_EQ(after.calls, before.calls);
+                 EXPECT_EQ(after.bytes, before.bytes);
+                 EXPECT_EQ(after.latency_us_hist.count,
+                           before.latency_us_hist.count);
+                 EXPECT_DOUBLE_EQ(after.latency_us_hist.sum,
+                                  before.latency_us_hist.sum);
+                 EXPECT_EQ(reg.engine_calls(Engine::Mpi), mpi_calls);
+                 EXPECT_EQ(fr.records().size(), flights);
+                 const obs::fleet::RankState st =
+                     obs::fleet::local_rank_state(rt.rank());
+                 EXPECT_EQ(st.calls.size(), calls);
+                 EXPECT_EQ(st.heartbeat.enter_seq, 2u);
+                 EXPECT_EQ(st.heartbeat.done_seq, 1u);
+                 EXPECT_FALSE(st.heartbeat.in_flight);
                });
+  obs::fleet::set_profiling(false);
+  obs::fleet::reset();
+  fr.clear();
+  reg.reset();
 }
 
 TEST(ComposedCollectives, AlltoallViaGroupSendRecv) {

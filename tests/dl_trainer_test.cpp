@@ -240,8 +240,9 @@ TEST(Trainer, AsyncAndPersistentBucketsFeedTelemetry) {
 
     // Flight recorder and Chrome trace.
     bool flight = false;
-    for (const obs::FlightRecord& fr : obs::FlightRecorder::instance().records()) {
-      flight = flight || fr.op == core::CollOp::Allreduce;
+    for (const obs::DispatchDecision& d :
+         obs::FlightRecorder::instance().records()) {
+      flight = flight || d.op == core::CollOp::Allreduce;
     }
     EXPECT_TRUE(flight);
     bool traced = false;

@@ -14,6 +14,7 @@
 #include "core/xccl_mpi.hpp"
 #include "device/device.hpp"
 #include "fabric/world.hpp"
+#include "obs/obs.hpp"
 #include "sim/profiles.hpp"
 
 namespace mpixccl::core {
@@ -293,7 +294,7 @@ TEST(HierDispatch, TuningTableRoutesLargeMessagesToHier) {
 
     // The profile report knows about the third engine.
     if (rt.rank() == 0) {
-      EXPECT_NE(rt.profile_report().find("hier-calls"), std::string::npos);
+      EXPECT_NE(obs::report().find("allreduce        hier"), std::string::npos);
     }
   });
 }

@@ -21,16 +21,16 @@
 namespace mpixccl::obs {
 namespace {
 
-FlightRecord rec(double begin, double end, int rank = 0,
-                 std::size_t bytes = 1024) {
-  FlightRecord r;
-  r.op = core::CollOp::Allreduce;
-  r.engine = core::Engine::Xccl;
-  r.bytes = bytes;
-  r.rank = rank;
-  r.begin_us = begin;
-  r.end_us = end;
-  return r;
+DispatchDecision rec(double begin, double end, int rank = 0,
+                     std::size_t bytes = 1024) {
+  DispatchDecision d;
+  d.op = core::CollOp::Allreduce;
+  d.engine = core::Engine::Xccl;
+  d.bytes = bytes;
+  d.rank = rank;
+  d.enter_us = begin;
+  d.done_us = end;
+  return d;
 }
 
 TEST(FlightRecorder, KeepsSlowestSortedAndBounded) {
@@ -56,19 +56,24 @@ TEST(FlightRecorder, KeepsSlowestSortedAndBounded) {
 TEST(FlightRecorder, JsonFieldCarriesJoinedDecision) {
   auto& fr = FlightRecorder::instance();
   fr.clear();
-  FlightRecord r = rec(1.0, 42.0, 2, 1u << 20);
-  r.decision.table_choice = core::Engine::Xccl;
-  r.decision.engine = core::Engine::Mpi;
-  r.decision.reason = FallbackReason::DtypeUnsupported;
-  r.decision.fell_back = true;
-  r.decision.breakpoint = SIZE_MAX;
-  fr.record(r);
+  DispatchDecision d = rec(1.0, 42.0, 2, 1u << 20);
+  d.table_choice = core::Engine::Xccl;
+  d.engine = core::Engine::Mpi;
+  d.reason = FallbackReason::DtypeUnsupported;
+  d.fell_back = true;
+  d.breakpoint = SIZE_MAX;
+  d.plan_id = 5;
+  fr.record(d);
   const std::string json = fr.to_json_field();
   EXPECT_EQ(json.rfind("\"flight_recorder\":[", 0), 0u);
   EXPECT_NE(json.find("\"elapsed_us\":41"), std::string::npos);
   EXPECT_NE(json.find("\"reason\":\"dtype_unsupported\""), std::string::npos);
   EXPECT_NE(json.find("\"fell_back\":true"), std::string::npos);
   EXPECT_NE(json.find("\"breakpoint\":\"max\""), std::string::npos);
+  // The call's identity and timing keep their exported keys.
+  EXPECT_NE(json.find("\"rank\":2,\"begin_us\":1,\"end_us\":42"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"plan_id\":5"), std::string::npos);
   fr.clear();
 }
 

@@ -1,13 +1,15 @@
 // Fleet health telemetry tests: histogram merge invariants, the rank-state
-// wire format, the gather protocol (decision tails included), deterministic
-// straggler attribution for a 5x-slowed rank, the hang watchdog on an
-// injected stall (and its silence on a healthy run), and the export-failure
-// exit path.
+// wire format, the gather protocol (per-rank call rings included),
+// deterministic straggler attribution for a 5x-slowed rank, the hang
+// watchdog on an injected stall (and its silence on a healthy run), the
+// export-failure exit path, and rejection of malformed env input.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -96,21 +98,38 @@ TEST(FleetWire, RankStateRoundTrip) {
   s.heartbeat.bytes = 262144;
   s.heartbeat.plan_id = 9;
   s.heartbeat.age_ms = 1.5;
-  s.arrivals.push_back({41, CollOp::Allreduce, 2, Engine::Xccl, 10.0, 22.5});
-  s.arrivals.push_back({42, CollOp::Reduce, 3, Engine::Hier, 30.0, -1.0});
   s.levels.push_back({"node", 123.5, 4});
   s.levels.push_back({"net", 456.0, 2});
+  obs::DispatchDecision a;
+  a.call_seq = 40;
+  a.rank = 7;
+  a.op = CollOp::Allreduce;
+  a.bytes = 4096;
+  a.engine = Engine::Xccl;
+  a.table_choice = Engine::Xccl;
+  a.enter_us = 10.0;
+  a.done_us = 22.5;
+  a.plan_id = 3;
+  s.calls.push_back(a);
   obs::DispatchDecision d;
   d.seq = 17;
+  d.call_seq = 41;
   d.rank = 7;
-  d.op = CollOp::Allreduce;
+  d.op = CollOp::Reduce;
   d.bytes = 262144;
-  d.engine = Engine::Hier;
+  d.mode = Mode::PureXccl;
+  d.breakpoint = SIZE_MAX;
+  d.engine = Engine::Mpi;
   d.table_choice = Engine::Hier;
-  d.reason = obs::FallbackReason::None;
+  d.reason = obs::FallbackReason::HierTopoMismatch;
+  d.fell_back = true;
+  d.composed = true;
   d.level_path = "node(2).net(2)";
   d.time_us = 99.25;
-  s.decision_tail.push_back(d);
+  d.enter_us = 30.0;
+  d.done_us = 101.0;
+  d.plan_id = 9;
+  s.calls.push_back(d);
 
   const std::string blob = obs::fleet::serialize(s);
   const obs::fleet::RankState r = obs::fleet::deserialize(blob);
@@ -123,22 +142,37 @@ TEST(FleetWire, RankStateRoundTrip) {
   EXPECT_EQ(r.heartbeat.engine, Engine::Hier);
   EXPECT_EQ(r.heartbeat.bytes, 262144u);
   EXPECT_EQ(r.heartbeat.plan_id, 9u);
-  ASSERT_EQ(r.arrivals.size(), 2u);
-  EXPECT_EQ(r.arrivals[0].seq, 41u);
-  EXPECT_EQ(r.arrivals[0].band, 2);
-  EXPECT_EQ(r.arrivals[0].engine, Engine::Xccl);
-  EXPECT_DOUBLE_EQ(r.arrivals[0].exit_us, 22.5);
-  EXPECT_EQ(r.arrivals[1].op, CollOp::Reduce);
-  EXPECT_LT(r.arrivals[1].exit_us, 0.0);  // still in flight
   ASSERT_EQ(r.levels.size(), 2u);
   EXPECT_EQ(r.levels[0].level, "node");
   EXPECT_DOUBLE_EQ(r.levels[0].us, 123.5);
   EXPECT_EQ(r.levels[1].calls, 2u);
-  ASSERT_EQ(r.decision_tail.size(), 1u);
-  EXPECT_EQ(r.decision_tail[0].seq, 17u);
-  EXPECT_EQ(r.decision_tail[0].engine, Engine::Hier);
-  EXPECT_EQ(r.decision_tail[0].level_path, "node(2).net(2)");
-  EXPECT_DOUBLE_EQ(r.decision_tail[0].time_us, 99.25);
+  ASSERT_EQ(r.calls.size(), 2u);
+  EXPECT_EQ(r.calls[0].call_seq, 40u);
+  EXPECT_EQ(r.calls[0].seq, 0u);  // not on the decision ring
+  EXPECT_EQ(r.calls[0].op, CollOp::Allreduce);
+  EXPECT_EQ(r.calls[0].engine, Engine::Xccl);
+  EXPECT_DOUBLE_EQ(r.calls[0].enter_us, 10.0);
+  EXPECT_DOUBLE_EQ(r.calls[0].done_us, 22.5);
+  EXPECT_EQ(r.calls[0].plan_id, 3u);
+  EXPECT_TRUE(r.calls[0].level_path.empty());
+  const obs::DispatchDecision& b = r.calls[1];
+  EXPECT_EQ(b.seq, 17u);
+  EXPECT_EQ(b.call_seq, 41u);
+  EXPECT_EQ(b.rank, 7);
+  EXPECT_EQ(b.op, CollOp::Reduce);
+  EXPECT_EQ(b.bytes, 262144u);
+  EXPECT_EQ(b.mode, Mode::PureXccl);
+  EXPECT_EQ(b.breakpoint, SIZE_MAX);
+  EXPECT_EQ(b.engine, Engine::Mpi);
+  EXPECT_EQ(b.table_choice, Engine::Hier);
+  EXPECT_EQ(b.reason, obs::FallbackReason::HierTopoMismatch);
+  EXPECT_TRUE(b.fell_back);
+  EXPECT_TRUE(b.composed);
+  EXPECT_EQ(b.level_path, "node(2).net(2)");
+  EXPECT_DOUBLE_EQ(b.time_us, 99.25);
+  EXPECT_DOUBLE_EQ(b.enter_us, 30.0);
+  EXPECT_DOUBLE_EQ(b.done_us, 101.0);
+  EXPECT_EQ(b.plan_id, 9u);
 }
 
 TEST(FleetWire, RejectsCorruptBlobs) {
@@ -216,35 +250,47 @@ TEST_F(FleetWorldTest, GatherRoundTripCarriesEveryRanksState) {
   EXPECT_EQ(snap.profile, "thetagpu");
   EXPECT_NE(snap.topology.find("node(2)"), std::string::npos);
   ASSERT_EQ(snap.ranks.size(), 4u);
-  std::uint64_t arrivals = 0;
+  std::uint64_t calls = 0;
   for (int r = 0; r < 4; ++r) {
     const obs::fleet::RankState& s = snap.ranks[static_cast<std::size_t>(r)];
     EXPECT_EQ(s.rank, r);  // sorted by rank
     // Capture happens at the top of gather_fleet, before its own allgather,
     // so exactly the 12 workload dispatches are on the ring and none is in
     // flight.
-    EXPECT_EQ(s.arrivals.size(), 12u);
+    EXPECT_EQ(s.calls.size(), 12u);
     EXPECT_EQ(s.heartbeat.enter_seq, 12u);
     EXPECT_EQ(s.heartbeat.done_seq, 12u);
     EXPECT_FALSE(s.heartbeat.in_flight);
-    // The decision ring is global; each rank's tail holds only its own.
-    EXPECT_FALSE(s.decision_tail.empty());
-    for (const obs::DispatchDecision& d : s.decision_tail) {
+    // Each rank's ring holds only its own calls, numbered 1..12 in order
+    // and stamped by the decision ring the fixture enabled.
+    for (std::size_t i = 0; i < s.calls.size(); ++i) {
+      const obs::DispatchDecision& d = s.calls[i];
       EXPECT_EQ(d.rank, r);
+      EXPECT_EQ(d.call_seq, i + 1);
+      EXPECT_GT(d.seq, 0u);
+      EXPECT_GE(d.done_us, d.enter_us);
     }
     // Hier dispatches crossed the node boundary on this topology.
     bool saw_hier_path = false;
-    for (const obs::DispatchDecision& d : s.decision_tail) {
+    for (const obs::DispatchDecision& d : s.calls) {
       if (!d.level_path.empty()) saw_hier_path = true;
     }
     EXPECT_TRUE(saw_hier_path);
-    arrivals += s.arrivals.size();
+    calls += s.calls.size();
   }
-  // The merged latency histogram counts exactly the completed arrivals.
-  EXPECT_EQ(snap.fleet_latency_us.count, arrivals);
+  // The merged latency histogram counts exactly the recorded calls.
+  EXPECT_EQ(snap.fleet_latency_us.count, calls);
   EXPECT_GT(snap.fleet_latency_us.p99(), 0.0);
   // Balanced fleet: no rank crosses the lateness noise floor.
   EXPECT_TRUE(snap.stragglers.empty());
+  // The exported decision tail is each rank's last 16 calls (all 12 here).
+  const std::string json = snap.to_json();
+  std::size_t tails = 0;
+  for (std::size_t at = json.find("\"decision_tail\":[{");
+       at != std::string::npos; at = json.find("\"decision_tail\":[{", at + 1)) {
+    ++tails;
+  }
+  EXPECT_EQ(tails, 4u);
 }
 
 TEST_F(FleetWorldTest, SlowRankNamedTopStragglerWithHierLevel) {
@@ -329,6 +375,121 @@ TEST_F(FleetWorldTest, MetricsSnapshotStampedWithFleetIdentity) {
   EXPECT_NE(json.find("mpixccl.metrics.v1"), std::string::npos);
   EXPECT_NE(json.find("\"world_size\":4"), std::string::npos);
   EXPECT_NE(json.find("\"profile\":\"thetagpu\""), std::string::npos);
+}
+
+// ---- Environment parsing ----------------------------------------------------
+
+/// Sets (or, for nullptr, unsets) one variable for a scope.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name); old != nullptr) old_ = old;
+    if (value != nullptr) {
+      setenv(name, value, 1);
+    } else {
+      unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      setenv(name_, old_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// The Error a call throws, or "" when it returns.
+template <typename F>
+std::string error_of(F&& f) {
+  try {
+    (void)f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FleetEnv, WatchdogConfigParsesValidInput) {
+  {
+    ScopedEnv t("MPIXCCL_WATCHDOG_TIMEOUT_MS", nullptr);
+    ScopedEnv a("MPIXCCL_WATCHDOG_ABORT", nullptr);
+    const auto cfg = obs::fleet::WatchdogConfig::from_env();
+    EXPECT_EQ(cfg.timeout_ms, 0.0);  // unset: disabled
+    EXPECT_EQ(cfg.poll_ms, 0.0);     // derived from the timeout at start()
+    EXPECT_FALSE(cfg.abort_on_hang);
+  }
+  ScopedEnv t("MPIXCCL_WATCHDOG_TIMEOUT_MS", "250.5");
+  ScopedEnv a("MPIXCCL_WATCHDOG_ABORT", "1");
+  const auto cfg = obs::fleet::WatchdogConfig::from_env();
+  EXPECT_DOUBLE_EQ(cfg.timeout_ms, 250.5);
+  EXPECT_TRUE(cfg.abort_on_hang);
+  ScopedEnv off("MPIXCCL_WATCHDOG_ABORT", "0");
+  EXPECT_FALSE(obs::fleet::WatchdogConfig::from_env().abort_on_hang);
+}
+
+TEST(FleetEnv, WatchdogConfigRejectsMalformedInput) {
+  ScopedEnv a("MPIXCCL_WATCHDOG_ABORT", nullptr);
+  for (const char* bad : {"nan", "inf", "-1", "5s", "abc"}) {
+    SCOPED_TRACE(bad);
+    ScopedEnv t("MPIXCCL_WATCHDOG_TIMEOUT_MS", bad);
+    const std::string what =
+        error_of([] { return obs::fleet::WatchdogConfig::from_env(); });
+    EXPECT_NE(what.find("MPIXCCL_WATCHDOG_TIMEOUT_MS='" + std::string(bad) +
+                        "'"),
+              std::string::npos)
+        << what;
+  }
+  ScopedEnv t("MPIXCCL_WATCHDOG_TIMEOUT_MS", "100");
+  for (const char* bad : {"yes", "2", "true"}) {
+    SCOPED_TRACE(bad);
+    ScopedEnv abort_env("MPIXCCL_WATCHDOG_ABORT", bad);
+    const std::string what =
+        error_of([] { return obs::fleet::WatchdogConfig::from_env(); });
+    EXPECT_NE(what.find("MPIXCCL_WATCHDOG_ABORT='" + std::string(bad) + "'"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(FleetEnv, EnvConfigRejectsUnknownObsLevel) {
+  {
+    ScopedEnv l("MPIXCCL_OBS_LEVEL", "decisions");
+    EXPECT_EQ(obs::env_config().level, obs::Level::Decisions);
+  }
+  {
+    ScopedEnv l("MPIXCCL_OBS_LEVEL", nullptr);
+    EXPECT_FALSE(obs::env_config().level.has_value());
+  }
+  ScopedEnv l("MPIXCCL_OBS_LEVEL", "tracee");
+  const std::string what = error_of([] { return obs::env_config(); });
+  EXPECT_NE(what.find("MPIXCCL_OBS_LEVEL='tracee'"), std::string::npos)
+      << what;
+}
+
+// init_from_env() reads MPIXCCL_FLEET through the same switch and applies
+// nothing when it throws. Re-executes the binary so the child's call_once
+// has not run yet.
+TEST(FleetExportDeathTest, MalformedFleetSwitchThrowsFromInit) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("MPIXCCL_FLEET", "yes", 1);
+        try {
+          obs::init_from_env();
+        } catch (const Error& e) {
+          std::fprintf(stderr, "%s\n", e.what());
+          std::_Exit(obs::fleet::profiling_enabled() ? 4 : 3);
+        }
+        std::_Exit(0);
+      },
+      ::testing::ExitedWithCode(3), "MPIXCCL_FLEET='yes'");
 }
 
 }  // namespace
