@@ -15,7 +15,7 @@
 // (otherwise there is nothing to recover); post-convergence latency lands
 // within a noise factor of the oracle at every size on both platforms; and
 // every Switch the tuner reports in its history has a matching
-// TuneAudit::Switch record in the decision ring.
+// TuneAudit::Switch record in the decision log.
 
 #include <algorithm>
 #include <cstdio>
@@ -212,7 +212,7 @@ int main() {
                             "us", {{"oracle", r.oracle},
                                    {"mistuned_static", r.mistuned},
                                    {"adaptive_converged", r.adaptive}});
-    std::printf("%s: %zu switches, %zu audited in the decision ring\n\n",
+    std::printf("%s: %zu switches, %zu audited in the decision log\n\n",
                 prof.name.c_str(), r.switches.size(), r.audited_switches);
 
     // The inversion must cost something at the top size, or the recovery
@@ -237,7 +237,7 @@ int main() {
   bench::shape_check("converged latency within 1.25x of oracle, all bands, "
                      "both platforms",
                      converged);
-  bench::shape_check("every tuner switch has a decision-ring audit record",
+  bench::shape_check("every tuner switch has a decision-log audit record",
                      audited);
   return 0;
 }

@@ -5,7 +5,7 @@
 //
 //   * tuning.select_entry   the size-class rule walk per dispatch
 //   * plan.cache.find       a plan-cache hit (the persistent replay lookup)
-//   * decision.push         appending one record to the decision ring
+//   * decision.push         appending one record to a rank's call journal
 //   * oneshot allreduce     full dispatch per call (cache-hit steady state)
 //   * persistent start/wait the same collective through a prebuilt handle
 //

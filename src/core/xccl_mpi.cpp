@@ -326,23 +326,25 @@ void XcclMpi::complete(OpRecord& rec, const EnginePick& pick,
       break;
   }
   if (c.fell_back) ++stats_.fallbacks;
-  // Persistent replays keep seq 0: the init-time entry explains their
-  // routing, and the replay path must not pay the ring lock.
-  if (log) d.seq = obs::DecisionLog::instance().push(d);
   last_decision_ = std::move(d);
 
-  // Every sink below reads the one finished record.
-  const obs::DispatchDecision& done = last_decision_;
+  // Every sink below reads the one finished record. The journal append comes
+  // first because it stamps the decision-view seq the other sinks copy;
+  // persistent replays keep seq 0, their init-time entry explains them.
+  obs::DispatchDecision& done = last_decision_;
+  obs::fleet::dispatch_exit(done, log);
   auto& reg = obs::Registry::instance();
   reg.record_call(done.op, done.engine, done.rank, done.bytes);
   reg.record_latency(done.op, done.engine, done.bytes, done.elapsed_us());
+  if (done.fell_back) {
+    reg.record_fallback(done.op, done.table_choice, done.rank, done.bytes);
+  }
   // Slow-call hook: the flight recorder keeps the top-K slowest dispatches
   // (fast path: one relaxed load, no copy).
   obs::FlightRecorder::instance().record(done);
   sim::Trace::instance().record(done.rank, to_string(done.op),
                                 to_string(done.engine), done.enter_us,
                                 done.done_us);
-  obs::fleet::dispatch_exit(done);
 }
 
 // ---- The dispatch ladder ----------------------------------------------------
@@ -606,7 +608,7 @@ Persistent XcclMpi::make_persistent(CallArgs a, mini::Comm& comm) {
   h.comm_ = &comm;
   h.plan_ = plan_for(h.args_, comm);
   // One init-time decision-log entry explains every subsequent start():
-  // replays update last_decision() but never the ring.
+  // replays update last_decision() but stay out of the decision view.
   const Plan& p = *h.plan_;
   obs::DispatchDecision d;
   d.rank = rank();

@@ -375,8 +375,8 @@ class XcclMpi {
 
   /// Every flavour of a built-in collective: open the record, resolve the
   /// plan, execute(), close the record. `bound` is a persistent handle's
-  /// plan, replayed unless an invalidation marked it stale; replays skip
-  /// the decision-ring append. Returns the completion time.
+  /// plan, replayed unless an invalidation marked it stale; replays stay
+  /// out of the decision view. Returns the completion time.
   double dispatch(CallArgs a, mini::Comm& comm, bool blocking,
                   std::shared_ptr<const Plan>* bound = nullptr);
 
@@ -405,10 +405,10 @@ class XcclMpi {
   };
 
   /// Close `rec` with how the call completed: the single place that feeds
-  /// last_dispatch()/last_decision(), PathStats, the registry (call +
-  /// latency), the decision log (when `log`), the flight recorder,
-  /// sim::Trace and the fleet call ring, all from the one finished record.
-  /// The latency spans call entry to c.done_us.
+  /// last_dispatch()/last_decision(), PathStats, the registry (call,
+  /// latency, fallback), the rank's call journal (in the decision view when
+  /// `log`), the flight recorder and sim::Trace, all from the one finished
+  /// record. The latency spans call entry to c.done_us.
   void complete(OpRecord& rec, const EnginePick& pick, const Completion& c,
                 std::string_view level_path = {}, bool log = true);
 

@@ -1,6 +1,6 @@
 #pragma once
 // Perf-analysis layer: turns the raw telemetry the observability subsystem
-// collects (metrics registry, decision ring, sim::Trace spans) into
+// collects (metrics registry, decision log, sim::Trace spans) into
 // *answers*, closing the telemetry→decision loop:
 //
 //  * Flight recorder — a bounded top-K table of the slowest collective

@@ -1,9 +1,11 @@
 #include "obs/decision.hpp"
 
-#include <cinttypes>
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "obs/fleet.hpp"
 
 namespace mpixccl::obs {
 
@@ -58,105 +60,55 @@ DecisionLog& DecisionLog::instance() {
   return log;
 }
 
-void DecisionLog::set_capacity(std::size_t n) {
-  require(n > 0, "DecisionLog::set_capacity: capacity must be positive");
-  std::lock_guard lock(mu_);
-  // Re-linearize, keeping the newest records.
-  std::vector<DispatchDecision> linear;
-  linear.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    linear.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  if (linear.size() > n) {
-    linear.erase(linear.begin(),
-                 linear.begin() + static_cast<std::ptrdiff_t>(linear.size() - n));
-  }
-  ring_ = std::move(linear);
-  head_ = 0;
-  capacity_ = n;
-}
+void DecisionLog::set_enabled(bool on) { fleet::set_decision_view(on); }
+bool DecisionLog::enabled() const { return fleet::decision_view(); }
+std::size_t DecisionLog::size() const { return records().size(); }
+void DecisionLog::clear() { fleet::clear_journals(); }
 
 std::uint64_t DecisionLog::push(DispatchDecision d) {
   if (!enabled()) return 0;
-  std::lock_guard lock(mu_);
-  d.seq = ++total_;
-  if (d.tune == TuneAudit::None) {
-    // Tuner audit records are not dispatches; keep them out of the
-    // per-engine and per-reason dispatch tallies.
-    ++reason_counts_[static_cast<std::size_t>(d.reason)];
-    ++engine_counts_[static_cast<std::size_t>(d.engine)];
-  }
-  if (ring_.size() < capacity_) {
-    ring_.push_back(d);
-  } else {
-    ring_[head_] = d;
-    head_ = (head_ + 1) % capacity_;
-  }
-  return d.seq;
+  return fleet::journal_append(d, /*log=*/true);
 }
 
 std::vector<DispatchDecision> DecisionLog::records() const {
-  std::lock_guard lock(mu_);
-  std::vector<DispatchDecision> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return out;
+  return fleet::decision_records().records;
 }
 
 std::uint64_t DecisionLog::total() const {
-  std::lock_guard lock(mu_);
-  return total_;
-}
-
-std::size_t DecisionLog::size() const {
-  std::lock_guard lock(mu_);
-  return ring_.size();
+  return fleet::decision_records().total;
 }
 
 std::array<std::uint64_t, kFallbackReasonCount> DecisionLog::reason_counts()
     const {
-  std::lock_guard lock(mu_);
-  return reason_counts_;
-}
-
-void DecisionLog::clear() {
-  std::lock_guard lock(mu_);
-  ring_.clear();
-  head_ = 0;
-  total_ = 0;
-  reason_counts_ = {};
-  engine_counts_ = {};
+  return fleet::decision_records().reasons;
 }
 
 std::string DecisionLog::why_report(std::size_t max_recent) const {
-  std::lock_guard lock(mu_);
+  const fleet::DecisionView v = fleet::decision_records();
   std::ostringstream os;
-  os << "dispatch decisions: " << total_ << " total (" << ring_.size()
+  os << "dispatch decisions: " << v.total << " total (" << v.records.size()
      << " retained)\n";
   os << "  by engine:";
   for (const core::Engine e :
        {core::Engine::Mpi, core::Engine::Xccl, core::Engine::Hier}) {
-    os << ' ' << to_string(e) << '='
-       << engine_counts_[static_cast<std::size_t>(e)];
+    os << ' ' << to_string(e) << '=' << v.engines[static_cast<std::size_t>(e)];
   }
   os << '\n';
   std::uint64_t fallbacks = 0;
   for (std::size_t i = 1; i < kFallbackReasonCount; ++i) {
-    fallbacks += reason_counts_[i];
+    fallbacks += v.reasons[i];
   }
   os << "  fallbacks/redirects: " << fallbacks << '\n';
   for (std::size_t i = 1; i < kFallbackReasonCount; ++i) {
-    if (reason_counts_[i] == 0) continue;
+    if (v.reasons[i] == 0) continue;
     os << "    " << to_string(static_cast<FallbackReason>(i)) << ": "
-       << reason_counts_[i] << '\n';
+       << v.reasons[i] << '\n';
   }
-  const std::size_t n = std::min(max_recent, ring_.size());
+  const std::size_t n = std::min(max_recent, v.records.size());
   if (n > 0) {
     os << "  recent:\n";
-    for (std::size_t i = ring_.size() - n; i < ring_.size(); ++i) {
-      os << "    " << to_line(ring_[(head_ + i) % ring_.size()]) << '\n';
+    for (std::size_t i = v.records.size() - n; i < v.records.size(); ++i) {
+      os << "    " << to_line(v.records[i]) << '\n';
     }
   }
   return os.str();

@@ -2,20 +2,18 @@
 // Dispatch-decision log: the qualitative half of the observability layer.
 // Every collective call through XcclMpi records *why* it landed on the
 // engine it did — the tuning-table breakpoint consulted, the capability
-// check outcome, and a machine-readable fallback reason — into a bounded
-// ring buffer, queryable as structured records and renderable as a "why"
-// report. This is the after-the-fact answer to the paper's central
-// questions (which engine served which call, where the crossover sat, what
-// the transparent fallback absorbed) that last_dispatch() alone cannot give.
+// check outcome, and a machine-readable fallback reason — queryable as
+// structured records and renderable as a "why" report. This is the
+// after-the-fact answer to the paper's central questions (which engine
+// served which call, where the crossover sat, what the transparent fallback
+// absorbed) that last_dispatch() alone cannot give.
 //
-// Recording is gated on an atomic enabled flag (off below
-// Level::Decisions); when on, one short mutex-protected ring append per
-// collective call — negligible next to the collective itself.
+// The records live in the per-rank call journal (fleet.hpp); DecisionLog is
+// its decision view, on at Level::Decisions and above: the records that took
+// a process-wide seq, merged across ranks in seq order.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -63,7 +61,7 @@ constexpr FallbackReason fallback_reason_of(XcclResult r) {
   }
 }
 
-/// Online-tuner audit stamp. Table mutations flow through the same ring as
+/// Online-tuner audit stamp. Table mutations flow through the same log as
 /// dispatch decisions so every engine switch is explainable next to the
 /// calls it rerouted; `None` marks an ordinary dispatch record. Audit
 /// records reuse the decision fields: `bytes`/`breakpoint` carry the
@@ -90,9 +88,11 @@ constexpr std::string_view to_string(TuneAudit a) {
 
 /// One dispatch decision, fully explained: the single per-call record. It is
 /// built once by XcclMpi::complete() and read, without conversion, by every
-/// per-call sink (decision ring, flight recorder, fleet ring, watchdog dump).
+/// per-call sink (call journal, flight recorder, trace, registry).
 struct DispatchDecision {
-  std::uint64_t seq = 0;  ///< assigned by the log at append time
+  /// Process-wide decision-view number, set at journal append; 0 outside the
+  /// view (persistent replays, records appended while it is off).
+  std::uint64_t seq = 0;
   /// Per-rank dispatch number (1-based). Uniform collectives are issued in
   /// the same order on every rank, so call_seq k is round k fleet-wide; 0 on
   /// records no dispatch closed (tuner audits, persistent inits).
@@ -129,34 +129,28 @@ struct DispatchDecision {
 /// Render one decision as a single human-readable line.
 std::string to_line(const DispatchDecision& d);
 
-/// Process-wide bounded ring of dispatch decisions.
+/// Process-wide view of the decision records in every rank's call journal.
 class DecisionLog {
  public:
-  static constexpr std::size_t kDefaultCapacity = 4096;
-
   static DecisionLog& instance();
 
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_release); }
-  [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_acquire);
-  }
+  void set_enabled(bool on);
+  [[nodiscard]] bool enabled() const;
 
-  /// Drops the oldest records when shrinking below the current fill.
-  void set_capacity(std::size_t n);
-
-  /// Append one record (no-op while disabled). Assigns `seq` and returns it
-  /// (0 when disabled).
+  /// Append one record to rank d.rank's journal (no-op while disabled).
+  /// Assigns `seq` and returns it (0 when disabled).
   std::uint64_t push(DispatchDecision d);
 
-  /// Records still in the ring, oldest first.
+  /// Records the journals still hold, in seq order.
   [[nodiscard]] std::vector<DispatchDecision> records() const;
-  /// Total records ever appended (including those the ring has dropped).
+  /// Total records ever appended (including those the rings have dropped).
   [[nodiscard]] std::uint64_t total() const;
   [[nodiscard]] std::size_t size() const;
   /// Appended-record counts per fallback reason (index by FallbackReason).
   [[nodiscard]] std::array<std::uint64_t, kFallbackReasonCount> reason_counts()
       const;
 
+  /// Empties every rank's journal (fleet call views included).
   void clear();
 
   /// The "why" report: per-engine and per-reason totals plus the most
@@ -166,15 +160,6 @@ class DecisionLog {
 
  private:
   DecisionLog() = default;
-
-  std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;
-  std::vector<DispatchDecision> ring_;  ///< circular once full
-  std::size_t capacity_ = kDefaultCapacity;
-  std::size_t head_ = 0;  ///< index of the oldest record once wrapped
-  std::uint64_t total_ = 0;
-  std::array<std::uint64_t, kFallbackReasonCount> reason_counts_{};
-  std::array<std::uint64_t, 3> engine_counts_{};
 };
 
 }  // namespace mpixccl::obs

@@ -39,24 +39,26 @@ std::int64_t steady_ns() {
       .count();
 }
 
-// ---- Activation state -------------------------------------------------------
+// ---- Activation word ---------------------------------------------------------
 
-constexpr std::uint32_t kProfileBit = 1;    // call rings + level times
-constexpr std::uint32_t kHeartbeatBit = 2;  // full heartbeat slot updates
+// One bit per source; the journal records while any is set.
+constexpr std::uint32_t kDecisionBit = 1;  // decision view (DecisionLog)
+constexpr std::uint32_t kProfileBit = 2;   // skew profiling + level times
+constexpr std::uint32_t kWatchdogBit = 4;  // running watchdog
+constexpr std::uint32_t kHeartbeatBits = kProfileBit | kWatchdogBit;
 
-std::atomic<std::uint32_t> g_mask{0};
+std::atomic<std::uint32_t> g_sources{0};
 
-std::mutex g_activation_mu;
-bool g_profiling = false;
-bool g_watchdog_running = false;
+bool source_on(std::uint32_t bit) {
+  return (g_sources.load(std::memory_order_relaxed) & bit) != 0;
+}
 
-/// Recompute the hot-path mask from the two coarse switches (holding
-/// g_activation_mu).
-void refresh_mask_locked() {
-  std::uint32_t mask = 0;
-  if (g_profiling) mask |= kProfileBit | kHeartbeatBit;
-  if (g_watchdog_running) mask |= kHeartbeatBit;
-  g_mask.store(mask, std::memory_order_relaxed);
+void set_source(std::uint32_t bit, bool on) {
+  if (on) {
+    g_sources.fetch_or(bit, std::memory_order_relaxed);
+  } else {
+    g_sources.fetch_and(~bit, std::memory_order_relaxed);
+  }
 }
 
 // ---- Per-rank heartbeat slots (fixed, lock-free) ----------------------------
@@ -79,19 +81,35 @@ Slot& slot(int rank) {
 
 bool rank_ok(int rank) { return rank >= 0 && rank < kMaxRanks; }
 
-// ---- Per-rank profiling data (locked; profiling paths only) -----------------
+// ---- Per-rank block: call journal + level times (one lock) ------------------
 
 struct RankData {
   std::mutex mu;
-  std::vector<DispatchDecision> ring;  ///< circular once full
-  std::size_t head = 0;                ///< oldest record once wrapped
+  std::vector<DispatchDecision> journal;  ///< circular once full
+  std::size_t head = 0;                   ///< oldest record once wrapped
+  /// Decision-view dispatch tallies, kept past the ring's overwrites.
+  std::array<std::uint64_t, kFallbackReasonCount> reasons{};
+  std::array<std::uint64_t, 3> engines{};
   std::map<std::string, std::pair<double, std::uint64_t>, std::less<>> levels;
+
+  /// Journal records passing `keep`, oldest first (holding mu).
+  template <typename Keep>
+  [[nodiscard]] std::vector<DispatchDecision> records(Keep keep) const {
+    std::vector<DispatchDecision> out;
+    for (std::size_t i = 0; i < journal.size(); ++i) {
+      const DispatchDecision& d = journal[(head + i) % journal.size()];
+      if (keep(d)) out.push_back(d);
+    }
+    return out;
+  }
 };
 
-RankData& rank_data(int rank) {
-  static RankData data[kMaxRanks];
-  return data[rank];
-}
+// Namespace scope, so it is built before main and outlives the atexit export
+// flush that reads the decision view.
+RankData g_ranks[kMaxRanks];
+
+/// Decision-view seq numbers, process-wide.
+std::atomic<std::uint64_t> g_seq{0};
 
 core::CollOp op_from_u8(std::uint8_t v) {
   require(v < std::size(core::kAllCollOps), "fleet: bad CollOp in blob");
@@ -105,15 +123,10 @@ core::Engine engine_from_u8(std::uint8_t v) {
 
 }  // namespace
 
-bool profiling_enabled() {
-  return (g_mask.load(std::memory_order_relaxed) & kProfileBit) != 0;
-}
-
-void set_profiling(bool on) {
-  std::lock_guard lock(g_activation_mu);
-  g_profiling = on;
-  refresh_mask_locked();
-}
+bool profiling_enabled() { return source_on(kProfileBit); }
+void set_profiling(bool on) { set_source(kProfileBit, on); }
+bool decision_view() { return source_on(kDecisionBit); }
+void set_decision_view(bool on) { set_source(kDecisionBit, on); }
 
 void reset() {
   for (int r = 0; r < kMaxRanks; ++r) {
@@ -126,12 +139,67 @@ void reset() {
     s.op.store(0, std::memory_order_relaxed);
     s.engine.store(0, std::memory_order_relaxed);
     s.in_flight.store(0, std::memory_order_relaxed);
-    RankData& d = rank_data(r);
-    std::lock_guard lock(d.mu);
-    d.ring.clear();
-    d.head = 0;
-    d.levels.clear();
+    std::lock_guard lock(g_ranks[r].mu);
+    g_ranks[r].levels.clear();
   }
+  clear_journals();
+}
+
+std::uint64_t journal_append(DispatchDecision& d, bool log) {
+  const std::uint32_t sources = g_sources.load(std::memory_order_relaxed);
+  if (sources == 0 || !rank_ok(d.rank)) return d.seq;
+  RankData& rd = g_ranks[d.rank];
+  std::lock_guard lock(rd.mu);
+  if (log && (sources & kDecisionBit) != 0) {
+    // Taken under the rank lock so each journal stays in seq order.
+    d.seq = g_seq.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (d.tune == TuneAudit::None) {
+      ++rd.reasons[static_cast<std::size_t>(d.reason)];
+      ++rd.engines[static_cast<std::size_t>(d.engine)];
+    }
+  }
+  // Grown on the rank's first records: most of the kMaxRanks blocks never
+  // hold any.
+  if (rd.journal.size() < kJournalCapacity) {
+    rd.journal.push_back(d);
+  } else {
+    rd.journal[rd.head] = d;
+    rd.head = (rd.head + 1) % kJournalCapacity;
+  }
+  return d.seq;
+}
+
+DecisionView decision_records() {
+  DecisionView v;
+  v.total = g_seq.load(std::memory_order_relaxed);
+  for (RankData& rd : g_ranks) {
+    std::lock_guard lock(rd.mu);
+    for (std::size_t i = 0; i < kFallbackReasonCount; ++i) {
+      v.reasons[i] += rd.reasons[i];
+    }
+    for (std::size_t i = 0; i < v.engines.size(); ++i) {
+      v.engines[i] += rd.engines[i];
+    }
+    for (const DispatchDecision& d : rd.journal) {
+      if (d.seq != 0) v.records.push_back(d);
+    }
+  }
+  std::sort(v.records.begin(), v.records.end(),
+            [](const DispatchDecision& a, const DispatchDecision& b) {
+              return a.seq < b.seq;
+            });
+  return v;
+}
+
+void clear_journals() {
+  for (RankData& rd : g_ranks) {
+    std::lock_guard lock(rd.mu);
+    rd.journal.clear();
+    rd.head = 0;
+    rd.reasons = {};
+    rd.engines = {};
+  }
+  g_seq.store(0, std::memory_order_relaxed);
 }
 
 std::uint64_t dispatch_enter(int rank, core::CollOp op) {
@@ -144,7 +212,7 @@ std::uint64_t dispatch_enter(int rank, core::CollOp op) {
   auto& faults = sim::FaultInjector::instance();
   if (faults.active()) faults.maybe_stall(rank, seq);
   s.enter_seq.store(seq, std::memory_order_relaxed);
-  if ((g_mask.load(std::memory_order_relaxed) & kHeartbeatBit) != 0) {
+  if (source_on(kHeartbeatBits)) {
     s.op.store(static_cast<std::uint8_t>(op), std::memory_order_relaxed);
     s.in_flight.store(1, std::memory_order_relaxed);
     s.beat_ns.store(steady_ns(), std::memory_order_relaxed);
@@ -152,13 +220,13 @@ std::uint64_t dispatch_enter(int rank, core::CollOp op) {
   return seq;
 }
 
-void dispatch_exit(const DispatchDecision& d) {
+void dispatch_exit(DispatchDecision& d, bool log) {
   if (!rank_ok(d.rank) || d.call_seq == 0) return;
   Slot& s = slot(d.rank);
   s.done_seq.store(d.call_seq, std::memory_order_relaxed);
-  const std::uint32_t mask = g_mask.load(std::memory_order_relaxed);
-  if (mask == 0) return;
-  if ((mask & kHeartbeatBit) != 0) {
+  const std::uint32_t sources = g_sources.load(std::memory_order_relaxed);
+  if (sources == 0) return;
+  if ((sources & kHeartbeatBits) != 0) {
     s.op.store(static_cast<std::uint8_t>(d.op), std::memory_order_relaxed);
     s.engine.store(static_cast<std::uint8_t>(d.engine),
                    std::memory_order_relaxed);
@@ -166,16 +234,7 @@ void dispatch_exit(const DispatchDecision& d) {
     s.in_flight.store(0, std::memory_order_relaxed);
     s.beat_ns.store(steady_ns(), std::memory_order_relaxed);
   }
-  if ((mask & kProfileBit) != 0) {
-    RankData& rd = rank_data(d.rank);
-    std::lock_guard lock(rd.mu);
-    if (rd.ring.size() < kRingCapacity) {
-      rd.ring.push_back(d);
-    } else {
-      rd.ring[rd.head] = d;
-      rd.head = (rd.head + 1) % kRingCapacity;
-    }
-  }
+  journal_append(d, log);
 }
 
 void dispatch_abort(int rank) {
@@ -187,26 +246,14 @@ void dispatch_abort(int rank) {
 
 void note_plan(int rank, std::uint64_t plan_id) {
   if (!rank_ok(rank)) return;
-  if ((g_mask.load(std::memory_order_relaxed) & kHeartbeatBit) == 0) return;
+  if (!source_on(kHeartbeatBits)) return;
   slot(rank).plan.store(plan_id, std::memory_order_relaxed);
 }
 
 void app_beat(int rank) {
   if (!rank_ok(rank)) return;
-  if ((g_mask.load(std::memory_order_relaxed) & kHeartbeatBit) == 0) return;
+  if (!source_on(kHeartbeatBits)) return;
   slot(rank).beat_ns.store(steady_ns(), std::memory_order_relaxed);
-}
-
-void record_level(int rank, std::string_view level, double us) {
-  if (!rank_ok(rank) || !profiling_enabled()) return;
-  RankData& d = rank_data(rank);
-  std::lock_guard lock(d.mu);
-  auto it = d.levels.find(level);
-  if (it == d.levels.end()) {
-    it = d.levels.emplace(std::string(level), std::make_pair(0.0, 0)).first;
-  }
-  it->second.first += us;
-  ++it->second.second;
 }
 
 LevelSpan::LevelSpan(int rank, const sim::VirtualClock& clock,
@@ -228,7 +275,13 @@ LevelSpan::~LevelSpan() {
     sim::Trace::instance().record(rank_, stage_ + "." + level_, "hier.stage",
                                   t0_, now);
   }
-  if (fleet_) record_level(rank_, level_, now - t0_);
+  if (fleet_ && rank_ok(rank_)) {
+    RankData& d = g_ranks[rank_];
+    std::lock_guard lock(d.mu);
+    auto& [us, calls] = d.levels.try_emplace(level_).first->second;
+    us += now - t0_;
+    ++calls;
+  }
 }
 
 // ---- Rank-local capture -----------------------------------------------------
@@ -250,11 +303,10 @@ RankState local_rank_state(int rank) {
   st.heartbeat.age_ms =
       beat == 0 ? 0.0 : static_cast<double>(steady_ns() - beat) / 1e6;
   {
-    RankData& d = rank_data(rank);
+    RankData& d = g_ranks[rank];
     std::lock_guard lock(d.mu);
-    const auto head = static_cast<std::ptrdiff_t>(d.head);
-    st.calls.assign(d.ring.begin() + head, d.ring.end());
-    st.calls.insert(st.calls.end(), d.ring.begin(), d.ring.begin() + head);
+    st.calls =
+        d.records([](const DispatchDecision& c) { return c.call_seq != 0; });
     for (const auto& [level, acc] : d.levels) {
       st.levels.push_back({level, acc.first, acc.second});
     }
@@ -751,7 +803,6 @@ struct WatchdogState {
   std::function<void(const HangReport&)> cb;
   std::string last_report;
   std::atomic<std::uint64_t> fires{0};
-  std::atomic<bool> running{false};
   int last_fired_rank = -1;
   std::uint64_t last_fired_seq = 0;
 
@@ -870,13 +921,11 @@ bool check_once(const WatchdogConfig& cfg, HangReport& out) {
   } else {
     os << "(no cached plan: composed or uncached dispatch)\n";
   }
-  os << "decision-ring tail for rank " << blame << ":\n";
-  bool any_decision = false;
-  std::vector<DispatchDecision> tail;
-  for (const DispatchDecision& d : DecisionLog::instance().records()) {
-    if (d.rank != blame || d.tune != TuneAudit::None) continue;
-    tail.push_back(d);
-  }
+  os << "call-journal tail for rank " << blame << ":\n";
+  std::unique_lock lock(g_ranks[blame].mu);
+  const std::vector<DispatchDecision> tail = g_ranks[blame].records(
+      [](const DispatchDecision& d) { return d.tune == TuneAudit::None; });
+  lock.unlock();
   const std::size_t keep = 8;
   const std::size_t start = tail.size() > keep ? tail.size() - keep : 0;
   for (std::size_t i = start; i < tail.size(); ++i) {
@@ -884,11 +933,8 @@ bool check_once(const WatchdogConfig& cfg, HangReport& out) {
     if (!tail[i].level_path.empty()) {
       os << "    [hier levels: " << tail[i].level_path << "]\n";
     }
-    any_decision = true;
   }
-  if (!any_decision) {
-    os << "  (no decisions recorded for this rank)\n";
-  }
+  if (tail.empty()) os << "  (no calls recorded for this rank)\n";
   out.text = os.str();
   return true;
 }
@@ -947,7 +993,7 @@ void Watchdog::start(const WatchdogConfig& cfg) {
   WatchdogState& s = wd();
   {
     std::lock_guard lock(s.mu);
-    if (s.running.load(std::memory_order_relaxed)) return;
+    if (source_on(kWatchdogBit)) return;
     s.cfg = cfg;
     if (s.cfg.poll_ms <= 0.0) {
       s.cfg.poll_ms = std::clamp(cfg.timeout_ms / 4.0, 1.0, 250.0);
@@ -955,15 +1001,8 @@ void Watchdog::start(const WatchdogConfig& cfg) {
     s.stop = false;
     s.last_fired_rank = -1;
     s.last_fired_seq = 0;
-    s.running.store(true, std::memory_order_relaxed);
-  }
-  // The dump joins the decision ring; without decisions there is nothing to
-  // show, so arming the watchdog arms the ring too.
-  DecisionLog::instance().set_enabled(true);
-  {
-    std::lock_guard lock(g_activation_mu);
-    g_watchdog_running = true;
-    refresh_mask_locked();
+    // Arms the heartbeats and, so the dump has calls to show, the journal.
+    set_source(kWatchdogBit, true);
   }
   s.th = std::thread(watchdog_loop);
 }
@@ -972,22 +1011,12 @@ void Watchdog::stop() {
   WatchdogState& s = wd();
   {
     std::lock_guard lock(s.mu);
-    if (!s.running.load(std::memory_order_relaxed)) return;
+    if (!source_on(kWatchdogBit)) return;
     s.stop = true;
   }
   s.cv.notify_all();
   if (s.th.joinable()) s.th.join();
-  {
-    std::lock_guard lock(s.mu);
-    s.running.store(false, std::memory_order_relaxed);
-  }
-  std::lock_guard lock(g_activation_mu);
-  g_watchdog_running = false;
-  refresh_mask_locked();
-}
-
-bool Watchdog::running() const {
-  return wd().running.load(std::memory_order_relaxed);
+  set_source(kWatchdogBit, false);
 }
 
 std::uint64_t Watchdog::fires() const {

@@ -5,17 +5,18 @@
 // so it can say *which engine* is slow but never *which rank* is holding a
 // collective back. This header adds the rank-resolved view:
 //
-//  * Arrival-skew profiling — every completed dispatch appends its
-//    DispatchDecision (call_seq, enter and done times, routing) to a bounded
-//    per-rank ring. Because every rank issues uniform collectives in the
-//    same order, `call_seq` aligns round k across ranks; the reducer joins
-//    rounds on it and folds the per-round arrival spread into
+//  * Per-rank call journal — a bounded ring of each rank's DispatchDecision
+//    records, appended once per call by XcclMpi::complete(). DecisionLog,
+//    RankState::calls and the watchdog dump are views over it.
+//  * Arrival-skew profiling — because every rank issues uniform collectives
+//    in the same order, `call_seq` aligns round k across ranks; the reducer
+//    joins rounds on it and folds the per-round arrival spread into
 //    per-(collective, size-band) skew histograms, an imbalance score, and a
 //    straggler board naming the worst ranks. Hier dispatches additionally
 //    feed per-level stage times (LevelSpan), so the board can say *which
 //    level of the chain* the skew concentrates in.
 //  * Fleet snapshot protocol — core::gather_fleet() (core/fleet_gather.hpp)
-//    serializes every rank's state (call ring, level times, heartbeat) and
+//    serializes every rank's state (call journal, level times, heartbeat) and
 //    gathers the blobs to rank 0 over the library's own collectives;
 //    assemble() reduces them into a FleetSnapshot renderable as versioned
 //    "mpixccl.fleet.v1" JSON or a human report.
@@ -24,14 +25,15 @@
 //    the slots in *real* time (rank threads genuinely block on each other's
 //    futures, so a stalled rank stalls its peers' wall clocks too); past
 //    MPIXCCL_WATCHDOG_TIMEOUT_MS it dumps the heartbeat table, the blamed
-//    rank's decision-ring tail (level path, in-flight plan id) and then
+//    rank's journal tail (level path, in-flight plan id) and then
 //    warns or aborts per policy.
 //
 // Skew profiling works in virtual microseconds (deterministic, replayable);
-// only the watchdog reads the wall clock. Everything is off by default:
-// with neither profiling nor a watchdog armed, a dispatch costs two relaxed
+// only the watchdog reads the wall clock. Every source sets one bit of a
+// single activation word; with all of them off, a dispatch costs two relaxed
 // loads and one relaxed counter bump.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -52,17 +54,41 @@ inline constexpr int kMaxRanks = 512;
 
 // ---- Activation -------------------------------------------------------------
 
-/// Call-ring/level profiling switch (MPIXCCL_FLEET=1 or programmatic).
+/// Skew/level profiling switch (MPIXCCL_FLEET=1 or programmatic).
 [[nodiscard]] bool profiling_enabled();
 void set_profiling(bool on);
 
-/// Per-rank call-ring capacity: skew is computed over the most recent
-/// kRingCapacity dispatches per rank.
-inline constexpr std::size_t kRingCapacity = 1024;
-
-/// Drop all recorded per-rank state (rings, level times, heartbeats).
+/// Drop all recorded per-rank state (journals, level times, heartbeats).
 /// Not thread-safe against in-flight dispatches — call between world runs.
 void reset();
+
+// ---- Per-rank call journal --------------------------------------------------
+
+/// Each rank's journal keeps its newest kJournalCapacity records. It records
+/// while any source is on: the decision view, profiling, or a watchdog.
+inline constexpr std::size_t kJournalCapacity = 1024;
+
+/// The decision-view source (DecisionLog::set_enabled).
+void set_decision_view(bool on);
+[[nodiscard]] bool decision_view();
+
+/// Append `d` to rank d.rank's journal (no-op with every source off). With
+/// the decision view on and `log` set, d.seq takes the next process-wide
+/// number. Returns d.seq.
+std::uint64_t journal_append(DispatchDecision& d, bool log);
+
+/// The records that took a seq, merged in seq order, and the dispatch
+/// tallies (tuner audits excluded, dropped records included) over ranks.
+struct DecisionView {
+  std::vector<DispatchDecision> records;
+  std::uint64_t total = 0;  ///< seqs handed out since clear_journals()
+  std::array<std::uint64_t, kFallbackReasonCount> reasons{};
+  std::array<std::uint64_t, 3> engines{};  ///< indexed by Engine
+};
+[[nodiscard]] DecisionView decision_records();
+
+/// Empty every rank's journal and restart seq numbering.
+void clear_journals();
 
 // ---- Hot-path hooks (called from core dispatch) -----------------------------
 
@@ -72,13 +98,12 @@ void reset();
 std::uint64_t dispatch_enter(int rank, core::CollOp op);
 
 /// Dispatch exit: completes the heartbeat with the engine/bytes the call
-/// actually ran on and, when profiling, appends the closed record to the
-/// rank's call ring (one lock per call).
-void dispatch_exit(const DispatchDecision& d);
+/// actually ran on and appends the closed record via journal_append().
+void dispatch_exit(DispatchDecision& d, bool log);
 
 /// Dispatch unwound without completing (threw before its record closed):
 /// clear the in-flight flag so the watchdog does not blame a rank that
-/// already threw. Nothing reaches the call ring.
+/// already threw. Nothing reaches the journal.
 void dispatch_abort(int rank);
 
 /// Plan-cache resolution hook: remember the plan id the in-flight dispatch
@@ -89,9 +114,6 @@ void note_plan(int rank, std::uint64_t plan_id);
 /// collectives so a watchdog timeout spanning a long compute phase does not
 /// fire spuriously.
 void app_beat(int rank);
-
-/// Per-level stage time for hier dispatches (LevelSpan's sink).
-void record_level(int rank, std::string_view level, double us);
 
 /// RAII probe around one hier per-level stage: emits the same trace span as
 /// obs::Span (named "<stage>.<level>", category "hier.stage") *and* feeds
@@ -140,11 +162,13 @@ struct LevelTime {
 struct RankState {
   int rank = -1;
   HeartbeatView heartbeat;
-  std::vector<DispatchDecision> calls;  ///< completed dispatches, oldest first
+  /// Journal records with a call_seq, oldest first: tuner audits and
+  /// persistent inits stay out of the skew join and the wire.
+  std::vector<DispatchDecision> calls;
   std::vector<LevelTime> levels;
 };
 
-/// Capture this rank's state right now (call-ring copy, heartbeat read).
+/// Capture this rank's state right now (journal copy, heartbeat read).
 [[nodiscard]] RankState local_rank_state(int rank);
 
 /// Compact versioned binary blob for the gather protocol (rank-portable:
@@ -234,15 +258,14 @@ struct HangReport {
 };
 
 /// Monitor-thread watchdog over the heartbeat slots. start() arms the
-/// heartbeats and (so the dump has something to show) the decision log;
-/// stop() joins the thread. One instance per process.
+/// heartbeats and (so the dump has something to show) the journal; stop()
+/// joins the thread and disarms both. One instance per process.
 class Watchdog {
  public:
   static Watchdog& instance();
 
   void start(const WatchdogConfig& cfg);
   void stop();
-  [[nodiscard]] bool running() const;
 
   [[nodiscard]] std::uint64_t fires() const;
   [[nodiscard]] std::string last_report() const;

@@ -214,10 +214,22 @@ void Registry::record_latency(core::CollOp op, core::Engine engine,
   c.band_latency_us[size_band_of(bytes)].observe(us);
 }
 
+void Registry::record_fallback(core::CollOp op, core::Engine table_choice,
+                               int rank, std::size_t bytes) {
+  cell(op, table_choice).band_fallbacks[size_band_of(bytes)].inc(rank);
+}
+
 HistogramSnapshot Registry::band_latency(core::CollOp op, core::Engine engine,
                                          std::size_t band) const {
   require(band < kSizeBands, "Registry::band_latency: band out of range");
   return cell(op, engine).band_latency_us[band].snapshot();
+}
+
+std::uint64_t Registry::band_fallbacks(core::CollOp op,
+                                       core::Engine table_choice,
+                                       std::size_t band) const {
+  require(band < kSizeBands, "Registry::band_fallbacks: band out of range");
+  return cell(op, table_choice).band_fallbacks[band].value();
 }
 
 Counter& Registry::counter(std::string_view name) {
@@ -288,6 +300,7 @@ void Registry::reset() {
       c.size_hist.reset();
       c.latency_us_hist.reset();
       for (auto& b : c.band_latency_us) b.reset();
+      for (auto& f : c.band_fallbacks) f.reset();
     }
   }
   std::lock_guard lock(names_mu_);

@@ -13,7 +13,7 @@
 //
 // The registry aggregates across ranks (records carry no rank label beyond
 // the shard index); per-rank counters live in XcclMpi's PathStats, per-rank
-// calls in the fleet ring. All are fed from one place, XcclMpi's per-call
+// calls in the call journal. All are fed from one place, XcclMpi's per-call
 // completion record, for every call flavour (blocking, nonblocking,
 // persistent start).
 
@@ -246,6 +246,9 @@ class Registry {
   /// (the per-(collective, engine, size-band) rows `mpixccl top` ranks).
   void record_latency(core::CollOp op, core::Engine engine, std::size_t bytes,
                       double us);
+  /// One call routed to `table_choice` that fell back to MPI at runtime.
+  void record_fallback(core::CollOp op, core::Engine table_choice, int rank,
+                       std::size_t bytes);
 
   // ---- Named metrics (registration locks once; returned refs are stable) ---
   Counter& counter(std::string_view name);
@@ -257,6 +260,10 @@ class Registry {
   [[nodiscard]] HistogramSnapshot band_latency(core::CollOp op,
                                                core::Engine engine,
                                                std::size_t band) const;
+  /// Runtime fallbacks charged to (collective, table choice, size band).
+  [[nodiscard]] std::uint64_t band_fallbacks(core::CollOp op,
+                                             core::Engine table_choice,
+                                             std::size_t band) const;
 
   // ---- Snapshot / export -----------------------------------------------------
   [[nodiscard]] MetricsSnapshot snapshot() const;
@@ -284,6 +291,7 @@ class Registry {
     Histogram size_hist;
     Histogram latency_us_hist;
     std::array<Histogram, kSizeBands> band_latency_us;
+    std::array<Counter, kSizeBands> band_fallbacks;
   };
 
   [[nodiscard]] CollCell& cell(core::CollOp op, core::Engine engine) {

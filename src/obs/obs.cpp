@@ -124,7 +124,6 @@ void init_from_env() {
       // so a singleton first constructed after this registration would be
       // destroyed before flush() runs and flush() would touch a dead object.
       Registry::instance();
-      DecisionLog::instance();
       FlightRecorder::instance();
       sim::Trace::instance();
       std::atexit([] {

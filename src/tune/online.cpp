@@ -1,6 +1,5 @@
 #include "tune/online.hpp"
 
-#include <algorithm>
 #include <set>
 #include <cstdlib>
 #include <cstring>
@@ -106,7 +105,8 @@ CellState& OnlineTuner::cell(core::CollOp op, std::size_t band) {
 
 void OnlineTuner::observe(core::XcclMpi& rt) {
   auto& reg = obs::Registry::instance();
-  // 1. Create cells for (op, band) pairs with traffic; refresh arm stats.
+  // Create cells for (op, band) pairs with traffic; refresh arm stats. A
+  // runtime fallback is charged to the arm whose table choice caused it.
   for (core::CollOp op : core::kAllCollOps) {
     for (std::size_t band = 0; band < obs::kSizeBands; ++band) {
       std::array<obs::HistogramSnapshot, 3> snaps;
@@ -145,21 +145,9 @@ void OnlineTuner::observe(core::XcclMpi& rt) {
         ArmState& a = it->second.arms[arm_index(e)];
         a.samples = snaps[arm_index(e)].count;
         a.avg_us = snaps[arm_index(e)].avg();
+        a.fallbacks = reg.band_fallbacks(op, e, band);
       }
     }
-  }
-  // 2. Charge runtime fallbacks from the decision ring to the arm whose
-  // table choice caused them (only records newer than the last scan).
-  auto& ring = obs::DecisionLog::instance();
-  if (ring.enabled()) {
-    for (const obs::DispatchDecision& d : ring.records()) {
-      if (d.seq <= decisions_seen_) continue;
-      if (d.tune != obs::TuneAudit::None || !d.fell_back) continue;
-      auto it = cells_.find({d.op, obs::size_band_of(d.bytes)});
-      if (it == cells_.end()) continue;
-      ++it->second.arms[arm_index(d.table_choice)].fallbacks;
-    }
-    decisions_seen_ = std::max(decisions_seen_, ring.total());
   }
 }
 

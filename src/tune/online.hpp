@@ -3,10 +3,10 @@
 // observability layer. The offline tuner (core/tuner.hpp) picks static
 // breakpoints once; production systems never get that luxury again after a
 // topology or workload shift. The OnlineTuner watches the live per-
-// (collective, engine, size-band) latency distributions in obs::Registry
-// plus the per-decision outcomes in obs::DecisionLog, and rewrites the
-// per-runtime AdaptiveTable so each (collective, size-band) arm converges
-// onto the engine that is actually fastest here and now.
+// (collective, engine, size-band) latency distributions and runtime-fallback
+// counters in obs::Registry, and rewrites the per-runtime AdaptiveTable so
+// each (collective, size-band) arm converges onto the engine that is
+// actually fastest here and now.
 //
 // Per (collective, size-band) cell the controller runs a three-armed bandit
 // over {flat-MPI, flat-xCCL, hier}:
@@ -16,7 +16,7 @@
 //   - successive-halving elimination: at every halving checkpoint, arms
 //     whose mean latency exceeds best * eliminate_factor are retired, as
 //     are arms whose installs only ever produced runtime fallbacks
-//     (decision ring);
+//     (registry fallback counters, whatever the observability level);
 //   - hysteresis: a challenger only replaces the leader once it has at
 //     least min_samples samples AND its mean latency beats the leader's by
 //     min_improvement — no flapping between statistically tied engines.
@@ -89,7 +89,7 @@ struct ArmState {
   /// same p50 bucket — but the histogram sum is exact, so the mean resolves
   /// differences well inside the hysteresis threshold.
   double avg_us = 0.0;  ///< 0 until sampled
-  std::uint64_t fallbacks = 0;  ///< decision-ring runtime fallbacks charged
+  std::uint64_t fallbacks = 0;  ///< runtime fallbacks charged (registry)
   std::uint64_t explores = 0;   ///< times installed as an exploration
 };
 
@@ -106,7 +106,7 @@ struct CellState {
 };
 
 /// One applied table mutation (the switch history `mpixccl tune --online`
-/// renders; Switch entries are what the bench audits against the ring).
+/// renders; Switch entries are what the bench audits against the decision log).
 struct TuneEvent {
   obs::TuneAudit kind = obs::TuneAudit::Explore;
   core::CollOp op = core::CollOp::Allreduce;
@@ -150,7 +150,7 @@ class OnlineTuner {
   [[nodiscard]] std::string report() const;
 
  private:
-  // Rank 0 only: refresh arm stats from the registry/decision ring, then
+  // Rank 0 only: refresh arm stats from the registry, then
   // decide this round's mutations as a serialized directive batch.
   void observe(core::XcclMpi& rt);
   [[nodiscard]] std::string decide(core::XcclMpi& rt);
@@ -166,7 +166,6 @@ class OnlineTuner {
   std::vector<TuneEvent> history_;
   std::uint64_t steps_ = 0;
   bool frozen_ = false;
-  std::uint64_t decisions_seen_ = 0;  ///< decision-ring high-water mark
 };
 
 // ---- C-shaped API (mirrors the xcclOp_t flavor in xccl/capi.hpp) -----------

@@ -1,16 +1,20 @@
-// Tests for the dispatch-decision log (src/obs/decision.hpp) and its
-// threading through XcclMpi: every fallback class is forced, and the
-// recorded reason / engine / breakpoint are checked against last_dispatch().
+// Tests for the dispatch-decision log (src/obs/decision.hpp), the per-rank
+// call journal it views (src/obs/fleet.hpp), and their threading through
+// XcclMpi: every fallback class is forced, and the recorded reason / engine /
+// breakpoint are checked against last_dispatch().
 
 #include <gtest/gtest.h>
 
 #include <complex>
 #include <functional>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/xccl_mpi.hpp"
 #include "device/device.hpp"
 #include "fabric/world.hpp"
+#include "obs/fleet.hpp"
 #include "obs/obs.hpp"
 #include "sim/profiles.hpp"
 
@@ -28,28 +32,141 @@ void with_runtime(const sim::SystemProfile& prof, int nodes,
 }
 
 TEST(DecisionRing, CapacityAndSequencing) {
+  // Each rank's journal keeps its newest kJournalCapacity records; seqs are
+  // process-wide and keep counting past the wrap.
   auto& log = obs::DecisionLog::instance();
   log.clear();
   log.set_enabled(true);
-  log.set_capacity(4);
-  for (int i = 0; i < 6; ++i) {
+  const std::size_t cap = obs::fleet::kJournalCapacity;
+  for (std::size_t i = 0; i < cap + 2; ++i) {
     obs::DispatchDecision d;
-    d.bytes = static_cast<std::size_t>(i);
+    d.bytes = i;
     EXPECT_EQ(log.push(d), static_cast<std::uint64_t>(i + 1));
   }
-  EXPECT_EQ(log.total(), 6u);
-  EXPECT_EQ(log.size(), 4u);
+  EXPECT_EQ(log.total(), cap + 2);
+  EXPECT_EQ(log.size(), cap);
   const auto recs = log.records();
-  ASSERT_EQ(recs.size(), 4u);
+  ASSERT_EQ(recs.size(), cap);
   // Oldest first, the two earliest dropped.
   EXPECT_EQ(recs.front().seq, 3u);
-  EXPECT_EQ(recs.back().seq, 6u);
+  EXPECT_EQ(recs.front().bytes, 2u);
+  EXPECT_EQ(recs.back().seq, cap + 2);
 
   log.set_enabled(false);
   EXPECT_EQ(log.push({}), 0u);  // disabled: no-op, seq 0
-  EXPECT_EQ(log.total(), 6u);
-  log.set_capacity(obs::DecisionLog::kDefaultCapacity);
+  EXPECT_EQ(log.total(), cap + 2);
   log.clear();
+}
+
+TEST(CallJournal, RankThreadsMergeInSeqOrder) {
+  // Four rank threads interleave appends past their journals' capacity.
+  auto& log = obs::DecisionLog::instance();
+  log.clear();
+  log.set_enabled(true);
+  constexpr int kRanks = 4;
+  const std::size_t cap = obs::fleet::kJournalCapacity;
+  const std::size_t per_rank = cap + 100;
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kRanks; ++r) {
+    threads.emplace_back([r, per_rank, &log] {
+      for (std::size_t i = 1; i <= per_rank; ++i) {
+        obs::DispatchDecision d;
+        d.rank = r;
+        d.call_seq = i;
+        d.engine = static_cast<Engine>(r % 3);  // mpi, xccl, hier, mpi
+        if (r == 0) d.reason = obs::FallbackReason::HostBuffer;
+        log.push(d);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(log.total(), kRanks * per_rank);
+  const auto recs = log.records();
+  ASSERT_EQ(recs.size(), kRanks * cap);
+  for (std::size_t i = 1; i < recs.size(); ++i) {
+    ASSERT_LT(recs[i - 1].seq, recs[i].seq) << "merged view out of seq order";
+  }
+  std::vector<std::uint64_t> last_call(kRanks, 0);
+  for (const obs::DispatchDecision& d : recs) {
+    EXPECT_GT(d.call_seq, last_call[d.rank]) << "rank " << d.rank;
+    last_call[d.rank] = d.call_seq;
+  }
+  for (int r = 0; r < kRanks; ++r) {
+    const obs::fleet::RankState st = obs::fleet::local_rank_state(r);
+    ASSERT_EQ(st.calls.size(), cap);
+    EXPECT_EQ(st.calls.front().call_seq, per_rank - cap + 1);
+    EXPECT_EQ(st.calls.back().call_seq, per_rank);
+    EXPECT_EQ(st.calls.back().rank, r);
+  }
+  // Tallies are summed over ranks and count the records the rings dropped.
+  const auto counts = log.reason_counts();
+  EXPECT_EQ(counts[static_cast<std::size_t>(obs::FallbackReason::HostBuffer)],
+            per_rank);
+  EXPECT_EQ(counts[static_cast<std::size_t>(obs::FallbackReason::None)],
+            (kRanks - 1) * per_rank);
+  const std::string engines = "by engine: mpi=" + std::to_string(2 * per_rank) +
+                              " xccl=" + std::to_string(per_rank) +
+                              " hier=" + std::to_string(per_rank);
+  EXPECT_NE(log.why_report().find(engines), std::string::npos);
+  log.set_enabled(false);
+  log.clear();
+}
+
+TEST(CallJournal, DecisionViewAndCallViewMembership) {
+  // Tuner audits and persistent inits explain routing but are not calls;
+  // persistent replays are calls their init record already explains.
+  obs::set_level(obs::Level::Decisions);
+  auto& log = obs::DecisionLog::instance();
+  log.clear();
+  constexpr int kRanks = 4;
+  with_runtime(sim::thetagpu(), 1, {}, [&log](XcclMpi& rt) {
+    auto& comm = rt.comm_world();
+    auto& dev = rt.context().device();
+    device::DeviceBuffer send(dev, 64 * sizeof(float));
+    device::DeviceBuffer recv(dev, 64 * sizeof(float));
+    rt.allreduce(send.get(), recv.get(), 64, mini::kFloat, ReduceOp::Sum, comm);
+    Persistent h = rt.allreduce_init(send.get(), recv.get(), 64, mini::kFloat,
+                                     ReduceOp::Sum, comm);
+    for (int i = 0; i < 2; ++i) {
+      h.start();
+      h.wait();
+    }
+    if (rt.rank() == 0) {
+      obs::DispatchDecision audit;  // as OnlineTuner::apply() writes it
+      audit.tune = obs::TuneAudit::Switch;
+      EXPECT_GT(log.push(audit), 0u);
+    }
+    const obs::fleet::RankState st = obs::fleet::local_rank_state(rt.rank());
+    ASSERT_EQ(st.calls.size(), 3u);
+    EXPECT_NE(st.calls[0].seq, 0u);  // blocking call: in both views
+    EXPECT_EQ(st.calls[1].seq, 0u);  // replays: calls only
+    EXPECT_EQ(st.calls[2].seq, 0u);
+    for (const obs::DispatchDecision& d : st.calls) {
+      EXPECT_EQ(d.tune, obs::TuneAudit::None);
+      EXPECT_NE(d.call_seq, 0u);
+    }
+    h.free();
+  }, /*dpn=*/kRanks);
+  // Per rank: the blocking call and the init; plus rank 0's audit.
+  const auto recs = log.records();
+  EXPECT_EQ(recs.size(), 2u * kRanks + 1);
+  int calls = 0, inits = 0, audits = 0;
+  for (const obs::DispatchDecision& d : recs) {
+    EXPECT_NE(d.seq, 0u);
+    if (d.tune != obs::TuneAudit::None) {
+      ++audits;
+    } else if (d.call_seq == 0) {
+      ++inits;
+    } else {
+      ++calls;
+    }
+  }
+  EXPECT_EQ(calls, kRanks);
+  EXPECT_EQ(inits, kRanks);
+  EXPECT_EQ(audits, 1);
+  log.clear();
+  obs::set_level(obs::Level::Metrics);
 }
 
 TEST(DecisionLog, HybridBreakpointsRecorded) {

@@ -1,5 +1,5 @@
 // Fleet health telemetry tests: histogram merge invariants, the rank-state
-// wire format, the gather protocol (per-rank call rings included),
+// wire format, the gather protocol (per-rank call journals included),
 // deterministic straggler attribution for a 5x-slowed rank, the hang
 // watchdog on an injected stall (and its silence on a healthy run), the
 // export-failure exit path, and rejection of malformed env input.
@@ -148,7 +148,7 @@ TEST(FleetWire, RankStateRoundTrip) {
   EXPECT_EQ(r.levels[1].calls, 2u);
   ASSERT_EQ(r.calls.size(), 2u);
   EXPECT_EQ(r.calls[0].call_seq, 40u);
-  EXPECT_EQ(r.calls[0].seq, 0u);  // not on the decision ring
+  EXPECT_EQ(r.calls[0].seq, 0u);  // not in the decision view
   EXPECT_EQ(r.calls[0].op, CollOp::Allreduce);
   EXPECT_EQ(r.calls[0].engine, Engine::Xccl);
   EXPECT_DOUBLE_EQ(r.calls[0].enter_us, 10.0);
@@ -255,14 +255,14 @@ TEST_F(FleetWorldTest, GatherRoundTripCarriesEveryRanksState) {
     const obs::fleet::RankState& s = snap.ranks[static_cast<std::size_t>(r)];
     EXPECT_EQ(s.rank, r);  // sorted by rank
     // Capture happens at the top of gather_fleet, before its own allgather,
-    // so exactly the 12 workload dispatches are on the ring and none is in
+    // so exactly the 12 workload dispatches are in the journal and none is in
     // flight.
     EXPECT_EQ(s.calls.size(), 12u);
     EXPECT_EQ(s.heartbeat.enter_seq, 12u);
     EXPECT_EQ(s.heartbeat.done_seq, 12u);
     EXPECT_FALSE(s.heartbeat.in_flight);
-    // Each rank's ring holds only its own calls, numbered 1..12 in order
-    // and stamped by the decision ring the fixture enabled.
+    // Each rank's journal holds only its own calls, numbered 1..12 in order
+    // and stamped by the decision view the fixture enabled.
     for (std::size_t i = 0; i < s.calls.size(); ++i) {
       const obs::DispatchDecision& d = s.calls[i];
       EXPECT_EQ(d.rank, r);
@@ -344,7 +344,7 @@ TEST_F(FleetWorldTest, WatchdogFiresOnInjectedStall) {
   EXPECT_NE(r.text.find("not arrived at collective #3"), std::string::npos);
   EXPECT_NE(r.text.find("per-rank heartbeats:"), std::string::npos);
   EXPECT_NE(r.text.find("<-- stalled"), std::string::npos);
-  EXPECT_NE(r.text.find("decision-ring tail for rank 1"), std::string::npos);
+  EXPECT_NE(r.text.find("call-journal tail for rank 1"), std::string::npos);
   // A transient refire right after the stall clears (peers' beats are still
   // stale) is legitimate, so compare against the last fire, not the first.
   EXPECT_EQ(dog.last_report(), fired.back().text);
@@ -360,6 +360,36 @@ TEST_F(FleetWorldTest, WatchdogStaysQuietOnHealthyRun) {
   (void)run_and_gather("", 3);
   dog.stop();
   EXPECT_EQ(dog.fires(), fires_before);
+}
+
+TEST(FleetWatchdog, StopDisarmsTheJournal) {
+  // The watchdog arms its own journal source, never the decision view, and
+  // stop() disarms it: afterwards a call records nothing.
+  obs::set_level(obs::Level::Metrics);
+  obs::fleet::reset();
+  auto& dog = obs::fleet::Watchdog::instance();
+  const auto one_call = [] {
+    std::size_t calls = 0;
+    fabric::World world(fabric::WorldConfig{sim::thetagpu(), 1, 2});
+    world.run([&](fabric::RankContext& ctx) {
+      XcclMpi rt(ctx);
+      device::DeviceBuffer buf(ctx.device(), 64 * sizeof(float));
+      rt.allreduce(buf.get(), buf.get(), 64, mini::kFloat, ReduceOp::Sum,
+                   rt.comm_world());
+      if (ctx.rank() == 0) {
+        calls = obs::fleet::local_rank_state(0).calls.size();
+      }
+    });
+    return calls;
+  };
+  dog.start({.timeout_ms = 5000.0});
+  EXPECT_FALSE(obs::DecisionLog::instance().enabled());
+  EXPECT_EQ(one_call(), 1u);  // the dump has the call to show
+  dog.stop();
+  EXPECT_FALSE(obs::DecisionLog::instance().enabled());
+  obs::fleet::reset();
+  EXPECT_EQ(one_call(), 0u);
+  obs::fleet::reset();
 }
 
 TEST_F(FleetWorldTest, MetricsSnapshotStampedWithFleetIdentity) {

@@ -324,7 +324,7 @@ TEST(OnlineTuner, RecoversLargeBandFromMistunedTable) {
                 switched |= e.kind == obs::TuneAudit::Switch && e.band == 3;
               }
               EXPECT_TRUE(switched);
-              // ...and audited in the decision ring, range edges included.
+              // ...and audited in the decision log, range edges included.
               bool audited = false;
               for (const auto& d : obs::DecisionLog::instance().records()) {
                 audited |= d.tune == obs::TuneAudit::Switch &&
@@ -339,6 +339,46 @@ TEST(OnlineTuner, RecoversLargeBandFromMistunedTable) {
                             .value(),
                         1);
             });
+}
+
+TEST(OnlineTuner, FallbackTallySameAtEveryObsLevel) {
+  // Runtime fallbacks reach the tuner through registry counters, so the
+  // observability level cannot change what an arm is charged. The xCCL
+  // backends refuse double complex: every xccl install falls back to MPI.
+  core::TuningTable table;
+  table.set_rules(CollOp::Allreduce, {{SIZE_MAX, Engine::Xccl}});
+  const auto xccl_fallbacks = [&table](obs::Level level) {
+    obs::set_level(level);
+    obs::Registry::instance().reset();
+    obs::DecisionLog::instance().clear();
+    std::uint64_t fallbacks = 0;
+    constexpr std::size_t kBytes = 64 << 10;
+    fabric::World world(fabric::WorldConfig{sim::thetagpu(), 2, 2});
+    world.run([&](fabric::RankContext& ctx) {
+      core::XcclMpi rt(ctx, {.tuning = table});
+      auto& comm = rt.comm_world();
+      OnlineTuner tuner(fast_config());
+      device::DeviceBuffer send(ctx.device(), kBytes), recv(ctx.device(), kBytes);
+      for (int s = 0; s < 40; ++s) {
+        rt.allreduce(send.get(), recv.get(), kBytes / mini::kDoubleComplex.size(),
+                     mini::kDoubleComplex, ReduceOp::Sum, comm);
+        rt.mpi().barrier(comm);  // every rank's call is counted before observe
+        tuner.step(rt, comm);
+      }
+      if (ctx.rank() == 0) {
+        fallbacks = tuner.cells()
+                        .at({CollOp::Allreduce, obs::size_band_of(kBytes)})
+                        .arms[static_cast<std::size_t>(Engine::Xccl)]
+                        .fallbacks;
+      }
+    });
+    return fallbacks;
+  };
+  const std::uint64_t at_metrics = xccl_fallbacks(obs::Level::Metrics);
+  EXPECT_GT(at_metrics, 0u);
+  EXPECT_EQ(xccl_fallbacks(obs::Level::Decisions), at_metrics);
+  obs::DecisionLog::instance().clear();
+  obs::set_level(obs::Level::Metrics);
 }
 
 TEST(OnlineTuner, HysteresisKeepsTiedLeader) {
