@@ -6,6 +6,8 @@
 //   * tuning.select_entry   the size-class rule walk per dispatch
 //   * plan.cache.find       a plan-cache hit (the persistent replay lookup)
 //   * decision.push         appending one record to a rank's call journal
+//   * span off / traced     one hier level span (obs::Span) with tracing and
+//                           fleet profiling off, and with tracing on
 //   * oneshot allreduce     full dispatch per call (cache-hit steady state)
 //   * persistent start/wait the same collective through a prebuilt handle
 //
@@ -24,7 +26,9 @@
 #include "device/device.hpp"
 #include "fabric/world.hpp"
 #include "obs/decision.hpp"
+#include "obs/obs.hpp"
 #include "sim/profiles.hpp"
+#include "sim/trace.hpp"
 
 using namespace mpixccl;
 
@@ -99,6 +103,26 @@ int main() {
   });
   obs::DecisionLog::instance().clear();
 
+  // One hier stage span per iteration. Off, it costs the two relaxed flag
+  // loads; traced, it also appends one event to rank 0's trace ring (which
+  // wraps at its capacity, so the loop measures the steady state).
+  const bool was_tracing = sim::Trace::enabled();
+  const bool was_profiling = obs::fleet::profiling_enabled();
+  sim::Trace::set_enabled(false);
+  obs::fleet::set_profiling(false);
+  sim::VirtualClock clock;
+  const std::uint16_t node = sim::levels().intern("node");
+  const auto stage_span = [&] {
+    obs::Span span(0, clock, obs::SpanName::AllreducePipe, node);
+    clock.advance(1.0);
+  };
+  const double span_off_ns = median_ns(reps, iters, stage_span);
+  sim::Trace::set_enabled(true);
+  const double span_traced_ns = median_ns(reps, iters, stage_span);
+  sim::Trace::instance().clear();
+  sim::Trace::set_enabled(was_tracing);
+  obs::fleet::set_profiling(was_profiling);
+
   // --- End-to-end: one-shot vs persistent start/wait ------------------------
   // Two ranks keep thread contention out of the host timing; both paths move
   // the same simulated bytes through the same engine, so the delta is the
@@ -140,6 +164,8 @@ int main() {
       {{"select_entry", {{kBytes, select_ns}}},
        {"plan_find_hit", {{kBytes, find_ns}}},
        {"decision_push", {{kBytes, push_ns}}},
+       {"span_off", {{kBytes, span_off_ns}}},
+       {"span_traced", {{kBytes, span_traced_ns}}},
        {"oneshot_allreduce", {{kBytes, oneshot_ns}}},
        {"persistent_start_wait", {{kBytes, persistent_ns}}}});
 

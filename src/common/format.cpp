@@ -50,6 +50,12 @@ std::string size_label(std::size_t bytes) {
   return std::to_string(bytes);
 }
 
+std::string num(double v, int prec) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+  return buf;
+}
+
 std::string fixed(double v, int prec) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", prec, v);

@@ -24,6 +24,10 @@ std::string json_escape(std::string_view s);
 /// truncation loses sub-microsecond structure.
 std::string json_double(double v);
 
+/// %.*g with `prec` significant digits: stable, locale-free text for report
+/// and JSON numbers that need not round-trip exactly.
+std::string num(double v, int prec = 10);
+
 /// Fixed-point with `prec` decimals.
 std::string fixed(double v, int prec = 2);
 

@@ -239,7 +239,7 @@ std::shared_ptr<const Plan> XcclMpi::plan_for(const CallArgs& a,
 std::shared_ptr<Plan> XcclMpi::build_plan(const PlanKey& key, CollOp op,
                                           std::size_t bytes, mini::Comm& comm) {
   const double t0 = context().clock().now();
-  obs::Span span(rank(), context().clock(), "plan.build", "core.plan");
+  obs::Span span(rank(), context().clock(), obs::SpanName::PlanBuild);
   auto plan = std::make_shared<Plan>();
   plan->key = key;
   plan->id = next_plan_id();
@@ -342,9 +342,9 @@ void XcclMpi::complete(OpRecord& rec, const EnginePick& pick,
   // Slow-call hook: the flight recorder keeps the top-K slowest dispatches
   // (fast path: one relaxed load, no copy).
   obs::FlightRecorder::instance().record(done);
-  sim::Trace::instance().record(done.rank, to_string(done.op),
-                                to_string(done.engine), done.enter_us,
-                                done.done_us);
+  sim::Trace::instance().record({done.rank,
+                                 sim::engine_span(done.op, done.engine),
+                                 sim::kNoLevel, done.enter_us, done.done_us});
 }
 
 // ---- The dispatch ladder ----------------------------------------------------
@@ -671,42 +671,54 @@ Persistent XcclMpi::reduce_scatter_init(const void* sendbuf, void* recvbuf,
 }
 
 // ---- Composed send/recv collectives (paper Sec. 3.3, Listing 1) -----------
-// Each picks its own engine (no plan), runs the ladder's xCCL rung when the
-// pick says xCCL, the MPI algorithm otherwise or on fallback, and closes
-// its record with blocking semantics.
+// Each picks its own engine (no plan), runs the ladder's xCCL rung as one
+// group of sends and recvs when the pick says xCCL, the MPI algorithm
+// otherwise or on fallback, and closes its record with blocking semantics.
 
-XcclResult XcclMpi::x_alltoallv(const void* sendbuf,
-                                std::span<const std::size_t> sendcounts,
-                                std::span<const std::size_t> sdispls,
-                                mini::Datatype st, void* recvbuf,
-                                std::span<const std::size_t> recvcounts,
-                                std::span<const std::size_t> rdispls,
-                                mini::Datatype rt, mini::Comm& comm) {
+XcclResult XcclMpi::x_group(obs::SpanName name, const void* sendbuf,
+                            mini::Datatype st, std::span<const P2pMove> sends,
+                            void* recvbuf, mini::Datatype rt,
+                            std::span<const P2pMove> recvs, mini::Comm& comm) {
   const auto& caps = backend_->capabilities();
   if (!caps.can_move(st.base) || !caps.can_move(rt.base)) {
     return XcclResult::UnsupportedDatatype;
   }
   xccl::CclComm& cc = ccl_comm(comm);
   device::Stream& stream = context().stream();
-  const std::size_t ssz = st.size();
-  const std::size_t rsz = rt.size();
+  // The error names the group's stage, built only on failure.
+  const auto check = [name](XcclResult r, std::string_view step) {
+    if (ok(r)) return;
+    throw_if_error(r, std::string(sim::span_info(name).name) + ' ' +
+                          std::string(step));
+  };
 
-  // Listing 1: one group enclosing a send and a recv per peer.
-  obs::Span span(rank(), context().clock(), "alltoallv.group", "xccl.stage");
-  throw_if_error(backend_->group_start(), "x_alltoallv group_start");
+  obs::Span span(rank(), context().clock(), name);
+  check(backend_->group_start(), "group_start");
+  for (const P2pMove& m : sends) {
+    check(backend_->send(cat(sendbuf, m.off), m.count * st.count, st.base,
+                         m.peer, cc, stream),
+          "send");
+  }
+  for (const P2pMove& m : recvs) {
+    check(backend_->recv(mat(recvbuf, m.off), m.count * rt.count, rt.base,
+                         m.peer, cc, stream),
+          "recv");
+  }
+  check(backend_->group_end(), "group_end");
+  return XcclResult::Success;
+}
+
+std::vector<XcclMpi::P2pMove> XcclMpi::per_peer(
+    const mini::Comm& comm, mini::Datatype dt, std::size_t count,
+    std::span<const std::size_t> counts, std::span<const std::size_t> displs) {
+  std::vector<P2pMove> out;
   for (int r = 0; r < comm.size(); ++r) {
     const auto ur = static_cast<std::size_t>(r);
-    throw_if_error(backend_->send(cat(sendbuf, sdispls[ur] * ssz),
-                                  sendcounts[ur] * st.count, st.base, r, cc,
-                                  stream),
-                   "x_alltoallv send");
-    throw_if_error(backend_->recv(mat(recvbuf, rdispls[ur] * rsz),
-                                  recvcounts[ur] * rt.count, rt.base, r, cc,
-                                  stream),
-                   "x_alltoallv recv");
+    out.push_back(counts.empty()
+                      ? P2pMove{r, ur * count * dt.size(), count}
+                      : P2pMove{r, displs[ur] * dt.size(), counts[ur]});
   }
-  throw_if_error(backend_->group_end(), "x_alltoallv group_end");
-  return XcclResult::Success;
+  return out;
 }
 
 void XcclMpi::alltoall(const void* sendbuf, std::size_t sendcount,
@@ -722,16 +734,9 @@ void XcclMpi::alltoall(const void* sendbuf, std::size_t sendcount,
                : pick_engine(CollOp::Alltoall, rec.d_.bytes, sendbuf, recvbuf);
   Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
-    const auto up = static_cast<std::size_t>(comm.size());
-    std::vector<std::size_t> counts(up, sendcount);
-    std::vector<std::size_t> sdispls(up);
-    std::vector<std::size_t> rdispls(up);
-    for (std::size_t r = 0; r < up; ++r) {
-      sdispls[r] = r * sendcount;
-      rdispls[r] = r * recvcount;
-    }
-    c = xccl_rung(x_alltoallv(sendbuf, counts, sdispls, st, recvbuf, counts,
-                              rdispls, rt, comm),
+    c = xccl_rung(x_group(obs::SpanName::AlltoallvGroup, sendbuf, st,
+                          per_peer(comm, st, sendcount), recvbuf, rt,
+                          per_peer(comm, rt, recvcount), comm),
                   pick, /*composed=*/true);
   }
   if (c.engine == Engine::Mpi) {
@@ -753,8 +758,9 @@ void XcclMpi::alltoallv(const void* sendbuf,
       pick_engine_agreed(CollOp::Alltoallv, max_block, sendbuf, recvbuf, comm);
   Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
-    c = xccl_rung(x_alltoallv(sendbuf, sendcounts, sdispls, st, recvbuf,
-                              recvcounts, rdispls, rt, comm),
+    c = xccl_rung(x_group(obs::SpanName::AlltoallvGroup, sendbuf, st,
+                          per_peer(comm, st, 0, sendcounts, sdispls), recvbuf,
+                          rt, per_peer(comm, rt, 0, recvcounts, rdispls), comm),
                   pick, /*composed=*/true);
   }
   if (c.engine == Engine::Mpi) {
@@ -762,37 +768,6 @@ void XcclMpi::alltoallv(const void* sendbuf,
                    rdispls, rt, comm);
   }
   complete(rec, pick, settle(c));
-}
-
-XcclResult XcclMpi::x_gatherv(const void* sendbuf, std::size_t sendcount,
-                              mini::Datatype st, void* recvbuf,
-                              std::span<const std::size_t> recvcounts,
-                              std::span<const std::size_t> displs,
-                              mini::Datatype rt, int root, mini::Comm& comm) {
-  const auto& caps = backend_->capabilities();
-  if (!caps.can_move(st.base) || !caps.can_move(rt.base)) {
-    return XcclResult::UnsupportedDatatype;
-  }
-  xccl::CclComm& cc = ccl_comm(comm);
-  device::Stream& stream = context().stream();
-
-  obs::Span span(rank(), context().clock(), "gatherv.group", "xccl.stage");
-  throw_if_error(backend_->group_start(), "x_gatherv group_start");
-  throw_if_error(backend_->send(sendbuf, sendcount * st.count, st.base, root, cc,
-                                stream),
-                 "x_gatherv send");
-  if (comm.rank() == root) {
-    const std::size_t rsz = rt.size();
-    for (int r = 0; r < comm.size(); ++r) {
-      const auto ur = static_cast<std::size_t>(r);
-      throw_if_error(backend_->recv(mat(recvbuf, displs[ur] * rsz),
-                                    recvcounts[ur] * rt.count, rt.base, r, cc,
-                                    stream),
-                     "x_gatherv recv");
-    }
-  }
-  throw_if_error(backend_->group_end(), "x_gatherv group_end");
-  return XcclResult::Success;
 }
 
 void XcclMpi::gather(const void* sendbuf, std::size_t sendcount, mini::Datatype st,
@@ -803,12 +778,11 @@ void XcclMpi::gather(const void* sendbuf, std::size_t sendcount, mini::Datatype 
       pick_engine(CollOp::Gather, rec.d_.bytes, sendbuf, recvbuf);
   Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
-    const auto up = static_cast<std::size_t>(comm.size());
-    std::vector<std::size_t> counts(up, recvcount);
-    std::vector<std::size_t> displs(up);
-    for (std::size_t r = 0; r < up; ++r) displs[r] = r * recvcount;
-    c = xccl_rung(x_gatherv(sendbuf, sendcount, st, recvbuf, counts, displs, rt,
-                            root, comm),
+    const P2pMove send{root, 0, sendcount};
+    std::vector<P2pMove> recvs;
+    if (comm.rank() == root) recvs = per_peer(comm, rt, recvcount);
+    c = xccl_rung(x_group(obs::SpanName::GathervGroup, sendbuf, st, {&send, 1},
+                          recvbuf, rt, recvs, comm),
                   pick, /*composed=*/true);
   }
   if (c.engine == Engine::Mpi) {
@@ -827,8 +801,11 @@ void XcclMpi::gatherv(const void* sendbuf, std::size_t sendcount,
       pick_engine_agreed(CollOp::Gather, rec.d_.bytes, sendbuf, recvbuf, comm);
   Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
-    c = xccl_rung(x_gatherv(sendbuf, sendcount, st, recvbuf, recvcounts, displs,
-                            rt, root, comm),
+    const P2pMove send{root, 0, sendcount};
+    std::vector<P2pMove> recvs;
+    if (comm.rank() == root) recvs = per_peer(comm, rt, 0, recvcounts, displs);
+    c = xccl_rung(x_group(obs::SpanName::GathervGroup, sendbuf, st, {&send, 1},
+                          recvbuf, rt, recvs, comm),
                   pick, /*composed=*/true);
   }
   if (c.engine == Engine::Mpi) {
@@ -836,38 +813,6 @@ void XcclMpi::gatherv(const void* sendbuf, std::size_t sendcount,
                  comm);
   }
   complete(rec, pick, settle(c));
-}
-
-XcclResult XcclMpi::x_scatterv(const void* sendbuf,
-                               std::span<const std::size_t> sendcounts,
-                               std::span<const std::size_t> displs,
-                               mini::Datatype st, void* recvbuf,
-                               std::size_t recvcount, mini::Datatype rt, int root,
-                               mini::Comm& comm) {
-  const auto& caps = backend_->capabilities();
-  if (!caps.can_move(st.base) || !caps.can_move(rt.base)) {
-    return XcclResult::UnsupportedDatatype;
-  }
-  xccl::CclComm& cc = ccl_comm(comm);
-  device::Stream& stream = context().stream();
-
-  obs::Span span(rank(), context().clock(), "scatterv.group", "xccl.stage");
-  throw_if_error(backend_->group_start(), "x_scatterv group_start");
-  if (comm.rank() == root) {
-    const std::size_t ssz = st.size();
-    for (int r = 0; r < comm.size(); ++r) {
-      const auto ur = static_cast<std::size_t>(r);
-      throw_if_error(backend_->send(cat(sendbuf, displs[ur] * ssz),
-                                    sendcounts[ur] * st.count, st.base, r, cc,
-                                    stream),
-                     "x_scatterv send");
-    }
-  }
-  throw_if_error(backend_->recv(recvbuf, recvcount * rt.count, rt.base, root, cc,
-                                stream),
-                 "x_scatterv recv");
-  throw_if_error(backend_->group_end(), "x_scatterv group_end");
-  return XcclResult::Success;
 }
 
 void XcclMpi::scatter(const void* sendbuf, std::size_t sendcount,
@@ -878,12 +823,11 @@ void XcclMpi::scatter(const void* sendbuf, std::size_t sendcount,
       pick_engine(CollOp::Scatter, rec.d_.bytes, sendbuf, recvbuf);
   Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
-    const auto up = static_cast<std::size_t>(comm.size());
-    std::vector<std::size_t> counts(up, sendcount);
-    std::vector<std::size_t> displs(up);
-    for (std::size_t r = 0; r < up; ++r) displs[r] = r * sendcount;
-    c = xccl_rung(x_scatterv(sendbuf, counts, displs, st, recvbuf, recvcount, rt,
-                             root, comm),
+    const P2pMove recv{root, 0, recvcount};
+    std::vector<P2pMove> sends;
+    if (comm.rank() == root) sends = per_peer(comm, st, sendcount);
+    c = xccl_rung(x_group(obs::SpanName::ScattervGroup, sendbuf, st, sends,
+                          recvbuf, rt, {&recv, 1}, comm),
                   pick, /*composed=*/true);
   }
   if (c.engine == Engine::Mpi) {
@@ -902,8 +846,11 @@ void XcclMpi::scatterv(const void* sendbuf,
       pick_engine_agreed(CollOp::Scatter, rec.d_.bytes, sendbuf, recvbuf, comm);
   Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
-    c = xccl_rung(x_scatterv(sendbuf, sendcounts, displs, st, recvbuf, recvcount,
-                             rt, root, comm),
+    const P2pMove recv{root, 0, recvcount};
+    std::vector<P2pMove> sends;
+    if (comm.rank() == root) sends = per_peer(comm, st, 0, sendcounts, displs);
+    c = xccl_rung(x_group(obs::SpanName::ScattervGroup, sendbuf, st, sends,
+                          recvbuf, rt, {&recv, 1}, comm),
                   pick, /*composed=*/true);
   }
   if (c.engine == Engine::Mpi) {
@@ -911,37 +858,6 @@ void XcclMpi::scatterv(const void* sendbuf,
                   comm);
   }
   complete(rec, pick, settle(c));
-}
-
-XcclResult XcclMpi::x_allgatherv(const void* sendbuf, std::size_t sendcount,
-                                 mini::Datatype st, void* recvbuf,
-                                 std::span<const std::size_t> recvcounts,
-                                 std::span<const std::size_t> displs,
-                                 mini::Datatype rt, mini::Comm& comm) {
-  const auto& caps = backend_->capabilities();
-  if (!caps.can_move(st.base) || !caps.can_move(rt.base)) {
-    return XcclResult::UnsupportedDatatype;
-  }
-  xccl::CclComm& cc = ccl_comm(comm);
-  device::Stream& stream = context().stream();
-  const std::size_t rsz = rt.size();
-
-  // Every rank sends its block to everyone and receives all blocks (no CCL
-  // builtin handles ragged blocks).
-  obs::Span span(rank(), context().clock(), "allgatherv.group", "xccl.stage");
-  throw_if_error(backend_->group_start(), "allgatherv group_start");
-  for (int r = 0; r < comm.size(); ++r) {
-    const auto ur = static_cast<std::size_t>(r);
-    throw_if_error(backend_->send(sendbuf, sendcount * st.count, st.base, r, cc,
-                                  stream),
-                   "allgatherv send");
-    throw_if_error(backend_->recv(mat(recvbuf, displs[ur] * rsz),
-                                  recvcounts[ur] * rt.count, rt.base, r, cc,
-                                  stream),
-                   "allgatherv recv");
-  }
-  throw_if_error(backend_->group_end(), "allgatherv group_end");
-  return XcclResult::Success;
 }
 
 void XcclMpi::allgatherv(const void* sendbuf, std::size_t sendcount,
@@ -954,8 +870,13 @@ void XcclMpi::allgatherv(const void* sendbuf, std::size_t sendcount,
                                              sendbuf, recvbuf, comm);
   Completion c{.reason = pick.reason};
   if (pick.engine == Engine::Xccl) {
-    c = xccl_rung(x_allgatherv(sendbuf, sendcount, st, recvbuf, recvcounts,
-                               displs, rt, comm),
+    // Every rank sends its block to everyone and receives all blocks (no
+    // CCL builtin handles ragged blocks).
+    std::vector<P2pMove> sends;
+    for (int r = 0; r < comm.size(); ++r) sends.push_back({r, 0, sendcount});
+    c = xccl_rung(x_group(obs::SpanName::AllgathervGroup, sendbuf, st, sends,
+                          recvbuf, rt, per_peer(comm, rt, 0, recvcounts, displs),
+                          comm),
                   pick, /*composed=*/true);
   }
   if (c.engine == Engine::Mpi) {

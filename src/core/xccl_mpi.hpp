@@ -38,6 +38,7 @@
 #include "hier/hier.hpp"
 #include "mpi/mpi.hpp"
 #include "obs/decision.hpp"
+#include "sim/trace.hpp"
 #include "tune/adaptive.hpp"
 #include "xccl/backend.hpp"
 
@@ -412,29 +413,27 @@ class XcclMpi {
   void complete(OpRecord& rec, const EnginePick& pick, const Completion& c,
                 std::string_view level_path = {}, bool log = true);
 
-  // Composed (send/recv-based) xCCL collectives; return a fallback-able
-  // XcclResult (paper Sec. 3.3, Listing 1).
-  XcclResult x_alltoallv(const void* sendbuf,
-                         std::span<const std::size_t> sendcounts,
-                         std::span<const std::size_t> sdispls, mini::Datatype st,
-                         void* recvbuf, std::span<const std::size_t> recvcounts,
-                         std::span<const std::size_t> rdispls, mini::Datatype rt,
-                         mini::Comm& comm);
-  XcclResult x_gatherv(const void* sendbuf, std::size_t sendcount,
-                       mini::Datatype st, void* recvbuf,
-                       std::span<const std::size_t> recvcounts,
-                       std::span<const std::size_t> displs, mini::Datatype rt,
-                       int root, mini::Comm& comm);
-  XcclResult x_scatterv(const void* sendbuf,
-                        std::span<const std::size_t> sendcounts,
-                        std::span<const std::size_t> displs, mini::Datatype st,
-                        void* recvbuf, std::size_t recvcount, mini::Datatype rt,
-                        int root, mini::Comm& comm);
-  XcclResult x_allgatherv(const void* sendbuf, std::size_t sendcount,
-                          mini::Datatype st, void* recvbuf,
-                          std::span<const std::size_t> recvcounts,
-                          std::span<const std::size_t> displs,
-                          mini::Datatype rt, mini::Comm& comm);
+  /// One point-to-point move of a composed collective: `count` elements to
+  /// or from communicator rank `peer`, at byte offset `off` of the buffer.
+  struct P2pMove {
+    int peer;
+    std::size_t off;
+    std::size_t count;
+  };
+  /// Run `sends` (from sendbuf, type st) and `recvs` (into recvbuf, type rt)
+  /// as one xCCL group under the `name` stage span: the composed (send/recv)
+  /// collectives of paper Sec. 3.3, Listing 1. Returns a fallback-able
+  /// XcclResult.
+  XcclResult x_group(sim::SpanName name, const void* sendbuf, mini::Datatype st,
+                     std::span<const P2pMove> sends, void* recvbuf,
+                     mini::Datatype rt, std::span<const P2pMove> recvs,
+                     mini::Comm& comm);
+  /// One move per rank r of `comm`: counts[r] elements of dt at displs[r],
+  /// or, with no counts given, `count` elements at r * count.
+  static std::vector<P2pMove> per_peer(const mini::Comm& comm,
+                                       mini::Datatype dt, std::size_t count,
+                                       std::span<const std::size_t> counts = {},
+                                       std::span<const std::size_t> displs = {});
 
   mini::Mpi mpi_;
   XcclMpiOptions options_;

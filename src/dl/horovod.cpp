@@ -253,7 +253,7 @@ TrainerResult run_training(const sim::SystemProfile& profile, int nodes,
     auto train_step = [&] {
       auto& clock = ctx.clock();
       const double step_t0 = clock.now();
-      obs::Span step_span(ctx.rank(), clock, "train_step", "dl");
+      obs::Span step_span(ctx.rank(), clock, obs::SpanName::TrainStep);
       // Forward pass (one fused kernel).
       ctx.device().launch_kernel(
           config.model.fwd_us_per_image * config.batch_size, compute, clock,

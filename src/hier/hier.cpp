@@ -8,8 +8,8 @@
 #include "common/log.hpp"
 #include "common/reduce.hpp"
 #include "common/status.hpp"
-#include "obs/fleet.hpp"
 #include "obs/obs.hpp"
+#include "sim/trace.hpp"
 
 namespace mpixccl::hier {
 
@@ -31,6 +31,14 @@ std::byte* mat(void* p, std::size_t off) { return static_cast<std::byte*>(p) + o
 ReduceOp stage_op(ReduceOp op) { return op == ReduceOp::Avg ? ReduceOp::Sum : op; }
 
 bool avg_supported(DataType dt) { return is_floating(dt) || is_complex(dt); }
+
+using obs::SpanName;
+
+/// A stage span on this rank's track, optionally at one level of the chain.
+obs::Span stage(mini::Mpi& mpi, SpanName name,
+                std::uint16_t level = sim::kNoLevel) {
+  return {mpi.rank(), mpi.context().clock(), name, level};
+}
 
 bool same_chain(const std::vector<sim::TopoLevel>& a,
                 const std::vector<sim::TopoLevel>& b) {
@@ -185,13 +193,12 @@ HierEngine::HierComms& HierEngine::prepare(mini::Comm& comm) {
     // The splits are collective and cost virtual time; the stage span keeps
     // the first dispatch through a communicator fully attributable (the
     // critical-path report would otherwise show its setup cost as a gap).
-    obs::Span span(me, mpi_->context().clock(), "hier.comm_setup",
-                   "hier.stage");
+    auto span = stage(*mpi_, SpanName::HierCommSetup);
     int stride = 1;
     for (const DimSpec& d : spec) {
       const int digit = (me / stride) % d.size;
       hc.dims.push_back(d.size);
-      hc.names.push_back(d.name);
+      hc.level_ids.push_back(sim::levels().intern(d.name));
       hc.links.push_back(d.link);
       hc.coord.push_back(digit);
       // Color = my rank with this dim's digit zeroed: members of one
@@ -338,8 +345,7 @@ bool HierEngine::allreduce(HierComms& hc, const void* sendbuf, void* recvbuf,
     if (shape.mode == ArMode::Pipelined) {
       // One span for the whole pipelined schedule: its per-level exchanges
       // interleave, so per-stage spans would overlap and mislead.
-      obs::Span span(mpi_->rank(), mpi_->context().clock(),
-                     "allreduce.pipelined", "hier.stage");
+      auto span = stage(*mpi_, SpanName::AllreducePipelined);
       pipelined_allreduce(ws, shape.unit, shape.chunks, dt.base, stage_op(op),
                           hc);
     } else {
@@ -360,8 +366,6 @@ void HierEngine::staged_allreduce(std::byte* ws, std::size_t padded,
                                   DataType base, ReduceOp op, HierComms& hc) {
   const std::size_t esz = datatype_size(base);
   const mini::Datatype dtb{base, 1};
-  const int rank = mpi_->rank();
-  const sim::VirtualClock& clock = mpi_->context().clock();
   const std::size_t D = hc.dims.size();
 
   // Shard sizes up the chain and their offsets in the stage buffer. Level j
@@ -382,20 +386,20 @@ void HierEngine::staged_allreduce(std::byte* ws, std::size_t padded,
 
   const std::byte* buf = ws;
   for (std::size_t j = 0; j + 1 < D; ++j) {
-    obs::fleet::LevelSpan span(rank, clock, "allreduce.rs", hc.names[j]);
+    auto span = stage(*mpi_, SpanName::AllreduceRs, hc.level_ids[j]);
     mpi_->reduce_scatter_block(buf, stg + off[j] * esz, shard[j], dtb, op,
                                hc.comms[j]);
     buf = stg + off[j] * esz;
   }
   std::byte* out = stg + out_off * esz;
   {
-    obs::fleet::LevelSpan span(rank, clock, "allreduce.ar", hc.names[D - 1]);
+    auto span = stage(*mpi_, SpanName::AllreduceAr, hc.level_ids[D - 1]);
     mpi_->allreduce(buf, out, shard[D - 2], dtb, op, hc.comms[D - 1]);
   }
   const std::byte* src = out;
   for (std::size_t j = D - 1; j-- > 0;) {
     std::byte* dst = (j == 0) ? ws : stg + off[j - 1] * esz;
-    obs::fleet::LevelSpan span(rank, clock, "allreduce.ag", hc.names[j]);
+    auto span = stage(*mpi_, SpanName::AllreduceAg, hc.level_ids[j]);
     mpi_->allgather(src, shard[j], dtb, dst, shard[j], dtb, hc.comms[j]);
     src = dst;
   }
@@ -408,8 +412,6 @@ void HierEngine::cico_allreduce(const void* sendbuf, void* recvbuf,
   const std::size_t bytes = elems * esz;
   const mini::Datatype dtb{base, 1};
   const std::size_t D = hc.dims.size();
-  const int rank = mpi_->rank();
-  const sim::VirtualClock& clock = mpi_->context().clock();
 
   // XHC-style copy-in-copy-out: whole messages hop leader-to-leader instead
   // of paying one shard exchange (alpha + rendezvous each) per level. A rank
@@ -426,8 +428,7 @@ void HierEngine::cico_allreduce(const void* sendbuf, void* recvbuf,
   const void* cur = sendbuf;
   int pp = 0;
   for (std::size_t j = 0; j + 1 < D; ++j) {
-    obs::fleet::LevelSpan span(rank, clock, "allreduce.cico_reduce",
-                               hc.names[j]);
+    auto span = stage(*mpi_, SpanName::AllreduceCicoReduce, hc.level_ids[j]);
     if (leader_through(j)) {
       mpi_->reduce(cur, half[pp], elems, dtb, op, 0, hc.comms[j]);
       cur = half[pp];
@@ -435,15 +436,13 @@ void HierEngine::cico_allreduce(const void* sendbuf, void* recvbuf,
     }
   }
   {
-    obs::fleet::LevelSpan span(rank, clock, "allreduce.cico_ar",
-                               hc.names[D - 1]);
+    auto span = stage(*mpi_, SpanName::AllreduceCicoAr, hc.level_ids[D - 1]);
     if (leader_through(D - 1)) {
       mpi_->allreduce(cur, recvbuf, elems, dtb, op, hc.comms[D - 1]);
     }
   }
   for (std::size_t j = D - 1; j-- > 0;) {
-    obs::fleet::LevelSpan span(rank, clock, "allreduce.cico_bcast",
-                               hc.names[j]);
+    auto span = stage(*mpi_, SpanName::AllreduceCicoBcast, hc.level_ids[j]);
     if (leader_through(j)) {
       mpi_->bcast(recvbuf, elems, dtb, 0, hc.comms[j]);
     }
@@ -551,8 +550,7 @@ void HierEngine::pipelined_allreduce(std::byte* ws, std::size_t unit,
     // time this rank spent blocked on dim j's exchange (a late partner at
     // that level shows up here), and completes are issued sequentially, so
     // the spans never overlap even when chunks pipeline.
-    obs::fleet::LevelSpan span(mpi_->rank(), mpi_->context().clock(),
-                               "allreduce.pipe", hc.names[j]);
+    auto span = stage(*mpi_, SpanName::AllreducePipe, hc.level_ids[j]);
     std::byte* cb = ws + c.base * esz;
     mpi_->wait(c.sreq);
     mpi_->wait(c.rreq);
@@ -659,8 +657,6 @@ bool HierEngine::bcast(HierComms& hc, void* buf, std::size_t count,
   const std::size_t bytes = elems * esz;
   const mini::Datatype dtb{dt.base, 1};
   const std::size_t D = hc.dims.size();
-  const int rank = mpi_->rank();
-  const sim::VirtualClock& clock = mpi_->context().clock();
 
   const std::vector<int> r = digits_of(root, hc.dims);
   // Participants at step j are the ranks whose deeper digits all match the
@@ -676,7 +672,7 @@ bool HierEngine::bcast(HierComms& hc, void* buf, std::size_t count,
     // Leader chain: the root's column carries the message across each
     // boundary from the outermost in, then every group fans out locally.
     for (std::size_t j = D; j-- > 0;) {
-      obs::fleet::LevelSpan span(rank, clock, "bcast.leader", hc.names[j]);
+      auto span = stage(*mpi_, SpanName::BcastLeader, hc.level_ids[j]);
       if (on_root_path(j)) {
         mpi_->bcast(buf, count, dt, r[j], hc.comms[j]);
       }
@@ -712,7 +708,7 @@ bool HierEngine::bcast(HierComms& hc, void* buf, std::size_t count,
   const std::byte* src = ws;
   for (std::size_t j = D - 1; j-- > 0;) {
     std::byte* dst = pp[(D - 2 - j) % 2];
-    obs::fleet::LevelSpan span(rank, clock, "bcast.scatter", hc.names[j]);
+    auto span = stage(*mpi_, SpanName::BcastScatter, hc.level_ids[j]);
     if (hc.coord[D - 1] == r[D - 1] && on_root_path(j)) {
       mpi_->scatter(src, stride[j] * seg, dtb, dst, stride[j] * seg, dtb, r[j],
                     hc.comms[j]);
@@ -723,7 +719,7 @@ bool HierEngine::bcast(HierComms& hc, void* buf, std::size_t count,
   // Every rank's own segment crosses the network once, down its column.
   std::byte* segbuf = pp[(D - 2) % 2];
   {
-    obs::fleet::LevelSpan span(rank, clock, "bcast", hc.names[D - 1]);
+    auto span = stage(*mpi_, SpanName::Bcast, hc.level_ids[D - 1]);
     mpi_->bcast(segbuf, seg, dtb, r[D - 1], hc.comms[D - 1]);
   }
 
@@ -732,7 +728,7 @@ bool HierEngine::bcast(HierComms& hc, void* buf, std::size_t count,
   const std::byte* asrc = segbuf;
   for (std::size_t j = 0; j + 1 < D; ++j) {
     std::byte* dst = (j == D - 2) ? ws : (asrc == pp[0] ? pp[1] : pp[0]);
-    obs::fleet::LevelSpan span(rank, clock, "bcast.ag", hc.names[j]);
+    auto span = stage(*mpi_, SpanName::BcastAg, hc.level_ids[j]);
     mpi_->allgather(asrc, stride[j] * seg, dtb, dst, stride[j] * seg, dtb,
                     hc.comms[j]);
     asrc = dst;
@@ -769,7 +765,6 @@ bool HierEngine::reduce(HierComms& hc, const void* sendbuf, void* recvbuf,
   const std::size_t bytes = count * dt.size();
   const std::size_t D = hc.dims.size();
   const int me = comm.rank();
-  const sim::VirtualClock& clock = mpi_->context().clock();
 
   const std::vector<int> r = digits_of(root, hc.dims);
   auto on_root_path = [&](std::size_t j) {
@@ -787,7 +782,7 @@ bool HierEngine::reduce(HierComms& hc, const void* sendbuf, void* recvbuf,
   std::byte* dst =
       (me == root) ? static_cast<std::byte*>(recvbuf) : scratch(stage_, bytes);
   for (std::size_t j = 0; j < D; ++j) {
-    obs::fleet::LevelSpan span(mpi_->rank(), clock, "reduce", hc.names[j]);
+    auto span = stage(*mpi_, SpanName::Reduce, hc.level_ids[j]);
     if (on_root_path(j)) {
       mpi_->reduce(cur, dst, count, dt, stage_op(op), r[j], hc.comms[j]);
       cur = dst;
@@ -846,7 +841,6 @@ bool HierEngine::allgather(HierComms& hc, const void* sendbuf,
   for (int d : hc.dims) p *= static_cast<std::size_t>(d);
   const std::size_t selems = sendcount * st.count;
   const mini::Datatype stb{st.base, 1};
-  const sim::VirtualClock& clock = mpi_->context().clock();
 
   // Gather from the outermost dim in: each rank's block crosses the slowest
   // link exactly once, and every inner step exchanges whole columns on
@@ -860,7 +854,7 @@ bool HierEngine::allgather(HierComms& hc, const void* sendbuf,
   int a = 0;
   for (std::size_t j = D; j-- > 0;) {
     std::byte* dst = (j == 0) ? full : pp[a];
-    obs::fleet::LevelSpan span(mpi_->rank(), clock, "allgather", hc.names[j]);
+    auto span = stage(*mpi_, SpanName::Allgather, hc.level_ids[j]);
     mpi_->allgather(src, selems * cnt, stb, dst, selems * cnt, stb,
                     hc.comms[j]);
     src = dst;
@@ -903,7 +897,6 @@ bool HierEngine::reduce_scatter_block(HierComms& hc, const void* sendbuf,
   std::size_t p = 1;
   for (int d : hc.dims) p *= static_cast<std::size_t>(d);
   const mini::Datatype dtb{dt.base, 1};
-  const sim::VirtualClock& clock = mpi_->context().clock();
 
   // Permute the p input blocks into chain-major order so each level's
   // reduce-scatter keeps a contiguous slice.
@@ -924,7 +917,7 @@ bool HierEngine::reduce_scatter_block(HierComms& hc, const void* sendbuf,
   for (std::size_t j = 0; j < D; ++j) {
     cnt /= static_cast<std::size_t>(hc.dims[j]);
     std::byte* dst = (j == D - 1) ? static_cast<std::byte*>(recvbuf) : pp[a];
-    obs::fleet::LevelSpan span(mpi_->rank(), clock, "rs", hc.names[j]);
+    auto span = stage(*mpi_, SpanName::Rs, hc.level_ids[j]);
     mpi_->reduce_scatter_block(src, dst, relems * cnt, dtb, stage_op(op),
                                hc.comms[j]);
     src = dst;

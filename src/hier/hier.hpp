@@ -76,7 +76,7 @@ class HierEngine {
     int nodes = 0;            ///< N (size of the network dim)
     int per_node = 0;         ///< L (ranks per node block)
     std::vector<int> dims;            ///< per-dim sizes, innermost first
-    std::vector<std::string> names;   ///< scope name per dim ("numa".."net")
+    std::vector<std::uint16_t> level_ids;  ///< scope per dim, sim::levels() id
     std::vector<int> coord;           ///< my digit per dim
     std::vector<mini::Comm> comms;    ///< per-dim subcommunicator (rank = digit)
     std::vector<sim::LinkParams> links;  ///< est. link class per dim

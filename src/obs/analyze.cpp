@@ -17,11 +17,7 @@ namespace mpixccl::obs {
 
 namespace {
 
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
+using fmt::num;
 
 bool contains(std::string_view haystack, std::string_view needle) {
   return haystack.find(needle) != std::string_view::npos;
@@ -36,13 +32,17 @@ FlightRecorder& FlightRecorder::instance() {
   return f;
 }
 
+void FlightRecorder::refloor() {
+  floor_.store(top_.size() == capacity_ ? top_.back().elapsed_us() : 0.0,
+               std::memory_order_relaxed);
+}
+
 void FlightRecorder::set_capacity(std::size_t k) {
   require(k > 0, "FlightRecorder::set_capacity: capacity must be positive");
   std::lock_guard lock(mu_);
   capacity_ = k;
   if (top_.size() > k) top_.resize(k);
-  floor_.store(top_.size() == capacity_ ? top_.back().elapsed_us() : 0.0,
-               std::memory_order_relaxed);
+  refloor();
 }
 
 std::size_t FlightRecorder::capacity() const {
@@ -63,8 +63,7 @@ void FlightRecorder::record(const DispatchDecision& d) {
                                 });
   top_.insert(pos, d);
   if (top_.size() > capacity_) top_.pop_back();
-  floor_.store(top_.size() == capacity_ ? top_.back().elapsed_us() : 0.0,
-               std::memory_order_relaxed);
+  refloor();
 }
 
 std::vector<DispatchDecision> FlightRecorder::records() const {
@@ -75,7 +74,7 @@ std::vector<DispatchDecision> FlightRecorder::records() const {
 void FlightRecorder::clear() {
   std::lock_guard lock(mu_);
   top_.clear();
-  floor_.store(0.0, std::memory_order_relaxed);
+  refloor();
 }
 
 std::size_t FlightRecorder::purge_plan_records(
@@ -91,8 +90,7 @@ std::size_t FlightRecorder::purge_plan_records(
              top_.end());
   // Removals can reopen the table: recompute the admission floor so future
   // records are not bounced off a threshold set by a purged entry.
-  floor_.store(top_.size() == capacity_ ? top_.back().elapsed_us() : 0.0,
-               std::memory_order_relaxed);
+  refloor();
   return before - top_.size();
 }
 
@@ -162,21 +160,7 @@ std::string FlightRecorder::report() const {
 
 // ---- Critical-path attribution ----------------------------------------------
 
-namespace {
-
 constexpr double kEps = 1e-6;  // virtual-time slop for span containment
-
-bool is_engine_category(const std::string& c) {
-  return c == "mpi" || c == "xccl" || c == "hier";
-}
-
-bool is_stage_category(const std::string& c) {
-  constexpr std::string_view kSuffix = ".stage";
-  return c.size() > kSuffix.size() &&
-         c.compare(c.size() - kSuffix.size(), kSuffix.size(), kSuffix) == 0;
-}
-
-}  // namespace
 
 std::vector<DispatchAttribution> attribute_dispatches(
     const std::vector<sim::TraceEvent>& events,
@@ -186,11 +170,11 @@ std::vector<DispatchAttribution> attribute_dispatches(
   std::vector<std::vector<std::pair<double, double>>> child_ivals;
   std::map<int, std::vector<std::size_t>> parents_by_rank;
   for (const sim::TraceEvent& e : events) {
-    if (!is_engine_category(e.category)) continue;
+    if (!e.is_engine()) continue;
     DispatchAttribution a;
     a.rank = e.rank;
-    a.op = e.name;
-    a.engine = e.category;
+    a.op = e.name();
+    a.engine = e.category();
     a.begin_us = e.begin_us;
     a.end_us = e.end_us;
     parents_by_rank[e.rank].push_back(out.size());
@@ -199,7 +183,7 @@ std::vector<DispatchAttribution> attribute_dispatches(
   }
 
   for (const sim::TraceEvent& e : events) {
-    if (!is_stage_category(e.category)) continue;
+    if (!e.is_stage()) continue;
     const auto it = parents_by_rank.find(e.rank);
     if (it == parents_by_rank.end()) continue;
     for (const std::size_t pi : it->second) {
@@ -208,11 +192,12 @@ std::vector<DispatchAttribution> attribute_dispatches(
       const double b = std::max(e.begin_us, a.begin_us);
       const double t = std::min(e.end_us, a.end_us);
       child_ivals[pi].emplace_back(b, t);
+      const std::string name = e.name();
       auto stage = std::find_if(
           a.stage_us.begin(), a.stage_us.end(),
-          [&](const auto& s) { return s.first == e.name; });
+          [&](const auto& s) { return s.first == name; });
       if (stage == a.stage_us.end()) {
-        a.stage_us.emplace_back(e.name, t - b);
+        a.stage_us.emplace_back(name, t - b);
       } else {
         stage->second += t - b;
       }

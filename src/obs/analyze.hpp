@@ -70,6 +70,8 @@ class FlightRecorder {
 
  private:
   FlightRecorder() = default;
+  /// Reset the admission floor from the table (holding mu_).
+  void refloor();
 
   mutable std::mutex mu_;
   std::atomic<double> floor_{0.0};  ///< K-th elapsed once full, else 0

@@ -27,11 +27,7 @@ namespace {
 
 using fmt::json_escape;
 
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
+using fmt::num;
 
 std::int64_t steady_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -90,7 +86,8 @@ struct RankData {
   /// Decision-view dispatch tallies, kept past the ring's overwrites.
   std::array<std::uint64_t, kFallbackReasonCount> reasons{};
   std::array<std::uint64_t, 3> engines{};
-  std::map<std::string, std::pair<double, std::uint64_t>, std::less<>> levels;
+  /// All-time (stage us, stage count) per level id, grown on first use.
+  std::vector<std::pair<double, std::uint64_t>> levels;
 
   /// Journal records passing `keep`, oldest first (holding mu).
   template <typename Keep>
@@ -256,32 +253,14 @@ void app_beat(int rank) {
   slot(rank).beat_ns.store(steady_ns(), std::memory_order_relaxed);
 }
 
-LevelSpan::LevelSpan(int rank, const sim::VirtualClock& clock,
-                     std::string_view stage, std::string_view level) {
-  trace_ = sim::Trace::instance().enabled();
-  fleet_ = profiling_enabled();
-  if (!trace_ && !fleet_) return;
-  clock_ = &clock;
-  rank_ = rank;
-  t0_ = clock.now();
-  stage_ = stage;
-  level_ = level;
-}
-
-LevelSpan::~LevelSpan() {
-  if (clock_ == nullptr) return;
-  const double now = clock_->now();
-  if (trace_) {
-    sim::Trace::instance().record(rank_, stage_ + "." + level_, "hier.stage",
-                                  t0_, now);
-  }
-  if (fleet_ && rank_ok(rank_)) {
-    RankData& d = g_ranks[rank_];
-    std::lock_guard lock(d.mu);
-    auto& [us, calls] = d.levels.try_emplace(level_).first->second;
-    us += now - t0_;
-    ++calls;
-  }
+void add_level_time(int rank, std::uint16_t level, double us) {
+  if (!rank_ok(rank)) return;
+  RankData& d = g_ranks[rank];
+  std::lock_guard lock(d.mu);
+  if (d.levels.size() <= level) d.levels.resize(level + std::size_t{1});
+  auto& [sum_us, calls] = d.levels[level];
+  sum_us += us;
+  ++calls;
 }
 
 // ---- Rank-local capture -----------------------------------------------------
@@ -307,10 +286,15 @@ RankState local_rank_state(int rank) {
     std::lock_guard lock(d.mu);
     st.calls =
         d.records([](const DispatchDecision& c) { return c.call_seq != 0; });
-    for (const auto& [level, acc] : d.levels) {
-      st.levels.push_back({level, acc.first, acc.second});
+    for (std::size_t id = 0; id < d.levels.size(); ++id) {
+      const auto& [us, calls] = d.levels[id];
+      if (calls == 0) continue;
+      st.levels.push_back(
+          {std::string(sim::levels().name(static_cast<std::uint16_t>(id))), us,
+           calls});
     }
   }
+  std::ranges::sort(st.levels, {}, &LevelTime::level);
   return st;
 }
 
@@ -717,15 +701,19 @@ std::string FleetSnapshot::report() const {
   os << line;
   if (skew.empty()) os << "  (no seq-aligned rounds profiled)\n";
   for (const SkewCell& c : skew) {
-    const std::string worst =
-        c.worst_rank < 0 ? "-" : "r" + std::to_string(c.worst_rank);
+    // snprintf, not "r" + to_string: gcc 12 -O3 flags that concatenation
+    // here with a false -Wrestrict.
+    char worst[16] = "-";
+    if (c.worst_rank >= 0) {
+      std::snprintf(worst, sizeof(worst), "r%d", c.worst_rank);
+    }
     std::snprintf(line, sizeof(line),
                   "  %-14s %-8s %7llu %14s %14s %10s %-6s\n",
                   std::string(to_string(c.op)).c_str(),
                   std::string(size_band_name(c.band)).c_str(),
                   static_cast<unsigned long long>(c.rounds),
                   num(c.mean_skew_us).c_str(), num(c.mean_duration_us).c_str(),
-                  num(c.imbalance).c_str(), worst.c_str());
+                  num(c.imbalance).c_str(), worst);
     os << line;
   }
   os << "straggler board (by lateness):\n";

@@ -13,8 +13,8 @@
 //    joins rounds on it and folds the per-round arrival spread into
 //    per-(collective, size-band) skew histograms, an imbalance score, and a
 //    straggler board naming the worst ranks. Hier dispatches additionally
-//    feed per-level stage times (LevelSpan), so the board can say *which
-//    level of the chain* the skew concentrates in.
+//    feed per-level stage times (obs::Span with a level), so the board can
+//    say *which level of the chain* the skew concentrates in.
 //  * Fleet snapshot protocol — core::gather_fleet() (core/fleet_gather.hpp)
 //    serializes every rank's state (call journal, level times, heartbeat) and
 //    gathers the blobs to rank 0 over the library's own collectives;
@@ -23,7 +23,7 @@
 //  * Hang watchdog — every dispatch beats a per-rank heartbeat slot (last
 //    seq/op/bytes/engine/plan, wall-clock instant). A monitor thread checks
 //    the slots in *real* time (rank threads genuinely block on each other's
-//    futures, so a stalled rank stalls its peers' wall clocks too); past
+//    messages, so a stalled rank stalls its peers' wall clocks too); past
 //    MPIXCCL_WATCHDOG_TIMEOUT_MS it dumps the heartbeat table, the blamed
 //    rank's journal tail (level path, in-flight plan id) and then
 //    warns or aborts per policy.
@@ -115,27 +115,10 @@ void note_plan(int rank, std::uint64_t plan_id);
 /// fire spuriously.
 void app_beat(int rank);
 
-/// RAII probe around one hier per-level stage: emits the same trace span as
-/// obs::Span (named "<stage>.<level>", category "hier.stage") *and* feeds
-/// the stage's virtual duration into the per-(rank, level) fleet table when
-/// profiling is on. Free when both tracing and profiling are off.
-class LevelSpan {
- public:
-  LevelSpan(int rank, const sim::VirtualClock& clock, std::string_view stage,
-            std::string_view level);
-  ~LevelSpan();
-  LevelSpan(const LevelSpan&) = delete;
-  LevelSpan& operator=(const LevelSpan&) = delete;
-
- private:
-  const sim::VirtualClock* clock_ = nullptr;
-  int rank_ = 0;
-  double t0_ = 0.0;
-  bool trace_ = false;
-  bool fleet_ = false;
-  std::string stage_;
-  std::string level_;
-};
+/// Add one closed hier stage's virtual duration to rank's table for
+/// `level` (a sim::levels() id). obs::Span calls it for every span that
+/// carries a level while profiling is on.
+void add_level_time(int rank, std::uint16_t level, double us);
 
 // ---- Rank-local state and its wire format -----------------------------------
 
@@ -165,7 +148,7 @@ struct RankState {
   /// Journal records with a call_seq, oldest first: tuner audits and
   /// persistent inits stay out of the skew join and the wire.
   std::vector<DispatchDecision> calls;
-  std::vector<LevelTime> levels;
+  std::vector<LevelTime> levels;  ///< sorted by level name
 };
 
 /// Capture this rank's state right now (journal copy, heartbeat read).

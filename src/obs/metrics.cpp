@@ -16,13 +16,7 @@ namespace mpixccl::obs {
 
 namespace {
 
-/// Stable text for a double in JSON/CSV (no locale surprises, enough digits
-/// to round-trip counters-as-doubles and microsecond sums).
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
+using fmt::num;
 
 // Caller-chosen metric names go into JSON string literals verbatim; the
 // shared fmt::json_escape handles the characters that would break the
@@ -42,26 +36,6 @@ std::string csv_field(std::string_view s) {
   }
   out += '"';
   return out;
-}
-
-void render_hist_json(std::ostringstream& os, const HistogramSnapshot& h) {
-  os << "{\"count\":" << h.count << ",\"sum\":" << num(h.sum);
-  if (h.count > 0) {
-    os << ",\"p50\":" << num(h.p50()) << ",\"p90\":" << num(h.p90())
-       << ",\"p99\":" << num(h.p99());
-  }
-  os << ",\"buckets\":[";
-  bool first = true;
-  for (const auto& [le, n] : h.buckets) {
-    if (!first) os << ',';
-    first = false;
-    if (std::isinf(le)) {
-      os << "{\"le\":\"inf\",\"count\":" << n << '}';
-    } else {
-      os << "{\"le\":" << num(le) << ",\"count\":" << n << '}';
-    }
-  }
-  os << "]}";
 }
 
 }  // namespace
@@ -96,7 +70,23 @@ HistogramSnapshot merge_histograms(const HistogramSnapshot& a,
 
 std::string hist_to_json(const HistogramSnapshot& h) {
   std::ostringstream os;
-  render_hist_json(os, h);
+  os << "{\"count\":" << h.count << ",\"sum\":" << num(h.sum);
+  if (h.count > 0) {
+    os << ",\"p50\":" << num(h.p50()) << ",\"p90\":" << num(h.p90())
+       << ",\"p99\":" << num(h.p99());
+  }
+  os << ",\"buckets\":[";
+  bool first = true;
+  for (const auto& [le, n] : h.buckets) {
+    if (!first) os << ',';
+    first = false;
+    if (std::isinf(le)) {
+      os << "{\"le\":\"inf\",\"count\":" << n << '}';
+    } else {
+      os << "{\"le\":" << num(le) << ",\"count\":" << n << '}';
+    }
+  }
+  os << "]}";
   return os.str();
 }
 
@@ -325,19 +315,17 @@ std::string MetricsSnapshot::to_json(std::string_view extra_fields) const {
     first = false;
     os << "{\"op\":\"" << to_string(r.op) << "\",\"engine\":\""
        << to_string(r.engine) << "\",\"calls\":" << r.calls
-       << ",\"bytes\":" << r.bytes << ",\"size_hist\":";
-    render_hist_json(os, r.size_hist);
-    os << ",\"latency_us_hist\":";
-    render_hist_json(os, r.latency_us_hist);
-    os << ",\"bands\":[";
+       << ",\"bytes\":" << r.bytes
+       << ",\"size_hist\":" << hist_to_json(r.size_hist)
+       << ",\"latency_us_hist\":" << hist_to_json(r.latency_us_hist)
+       << ",\"bands\":[";
     bool first_band = true;
     for (std::size_t b = 0; b < kSizeBands; ++b) {
       if (r.band_latency_us[b].count == 0) continue;
       if (!first_band) os << ',';
       first_band = false;
-      os << "{\"band\":\"" << size_band_name(b) << "\",\"latency_us_hist\":";
-      render_hist_json(os, r.band_latency_us[b]);
-      os << '}';
+      os << "{\"band\":\"" << size_band_name(b) << "\",\"latency_us_hist\":"
+         << hist_to_json(r.band_latency_us[b]) << '}';
     }
     os << "]}";
   }
@@ -362,9 +350,8 @@ std::string MetricsSnapshot::to_json(std::string_view extra_fields) const {
   for (const auto& [name, h] : histograms) {
     if (!first) os << ',';
     first = false;
-    os << "{\"name\":\"" << json_escape(name) << "\",\"hist\":";
-    render_hist_json(os, h);
-    os << '}';
+    os << "{\"name\":\"" << json_escape(name)
+       << "\",\"hist\":" << hist_to_json(h) << '}';
   }
   os << ']';
   if (!extra_fields.empty()) os << ',' << extra_fields;

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <sstream>
 
+#include "common/format.hpp"
 #include "common/status.hpp"
 #include "obs/analyze.hpp"
 #include "obs/fleet.hpp"
@@ -38,11 +39,7 @@ std::string csv_sibling(const std::string& json_path) {
   return json_path.substr(0, dot) + ".csv";
 }
 
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
+std::string num(double v) { return fmt::num(v, 6); }
 
 }  // namespace
 
@@ -109,14 +106,10 @@ void init_from_env() {
       if (!cfg.trace_file.empty()) l = std::max(l, Level::Trace);
     }
     set_level(l);
+    const bool any = cfg.any_export();
     {
       std::lock_guard lock(g_cfg_mu);
       g_cfg = std::move(cfg);
-    }
-    bool any;
-    {
-      std::lock_guard lock(g_cfg_mu);
-      any = g_cfg.any_export();
     }
     if (any) {
       // Force-construct every singleton flush() touches BEFORE registering
@@ -223,20 +216,12 @@ std::string report() {
   return os.str();
 }
 
-Span::Span(int rank, const sim::VirtualClock& clock, std::string_view name,
-           std::string_view category) {
-  if (!sim::Trace::instance().enabled()) return;
-  armed_ = true;
-  clock_ = &clock;
-  rank_ = rank;
-  t0_ = clock.now();
-  name_ = name;
-  category_ = category;
-}
-
-Span::~Span() {
-  if (!armed_) return;
-  sim::Trace::instance().record(rank_, name_, category_, t0_, clock_->now());
+void Span::close() {
+  ev_.end_us = clock_->now();
+  if (trace_) sim::Trace::instance().record(ev_);
+  if (profile_) {
+    fleet::add_level_time(ev_.rank, ev_.level, ev_.end_us - ev_.begin_us);
+  }
 }
 
 }  // namespace mpixccl::obs

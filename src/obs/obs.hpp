@@ -24,8 +24,10 @@
 #include <vector>
 
 #include "obs/decision.hpp"
+#include "obs/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "sim/time.hpp"
+#include "sim/trace.hpp"
 
 namespace mpixccl::obs {
 
@@ -98,24 +100,37 @@ void init_from_env();
 /// record, so it covers blocking, nonblocking and persistent calls alike.
 [[nodiscard]] std::string report();
 
-/// RAII span feeding sim::Trace: captures virtual begin/end times around a
-/// scope and records them on the rank's track. Free when tracing is off
-/// (one atomic load, no strings).
+using sim::SpanName;
+
+/// RAII span: captures the virtual begin/end of a scope. When it closes it
+/// appends one sim::TraceEvent to the rank's trace ring (tracing on) and,
+/// for a span with a hier level, adds its duration to the rank's fleet level
+/// table (fleet profiling on). Off, a plain span costs one relaxed load and
+/// a level span two: no stores to shared state, no strings.
 class Span {
  public:
-  Span(int rank, const sim::VirtualClock& clock, std::string_view name,
-       std::string_view category);
-  ~Span();
+  Span(int rank, const sim::VirtualClock& clock, SpanName name,
+       std::uint16_t level = sim::kNoLevel)
+      : trace_(sim::Trace::enabled()),
+        profile_(level != sim::kNoLevel && fleet::profiling_enabled()) {
+    if (trace_ || profile_) {
+      clock_ = &clock;
+      ev_ = {rank, sim::span_id(name), level, clock.now(), 0.0};
+    }
+  }
+  ~Span() {
+    if (clock_ != nullptr) close();
+  }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
-  const sim::VirtualClock* clock_ = nullptr;
-  int rank_ = 0;
-  double t0_ = 0.0;
-  bool armed_ = false;
-  std::string name_;
-  std::string category_;
+  void close();
+
+  bool trace_;
+  bool profile_;
+  const sim::VirtualClock* clock_ = nullptr;  ///< null while disarmed
+  sim::TraceEvent ev_;                        ///< the span, once armed
 };
 
 }  // namespace mpixccl::obs

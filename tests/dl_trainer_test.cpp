@@ -247,7 +247,7 @@ TEST(Trainer, AsyncAndPersistentBucketsFeedTelemetry) {
     EXPECT_TRUE(flight);
     bool traced = false;
     for (const sim::TraceEvent& e : trace.events()) {
-      traced = traced || e.name == "allreduce";
+      traced = traced || e.name() == "allreduce";
     }
     EXPECT_TRUE(traced);
 

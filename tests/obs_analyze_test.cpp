@@ -78,14 +78,21 @@ TEST(FlightRecorder, JsonFieldCarriesJoinedDecision) {
 }
 
 TEST(Attribution, UnionCoverageGapsAndDecisionJoin) {
+  using sim::SpanName;
+  using sim::span_id;
+  const std::uint16_t node = sim::levels().intern("node");
+  const std::uint16_t net = sim::levels().intern("net");
+  const auto dispatch = [](core::CollOp op, core::Engine e, double b, double t) {
+    return sim::TraceEvent{0, sim::engine_span(op, e), sim::kNoLevel, b, t};
+  };
   std::vector<sim::TraceEvent> events;
   // Stage spans are recorded before their parent (RAII destruction order).
-  events.push_back({0, "allreduce.intra_rs", "hier.stage", 10.0, 40.0});
-  events.push_back({0, "allreduce.inter_ar", "hier.stage", 40.0, 70.0});
-  events.push_back({0, "allreduce.intra_ag", "hier.stage", 80.0, 100.0});
-  events.push_back({0, "allreduce", "hier", 0.0, 100.0});
+  events.push_back({0, span_id(SpanName::AllreduceRs), node, 10.0, 40.0});
+  events.push_back({0, span_id(SpanName::AllreduceAr), net, 40.0, 70.0});
+  events.push_back({0, span_id(SpanName::AllreduceAg), node, 80.0, 100.0});
+  events.push_back(dispatch(core::CollOp::Allreduce, core::Engine::Hier, 0, 100));
   // A same-rank span of a different engine with no stages.
-  events.push_back({0, "bcast", "mpi", 200.0, 210.0});
+  events.push_back(dispatch(core::CollOp::Bcast, core::Engine::Mpi, 200, 210));
 
   DispatchDecision d;
   d.rank = 0;
@@ -104,7 +111,7 @@ TEST(Attribution, UnionCoverageGapsAndDecisionJoin) {
   // Gaps: [0,10) and [70,80) -> longest is 10.
   EXPECT_DOUBLE_EQ(a.longest_gap_us, 10.0);
   ASSERT_EQ(a.stage_us.size(), 3u);
-  EXPECT_EQ(a.stage_us[0].first, "allreduce.intra_rs");
+  EXPECT_EQ(a.stage_us[0].first, "allreduce.rs.node");
   EXPECT_DOUBLE_EQ(a.stage_us[0].second, 30.0);
   EXPECT_TRUE(a.joined);
   EXPECT_EQ(a.decision.bytes, 2u << 20);
@@ -117,7 +124,7 @@ TEST(Attribution, UnionCoverageGapsAndDecisionJoin) {
   const std::string report = critical_path_report(attrs);
   EXPECT_NE(report.find("allreduce"), std::string::npos);
   EXPECT_NE(report.find("1M-16M"), std::string::npos);  // band from decision
-  EXPECT_NE(report.find("allreduce.intra_rs"), std::string::npos);
+  EXPECT_NE(report.find("allreduce.rs.node"), std::string::npos);
   EXPECT_NE(report.find("no recorded stages"), std::string::npos);
 }
 
@@ -160,6 +167,43 @@ TEST(Attribution, HierAllreduceCoversAtLeast95PercentOn2x4) {
   obs::set_level(Level::Metrics);
   Registry::instance().reset();
   DecisionLog::instance().clear();
+  sim::Trace::instance().clear();
+}
+
+TEST(Attribution, CommSetupSpanLandsOnWorldRank) {
+  // A sub-communicator's first hier dispatch builds its level splits under
+  // a "hier.comm_setup" span. On world ranks 2..5 of a 3x2 world the
+  // communicator ranks are 0..3: the span must sit on the world rank, or
+  // it orphans on ranks 0/1 and leaves a gap in ranks 4/5's dispatches.
+  obs::set_level(Level::Trace);
+  sim::Trace::instance().clear();
+  fabric::World world(
+      fabric::WorldConfig{sim::thetagpu(), /*nodes=*/3, /*devices_per_node=*/2});
+  world.run([&](fabric::RankContext& ctx) {
+    core::XcclMpi rt(
+        ctx, {.tuning = core::TuningTable::uniform(core::Engine::Hier)});
+    mini::Comm sub = rt.split(rt.comm_world(), ctx.rank() >= 2 ? 1 : 0,
+                              ctx.rank());
+    if (ctx.rank() < 2) return;
+    device::DeviceBuffer buf(ctx.device(), 64u << 10);
+    rt.allreduce(buf.get(), buf.get(), (64u << 10) / sizeof(float),
+                 mini::kFloat, ReduceOp::Sum, sub);
+  });
+
+  const auto events = sim::Trace::instance().events();
+  for (const sim::TraceEvent& e : events) {
+    EXPECT_GE(e.rank, 2) << "span on a rank outside the sub-communicator";
+  }
+  int hier_spans = 0;
+  for (const DispatchAttribution& a : attribute_dispatches(events, {})) {
+    if (a.engine != "hier") continue;
+    ++hier_spans;
+    EXPECT_DOUBLE_EQ(a.coverage(), 1.0) << "rank " << a.rank;
+    EXPECT_DOUBLE_EQ(a.longest_gap_us, 0.0) << "rank " << a.rank;
+  }
+  EXPECT_EQ(hier_spans, 4);
+
+  obs::set_level(Level::Metrics);
   sim::Trace::instance().clear();
 }
 

@@ -77,8 +77,8 @@ TEST_F(ObsExportTest, TraceHasAllEnginesAndHierStages) {
   std::set<std::string> cats;
   std::set<std::string> names;
   for (const sim::TraceEvent& e : sim::Trace::instance().events()) {
-    cats.insert(e.category);
-    names.insert(e.name);
+    cats.insert(std::string(e.category()));
+    names.insert(e.name());
   }
   // Engine-level spans from all three dispatch paths...
   EXPECT_TRUE(cats.contains("mpi"));
@@ -96,6 +96,111 @@ TEST_F(ObsExportTest, TraceHasAllEnginesAndHierStages) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"hier.stage\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+}
+
+/// (name, cat) of every event in a Chrome trace document.
+std::set<std::pair<std::string, std::string>> name_cat_pairs(
+    const std::string& json) {
+  std::set<std::pair<std::string, std::string>> out;
+  const std::string name_key = "{\"name\":\"";
+  const std::string cat_key = "\",\"cat\":\"";
+  for (auto pos = json.find(name_key); pos != std::string::npos;
+       pos = json.find(name_key, pos + 1)) {
+    const auto name_begin = pos + name_key.size();
+    const auto name_end = json.find(cat_key, name_begin);
+    const auto cat_begin = name_end + cat_key.size();
+    const auto cat_end = json.find('"', cat_begin);
+    out.emplace(json.substr(name_begin, name_end - name_begin),
+                json.substr(cat_begin, cat_end - cat_begin));
+  }
+  return out;
+}
+
+TEST_F(ObsExportTest, SpanVocabularyIsPinned) {
+  // On top of the three-engine workload: every hier collective on a 4-level
+  // chain (2 nodes x socket:2 x numa:2 x 2 ranks), small and large, and a
+  // staged allreduce over a non-power-of-two network dim (3 nodes x 2).
+  fabric::World world(
+      fabric::WorldConfig{sim::thetagpu(), 2, 8, "socket:2,numa:2"});
+  world.run([&](fabric::RankContext& ctx) {
+    XcclMpi rt(ctx, {.tuning = TuningTable::uniform(Engine::Hier)});
+    auto& comm = rt.comm_world();
+    const std::size_t p = static_cast<std::size_t>(comm.size());
+    device::DeviceBuffer send(ctx.device(), 4u << 20);
+    device::DeviceBuffer recv(ctx.device(), 4u << 20);
+    for (const std::size_t elems : {std::size_t{1024}, std::size_t{1u << 20}}) {
+      rt.allreduce(send.get(), recv.get(), elems, mini::kFloat, ReduceOp::Sum,
+                   comm);
+      rt.bcast(send.get(), elems, mini::kFloat, 0, comm);
+    }
+    rt.reduce(send.get(), recv.get(), 4096, mini::kFloat, ReduceOp::Sum, 0,
+              comm);
+    rt.allgather(send.get(), 4096 / p, mini::kFloat, recv.get(), 4096 / p,
+                 mini::kFloat, comm);
+    rt.reduce_scatter_block(send.get(), recv.get(), 4096 / p, mini::kFloat,
+                            ReduceOp::Sum, comm);
+  });
+  fabric::World odd(fabric::WorldConfig{sim::thetagpu(), 3, 2});
+  odd.run([&](fabric::RankContext& ctx) {
+    XcclMpi rt(ctx, {.tuning = TuningTable::uniform(Engine::Hier)});
+    device::DeviceBuffer buf(ctx.device(), 64u << 10);
+    rt.allreduce(buf.get(), buf.get(), (64u << 10) / sizeof(float),
+                 mini::kFloat, ReduceOp::Sum, rt.comm_world());
+  });
+
+  const std::set<std::pair<std::string, std::string>> want = {
+      {"allgather", "hier"},
+      {"allgather.net", "hier.stage"},
+      {"allgather.node", "hier.stage"},
+      {"allgather.numa", "hier.stage"},
+      {"allgather.socket", "hier.stage"},
+      {"allreduce", "hier"},
+      {"allreduce", "mpi"},
+      {"allreduce", "xccl"},
+      {"allreduce.ag.node", "hier.stage"},
+      {"allreduce.ar.net", "hier.stage"},
+      {"allreduce.cico_ar.net", "hier.stage"},
+      {"allreduce.cico_bcast.node", "hier.stage"},
+      {"allreduce.cico_bcast.numa", "hier.stage"},
+      {"allreduce.cico_bcast.socket", "hier.stage"},
+      {"allreduce.cico_reduce.node", "hier.stage"},
+      {"allreduce.cico_reduce.numa", "hier.stage"},
+      {"allreduce.cico_reduce.socket", "hier.stage"},
+      {"allreduce.pipe.net", "hier.stage"},
+      {"allreduce.pipe.node", "hier.stage"},
+      {"allreduce.pipe.numa", "hier.stage"},
+      {"allreduce.pipe.socket", "hier.stage"},
+      {"allreduce.pipelined", "hier.stage"},
+      {"allreduce.rs.node", "hier.stage"},
+      {"bcast", "hier"},
+      {"bcast.ag.node", "hier.stage"},
+      {"bcast.ag.numa", "hier.stage"},
+      {"bcast.ag.socket", "hier.stage"},
+      {"bcast.leader.net", "hier.stage"},
+      {"bcast.leader.node", "hier.stage"},
+      {"bcast.leader.numa", "hier.stage"},
+      {"bcast.leader.socket", "hier.stage"},
+      {"bcast.net", "hier.stage"},
+      {"bcast.scatter.node", "hier.stage"},
+      {"bcast.scatter.numa", "hier.stage"},
+      {"bcast.scatter.socket", "hier.stage"},
+      {"hier.comm_setup", "hier.stage"},
+      {"plan.build", "core.plan"},
+      {"reduce", "hier"},
+      {"reduce.net", "hier.stage"},
+      {"reduce.node", "hier.stage"},
+      {"reduce.numa", "hier.stage"},
+      {"reduce.socket", "hier.stage"},
+      {"reduce_scatter", "hier"},
+      {"rs.net", "hier.stage"},
+      {"rs.node", "hier.stage"},
+      {"rs.numa", "hier.stage"},
+      {"rs.socket", "hier.stage"},
+  };
+  const auto got = name_cat_pairs(sim::Trace::instance().to_chrome_json());
+  std::ostringstream listing;
+  for (const auto& [name, cat] : got) listing << name << '/' << cat << '\n';
+  EXPECT_EQ(got, want) << listing.str();
 }
 
 TEST_F(ObsExportTest, MetricsSnapshotHasPerEngineRows) {

@@ -373,8 +373,8 @@ int cmd_topo(const Args& args) {
              << "  (innermost dim first)\n";
       int stride = 1;
       for (std::size_t j = 0; j < hc.dims.size(); ++j) {
-        report << "  dim " << j << "  " << hc.names[j] << "(" << hc.dims[j]
-               << ")  leaders";
+        report << "  dim " << j << "  " << sim::levels().name(hc.level_ids[j])
+               << "(" << hc.dims[j] << ")  leaders";
         // Leaders of dim j: digit 0 in every inner dim (the ranks that
         // carry data across this boundary in the leader-chain schedules).
         int printed = 0;
