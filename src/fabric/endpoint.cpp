@@ -8,6 +8,7 @@
 #include <string>
 #include <thread>
 
+#include "common/reduce.hpp"
 #include "common/status.hpp"
 
 namespace mpixccl::fabric {
@@ -109,15 +110,29 @@ RecvResult PendingRecv::wait(sim::VirtualClock& clock) {
 }
 
 void Endpoint::complete(const PostedRecv& r, const PostedSend& s) {
-  if (s.bytes > r.capacity) {
-    auto err = std::make_exception_ptr(
-        Error("fabric: message truncation (got " + std::to_string(s.bytes) +
-              " bytes, capacity " + std::to_string(r.capacity) + ")"));
+  auto fail = [&](const std::string& what) {
+    auto err = std::make_exception_ptr(Error(what));
     r.done->set_error(err);
     if (s.done) s.done->set_error(err);
+  };
+  if (r.reduce) {
+    if (s.bytes != r.capacity) {
+      fail("fabric: receive-reduce size mismatch (got " + std::to_string(s.bytes) +
+           " bytes, posted " + std::to_string(r.capacity) + ")");
+      return;
+    }
+    // (base, op) was validated at post time, so this cannot fail.
+    if (s.bytes > 0) {
+      (void)apply_reduce(r.reduce->base, r.reduce->op, s.data, r.buf,
+                         s.bytes / datatype_size(r.reduce->base));
+    }
+  } else if (s.bytes > r.capacity) {
+    fail("fabric: message truncation (got " + std::to_string(s.bytes) +
+         " bytes, capacity " + std::to_string(r.capacity) + ")");
     return;
+  } else if (s.bytes > 0) {
+    std::memcpy(r.buf, s.data, s.bytes);
   }
-  if (s.bytes > 0) std::memcpy(r.buf, s.data, s.bytes);
 
   const sim::TimeUs base =
       (s.sender_ready > r.recv_ready) ? s.sender_ready : r.recv_ready;
@@ -169,8 +184,18 @@ PendingSend Endpoint::deliver(int src, int tag, ChannelId channel, const void* d
 
 PendingRecv Endpoint::post_recv(int src, int tag, ChannelId channel, void* buf,
                                 std::size_t capacity, sim::TimeUs recv_ready,
-                                CostFn cost) {
+                                CostFn cost, std::optional<ReduceSpec> reduce) {
   require(capacity == 0 || buf != nullptr, "Endpoint::post_recv: null buffer");
+  if (reduce && !reduce_defined(reduce->base, reduce->op)) {
+    throw Error("Endpoint::post_recv: receive-reduce op " +
+                std::string(to_string(reduce->op)) + " is not defined for " +
+                std::string(to_string(reduce->base)));
+  }
+  if (reduce && capacity % datatype_size(reduce->base) != 0) {
+    throw Error("Endpoint::post_recv: receive-reduce of " + std::to_string(capacity) +
+                " bytes is not a whole number of " +
+                std::string(to_string(reduce->base)) + " elements");
+  }
 
   PostedRecv r{.src = src,
                .tag = tag,
@@ -179,6 +204,7 @@ PendingRecv Endpoint::post_recv(int src, int tag, ChannelId channel, void* buf,
                .capacity = capacity,
                .recv_ready = recv_ready,
                .cost = std::move(cost),
+               .reduce = reduce,
                .done = std::make_shared<CompletionCell>(capacity)};
   PendingRecv handle(r.done);
 

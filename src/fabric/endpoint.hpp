@@ -7,8 +7,13 @@
 // resolves (MPI's isend/irecv contract). Matching runs under the receiving
 // endpoint's mutex and is closed by whichever thread completes the pair
 // (the sender if a recv was pending, the receiver if the send was
-// unexpected); that thread then copies the payload once, from the send
-// buffer straight into the receive buffer, outside the mutex.
+// unexpected); that thread then moves the payload once, from the send
+// buffer straight into the receive buffer, outside the mutex: one memcpy,
+// or, for a receive-reduce, one apply_reduce that combines the payload into
+// the buffer in place (buf = op(buf, payload)), so a reduction step needs
+// no staging inbox. A receive-reduce payload must fill the posted buffer
+// exactly, and its (datatype, op) pair is validated when it is posted, so
+// the closing thread never throws.
 //
 // - A rendezvous payload is never copied before the match: its sender
 //   cannot resolve until the receiver has the bytes.
@@ -24,6 +29,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "fabric/message.hpp"
 #include "sim/time.hpp"
@@ -91,9 +97,13 @@ class Endpoint {
                       const SendPolicy& policy);
 
   /// Post a receive on this endpoint (the receiver's own endpoint). `buf`
-  /// belongs to the fabric until the returned handle resolves.
+  /// belongs to the fabric until the returned handle resolves. With
+  /// `reduce`, the payload is reduced into `buf` instead of copied; it must
+  /// then be exactly `capacity` bytes (otherwise both handles resolve with
+  /// an error), and an undefined (base, op) pair throws here.
   PendingRecv post_recv(int src, int tag, ChannelId channel, void* buf,
-                        std::size_t capacity, sim::TimeUs recv_ready, CostFn cost);
+                        std::size_t capacity, sim::TimeUs recv_ready, CostFn cost,
+                        std::optional<ReduceSpec> reduce = std::nullopt);
 
   /// Unmatched message count (tests).
   [[nodiscard]] std::size_t unexpected_count() const;
@@ -118,6 +128,7 @@ class Endpoint {
     std::size_t capacity;
     sim::TimeUs recv_ready;
     CostFn cost;
+    std::optional<ReduceSpec> reduce;  ///< set: reduce the payload into buf
     std::shared_ptr<CompletionCell> done;
   };
 
@@ -126,8 +137,9 @@ class Endpoint {
            (r.tag == kAnyTag || r.tag == s.tag);
   }
 
-  /// Complete a matched pair: copy the payload, price the transfer, resolve
-  /// both handles. Called without mu_: the pair is off both queues.
+  /// Complete a matched pair: copy (or reduce) the payload, price the
+  /// transfer, resolve both handles. Called without mu_: the pair is off
+  /// both queues.
   static void complete(const PostedRecv& r, const PostedSend& s);
 
   int rank_;

@@ -6,6 +6,7 @@
 #include <functional>
 
 #include "common/rng.hpp"
+#include "common/types.hpp"
 #include "sim/time.hpp"
 
 namespace mpixccl::fabric {
@@ -30,6 +31,14 @@ constexpr ChannelId derive_channel(ChannelId parent, std::uint64_t salt) {
 /// microseconds. The fabric computes
 ///   completion = max(sender_ready, recv_ready) + cost(src, bytes).
 using CostFn = std::function<double(int src, std::size_t bytes)>;
+
+/// Receive-reduce: the payload is combined into the posted buffer instead
+/// of copied, as buf[i] = op(buf[i], payload[i]) over `base` elements (the
+/// operand order of apply_reduce with the payload as input).
+struct ReduceSpec {
+  DataType base;
+  ReduceOp op;
+};
 
 /// Sender-side protocol policy, decided by the sending layer.
 struct SendPolicy {

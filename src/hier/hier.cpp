@@ -293,10 +293,7 @@ std::size_t HierEngine::reserve_allreduce(const HierComms& hc,
     return stage_.size();
   }
   scratch(ws_, s.padded * esz);
-  if (s.mode == ArMode::Pipelined) {
-    scratch(inbox_, s.chunks * (s.unit / 2) * esz);
-    return ws_.size() + inbox_.size();
-  }
+  if (s.mode == ArMode::Pipelined) return ws_.size();
   // Staged: one shard per chain step, plus the top-level allreduce output.
   std::size_t total = 0;
   std::size_t cur = s.padded;
@@ -335,10 +332,15 @@ bool HierEngine::allreduce(HierComms& hc, const void* sendbuf, void* recvbuf,
   if (shape.mode == ArMode::Cico) {
     cico_allreduce(sendbuf, recvbuf, elems, dt.base, stage_op(op), hc);
   } else {
-    // Padded working copy. Every rank pads identically and the pad region is
-    // never copied out, so whatever the reduction leaves there is irrelevant.
-    std::byte* ws = scratch(ws_, shape.padded * esz);
-    std::memcpy(ws, sendbuf, bytes);
+    // Working copy: recvbuf itself when no pad is needed and it is device
+    // memory (every exchange is priced by its buffer's kind, so a host
+    // recvbuf would change the link class), else the padded device scratch.
+    // Every rank pads identically and the pad region is never copied out,
+    // so whatever the reduction leaves there is irrelevant.
+    std::byte* ws = (shape.padded == elems && mpi_->is_device(recvbuf))
+                        ? static_cast<std::byte*>(recvbuf)
+                        : scratch(ws_, shape.padded * esz);
+    if (ws != sendbuf) std::memcpy(ws, sendbuf, bytes);
     if (shape.padded > elems) {
       std::memset(ws + bytes, 0, (shape.padded - elems) * esz);
     }
@@ -351,7 +353,7 @@ bool HierEngine::allreduce(HierComms& hc, const void* sendbuf, void* recvbuf,
     } else {
       staged_allreduce(ws, shape.padded, dt.base, stage_op(op), hc);
     }
-    std::memcpy(recvbuf, ws, bytes);
+    if (ws != recvbuf) std::memcpy(recvbuf, ws, bytes);
   }
 
   if (op == ReduceOp::Avg) {
@@ -455,8 +457,6 @@ void HierEngine::pipelined_allreduce(std::byte* ws, std::size_t unit,
   const std::size_t esz = datatype_size(base);
   const mini::Datatype dtb{base, 1};
   const std::size_t D = hc.dims.size();
-  const std::size_t inbox_stride = (unit / 2) * esz;
-  std::byte* inbox = scratch(inbox_, chunks * inbox_stride);
 
   // Per-chunk recursive halving/doubling over the composite digit vector:
   // halving dim by dim from the innermost out, then doubling back in. This
@@ -500,10 +500,6 @@ void HierEngine::pipelined_allreduce(std::byte* ws, std::size_t unit,
     cs[c].tag = static_cast<int>(c) * 1000;
   }
 
-  auto chunk_inbox = [&](const Chunk& c) {
-    return inbox + (c.base / unit) * inbox_stride;
-  };
-
   // Estimated one-way exchange cost, used only to order completions. It is
   // computed from the chain's shared link classes, so every rank derives
   // the same schedule — symmetry is what makes the waits deadlock-free.
@@ -521,12 +517,13 @@ void HierEngine::pipelined_allreduce(std::byte* ws, std::size_t unit,
     const int digit = hc.coord[j];
     std::byte* cb = ws + c.base * esz;
     const int partner = digit ^ c.mask;
-    if (c.step < D) {  // halving: exchange opposite halves, reduce the kept
+    if (c.step < D) {  // halving: send one half, reduce into the kept one
       const std::size_t half = c.len / 2;
       c.keep_off = ((digit & c.mask) == 0) ? c.off : c.off + half;
       c.keep_len = half;
       const std::size_t send = ((digit & c.mask) == 0) ? c.off + half : c.off;
-      c.rreq = mpi_->irecv(chunk_inbox(c), half, dtb, partner, c.tag, sub);
+      c.rreq = mpi_->irecv_reduce(cb + c.keep_off * esz, half, dtb, op, partner,
+                                  c.tag, sub);
       c.sreq = mpi_->isend(cb + send * esz, half, dtb, partner, c.tag, sub);
       ++c.tag;
       c.pending = true;
@@ -551,14 +548,10 @@ void HierEngine::pipelined_allreduce(std::byte* ws, std::size_t unit,
     // that level shows up here), and completes are issued sequentially, so
     // the spans never overlap even when chunks pipeline.
     auto span = stage(*mpi_, SpanName::AllreducePipe, hc.level_ids[j]);
-    std::byte* cb = ws + c.base * esz;
     mpi_->wait(c.sreq);
     mpi_->wait(c.rreq);
     c.pending = false;
     if (c.step < D) {
-      throw_if_error(apply_reduce(base, op, chunk_inbox(c),
-                                  cb + c.keep_off * esz, c.keep_len),
-                     "HierEngine pipelined reduce-scatter");
       c.off = c.keep_off;
       c.len = c.keep_len;
       c.mask >>= 1;

@@ -179,7 +179,8 @@ class HierEngine {
 
   /// n-level recursive-halving/doubling allreduce over the padded working
   /// buffer (requires power-of-two dims), chunked and pipelined across
-  /// level links.
+  /// level links. Each halving step reduces the partner's half straight
+  /// into the kept half as it lands.
   void pipelined_allreduce(std::byte* ws, std::size_t unit, std::size_t chunks,
                            DataType base, ReduceOp op, HierComms& hc);
 
@@ -199,7 +200,6 @@ class HierEngine {
   std::size_t single_copy_min_ = kSingleCopyMinBytes;
   std::map<std::pair<fabric::ChannelId, std::uint64_t>, HierComms> cache_;
   device::DeviceBuffer ws_;      ///< padded working copy
-  device::DeviceBuffer inbox_;   ///< reduce-scatter receive staging
   device::DeviceBuffer stage_;   ///< per-stage shard / segment staging
 };
 

@@ -16,6 +16,7 @@
 // never cross-match even when ranks race ahead.
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/reduce.hpp"
@@ -42,6 +43,12 @@ std::byte* at(void* base, std::size_t offset) {
 }
 const std::byte* at(const void* base, std::size_t offset) {
   return static_cast<const std::byte*>(base) + offset;
+}
+
+/// Call-local scratch, left uninitialised: every user writes each byte
+/// before reading it.
+std::unique_ptr<std::byte[]> uninit(std::size_t bytes) {
+  return std::make_unique_for_overwrite<std::byte[]>(bytes);
 }
 
 /// memcpy that tolerates dst == src (MPI_IN_PLACE resolutions).
@@ -111,27 +118,25 @@ void Mpi::reduce(const void* sendbuf, void* recvbuf, std::size_t count, Datatype
   require(reduce_defined(dt.base, op), "Mpi::reduce: op not defined for datatype");
 
   // Accumulator: recvbuf at root, scratch elsewhere.
-  std::vector<std::byte> scratch;
-  void* acc = nullptr;
-  if (me == root) {
-    acc = recvbuf;
-  } else {
-    scratch.resize(bytes);
-    acc = scratch.data();
+  std::unique_ptr<std::byte[]> scratch;
+  void* acc = recvbuf;
+  if (me != root) {
+    scratch = uninit(bytes);
+    acc = scratch.get();
   }
   copy_if_distinct(acc, sendbuf, bytes);
 
-  std::vector<std::byte> inbox(bytes);
+  const auto inbox = uninit(bytes);
   const int vrank = (me - root + p) % p;
   int mask = 1;
   while (mask < p) {
     if ((vrank & mask) == 0) {
       const int vsrc = vrank | mask;
       if (vsrc < p) {
-        Request rr = irecv_bytes(inbox.data(), bytes, (vsrc + root) % p, 0, ch,
+        Request rr = irecv_bytes(inbox.get(), bytes, (vsrc + root) % p, 0, ch,
                                  comm, dev);
         wait(rr);
-        throw_if_error(apply_reduce(dt.base, op, inbox.data(), acc, count * dt.count),
+        throw_if_error(apply_reduce(dt.base, op, inbox.get(), acc, count * dt.count),
                        "Mpi::reduce");
       }
     } else {
@@ -169,11 +174,19 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
   const int pof2 = floor_pow2(p);
   const int rem = p - pof2;
 
+  // Recursive doubling for small vectors, Rabenseifner above.
+  const bool rd = bytes <= kAllreduceRdMaxBytes ||
+                  n_elems < static_cast<std::size_t>(pof2) || pof2 == 1;
+  // The fold and recursive doubling stage each incoming vector in an inbox
+  // (recursive doubling sends the very vector it reduces into); the
+  // Rabenseifner halving reduces straight into the kept range instead.
+  const bool folded_into = me < 2 * rem && me % 2 == 1;
+  const auto inbox = (rd || folded_into) ? uninit(bytes) : nullptr;
+
   // Fold phase for non-power-of-two sizes (MPICH scheme): the first 2*rem
   // ranks pair up; even ranks push their vector to the odd partner and sit
   // out; odd partners act with effective rank (me/2), ranks >= 2*rem act
   // with effective rank (me - rem).
-  std::vector<std::byte> inbox(bytes);
   int eff_rank;  // -1 when sitting out
   if (me < 2 * rem) {
     if (me % 2 == 0) {
@@ -181,9 +194,9 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
       wait(sr);
       eff_rank = -1;
     } else {
-      Request rr = irecv_bytes(inbox.data(), bytes, me - 1, 1, ch, comm, dev);
+      Request rr = irecv_bytes(inbox.get(), bytes, me - 1, 1, ch, comm, dev);
       wait(rr);
-      throw_if_error(apply_reduce(dt.base, op, inbox.data(), recvbuf, n_elems),
+      throw_if_error(apply_reduce(dt.base, op, inbox.get(), recvbuf, n_elems),
                      "Mpi::allreduce fold");
       eff_rank = me / 2;
     }
@@ -194,16 +207,15 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
   auto real_rank = [&](int eff) { return eff < rem ? eff * 2 + 1 : eff + rem; };
 
   if (eff_rank >= 0) {
-    if (bytes <= kAllreduceRdMaxBytes || n_elems < static_cast<std::size_t>(pof2) ||
-        pof2 == 1) {
+    if (rd) {
       // Recursive doubling over the pof2 effective ranks.
       for (int mask = 1; mask < pof2; mask <<= 1) {
         const int partner = real_rank(eff_rank ^ mask);
-        Request rr = irecv_bytes(inbox.data(), bytes, partner, 2, ch, comm, dev);
+        Request rr = irecv_bytes(inbox.get(), bytes, partner, 2, ch, comm, dev);
         Request sr = isend_bytes(recvbuf, bytes, partner, 2, ch, comm);
         wait(sr);
         wait(rr);
-        throw_if_error(apply_reduce(dt.base, op, inbox.data(), recvbuf, n_elems),
+        throw_if_error(apply_reduce(dt.base, op, inbox.get(), recvbuf, n_elems),
                        "Mpi::allreduce rd");
       }
     } else {
@@ -247,14 +259,13 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
         const std::size_t keep_elems =
             block_off_elems(keep_hi) - block_off_elems(keep_lo);
 
-        Request rr = irecv_bytes(inbox.data(), keep_elems * esz, partner, 3, ch,
-                                 comm, dev);
+        // The kept and sent halves are disjoint, so the partner's half is
+        // reduced straight into the kept range as it lands.
+        Request rr = irecv_bytes(at(recvbuf, keep_off), keep_elems * esz, partner,
+                                 3, ch, comm, dev, fabric::ReduceSpec{dt.base, op});
         Request sr = isend_bytes(at(recvbuf, send_off), send_b, partner, 3, ch, comm);
         wait(sr);
         wait(rr);
-        throw_if_error(apply_reduce(dt.base, op, inbox.data(),
-                                    at(recvbuf, keep_off), keep_elems),
-                       "Mpi::allreduce rs");
         lo = keep_lo;
         hi = keep_hi;
       }
@@ -329,9 +340,10 @@ void Mpi::allgather(const void* sendbuf, std::size_t sendcount, Datatype sendtyp
   const std::size_t total = block * static_cast<std::size_t>(p);
   if (total <= kAllgatherBruckMaxBytes) {
     // Bruck: log2(p) rounds over a rotated scratch copy.
-    std::vector<std::byte> tmp(total);
+    const auto tmp_mem = uninit(total);
+    std::byte* tmp = tmp_mem.get();
     // Rotate so my block is first.
-    std::memcpy(tmp.data(), at(recvbuf, static_cast<std::size_t>(me) * block), block);
+    std::memcpy(tmp, at(recvbuf, static_cast<std::size_t>(me) * block), block);
     std::size_t have = 1;  // blocks held, contiguous from tmp[0]
     int step = 1;
     while (have < static_cast<std::size_t>(p)) {
@@ -339,9 +351,9 @@ void Mpi::allgather(const void* sendbuf, std::size_t sendcount, Datatype sendtyp
       const int src = (me + step) % p;
       const std::size_t want =
           std::min(have, static_cast<std::size_t>(p) - have);
-      Request rr = irecv_bytes(tmp.data() + have * block, want * block, src, step,
-                               ch, comm, dev);
-      Request sr = isend_bytes(tmp.data(), want * block, dst, step, ch, comm);
+      Request rr = irecv_bytes(tmp + have * block, want * block, src, step, ch, comm,
+                               dev);
+      Request sr = isend_bytes(tmp, want * block, dst, step, ch, comm);
       wait(sr);
       wait(rr);
       have += want;
@@ -351,7 +363,7 @@ void Mpi::allgather(const void* sendbuf, std::size_t sendcount, Datatype sendtyp
     for (int b = 0; b < p; ++b) {
       const int owner = (me + b) % p;
       std::memcpy(at(recvbuf, static_cast<std::size_t>(owner) * block),
-                  tmp.data() + static_cast<std::size_t>(b) * block, block);
+                  tmp + static_cast<std::size_t>(b) * block, block);
     }
   } else {
     // Ring: p-1 steps, forwarding the newest block.
@@ -453,18 +465,25 @@ void Mpi::gatherv(const void* sendbuf, std::size_t sendcount, Datatype sendtype,
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const int me = comm.rank();
-  const std::size_t sbytes = sendcount * sendtype.size();
   if (me == root) {
     require(recvcounts.size() == static_cast<std::size_t>(p) &&
                 displs.size() == static_cast<std::size_t>(p),
             "Mpi::gatherv: bad counts");
     const std::size_t esz = recvtype.size();
+    if (sendbuf == kInPlace) {
+      // The root's block already sits at its displacement.
+      const auto ume = static_cast<std::size_t>(me);
+      sendbuf = at(recvbuf, displs[ume] * esz);
+      sendcount = recvcounts[ume];
+      sendtype = recvtype;
+    }
     const bool dev = is_device(sendbuf) || is_device(recvbuf);
     std::vector<Request> reqs;
     for (int r = 0; r < p; ++r) {
       const auto ur = static_cast<std::size_t>(r);
       if (r == me) {
-        std::memcpy(at(recvbuf, displs[ur] * esz), sendbuf, sbytes);
+        copy_if_distinct(at(recvbuf, displs[ur] * esz), sendbuf,
+                         sendcount * sendtype.size());
         continue;
       }
       reqs.push_back(irecv_bytes(at(recvbuf, displs[ur] * esz),
@@ -472,7 +491,7 @@ void Mpi::gatherv(const void* sendbuf, std::size_t sendcount, Datatype sendtype,
     }
     waitall(reqs);
   } else {
-    Request sr = isend_bytes(sendbuf, sbytes, root, 0, ch, comm);
+    Request sr = isend_bytes(sendbuf, sendcount * sendtype.size(), root, 0, ch, comm);
     wait(sr);
   }
 }
@@ -543,13 +562,13 @@ void Mpi::alltoall(const void* sendbuf, std::size_t sendcount, Datatype sendtype
   const int p = comm.size();
   const int me = comm.rank();
   const std::size_t rblock = recvcount * recvtype.size();
-  std::vector<std::byte> inplace_copy;
+  std::unique_ptr<std::byte[]> inplace_copy;
   if (sendbuf == kInPlace) {
     // In-place alltoall: snapshot the receive buffer as the send data.
-    inplace_copy.assign(static_cast<const std::byte*>(recvbuf),
-                        static_cast<const std::byte*>(recvbuf) +
-                            rblock * static_cast<std::size_t>(p));
-    sendbuf = inplace_copy.data();
+    const std::size_t total = rblock * static_cast<std::size_t>(p);
+    inplace_copy = uninit(total);
+    std::memcpy(inplace_copy.get(), recvbuf, total);
+    sendbuf = inplace_copy.get();
     sendcount = recvcount;
     sendtype = recvtype;
   }
@@ -646,26 +665,25 @@ void Mpi::reduce_scatter_block(const void* sendbuf, void* recvbuf,
   }
 
   // Ring reduce-scatter: accumulate into a scratch copy; after p-1 steps the
-  // block for rank me is fully reduced.
-  std::vector<std::byte> acc(block * static_cast<std::size_t>(p));
-  std::memcpy(acc.data(), sendbuf, acc.size());
-  std::vector<std::byte> inbox(block);
+  // block for rank me is fully reduced. Each step sends one block and
+  // reduces the left neighbour's block into another as it lands. The copy
+  // stays in host memory, which is what prices the sends out of it.
+  const auto acc_mem = uninit(block * static_cast<std::size_t>(p));
+  std::byte* acc = acc_mem.get();
+  std::memcpy(acc, sendbuf, block * static_cast<std::size_t>(p));
 
   const int right = (me + 1) % p;
   const int left = (me - 1 + p) % p;
   for (int s = 0; s < p - 1; ++s) {
     const auto send_block = static_cast<std::size_t>((me - s - 1 + p) % p);
     const auto recv_block = static_cast<std::size_t>((me - s - 2 + 2 * p) % p);
-    Request rr = irecv_bytes(inbox.data(), block, left, s, ch, comm, dev);
-    Request sr =
-        isend_bytes(acc.data() + send_block * block, block, right, s, ch, comm);
+    Request rr = irecv_bytes(acc + recv_block * block, block, left, s, ch, comm, dev,
+                             fabric::ReduceSpec{dt.base, op});
+    Request sr = isend_bytes(acc + send_block * block, block, right, s, ch, comm);
     wait(sr);
     wait(rr);
-    throw_if_error(apply_reduce(dt.base, op, inbox.data(),
-                                acc.data() + recv_block * block, block_elems),
-                   "Mpi::reduce_scatter_block");
   }
-  std::memcpy(recvbuf, acc.data() + static_cast<std::size_t>(me) * block, block);
+  std::memcpy(recvbuf, acc + static_cast<std::size_t>(me) * block, block);
   if (op == ReduceOp::Avg) {
     throw_if_error(scale_inplace(dt.base, recvbuf, block_elems, 1.0 / p),
                    "Mpi::reduce_scatter_block avg");
@@ -685,11 +703,11 @@ void Mpi::scan(const void* sendbuf, void* recvbuf, std::size_t count, Datatype d
 
   copy_if_distinct(recvbuf, sendbuf, bytes);
   if (me > 0) {
-    std::vector<std::byte> inbox(bytes);
-    Request rr = irecv_bytes(inbox.data(), bytes, me - 1, 0, ch, comm, dev);
+    const auto inbox = uninit(bytes);
+    Request rr = irecv_bytes(inbox.get(), bytes, me - 1, 0, ch, comm, dev);
     wait(rr);
     // recvbuf = inbox (prefix of ranks < me) op my contribution.
-    throw_if_error(apply_reduce(dt.base, op, inbox.data(), recvbuf,
+    throw_if_error(apply_reduce(dt.base, op, inbox.get(), recvbuf,
                                 count * dt.count),
                    "Mpi::scan");
   }
@@ -713,18 +731,18 @@ void Mpi::exscan(const void* sendbuf, void* recvbuf, std::size_t count,
 
   // Linear chain: the value forwarded to rank r+1 is op(prefix, mine); the
   // value *received* is the exclusive prefix.
-  std::vector<std::byte> mine(bytes);
-  std::memcpy(mine.data(), sendbuf, bytes);
+  const auto mine = uninit(bytes);
+  std::memcpy(mine.get(), sendbuf, bytes);
   if (me > 0) {
     Request rr = irecv_bytes(recvbuf, bytes, me - 1, 0, ch, comm, dev);
     wait(rr);
     // forward = recvbuf (prefix) op mine.
-    throw_if_error(apply_reduce(dt.base, op, recvbuf, mine.data(),
+    throw_if_error(apply_reduce(dt.base, op, recvbuf, mine.get(),
                                 count * dt.count),
                    "Mpi::exscan");
   }
   if (me < p - 1) {
-    Request sr = isend_bytes(mine.data(), bytes, me + 1, 0, ch, comm);
+    Request sr = isend_bytes(mine.get(), bytes, me + 1, 0, ch, comm);
     wait(sr);
   }
   // Rank 0's recvbuf stays untouched (undefined per MPI).
@@ -734,10 +752,10 @@ RecvStatus Mpi::sendrecv_replace(void* buf, std::size_t count, Datatype dt,
                                  int dst, int sendtag, int src, int recvtag,
                                  Comm& comm) {
   const std::size_t bytes = count * dt.size();
-  std::vector<std::byte> tmp(bytes);
-  std::memcpy(tmp.data(), buf, bytes);
+  const auto tmp = uninit(bytes);
+  std::memcpy(tmp.get(), buf, bytes);
   Request rr = irecv(buf, count, dt, src, recvtag, comm);
-  Request sr = isend(tmp.data(), count, dt, dst, sendtag, comm);
+  Request sr = isend(tmp.get(), count, dt, dst, sendtag, comm);
   wait(sr);
   return wait(rr);
 }

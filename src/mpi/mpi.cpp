@@ -75,11 +75,13 @@ Request Mpi::isend_bytes(const void* buf, std::size_t bytes, int dst, int tag,
 }
 
 Request Mpi::irecv_bytes(void* buf, std::size_t bytes, int src, int tag,
-                         fabric::ChannelId channel, Comm& comm, bool device_buf) {
+                         fabric::ChannelId channel, Comm& comm, bool device_buf,
+                         std::optional<fabric::ReduceSpec> reduce) {
   clock().advance(prof_.per_op_us);
   const int src_world = (src == kAnySource) ? fabric::kAnySource : comm.world_rank(src);
-  auto pending = ctx_->endpoint().post_recv(src_world, tag, channel, buf, bytes,
-                                            clock().now(), make_cost_fn(device_buf));
+  auto pending =
+      ctx_->endpoint().post_recv(src_world, tag, channel, buf, bytes, clock().now(),
+                                 make_cost_fn(device_buf), reduce);
   return Request::from_recv(std::move(pending), &comm);
 }
 
@@ -94,6 +96,13 @@ Request Mpi::irecv(void* buf, std::size_t count, Datatype dt, int src, int tag,
   require(tag >= 0 || tag == kAnyTag, "Mpi::irecv: bad tag");
   return irecv_bytes(buf, count * dt.size(), src, tag, comm.p2p_channel(), comm,
                      is_device(buf));
+}
+
+Request Mpi::irecv_reduce(void* buf, std::size_t count, Datatype dt, ReduceOp op,
+                          int src, int tag, Comm& comm) {
+  require(tag >= 0 || tag == kAnyTag, "Mpi::irecv_reduce: bad tag");
+  return irecv_bytes(buf, count * dt.size(), src, tag, comm.p2p_channel(), comm,
+                     is_device(buf), fabric::ReduceSpec{dt.base, op});
 }
 
 void Mpi::send(const void* buf, std::size_t count, Datatype dt, int dst, int tag,

@@ -16,6 +16,7 @@
 // selection, mirroring a production MPI's tuning defaults.
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -66,6 +67,13 @@ class Mpi {
                 Comm& comm);
   Request irecv(void* buf, std::size_t count, Datatype dt, int src, int tag,
                 Comm& comm);
+  /// Receive-reduce: like irecv, but the matching message (exactly `count`
+  /// elements) is combined into `buf` as buf = op(buf, message) where it
+  /// lands, with no staging copy. `buf` must stay disjoint from every send
+  /// buffer in flight until the request completes. Throws at post time when
+  /// `op` is not defined for `dt`.
+  Request irecv_reduce(void* buf, std::size_t count, Datatype dt, ReduceOp op,
+                       int src, int tag, Comm& comm);
   RecvStatus wait(Request& req);
   void waitall(std::span<Request> reqs);
   /// MPI_Sendrecv.
@@ -138,11 +146,14 @@ class Mpi {
   /// the deepest topology level the two ranks share (hier engine / tooling).
   [[nodiscard]] const sim::LinkParams& device_link_to(int peer_world) const;
 
+  /// True when `p` lies in registered device memory: transfers out of and
+  /// into it are priced on device links, all others on host links.
+  [[nodiscard]] bool is_device(const void* p) const;
+
  private:
   friend struct CollectiveOps;
 
   [[nodiscard]] sim::VirtualClock& clock() { return ctx_->clock(); }
-  [[nodiscard]] bool is_device(const void* p) const;
   /// Effective link for a transfer between this rank and `peer_world`.
   [[nodiscard]] const sim::LinkParams& link_to(int peer_world, bool device) const;
   [[nodiscard]] fabric::CostFn make_cost_fn(bool device_buf);
@@ -150,7 +161,8 @@ class Mpi {
   Request isend_bytes(const void* buf, std::size_t bytes, int dst, int tag,
                       fabric::ChannelId channel, Comm& comm);
   Request irecv_bytes(void* buf, std::size_t bytes, int src, int tag,
-                      fabric::ChannelId channel, Comm& comm, bool device_buf);
+                      fabric::ChannelId channel, Comm& comm, bool device_buf,
+                      std::optional<fabric::ReduceSpec> reduce = std::nullopt);
 
   fabric::RankContext* ctx_;
   sim::MpiProfile prof_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/reduce.hpp"
@@ -25,6 +26,12 @@ int floor_pow2(int n) {
 
 std::byte* at(void* base, std::size_t off) {
   return static_cast<std::byte*>(base) + off;
+}
+
+/// Call-local scratch, left uninitialised: every user writes each byte
+/// before reading it.
+std::unique_ptr<std::byte[]> uninit(std::size_t bytes) {
+  return std::make_unique_for_overwrite<std::byte[]>(bytes);
 }
 
 }  // namespace
@@ -111,7 +118,8 @@ sim::TimeUs RingCclBackend::step_exchange(CclComm& comm, fabric::ChannelId ch,
                                           int tag, int dst, const void* sbuf,
                                           std::size_t sbytes, int src, void* rbuf,
                                           std::size_t rbytes, sim::TimeUs ready,
-                                          bool tree_hop) {
+                                          bool tree_hop,
+                                          std::optional<fabric::ReduceSpec> reduce) {
   fabric::PendingSend ps;
   fabric::PendingRecv pr;
   if (dst >= 0) {
@@ -125,7 +133,8 @@ sim::TimeUs RingCclBackend::step_exchange(CclComm& comm, fabric::ChannelId ch,
     auto cost = [this, tree_hop](int sw, std::size_t b) {
       return tree_hop ? tree_hop_cost(sw, b) : ring_hop_cost(sw, b);
     };
-    pr = ctx().endpoint().post_recv(src_world, tag, ch, rbuf, rbytes, ready, cost);
+    pr = ctx().endpoint().post_recv(src_world, tag, ch, rbuf, rbytes, ready, cost,
+                                    reduce);
   }
   sim::TimeUs t = ready;
   sim::VirtualClock scratch;  // completions are read from the return values
@@ -146,7 +155,7 @@ sim::TimeUs RingCclBackend::allreduce_tree(const void* sendbuf, void* recvbuf,
   const int me = comm.rank();
   if (sendbuf != recvbuf) std::memcpy(recvbuf, sendbuf, bytes);
 
-  std::vector<std::byte> inbox(bytes);
+  const auto inbox = uninit(bytes);
   sim::TimeUs t = t0;
   // Reduce phase.
   int mask = 1;
@@ -154,9 +163,9 @@ sim::TimeUs RingCclBackend::allreduce_tree(const void* sendbuf, void* recvbuf,
     if ((me & mask) == 0) {
       const int src = me | mask;
       if (src < p) {
-        t = step_exchange(comm, ch, 1, -1, nullptr, 0, src, inbox.data(), bytes, t,
+        t = step_exchange(comm, ch, 1, -1, nullptr, 0, src, inbox.get(), bytes, t,
                           /*tree_hop=*/true);
-        throw_if_error(apply_reduce(dt, op, inbox.data(), recvbuf, count),
+        throw_if_error(apply_reduce(dt, op, inbox.get(), recvbuf, count),
                        "xccl allreduce");
       }
     } else {
@@ -192,7 +201,8 @@ sim::TimeUs RingCclBackend::ring_reduce_scatter(const void* sendbuf, void* scrat
                                                 fabric::ChannelId ch,
                                                 sim::TimeUs t0) {
   // `scratch` holds p blocks of block_count elements; on return, block `me`
-  // is fully reduced. Standard NCCL-style ring.
+  // is fully reduced. Standard NCCL-style ring: each step sends one block
+  // and reduces the left neighbour's block into another as it lands.
   const int p = comm.nranks();
   const int me = comm.rank();
   const std::size_t esz = datatype_size(dt);
@@ -201,7 +211,6 @@ sim::TimeUs RingCclBackend::ring_reduce_scatter(const void* sendbuf, void* scrat
     std::memcpy(scratch, sendbuf, block * static_cast<std::size_t>(p));
   }
 
-  std::vector<std::byte> inbox(block);
   const int right = (me + 1) % p;
   const int left = (me - 1 + p) % p;
   sim::TimeUs t = t0;
@@ -209,10 +218,8 @@ sim::TimeUs RingCclBackend::ring_reduce_scatter(const void* sendbuf, void* scrat
     const auto send_block = static_cast<std::size_t>((me - s - 1 + p) % p);
     const auto recv_block = static_cast<std::size_t>((me - s - 2 + 2 * p) % p);
     t = step_exchange(comm, ch, 10 + s, right, at(scratch, send_block * block),
-                      block, left, inbox.data(), block, t, false);
-    throw_if_error(apply_reduce(dt, op, inbox.data(),
-                                at(scratch, recv_block * block), block_count),
-                   "xccl ring reduce-scatter");
+                      block, left, at(scratch, recv_block * block), block, t, false,
+                      fabric::ReduceSpec{dt, op});
   }
   return t;
 }
@@ -229,15 +236,18 @@ sim::TimeUs RingCclBackend::allreduce_ring(const void* sendbuf, void* recvbuf,
   const std::size_t block_count = (count + up - 1) / up;
   const std::size_t padded = block_count * up;
 
-  std::vector<std::byte> scratch(padded * esz, std::byte{0});
-  std::memcpy(scratch.data(), sendbuf, count * esz);
-  // Padding elements must be the identity for sum-like ops; zero works for
-  // Sum/Avg and is harmless for Min/Max/Prod since every rank pads equally
-  // (all ranks contribute the same pad value, so the reduced pad is just
-  // dropped below).
-  sim::TimeUs t =
-      ring_reduce_scatter(scratch.data(), scratch.data(), block_count, dt, op,
-                          comm, ch, t0);
+  // The working copy is recvbuf itself unless the blocks need a pad. Pad
+  // elements are zero on every rank; the reduced pad is never copied out,
+  // so any op may combine them.
+  std::unique_ptr<std::byte[]> padded_copy;
+  std::byte* ws = static_cast<std::byte*>(recvbuf);
+  if (padded != count) {
+    padded_copy = uninit(padded * esz);
+    ws = padded_copy.get();
+    std::memset(ws + count * esz, 0, (padded - count) * esz);
+  }
+  if (ws != sendbuf) std::memcpy(ws, sendbuf, count * esz);
+  sim::TimeUs t = ring_reduce_scatter(ws, ws, block_count, dt, op, comm, ch, t0);
 
   // Ring allgather of the reduced blocks.
   const std::size_t block = block_count * esz;
@@ -246,11 +256,10 @@ sim::TimeUs RingCclBackend::allreduce_ring(const void* sendbuf, void* recvbuf,
   for (int s = 0; s < p - 1; ++s) {
     const auto send_block = static_cast<std::size_t>((me - s + p) % p);
     const auto recv_block = static_cast<std::size_t>((me - s - 1 + p) % p);
-    t = step_exchange(comm, ch, 100 + s, right,
-                      scratch.data() + send_block * block, block, left,
-                      scratch.data() + recv_block * block, block, t, false);
+    t = step_exchange(comm, ch, 100 + s, right, ws + send_block * block, block,
+                      left, ws + recv_block * block, block, t, false);
   }
-  std::memcpy(recvbuf, scratch.data(), count * esz);
+  if (ws != recvbuf) std::memcpy(recvbuf, ws, count * esz);
   return t;
 }
 
@@ -378,17 +387,15 @@ sim::TimeUs RingCclBackend::reduce_tree(const void* sendbuf, void* recvbuf,
   const int me = comm.rank();
   const std::size_t bytes = count * datatype_size(dt);
 
-  std::vector<std::byte> scratch;
-  void* acc;
-  if (me == root) {
-    acc = recvbuf;
-  } else {
-    scratch.resize(bytes);
-    acc = scratch.data();
+  std::unique_ptr<std::byte[]> scratch;
+  void* acc = recvbuf;
+  if (me != root) {
+    scratch = uninit(bytes);
+    acc = scratch.get();
   }
   std::memcpy(acc, sendbuf, bytes);
 
-  std::vector<std::byte> inbox(bytes);
+  const auto inbox = uninit(bytes);
   const int vrank = (me - root + p) % p;
   sim::TimeUs t = t0;
   int mask = 1;
@@ -397,8 +404,8 @@ sim::TimeUs RingCclBackend::reduce_tree(const void* sendbuf, void* recvbuf,
       const int vsrc = vrank | mask;
       if (vsrc < p) {
         t = step_exchange(comm, ch, 1, -1, nullptr, 0, (vsrc + root) % p,
-                          inbox.data(), bytes, t, true);
-        throw_if_error(apply_reduce(dt, op, inbox.data(), acc, count),
+                          inbox.get(), bytes, t, true);
+        throw_if_error(apply_reduce(dt, op, inbox.get(), acc, count),
                        "xccl reduce");
       }
     } else {
@@ -435,25 +442,25 @@ XcclResult RingCclBackend::reduce(const void* sendbuf, void* recvbuf,
     const std::size_t esz = datatype_size(dt);
     const std::size_t up = static_cast<std::size_t>(p);
     const std::size_t block_count = (count + up - 1) / up;
-    std::vector<std::byte> scratch(block_count * up * esz, std::byte{0});
-    std::memcpy(scratch.data(), sendbuf, count * esz);
-    t = ring_reduce_scatter(scratch.data(), scratch.data(), block_count, dt, op,
-                            comm, ch, t0);
+    const std::size_t padded = block_count * up * esz;
+    const auto scratch = uninit(padded);
+    std::memcpy(scratch.get(), sendbuf, count * esz);
+    std::memset(scratch.get() + count * esz, 0, padded - count * esz);
+    t = ring_reduce_scatter(scratch.get(), scratch.get(), block_count, dt, op, comm,
+                            ch, t0);
     const std::size_t block = block_count * esz;
     if (me == root) {
-      std::vector<std::byte> gathered(block * up);
-      std::memcpy(gathered.data() + static_cast<std::size_t>(me) * block,
-                  scratch.data() + static_cast<std::size_t>(me) * block, block);
+      // The root's own block is already in place; the others land around it.
       for (int r = 0; r < p; ++r) {
         if (r == me) continue;
         t = step_exchange(comm, ch, 200, -1, nullptr, 0, r,
-                          gathered.data() + static_cast<std::size_t>(r) * block,
+                          scratch.get() + static_cast<std::size_t>(r) * block,
                           block, t, false);
       }
-      std::memcpy(recvbuf, gathered.data(), count * esz);
+      std::memcpy(recvbuf, scratch.get(), count * esz);
     } else {
       t = step_exchange(comm, ch, 200, root,
-                        scratch.data() + static_cast<std::size_t>(me) * block,
+                        scratch.get() + static_cast<std::size_t>(me) * block,
                         block, -1, nullptr, 0, t, false);
     }
   }
@@ -506,10 +513,9 @@ XcclResult RingCclBackend::reduce_scatter(const void* sendbuf, void* recvbuf,
   if (p == 1) {
     if (sendbuf != recvbuf) std::memcpy(recvbuf, sendbuf, block);
   } else {
-    std::vector<std::byte> scratch(block * static_cast<std::size_t>(p));
-    t = ring_reduce_scatter(sendbuf, scratch.data(), recvcount, dt, op, comm, ch,
-                            t);
-    std::memcpy(recvbuf, scratch.data() + static_cast<std::size_t>(me) * block,
+    const auto scratch = uninit(block * static_cast<std::size_t>(p));
+    t = ring_reduce_scatter(sendbuf, scratch.get(), recvcount, dt, op, comm, ch, t);
+    std::memcpy(recvbuf, scratch.get() + static_cast<std::size_t>(me) * block,
                 block);
   }
   if (op == ReduceOp::Avg) {

@@ -15,6 +15,7 @@
 //      at stream synchronization, exactly like a real CCL kernel.
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "xccl/backend.hpp"
@@ -79,11 +80,14 @@ class RingCclBackend : public CclBackend {
   // ---- fabric step: symmetric exchange with one peer ----------------------
   /// Send `sbytes` from sbuf to `dst`, receive `rbytes` into rbuf from
   /// `src` (comm ranks), with per-step cost `cost_us(bytes)` based on the
-  /// hop kind. Returns the new local time.
+  /// hop kind. With `reduce`, the received block is reduced into rbuf
+  /// (which must not overlap sbuf) instead of copied. Returns the new local
+  /// time.
   sim::TimeUs step_exchange(CclComm& comm, fabric::ChannelId ch, int tag, int dst,
                             const void* sbuf, std::size_t sbytes, int src,
                             void* rbuf, std::size_t rbytes, sim::TimeUs ready,
-                            bool tree_hop);
+                            bool tree_hop,
+                            std::optional<fabric::ReduceSpec> reduce = std::nullopt);
 
  private:
   struct QueuedP2p {

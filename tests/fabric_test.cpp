@@ -6,8 +6,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "common/reduce.hpp"
 #include "fabric/endpoint.hpp"
 #include "fabric/world.hpp"
 #include "sim/profiles.hpp"
@@ -210,6 +212,143 @@ TEST(Endpoint, ZeroByteMessages) {
   sim::VirtualClock clock;
   EXPECT_DOUBLE_EQ(s.wait(clock), 6.0);
   EXPECT_DOUBLE_EQ(r.wait(clock).completion, 7.5);
+}
+
+// ---- Receive-reduce ----------------------------------------------------------
+
+constexpr ReduceSpec kSumF64{DataType::Float64, ReduceOp::Sum};
+
+/// The bytes the inbox-then-reduce path yields: acc = op(acc, payload).
+std::vector<double> reduced(std::vector<double> acc, const std::vector<double>& in) {
+  EXPECT_EQ(apply_reduce(DataType::Float64, ReduceOp::Sum, in.data(), acc.data(),
+                         acc.size()),
+            XcclResult::Success);
+  return acc;
+}
+
+TEST(RecvReduce, RendezvousReceiveFirst) {
+  // The sender closes the match and reduces on its own thread.
+  Endpoint ep(0);
+  std::vector<double> acc{0.1, 0.2, 0.3, 1e16};
+  const std::vector<double> payload{0.7, -0.2, 1.0 / 3.0, 1.0};
+  const std::vector<double> want = reduced(acc, payload);
+  PendingRecv r = ep.post_recv(1, 0, 3, acc.data(), acc.size() * sizeof(double), 4.0,
+                               flat_cost(1.0, 1000.0), kSumF64);
+  SendPolicy rndv{.rendezvous = true, .eager_complete_us = 0.0};
+  PendingSend s = ep.deliver(1, 0, 3, payload.data(), payload.size() * sizeof(double),
+                             10.0, rndv);
+  sim::VirtualClock rc;
+  sim::VirtualClock sc;
+  const RecvResult res = r.wait(rc);
+  // Priced exactly like a copy: max(10, 4) + 1 + 32 B / 1000 MB/s.
+  EXPECT_DOUBLE_EQ(res.completion, 11.032);
+  EXPECT_DOUBLE_EQ(s.wait(sc), res.completion);
+  EXPECT_EQ(res.bytes, payload.size() * sizeof(double));
+  EXPECT_EQ(std::memcmp(acc.data(), want.data(), acc.size() * sizeof(double)), 0);
+}
+
+TEST(RecvReduce, RendezvousSendFirst) {
+  // The receiver closes the match at post time.
+  Endpoint ep(0);
+  std::vector<double> acc{2.5, -1.25, 1e-9};
+  const std::vector<double> payload{0.1, 0.2, 0.3};
+  const std::vector<double> want = reduced(acc, payload);
+  SendPolicy rndv{.rendezvous = true, .eager_complete_us = 0.0};
+  PendingSend s = ep.deliver(1, 0, 3, payload.data(), payload.size() * sizeof(double),
+                             0.0, rndv);
+  PendingRecv r = ep.post_recv(1, 0, 3, acc.data(), acc.size() * sizeof(double), 0.0,
+                               flat_cost(0, 1), kSumF64);
+  sim::VirtualClock clock;
+  r.wait(clock);
+  s.wait(clock);
+  EXPECT_EQ(std::memcmp(acc.data(), want.data(), acc.size() * sizeof(double)), 0);
+}
+
+TEST(RecvReduce, BufferedEagerSendIsReducedAtPost) {
+  Endpoint ep(0);
+  std::vector<double> payload{1.5, 2.5};
+  SendPolicy eager{.rendezvous = false, .eager_complete_us = 0.0};
+  PendingSend s = ep.deliver(1, 0, 3, payload.data(), payload.size() * sizeof(double),
+                             0.0, eager);
+  const std::vector<double> sent = payload;
+  std::fill(payload.begin(), payload.end(), -100.0);  // the sender reuses it
+  sim::VirtualClock clock;
+  s.wait(clock);
+  ASSERT_EQ(ep.unexpected_count(), 1u);
+
+  std::vector<double> acc{0.25, 0.5};
+  const std::vector<double> want = reduced(acc, sent);
+  PendingRecv r = ep.post_recv(1, 0, 3, acc.data(), acc.size() * sizeof(double), 0.0,
+                               flat_cost(0, 1), kSumF64);
+  r.wait(clock);
+  EXPECT_EQ(std::memcmp(acc.data(), want.data(), acc.size() * sizeof(double)), 0);
+}
+
+TEST(RecvReduce, ZeroBytes) {
+  Endpoint ep(0);
+  PendingRecv r = ep.post_recv(2, 8, 4, nullptr, 0, 7.0, flat_cost(0.5, 1e6), kSumF64);
+  SendPolicy rndv{.rendezvous = true, .eager_complete_us = 0.0};
+  PendingSend s = ep.deliver(2, 8, 4, nullptr, 0, 5.0, rndv);
+  sim::VirtualClock clock;
+  EXPECT_DOUBLE_EQ(r.wait(clock).completion, 7.5);
+  EXPECT_DOUBLE_EQ(s.wait(clock), 7.5);
+}
+
+TEST(RecvReduce, SizeMismatchErrorsOnBothHandlesAndNamesBothSizes) {
+  // A short payload, which a plain receive would accept, in both match orders.
+  const std::vector<double> payload{1.0, 2.0};
+  std::vector<double> acc{0.0, 0.0, 0.0};
+  SendPolicy rndv{.rendezvous = true, .eager_complete_us = 0.0};
+  auto expect_mismatch = [](auto& handle) {
+    sim::VirtualClock clock;
+    try {
+      handle.wait(clock);
+      ADD_FAILURE() << "size mismatch not reported";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("16"), std::string::npos) << what;
+      EXPECT_NE(what.find("24"), std::string::npos) << what;
+    }
+  };
+  for (const bool recv_first : {true, false}) {
+    SCOPED_TRACE(recv_first ? "receive first" : "send first");
+    Endpoint ep(0);
+    PendingRecv r;
+    PendingSend s;
+    if (recv_first) {
+      r = ep.post_recv(1, 0, 3, acc.data(), 24, 0.0, flat_cost(0, 1), kSumF64);
+      s = ep.deliver(1, 0, 3, payload.data(), 16, 0.0, rndv);
+    } else {
+      s = ep.deliver(1, 0, 3, payload.data(), 16, 0.0, rndv);
+      r = ep.post_recv(1, 0, 3, acc.data(), 24, 0.0, flat_cost(0, 1), kSumF64);
+    }
+    expect_mismatch(r);
+    expect_mismatch(s);
+    EXPECT_EQ(acc, (std::vector<double>{0.0, 0.0, 0.0}));
+  }
+}
+
+TEST(RecvReduce, UndefinedOpIsRejectedAtPost) {
+  Endpoint ep(0);
+  double acc = 0.0;
+  try {
+    ep.post_recv(1, 0, 3, &acc, sizeof(acc), 0.0, flat_cost(0, 1),
+                 ReduceSpec{DataType::Float64, ReduceOp::Band});
+    ADD_FAILURE() << "undefined (datatype, op) accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("band"), std::string::npos) << what;
+    EXPECT_NE(what.find("float64"), std::string::npos) << what;
+  }
+  EXPECT_EQ(ep.pending_recv_count(), 0u);
+}
+
+TEST(RecvReduce, PartialElementIsRejectedAtPost) {
+  Endpoint ep(0);
+  std::vector<double> acc(2, 0.0);
+  EXPECT_THROW(ep.post_recv(1, 0, 3, acc.data(), 12, 0.0, flat_cost(0, 1), kSumF64),
+               Error);
+  EXPECT_EQ(ep.pending_recv_count(), 0u);
 }
 
 TEST(World, RunsAllRanksAndPropagatesExceptions) {

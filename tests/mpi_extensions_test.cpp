@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -56,6 +57,46 @@ TEST(InPlace, ReduceAtRoot) {
       mpi.reduce(buf.data(), unused.data(), 64, kInt, ReduceOp::Sum, root,
                  mpi.comm_world());
       EXPECT_EQ(buf[0], mpi.rank() + 1);  // untouched on non-roots
+    }
+  });
+}
+
+/// Ragged gatherv layout over p ranks: rank r contributes r + 1 ints.
+struct Ragged {
+  std::vector<std::size_t> counts, displs;
+  std::size_t total = 0;
+  explicit Ragged(int p) {
+    for (int r = 0; r < p; ++r) {
+      counts.push_back(static_cast<std::size_t>(r) + 1);
+      displs.push_back(total);
+      total += counts.back();
+    }
+  }
+};
+
+TEST(InPlace, GathervAtRoot) {
+  // The root's block already sits at its displacement; nothing may read
+  // the sentinel.
+  with_mpi(4, [](Mpi& mpi) {
+    const int root = 1;
+    const Ragged g(mpi.size());
+    const auto me = static_cast<std::size_t>(mpi.rank());
+    std::vector<int> mine(g.counts[me], mpi.rank() * 10);
+    if (mpi.rank() == root) {
+      std::vector<int> all(g.total, -1);
+      std::copy(mine.begin(), mine.end(), all.begin() + static_cast<long>(g.displs[me]));
+      // MPI ignores the root's sendcount in place; pass a real one.
+      mpi.gatherv(kInPlace, mine.size(), kInt, all.data(), g.counts, g.displs, kInt,
+                  root, mpi.comm_world());
+      for (int r = 0; r < mpi.size(); ++r) {
+        const auto ur = static_cast<std::size_t>(r);
+        for (std::size_t i = 0; i < g.counts[ur]; ++i) {
+          EXPECT_EQ(all[g.displs[ur] + i], r * 10) << "r=" << r;
+        }
+      }
+    } else {
+      mpi.gatherv(mine.data(), mine.size(), kInt, nullptr, {}, {}, kInt, root,
+                  mpi.comm_world());
     }
   });
 }
@@ -195,6 +236,36 @@ TEST(InPlaceXccl, AllgatherAndAlltoallRouting) {
     for (int r = 0; r < 8; ++r) {
       EXPECT_EQ(a2a.as<int>()[static_cast<std::size_t>(r) * n],
                 r * 100 + rt.rank());
+    }
+  });
+}
+
+TEST(InPlaceXccl, GathervHostBuffersAtRoot) {
+  // Host buffers take the MPI rung, which receives the sentinel as is.
+  fabric::World world(fabric::WorldConfig{sim::thetagpu(), 1, 4});
+  world.run([](fabric::RankContext& ctx) {
+    XcclMpi rt(ctx);
+    const int root = 0;
+    const mini::Ragged g(rt.size());
+    const auto me = static_cast<std::size_t>(rt.rank());
+    std::vector<int> mine(g.counts[me], rt.rank() + 7);
+    std::vector<int> all(g.total, -1);
+    if (rt.rank() == root) {
+      std::copy(mine.begin(), mine.end(), all.begin() + static_cast<long>(g.displs[me]));
+      rt.gatherv(mini::kInPlace, mine.size(), mini::kInt, all.data(), g.counts,
+                 g.displs, mini::kInt, root, rt.comm_world());
+    } else {
+      rt.gatherv(mine.data(), mine.size(), mini::kInt, nullptr, {}, {}, mini::kInt,
+                 root, rt.comm_world());
+    }
+    EXPECT_EQ(rt.last_dispatch().engine, Engine::Mpi);
+    if (rt.rank() == root) {
+      for (int r = 0; r < rt.size(); ++r) {
+        const auto ur = static_cast<std::size_t>(r);
+        for (std::size_t i = 0; i < g.counts[ur]; ++i) {
+          EXPECT_EQ(all[g.displs[ur] + i], r + 7) << "r=" << r;
+        }
+      }
     }
   });
 }

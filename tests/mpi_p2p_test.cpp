@@ -133,6 +133,30 @@ TEST(MpiP2p, DeviceBuffersUseDeviceLinks) {
   });
 }
 
+TEST(MpiP2p, IrecvReduceCombinesWhereTheMessageLands) {
+  // Eager (16 B) and rendezvous (1 MB) messages reduce into the posted
+  // buffer; an op the datatype does not define is rejected at post time.
+  with_world(1, 2, [](Mpi& mpi) {
+    Comm& comm = mpi.comm_world();
+    for (const std::size_t n : {std::size_t{2}, std::size_t{1} << 17}) {
+      std::vector<double> v(n);
+      for (std::size_t i = 0; i < n; ++i) v[i] = 0.5 * static_cast<double>(i % 7);
+      if (mpi.rank() == 0) {
+        mpi.send(v.data(), n, kDouble, 1, 4, comm);
+      } else {
+        std::vector<double> acc(n, 0.25);
+        Request rr = mpi.irecv_reduce(acc.data(), n, kDouble, ReduceOp::Sum, 0, 4, comm);
+        mpi.wait(rr);
+        for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(acc[i], v[i] + 0.25) << i;
+      }
+    }
+    if (mpi.rank() == 1) {
+      double x = 0.0;
+      EXPECT_THROW(mpi.irecv_reduce(&x, 1, kDouble, ReduceOp::Bor, 0, 5, comm), Error);
+    }
+  });
+}
+
 TEST(MpiP2p, SendrecvExchanges) {
   with_world(2, 1, [](Mpi& mpi) {
     Comm& comm = mpi.comm_world();
