@@ -37,63 +37,73 @@ constexpr bool is_arith_op(ReduceOp op) {
   }
 }
 
+/// The operands of one kernel call: out = op(in, local), elementwise.
+struct Operands {
+  const void* in;
+  const void* local;
+  void* out;
+  std::size_t count;
+};
+
 template <typename T, typename F>
-void zip_inplace(const void* in, void* inout, std::size_t count, F f) {
-  const T* a = static_cast<const T*>(in);
-  T* b = static_cast<T*>(inout);
-  for (std::size_t i = 0; i < count; ++i) b[i] = f(a[i], b[i]);
+void zip(const Operands& o, F f) {
+  const T* a = static_cast<const T*>(o.in);
+  const T* b = static_cast<const T*>(o.local);
+  T* c = static_cast<T*>(o.out);
+  const std::size_t n = o.count;
+  for (std::size_t i = 0; i < n; ++i) c[i] = f(a[i], b[i]);
 }
 
 template <typename T>
-XcclResult reduce_arith(ReduceOp op, const void* in, void* inout, std::size_t count) {
+XcclResult reduce_arith(ReduceOp op, const Operands& o) {
   switch (op) {
     case ReduceOp::Sum:
     case ReduceOp::Avg:
-      zip_inplace<T>(in, inout, count, [](T a, T b) { return static_cast<T>(a + b); });
+      zip<T>(o, [](T a, T b) { return static_cast<T>(a + b); });
       return XcclResult::Success;
     case ReduceOp::Prod:
-      zip_inplace<T>(in, inout, count, [](T a, T b) { return static_cast<T>(a * b); });
+      zip<T>(o, [](T a, T b) { return static_cast<T>(a * b); });
       return XcclResult::Success;
     case ReduceOp::Min:
-      zip_inplace<T>(in, inout, count, [](T a, T b) { return std::min(a, b); });
+      zip<T>(o, [](T a, T b) { return std::min(a, b); });
       return XcclResult::Success;
     case ReduceOp::Max:
-      zip_inplace<T>(in, inout, count, [](T a, T b) { return std::max(a, b); });
+      zip<T>(o, [](T a, T b) { return std::max(a, b); });
       return XcclResult::Success;
     default: return XcclResult::UnsupportedOperation;
   }
 }
 
 template <typename T>
-XcclResult reduce_integer(ReduceOp op, const void* in, void* inout, std::size_t count) {
+XcclResult reduce_integer(ReduceOp op, const Operands& o) {
   switch (op) {
     case ReduceOp::Land:
-      zip_inplace<T>(in, inout, count,
-                     [](T a, T b) { return static_cast<T>((a != 0) && (b != 0)); });
+      zip<T>(o,
+             [](T a, T b) { return static_cast<T>((a != 0) && (b != 0)); });
       return XcclResult::Success;
     case ReduceOp::Lor:
-      zip_inplace<T>(in, inout, count,
-                     [](T a, T b) { return static_cast<T>((a != 0) || (b != 0)); });
+      zip<T>(o,
+             [](T a, T b) { return static_cast<T>((a != 0) || (b != 0)); });
       return XcclResult::Success;
     case ReduceOp::Band:
-      zip_inplace<T>(in, inout, count, [](T a, T b) { return static_cast<T>(a & b); });
+      zip<T>(o, [](T a, T b) { return static_cast<T>(a & b); });
       return XcclResult::Success;
     case ReduceOp::Bor:
-      zip_inplace<T>(in, inout, count, [](T a, T b) { return static_cast<T>(a | b); });
+      zip<T>(o, [](T a, T b) { return static_cast<T>(a | b); });
       return XcclResult::Success;
-    default: return reduce_arith<T>(op, in, inout, count);
+    default: return reduce_arith<T>(op, o);
   }
 }
 
 template <typename C>
-XcclResult reduce_complex(ReduceOp op, const void* in, void* inout, std::size_t count) {
+XcclResult reduce_complex(ReduceOp op, const Operands& o) {
   switch (op) {
     case ReduceOp::Sum:
     case ReduceOp::Avg:
-      zip_inplace<C>(in, inout, count, [](C a, C b) { return a + b; });
+      zip<C>(o, [](C a, C b) { return a + b; });
       return XcclResult::Success;
     case ReduceOp::Prod:
-      zip_inplace<C>(in, inout, count, [](C a, C b) { return a * b; });
+      zip<C>(o, [](C a, C b) { return a * b; });
       return XcclResult::Success;
     default: return XcclResult::UnsupportedOperation;
   }
@@ -102,11 +112,13 @@ XcclResult reduce_complex(ReduceOp op, const void* in, void* inout, std::size_t 
 // Half/bfloat reductions round-trip through float, matching how real CCLs
 // compute in higher precision internally.
 template <typename H>
-XcclResult reduce_half_like(ReduceOp op, const void* in, void* inout, std::size_t count) {
+XcclResult reduce_half_like(ReduceOp op, const Operands& o) {
   if (!is_arith_op(op)) return XcclResult::UnsupportedOperation;
-  const H* a = static_cast<const H*>(in);
-  H* b = static_cast<H*>(inout);
-  for (std::size_t i = 0; i < count; ++i) {
+  const H* a = static_cast<const H*>(o.in);
+  const H* b = static_cast<const H*>(o.local);
+  H* c = static_cast<H*>(o.out);
+  const std::size_t n = o.count;
+  for (std::size_t i = 0; i < n; ++i) {
     const float x = a[i].to_float();
     const float y = b[i].to_float();
     float r = 0.0f;
@@ -118,7 +130,7 @@ XcclResult reduce_half_like(ReduceOp op, const void* in, void* inout, std::size_
       case ReduceOp::Max: r = std::max(x, y); break;
       default: return XcclResult::UnsupportedOperation;
     }
-    b[i] = H::from_float(r);
+    c[i] = H::from_float(r);
   }
   return XcclResult::Success;
 }
@@ -134,29 +146,30 @@ bool reduce_defined(DataType dt, ReduceOp op) {
   return is_integer(dt);  // logical/bitwise ops: integers only
 }
 
-XcclResult apply_reduce(DataType dt, ReduceOp op, const void* in, void* inout,
-                        std::size_t count) {
+XcclResult apply_reduce(DataType dt, ReduceOp op, const void* in, const void* local,
+                        void* out, std::size_t count) {
   if (!reduce_defined(dt, op)) {
     // Byte is never reducible (datatype problem); any other rejection is a
     // bad (op, datatype) combination (operation problem).
     return dt == DataType::Byte ? XcclResult::UnsupportedDatatype
                                 : XcclResult::UnsupportedOperation;
   }
+  const Operands o{in, local, out, count};
   switch (dt) {
-    case DataType::Int8: return reduce_integer<std::int8_t>(op, in, inout, count);
-    case DataType::Uint8: return reduce_integer<std::uint8_t>(op, in, inout, count);
-    case DataType::Int32: return reduce_integer<std::int32_t>(op, in, inout, count);
-    case DataType::Uint32: return reduce_integer<std::uint32_t>(op, in, inout, count);
-    case DataType::Int64: return reduce_integer<std::int64_t>(op, in, inout, count);
-    case DataType::Uint64: return reduce_integer<std::uint64_t>(op, in, inout, count);
-    case DataType::Float16: return reduce_half_like<Half>(op, in, inout, count);
-    case DataType::BFloat16: return reduce_half_like<BF16>(op, in, inout, count);
-    case DataType::Float32: return reduce_arith<float>(op, in, inout, count);
-    case DataType::Float64: return reduce_arith<double>(op, in, inout, count);
+    case DataType::Int8: return reduce_integer<std::int8_t>(op, o);
+    case DataType::Uint8: return reduce_integer<std::uint8_t>(op, o);
+    case DataType::Int32: return reduce_integer<std::int32_t>(op, o);
+    case DataType::Uint32: return reduce_integer<std::uint32_t>(op, o);
+    case DataType::Int64: return reduce_integer<std::int64_t>(op, o);
+    case DataType::Uint64: return reduce_integer<std::uint64_t>(op, o);
+    case DataType::Float16: return reduce_half_like<Half>(op, o);
+    case DataType::BFloat16: return reduce_half_like<BF16>(op, o);
+    case DataType::Float32: return reduce_arith<float>(op, o);
+    case DataType::Float64: return reduce_arith<double>(op, o);
     case DataType::FloatComplex:
-      return reduce_complex<std::complex<float>>(op, in, inout, count);
+      return reduce_complex<std::complex<float>>(op, o);
     case DataType::DoubleComplex:
-      return reduce_complex<std::complex<double>>(op, in, inout, count);
+      return reduce_complex<std::complex<double>>(op, o);
     case DataType::Byte: return XcclResult::UnsupportedDatatype;
   }
   return XcclResult::InternalError;

@@ -15,13 +15,21 @@ namespace mpixccl {
 /// their own capability tables.
 bool reduce_defined(DataType dt, ReduceOp op);
 
-/// inout[i] = op(inout[i], in[i]) for count elements.
+/// out[i] = op(in[i], local[i]) for count elements: `in` is the incoming
+/// operand, `local` this side's own. `local` may equal `out` (reduce in
+/// place); otherwise neither operand may overlap `out`.
 /// ReduceOp::Avg accumulates like Sum here; the caller divides by the
 /// communicator size at the end (see scale_inplace).
 /// Returns UnsupportedOperation / UnsupportedDatatype when (dt, op) is not
 /// defined rather than touching the buffers.
-XcclResult apply_reduce(DataType dt, ReduceOp op, const void* in, void* inout,
-                        std::size_t count);
+XcclResult apply_reduce(DataType dt, ReduceOp op, const void* in, const void* local,
+                        void* out, std::size_t count);
+
+/// inout[i] = op(in[i], inout[i]): the case local == out.
+inline XcclResult apply_reduce(DataType dt, ReduceOp op, const void* in, void* inout,
+                               std::size_t count) {
+  return apply_reduce(dt, op, in, inout, inout, count);
+}
 
 /// buf[i] *= factor, for floating and complex datatypes (used to finish
 /// ReduceOp::Avg). Returns UnsupportedDatatype for integer types.

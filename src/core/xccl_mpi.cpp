@@ -365,6 +365,9 @@ CallArgs resolve_in_place(CallArgs a, int rank) {
       a.count = a.rcount;
       a.dt = a.rdt;
       break;
+    case CollOp::ReduceScatter:
+      // As MiniMPI: every engine would read the sentinel as the input.
+      throw Error("XcclMpi::reduce_scatter_block: MPI_IN_PLACE not supported");
     default: break;
   }
   return a;

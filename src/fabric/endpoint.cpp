@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <exception>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -26,6 +27,23 @@ constexpr int kSpinPolls = 2000;
 /// when threads outnumber free cores, the peer it waits for may be queued
 /// behind it on the same core.
 constexpr int kYieldEvery = 32;
+
+/// True when [a, a + n) and [b, b + n) share a byte without being the same
+/// range. A null `a` (no separate operand) never overlaps.
+bool partly_overlap(const void* a, const void* b, std::size_t n) {
+  if (a == nullptr || a == b || n == 0) return false;
+  const auto x = reinterpret_cast<std::uintptr_t>(a);
+  const auto y = reinterpret_cast<std::uintptr_t>(b);
+  return x < y + n && y < x + n;
+}
+
+/// "[first, last)" of a byte range, in hex.
+std::string range_string(const void* p, std::size_t n) {
+  const auto x = reinterpret_cast<std::uintptr_t>(p);
+  std::ostringstream os;
+  os << std::hex << "[0x" << x << ", 0x" << x + n << ")";
+  return os.str();
+}
 
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -121,9 +139,10 @@ void Endpoint::complete(const PostedRecv& r, const PostedSend& s) {
            " bytes, posted " + std::to_string(r.capacity) + ")");
       return;
     }
-    // (base, op) was validated at post time, so this cannot fail.
+    // (base, op) and `local` were validated at post time, so this cannot fail.
     if (s.bytes > 0) {
-      (void)apply_reduce(r.reduce->base, r.reduce->op, s.data, r.buf,
+      const void* local = r.reduce->local != nullptr ? r.reduce->local : r.buf;
+      (void)apply_reduce(r.reduce->base, r.reduce->op, s.data, local, r.buf,
                          s.bytes / datatype_size(r.reduce->base));
     }
   } else if (s.bytes > r.capacity) {
@@ -195,6 +214,11 @@ PendingRecv Endpoint::post_recv(int src, int tag, ChannelId channel, void* buf,
     throw Error("Endpoint::post_recv: receive-reduce of " + std::to_string(capacity) +
                 " bytes is not a whole number of " +
                 std::string(to_string(reduce->base)) + " elements");
+  }
+  if (reduce && partly_overlap(reduce->local, buf, capacity)) {
+    throw Error("Endpoint::post_recv: receive-reduce local operand " +
+                range_string(reduce->local, capacity) +
+                " partly overlaps the posted buffer " + range_string(buf, capacity));
   }
 
   PostedRecv r{.src = src,

@@ -9,11 +9,15 @@
 // (the sender if a recv was pending, the receiver if the send was
 // unexpected); that thread then moves the payload once, from the send
 // buffer straight into the receive buffer, outside the mutex: one memcpy,
-// or, for a receive-reduce, one apply_reduce that combines the payload into
-// the buffer in place (buf = op(buf, payload)), so a reduction step needs
-// no staging inbox. A receive-reduce payload must fill the posted buffer
-// exactly, and its (datatype, op) pair is validated when it is posted, so
-// the closing thread never throws.
+// or, for a receive-reduce, one apply_reduce that combines the payload with
+// a local operand as it lands (buf = op(payload, local)), so a reduction
+// step needs no staging inbox. The local operand is the posted buffer
+// itself or a separate range the receiver owns (its own input block, read
+// where it lies, so the reduction needs no working copy of the input
+// either); the closing thread reads it, so it must stay unchanged until the
+// receive resolves. A receive-reduce payload must fill the posted buffer
+// exactly, and its (datatype, op) pair and local range are validated when
+// it is posted, so the closing thread never throws.
 //
 // - A rendezvous payload is never copied before the match: its sender
 //   cannot resolve until the receiver has the bytes.
@@ -98,9 +102,10 @@ class Endpoint {
 
   /// Post a receive on this endpoint (the receiver's own endpoint). `buf`
   /// belongs to the fabric until the returned handle resolves. With
-  /// `reduce`, the payload is reduced into `buf` instead of copied; it must
+  /// `reduce`, buf = op(payload, local) instead of a copy; the payload must
   /// then be exactly `capacity` bytes (otherwise both handles resolve with
-  /// an error), and an undefined (base, op) pair throws here.
+  /// an error). An undefined (base, op) pair, or a `local` range that
+  /// partly overlaps `buf`, throws here.
   PendingRecv post_recv(int src, int tag, ChannelId channel, void* buf,
                         std::size_t capacity, sim::TimeUs recv_ready, CostFn cost,
                         std::optional<ReduceSpec> reduce = std::nullopt);

@@ -32,12 +32,15 @@ constexpr ChannelId derive_channel(ChannelId parent, std::uint64_t salt) {
 ///   completion = max(sender_ready, recv_ready) + cost(src, bytes).
 using CostFn = std::function<double(int src, std::size_t bytes)>;
 
-/// Receive-reduce: the payload is combined into the posted buffer instead
-/// of copied, as buf[i] = op(buf[i], payload[i]) over `base` elements (the
-/// operand order of apply_reduce with the payload as input).
+/// Receive-reduce: the payload is combined instead of copied, as
+/// buf[i] = op(payload[i], local[i]) over `base` elements (apply_reduce with
+/// the payload as its incoming operand). A null `local` is the posted buffer
+/// itself; any other `local` must equal the buffer or not overlap it, and
+/// it belongs to the fabric, read-only, until the receive resolves.
 struct ReduceSpec {
   DataType base;
   ReduceOp op;
+  const void* local = nullptr;
 };
 
 /// Sender-side protocol policy, decided by the sending layer.

@@ -67,7 +67,7 @@ void Mpi::barrier(Comm& comm) {
     const int dst = (me + k) % p;
     const int src = (me - k % p + p) % p;
     Request rr = irecv_bytes(nullptr, 0, src, k, ch, comm, false);
-    Request sr = isend_bytes(nullptr, 0, dst, k, ch, comm);
+    Request sr = isend_bytes(nullptr, 0, dst, k, ch, comm, false);
     wait(sr);
     wait(rr);
   }
@@ -98,7 +98,8 @@ void Mpi::bcast(void* buf, std::size_t count, Datatype dt, int root, Comm& comm)
   for (; send_mask > 0; send_mask >>= 1) {
     const int vchild = vrank | send_mask;
     if (vchild < p && vchild != vrank) {
-      Request sr = isend_bytes(buf, bytes, (vchild + root) % p, 0, ch, comm);
+      Request sr =
+          isend_bytes(buf, bytes, (vchild + root) % p, 0, ch, comm, is_device(buf));
       wait(sr);
     }
   }
@@ -141,7 +142,8 @@ void Mpi::reduce(const void* sendbuf, void* recvbuf, std::size_t count, Datatype
       }
     } else {
       const int vdst = vrank ^ mask;
-      Request sr = isend_bytes(acc, bytes, (vdst + root) % p, 0, ch, comm);
+      Request sr =
+          isend_bytes(acc, bytes, (vdst + root) % p, 0, ch, comm, is_device(acc));
       wait(sr);
       break;
     }
@@ -190,7 +192,8 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
   int eff_rank;  // -1 when sitting out
   if (me < 2 * rem) {
     if (me % 2 == 0) {
-      Request sr = isend_bytes(recvbuf, bytes, me + 1, 1, ch, comm);
+      Request sr =
+          isend_bytes(recvbuf, bytes, me + 1, 1, ch, comm, is_device(recvbuf));
       wait(sr);
       eff_rank = -1;
     } else {
@@ -212,7 +215,8 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
       for (int mask = 1; mask < pof2; mask <<= 1) {
         const int partner = real_rank(eff_rank ^ mask);
         Request rr = irecv_bytes(inbox.get(), bytes, partner, 2, ch, comm, dev);
-        Request sr = isend_bytes(recvbuf, bytes, partner, 2, ch, comm);
+        Request sr =
+            isend_bytes(recvbuf, bytes, partner, 2, ch, comm, is_device(recvbuf));
         wait(sr);
         wait(rr);
         throw_if_error(apply_reduce(dt.base, op, inbox.get(), recvbuf, n_elems),
@@ -263,7 +267,8 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
         // reduced straight into the kept range as it lands.
         Request rr = irecv_bytes(at(recvbuf, keep_off), keep_elems * esz, partner,
                                  3, ch, comm, dev, fabric::ReduceSpec{dt.base, op});
-        Request sr = isend_bytes(at(recvbuf, send_off), send_b, partner, 3, ch, comm);
+        const std::byte* sb = at(recvbuf, send_off);
+        Request sr = isend_bytes(sb, send_b, partner, 3, ch, comm, is_device(sb));
         wait(sr);
         wait(rr);
         lo = keep_lo;
@@ -291,7 +296,8 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
         const std::size_t p_b = (block_off_elems(phi) - block_off_elems(plo)) * esz;
 
         Request rr = irecv_bytes(at(recvbuf, p_off), p_b, partner, 4, ch, comm, dev);
-        Request sr = isend_bytes(at(recvbuf, my_off), my_b, partner, 4, ch, comm);
+        const std::byte* sb = at(recvbuf, my_off);
+        Request sr = isend_bytes(sb, my_b, partner, 4, ch, comm, is_device(sb));
         wait(sr);
         wait(rr);
         lo = std::min(lo, plo);
@@ -303,7 +309,8 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
   // Unfold: effective ranks push the final vector back to folded partners.
   if (me < 2 * rem) {
     if (me % 2 == 1) {
-      Request sr = isend_bytes(recvbuf, bytes, me - 1, 5, ch, comm);
+      Request sr =
+          isend_bytes(recvbuf, bytes, me - 1, 5, ch, comm, is_device(recvbuf));
       wait(sr);
     } else {
       Request rr = irecv_bytes(recvbuf, bytes, me + 1, 5, ch, comm, dev);
@@ -353,7 +360,7 @@ void Mpi::allgather(const void* sendbuf, std::size_t sendcount, Datatype sendtyp
           std::min(have, static_cast<std::size_t>(p) - have);
       Request rr = irecv_bytes(tmp + have * block, want * block, src, step, ch, comm,
                                dev);
-      Request sr = isend_bytes(tmp, want * block, dst, step, ch, comm);
+      Request sr = isend_bytes(tmp, want * block, dst, step, ch, comm, false);
       wait(sr);
       wait(rr);
       have += want;
@@ -375,9 +382,8 @@ void Mpi::allgather(const void* sendbuf, std::size_t sendcount, Datatype sendtyp
       Request rr = irecv_bytes(
           at(recvbuf, static_cast<std::size_t>(recv_block) * block), block, left,
           s, ch, comm, dev);
-      Request sr = isend_bytes(
-          at(recvbuf, static_cast<std::size_t>(send_block) * block), block, right,
-          s, ch, comm);
+      const std::byte* sb = at(recvbuf, static_cast<std::size_t>(send_block) * block);
+      Request sr = isend_bytes(sb, block, right, s, ch, comm, is_device(sb));
       wait(sr);
       wait(rr);
     }
@@ -417,8 +423,9 @@ void Mpi::allgatherv(const void* sendbuf, std::size_t sendcount, Datatype sendty
     const auto recv_block = static_cast<std::size_t>((me - s - 1 + p) % p);
     Request rr = irecv_bytes(at(recvbuf, displs[recv_block] * esz),
                              recvcounts[recv_block] * esz, left, s, ch, comm, dev);
-    Request sr = isend_bytes(at(recvbuf, displs[send_block] * esz),
-                             recvcounts[send_block] * esz, right, s, ch, comm);
+    const std::byte* sb = at(recvbuf, displs[send_block] * esz);
+    Request sr = isend_bytes(sb, recvcounts[send_block] * esz, right, s, ch, comm,
+                             is_device(sb));
     wait(sr);
     wait(rr);
   }
@@ -453,7 +460,7 @@ void Mpi::gather(const void* sendbuf, std::size_t sendcount, Datatype sendtype,
     waitall(reqs);
   } else {
     Request sr = isend_bytes(sendbuf, sendcount * sendtype.size(), root, 0, ch,
-                             comm);
+                             comm, is_device(sendbuf));
     wait(sr);
   }
 }
@@ -491,7 +498,8 @@ void Mpi::gatherv(const void* sendbuf, std::size_t sendcount, Datatype sendtype,
     }
     waitall(reqs);
   } else {
-    Request sr = isend_bytes(sendbuf, sendcount * sendtype.size(), root, 0, ch, comm);
+    Request sr = isend_bytes(sendbuf, sendcount * sendtype.size(), root, 0, ch, comm,
+                             is_device(sendbuf));
     wait(sr);
   }
 }
@@ -513,8 +521,8 @@ void Mpi::scatter(const void* sendbuf, std::size_t sendcount, Datatype sendtype,
                     block);
         continue;
       }
-      reqs.push_back(isend_bytes(at(sendbuf, static_cast<std::size_t>(r) * block),
-                                 block, r, 0, ch, comm));
+      const std::byte* sb = at(sendbuf, static_cast<std::size_t>(r) * block);
+      reqs.push_back(isend_bytes(sb, block, r, 0, ch, comm, is_device(sb)));
     }
     waitall(reqs);
   } else {
@@ -544,8 +552,9 @@ void Mpi::scatterv(const void* sendbuf, std::span<const std::size_t> sendcounts,
         std::memcpy(recvbuf, at(sendbuf, displs[ur] * esz), sendcounts[ur] * esz);
         continue;
       }
-      reqs.push_back(isend_bytes(at(sendbuf, displs[ur] * esz),
-                                 sendcounts[ur] * esz, r, 0, ch, comm));
+      const std::byte* sb = at(sendbuf, displs[ur] * esz);
+      reqs.push_back(
+          isend_bytes(sb, sendcounts[ur] * esz, r, 0, ch, comm, is_device(sb)));
     }
     waitall(reqs);
   } else {
@@ -590,8 +599,8 @@ void Mpi::alltoall(const void* sendbuf, std::size_t sendcount, Datatype sendtype
     }
     for (int s = 1; s < p; ++s) {
       const int dst = (me + s) % p;
-      reqs.push_back(isend_bytes(at(sendbuf, static_cast<std::size_t>(dst) * sblock),
-                                 sblock, dst, 0, ch, comm));
+      const std::byte* sb = at(sendbuf, static_cast<std::size_t>(dst) * sblock);
+      reqs.push_back(isend_bytes(sb, sblock, dst, 0, ch, comm, is_device(sb)));
     }
     waitall(reqs);
     return;
@@ -602,8 +611,8 @@ void Mpi::alltoall(const void* sendbuf, std::size_t sendcount, Datatype sendtype
     const int src = (me - s + p) % p;
     Request rr = irecv_bytes(at(recvbuf, static_cast<std::size_t>(src) * rblock),
                              rblock, src, s, ch, comm, dev);
-    Request sr = isend_bytes(at(sendbuf, static_cast<std::size_t>(dst) * sblock),
-                             sblock, dst, s, ch, comm);
+    const std::byte* sb = at(sendbuf, static_cast<std::size_t>(dst) * sblock);
+    Request sr = isend_bytes(sb, sblock, dst, s, ch, comm, is_device(sb));
     wait(sr);
     wait(rr);
   }
@@ -639,8 +648,9 @@ void Mpi::alltoallv(const void* sendbuf, std::span<const std::size_t> sendcounts
   for (int r = 0; r < p; ++r) {
     if (r == me) continue;
     const auto ur = static_cast<std::size_t>(r);
-    reqs.push_back(isend_bytes(at(sendbuf, sdispls[ur] * ssz),
-                               sendcounts[ur] * ssz, r, 0, ch, comm));
+    const std::byte* sb = at(sendbuf, sdispls[ur] * ssz);
+    reqs.push_back(
+        isend_bytes(sb, sendcounts[ur] * ssz, r, 0, ch, comm, is_device(sb)));
   }
   waitall(reqs);
 }
@@ -664,26 +674,29 @@ void Mpi::reduce_scatter_block(const void* sendbuf, void* recvbuf,
     return;
   }
 
-  // Ring reduce-scatter: accumulate into a scratch copy; after p-1 steps the
-  // block for rank me is fully reduced. Each step sends one block and
-  // reduces the left neighbour's block into another as it lands. The copy
-  // stays in host memory, which is what prices the sends out of it.
-  const auto acc_mem = uninit(block * static_cast<std::size_t>(p));
-  std::byte* acc = acc_mem.get();
-  std::memcpy(acc, sendbuf, block * static_cast<std::size_t>(p));
-
+  // Ring reduce-scatter that reads the input in place: step 0 sends an input
+  // block, each later step forwards the block the previous step produced,
+  // and each arriving block is reduced with this rank's own input block as
+  // it lands. Partial blocks alternate between two host slots; the last
+  // step lands in recvbuf. Every send is priced as a host send: the slots
+  // are host memory, and step 0 is priced like the steps after it.
+  const auto slots = uninit(p > 2 ? 2 * block : 0);
   const int right = (me + 1) % p;
   const int left = (me - 1 + p) % p;
+  const std::byte* send =
+      at(sendbuf, static_cast<std::size_t>((me - 1 + p) % p) * block);
   for (int s = 0; s < p - 1; ++s) {
-    const auto send_block = static_cast<std::size_t>((me - s - 1 + p) % p);
     const auto recv_block = static_cast<std::size_t>((me - s - 2 + 2 * p) % p);
-    Request rr = irecv_bytes(acc + recv_block * block, block, left, s, ch, comm, dev,
-                             fabric::ReduceSpec{dt.base, op});
-    Request sr = isend_bytes(acc + send_block * block, block, right, s, ch, comm);
+    std::byte* out = s == p - 2
+                         ? static_cast<std::byte*>(recvbuf)
+                         : slots.get() + static_cast<std::size_t>(s % 2) * block;
+    const fabric::ReduceSpec with_mine{dt.base, op, at(sendbuf, recv_block * block)};
+    Request rr = irecv_bytes(out, block, left, s, ch, comm, dev, with_mine);
+    Request sr = isend_bytes(send, block, right, s, ch, comm, false);
     wait(sr);
     wait(rr);
+    send = out;
   }
-  std::memcpy(recvbuf, acc + static_cast<std::size_t>(me) * block, block);
   if (op == ReduceOp::Avg) {
     throw_if_error(scale_inplace(dt.base, recvbuf, block_elems, 1.0 / p),
                    "Mpi::reduce_scatter_block avg");
@@ -712,7 +725,7 @@ void Mpi::scan(const void* sendbuf, void* recvbuf, std::size_t count, Datatype d
                    "Mpi::scan");
   }
   if (me < p - 1) {
-    Request sr = isend_bytes(recvbuf, bytes, me + 1, 0, ch, comm);
+    Request sr = isend_bytes(recvbuf, bytes, me + 1, 0, ch, comm, is_device(recvbuf));
     wait(sr);
   }
 }
@@ -742,7 +755,7 @@ void Mpi::exscan(const void* sendbuf, void* recvbuf, std::size_t count,
                    "Mpi::exscan");
   }
   if (me < p - 1) {
-    Request sr = isend_bytes(mine.get(), bytes, me + 1, 0, ch, comm);
+    Request sr = isend_bytes(mine.get(), bytes, me + 1, 0, ch, comm, false);
     wait(sr);
   }
   // Rank 0's recvbuf stays untouched (undefined per MPI).

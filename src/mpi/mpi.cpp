@@ -61,11 +61,10 @@ fabric::CostFn Mpi::make_cost_fn(bool device_buf) {
 }
 
 Request Mpi::isend_bytes(const void* buf, std::size_t bytes, int dst, int tag,
-                         fabric::ChannelId channel, Comm& comm) {
+                         fabric::ChannelId channel, Comm& comm, bool device_buf) {
   clock().advance(prof_.per_op_us);
   const int dst_world = comm.world_rank(dst);
-  const bool dev = is_device(buf);
-  const sim::LinkParams& link = link_to(dst_world, dev);
+  const sim::LinkParams& link = link_to(dst_world, device_buf);
   fabric::SendPolicy policy;
   policy.rendezvous = bytes > prof_.eager_threshold;
   policy.eager_complete_us = link.alpha_us;  // injection cost only
@@ -88,7 +87,8 @@ Request Mpi::irecv_bytes(void* buf, std::size_t bytes, int src, int tag,
 Request Mpi::isend(const void* buf, std::size_t count, Datatype dt, int dst,
                    int tag, Comm& comm) {
   require(tag >= 0, "Mpi::isend: tag must be non-negative");
-  return isend_bytes(buf, count * dt.size(), dst, tag, comm.p2p_channel(), comm);
+  return isend_bytes(buf, count * dt.size(), dst, tag, comm.p2p_channel(), comm,
+                     is_device(buf));
 }
 
 Request Mpi::irecv(void* buf, std::size_t count, Datatype dt, int src, int tag,

@@ -158,8 +158,10 @@ class Mpi {
   [[nodiscard]] const sim::LinkParams& link_to(int peer_world, bool device) const;
   [[nodiscard]] fabric::CostFn make_cost_fn(bool device_buf);
 
+  /// `device_buf` is the memory kind that prices an eager send's injection,
+  /// as `irecv_bytes`' `device_buf` prices the transfer.
   Request isend_bytes(const void* buf, std::size_t bytes, int dst, int tag,
-                      fabric::ChannelId channel, Comm& comm);
+                      fabric::ChannelId channel, Comm& comm, bool device_buf);
   Request irecv_bytes(void* buf, std::size_t bytes, int src, int tag,
                       fabric::ChannelId channel, Comm& comm, bool device_buf,
                       std::optional<fabric::ReduceSpec> reduce = std::nullopt);

@@ -27,6 +27,9 @@ int floor_pow2(int n) {
 std::byte* at(void* base, std::size_t off) {
   return static_cast<std::byte*>(base) + off;
 }
+const std::byte* at(const void* base, std::size_t off) {
+  return static_cast<const std::byte*>(base) + off;
+}
 
 /// Call-local scratch, left uninitialised: every user writes each byte
 /// before reading it.
@@ -195,31 +198,30 @@ sim::TimeUs RingCclBackend::allreduce_tree(const void* sendbuf, void* recvbuf,
   return t;
 }
 
-sim::TimeUs RingCclBackend::ring_reduce_scatter(const void* sendbuf, void* scratch,
+sim::TimeUs RingCclBackend::ring_reduce_scatter(const void* input,
                                                 std::size_t block_count, DataType dt,
                                                 ReduceOp op, CclComm& comm,
-                                                fabric::ChannelId ch,
-                                                sim::TimeUs t0) {
-  // `scratch` holds p blocks of block_count elements; on return, block `me`
-  // is fully reduced. Standard NCCL-style ring: each step sends one block
-  // and reduces the left neighbour's block into another as it lands.
+                                                fabric::ChannelId ch, sim::TimeUs t0,
+                                                const LandFn& land) {
+  // Standard NCCL-style ring over p input blocks: each step forwards the
+  // block the previous step produced (step 0 sends an input block) and
+  // reduces the left neighbour's block with this rank's input block as it
+  // lands. The input is only read, so it is never copied.
   const int p = comm.nranks();
   const int me = comm.rank();
-  const std::size_t esz = datatype_size(dt);
-  const std::size_t block = block_count * esz;
-  if (scratch != sendbuf) {
-    std::memcpy(scratch, sendbuf, block * static_cast<std::size_t>(p));
-  }
+  const std::size_t block = block_count * datatype_size(dt);
 
   const int right = (me + 1) % p;
   const int left = (me - 1 + p) % p;
+  const void* send = at(input, static_cast<std::size_t>((me - 1 + p) % p) * block);
   sim::TimeUs t = t0;
   for (int s = 0; s < p - 1; ++s) {
-    const auto send_block = static_cast<std::size_t>((me - s - 1 + p) % p);
     const auto recv_block = static_cast<std::size_t>((me - s - 2 + 2 * p) % p);
-    t = step_exchange(comm, ch, 10 + s, right, at(scratch, send_block * block),
-                      block, left, at(scratch, recv_block * block), block, t, false,
-                      fabric::ReduceSpec{dt, op});
+    std::byte* out = land(s, recv_block);
+    const void* local = at(input, recv_block * block);
+    t = step_exchange(comm, ch, 10 + s, right, send, block, left, out, block, t,
+                      false, fabric::ReduceSpec{dt, op, local});
+    send = out;
   }
   return t;
 }
@@ -236,21 +238,27 @@ sim::TimeUs RingCclBackend::allreduce_ring(const void* sendbuf, void* recvbuf,
   const std::size_t block_count = (count + up - 1) / up;
   const std::size_t padded = block_count * up;
 
-  // The working copy is recvbuf itself unless the blocks need a pad. Pad
-  // elements are zero on every rank; the reduced pad is never copied out,
-  // so any op may combine them.
+  // The working area is recvbuf itself unless the blocks need a pad; the
+  // reduce-scatter then reads sendbuf where it lies. A padded input is
+  // copied once, with zero pad elements on every rank; the reduced pad is
+  // never copied out, so any op may combine them.
   std::unique_ptr<std::byte[]> padded_copy;
   std::byte* ws = static_cast<std::byte*>(recvbuf);
+  const void* input = sendbuf;
   if (padded != count) {
     padded_copy = uninit(padded * esz);
     ws = padded_copy.get();
+    std::memcpy(ws, sendbuf, count * esz);
     std::memset(ws + count * esz, 0, (padded - count) * esz);
+    input = ws;
   }
-  if (ws != sendbuf) std::memcpy(ws, sendbuf, count * esz);
-  sim::TimeUs t = ring_reduce_scatter(ws, ws, block_count, dt, op, comm, ch, t0);
-
-  // Ring allgather of the reduced blocks.
   const std::size_t block = block_count * esz;
+  sim::TimeUs t = ring_reduce_scatter(
+      input, block_count, dt, op, comm, ch, t0,
+      [&](int, std::size_t b) { return ws + b * block; });
+
+  // Ring allgather of the reduced blocks: it fills every block of ws the
+  // reduce-scatter left unwritten.
   const int right = (me + 1) % p;
   const int left = (me - 1 + p) % p;
   for (int s = 0; s < p - 1; ++s) {
@@ -446,9 +454,10 @@ XcclResult RingCclBackend::reduce(const void* sendbuf, void* recvbuf,
     const auto scratch = uninit(padded);
     std::memcpy(scratch.get(), sendbuf, count * esz);
     std::memset(scratch.get() + count * esz, 0, padded - count * esz);
-    t = ring_reduce_scatter(scratch.get(), scratch.get(), block_count, dt, op, comm,
-                            ch, t0);
     const std::size_t block = block_count * esz;
+    t = ring_reduce_scatter(
+        scratch.get(), block_count, dt, op, comm, ch, t0,
+        [&](int, std::size_t b) { return scratch.get() + b * block; });
     if (me == root) {
       // The root's own block is already in place; the others land around it.
       for (int r = 0; r < p; ++r) {
@@ -504,19 +513,22 @@ XcclResult RingCclBackend::reduce_scatter(const void* sendbuf, void* recvbuf,
   if (!comm.valid()) return XcclResult::InvalidUsage;
   if (auto r = check_reduce(dt, op); !ok(r)) return r;
   const int p = comm.nranks();
-  const int me = comm.rank();
-  const std::size_t esz = datatype_size(dt);
-  const std::size_t block = recvcount * esz;
+  const std::size_t block = recvcount * datatype_size(dt);
   const fabric::ChannelId ch = comm.next_op_channel();
   sim::TimeUs t = begin_op(stream);
 
   if (p == 1) {
     if (sendbuf != recvbuf) std::memcpy(recvbuf, sendbuf, block);
   } else {
-    const auto scratch = uninit(block * static_cast<std::size_t>(p));
-    t = ring_reduce_scatter(sendbuf, scratch.get(), recvcount, dt, op, comm, ch, t);
-    std::memcpy(recvbuf, scratch.get() + static_cast<std::size_t>(me) * block,
-                block);
+    // Partial blocks alternate between two slots (a step forwards one while
+    // the next lands in the other); the last step lands in recvbuf, which
+    // may be this rank's own input block (NCCL's in-place form).
+    const auto slots = uninit(p > 2 ? 2 * block : 0);
+    auto land = [&](int s, std::size_t) {
+      return s == p - 2 ? static_cast<std::byte*>(recvbuf)
+                        : slots.get() + static_cast<std::size_t>(s % 2) * block;
+    };
+    t = ring_reduce_scatter(sendbuf, recvcount, dt, op, comm, ch, t, land);
   }
   if (op == ReduceOp::Avg) {
     throw_if_error(scale_inplace(dt, recvbuf, recvcount, 1.0 / p),

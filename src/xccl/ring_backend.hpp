@@ -15,6 +15,7 @@
 //      at stream synchronization, exactly like a real CCL kernel.
 
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -80,8 +81,8 @@ class RingCclBackend : public CclBackend {
   // ---- fabric step: symmetric exchange with one peer ----------------------
   /// Send `sbytes` from sbuf to `dst`, receive `rbytes` into rbuf from
   /// `src` (comm ranks), with per-step cost `cost_us(bytes)` based on the
-  /// hop kind. With `reduce`, the received block is reduced into rbuf
-  /// (which must not overlap sbuf) instead of copied. Returns the new local
+  /// hop kind. With `reduce`, rbuf = op(received block, reduce->local)
+  /// instead of a copy (rbuf must not overlap sbuf). Returns the new local
   /// time.
   sim::TimeUs step_exchange(CclComm& comm, fabric::ChannelId ch, int tag, int dst,
                             const void* sbuf, std::size_t sbytes, int src,
@@ -114,10 +115,15 @@ class RingCclBackend : public CclBackend {
   sim::TimeUs reduce_tree(const void* sendbuf, void* recvbuf, std::size_t count,
                           DataType dt, ReduceOp op, int root, CclComm& comm,
                           fabric::ChannelId ch, sim::TimeUs t0);
-  sim::TimeUs ring_reduce_scatter(const void* sendbuf, void* scratch,
-                                  std::size_t block_count, DataType dt, ReduceOp op,
-                                  CclComm& comm, fabric::ChannelId ch,
-                                  sim::TimeUs t0);
+  /// Where step `s` of a ring reduce-scatter lands the partial result for
+  /// block `b`; the next step forwards it from there.
+  using LandFn = std::function<std::byte*(int s, std::size_t b)>;
+  /// Ring reduce-scatter of `input` (p blocks of block_count elements, read
+  /// in place): on return, block `me` is fully reduced at land(p - 2, me).
+  sim::TimeUs ring_reduce_scatter(const void* input, std::size_t block_count,
+                                  DataType dt, ReduceOp op, CclComm& comm,
+                                  fabric::ChannelId ch, sim::TimeUs t0,
+                                  const LandFn& land);
 
   CclKind kind_;
   sim::CclProfile prof_;

@@ -4,7 +4,9 @@
 
 #include <complex>
 #include <cstdint>
+#include <cstring>
 #include <gtest/gtest.h>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -137,6 +139,81 @@ TEST(ScaleInplace, FloatTypes) {
 }
 
 // Property sweep: sum/min/max against a scalar oracle on random data.
+// ---- Three-operand form: out = op(in, local) ---------------------------------
+
+/// Seeded elements of `dt`: small integers (no Prod overflow), or finite
+/// values in [-4, 4) for the floating and complex types.
+std::vector<std::byte> seeded(DataType dt, std::size_t n, std::uint64_t seed) {
+  std::vector<std::byte> out(n * datatype_size(dt));
+  std::uint64_t s = seed;
+  auto real = [&] {
+    s = splitmix64(s);
+    return static_cast<double>(s >> 11) * 0x1p-50 - 4.0;
+  };
+  auto put = [&](std::size_t i, const auto& v) {
+    std::memcpy(out.data() + i * sizeof v, &v, sizeof v);
+  };
+  auto real32 = [&] { return static_cast<float>(real()); };
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (dt) {
+      case DataType::Float16: put(i, Half::from_float(real32())); break;
+      case DataType::BFloat16: put(i, BF16::from_float(real32())); break;
+      case DataType::Float32: put(i, real32()); break;
+      case DataType::Float64: put(i, real()); break;
+      case DataType::FloatComplex: put(i, std::complex<float>(real32(), real32())); break;
+      case DataType::DoubleComplex: put(i, std::complex<double>(real(), real())); break;
+      default: {
+        // Integers in [-3, 3]: the low byte of a small two's-complement value.
+        const auto v = static_cast<std::int64_t>(real());
+        std::memcpy(out.data() + i * datatype_size(dt), &v, datatype_size(dt));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(ApplyReduceThreeOperand, MatchesCopyThenInPlaceForEveryDefinedPair) {
+  constexpr std::size_t n = 1003;  // odd: covers vector tails
+  int pairs = 0;
+  for (int d = 0; d <= static_cast<int>(DataType::Byte); ++d) {
+    for (int o = 0; o <= static_cast<int>(ReduceOp::Bor); ++o) {
+      const auto dt = static_cast<DataType>(d);
+      const auto op = static_cast<ReduceOp>(o);
+      if (!reduce_defined(dt, op)) continue;
+      ++pairs;
+      SCOPED_TRACE(std::string(to_string(dt)) + " " + std::string(to_string(op)));
+      const auto in = seeded(dt, n, 1);
+      const auto local = seeded(dt, n, 2);
+
+      // Today's form: copy the local operand, then reduce into the copy.
+      auto expect = local;
+      ASSERT_EQ(apply_reduce(dt, op, in.data(), expect.data(), n), XcclResult::Success);
+
+      std::vector<std::byte> out(local.size());
+      ASSERT_EQ(apply_reduce(dt, op, in.data(), local.data(), out.data(), n),
+                XcclResult::Success);
+      EXPECT_EQ(out, expect);
+      EXPECT_EQ(local, seeded(dt, n, 2));  // the local operand is only read
+
+      auto aliased = local;  // local == out
+      ASSERT_EQ(apply_reduce(dt, op, in.data(), aliased.data(), aliased.data(), n),
+                XcclResult::Success);
+      EXPECT_EQ(aliased, expect);
+    }
+  }
+  EXPECT_EQ(pairs, 6 * 9 + 4 * 5 + 2 * 3);  // integers, real floats, complex
+}
+
+TEST(ApplyReduceThreeOperand, RejectsUndefinedPairsWithoutWriting) {
+  std::vector<float> in{1.0f};
+  std::vector<float> local{2.0f};
+  std::vector<float> out{7.0f};
+  EXPECT_EQ(apply_reduce(DataType::Float32, ReduceOp::Band, in.data(), local.data(),
+                         out.data(), 1),
+            XcclResult::UnsupportedOperation);
+  EXPECT_EQ(out[0], 7.0f);
+}
+
 class ReducePropertyTest
     : public ::testing::TestWithParam<std::tuple<ReduceOp, std::size_t>> {};
 

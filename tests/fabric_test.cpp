@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -349,6 +351,126 @@ TEST(RecvReduce, PartialElementIsRejectedAtPost) {
   EXPECT_THROW(ep.post_recv(1, 0, 3, acc.data(), 12, 0.0, flat_cost(0, 1), kSumF64),
                Error);
   EXPECT_EQ(ep.pending_recv_count(), 0u);
+}
+
+// ---- Receive-reduce with a separate local operand: buf = op(payload, local) ----
+
+/// A posted buffer whose old contents must not be read.
+std::vector<double> garbage(std::size_t n) { return std::vector<double>(n, -7e300); }
+
+ReduceSpec sum_with(const std::vector<double>& local) {
+  return ReduceSpec{DataType::Float64, ReduceOp::Sum, local.data()};
+}
+
+TEST(RecvReduce, LocalOperandInBothMatchOrders) {
+  const std::vector<double> local{0.1, 0.2, 0.3, 1e16};
+  const std::vector<double> payload{0.7, -0.2, 1.0 / 3.0, 1.0};
+  const std::vector<double> want = reduced(local, payload);
+  const std::size_t bytes = local.size() * sizeof(double);
+  SendPolicy rndv{.rendezvous = true, .eager_complete_us = 0.0};
+  for (const bool recv_first : {true, false}) {
+    SCOPED_TRACE(recv_first ? "receive first" : "send first");
+    Endpoint ep(0);
+    std::vector<double> out = garbage(local.size());
+    PendingRecv r;
+    PendingSend s;
+    if (recv_first) {
+      r = ep.post_recv(1, 0, 3, out.data(), bytes, 4.0, flat_cost(1.0, 1000.0),
+                       sum_with(local));
+      s = ep.deliver(1, 0, 3, payload.data(), bytes, 10.0, rndv);
+    } else {
+      s = ep.deliver(1, 0, 3, payload.data(), bytes, 10.0, rndv);
+      r = ep.post_recv(1, 0, 3, out.data(), bytes, 4.0, flat_cost(1.0, 1000.0),
+                       sum_with(local));
+    }
+    sim::VirtualClock clock;
+    // Priced exactly like a copy: max(10, 4) + 1 + 32 B / 1000 MB/s.
+    EXPECT_DOUBLE_EQ(r.wait(clock).completion, 11.032);
+    EXPECT_DOUBLE_EQ(s.wait(clock), 11.032);
+    EXPECT_EQ(std::memcmp(out.data(), want.data(), bytes), 0);
+    EXPECT_EQ(local, (std::vector<double>{0.1, 0.2, 0.3, 1e16}));
+  }
+}
+
+TEST(RecvReduce, LocalOperandWithBufferedEagerSend) {
+  Endpoint ep(0);
+  std::vector<double> payload{1.5, 2.5};
+  SendPolicy eager{.rendezvous = false, .eager_complete_us = 0.0};
+  PendingSend s = ep.deliver(1, 0, 3, payload.data(), 16, 0.0, eager);
+  const std::vector<double> sent = payload;
+  std::fill(payload.begin(), payload.end(), -100.0);  // the sender reuses it
+  sim::VirtualClock clock;
+  s.wait(clock);
+
+  const std::vector<double> local{0.25, 0.5};
+  std::vector<double> out = garbage(2);
+  PendingRecv r =
+      ep.post_recv(1, 0, 3, out.data(), 16, 0.0, flat_cost(0, 1), sum_with(local));
+  r.wait(clock);
+  EXPECT_EQ(out, reduced(local, sent));
+}
+
+TEST(RecvReduce, LocalOperandZeroBytes) {
+  Endpoint ep(0);
+  const std::vector<double> local{1.0};
+  PendingRecv r =
+      ep.post_recv(2, 8, 4, nullptr, 0, 7.0, flat_cost(0.5, 1e6), sum_with(local));
+  SendPolicy rndv{.rendezvous = true, .eager_complete_us = 0.0};
+  PendingSend s = ep.deliver(2, 8, 4, nullptr, 0, 5.0, rndv);
+  sim::VirtualClock clock;
+  EXPECT_DOUBLE_EQ(r.wait(clock).completion, 7.5);
+  EXPECT_DOUBLE_EQ(s.wait(clock), 7.5);
+}
+
+TEST(RecvReduce, LocalOperandSizeMismatchLeavesBothBuffers) {
+  const std::vector<double> payload{1.0, 2.0};
+  const std::vector<double> local{4.0, 5.0, 6.0};
+  std::vector<double> out{0.0, 0.0, 0.0};
+  SendPolicy rndv{.rendezvous = true, .eager_complete_us = 0.0};
+  Endpoint ep(0);
+  PendingRecv r =
+      ep.post_recv(1, 0, 3, out.data(), 24, 0.0, flat_cost(0, 1), sum_with(local));
+  PendingSend s = ep.deliver(1, 0, 3, payload.data(), 16, 0.0, rndv);
+  sim::VirtualClock clock;
+  EXPECT_THROW(r.wait(clock), Error);
+  EXPECT_THROW(s.wait(clock), Error);
+  EXPECT_EQ(out, (std::vector<double>{0.0, 0.0, 0.0}));
+  EXPECT_EQ(local, (std::vector<double>{4.0, 5.0, 6.0}));
+}
+
+/// "[first, last)" in hex, as the fabric names a byte range.
+std::string hex_range(const void* p, std::size_t n) {
+  const auto x = reinterpret_cast<std::uintptr_t>(p);
+  std::ostringstream os;
+  os << std::hex << "[0x" << x << ", 0x" << x + n << ")";
+  return os.str();
+}
+
+TEST(RecvReduce, PartlyOverlappingLocalIsRejectedAtPostNamingBothRanges) {
+  Endpoint ep(0);
+  std::vector<double> mem(6, 1.0);
+  double* buf = mem.data() + 1;
+  const std::size_t bytes = 2 * sizeof(double);
+  for (const double* local : {mem.data(), mem.data() + 2}) {
+    try {
+      ep.post_recv(1, 0, 3, buf, bytes, 0.0, flat_cost(0, 1),
+                   ReduceSpec{DataType::Float64, ReduceOp::Sum, local});
+      ADD_FAILURE() << "partly overlapping local operand accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(hex_range(local, bytes)), std::string::npos) << what;
+      EXPECT_NE(what.find(hex_range(buf, bytes)), std::string::npos) << what;
+    }
+  }
+  EXPECT_EQ(ep.pending_recv_count(), 0u);
+
+  // The same range, and an adjacent one, are accepted.
+  for (const double* local : {buf, mem.data() + 3}) {
+    PendingRecv r = ep.post_recv(1, 0, 3, buf, bytes, 0.0, flat_cost(0, 1),
+                                 ReduceSpec{DataType::Float64, ReduceOp::Sum, local});
+    EXPECT_TRUE(r.valid());
+  }
+  EXPECT_EQ(ep.pending_recv_count(), 2u);
 }
 
 TEST(World, RunsAllRanksAndPropagatesExceptions) {

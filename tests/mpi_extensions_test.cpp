@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/xccl_mpi.hpp"
@@ -268,6 +271,57 @@ TEST(InPlaceXccl, GathervHostBuffersAtRoot) {
       }
     }
   });
+}
+
+/// MPI_IN_PLACE reduce_scatter_block through the runtime on 1x8 with device
+/// buffers: `call` must throw an Error naming the call, on every rank,
+/// before any engine reads the sentinel.
+void expect_in_place_rsb_rejected(
+    Mode mode, std::size_t n,
+    const std::function<void(XcclMpi&, void*, std::size_t)>& call) {
+  fabric::run_world(sim::thetagpu(), 1, [&](fabric::RankContext& ctx) {
+    XcclMpiOptions opts;
+    opts.mode = mode;
+    XcclMpi rt(ctx, opts);
+    device::DeviceBuffer buf(ctx.device(), n * sizeof(float) * 8);
+    try {
+      call(rt, buf.get(), n);
+      ADD_FAILURE() << "in-place reduce_scatter_block accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("reduce_scatter_block"), std::string::npos) << what;
+      EXPECT_NE(what.find("MPI_IN_PLACE"), std::string::npos) << what;
+    }
+  });
+}
+
+TEST(InPlaceXccl, ReduceScatterBlockIsRejected) {
+  for (const auto& [mode, n] : {std::pair{Mode::PureXccl, std::size_t{4096}},
+                                std::pair{Mode::Hybrid, std::size_t{65536}}}) {
+    expect_in_place_rsb_rejected(mode, n, [](XcclMpi& rt, void* buf, std::size_t k) {
+      rt.reduce_scatter_block(mini::kInPlace, buf, k, mini::kFloat, ReduceOp::Sum,
+                              rt.comm_world());
+    });
+  }
+}
+
+TEST(InPlaceXccl, IreduceScatterBlockIsRejected) {
+  expect_in_place_rsb_rejected(
+      Mode::PureXccl, 4096, [](XcclMpi& rt, void* buf, std::size_t k) {
+        mini::Request req = rt.ireduce_scatter_block(
+            mini::kInPlace, buf, k, mini::kFloat, ReduceOp::Sum, rt.comm_world());
+        rt.wait(req);
+      });
+}
+
+TEST(InPlaceXccl, ReduceScatterInitIsRejected) {
+  expect_in_place_rsb_rejected(
+      Mode::PureXccl, 4096, [](XcclMpi& rt, void* buf, std::size_t k) {
+        Persistent h = rt.reduce_scatter_init(mini::kInPlace, buf, k, mini::kFloat,
+                                              ReduceOp::Sum, rt.comm_world());
+        h.start();
+        h.wait();
+      });
 }
 
 TEST(InPlaceXccl, ExscanRoutesToMpi) {

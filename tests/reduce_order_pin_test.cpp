@@ -6,6 +6,10 @@
 // reduce-scatter data path (where the bytes land, which buffer is the
 // working copy) must leave every hash unchanged, which proves that no
 // reduction was reordered. Max is order-insensitive and guards the copies.
+//
+// VirtualTimePin also pins every rank's virtual clock after the call: moving
+// a send or a receive onto another buffer must not change which link prices
+// it (MiniMPI prices a transfer by the memory kind of its buffer).
 
 #include <gtest/gtest.h>
 
@@ -66,18 +70,33 @@ std::uint64_t hash_outputs(const std::vector<std::vector<std::byte>>& outs) {
   return h;
 }
 
+using RankBody = std::function<std::vector<std::byte>(fabric::RankContext&)>;
+
+/// The output hash over all ranks and each rank's virtual clock after the call.
+struct Outcome {
+  std::uint64_t hash = 0;
+  std::vector<double> clocks;
+};
+
 /// Runs `body` on every rank of `nodes` x `dpn` thetagpu; each rank returns
-/// its output bytes. Returns the hash over all ranks.
-std::uint64_t run_world(
-    int nodes, int dpn,
-    const std::function<std::vector<std::byte>(fabric::RankContext&)>& body) {
+/// its output bytes.
+Outcome run_timed(int nodes, int dpn, const RankBody& body) {
   fabric::World world(fabric::WorldConfig{sim::thetagpu(), nodes, dpn});
-  std::vector<std::vector<std::byte>> outs(
-      static_cast<std::size_t>(nodes * dpn));
+  const auto n = static_cast<std::size_t>(nodes * dpn);
+  std::vector<std::vector<std::byte>> outs(n);
+  Outcome o;
+  o.clocks.resize(n);
   world.run([&](fabric::RankContext& ctx) {
-    outs[static_cast<std::size_t>(ctx.rank())] = body(ctx);
+    const auto r = static_cast<std::size_t>(ctx.rank());
+    outs[r] = body(ctx);
+    o.clocks[r] = ctx.clock().now();
   });
-  return hash_outputs(outs);
+  o.hash = hash_outputs(outs);
+  return o;
+}
+
+std::uint64_t run_world(int nodes, int dpn, const RankBody& body) {
+  return run_timed(nodes, dpn, body).hash;
 }
 
 void expect_pinned(const std::function<std::uint64_t(DataType, ReduceOp)>& run,
@@ -134,13 +153,61 @@ TEST(ReduceOrderPin, MpiReduceScatterBlock) {
        15817781232391425900u});
 }
 
+/// MiniMPI reduce_scatter_block on 2x2 with both buffers in device memory.
+/// Ranks arrive staggered, so an eager send's own completion (its injection
+/// cost, priced by memory kind) can outlast the receive it pairs with and
+/// set the rank's clock.
+RankBody mpi_rsb_device(std::size_t block, DataType dt, ReduceOp op) {
+  return [=](fabric::RankContext& ctx) {
+    mini::Mpi mpi(ctx, ctx.profile().mpi);
+    ctx.clock().advance(5.0 * ctx.rank());
+    const auto in = seeded_input(dt, block * static_cast<std::size_t>(ctx.size()),
+                                 ctx.rank());
+    const std::size_t out_bytes = block * datatype_size(dt);
+    device::DeviceBuffer send(ctx.device(), in.size());
+    device::DeviceBuffer recv(ctx.device(), out_bytes);
+    std::memcpy(send.get(), in.data(), in.size());
+    mpi.reduce_scatter_block(send.get(), recv.get(), block, mini::Datatype{dt, 1},
+                             op, mpi.comm_world());
+    std::vector<std::byte> out(out_bytes);
+    std::memcpy(out.data(), recv.get(), out_bytes);
+    return out;
+  };
+}
+
+// 1000 elements are an eager block for both widths, 30001 a rendezvous one.
+constexpr std::size_t kEagerBlock = 1000;
+constexpr std::size_t kRendezvousBlock = 30001;
+constexpr Pins kMpiRsbEager = {6516453947214676815u, 1245776074982346067u,
+                               11336169414588253540u, 12349861813323295669u};
+constexpr Pins kMpiRsbRendezvous = {3546762309307014109u, 3553116310575008702u,
+                                    8936908880480244961u, 4023947203408775878u};
+
+TEST(ReduceOrderPin, MpiReduceScatterBlockDeviceEager) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return run_world(2, 2, mpi_rsb_device(kEagerBlock, dt, op));
+      },
+      kMpiRsbEager);
+}
+
+TEST(ReduceOrderPin, MpiReduceScatterBlockDeviceRendezvous) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return run_world(2, 2, mpi_rsb_device(kRendezvousBlock, dt, op));
+      },
+      kMpiRsbRendezvous);
+}
+
 // ---- CCL ring -----------------------------------------------------------------
 
-/// Runs `body` with an NCCL-family backend joined on all ranks of 1x4.
-std::uint64_t run_ccl(const std::function<std::vector<std::byte>(
-                          xccl::CclBackend&, xccl::CclComm&, fabric::RankContext&)>&
-                          body) {
-  return run_world(1, 4, [&](fabric::RankContext& ctx) {
+using CclBody = std::function<std::vector<std::byte>(
+    xccl::CclBackend&, xccl::CclComm&, fabric::RankContext&)>;
+
+/// Wraps `body` with an NCCL-family backend joined on every rank; the clock
+/// is read after the stream drains.
+RankBody with_ccl(const CclBody& body) {
+  return [body](fabric::RankContext& ctx) {
     auto backend = xccl::make_backend(xccl::CclKind::Nccl, ctx, ctx.profile().ccl);
     xccl::CclComm comm;
     const xccl::UniqueId id = xccl::UniqueId::derive(7, 1);
@@ -149,21 +216,27 @@ std::uint64_t run_ccl(const std::function<std::vector<std::byte>(
     auto out = body(*backend, comm, ctx);
     ctx.stream().synchronize(ctx.clock());
     return out;
-  });
+  };
 }
 
+/// Runs `body` with an NCCL-family backend joined on all ranks of 1x4.
+std::uint64_t run_ccl(const CclBody& body) { return run_world(1, 4, with_ccl(body)); }
+
 /// Ring allreduce of `n` elements (above the tree threshold for both widths).
-std::uint64_t ccl_allreduce(std::size_t n, bool in_place, DataType dt,
-                            ReduceOp op) {
-  return run_ccl([&](xccl::CclBackend& b, xccl::CclComm& comm,
-                     fabric::RankContext& ctx) {
+CclBody ccl_allreduce_body(std::size_t n, bool in_place, DataType dt, ReduceOp op) {
+  return [=](xccl::CclBackend& b, xccl::CclComm& comm, fabric::RankContext& ctx) {
     auto in = seeded_input(dt, n, ctx.rank());
     std::vector<std::byte> out(in.size());
     void* recv = in_place ? in.data() : out.data();
     EXPECT_EQ(b.all_reduce(in.data(), recv, n, dt, op, comm, ctx.stream()),
               XcclResult::Success);
     return in_place ? in : out;
-  });
+  };
+}
+
+std::uint64_t ccl_allreduce(std::size_t n, bool in_place, DataType dt,
+                            ReduceOp op) {
+  return run_ccl(ccl_allreduce_body(n, in_place, dt, op));
 }
 
 /// In place and out of place must agree bit for bit.
@@ -208,22 +281,59 @@ TEST(ReduceOrderPin, CclRingReduce) {
        12394947554799368492u});
 }
 
+/// CCL reduce_scatter of `block` elements per rank; in place is NCCL's
+/// recvbuf == sendbuf + rank * block.
+CclBody ccl_reduce_scatter_body(std::size_t block, bool in_place, DataType dt,
+                                ReduceOp op) {
+  return [=](xccl::CclBackend& b, xccl::CclComm& comm, fabric::RankContext& ctx) {
+    auto in = seeded_input(dt, block * static_cast<std::size_t>(ctx.size()),
+                           ctx.rank());
+    const std::size_t out_bytes = block * datatype_size(dt);
+    std::vector<std::byte> out(out_bytes);
+    std::byte* recv =
+        in_place ? in.data() + static_cast<std::size_t>(ctx.rank()) * out_bytes
+                 : out.data();
+    EXPECT_EQ(b.reduce_scatter(in.data(), recv, block, dt, op, comm, ctx.stream()),
+              XcclResult::Success);
+    std::memcpy(out.data(), recv, out_bytes);
+    return out;
+  };
+}
+
+constexpr std::size_t kRsBlock = 25001;
+
+std::uint64_t ccl_reduce_scatter(int p, bool in_place, DataType dt, ReduceOp op) {
+  return run_world(1, p, with_ccl(ccl_reduce_scatter_body(kRsBlock, in_place, dt, op)));
+}
+
+/// In place and out of place must agree bit for bit.
+constexpr Pins kRingReduceScatter = {6822429000017453973u, 16663745901390029644u,
+                                     5999384682921062775u, 4227646549343865872u};
+constexpr Pins kRingReduceScatterP2 = {15005059483890445834u, 3953047770868690024u,
+                                       11210743101695277234u, 17913899227069298952u};
+
 TEST(ReduceOrderPin, CclRingReduceScatter) {
-  constexpr std::size_t block = 25001;
   expect_pinned(
-      [](DataType dt, ReduceOp op) {
-        return run_ccl([&](xccl::CclBackend& b, xccl::CclComm& comm,
-                           fabric::RankContext& ctx) {
-          const auto in = seeded_input(dt, block * 4, ctx.rank());
-          std::vector<std::byte> out(block * datatype_size(dt));
-          EXPECT_EQ(b.reduce_scatter(in.data(), out.data(), block, dt, op, comm,
-                                     ctx.stream()),
-                    XcclResult::Success);
-          return out;
-        });
-      },
-      {6822429000017453973u, 16663745901390029644u, 5999384682921062775u,
-       4227646549343865872u});
+      [](DataType dt, ReduceOp op) { return ccl_reduce_scatter(4, false, dt, op); },
+      kRingReduceScatter);
+}
+
+TEST(ReduceOrderPin, CclRingReduceScatterInPlace) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) { return ccl_reduce_scatter(4, true, dt, op); },
+      kRingReduceScatter);
+}
+
+TEST(ReduceOrderPin, CclRingReduceScatterP2) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) { return ccl_reduce_scatter(2, false, dt, op); },
+      kRingReduceScatterP2);
+}
+
+TEST(ReduceOrderPin, CclRingReduceScatterInPlaceP2) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) { return ccl_reduce_scatter(2, true, dt, op); },
+      kRingReduceScatterP2);
 }
 
 // ---- Hier -----------------------------------------------------------------------
@@ -301,6 +411,62 @@ TEST(ReduceOrderPin, HierStagedNonPow2) {
       },
       {14266296702806471349u, 3491082767523183497u, 11073651972451259529u,
        6580383534722710213u});
+}
+
+// ---- Virtual time -------------------------------------------------------------
+
+/// Float32 Sum through `body` on `nodes` x `dpn`: pins the output hash and
+/// every rank's clock, exactly.
+void expect_timed(int nodes, int dpn, const RankBody& body, std::uint64_t hash,
+                  const std::vector<double>& clocks) {
+  const Outcome o = run_timed(nodes, dpn, body);
+  EXPECT_EQ(o.hash, hash);
+  ASSERT_EQ(o.clocks.size(), clocks.size());
+  for (std::size_t r = 0; r < clocks.size(); ++r) {
+    EXPECT_EQ(o.clocks[r], clocks[r]) << "rank " << r;
+  }
+}
+
+constexpr DataType kF32 = DataType::Float32;
+constexpr ReduceOp kSum = ReduceOp::Sum;
+
+// Hashes reuse the Float32 Sum entries of the ReduceOrderPin sets above.
+TEST(VirtualTimePin, MpiReduceScatterBlockDeviceEager) {
+  expect_timed(2, 2, mpi_rsb_device(kEagerBlock, kF32, kSum), kMpiRsbEager[0],
+               {0x1.db33333333332p+4, 0x1.e28a8a8a8a8a7p+4, 0x1.f0f0f0f0f0f0dp+4,
+                0x1.b79f9f9f9f9f9p+4});
+}
+
+TEST(VirtualTimePin, MpiReduceScatterBlockDeviceRendezvous) {
+  expect_timed(2, 2, mpi_rsb_device(kRendezvousBlock, kF32, kSum),
+               kMpiRsbRendezvous[0],
+               {0x1.4667ef9db22d1p+6, 0x1.2ece560418937p+6, 0x1.2ece560418937p+6,
+                0x1.4667ef9db22d1p+6});
+}
+
+TEST(VirtualTimePin, CclRingAllreduceSeparateBuffers) {
+  expect_timed(1, 4, with_ccl(ccl_allreduce_body(100000, false, kF32, kSum)),
+               kRingDivisible[0], std::vector<double>(4, 0x1.345ea0e966b82p+10));
+}
+
+TEST(VirtualTimePin, CclReduceScatterP2) {
+  expect_timed(1, 2, with_ccl(ccl_reduce_scatter_body(kRsBlock, false, kF32, kSum)),
+               kRingReduceScatterP2[0], std::vector<double>(2, 0x1.32151b4c00277p+10));
+}
+
+TEST(VirtualTimePin, CclReduceScatterInPlaceP2) {
+  expect_timed(1, 2, with_ccl(ccl_reduce_scatter_body(kRsBlock, true, kF32, kSum)),
+               kRingReduceScatterP2[0], std::vector<double>(2, 0x1.32151b4c00277p+10));
+}
+
+TEST(VirtualTimePin, CclReduceScatterP4) {
+  expect_timed(1, 4, with_ccl(ccl_reduce_scatter_body(kRsBlock, false, kF32, kSum)),
+               kRingReduceScatter[0], std::vector<double>(4, 0x1.32ff51e400765p+10));
+}
+
+TEST(VirtualTimePin, CclReduceScatterInPlaceP4) {
+  expect_timed(1, 4, with_ccl(ccl_reduce_scatter_body(kRsBlock, true, kF32, kSum)),
+               kRingReduceScatter[0], std::vector<double>(4, 0x1.32ff51e400765p+10));
 }
 
 }  // namespace
