@@ -19,6 +19,18 @@ const std::byte* cat(const void* p, std::size_t off) {
   return static_cast<const std::byte*>(p) + off;
 }
 std::byte* mat(void* p, std::size_t off) { return static_cast<std::byte*>(p) + off; }
+
+/// The tuning and telemetry op of an MPI collective: a v-form shares the
+/// op of its base collective except allgatherv and alltoallv.
+CollOp op_of(mini::Coll c) {
+  static constexpr CollOp kOps[] = {
+      CollOp::Bcast,     CollOp::Reduce,     CollOp::Allreduce,  CollOp::Gather,
+      CollOp::Gather,    CollOp::Scatter,    CollOp::Scatter,    CollOp::Allgather,
+      CollOp::Allgatherv, CollOp::Alltoall,  CollOp::Alltoallv,  CollOp::ReduceScatter,
+      CollOp::Scan,      CollOp::Scan};
+  static_assert(std::size(kOps) == static_cast<std::size_t>(mini::Coll::Exscan) + 1);
+  return kOps[static_cast<std::size_t>(c)];
+}
 }  // namespace
 
 namespace {
@@ -164,24 +176,6 @@ EnginePick XcclMpi::pick_classified(CollOp op, std::size_t bytes,
   return pick_table(op, bytes);
 }
 
-EnginePick XcclMpi::pick_engine(CollOp op, std::size_t bytes,
-                                const void* a, const void* b) {
-  return pick_classified(op, bytes, any_device_buffer(a, b));
-}
-
-EnginePick XcclMpi::pick_engine_agreed(CollOp op,
-                                       std::size_t local_bytes,
-                                       const void* a, const void* b,
-                                       mini::Comm& comm) {
-  const bool device = any_device_buffer(a, b);
-  // Only a Hybrid device pick reads the byte count, so only it must agree.
-  if (options_.mode == Mode::Hybrid && device) {
-    local_bytes = static_cast<std::size_t>(
-        mpi_.max_over_ranks(static_cast<double>(local_bytes), comm));
-  }
-  return pick_classified(op, local_bytes, device);
-}
-
 xccl::CclComm& XcclMpi::ccl_comm(mini::Comm& comm) {
   const fabric::ChannelId key = comm.p2p_channel();
   auto it = ccl_comms_.find(key);
@@ -206,11 +200,11 @@ xccl::CclComm& XcclMpi::ccl_comm(mini::Comm& comm) {
 
 // ---- Plan/execute split -----------------------------------------------------
 
-std::shared_ptr<const Plan> XcclMpi::plan_for(const CallArgs& a,
+std::shared_ptr<const Plan> XcclMpi::plan_for(const mini::CollArgs& a,
                                               mini::Comm& comm) {
   const std::size_t bytes = a.bytes();
   PlanKey key;
-  key.op = a.op;
+  key.op = op_of(a.coll);
   key.base = a.dt.base;
   key.redop = a.redop;
   key.device = any_device_buffer(a.sendbuf, a.recvbuf);
@@ -230,7 +224,7 @@ std::shared_ptr<const Plan> XcclMpi::plan_for(const CallArgs& a,
   // call site (uids are rank-local values but assigned in the same order),
   // so hit/miss agrees across ranks and the collective build cannot skew.
   ctr_plan_miss_->add(1, rank());
-  std::shared_ptr<Plan> plan = build_plan(key, a.op, bytes, comm);
+  std::shared_ptr<Plan> plan = build_plan(key, key.op, bytes, comm);
   const std::size_t evicted = plans_.insert(plan);
   if (evicted > 0) ctr_plan_evict_->add(evicted, rank());
   return plan;
@@ -351,40 +345,18 @@ void XcclMpi::complete(OpRecord& rec, const EnginePick& pick,
 
 namespace {
 
-/// Point MPI_IN_PLACE at the buffer the engines actually read.
-CallArgs resolve_in_place(CallArgs a, int rank) {
-  if (a.sendbuf != mini::kInPlace) return a;
-  switch (a.op) {
-    case CollOp::Allreduce: a.sendbuf = a.recvbuf; break;
-    case CollOp::Reduce:
-      if (rank == a.root) a.sendbuf = a.recvbuf;
-      break;
-    case CollOp::Allgather:
-      a.sendbuf = cat(a.recvbuf,
-                      static_cast<std::size_t>(rank) * a.rcount * a.rdt.size());
-      a.count = a.rcount;
-      a.dt = a.rdt;
-      break;
-    case CollOp::ReduceScatter:
-      // As MiniMPI: every engine would read the sentinel as the input.
-      throw Error("XcclMpi::reduce_scatter_block: MPI_IN_PLACE not supported");
-    default: break;
-  }
-  return a;
-}
-
 bool run_hier(hier::HierEngine& h, hier::HierEngine::HierComms& hc,
-              const CallArgs& a, mini::Comm& comm) {
-  switch (a.op) {
-    case CollOp::Allreduce:
+              const mini::CollArgs& a, mini::Comm& comm) {
+  switch (a.coll) {
+    case mini::Coll::Allreduce:
       return h.allreduce(hc, a.sendbuf, a.recvbuf, a.count, a.dt, a.redop,
                          comm);
-    case CollOp::Bcast:
+    case mini::Coll::Bcast:
       return h.bcast(hc, a.recvbuf, a.count, a.dt, a.root, comm);
-    case CollOp::Reduce:
+    case mini::Coll::Reduce:
       return h.reduce(hc, a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, a.root,
                       comm);
-    case CollOp::Allgather:
+    case mini::Coll::Allgather:
       return h.allgather(hc, a.sendbuf, a.count, a.dt, a.recvbuf, a.rcount,
                          a.rdt, comm);
     default:
@@ -394,17 +366,17 @@ bool run_hier(hier::HierEngine& h, hier::HierEngine::HierComms& hc,
 }
 
 XcclResult launch_xccl(xccl::CclBackend& b, xccl::CclComm& cc,
-                       device::Stream& s, const CallArgs& a) {
+                       device::Stream& s, const mini::CollArgs& a) {
   const std::size_t n = a.count * a.dt.count;
-  switch (a.op) {
-    case CollOp::Allreduce:
+  switch (a.coll) {
+    case mini::Coll::Allreduce:
       return b.all_reduce(a.sendbuf, a.recvbuf, n, a.dt.base, a.redop, cc, s);
-    case CollOp::Bcast:
+    case mini::Coll::Bcast:
       return b.broadcast(a.recvbuf, n, a.dt.base, a.root, cc, s);
-    case CollOp::Reduce:
+    case mini::Coll::Reduce:
       return b.reduce(a.sendbuf, a.recvbuf, n, a.dt.base, a.redop, a.root, cc,
                       s);
-    case CollOp::Allgather:
+    case mini::Coll::Allgather:
       return b.all_gather(a.sendbuf, a.recvbuf, n, a.dt.base, cc, s);
     default:
       return b.reduce_scatter(a.sendbuf, a.recvbuf, n, a.dt.base, a.redop, cc,
@@ -414,22 +386,40 @@ XcclResult launch_xccl(xccl::CclBackend& b, xccl::CclComm& cc,
 
 /// The blocking MPI algorithm for every flavour: MiniMPI's nonblocking
 /// collectives complete eagerly, so this is what they would run anyway.
-void run_mpi(mini::Mpi& mpi, const CallArgs& a, mini::Comm& comm) {
-  switch (a.op) {
-    case CollOp::Allreduce:
-      mpi.allreduce(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, comm);
-      break;
-    case CollOp::Bcast: mpi.bcast(a.recvbuf, a.count, a.dt, a.root, comm); break;
-    case CollOp::Reduce:
-      mpi.reduce(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, a.root, comm);
-      break;
-    case CollOp::Allgather:
-      mpi.allgather(a.sendbuf, a.count, a.dt, a.recvbuf, a.rcount, a.rdt, comm);
-      break;
-    default:
-      mpi.reduce_scatter_block(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop,
-                               comm);
-      break;
+void run_mpi(mini::Mpi& mpi, const mini::CollArgs& a, mini::Comm& comm) {
+  using enum mini::Coll;
+  switch (a.coll) {
+    case Allreduce:
+      return mpi.allreduce(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, comm);
+    case Bcast: return mpi.bcast(a.recvbuf, a.count, a.dt, a.root, comm);
+    case Reduce:
+      return mpi.reduce(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, a.root, comm);
+    case Allgather:
+      return mpi.allgather(a.sendbuf, a.count, a.dt, a.recvbuf, a.rcount, a.rdt, comm);
+    case ReduceScatterBlock:
+      return mpi.reduce_scatter_block(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, comm);
+    case Gather:
+      return mpi.gather(a.sendbuf, a.count, a.dt, a.recvbuf, a.rcount, a.rdt, a.root,
+                        comm);
+    case Gatherv:
+      return mpi.gatherv(a.sendbuf, a.count, a.dt, a.recvbuf, a.rcounts, a.rdispls, a.rdt,
+                         a.root, comm);
+    case Scatter:
+      return mpi.scatter(a.sendbuf, a.count, a.dt, a.recvbuf, a.rcount, a.rdt, a.root,
+                         comm);
+    case Scatterv:
+      return mpi.scatterv(a.sendbuf, a.scounts, a.sdispls, a.dt, a.recvbuf, a.rcount,
+                          a.rdt, a.root, comm);
+    case Allgatherv:
+      return mpi.allgatherv(a.sendbuf, a.count, a.dt, a.recvbuf, a.rcounts, a.rdispls,
+                            a.rdt, comm);
+    case Alltoall:
+      return mpi.alltoall(a.sendbuf, a.count, a.dt, a.recvbuf, a.rcount, a.rdt, comm);
+    case Alltoallv:
+      return mpi.alltoallv(a.sendbuf, a.scounts, a.sdispls, a.dt, a.recvbuf, a.rcounts,
+                           a.rdispls, a.rdt, comm);
+    case Scan: return mpi.scan(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, comm);
+    case Exscan: return mpi.exscan(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, comm);
   }
 }
 
@@ -458,7 +448,7 @@ Completion XcclMpi::settle(Completion c) {
   return c;
 }
 
-Completion XcclMpi::execute(const Plan& p, const CallArgs& a,
+Completion XcclMpi::execute(const Plan& p, const mini::CollArgs& a,
                             mini::Comm& comm) {
   Completion c{.reason = p.pick.reason};
   if (p.pick.engine == Engine::Hier) {
@@ -473,7 +463,7 @@ Completion XcclMpi::execute(const Plan& p, const CallArgs& a,
     c.reason = p.hier->usable ? obs::FallbackReason::HierOpUnsupported
                               : obs::FallbackReason::HierTopoMismatch;
   } else if (p.pick.engine == Engine::Xccl) {
-    if (a.op == CollOp::Allgather && a.dt.size() != a.rdt.size()) {
+    if (a.coll == mini::Coll::Allgather && a.dt.size() != a.rdt.size()) {
       // Mixed element sizes: the 1:1 builtin cannot serve the call.
       c.reason = obs::FallbackReason::MixedDatatype;
     } else {
@@ -487,10 +477,11 @@ Completion XcclMpi::execute(const Plan& p, const CallArgs& a,
   return c;
 }
 
-double XcclMpi::dispatch(CallArgs a, mini::Comm& comm, bool blocking,
+double XcclMpi::dispatch(mini::CollArgs a, mini::Comm& comm, bool blocking,
                          std::shared_ptr<const Plan>* bound) {
-  a = resolve_in_place(a, comm.rank());
-  OpRecord rec(*this, a.op, a.bytes());
+  // A persistent handle's arguments were resolved at init.
+  if (bound == nullptr) a = mini::resolve(a, comm);
+  OpRecord rec(*this, op_of(a.coll), a.bytes());
   std::shared_ptr<const Plan> fetched;
   std::shared_ptr<const Plan>& plan = bound != nullptr ? *bound : fetched;
   // One-shot calls and stale persistent plans go through the cache (and
@@ -522,21 +513,21 @@ void XcclMpi::barrier(mini::Comm& comm) {
 
 void XcclMpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                         mini::Datatype dt, ReduceOp op, mini::Comm& comm) {
-  dispatch({.op = CollOp::Allreduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
+  dispatch({.coll = mini::Coll::Allreduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
             .count = count, .dt = dt, .redop = op},
            comm, /*blocking=*/true);
 }
 
 void XcclMpi::bcast(void* buf, std::size_t count, mini::Datatype dt, int root,
                     mini::Comm& comm) {
-  dispatch({.op = CollOp::Bcast, .recvbuf = buf, .count = count, .dt = dt,
+  dispatch({.coll = mini::Coll::Bcast, .recvbuf = buf, .count = count, .dt = dt,
             .root = root},
            comm, /*blocking=*/true);
 }
 
 void XcclMpi::reduce(const void* sendbuf, void* recvbuf, std::size_t count,
                      mini::Datatype dt, ReduceOp op, int root, mini::Comm& comm) {
-  dispatch({.op = CollOp::Reduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
+  dispatch({.coll = mini::Coll::Reduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
             .count = count, .dt = dt, .redop = op, .root = root},
            comm, /*blocking=*/true);
 }
@@ -544,7 +535,7 @@ void XcclMpi::reduce(const void* sendbuf, void* recvbuf, std::size_t count,
 void XcclMpi::allgather(const void* sendbuf, std::size_t sendcount,
                         mini::Datatype st, void* recvbuf, std::size_t recvcount,
                         mini::Datatype rt, mini::Comm& comm) {
-  dispatch({.op = CollOp::Allgather, .sendbuf = sendbuf, .recvbuf = recvbuf,
+  dispatch({.coll = mini::Coll::Allgather, .sendbuf = sendbuf, .recvbuf = recvbuf,
             .count = sendcount, .dt = st, .rcount = recvcount, .rdt = rt},
            comm, /*blocking=*/true);
 }
@@ -552,8 +543,8 @@ void XcclMpi::allgather(const void* sendbuf, std::size_t sendcount,
 void XcclMpi::reduce_scatter_block(const void* sendbuf, void* recvbuf,
                                    std::size_t recvcount, mini::Datatype dt,
                                    ReduceOp op, mini::Comm& comm) {
-  dispatch({.op = CollOp::ReduceScatter, .sendbuf = sendbuf, .recvbuf = recvbuf,
-            .count = recvcount, .dt = dt, .redop = op},
+  dispatch({.coll = mini::Coll::ReduceScatterBlock, .sendbuf = sendbuf,
+            .recvbuf = recvbuf, .count = recvcount, .dt = dt, .redop = op},
            comm, /*blocking=*/true);
 }
 
@@ -561,7 +552,7 @@ mini::Request XcclMpi::iallreduce(const void* sendbuf, void* recvbuf,
                                   std::size_t count, mini::Datatype dt,
                                   ReduceOp op, mini::Comm& comm) {
   return mini::Request::completed(
-      dispatch({.op = CollOp::Allreduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
+      dispatch({.coll = mini::Coll::Allreduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
                 .count = count, .dt = dt, .redop = op},
                comm, /*blocking=*/false));
 }
@@ -569,7 +560,7 @@ mini::Request XcclMpi::iallreduce(const void* sendbuf, void* recvbuf,
 mini::Request XcclMpi::ibcast(void* buf, std::size_t count, mini::Datatype dt,
                               int root, mini::Comm& comm) {
   return mini::Request::completed(
-      dispatch({.op = CollOp::Bcast, .recvbuf = buf, .count = count, .dt = dt,
+      dispatch({.coll = mini::Coll::Bcast, .recvbuf = buf, .count = count, .dt = dt,
                 .root = root},
                comm, /*blocking=*/false));
 }
@@ -579,7 +570,7 @@ mini::Request XcclMpi::iallgather(const void* sendbuf, std::size_t sendcount,
                                   std::size_t recvcount, mini::Datatype rt,
                                   mini::Comm& comm) {
   return mini::Request::completed(
-      dispatch({.op = CollOp::Allgather, .sendbuf = sendbuf, .recvbuf = recvbuf,
+      dispatch({.coll = mini::Coll::Allgather, .sendbuf = sendbuf, .recvbuf = recvbuf,
                 .count = sendcount, .dt = st, .rcount = recvcount, .rdt = rt},
                comm, /*blocking=*/false));
 }
@@ -588,7 +579,7 @@ mini::Request XcclMpi::ireduce(const void* sendbuf, void* recvbuf,
                                std::size_t count, mini::Datatype dt, ReduceOp op,
                                int root, mini::Comm& comm) {
   return mini::Request::completed(
-      dispatch({.op = CollOp::Reduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
+      dispatch({.coll = mini::Coll::Reduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
                 .count = count, .dt = dt, .redop = op, .root = root},
                comm, /*blocking=*/false));
 }
@@ -599,15 +590,15 @@ mini::Request XcclMpi::ireduce_scatter_block(const void* sendbuf,
                                             mini::Datatype dt, ReduceOp op,
                                             mini::Comm& comm) {
   return mini::Request::completed(
-      dispatch({.op = CollOp::ReduceScatter, .sendbuf = sendbuf,
+      dispatch({.coll = mini::Coll::ReduceScatterBlock, .sendbuf = sendbuf,
                 .recvbuf = recvbuf, .count = recvcount, .dt = dt, .redop = op},
                comm, /*blocking=*/false));
 }
 
-Persistent XcclMpi::make_persistent(CallArgs a, mini::Comm& comm) {
+Persistent XcclMpi::make_persistent(const mini::CollArgs& a, mini::Comm& comm) {
   Persistent h;
   h.rt_ = this;
-  h.args_ = resolve_in_place(a, comm.rank());
+  h.args_ = mini::resolve(a, comm);
   h.comm_ = &comm;
   h.plan_ = plan_for(h.args_, comm);
   // One init-time decision-log entry explains every subsequent start():
@@ -615,7 +606,7 @@ Persistent XcclMpi::make_persistent(CallArgs a, mini::Comm& comm) {
   const Plan& p = *h.plan_;
   obs::DispatchDecision d;
   d.rank = rank();
-  d.op = a.op;
+  d.op = op_of(a.coll);
   d.bytes = h.args_.bytes();
   d.mode = p.mode;
   d.breakpoint = p.pick.breakpoint;
@@ -631,7 +622,7 @@ Persistent XcclMpi::make_persistent(CallArgs a, mini::Comm& comm) {
 Persistent XcclMpi::allreduce_init(const void* sendbuf, void* recvbuf,
                                    std::size_t count, mini::Datatype dt,
                                    ReduceOp op, mini::Comm& comm) {
-  return make_persistent({.op = CollOp::Allreduce, .sendbuf = sendbuf,
+  return make_persistent({.coll = mini::Coll::Allreduce, .sendbuf = sendbuf,
                           .recvbuf = recvbuf, .count = count, .dt = dt,
                           .redop = op},
                          comm);
@@ -639,7 +630,7 @@ Persistent XcclMpi::allreduce_init(const void* sendbuf, void* recvbuf,
 
 Persistent XcclMpi::bcast_init(void* buf, std::size_t count, mini::Datatype dt,
                                int root, mini::Comm& comm) {
-  return make_persistent({.op = CollOp::Bcast, .recvbuf = buf, .count = count,
+  return make_persistent({.coll = mini::Coll::Bcast, .recvbuf = buf, .count = count,
                           .dt = dt, .root = root},
                          comm);
 }
@@ -647,7 +638,7 @@ Persistent XcclMpi::bcast_init(void* buf, std::size_t count, mini::Datatype dt,
 Persistent XcclMpi::reduce_init(const void* sendbuf, void* recvbuf,
                                 std::size_t count, mini::Datatype dt,
                                 ReduceOp op, int root, mini::Comm& comm) {
-  return make_persistent({.op = CollOp::Reduce, .sendbuf = sendbuf,
+  return make_persistent({.coll = mini::Coll::Reduce, .sendbuf = sendbuf,
                           .recvbuf = recvbuf, .count = count, .dt = dt,
                           .redop = op, .root = root},
                          comm);
@@ -657,7 +648,7 @@ Persistent XcclMpi::allgather_init(const void* sendbuf, std::size_t sendcount,
                                    mini::Datatype st, void* recvbuf,
                                    std::size_t recvcount, mini::Datatype rt,
                                    mini::Comm& comm) {
-  return make_persistent({.op = CollOp::Allgather, .sendbuf = sendbuf,
+  return make_persistent({.coll = mini::Coll::Allgather, .sendbuf = sendbuf,
                           .recvbuf = recvbuf, .count = sendcount, .dt = st,
                           .rcount = recvcount, .rdt = rt},
                          comm);
@@ -667,21 +658,23 @@ Persistent XcclMpi::reduce_scatter_init(const void* sendbuf, void* recvbuf,
                                         std::size_t recvcount,
                                         mini::Datatype dt, ReduceOp op,
                                         mini::Comm& comm) {
-  return make_persistent({.op = CollOp::ReduceScatter, .sendbuf = sendbuf,
+  return make_persistent({.coll = mini::Coll::ReduceScatterBlock, .sendbuf = sendbuf,
                           .recvbuf = recvbuf, .count = recvcount, .dt = dt,
                           .redop = op},
                          comm);
 }
 
 // ---- Composed send/recv collectives (paper Sec. 3.3, Listing 1) -----------
-// Each picks its own engine (no plan), runs the ladder's xCCL rung as one
-// group of sends and recvs when the pick says xCCL, the MPI algorithm
-// otherwise or on fallback, and closes its record with blocking semantics.
+// One path, compose(): each call picks its own engine (no plan), runs the
+// ladder's xCCL rung as one group of sends and recvs when the pick says
+// xCCL, the MPI algorithm otherwise or on fallback, and closes its record
+// with blocking semantics.
 
-XcclResult XcclMpi::x_group(obs::SpanName name, const void* sendbuf,
-                            mini::Datatype st, std::span<const P2pMove> sends,
-                            void* recvbuf, mini::Datatype rt,
+XcclResult XcclMpi::x_group(obs::SpanName name, const mini::CollArgs& a,
+                            std::span<const P2pMove> sends,
                             std::span<const P2pMove> recvs, mini::Comm& comm) {
+  const mini::Datatype st = a.dt;
+  const mini::Datatype rt = a.rdt;
   const auto& caps = backend_->capabilities();
   if (!caps.can_move(st.base) || !caps.can_move(rt.base)) {
     return XcclResult::UnsupportedDatatype;
@@ -698,12 +691,12 @@ XcclResult XcclMpi::x_group(obs::SpanName name, const void* sendbuf,
   obs::Span span(rank(), context().clock(), name);
   check(backend_->group_start(), "group_start");
   for (const P2pMove& m : sends) {
-    check(backend_->send(cat(sendbuf, m.off), m.count * st.count, st.base,
+    check(backend_->send(cat(a.sendbuf, m.off * st.size()), m.count * st.count, st.base,
                          m.peer, cc, stream),
           "send");
   }
   for (const P2pMove& m : recvs) {
-    check(backend_->recv(mat(recvbuf, m.off), m.count * rt.count, rt.base,
+    check(backend_->recv(mat(a.recvbuf, m.off * rt.size()), m.count * rt.count, rt.base,
                          m.peer, cc, stream),
           "recv");
   }
@@ -711,41 +704,81 @@ XcclResult XcclMpi::x_group(obs::SpanName name, const void* sendbuf,
   return XcclResult::Success;
 }
 
-std::vector<XcclMpi::P2pMove> XcclMpi::per_peer(
-    const mini::Comm& comm, mini::Datatype dt, std::size_t count,
-    std::span<const std::size_t> counts, std::span<const std::size_t> displs) {
-  std::vector<P2pMove> out;
-  for (int r = 0; r < comm.size(); ++r) {
-    const auto ur = static_cast<std::size_t>(r);
-    out.push_back(counts.empty()
-                      ? P2pMove{r, ur * count * dt.size(), count}
-                      : P2pMove{r, displs[ur] * dt.size(), counts[ur]});
+void XcclMpi::compose(mini::CollArgs a, mini::Comm& comm) {
+  a = mini::resolve(a, comm);
+  const CollOp op = op_of(a.coll);
+  // The record's bytes: the receive block for scatter, the largest send
+  // block for alltoallv, the send block otherwise.
+  std::size_t bytes = op == CollOp::Scatter ? a.rcount * a.rdt.size() : a.bytes();
+  if (op == CollOp::Alltoallv) {
+    for (std::size_t c : a.scounts) bytes = std::max(bytes, c * a.dt.size());
   }
-  return out;
+  OpRecord rec(*this, op, bytes);
+  // In-place alltoall(v) reads and writes the same blocks: MiniMPI snapshots
+  // the buffer, the grouped xCCL composition cannot.
+  EnginePick pick{.reason = obs::FallbackReason::InPlace};
+  if (!a.snapshot) {
+    const bool device = any_device_buffer(a.sendbuf, a.recvbuf);
+    // A v-form's byte count differs by rank and a Hybrid device pick reads
+    // it, so those ranks agree on the max: a divergent pick would deadlock.
+    const bool ragged = a.coll == mini::Coll::Gatherv || a.coll == mini::Coll::Scatterv ||
+                        a.coll == mini::Coll::Allgatherv ||
+                        a.coll == mini::Coll::Alltoallv;
+    std::size_t pick_bytes = bytes;
+    if (ragged && options_.mode == Mode::Hybrid && device) {
+      pick_bytes =
+          static_cast<std::size_t>(mpi_.max_over_ranks(static_cast<double>(bytes), comm));
+    }
+    pick = pick_classified(op, pick_bytes, device);
+  }
+  Completion c{.reason = pick.reason};
+  if (pick.engine == Engine::Xccl) {
+    // One move per rank of `comm`: its block of the send or receive side.
+    const auto per_peer = [&](bool send) {
+      std::vector<P2pMove> out;
+      out.reserve(static_cast<std::size_t>(comm.size()));
+      for (int r = 0; r < comm.size(); ++r) {
+        const mini::Block b = send ? a.send_block(r) : a.recv_block(r);
+        out.push_back({r, b.off, b.count});
+      }
+      return out;
+    };
+    const bool root = comm.rank() == a.root;
+    // The rooted forms' one move to or from the root needs no list.
+    const P2pMove root_move{a.root, 0, op == CollOp::Gather ? a.count : a.rcount};
+    const std::span<const P2pMove> to_or_from_root(&root_move, 1);
+    std::vector<P2pMove> sends;
+    std::vector<P2pMove> recvs;
+    obs::SpanName name = obs::SpanName::AlltoallvGroup;
+    if (op == CollOp::Gather) {
+      name = obs::SpanName::GathervGroup;
+      if (root) recvs = per_peer(false);
+    } else if (op == CollOp::Scatter) {
+      name = obs::SpanName::ScattervGroup;
+      if (root) sends = per_peer(true);
+    } else if (op == CollOp::Allgatherv) {
+      // This rank's one block to every rank: no CCL builtin handles ragged
+      // blocks.
+      name = obs::SpanName::AllgathervGroup;
+      for (int r = 0; r < comm.size(); ++r) sends.push_back({r, 0, a.count});
+      recvs = per_peer(false);
+    } else {
+      sends = per_peer(true);
+      recvs = per_peer(false);
+    }
+    c = xccl_rung(x_group(name, a, op == CollOp::Gather ? to_or_from_root : sends,
+                          op == CollOp::Scatter ? to_or_from_root : recvs, comm),
+                  pick, /*composed=*/true);
+  }
+  if (c.engine == Engine::Mpi) run_mpi(mpi_, a, comm);
+  complete(rec, pick, settle(c));
 }
 
 void XcclMpi::alltoall(const void* sendbuf, std::size_t sendcount,
                        mini::Datatype st, void* recvbuf, std::size_t recvcount,
                        mini::Datatype rt, mini::Comm& comm) {
-  // In-place alltoall reads and writes the same blocks; the MPI engine
-  // snapshots the buffer, the grouped xCCL composition cannot.
-  const bool in_place = sendbuf == mini::kInPlace;
-  OpRecord rec(*this, CollOp::Alltoall,
-               in_place ? recvcount * rt.size() : sendcount * st.size());
-  const EnginePick pick =
-      in_place ? EnginePick{.reason = obs::FallbackReason::InPlace}
-               : pick_engine(CollOp::Alltoall, rec.d_.bytes, sendbuf, recvbuf);
-  Completion c{.reason = pick.reason};
-  if (pick.engine == Engine::Xccl) {
-    c = xccl_rung(x_group(obs::SpanName::AlltoallvGroup, sendbuf, st,
-                          per_peer(comm, st, sendcount), recvbuf, rt,
-                          per_peer(comm, rt, recvcount), comm),
-                  pick, /*composed=*/true);
-  }
-  if (c.engine == Engine::Mpi) {
-    mpi_.alltoall(sendbuf, sendcount, st, recvbuf, recvcount, rt, comm);
-  }
-  complete(rec, pick, settle(c));
+  compose({.coll = mini::Coll::Alltoall, .sendbuf = sendbuf, .recvbuf = recvbuf,
+           .count = sendcount, .dt = st, .rcount = recvcount, .rdt = rt}, comm);
 }
 
 void XcclMpi::alltoallv(const void* sendbuf,
@@ -754,44 +787,17 @@ void XcclMpi::alltoallv(const void* sendbuf,
                         void* recvbuf, std::span<const std::size_t> recvcounts,
                         std::span<const std::size_t> rdispls, mini::Datatype rt,
                         mini::Comm& comm) {
-  std::size_t max_block = 0;
-  for (std::size_t c : sendcounts) max_block = std::max(max_block, c * st.size());
-  OpRecord rec(*this, CollOp::Alltoallv, max_block);
-  const EnginePick pick =
-      pick_engine_agreed(CollOp::Alltoallv, max_block, sendbuf, recvbuf, comm);
-  Completion c{.reason = pick.reason};
-  if (pick.engine == Engine::Xccl) {
-    c = xccl_rung(x_group(obs::SpanName::AlltoallvGroup, sendbuf, st,
-                          per_peer(comm, st, 0, sendcounts, sdispls), recvbuf,
-                          rt, per_peer(comm, rt, 0, recvcounts, rdispls), comm),
-                  pick, /*composed=*/true);
-  }
-  if (c.engine == Engine::Mpi) {
-    mpi_.alltoallv(sendbuf, sendcounts, sdispls, st, recvbuf, recvcounts,
-                   rdispls, rt, comm);
-  }
-  complete(rec, pick, settle(c));
+  compose({.coll = mini::Coll::Alltoallv, .sendbuf = sendbuf, .recvbuf = recvbuf,
+           .dt = st, .rdt = rt, .scounts = sendcounts, .sdispls = sdispls,
+           .rcounts = recvcounts, .rdispls = rdispls}, comm);
 }
 
 void XcclMpi::gather(const void* sendbuf, std::size_t sendcount, mini::Datatype st,
                      void* recvbuf, std::size_t recvcount, mini::Datatype rt,
                      int root, mini::Comm& comm) {
-  OpRecord rec(*this, CollOp::Gather, sendcount * st.size());
-  const EnginePick pick =
-      pick_engine(CollOp::Gather, rec.d_.bytes, sendbuf, recvbuf);
-  Completion c{.reason = pick.reason};
-  if (pick.engine == Engine::Xccl) {
-    const P2pMove send{root, 0, sendcount};
-    std::vector<P2pMove> recvs;
-    if (comm.rank() == root) recvs = per_peer(comm, rt, recvcount);
-    c = xccl_rung(x_group(obs::SpanName::GathervGroup, sendbuf, st, {&send, 1},
-                          recvbuf, rt, recvs, comm),
-                  pick, /*composed=*/true);
-  }
-  if (c.engine == Engine::Mpi) {
-    mpi_.gather(sendbuf, sendcount, st, recvbuf, recvcount, rt, root, comm);
-  }
-  complete(rec, pick, settle(c));
+  compose({.coll = mini::Coll::Gather, .sendbuf = sendbuf, .recvbuf = recvbuf,
+           .count = sendcount, .dt = st, .rcount = recvcount, .rdt = rt,
+           .root = root}, comm);
 }
 
 void XcclMpi::gatherv(const void* sendbuf, std::size_t sendcount,
@@ -799,44 +805,17 @@ void XcclMpi::gatherv(const void* sendbuf, std::size_t sendcount,
                       std::span<const std::size_t> recvcounts,
                       std::span<const std::size_t> displs, mini::Datatype rt,
                       int root, mini::Comm& comm) {
-  OpRecord rec(*this, CollOp::Gather, sendcount * st.size());
-  const EnginePick pick =
-      pick_engine_agreed(CollOp::Gather, rec.d_.bytes, sendbuf, recvbuf, comm);
-  Completion c{.reason = pick.reason};
-  if (pick.engine == Engine::Xccl) {
-    const P2pMove send{root, 0, sendcount};
-    std::vector<P2pMove> recvs;
-    if (comm.rank() == root) recvs = per_peer(comm, rt, 0, recvcounts, displs);
-    c = xccl_rung(x_group(obs::SpanName::GathervGroup, sendbuf, st, {&send, 1},
-                          recvbuf, rt, recvs, comm),
-                  pick, /*composed=*/true);
-  }
-  if (c.engine == Engine::Mpi) {
-    mpi_.gatherv(sendbuf, sendcount, st, recvbuf, recvcounts, displs, rt, root,
-                 comm);
-  }
-  complete(rec, pick, settle(c));
+  compose({.coll = mini::Coll::Gatherv, .sendbuf = sendbuf, .recvbuf = recvbuf,
+           .count = sendcount, .dt = st, .rdt = rt, .root = root,
+           .rcounts = recvcounts, .rdispls = displs}, comm);
 }
 
 void XcclMpi::scatter(const void* sendbuf, std::size_t sendcount,
                       mini::Datatype st, void* recvbuf, std::size_t recvcount,
                       mini::Datatype rt, int root, mini::Comm& comm) {
-  OpRecord rec(*this, CollOp::Scatter, recvcount * rt.size());
-  const EnginePick pick =
-      pick_engine(CollOp::Scatter, rec.d_.bytes, sendbuf, recvbuf);
-  Completion c{.reason = pick.reason};
-  if (pick.engine == Engine::Xccl) {
-    const P2pMove recv{root, 0, recvcount};
-    std::vector<P2pMove> sends;
-    if (comm.rank() == root) sends = per_peer(comm, st, sendcount);
-    c = xccl_rung(x_group(obs::SpanName::ScattervGroup, sendbuf, st, sends,
-                          recvbuf, rt, {&recv, 1}, comm),
-                  pick, /*composed=*/true);
-  }
-  if (c.engine == Engine::Mpi) {
-    mpi_.scatter(sendbuf, sendcount, st, recvbuf, recvcount, rt, root, comm);
-  }
-  complete(rec, pick, settle(c));
+  compose({.coll = mini::Coll::Scatter, .sendbuf = sendbuf, .recvbuf = recvbuf,
+           .count = sendcount, .dt = st, .rcount = recvcount, .rdt = rt,
+           .root = root}, comm);
 }
 
 void XcclMpi::scatterv(const void* sendbuf,
@@ -844,23 +823,9 @@ void XcclMpi::scatterv(const void* sendbuf,
                        std::span<const std::size_t> displs, mini::Datatype st,
                        void* recvbuf, std::size_t recvcount, mini::Datatype rt,
                        int root, mini::Comm& comm) {
-  OpRecord rec(*this, CollOp::Scatter, recvcount * rt.size());
-  const EnginePick pick =
-      pick_engine_agreed(CollOp::Scatter, rec.d_.bytes, sendbuf, recvbuf, comm);
-  Completion c{.reason = pick.reason};
-  if (pick.engine == Engine::Xccl) {
-    const P2pMove recv{root, 0, recvcount};
-    std::vector<P2pMove> sends;
-    if (comm.rank() == root) sends = per_peer(comm, st, 0, sendcounts, displs);
-    c = xccl_rung(x_group(obs::SpanName::ScattervGroup, sendbuf, st, sends,
-                          recvbuf, rt, {&recv, 1}, comm),
-                  pick, /*composed=*/true);
-  }
-  if (c.engine == Engine::Mpi) {
-    mpi_.scatterv(sendbuf, sendcounts, displs, st, recvbuf, recvcount, rt, root,
-                  comm);
-  }
-  complete(rec, pick, settle(c));
+  compose({.coll = mini::Coll::Scatterv, .sendbuf = sendbuf, .recvbuf = recvbuf,
+           .dt = st, .rcount = recvcount, .rdt = rt, .root = root,
+           .scounts = sendcounts, .sdispls = displs}, comm);
 }
 
 void XcclMpi::allgatherv(const void* sendbuf, std::size_t sendcount,
@@ -868,25 +833,9 @@ void XcclMpi::allgatherv(const void* sendbuf, std::size_t sendcount,
                          std::span<const std::size_t> recvcounts,
                          std::span<const std::size_t> displs, mini::Datatype rt,
                          mini::Comm& comm) {
-  OpRecord rec(*this, CollOp::Allgatherv, sendcount * st.size());
-  const EnginePick pick = pick_engine_agreed(CollOp::Allgatherv, rec.d_.bytes,
-                                             sendbuf, recvbuf, comm);
-  Completion c{.reason = pick.reason};
-  if (pick.engine == Engine::Xccl) {
-    // Every rank sends its block to everyone and receives all blocks (no
-    // CCL builtin handles ragged blocks).
-    std::vector<P2pMove> sends;
-    for (int r = 0; r < comm.size(); ++r) sends.push_back({r, 0, sendcount});
-    c = xccl_rung(x_group(obs::SpanName::AllgathervGroup, sendbuf, st, sends,
-                          recvbuf, rt, per_peer(comm, rt, 0, recvcounts, displs),
-                          comm),
-                  pick, /*composed=*/true);
-  }
-  if (c.engine == Engine::Mpi) {
-    mpi_.allgatherv(sendbuf, sendcount, st, recvbuf, recvcounts, displs, rt,
-                    comm);
-  }
-  complete(rec, pick, settle(c));
+  compose({.coll = mini::Coll::Allgatherv, .sendbuf = sendbuf, .recvbuf = recvbuf,
+           .count = sendcount, .dt = st, .rdt = rt, .rcounts = recvcounts,
+           .rdispls = displs}, comm);
 }
 
 void XcclMpi::scan(const void* sendbuf, void* recvbuf, std::size_t count,

@@ -4,6 +4,8 @@
 // a vendor CCL backend through the xCCL abstraction layer (paper Fig. 2).
 //
 // What the layer does per collective call:
+//   0. Entry check — mini::resolve (mpi/coll_args.hpp) validates the
+//      arguments and resolves MPI_IN_PLACE before anything below sees them.
 //   1. Device Buffer Identify — classify the buffers via the registry; host
 //      buffers always ride the MPI path (CCLs require device memory).
 //   2. Datatype / reduce-op support check against the backend Capabilities;
@@ -59,22 +61,6 @@ struct Dispatch {
   Engine engine = Engine::Mpi;
   bool fell_back = false;   ///< chose xccl/hier, bounced back to MPI
   bool composed = false;    ///< served by group send/recv or staged composition
-};
-
-/// The argument tuple of one built-in collective (allreduce, bcast, reduce,
-/// allgather, reduce-scatter), bound once by a persistent handle.
-struct CallArgs {
-  CollOp op = CollOp::Allreduce;
-  const void* sendbuf = nullptr;  ///< nullptr for bcast
-  void* recvbuf = nullptr;        ///< bcast: the buffer
-  std::size_t count = 0;  ///< send count (reduce-scatter: recv count)
-  mini::Datatype dt = mini::kByte;
-  std::size_t rcount = 0;  ///< allgather recv count
-  mini::Datatype rdt = mini::kByte;
-  ReduceOp redop = ReduceOp::Sum;
-  int root = 0;
-
-  [[nodiscard]] std::size_t bytes() const { return count * dt.size(); }
 };
 
 /// How one dispatch ended: the engine that served it and the virtual time
@@ -337,19 +323,8 @@ class XcclMpi {
   /// Consult the tuning table (the adaptive overlay shadows the static one).
   [[nodiscard]] EnginePick pick_table(CollOp op, std::size_t bytes) const;
 
-  /// Decide the engine for a collective touching `bytes` bytes with the
-  /// given buffers (nullptr buffers are ignored for classification). `bytes`
-  /// must be identical on every rank (true for the uniform collectives).
-  EnginePick pick_engine(CollOp op, std::size_t bytes, const void* a,
-                         const void* b);
-
-  /// Engine selection for ragged (v-) collectives, whose per-rank byte
-  /// counts differ: in Hybrid mode the ranks agree on max(bytes) via a tiny
-  /// MPI allreduce so every member picks the same engine (a divergent pick
-  /// would deadlock across engine channels).
-  EnginePick pick_engine_agreed(CollOp op, std::size_t local_bytes,
-                                const void* a, const void* b, mini::Comm& comm);
-  /// pick_engine once the buffer class is already known (plan builds).
+  /// Decide the engine for a collective touching `bytes` bytes once the
+  /// buffer class is known. `bytes` must be identical on every rank.
   EnginePick pick_classified(CollOp op, std::size_t bytes, bool device) const;
   [[nodiscard]] bool any_device_buffer(const void* a, const void* b) const;
 
@@ -358,14 +333,14 @@ class XcclMpi {
   /// communicator / hier splits under a "plan.build" span). The build is
   /// collective on a cache miss, so lookups must be issued in the same
   /// order on every member — true for MPI-ordered collectives.
-  std::shared_ptr<const Plan> plan_for(const CallArgs& a, mini::Comm& comm);
+  std::shared_ptr<const Plan> plan_for(const mini::CollArgs& a, mini::Comm& comm);
   std::shared_ptr<Plan> build_plan(const PlanKey& key, CollOp op,
                                    std::size_t bytes, mini::Comm& comm);
 
   /// The dispatch ladder of the built-in collectives: the plan's engine
   /// (hier or xCCL) when it serves the call, else the MPI algorithm, with
   /// the reason it fell back. An xCCL launch is left on the stream.
-  Completion execute(const Plan& p, const CallArgs& a, mini::Comm& comm);
+  Completion execute(const Plan& p, const mini::CollArgs& a, mini::Comm& comm);
   /// The ladder's xCCL rung, shared with the composed collectives: a served
   /// launch completes at the stream tail; a capability error maps to an MPI
   /// completion carrying its reason (or throws when fallback is disabled).
@@ -374,14 +349,22 @@ class XcclMpi {
   /// is done now.
   Completion settle(Completion c);
 
-  /// Every flavour of a built-in collective: open the record, resolve the
-  /// plan, execute(), close the record. `bound` is a persistent handle's
-  /// plan, replayed unless an invalidation marked it stale; replays stay
-  /// out of the decision view. Returns the completion time.
-  double dispatch(CallArgs a, mini::Comm& comm, bool blocking,
+  /// Every flavour of a built-in collective: resolve the arguments
+  /// (mini::resolve), open the record, resolve the plan, execute(), close the
+  /// record. `bound` is a persistent handle's plan and its arguments are
+  /// already resolved; it replays unless an invalidation marked it stale, and
+  /// replays stay out of the decision view. Returns the completion time.
+  double dispatch(mini::CollArgs a, mini::Comm& comm, bool blocking,
                   std::shared_ptr<const Plan>* bound = nullptr);
 
-  Persistent make_persistent(CallArgs a, mini::Comm& comm);
+  Persistent make_persistent(const mini::CollArgs& a, mini::Comm& comm);
+
+  /// Every composed collective (gather(v), scatter(v), allgatherv,
+  /// alltoall(v)): resolve the arguments, pick the engine (v-forms agree on
+  /// it across ranks), run the xCCL rung as one group of sends and recvs,
+  /// the MPI algorithm otherwise or on fallback, and close the record with
+  /// blocking semantics.
+  void compose(mini::CollArgs a, mini::Comm& comm);
 
   /// Get or create (collectively!) the CCL communicator for `comm`.
   xccl::CclComm& ccl_comm(mini::Comm& comm);
@@ -414,26 +397,19 @@ class XcclMpi {
                 std::string_view level_path = {}, bool log = true);
 
   /// One point-to-point move of a composed collective: `count` elements to
-  /// or from communicator rank `peer`, at byte offset `off` of the buffer.
+  /// or from communicator rank `peer`, at element offset `off` of the buffer.
   struct P2pMove {
     int peer;
     std::size_t off;
     std::size_t count;
   };
-  /// Run `sends` (from sendbuf, type st) and `recvs` (into recvbuf, type rt)
-  /// as one xCCL group under the `name` stage span: the composed (send/recv)
-  /// collectives of paper Sec. 3.3, Listing 1. Returns a fallback-able
-  /// XcclResult.
-  XcclResult x_group(sim::SpanName name, const void* sendbuf, mini::Datatype st,
-                     std::span<const P2pMove> sends, void* recvbuf,
-                     mini::Datatype rt, std::span<const P2pMove> recvs,
+  /// Run `sends` (from a.sendbuf, type a.dt) and `recvs` (into a.recvbuf,
+  /// type a.rdt) as one xCCL group under the `name` stage span: the composed
+  /// (send/recv) collectives of paper Sec. 3.3, Listing 1. Returns a
+  /// fallback-able XcclResult.
+  XcclResult x_group(sim::SpanName name, const mini::CollArgs& a,
+                     std::span<const P2pMove> sends, std::span<const P2pMove> recvs,
                      mini::Comm& comm);
-  /// One move per rank r of `comm`: counts[r] elements of dt at displs[r],
-  /// or, with no counts given, `count` elements at r * count.
-  static std::vector<P2pMove> per_peer(const mini::Comm& comm,
-                                       mini::Datatype dt, std::size_t count,
-                                       std::span<const std::size_t> counts = {},
-                                       std::span<const std::size_t> displs = {});
 
   mini::Mpi mpi_;
   XcclMpiOptions options_;
@@ -497,7 +473,7 @@ class Persistent {
 
   XcclMpi* rt_ = nullptr;
   std::shared_ptr<const Plan> plan_;
-  CallArgs args_;
+  mini::CollArgs args_;  ///< resolved at init
   mini::Comm* comm_ = nullptr;
   mini::Request req_;  ///< in flight between start() and wait()
 };

@@ -149,7 +149,7 @@ void Endpoint::complete(const PostedRecv& r, const PostedSend& s) {
     fail("fabric: message truncation (got " + std::to_string(s.bytes) +
          " bytes, capacity " + std::to_string(r.capacity) + ")");
     return;
-  } else if (s.bytes > 0) {
+  } else if (s.bytes > 0 && r.buf != s.data) {  // an in-place self move copies nothing
     std::memcpy(r.buf, s.data, s.bytes);
   }
 

@@ -308,7 +308,6 @@ std::size_t HierEngine::reserve_allreduce(const HierComms& hc,
 
 bool HierEngine::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                            mini::Datatype dt, ReduceOp op, mini::Comm& comm) {
-  if (sendbuf == mini::kInPlace) sendbuf = recvbuf;
   if (!reduce_defined(dt.base, stage_op(op))) return false;
   if (op == ReduceOp::Avg && !avg_supported(dt.base)) return false;
   return allreduce(prepare(comm), sendbuf, recvbuf, count, dt, op, comm);
@@ -317,7 +316,6 @@ bool HierEngine::allreduce(const void* sendbuf, void* recvbuf, std::size_t count
 bool HierEngine::allreduce(HierComms& hc, const void* sendbuf, void* recvbuf,
                            std::size_t count, mini::Datatype dt, ReduceOp op,
                            mini::Comm& comm) {
-  if (sendbuf == mini::kInPlace) sendbuf = recvbuf;
   if (!reduce_defined(dt.base, stage_op(op))) return false;
   if (op == ReduceOp::Avg && !avg_supported(dt.base)) return false;
   if (!hc.usable) return false;
@@ -635,11 +633,6 @@ std::vector<int> digits_of(int rank, const std::vector<int>& dims) {
 
 }  // namespace
 
-bool HierEngine::bcast(void* buf, std::size_t count, mini::Datatype dt, int root,
-                       mini::Comm& comm) {
-  return bcast(prepare(comm), buf, count, dt, root, comm);
-}
-
 bool HierEngine::bcast(HierComms& hc, void* buf, std::size_t count,
                        mini::Datatype dt, int root, mini::Comm& comm) {
   if (!hc.usable) return false;
@@ -732,24 +725,9 @@ bool HierEngine::bcast(HierComms& hc, void* buf, std::size_t count,
 
 // ---- Reduce -----------------------------------------------------------------
 
-bool HierEngine::reduce(const void* sendbuf, void* recvbuf, std::size_t count,
-                        mini::Datatype dt, ReduceOp op, int root,
-                        mini::Comm& comm) {
-  if (sendbuf == mini::kInPlace && comm.rank() != root) {
-    return false;  // invalid; let the flat path report
-  }
-  if (!reduce_defined(dt.base, stage_op(op))) return false;
-  if (op == ReduceOp::Avg && !avg_supported(dt.base)) return false;
-  return reduce(prepare(comm), sendbuf, recvbuf, count, dt, op, root, comm);
-}
-
 bool HierEngine::reduce(HierComms& hc, const void* sendbuf, void* recvbuf,
                         std::size_t count, mini::Datatype dt, ReduceOp op,
                         int root, mini::Comm& comm) {
-  if (sendbuf == mini::kInPlace) {
-    if (comm.rank() != root) return false;  // invalid; let the flat path report
-    sendbuf = recvbuf;
-  }
   if (!reduce_defined(dt.base, stage_op(op))) return false;
   if (op == ReduceOp::Avg && !avg_supported(dt.base)) return false;
   if (!hc.usable) return false;
@@ -809,21 +787,10 @@ std::size_t chain_index(int g, const std::vector<int>& dims, std::size_t p) {
 
 }  // namespace
 
-bool HierEngine::allgather(const void* sendbuf, std::size_t sendcount,
-                           mini::Datatype st, void* recvbuf,
-                           std::size_t recvcount, mini::Datatype rt,
-                           mini::Comm& comm) {
-  if (sendbuf == mini::kInPlace) return false;  // caller resolves in-place
-  if (sendcount * st.size() != recvcount * rt.size()) return false;
-  return allgather(prepare(comm), sendbuf, sendcount, st, recvbuf, recvcount,
-                   rt, comm);
-}
-
 bool HierEngine::allgather(HierComms& hc, const void* sendbuf,
                            std::size_t sendcount, mini::Datatype st,
                            void* recvbuf, std::size_t recvcount,
                            mini::Datatype rt, mini::Comm& /*comm*/) {
-  if (sendbuf == mini::kInPlace) return false;  // caller resolves in-place
   const std::size_t blk = sendcount * st.size();
   if (blk != recvcount * rt.size()) return false;
   if (!hc.usable) return false;
@@ -864,21 +831,10 @@ bool HierEngine::allgather(HierComms& hc, const void* sendbuf,
 
 // ---- ReduceScatter ----------------------------------------------------------
 
-bool HierEngine::reduce_scatter_block(const void* sendbuf, void* recvbuf,
-                                      std::size_t recvcount, mini::Datatype dt,
-                                      ReduceOp op, mini::Comm& comm) {
-  if (sendbuf == mini::kInPlace) return false;  // mini rejects it; let it report
-  if (!reduce_defined(dt.base, stage_op(op))) return false;
-  if (op == ReduceOp::Avg && !avg_supported(dt.base)) return false;
-  return reduce_scatter_block(prepare(comm), sendbuf, recvbuf, recvcount, dt,
-                              op, comm);
-}
-
 bool HierEngine::reduce_scatter_block(HierComms& hc, const void* sendbuf,
                                       void* recvbuf, std::size_t recvcount,
                                       mini::Datatype dt, ReduceOp op,
                                       mini::Comm& comm) {
-  if (sendbuf == mini::kInPlace) return false;  // mini rejects it; let it report
   if (!reduce_defined(dt.base, stage_op(op))) return false;
   if (op == ReduceOp::Avg && !avg_supported(dt.base)) return false;
   if (!hc.usable) return false;

@@ -92,33 +92,24 @@ class HierEngine {
 
   // Each collective returns true when it served the call hierarchically and
   // false when this communicator (or argument combination) is not eligible;
-  // the caller is expected to fall back to a flat engine. MPI_IN_PLACE must
-  // be resolved by the caller. The HierComms overloads skip the per-call
-  // cache lookup (the persistent start/wait hot path); the plain overloads
-  // delegate after resolving the handle.
+  // the caller is expected to fall back to a flat engine. Arguments arrive
+  // resolved by mini::resolve (mpi/coll_args.hpp): never MPI_IN_PLACE, and
+  // checked as its table requires. The collectives take the chain handle,
+  // so the persistent start/wait hot path skips the per-call cache lookup;
+  // allreduce also has an overload that resolves the handle itself.
   bool allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                  mini::Datatype dt, ReduceOp op, mini::Comm& comm);
   bool allreduce(HierComms& hc, const void* sendbuf, void* recvbuf,
                  std::size_t count, mini::Datatype dt, ReduceOp op,
                  mini::Comm& comm);
-  bool bcast(void* buf, std::size_t count, mini::Datatype dt, int root,
-             mini::Comm& comm);
   bool bcast(HierComms& hc, void* buf, std::size_t count, mini::Datatype dt,
              int root, mini::Comm& comm);
-  bool reduce(const void* sendbuf, void* recvbuf, std::size_t count,
-              mini::Datatype dt, ReduceOp op, int root, mini::Comm& comm);
   bool reduce(HierComms& hc, const void* sendbuf, void* recvbuf,
               std::size_t count, mini::Datatype dt, ReduceOp op, int root,
               mini::Comm& comm);
-  bool allgather(const void* sendbuf, std::size_t sendcount, mini::Datatype st,
-                 void* recvbuf, std::size_t recvcount, mini::Datatype rt,
-                 mini::Comm& comm);
   bool allgather(HierComms& hc, const void* sendbuf, std::size_t sendcount,
                  mini::Datatype st, void* recvbuf, std::size_t recvcount,
                  mini::Datatype rt, mini::Comm& comm);
-  bool reduce_scatter_block(const void* sendbuf, void* recvbuf,
-                            std::size_t recvcount, mini::Datatype dt,
-                            ReduceOp op, mini::Comm& comm);
   bool reduce_scatter_block(HierComms& hc, const void* sendbuf, void* recvbuf,
                             std::size_t recvcount, mini::Datatype dt,
                             ReduceOp op, mini::Comm& comm);

@@ -15,6 +15,7 @@
 // (Comm::next_collective_channel), so steps of consecutive collectives can
 // never cross-match even when ranks race ahead.
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -56,6 +57,20 @@ void copy_if_distinct(void* dst, const void* src, std::size_t n) {
   if (dst != src && n > 0) std::memcpy(dst, src, n);
 }
 
+/// The send data of an alltoall(v): the caller's sendbuf, or for an in-place
+/// call a copy of recvbuf taken before any block lands in it (owned by `keep`).
+const void* send_data(const CollArgs& a, int p, std::unique_ptr<std::byte[]>& keep) {
+  if (!a.snapshot) return a.sendbuf;
+  std::size_t end = 0;  // elements of recvbuf the blocks span
+  for (int r = 0; r < p; ++r) {
+    const Block b = a.recv_block(r);
+    end = std::max(end, b.off + b.count);
+  }
+  keep = uninit(end * a.rdt.size());
+  std::memcpy(keep.get(), a.recvbuf, end * a.rdt.size());
+  return keep.get();
+}
+
 }  // namespace
 
 void Mpi::barrier(Comm& comm) {
@@ -74,6 +89,8 @@ void Mpi::barrier(Comm& comm) {
 }
 
 void Mpi::bcast(void* buf, std::size_t count, Datatype dt, int root, Comm& comm) {
+  resolve({.coll = Coll::Bcast, .recvbuf = buf, .count = count, .dt = dt, .root = root},
+          comm);
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   if (p == 1) return;
@@ -107,14 +124,12 @@ void Mpi::bcast(void* buf, std::size_t count, Datatype dt, int root, Comm& comm)
 
 void Mpi::reduce(const void* sendbuf, void* recvbuf, std::size_t count, Datatype dt,
                  ReduceOp op, int root, Comm& comm) {
+  sendbuf = resolve({.coll = Coll::Reduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
+                     .count = count, .dt = dt, .root = root}, comm).sendbuf;
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const std::size_t bytes = count * dt.size();
   const int me = comm.rank();
-  if (sendbuf == kInPlace) {
-    require(me == root, "Mpi::reduce: MPI_IN_PLACE only valid at the root");
-    sendbuf = recvbuf;
-  }
   const bool dev = is_device(sendbuf) || is_device(recvbuf);
   require(reduce_defined(dt.base, op), "Mpi::reduce: op not defined for datatype");
 
@@ -157,21 +172,19 @@ void Mpi::reduce(const void* sendbuf, void* recvbuf, std::size_t count, Datatype
 
 void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                     Datatype dt, ReduceOp op, Comm& comm) {
+  sendbuf = resolve({.coll = Coll::Allreduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
+                     .count = count, .dt = dt}, comm).sendbuf;
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const std::size_t elem = dt.size();
   const std::size_t bytes = count * elem;
   const std::size_t n_elems = count * dt.count;
   const int me = comm.rank();
-  if (sendbuf == kInPlace) sendbuf = recvbuf;
   const bool dev = is_device(sendbuf) || is_device(recvbuf);
   require(reduce_defined(dt.base, op), "Mpi::allreduce: op not defined for datatype");
 
   copy_if_distinct(recvbuf, sendbuf, bytes);
-  if (p == 1) {
-    if (op == ReduceOp::Avg) return;  // avg of one contribution is itself
-    return;
-  }
+  if (p == 1) return;  // also the avg of one contribution
 
   const int pof2 = floor_pow2(p);
   const int rem = p - pof2;
@@ -327,17 +340,13 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
 void Mpi::allgather(const void* sendbuf, std::size_t sendcount, Datatype sendtype,
                     void* recvbuf, std::size_t recvcount, Datatype recvtype,
                     Comm& comm) {
+  sendbuf = resolve({.coll = Coll::Allgather, .sendbuf = sendbuf, .recvbuf = recvbuf,
+                     .count = sendcount, .dt = sendtype, .rcount = recvcount,
+                     .rdt = recvtype}, comm).sendbuf;
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const int me = comm.rank();
   const std::size_t block = recvcount * recvtype.size();
-  if (sendbuf == kInPlace) {
-    sendbuf = at(recvbuf, static_cast<std::size_t>(me) * block);
-    sendcount = recvcount;
-    sendtype = recvtype;
-  }
-  require(sendcount * sendtype.size() == block,
-          "Mpi::allgather: send/recv size mismatch");
   const bool dev = is_device(sendbuf) || is_device(recvbuf);
 
   copy_if_distinct(at(recvbuf, static_cast<std::size_t>(me) * block), sendbuf,
@@ -394,25 +403,17 @@ void Mpi::allgatherv(const void* sendbuf, std::size_t sendcount, Datatype sendty
                      void* recvbuf, std::span<const std::size_t> recvcounts,
                      std::span<const std::size_t> displs, Datatype recvtype,
                      Comm& comm) {
+  sendbuf = resolve({.coll = Coll::Allgatherv, .sendbuf = sendbuf, .recvbuf = recvbuf,
+                     .count = sendcount, .dt = sendtype, .rdt = recvtype,
+                     .rcounts = recvcounts, .rdispls = displs}, comm).sendbuf;
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const int me = comm.rank();
-  require(recvcounts.size() == static_cast<std::size_t>(p) &&
-              displs.size() == static_cast<std::size_t>(p),
-          "Mpi::allgatherv: bad counts");
   const std::size_t esz = recvtype.size();
-  if (sendbuf == kInPlace) {
-    sendbuf = at(recvbuf, displs[static_cast<std::size_t>(me)] * esz);
-    sendcount = recvcounts[static_cast<std::size_t>(me)];
-    sendtype = recvtype;
-  }
   const bool dev = is_device(sendbuf) || is_device(recvbuf);
-  require(sendcount * sendtype.size() ==
-              recvcounts[static_cast<std::size_t>(me)] * esz,
-          "Mpi::allgatherv: my block size mismatch");
 
-  copy_if_distinct(at(recvbuf, displs[static_cast<std::size_t>(me)] * esz),
-                   sendbuf, sendcount * sendtype.size());
+  const auto ume = static_cast<std::size_t>(me);
+  copy_if_distinct(at(recvbuf, displs[ume] * esz), sendbuf, recvcounts[ume] * esz);
   if (p == 1) return;
 
   // Ring with per-owner block sizes.
@@ -431,176 +432,131 @@ void Mpi::allgatherv(const void* sendbuf, std::size_t sendcount, Datatype sendty
   }
 }
 
+/// The rooted block collectives, one body for the plain and the v-form
+/// (from the call's resolved arguments): every rank's block moves between
+/// the root and its owner.
+struct CollectiveOps {
+  static void gather(Mpi& m, const CollArgs& args, Comm& comm) {
+    const CollArgs a = resolve(args, comm);
+    const fabric::ChannelId ch = comm.next_collective_channel();
+    const int me = comm.rank();
+    if (me != a.root) {
+      Request sr = m.isend_bytes(a.sendbuf, a.bytes(), a.root, 0, ch, comm,
+                                 m.is_device(a.sendbuf));
+      m.wait(sr);
+      return;
+    }
+    const std::size_t esz = a.rdt.size();
+    const bool dev = m.is_device(a.sendbuf) || m.is_device(a.recvbuf);
+    std::vector<Request> reqs;
+    for (int r = 0; r < comm.size(); ++r) {
+      const Block b = a.recv_block(r);
+      std::byte* dst = at(a.recvbuf, b.off * esz);
+      if (r == me) {
+        copy_if_distinct(dst, a.sendbuf, b.count * esz);
+      } else {
+        reqs.push_back(m.irecv_bytes(dst, b.count * esz, r, 0, ch, comm, dev));
+      }
+    }
+    m.waitall(reqs);
+  }
+
+  static void scatter(Mpi& m, const CollArgs& args, Comm& comm) {
+    const CollArgs a = resolve(args, comm);
+    const fabric::ChannelId ch = comm.next_collective_channel();
+    const int me = comm.rank();
+    if (me != a.root) {
+      Request rr = m.irecv_bytes(a.recvbuf, a.rcount * a.rdt.size(), a.root, 0, ch,
+                                 comm, m.is_device(a.recvbuf));
+      m.wait(rr);
+      return;
+    }
+    const std::size_t esz = a.dt.size();
+    std::vector<Request> reqs;
+    for (int r = 0; r < comm.size(); ++r) {
+      const Block b = a.send_block(r);
+      const std::byte* src = at(a.sendbuf, b.off * esz);
+      if (r == me) {
+        copy_if_distinct(a.recvbuf, src, b.count * esz);
+      } else {
+        reqs.push_back(
+            m.isend_bytes(src, b.count * esz, r, 0, ch, comm, m.is_device(src)));
+      }
+    }
+    m.waitall(reqs);
+  }
+};
+
 void Mpi::gather(const void* sendbuf, std::size_t sendcount, Datatype sendtype,
                  void* recvbuf, std::size_t recvcount, Datatype recvtype, int root,
                  Comm& comm) {
-  const fabric::ChannelId ch = comm.next_collective_channel();
-  const int p = comm.size();
-  const int me = comm.rank();
-  if (me == root) {
-    const std::size_t block = recvcount * recvtype.size();
-    if (sendbuf == kInPlace) {
-      sendbuf = at(recvbuf, static_cast<std::size_t>(me) * block);
-      sendcount = recvcount;
-      sendtype = recvtype;
-    }
-    require(block == sendcount * sendtype.size(), "Mpi::gather: size mismatch");
-    const bool dev = is_device(sendbuf) || is_device(recvbuf);
-    std::vector<Request> reqs;
-    reqs.reserve(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      if (r == me) {
-        copy_if_distinct(at(recvbuf, static_cast<std::size_t>(r) * block),
-                         sendbuf, block);
-        continue;
-      }
-      reqs.push_back(irecv_bytes(at(recvbuf, static_cast<std::size_t>(r) * block),
-                                 block, r, 0, ch, comm, dev));
-    }
-    waitall(reqs);
-  } else {
-    Request sr = isend_bytes(sendbuf, sendcount * sendtype.size(), root, 0, ch,
-                             comm, is_device(sendbuf));
-    wait(sr);
-  }
+  CollectiveOps::gather(*this, {.coll = Coll::Gather, .sendbuf = sendbuf,
+                                .recvbuf = recvbuf, .count = sendcount, .dt = sendtype,
+                                .rcount = recvcount, .rdt = recvtype, .root = root},
+                        comm);
 }
 
 void Mpi::gatherv(const void* sendbuf, std::size_t sendcount, Datatype sendtype,
                   void* recvbuf, std::span<const std::size_t> recvcounts,
                   std::span<const std::size_t> displs, Datatype recvtype, int root,
                   Comm& comm) {
-  const fabric::ChannelId ch = comm.next_collective_channel();
-  const int p = comm.size();
-  const int me = comm.rank();
-  if (me == root) {
-    require(recvcounts.size() == static_cast<std::size_t>(p) &&
-                displs.size() == static_cast<std::size_t>(p),
-            "Mpi::gatherv: bad counts");
-    const std::size_t esz = recvtype.size();
-    if (sendbuf == kInPlace) {
-      // The root's block already sits at its displacement.
-      const auto ume = static_cast<std::size_t>(me);
-      sendbuf = at(recvbuf, displs[ume] * esz);
-      sendcount = recvcounts[ume];
-      sendtype = recvtype;
-    }
-    const bool dev = is_device(sendbuf) || is_device(recvbuf);
-    std::vector<Request> reqs;
-    for (int r = 0; r < p; ++r) {
-      const auto ur = static_cast<std::size_t>(r);
-      if (r == me) {
-        copy_if_distinct(at(recvbuf, displs[ur] * esz), sendbuf,
-                         sendcount * sendtype.size());
-        continue;
-      }
-      reqs.push_back(irecv_bytes(at(recvbuf, displs[ur] * esz),
-                                 recvcounts[ur] * esz, r, 0, ch, comm, dev));
-    }
-    waitall(reqs);
-  } else {
-    Request sr = isend_bytes(sendbuf, sendcount * sendtype.size(), root, 0, ch, comm,
-                             is_device(sendbuf));
-    wait(sr);
-  }
+  CollectiveOps::gather(*this, {.coll = Coll::Gatherv, .sendbuf = sendbuf,
+                                .recvbuf = recvbuf, .count = sendcount, .dt = sendtype,
+                                .rdt = recvtype, .root = root, .rcounts = recvcounts,
+                                .rdispls = displs},
+                        comm);
 }
 
 void Mpi::scatter(const void* sendbuf, std::size_t sendcount, Datatype sendtype,
                   void* recvbuf, std::size_t recvcount, Datatype recvtype, int root,
                   Comm& comm) {
-  const fabric::ChannelId ch = comm.next_collective_channel();
-  const int p = comm.size();
-  const int me = comm.rank();
-  const std::size_t rbytes = recvcount * recvtype.size();
-  if (me == root) {
-    const std::size_t block = sendcount * sendtype.size();
-    require(block == rbytes, "Mpi::scatter: size mismatch");
-    std::vector<Request> reqs;
-    for (int r = 0; r < p; ++r) {
-      if (r == me) {
-        std::memcpy(recvbuf, at(sendbuf, static_cast<std::size_t>(r) * block),
-                    block);
-        continue;
-      }
-      const std::byte* sb = at(sendbuf, static_cast<std::size_t>(r) * block);
-      reqs.push_back(isend_bytes(sb, block, r, 0, ch, comm, is_device(sb)));
-    }
-    waitall(reqs);
-  } else {
-    const bool dev = is_device(recvbuf);
-    Request rr = irecv_bytes(recvbuf, rbytes, root, 0, ch, comm, dev);
-    wait(rr);
-  }
+  CollectiveOps::scatter(*this, {.coll = Coll::Scatter, .sendbuf = sendbuf,
+                                 .recvbuf = recvbuf, .count = sendcount, .dt = sendtype,
+                                 .rcount = recvcount, .rdt = recvtype, .root = root},
+                         comm);
 }
 
 void Mpi::scatterv(const void* sendbuf, std::span<const std::size_t> sendcounts,
                    std::span<const std::size_t> displs, Datatype sendtype,
                    void* recvbuf, std::size_t recvcount, Datatype recvtype,
                    int root, Comm& comm) {
-  const fabric::ChannelId ch = comm.next_collective_channel();
-  const int p = comm.size();
-  const int me = comm.rank();
-  const std::size_t rbytes = recvcount * recvtype.size();
-  if (me == root) {
-    require(sendcounts.size() == static_cast<std::size_t>(p) &&
-                displs.size() == static_cast<std::size_t>(p),
-            "Mpi::scatterv: bad counts");
-    const std::size_t esz = sendtype.size();
-    std::vector<Request> reqs;
-    for (int r = 0; r < p; ++r) {
-      const auto ur = static_cast<std::size_t>(r);
-      if (r == me) {
-        std::memcpy(recvbuf, at(sendbuf, displs[ur] * esz), sendcounts[ur] * esz);
-        continue;
-      }
-      const std::byte* sb = at(sendbuf, displs[ur] * esz);
-      reqs.push_back(
-          isend_bytes(sb, sendcounts[ur] * esz, r, 0, ch, comm, is_device(sb)));
-    }
-    waitall(reqs);
-  } else {
-    const bool dev = is_device(recvbuf);
-    Request rr = irecv_bytes(recvbuf, rbytes, root, 0, ch, comm, dev);
-    wait(rr);
-  }
+  CollectiveOps::scatter(*this, {.coll = Coll::Scatterv, .sendbuf = sendbuf,
+                                 .recvbuf = recvbuf, .dt = sendtype, .rcount = recvcount,
+                                 .rdt = recvtype, .root = root, .scounts = sendcounts,
+                                 .sdispls = displs},
+                         comm);
 }
 
 void Mpi::alltoall(const void* sendbuf, std::size_t sendcount, Datatype sendtype,
                    void* recvbuf, std::size_t recvcount, Datatype recvtype,
                    Comm& comm) {
+  const CollArgs a = resolve({.coll = Coll::Alltoall, .sendbuf = sendbuf,
+                              .recvbuf = recvbuf, .count = sendcount, .dt = sendtype,
+                              .rcount = recvcount, .rdt = recvtype}, comm);
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const int me = comm.rank();
-  const std::size_t rblock = recvcount * recvtype.size();
-  std::unique_ptr<std::byte[]> inplace_copy;
-  if (sendbuf == kInPlace) {
-    // In-place alltoall: snapshot the receive buffer as the send data.
-    const std::size_t total = rblock * static_cast<std::size_t>(p);
-    inplace_copy = uninit(total);
-    std::memcpy(inplace_copy.get(), recvbuf, total);
-    sendbuf = inplace_copy.get();
-    sendcount = recvcount;
-    sendtype = recvtype;
-  }
-  const std::size_t sblock = sendcount * sendtype.size();
-  require(sblock == rblock, "Mpi::alltoall: size mismatch");
+  std::unique_ptr<std::byte[]> snapshot;
+  sendbuf = send_data(a, p, snapshot);
+  const std::size_t block = recvcount * recvtype.size();
   const bool dev = is_device(sendbuf) || is_device(recvbuf);
 
-  copy_if_distinct(at(recvbuf, static_cast<std::size_t>(me) * rblock),
-                   at(sendbuf, static_cast<std::size_t>(me) * sblock), sblock);
-  if (sblock <= prof_.eager_threshold) {
+  copy_if_distinct(at(recvbuf, static_cast<std::size_t>(me) * block),
+                   at(sendbuf, static_cast<std::size_t>(me) * block), block);
+  if (block <= prof_.eager_threshold) {
     // Small blocks: post everything at once (MVAPICH-style scattered
     // isend/irecv); completion is dominated by one alpha, not p-1 of them.
     std::vector<Request> reqs;
     reqs.reserve(static_cast<std::size_t>(2 * (p - 1)));
     for (int s = 1; s < p; ++s) {
       const int src = (me - s + p) % p;
-      reqs.push_back(irecv_bytes(at(recvbuf, static_cast<std::size_t>(src) * rblock),
-                                 rblock, src, 0, ch, comm, dev));
+      reqs.push_back(irecv_bytes(at(recvbuf, static_cast<std::size_t>(src) * block),
+                                 block, src, 0, ch, comm, dev));
     }
     for (int s = 1; s < p; ++s) {
       const int dst = (me + s) % p;
-      const std::byte* sb = at(sendbuf, static_cast<std::size_t>(dst) * sblock);
-      reqs.push_back(isend_bytes(sb, sblock, dst, 0, ch, comm, is_device(sb)));
+      const std::byte* sb = at(sendbuf, static_cast<std::size_t>(dst) * block);
+      reqs.push_back(isend_bytes(sb, block, dst, 0, ch, comm, is_device(sb)));
     }
     waitall(reqs);
     return;
@@ -609,10 +565,10 @@ void Mpi::alltoall(const void* sendbuf, std::size_t sendcount, Datatype sendtype
   for (int s = 1; s < p; ++s) {
     const int dst = (me + s) % p;
     const int src = (me - s + p) % p;
-    Request rr = irecv_bytes(at(recvbuf, static_cast<std::size_t>(src) * rblock),
-                             rblock, src, s, ch, comm, dev);
-    const std::byte* sb = at(sendbuf, static_cast<std::size_t>(dst) * sblock);
-    Request sr = isend_bytes(sb, sblock, dst, s, ch, comm, is_device(sb));
+    Request rr = irecv_bytes(at(recvbuf, static_cast<std::size_t>(src) * block),
+                             block, src, s, ch, comm, dev);
+    const std::byte* sb = at(sendbuf, static_cast<std::size_t>(dst) * block);
+    Request sr = isend_bytes(sb, block, dst, s, ch, comm, is_device(sb));
     wait(sr);
     wait(rr);
   }
@@ -623,34 +579,32 @@ void Mpi::alltoallv(const void* sendbuf, std::span<const std::size_t> sendcounts
                     void* recvbuf, std::span<const std::size_t> recvcounts,
                     std::span<const std::size_t> rdispls, Datatype recvtype,
                     Comm& comm) {
+  const CollArgs a = resolve({.coll = Coll::Alltoallv, .sendbuf = sendbuf,
+                              .recvbuf = recvbuf, .dt = sendtype, .rdt = recvtype,
+                              .scounts = sendcounts, .sdispls = sdispls,
+                              .rcounts = recvcounts, .rdispls = rdispls}, comm);
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const int me = comm.rank();
-  require(sendcounts.size() == static_cast<std::size_t>(p) &&
-              recvcounts.size() == static_cast<std::size_t>(p),
-          "Mpi::alltoallv: bad counts");
-  const std::size_t ssz = sendtype.size();
+  std::unique_ptr<std::byte[]> snapshot;
+  sendbuf = send_data(a, p, snapshot);
+  const std::size_t ssz = a.dt.size();
   const std::size_t rsz = recvtype.size();
   const bool dev = is_device(sendbuf) || is_device(recvbuf);
+  const auto src = [&](int r) { return at(sendbuf, a.send_block(r).off * ssz); };
+  const auto dst = [&](int r) { return at(recvbuf, a.recv_block(r).off * rsz); };
 
-  const auto ume = static_cast<std::size_t>(me);
-  std::memcpy(at(recvbuf, rdispls[ume] * rsz), at(sendbuf, sdispls[ume] * ssz),
-              sendcounts[ume] * ssz);
-
+  std::memcpy(dst(me), src(me), a.send_block(me).count * ssz);
   std::vector<Request> reqs;
   reqs.reserve(static_cast<std::size_t>(2 * (p - 1)));
   for (int r = 0; r < p; ++r) {
     if (r == me) continue;
-    const auto ur = static_cast<std::size_t>(r);
-    reqs.push_back(irecv_bytes(at(recvbuf, rdispls[ur] * rsz),
-                               recvcounts[ur] * rsz, r, 0, ch, comm, dev));
+    reqs.push_back(irecv_bytes(dst(r), a.recv_block(r).count * rsz, r, 0, ch, comm, dev));
   }
   for (int r = 0; r < p; ++r) {
     if (r == me) continue;
-    const auto ur = static_cast<std::size_t>(r);
-    const std::byte* sb = at(sendbuf, sdispls[ur] * ssz);
-    reqs.push_back(
-        isend_bytes(sb, sendcounts[ur] * ssz, r, 0, ch, comm, is_device(sb)));
+    reqs.push_back(isend_bytes(src(r), a.send_block(r).count * ssz, r, 0, ch, comm,
+                               is_device(src(r))));
   }
   waitall(reqs);
 }
@@ -658,13 +612,13 @@ void Mpi::alltoallv(const void* sendbuf, std::span<const std::size_t> sendcounts
 void Mpi::reduce_scatter_block(const void* sendbuf, void* recvbuf,
                                std::size_t recvcount, Datatype dt, ReduceOp op,
                                Comm& comm) {
+  resolve({.coll = Coll::ReduceScatterBlock, .sendbuf = sendbuf, .recvbuf = recvbuf,
+           .count = recvcount, .dt = dt}, comm);
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const int me = comm.rank();
   const std::size_t block = recvcount * dt.size();
   const std::size_t block_elems = recvcount * dt.count;
-  require(sendbuf != kInPlace,
-          "Mpi::reduce_scatter_block: MPI_IN_PLACE not supported");
   const bool dev = is_device(sendbuf) || is_device(recvbuf);
   require(reduce_defined(dt.base, op),
           "Mpi::reduce_scatter_block: op not defined for datatype");
@@ -705,6 +659,8 @@ void Mpi::reduce_scatter_block(const void* sendbuf, void* recvbuf,
 
 void Mpi::scan(const void* sendbuf, void* recvbuf, std::size_t count, Datatype dt,
                ReduceOp op, Comm& comm) {
+  sendbuf = resolve({.coll = Coll::Scan, .sendbuf = sendbuf, .recvbuf = recvbuf,
+                     .count = count, .dt = dt}, comm).sendbuf;
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const int me = comm.rank();
@@ -712,7 +668,6 @@ void Mpi::scan(const void* sendbuf, void* recvbuf, std::size_t count, Datatype d
   const bool dev = is_device(sendbuf) || is_device(recvbuf);
   require(op != ReduceOp::Avg, "Mpi::scan: MPI defines no Avg scan");
   require(reduce_defined(dt.base, op), "Mpi::scan: op not defined for datatype");
-  if (sendbuf == kInPlace) sendbuf = recvbuf;
 
   copy_if_distinct(recvbuf, sendbuf, bytes);
   if (me > 0) {
@@ -732,6 +687,8 @@ void Mpi::scan(const void* sendbuf, void* recvbuf, std::size_t count, Datatype d
 
 void Mpi::exscan(const void* sendbuf, void* recvbuf, std::size_t count,
                  Datatype dt, ReduceOp op, Comm& comm) {
+  sendbuf = resolve({.coll = Coll::Exscan, .sendbuf = sendbuf, .recvbuf = recvbuf,
+                     .count = count, .dt = dt}, comm).sendbuf;
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const int me = comm.rank();
@@ -740,7 +697,6 @@ void Mpi::exscan(const void* sendbuf, void* recvbuf, std::size_t count,
   require(op != ReduceOp::Avg, "Mpi::exscan: MPI defines no Avg scan");
   require(reduce_defined(dt.base, op),
           "Mpi::exscan: op not defined for datatype");
-  if (sendbuf == kInPlace) sendbuf = recvbuf;
 
   // Linear chain: the value forwarded to rank r+1 is op(prefix, mine); the
   // value *received* is the exclusive prefix.

@@ -23,6 +23,7 @@
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "fabric/world.hpp"
+#include "mpi/coll_args.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/datatype.hpp"
 #include "mpi/request.hpp"
@@ -32,12 +33,6 @@ namespace mpixccl::mini {
 
 inline constexpr int kAnySource = fabric::kAnySource;
 inline constexpr int kAnyTag = fabric::kAnyTag;
-
-/// MPI_IN_PLACE: pass as `sendbuf` to reduce/gather-family collectives to
-/// use the receive buffer as the local contribution. Resolved at collective
-/// entry; never dereferenced.
-inline const void* const kInPlace =
-    reinterpret_cast<const void*>(~std::uintptr_t{0});
 
 class Mpi {
  public:
@@ -82,6 +77,9 @@ class Mpi {
                       Datatype recvtype, int src, int recvtag, Comm& comm);
 
   // ---- Collectives -------------------------------------------------------
+  // Each first runs resolve() (mpi/coll_args.hpp): its table decides where
+  // MPI_IN_PLACE is allowed and what it means, and which arguments are
+  // checked on which ranks.
   void barrier(Comm& comm);
   void bcast(void* buf, std::size_t count, Datatype dt, int root, Comm& comm);
   void reduce(const void* sendbuf, void* recvbuf, std::size_t count, Datatype dt,
