@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "device/buffer_registry.hpp"
+#include "core/xccl_mpi.hpp"
 
 namespace mpixccl::core {
 
@@ -31,26 +31,16 @@ bool UccBaseline::spans_nodes() const {
   return !topo.same_node(0, ctx_->size() - 1);
 }
 
-bool UccBaseline::use_ccl_move(const void* a, const void* b, DataType dt,
-                               std::size_t bytes) const {
+bool UccBaseline::use_ccl(const mini::CollArgs& a) const {
   // UCC's transport selection: UCX/UCP below the small-message threshold,
   // the vendor CCL above it (and only for device buffers it can handle).
   // Multi-node jobs stay on UCP — reproducing the paper's observation that
   // UCC underperforms plain OMPI+UCX by ~10% beyond one node (Sec. 4.4).
-  if (bytes <= ucc_.ucp_max_bytes || spans_nodes()) return false;
-  const auto& reg = device::BufferRegistry::instance();
-  const bool device = (a != nullptr && reg.lookup(a).has_value()) ||
-                      (b != nullptr && reg.lookup(b).has_value());
-  return device && coll_backend_->capabilities().can_move(dt);
-}
-
-bool UccBaseline::use_ccl(const void* a, const void* b, DataType dt, ReduceOp op,
-                          std::size_t bytes) const {
-  if (bytes <= ucc_.ucp_max_bytes || spans_nodes()) return false;
-  const auto& reg = device::BufferRegistry::instance();
-  const bool device = (a != nullptr && reg.lookup(a).has_value()) ||
-                      (b != nullptr && reg.lookup(b).has_value());
-  return device && coll_backend_->capabilities().can_reduce(dt, op);
+  if (a.bytes() <= ucc_.ucp_max_bytes || spans_nodes() || !a.device()) return false;
+  if (a.coll == mini::Coll::Allgather && a.dt.size() != a.rdt.size()) return false;
+  const auto& caps = coll_backend_->capabilities();
+  const bool reduces = a.coll == mini::Coll::Allreduce || a.coll == mini::Coll::Reduce;
+  return reduces ? caps.can_reduce(a.dt.base, a.redop) : caps.can_move(a.dt.base);
 }
 
 void UccBaseline::run_on_ucp(const std::function<void()>& op) {
@@ -88,81 +78,31 @@ xccl::CclComm& UccBaseline::ccl_comm(
   return cache.emplace(key, std::move(cc)).first->second;
 }
 
-void UccBaseline::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
-                            mini::Datatype dt, ReduceOp op, mini::Comm& comm) {
-  if (use_ccl(sendbuf, recvbuf, dt.base, op, count * dt.size())) {
+void UccBaseline::builtin(mini::CollArgs a, mini::Comm& comm) {
+  a = mini::resolve(a, comm);
+  if (use_ccl(a)) {
     ctx_->clock().advance(ucc_.per_op_us);
-    throw_if_error(coll_backend_->all_reduce(
-                       sendbuf, recvbuf, count * dt.count, dt.base, op,
-                       ccl_comm(comm, *coll_backend_, coll_comms_),
-                       ctx_->stream()),
-                   "ucc allreduce");
+    xccl::CclComm& cc = ccl_comm(comm, *coll_backend_, coll_comms_);
+    throw_if_error(launch_builtin(*coll_backend_, cc, ctx_->stream(), a), "ucc builtin");
     ctx_->stream().synchronize(ctx_->clock());
     return;
   }
-  run_on_ucp([&] { mpi_.allreduce(sendbuf, recvbuf, count, dt, op, comm); });
-}
-
-void UccBaseline::bcast(void* buf, std::size_t count, mini::Datatype dt, int root,
-                        mini::Comm& comm) {
-  if (use_ccl_move(buf, nullptr, dt.base, count * dt.size())) {
-    ctx_->clock().advance(ucc_.per_op_us);
-    throw_if_error(
-        coll_backend_->broadcast(buf, count * dt.count, dt.base, root,
-                                 ccl_comm(comm, *coll_backend_, coll_comms_),
-                                 ctx_->stream()),
-        "ucc bcast");
-    ctx_->stream().synchronize(ctx_->clock());
-    return;
-  }
-  run_on_ucp([&] { mpi_.bcast(buf, count, dt, root, comm); });
-}
-
-void UccBaseline::reduce(const void* sendbuf, void* recvbuf, std::size_t count,
-                         mini::Datatype dt, ReduceOp op, int root,
-                         mini::Comm& comm) {
-  if (use_ccl(sendbuf, recvbuf, dt.base, op, count * dt.size())) {
-    ctx_->clock().advance(ucc_.per_op_us);
-    throw_if_error(
-        coll_backend_->reduce(sendbuf, recvbuf, count * dt.count, dt.base, op,
-                              root, ccl_comm(comm, *coll_backend_, coll_comms_),
-                              ctx_->stream()),
-        "ucc reduce");
-    ctx_->stream().synchronize(ctx_->clock());
-    return;
-  }
-  run_on_ucp([&] { mpi_.reduce(sendbuf, recvbuf, count, dt, op, root, comm); });
-}
-
-void UccBaseline::allgather(const void* sendbuf, std::size_t sendcount,
-                            mini::Datatype st, void* recvbuf,
-                            std::size_t recvcount, mini::Datatype rt,
-                            mini::Comm& comm) {
-  if (use_ccl_move(sendbuf, recvbuf, st.base, sendcount * st.size()) &&
-      st.size() == rt.size()) {
-    ctx_->clock().advance(ucc_.per_op_us);
-    throw_if_error(coll_backend_->all_gather(
-                       sendbuf, recvbuf, sendcount * st.count, st.base,
-                       ccl_comm(comm, *coll_backend_, coll_comms_),
-                       ctx_->stream()),
-                   "ucc allgather");
-    ctx_->stream().synchronize(ctx_->clock());
-    return;
-  }
-  run_on_ucp(
-      [&] { mpi_.allgather(sendbuf, sendcount, st, recvbuf, recvcount, rt, comm); });
+  run_on_ucp([&] { mpi_.run(a, comm); });
 }
 
 void UccBaseline::alltoall(const void* sendbuf, std::size_t sendcount,
                            mini::Datatype st, void* recvbuf,
                            std::size_t recvcount, mini::Datatype rt,
                            mini::Comm& comm) {
-  const auto& reg = device::BufferRegistry::instance();
-  const bool device_bufs = reg.lookup(sendbuf).has_value() ||
-                           reg.lookup(recvbuf).has_value();
+  const mini::CollArgs a = mini::resolve(
+      {.coll = mini::Coll::Alltoall, .sendbuf = sendbuf, .recvbuf = recvbuf,
+       .count = sendcount, .dt = st, .rcount = recvcount, .rdt = rt},
+      comm);
   // UCC alltoall has no fused-group path on any transport: it issues
   // per-peer phases whatever the size (the paper's 2.8x weakness at 4 KB).
-  if (device_bufs && coll_backend_->capabilities().can_move(st.base) &&
+  // In place, it reads and writes the same blocks: only MiniMPI's snapshot
+  // serves that.
+  if (a.device() && !a.snapshot && coll_backend_->capabilities().can_move(st.base) &&
       st.size() == rt.size()) {
     ctx_->clock().advance(ucc_.per_op_us);
     xccl::CclComm& cc = ccl_comm(comm, *compose_backend_, compose_comms_);
@@ -194,7 +134,7 @@ void UccBaseline::alltoall(const void* sendbuf, std::size_t sendcount,
     ctx_->stream().synchronize(ctx_->clock());
     return;
   }
-  mpi_.alltoall(sendbuf, sendcount, st, recvbuf, recvcount, rt, comm);
+  mpi_.run(a, comm);
 }
 
 }  // namespace mpixccl::core

@@ -27,28 +27,42 @@ class UccBaseline {
   [[nodiscard]] fabric::RankContext& context() { return *ctx_; }
   [[nodiscard]] mini::Mpi& mpi() { return mpi_; }
 
+  // Each collective resolves its arguments first (mini::resolve), like the
+  // runtime's entries: MPI_IN_PLACE, the entry check and the buffer kinds.
   void barrier(mini::Comm& comm) { mpi_.barrier(comm); }
   void allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
-                 mini::Datatype dt, ReduceOp op, mini::Comm& comm);
+                 mini::Datatype dt, ReduceOp op, mini::Comm& comm) {
+    builtin({.coll = mini::Coll::Allreduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
+             .count = count, .dt = dt, .redop = op}, comm);
+  }
   void bcast(void* buf, std::size_t count, mini::Datatype dt, int root,
-             mini::Comm& comm);
+             mini::Comm& comm) {
+    builtin({.coll = mini::Coll::Bcast, .recvbuf = buf, .count = count, .dt = dt,
+             .root = root}, comm);
+  }
   void reduce(const void* sendbuf, void* recvbuf, std::size_t count,
-              mini::Datatype dt, ReduceOp op, int root, mini::Comm& comm);
+              mini::Datatype dt, ReduceOp op, int root, mini::Comm& comm) {
+    builtin({.coll = mini::Coll::Reduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
+             .count = count, .dt = dt, .redop = op, .root = root}, comm);
+  }
   void allgather(const void* sendbuf, std::size_t sendcount, mini::Datatype st,
                  void* recvbuf, std::size_t recvcount, mini::Datatype rt,
-                 mini::Comm& comm);
+                 mini::Comm& comm) {
+    builtin({.coll = mini::Coll::Allgather, .sendbuf = sendbuf, .recvbuf = recvbuf,
+             .count = sendcount, .dt = st, .rcount = recvcount, .rdt = rt}, comm);
+  }
   void alltoall(const void* sendbuf, std::size_t sendcount, mini::Datatype st,
                 void* recvbuf, std::size_t recvcount, mini::Datatype rt,
                 mini::Comm& comm);
 
  private:
-  /// True when the call should ride the CCL transport (device buffers, a
-  /// capability match, and above UCC's UCP small-message threshold);
-  /// otherwise the OMPI/UCX path serves it.
-  bool use_ccl(const void* a, const void* b, DataType dt, ReduceOp op,
-               std::size_t bytes) const;
-  bool use_ccl_move(const void* a, const void* b, DataType dt,
-                    std::size_t bytes) const;
+  /// True when the resolved call should ride the CCL transport (device
+  /// buffers, a capability match, and above UCC's UCP small-message
+  /// threshold); otherwise the OMPI/UCX path serves it.
+  [[nodiscard]] bool use_ccl(const mini::CollArgs& a) const;
+  /// One built-in collective: resolve the arguments, then the CCL builtin
+  /// when use_ccl(), else the UCP path.
+  void builtin(mini::CollArgs a, mini::Comm& comm);
   [[nodiscard]] bool spans_nodes() const;
   /// Run a UCP-path collective with UCC's layer overheads applied.
   void run_on_ucp(const std::function<void()>& op);

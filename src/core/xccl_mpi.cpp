@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/log.hpp"
-#include "device/buffer_registry.hpp"
 #include "obs/analyze.hpp"
 #include "obs/fleet.hpp"
 #include "obs/metrics.hpp"
@@ -135,12 +134,6 @@ void XcclMpi::clear_adaptive() {
   invalidate_plans();
 }
 
-bool XcclMpi::any_device_buffer(const void* a, const void* b) const {
-  const auto& reg = device::BufferRegistry::instance();
-  return (a != nullptr && reg.lookup(a).has_value()) ||
-         (b != nullptr && reg.lookup(b).has_value());
-}
-
 EnginePick XcclMpi::pick_from_entry(CollOp op, const TuningTable::Entry& e) {
   EnginePick pick;
   pick.table_choice = e.engine;
@@ -207,7 +200,7 @@ std::shared_ptr<const Plan> XcclMpi::plan_for(const mini::CollArgs& a,
   key.op = op_of(a.coll);
   key.base = a.dt.base;
   key.redop = a.redop;
-  key.device = any_device_buffer(a.sendbuf, a.recvbuf);
+  key.device = a.device();
   key.size_class = plan_size_class(bytes);
   key.comm_uid = comm.uid();
   if (std::shared_ptr<Plan> hit = plans_.find(key, bytes)) {
@@ -343,30 +336,8 @@ void XcclMpi::complete(OpRecord& rec, const EnginePick& pick,
 
 // ---- The dispatch ladder ----------------------------------------------------
 
-namespace {
-
-bool run_hier(hier::HierEngine& h, hier::HierEngine::HierComms& hc,
-              const mini::CollArgs& a, mini::Comm& comm) {
-  switch (a.coll) {
-    case mini::Coll::Allreduce:
-      return h.allreduce(hc, a.sendbuf, a.recvbuf, a.count, a.dt, a.redop,
-                         comm);
-    case mini::Coll::Bcast:
-      return h.bcast(hc, a.recvbuf, a.count, a.dt, a.root, comm);
-    case mini::Coll::Reduce:
-      return h.reduce(hc, a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, a.root,
-                      comm);
-    case mini::Coll::Allgather:
-      return h.allgather(hc, a.sendbuf, a.count, a.dt, a.recvbuf, a.rcount,
-                         a.rdt, comm);
-    default:
-      return h.reduce_scatter_block(hc, a.sendbuf, a.recvbuf, a.count, a.dt,
-                                    a.redop, comm);
-  }
-}
-
-XcclResult launch_xccl(xccl::CclBackend& b, xccl::CclComm& cc,
-                       device::Stream& s, const mini::CollArgs& a) {
+XcclResult launch_builtin(xccl::CclBackend& b, xccl::CclComm& cc, device::Stream& s,
+                          const mini::CollArgs& a) {
   const std::size_t n = a.count * a.dt.count;
   switch (a.coll) {
     case mini::Coll::Allreduce:
@@ -383,47 +354,6 @@ XcclResult launch_xccl(xccl::CclBackend& b, xccl::CclComm& cc,
                               s);
   }
 }
-
-/// The blocking MPI algorithm for every flavour: MiniMPI's nonblocking
-/// collectives complete eagerly, so this is what they would run anyway.
-void run_mpi(mini::Mpi& mpi, const mini::CollArgs& a, mini::Comm& comm) {
-  using enum mini::Coll;
-  switch (a.coll) {
-    case Allreduce:
-      return mpi.allreduce(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, comm);
-    case Bcast: return mpi.bcast(a.recvbuf, a.count, a.dt, a.root, comm);
-    case Reduce:
-      return mpi.reduce(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, a.root, comm);
-    case Allgather:
-      return mpi.allgather(a.sendbuf, a.count, a.dt, a.recvbuf, a.rcount, a.rdt, comm);
-    case ReduceScatterBlock:
-      return mpi.reduce_scatter_block(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, comm);
-    case Gather:
-      return mpi.gather(a.sendbuf, a.count, a.dt, a.recvbuf, a.rcount, a.rdt, a.root,
-                        comm);
-    case Gatherv:
-      return mpi.gatherv(a.sendbuf, a.count, a.dt, a.recvbuf, a.rcounts, a.rdispls, a.rdt,
-                         a.root, comm);
-    case Scatter:
-      return mpi.scatter(a.sendbuf, a.count, a.dt, a.recvbuf, a.rcount, a.rdt, a.root,
-                         comm);
-    case Scatterv:
-      return mpi.scatterv(a.sendbuf, a.scounts, a.sdispls, a.dt, a.recvbuf, a.rcount,
-                          a.rdt, a.root, comm);
-    case Allgatherv:
-      return mpi.allgatherv(a.sendbuf, a.count, a.dt, a.recvbuf, a.rcounts, a.rdispls,
-                            a.rdt, comm);
-    case Alltoall:
-      return mpi.alltoall(a.sendbuf, a.count, a.dt, a.recvbuf, a.rcount, a.rdt, comm);
-    case Alltoallv:
-      return mpi.alltoallv(a.sendbuf, a.scounts, a.sdispls, a.dt, a.recvbuf, a.rcounts,
-                           a.rdispls, a.rdt, comm);
-    case Scan: return mpi.scan(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, comm);
-    case Exscan: return mpi.exscan(a.sendbuf, a.recvbuf, a.count, a.dt, a.redop, comm);
-  }
-}
-
-}  // namespace
 
 Completion XcclMpi::xccl_rung(XcclResult r, const EnginePick& pick,
                               bool composed) {
@@ -454,7 +384,7 @@ Completion XcclMpi::execute(const Plan& p, const mini::CollArgs& a,
   if (p.pick.engine == Engine::Hier) {
     // The hierarchical engine is host-driven (its stages block on MiniMPI),
     // so like the MPI engine it completes before returning.
-    if (run_hier(*hier_, *p.hier, a, comm)) {
+    if (hier_->run(*p.hier, a, comm)) {
       return {Engine::Hier, false, true, obs::FallbackReason::None,
               context().clock().now()};
     }
@@ -467,12 +397,14 @@ Completion XcclMpi::execute(const Plan& p, const mini::CollArgs& a,
       // Mixed element sizes: the 1:1 builtin cannot serve the call.
       c.reason = obs::FallbackReason::MixedDatatype;
     } else {
-      c = xccl_rung(launch_xccl(*backend_, *p.ccl, context().stream(), a),
+      c = xccl_rung(launch_builtin(*backend_, *p.ccl, context().stream(), a),
                     p.pick, /*composed=*/false);
       if (c.engine == Engine::Xccl) return c;
     }
   }
-  run_mpi(mpi_, a, comm);
+  // MiniMPI's nonblocking collectives complete eagerly, so the blocking
+  // algorithm serves every flavour.
+  mpi_.run(a, comm);
   c.done_us = context().clock().now();
   return c;
 }
@@ -718,7 +650,7 @@ void XcclMpi::compose(mini::CollArgs a, mini::Comm& comm) {
   // the buffer, the grouped xCCL composition cannot.
   EnginePick pick{.reason = obs::FallbackReason::InPlace};
   if (!a.snapshot) {
-    const bool device = any_device_buffer(a.sendbuf, a.recvbuf);
+    const bool device = a.device();
     // A v-form's byte count differs by rank and a Hybrid device pick reads
     // it, so those ranks agree on the max: a divergent pick would deadlock.
     const bool ragged = a.coll == mini::Coll::Gatherv || a.coll == mini::Coll::Scatterv ||
@@ -770,7 +702,7 @@ void XcclMpi::compose(mini::CollArgs a, mini::Comm& comm) {
                           op == CollOp::Scatter ? to_or_from_root : recvs, comm),
                   pick, /*composed=*/true);
   }
-  if (c.engine == Engine::Mpi) run_mpi(mpi_, a, comm);
+  if (c.engine == Engine::Mpi) mpi_.run(a, comm);
   complete(rec, pick, settle(c));
 }
 

@@ -6,8 +6,10 @@
 // What the layer does per collective call:
 //   0. Entry check — mini::resolve (mpi/coll_args.hpp) validates the
 //      arguments and resolves MPI_IN_PLACE before anything below sees them.
-//   1. Device Buffer Identify — classify the buffers via the registry; host
-//      buffers always ride the MPI path (CCLs require device memory).
+//   1. Device Buffer Identify — mini::resolve classifies each buffer once,
+//      at the entry (a persistent handle's at *_init); everything below reads
+//      the kinds from the resolved arguments. Host buffers always ride the
+//      MPI path (CCLs require device memory).
 //   2. Datatype / reduce-op support check against the backend Capabilities;
 //      unsupported combinations transparently fall back to MPI (the paper's
 //      automatic error handling, e.g. MPI_DOUBLE_COMPLEX for FFT codes on
@@ -62,6 +64,12 @@ struct Dispatch {
   bool fell_back = false;   ///< chose xccl/hier, bounced back to MPI
   bool composed = false;    ///< served by group send/recv or staged composition
 };
+
+/// Launch one of the five built-in collectives (allreduce, bcast, reduce,
+/// allgather, reduce_scatter_block) from resolved arguments: each maps 1:1
+/// onto its CCL builtin.
+XcclResult launch_builtin(xccl::CclBackend& b, xccl::CclComm& cc, device::Stream& s,
+                          const mini::CollArgs& a);
 
 /// How one dispatch ended: the engine that served it and the virtual time
 /// its result is ready (the stream tail for an unsynchronized xCCL launch).
@@ -326,7 +334,6 @@ class XcclMpi {
   /// Decide the engine for a collective touching `bytes` bytes once the
   /// buffer class is known. `bytes` must be identical on every rank.
   EnginePick pick_classified(CollOp op, std::size_t bytes, bool device) const;
-  [[nodiscard]] bool any_device_buffer(const void* a, const void* b) const;
 
   // ---- Plan/execute split ---------------------------------------------------
   /// Fetch the cached plan for this call or build one (resolving the CCL

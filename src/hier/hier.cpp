@@ -33,6 +33,20 @@ ReduceOp stage_op(ReduceOp op) { return op == ReduceOp::Avg ? ReduceOp::Sum : op
 bool avg_supported(DataType dt) { return is_floating(dt) || is_complex(dt); }
 
 using obs::SpanName;
+using mini::Coll;
+
+/// The kind of every stage buffer the engine owns: its scratch is device
+/// memory, and so is an allreduce's working copy.
+constexpr mini::MemKind kDev = mini::MemKind::Device;
+
+/// One stage's resolved arguments: `n` elements of `dt` on each side (per
+/// block for the block collectives), with the kinds of both buffers given.
+mini::CollArgs stage_args(Coll c, const void* s, mini::MemKind sk, void* r,
+                          mini::MemKind rk, std::size_t n, mini::Datatype dt,
+                          ReduceOp op = ReduceOp::Sum, int root = 0) {
+  return {.coll = c, .sendbuf = s, .recvbuf = r, .count = n, .dt = dt, .rcount = n,
+          .rdt = dt, .redop = op, .root = root, .skind = sk, .rkind = rk};
+}
 
 /// A stage span on this rank's track, optionally at one level of the chain.
 obs::Span stage(mini::Mpi& mpi, SpanName name,
@@ -306,39 +320,52 @@ std::size_t HierEngine::reserve_allreduce(const HierComms& hc,
   return ws_.size() + stage_.size();
 }
 
-bool HierEngine::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
-                           mini::Datatype dt, ReduceOp op, mini::Comm& comm) {
-  if (!reduce_defined(dt.base, stage_op(op))) return false;
-  if (op == ReduceOp::Avg && !avg_supported(dt.base)) return false;
-  return allreduce(prepare(comm), sendbuf, recvbuf, count, dt, op, comm);
-}
-
 bool HierEngine::allreduce(HierComms& hc, const void* sendbuf, void* recvbuf,
                            std::size_t count, mini::Datatype dt, ReduceOp op,
                            mini::Comm& comm) {
-  if (!reduce_defined(dt.base, stage_op(op))) return false;
-  if (op == ReduceOp::Avg && !avg_supported(dt.base)) return false;
-  if (!hc.usable) return false;
-  if (count == 0) return true;
+  return run(hc,
+             mini::resolve({.coll = Coll::Allreduce, .sendbuf = sendbuf,
+                            .recvbuf = recvbuf, .count = count, .dt = dt, .redop = op},
+                           comm),
+             comm);
+}
 
-  const std::size_t elems = count * dt.count;
-  const std::size_t esz = datatype_size(dt.base);
+bool HierEngine::run(HierComms& hc, const mini::CollArgs& a, mini::Comm& comm) {
+  switch (a.coll) {
+    case Coll::Allreduce: return run_allreduce(hc, a, comm);
+    case Coll::Bcast: return run_bcast(hc, a, comm);
+    case Coll::Reduce: return run_reduce(hc, a, comm);
+    case Coll::Allgather: return run_allgather(hc, a);
+    case Coll::ReduceScatterBlock: return run_reduce_scatter_block(hc, a, comm);
+    default: return false;
+  }
+}
+
+bool HierEngine::run_allreduce(HierComms& hc, const mini::CollArgs& a,
+                               mini::Comm& comm) {
+  if (!reduce_defined(a.dt.base, stage_op(a.redop))) return false;
+  if (a.redop == ReduceOp::Avg && !avg_supported(a.dt.base)) return false;
+  if (!hc.usable) return false;
+  if (a.count == 0) return true;
+
+  const std::size_t elems = a.count * a.dt.count;
+  const std::size_t esz = datatype_size(a.dt.base);
   const std::size_t bytes = elems * esz;
   const AllreduceShape shape =
       allreduce_shape(elems, esz, hc.dims, single_copy_min_);
 
   if (shape.mode == ArMode::Cico) {
-    cico_allreduce(sendbuf, recvbuf, elems, dt.base, stage_op(op), hc);
+    cico_allreduce(a, elems, stage_op(a.redop), hc);
   } else {
     // Working copy: recvbuf itself when no pad is needed and it is device
     // memory (every exchange is priced by its buffer's kind, so a host
     // recvbuf would change the link class), else the padded device scratch.
     // Every rank pads identically and the pad region is never copied out,
     // so whatever the reduction leaves there is irrelevant.
-    std::byte* ws = (shape.padded == elems && mpi_->is_device(recvbuf))
-                        ? static_cast<std::byte*>(recvbuf)
+    std::byte* ws = (shape.padded == elems && a.rkind == kDev)
+                        ? static_cast<std::byte*>(a.recvbuf)
                         : scratch(ws_, shape.padded * esz);
-    if (ws != sendbuf) std::memcpy(ws, sendbuf, bytes);
+    if (ws != a.sendbuf) std::memcpy(ws, a.sendbuf, bytes);
     if (shape.padded > elems) {
       std::memset(ws + bytes, 0, (shape.padded - elems) * esz);
     }
@@ -346,16 +373,16 @@ bool HierEngine::allreduce(HierComms& hc, const void* sendbuf, void* recvbuf,
       // One span for the whole pipelined schedule: its per-level exchanges
       // interleave, so per-stage spans would overlap and mislead.
       auto span = stage(*mpi_, SpanName::AllreducePipelined);
-      pipelined_allreduce(ws, shape.unit, shape.chunks, dt.base, stage_op(op),
+      pipelined_allreduce(ws, shape.unit, shape.chunks, a.dt.base, stage_op(a.redop),
                           hc);
     } else {
-      staged_allreduce(ws, shape.padded, dt.base, stage_op(op), hc);
+      staged_allreduce(ws, shape.padded, a.dt.base, stage_op(a.redop), hc);
     }
-    if (ws != recvbuf) std::memcpy(recvbuf, ws, bytes);
+    if (ws != a.recvbuf) std::memcpy(a.recvbuf, ws, bytes);
   }
 
-  if (op == ReduceOp::Avg) {
-    throw_if_error(scale_inplace(dt.base, recvbuf, elems,
+  if (a.redop == ReduceOp::Avg) {
+    throw_if_error(scale_inplace(a.dt.base, a.recvbuf, elems,
                                  1.0 / static_cast<double>(comm.size())),
                    "HierEngine::allreduce avg");
   }
@@ -387,27 +414,30 @@ void HierEngine::staged_allreduce(std::byte* ws, std::size_t padded,
   const std::byte* buf = ws;
   for (std::size_t j = 0; j + 1 < D; ++j) {
     auto span = stage(*mpi_, SpanName::AllreduceRs, hc.level_ids[j]);
-    mpi_->reduce_scatter_block(buf, stg + off[j] * esz, shard[j], dtb, op,
-                               hc.comms[j]);
+    mpi_->run(stage_args(Coll::ReduceScatterBlock, buf, kDev, stg + off[j] * esz, kDev,
+                         shard[j], dtb, op),
+              hc.comms[j]);
     buf = stg + off[j] * esz;
   }
   std::byte* out = stg + out_off * esz;
   {
     auto span = stage(*mpi_, SpanName::AllreduceAr, hc.level_ids[D - 1]);
-    mpi_->allreduce(buf, out, shard[D - 2], dtb, op, hc.comms[D - 1]);
+    mpi_->run(stage_args(Coll::Allreduce, buf, kDev, out, kDev, shard[D - 2], dtb, op),
+              hc.comms[D - 1]);
   }
   const std::byte* src = out;
   for (std::size_t j = D - 1; j-- > 0;) {
     std::byte* dst = (j == 0) ? ws : stg + off[j - 1] * esz;
     auto span = stage(*mpi_, SpanName::AllreduceAg, hc.level_ids[j]);
-    mpi_->allgather(src, shard[j], dtb, dst, shard[j], dtb, hc.comms[j]);
+    mpi_->run(stage_args(Coll::Allgather, src, kDev, dst, kDev, shard[j], dtb),
+              hc.comms[j]);
     src = dst;
   }
 }
 
-void HierEngine::cico_allreduce(const void* sendbuf, void* recvbuf,
-                                std::size_t elems, DataType base, ReduceOp op,
-                                HierComms& hc) {
+void HierEngine::cico_allreduce(const mini::CollArgs& a, std::size_t elems,
+                                ReduceOp op, HierComms& hc) {
+  const DataType base = a.dt.base;
   const std::size_t esz = datatype_size(base);
   const std::size_t bytes = elems * esz;
   const mini::Datatype dtb{base, 1};
@@ -425,26 +455,33 @@ void HierEngine::cico_allreduce(const void* sendbuf, void* recvbuf,
 
   std::byte* stg = scratch(stage_, 2 * bytes);
   std::byte* half[2] = {stg, stg + bytes};
-  const void* cur = sendbuf;
+  const void* cur = a.sendbuf;
+  mini::MemKind cur_kind = a.skind;
   int pp = 0;
   for (std::size_t j = 0; j + 1 < D; ++j) {
     auto span = stage(*mpi_, SpanName::AllreduceCicoReduce, hc.level_ids[j]);
     if (leader_through(j)) {
-      mpi_->reduce(cur, half[pp], elems, dtb, op, 0, hc.comms[j]);
+      mpi_->run(stage_args(Coll::Reduce, cur, cur_kind, half[pp], kDev, elems, dtb, op),
+                hc.comms[j]);
       cur = half[pp];
+      cur_kind = kDev;
       pp ^= 1;
     }
   }
   {
     auto span = stage(*mpi_, SpanName::AllreduceCicoAr, hc.level_ids[D - 1]);
     if (leader_through(D - 1)) {
-      mpi_->allreduce(cur, recvbuf, elems, dtb, op, hc.comms[D - 1]);
+      mpi_->run(stage_args(Coll::Allreduce, cur, cur_kind, a.recvbuf, a.rkind, elems,
+                           dtb, op),
+                hc.comms[D - 1]);
     }
   }
   for (std::size_t j = D - 1; j-- > 0;) {
     auto span = stage(*mpi_, SpanName::AllreduceCicoBcast, hc.level_ids[j]);
     if (leader_through(j)) {
-      mpi_->bcast(recvbuf, elems, dtb, 0, hc.comms[j]);
+      mpi_->run({.coll = Coll::Bcast, .recvbuf = a.recvbuf, .count = elems, .dt = dtb,
+                 .rkind = a.rkind},
+                hc.comms[j]);
     }
   }
 }
@@ -521,8 +558,8 @@ void HierEngine::pipelined_allreduce(std::byte* ws, std::size_t unit,
       c.keep_len = half;
       const std::size_t send = ((digit & c.mask) == 0) ? c.off + half : c.off;
       c.rreq = mpi_->irecv_reduce(cb + c.keep_off * esz, half, dtb, op, partner,
-                                  c.tag, sub);
-      c.sreq = mpi_->isend(cb + send * esz, half, dtb, partner, c.tag, sub);
+                                  c.tag, sub, kDev);
+      c.sreq = mpi_->isend(cb + send * esz, half, dtb, partner, c.tag, sub, kDev);
       ++c.tag;
       c.pending = true;
       return est_cost(half, j);
@@ -532,8 +569,8 @@ void HierEngine::pipelined_allreduce(std::byte* ws, std::size_t unit,
         ((digit & c.mask) == 0) ? c.off + c.len : c.off - c.len;
     c.grow_off = std::min(c.off, poff);
     c.grow_len = c.len * 2;
-    c.rreq = mpi_->irecv(cb + poff * esz, c.len, dtb, partner, c.tag, sub);
-    c.sreq = mpi_->isend(cb + c.off * esz, c.len, dtb, partner, c.tag, sub);
+    c.rreq = mpi_->irecv(cb + poff * esz, c.len, dtb, partner, c.tag, sub, kDev);
+    c.sreq = mpi_->isend(cb + c.off * esz, c.len, dtb, partner, c.tag, sub, kDev);
     ++c.tag;
     c.pending = true;
     return est_cost(c.len, j);
@@ -633,18 +670,18 @@ std::vector<int> digits_of(int rank, const std::vector<int>& dims) {
 
 }  // namespace
 
-bool HierEngine::bcast(HierComms& hc, void* buf, std::size_t count,
-                       mini::Datatype dt, int root, mini::Comm& comm) {
+bool HierEngine::run_bcast(HierComms& hc, const mini::CollArgs& a,
+                           mini::Comm& comm) {
   if (!hc.usable) return false;
-  if (count == 0) return true;
+  if (a.count == 0) return true;
 
-  const std::size_t elems = count * dt.count;
-  const std::size_t esz = datatype_size(dt.base);
+  const std::size_t elems = a.count * a.dt.count;
+  const std::size_t esz = datatype_size(a.dt.base);
   const std::size_t bytes = elems * esz;
-  const mini::Datatype dtb{dt.base, 1};
+  const mini::Datatype dtb{a.dt.base, 1};
   const std::size_t D = hc.dims.size();
 
-  const std::vector<int> r = digits_of(root, hc.dims);
+  const std::vector<int> r = digits_of(a.root, hc.dims);
   // Participants at step j are the ranks whose deeper digits all match the
   // root's: exactly the subtree the data has reached by then.
   auto on_root_path = [&](std::size_t j) {
@@ -660,7 +697,9 @@ bool HierEngine::bcast(HierComms& hc, void* buf, std::size_t count,
     for (std::size_t j = D; j-- > 0;) {
       auto span = stage(*mpi_, SpanName::BcastLeader, hc.level_ids[j]);
       if (on_root_path(j)) {
-        mpi_->bcast(buf, count, dt, r[j], hc.comms[j]);
+        mini::CollArgs leg = a;  // the same bcast, rooted at this level's digit
+        leg.root = r[j];
+        mpi_->run(leg, hc.comms[j]);
       }
     }
     return true;
@@ -683,8 +722,8 @@ bool HierEngine::bcast(HierComms& hc, void* buf, std::size_t count,
   std::byte* stg = scratch(stage_, 2 * bmax * esz);
   std::byte* pp[2] = {stg, stg + bmax * esz};
 
-  if (comm.rank() == root) {
-    std::memcpy(ws, buf, bytes);
+  if (comm.rank() == a.root) {
+    std::memcpy(ws, a.recvbuf, bytes);
     std::memset(ws + bytes, 0, (padded - elems) * esz);
   }
 
@@ -696,8 +735,9 @@ bool HierEngine::bcast(HierComms& hc, void* buf, std::size_t count,
     std::byte* dst = pp[(D - 2 - j) % 2];
     auto span = stage(*mpi_, SpanName::BcastScatter, hc.level_ids[j]);
     if (hc.coord[D - 1] == r[D - 1] && on_root_path(j)) {
-      mpi_->scatter(src, stride[j] * seg, dtb, dst, stride[j] * seg, dtb, r[j],
-                    hc.comms[j]);
+      mpi_->run(stage_args(Coll::Scatter, src, kDev, dst, kDev, stride[j] * seg, dtb,
+                           ReduceOp::Sum, r[j]),
+                hc.comms[j]);
       src = dst;
     }
   }
@@ -706,7 +746,9 @@ bool HierEngine::bcast(HierComms& hc, void* buf, std::size_t count,
   std::byte* segbuf = pp[(D - 2) % 2];
   {
     auto span = stage(*mpi_, SpanName::Bcast, hc.level_ids[D - 1]);
-    mpi_->bcast(segbuf, seg, dtb, r[D - 1], hc.comms[D - 1]);
+    mpi_->run({.coll = Coll::Bcast, .recvbuf = segbuf, .count = seg, .dt = dtb,
+               .root = r[D - 1], .rkind = kDev},
+              hc.comms[D - 1]);
   }
 
   // Reassemble: allgather from the innermost dim out (concatenation by
@@ -715,29 +757,28 @@ bool HierEngine::bcast(HierComms& hc, void* buf, std::size_t count,
   for (std::size_t j = 0; j + 1 < D; ++j) {
     std::byte* dst = (j == D - 2) ? ws : (asrc == pp[0] ? pp[1] : pp[0]);
     auto span = stage(*mpi_, SpanName::BcastAg, hc.level_ids[j]);
-    mpi_->allgather(asrc, stride[j] * seg, dtb, dst, stride[j] * seg, dtb,
-                    hc.comms[j]);
+    mpi_->run(stage_args(Coll::Allgather, asrc, kDev, dst, kDev, stride[j] * seg, dtb),
+              hc.comms[j]);
     asrc = dst;
   }
-  std::memcpy(buf, ws, bytes);
+  std::memcpy(a.recvbuf, ws, bytes);
   return true;
 }
 
 // ---- Reduce -----------------------------------------------------------------
 
-bool HierEngine::reduce(HierComms& hc, const void* sendbuf, void* recvbuf,
-                        std::size_t count, mini::Datatype dt, ReduceOp op,
-                        int root, mini::Comm& comm) {
-  if (!reduce_defined(dt.base, stage_op(op))) return false;
-  if (op == ReduceOp::Avg && !avg_supported(dt.base)) return false;
+bool HierEngine::run_reduce(HierComms& hc, const mini::CollArgs& a,
+                            mini::Comm& comm) {
+  if (!reduce_defined(a.dt.base, stage_op(a.redop))) return false;
+  if (a.redop == ReduceOp::Avg && !avg_supported(a.dt.base)) return false;
   if (!hc.usable) return false;
-  if (count == 0) return true;
+  if (a.count == 0) return true;
 
-  const std::size_t bytes = count * dt.size();
+  const std::size_t bytes = a.bytes();
   const std::size_t D = hc.dims.size();
   const int me = comm.rank();
 
-  const std::vector<int> r = digits_of(root, hc.dims);
+  const std::vector<int> r = digits_of(a.root, hc.dims);
   auto on_root_path = [&](std::size_t j) {
     for (std::size_t i = 0; i < j; ++i) {
       if (hc.coord[i] != r[i]) return false;
@@ -749,18 +790,23 @@ bool HierEngine::reduce(HierComms& hc, const void* sendbuf, void* recvbuf,
   // The true root accumulates straight into recvbuf at every step; other
   // leaders stage into scratch (and feed it forward — mini::reduce accepts
   // the aliased sendbuf, the same contract the 2-level engine relied on).
-  const void* cur = sendbuf;
+  const void* cur = a.sendbuf;
+  mini::MemKind cur_kind = a.skind;
   std::byte* dst =
-      (me == root) ? static_cast<std::byte*>(recvbuf) : scratch(stage_, bytes);
+      (me == a.root) ? static_cast<std::byte*>(a.recvbuf) : scratch(stage_, bytes);
+  const mini::MemKind dst_kind = me == a.root ? a.rkind : kDev;
   for (std::size_t j = 0; j < D; ++j) {
     auto span = stage(*mpi_, SpanName::Reduce, hc.level_ids[j]);
     if (on_root_path(j)) {
-      mpi_->reduce(cur, dst, count, dt, stage_op(op), r[j], hc.comms[j]);
+      mpi_->run(stage_args(Coll::Reduce, cur, cur_kind, dst, dst_kind, a.count, a.dt,
+                           stage_op(a.redop), r[j]),
+                hc.comms[j]);
       cur = dst;
+      cur_kind = dst_kind;
     }
   }
-  if (me == root && op == ReduceOp::Avg) {
-    throw_if_error(scale_inplace(dt.base, recvbuf, count * dt.count,
+  if (me == a.root && a.redop == ReduceOp::Avg) {
+    throw_if_error(scale_inplace(a.dt.base, a.recvbuf, a.count * a.dt.count,
                                  1.0 / static_cast<double>(comm.size())),
                    "HierEngine::reduce avg");
   }
@@ -787,20 +833,17 @@ std::size_t chain_index(int g, const std::vector<int>& dims, std::size_t p) {
 
 }  // namespace
 
-bool HierEngine::allgather(HierComms& hc, const void* sendbuf,
-                           std::size_t sendcount, mini::Datatype st,
-                           void* recvbuf, std::size_t recvcount,
-                           mini::Datatype rt, mini::Comm& /*comm*/) {
-  const std::size_t blk = sendcount * st.size();
-  if (blk != recvcount * rt.size()) return false;
+bool HierEngine::run_allgather(HierComms& hc, const mini::CollArgs& a) {
+  const std::size_t blk = a.bytes();
+  if (blk != a.rcount * a.rdt.size()) return false;
   if (!hc.usable) return false;
   if (blk == 0) return true;
 
   const std::size_t D = hc.dims.size();
   std::size_t p = 1;
   for (int d : hc.dims) p *= static_cast<std::size_t>(d);
-  const std::size_t selems = sendcount * st.count;
-  const mini::Datatype stb{st.base, 1};
+  const std::size_t selems = a.count * a.dt.count;
+  const mini::Datatype stb{a.dt.base, 1};
 
   // Gather from the outermost dim in: each rank's block crosses the slowest
   // link exactly once, and every inner step exchanges whole columns on
@@ -809,21 +852,23 @@ bool HierEngine::allgather(HierComms& hc, const void* sendbuf,
   std::byte* stg = scratch(stage_, 2 * imax * blk);
   std::byte* pp[2] = {stg, stg + imax * blk};
   std::byte* full = scratch(ws_, p * blk);
-  const std::byte* src = static_cast<const std::byte*>(sendbuf);
+  const std::byte* src = static_cast<const std::byte*>(a.sendbuf);
+  mini::MemKind src_kind = a.skind;
   std::size_t cnt = 1;
-  int a = 0;
+  int slot = 0;
   for (std::size_t j = D; j-- > 0;) {
-    std::byte* dst = (j == 0) ? full : pp[a];
+    std::byte* dst = (j == 0) ? full : pp[slot];
     auto span = stage(*mpi_, SpanName::Allgather, hc.level_ids[j]);
-    mpi_->allgather(src, selems * cnt, stb, dst, selems * cnt, stb,
-                    hc.comms[j]);
+    mpi_->run(stage_args(Coll::Allgather, src, src_kind, dst, kDev, selems * cnt, stb),
+              hc.comms[j]);
     src = dst;
-    a ^= 1;
+    src_kind = kDev;
+    slot ^= 1;
     cnt *= static_cast<std::size_t>(hc.dims[j]);
   }
   // Local reorder from chain-major to comm-rank-major.
   for (std::size_t g = 0; g < p; ++g) {
-    std::memcpy(mat(recvbuf, g * blk),
+    std::memcpy(mat(a.recvbuf, g * blk),
                 full + chain_index(static_cast<int>(g), hc.dims, p) * blk, blk);
   }
   return true;
@@ -831,28 +876,26 @@ bool HierEngine::allgather(HierComms& hc, const void* sendbuf,
 
 // ---- ReduceScatter ----------------------------------------------------------
 
-bool HierEngine::reduce_scatter_block(HierComms& hc, const void* sendbuf,
-                                      void* recvbuf, std::size_t recvcount,
-                                      mini::Datatype dt, ReduceOp op,
-                                      mini::Comm& comm) {
-  if (!reduce_defined(dt.base, stage_op(op))) return false;
-  if (op == ReduceOp::Avg && !avg_supported(dt.base)) return false;
+bool HierEngine::run_reduce_scatter_block(HierComms& hc, const mini::CollArgs& a,
+                                          mini::Comm& comm) {
+  if (!reduce_defined(a.dt.base, stage_op(a.redop))) return false;
+  if (a.redop == ReduceOp::Avg && !avg_supported(a.dt.base)) return false;
   if (!hc.usable) return false;
-  if (recvcount == 0) return true;
+  if (a.count == 0) return true;
 
-  const std::size_t relems = recvcount * dt.count;
-  const std::size_t blk = relems * datatype_size(dt.base);
+  const std::size_t relems = a.count * a.dt.count;
+  const std::size_t blk = relems * datatype_size(a.dt.base);
   const std::size_t D = hc.dims.size();
   std::size_t p = 1;
   for (int d : hc.dims) p *= static_cast<std::size_t>(d);
-  const mini::Datatype dtb{dt.base, 1};
+  const mini::Datatype dtb{a.dt.base, 1};
 
   // Permute the p input blocks into chain-major order so each level's
   // reduce-scatter keeps a contiguous slice.
   std::byte* tmp = scratch(ws_, p * blk);
   for (std::size_t g = 0; g < p; ++g) {
     std::memcpy(tmp + chain_index(static_cast<int>(g), hc.dims, p) * blk,
-                cat(sendbuf, g * blk), blk);
+                cat(a.sendbuf, g * blk), blk);
   }
 
   // Reduce-scatter from the innermost dim out: whole columns ride the fast
@@ -862,18 +905,20 @@ bool HierEngine::reduce_scatter_block(HierComms& hc, const void* sendbuf,
   std::byte* pp[2] = {stg, stg + imax * blk};
   const std::byte* src = tmp;
   std::size_t cnt = p;
-  int a = 0;
+  int slot = 0;
   for (std::size_t j = 0; j < D; ++j) {
     cnt /= static_cast<std::size_t>(hc.dims[j]);
-    std::byte* dst = (j == D - 1) ? static_cast<std::byte*>(recvbuf) : pp[a];
+    const bool last = j == D - 1;
+    std::byte* dst = last ? static_cast<std::byte*>(a.recvbuf) : pp[slot];
     auto span = stage(*mpi_, SpanName::Rs, hc.level_ids[j]);
-    mpi_->reduce_scatter_block(src, dst, relems * cnt, dtb, stage_op(op),
-                               hc.comms[j]);
+    mpi_->run(stage_args(Coll::ReduceScatterBlock, src, kDev, dst, last ? a.rkind : kDev,
+                         relems * cnt, dtb, stage_op(a.redop)),
+              hc.comms[j]);
     src = dst;
-    a ^= 1;
+    slot ^= 1;
   }
-  if (op == ReduceOp::Avg) {
-    throw_if_error(scale_inplace(dt.base, recvbuf, relems,
+  if (a.redop == ReduceOp::Avg) {
+    throw_if_error(scale_inplace(a.dt.base, a.recvbuf, relems,
                                  1.0 / static_cast<double>(comm.size())),
                    "HierEngine::reduce_scatter_block avg");
   }

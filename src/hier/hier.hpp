@@ -90,29 +90,19 @@ class HierEngine {
   /// the same order.
   HierComms& prepare(mini::Comm& comm);
 
-  // Each collective returns true when it served the call hierarchically and
-  // false when this communicator (or argument combination) is not eligible;
-  // the caller is expected to fall back to a flat engine. Arguments arrive
-  // resolved by mini::resolve (mpi/coll_args.hpp): never MPI_IN_PLACE, and
-  // checked as its table requires. The collectives take the chain handle,
-  // so the persistent start/wait hot path skips the per-call cache lookup;
-  // allreduce also has an overload that resolves the handle itself.
-  bool allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
-                 mini::Datatype dt, ReduceOp op, mini::Comm& comm);
+  /// Serve one allreduce, bcast, reduce, allgather or reduce_scatter_block
+  /// from resolved arguments (mini::resolve's output: never MPI_IN_PLACE,
+  /// checked as its table requires, buffers classified). Returns true when
+  /// it served the call hierarchically and false when this communicator (or
+  /// argument combination) is not eligible; the caller is expected to fall
+  /// back to a flat engine. It takes the chain handle, so the persistent
+  /// start/wait hot path skips the per-call cache lookup, and asks the
+  /// device registry nothing.
+  bool run(HierComms& hc, const mini::CollArgs& a, mini::Comm& comm);
+  /// An allreduce entry that resolves (and classifies) its own arguments.
   bool allreduce(HierComms& hc, const void* sendbuf, void* recvbuf,
                  std::size_t count, mini::Datatype dt, ReduceOp op,
                  mini::Comm& comm);
-  bool bcast(HierComms& hc, void* buf, std::size_t count, mini::Datatype dt,
-             int root, mini::Comm& comm);
-  bool reduce(HierComms& hc, const void* sendbuf, void* recvbuf,
-              std::size_t count, mini::Datatype dt, ReduceOp op, int root,
-              mini::Comm& comm);
-  bool allgather(HierComms& hc, const void* sendbuf, std::size_t sendcount,
-                 mini::Datatype st, void* recvbuf, std::size_t recvcount,
-                 mini::Datatype rt, mini::Comm& comm);
-  bool reduce_scatter_block(HierComms& hc, const void* sendbuf, void* recvbuf,
-                            std::size_t recvcount, mini::Datatype dt,
-                            ReduceOp op, mini::Comm& comm);
 
   /// Pre-size the scratch buffers an allreduce of `elems` base elements will
   /// need through `hc`, so the first start() of a persistent plan does not
@@ -182,8 +172,16 @@ class HierEngine {
 
   /// Copy-in-copy-out ladder for small messages on deep chains: reduce to
   /// each level's leader, allreduce among node leaders, bcast back down.
-  void cico_allreduce(const void* sendbuf, void* recvbuf, std::size_t elems,
-                      DataType base, ReduceOp op, HierComms& hc);
+  void cico_allreduce(const mini::CollArgs& a, std::size_t elems, ReduceOp op,
+                      HierComms& hc);
+
+  // The schedules behind run(), one per collective.
+  bool run_allreduce(HierComms& hc, const mini::CollArgs& a, mini::Comm& comm);
+  bool run_bcast(HierComms& hc, const mini::CollArgs& a, mini::Comm& comm);
+  bool run_reduce(HierComms& hc, const mini::CollArgs& a, mini::Comm& comm);
+  bool run_allgather(HierComms& hc, const mini::CollArgs& a);
+  bool run_reduce_scatter_block(HierComms& hc, const mini::CollArgs& a,
+                                mini::Comm& comm);
 
   mini::Mpi* mpi_;
   std::vector<sim::TopoLevel> levels_;  ///< active chain, outer-to-inner

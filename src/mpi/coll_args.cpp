@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/status.hpp"
+#include "device/buffer_registry.hpp"
 
 namespace mpixccl::mini {
 
@@ -60,6 +61,11 @@ constexpr Row kTable[] = {
 };
 
 }  // namespace
+
+MemKind classify(const void* p) {
+  if (p == nullptr || p == kInPlace) return MemKind::Host;
+  return device::BufferRegistry::instance().lookup(p) ? MemKind::Device : MemKind::Host;
+}
 
 CollArgs resolve(CollArgs a, int rank, int size) {
   const Row& row = kTable[static_cast<std::size_t>(a.coll)];
@@ -129,6 +135,18 @@ CollArgs resolve(CollArgs a, int rank, int size) {
         break;
       case To::None: break;
     }
+  }
+
+  // Device buffer identification, one lookup per distinct caller buffer: a
+  // buffer resolved into the other shares its kind, and a snapshot's
+  // sentinel sendbuf is host.
+  if (recv_in_place) {
+    a.skind = classify(a.sendbuf);
+    a.rkind = a.skind;
+  } else {
+    a.rkind = classify(a.recvbuf);
+    const bool aliased = (send_in_place && !a.snapshot) || a.sendbuf == a.recvbuf;
+    a.skind = aliased ? a.rkind : classify(a.sendbuf);
   }
 
   // Reductions and bcast size both sides by `count`; the block collectives

@@ -1,8 +1,9 @@
 #pragma once
-// The entry check of every collective: argument validation and the one
-// MPI_IN_PLACE table. MiniMPI's public collectives and XcclMpi's entries run
-// resolve() before anything else, so no engine below them ever sees the
-// sentinel, an out-of-range root or a short counts/displs span.
+// The entry check of every collective: argument validation, the one
+// MPI_IN_PLACE table and device buffer identification. MiniMPI's public
+// collectives and the runtimes' entries run resolve() before anything else,
+// so no engine below them ever sees the sentinel, an out-of-range root or a
+// short counts/displs span, or asks the device registry what a buffer is.
 
 #include <cstddef>
 #include <cstdint>
@@ -19,6 +20,15 @@ namespace mpixccl::mini {
 /// resolves to is decided only by the table in coll_args.cpp. Never
 /// dereferenced.
 inline void* const kInPlace = reinterpret_cast<void*>(~std::uintptr_t{0});
+
+/// Where a caller buffer lives. MiniMPI prices a transfer out of or into
+/// device memory on the profile's device links, host memory on its host
+/// links; the CCL engines serve device memory only.
+enum class MemKind : std::uint8_t { Host, Device };
+
+/// The kind of the memory at `p`, from the device registry: one lookup, none
+/// for a null pointer or the MPI_IN_PLACE sentinel (both classify as host).
+MemKind classify(const void* p);
 
 /// One row of the table per MPI collective.
 enum class Coll : std::uint8_t {
@@ -51,8 +61,17 @@ struct CollArgs {
   /// sentinel, the send side mirrors the receive side, and only MiniMPI
   /// serves the call, from a snapshot of `recvbuf`.
   bool snapshot = false;
+  /// The kinds of `sendbuf` and `recvbuf`, set by resolve(): host for a null
+  /// buffer and for the sentinel of a snapshot call.
+  MemKind skind = MemKind::Host;
+  MemKind rkind = MemKind::Host;
 
   [[nodiscard]] std::size_t bytes() const { return count * dt.size(); }
+  /// Either caller buffer is device memory: the class of a collective's
+  /// receives and of its CCL eligibility.
+  [[nodiscard]] bool device() const {
+    return skind == MemKind::Device || rkind == MemKind::Device;
+  }
   /// Rank r's block on the send or the receive side: from the v-spans when
   /// the side has them, else `count` (`rcount`) elements at r times that.
   [[nodiscard]] Block send_block(int r) const {
@@ -70,13 +89,15 @@ struct CollArgs {
   }
 };
 
-/// Check `a` as passed on rank `rank` of a communicator of `size` ranks and
-/// resolve MPI_IN_PLACE by the table. Throws Error naming the call, the
-/// argument and the rank for a root outside [0, size), a counts/displs span
-/// that is not `size` long, a null buffer with a nonzero count, a send block
-/// whose size differs from the receive block it pairs with, or a sentinel
-/// the table does not allow. Checks only what MPI defines as significant on
-/// `rank`. Resolved arguments come back unchanged.
+/// Check `a` as passed on rank `rank` of a communicator of `size` ranks,
+/// resolve MPI_IN_PLACE by the table and classify both buffers (one registry
+/// lookup per distinct buffer; a buffer resolved onto the other shares its
+/// kind). Throws Error naming the call, the argument and the rank for a root
+/// outside [0, size), a counts/displs span that is not `size` long, a null
+/// buffer with a nonzero count, a send block whose size differs from the
+/// receive block it pairs with, or a sentinel the table does not allow.
+/// Checks only what MPI defines as significant on `rank`, but classifies
+/// both buffers on every rank. Resolved arguments come back unchanged.
 CollArgs resolve(CollArgs a, int rank, int size);
 inline CollArgs resolve(const CollArgs& a, const Comm& comm) {
   return resolve(a, comm.rank(), comm.size());

@@ -14,6 +14,11 @@
 // Every collective call allocates its own fabric channel
 // (Comm::next_collective_channel), so steps of consecutive collectives can
 // never cross-match even when ranks race ahead.
+//
+// The algorithms read resolved arguments and never ask the device registry:
+// a send is priced by the kind of the buffer it sends from (a caller buffer's
+// kind from CollArgs, host for call-local scratch), a receive by either
+// caller buffer's kind (CollArgs::device()).
 
 #include <algorithm>
 #include <cstring>
@@ -57,6 +62,11 @@ void copy_if_distinct(void* dst, const void* src, std::size_t n) {
   if (dst != src && n > 0) std::memcpy(dst, src, n);
 }
 
+/// The kind that prices a receive: device when either caller buffer is.
+MemKind receive_kind(const CollArgs& a) {
+  return a.device() ? MemKind::Device : MemKind::Host;
+}
+
 /// The send data of an alltoall(v): the caller's sendbuf, or for an in-place
 /// call a copy of recvbuf taken before any block lands in it (owned by `keep`).
 const void* send_data(const CollArgs& a, int p, std::unique_ptr<std::byte[]>& keep) {
@@ -81,30 +91,46 @@ void Mpi::barrier(Comm& comm) {
   for (int k = 1; k < p; k <<= 1) {
     const int dst = (me + k) % p;
     const int src = (me - k % p + p) % p;
-    Request rr = irecv_bytes(nullptr, 0, src, k, ch, comm, false);
-    Request sr = isend_bytes(nullptr, 0, dst, k, ch, comm, false);
+    Request rr = irecv_bytes(nullptr, 0, src, k, ch, comm, MemKind::Host);
+    Request sr = isend_bytes(nullptr, 0, dst, k, ch, comm, MemKind::Host);
     wait(sr);
     wait(rr);
   }
 }
 
-void Mpi::bcast(void* buf, std::size_t count, Datatype dt, int root, Comm& comm) {
-  resolve({.coll = Coll::Bcast, .recvbuf = buf, .count = count, .dt = dt, .root = root},
-          comm);
+void Mpi::run(const CollArgs& a, Comm& comm) {
+  switch (a.coll) {
+    case Coll::Bcast: return run_bcast(a, comm);
+    case Coll::Reduce: return run_reduce(a, comm);
+    case Coll::Allreduce: return run_allreduce(a, comm);
+    case Coll::Gather:
+    case Coll::Gatherv: return run_gather(a, comm);
+    case Coll::Scatter:
+    case Coll::Scatterv: return run_scatter(a, comm);
+    case Coll::Allgather: return run_allgather(a, comm);
+    case Coll::Allgatherv: return run_allgatherv(a, comm);
+    case Coll::Alltoall: return run_alltoall(a, comm);
+    case Coll::Alltoallv: return run_alltoallv(a, comm);
+    case Coll::ReduceScatterBlock: return run_reduce_scatter_block(a, comm);
+    case Coll::Scan: return run_scan(a, comm);
+    case Coll::Exscan: return run_exscan(a, comm);
+  }
+}
+
+void Mpi::run_bcast(const CollArgs& a, Comm& comm) {
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   if (p == 1) return;
-  const std::size_t bytes = count * dt.size();
-  const bool dev = is_device(buf);
+  const std::size_t bytes = a.bytes();
   const int me = comm.rank();
-  const int vrank = (me - root + p) % p;  // virtual rank: root is 0
+  const int vrank = (me - a.root + p) % p;  // virtual rank: root is 0
 
   // Receive from parent, then forward down the binomial tree.
   int recv_mask = 1;
   while (recv_mask < p) {
     if (vrank & recv_mask) {
-      const int parent = (((vrank ^ recv_mask) + root) % p);
-      Request rr = irecv_bytes(buf, bytes, parent, 0, ch, comm, dev);
+      const int parent = (((vrank ^ recv_mask) + a.root) % p);
+      Request rr = irecv_bytes(a.recvbuf, bytes, parent, 0, ch, comm, receive_kind(a));
       wait(rr);
       break;
     }
@@ -116,74 +142,66 @@ void Mpi::bcast(void* buf, std::size_t count, Datatype dt, int root, Comm& comm)
     const int vchild = vrank | send_mask;
     if (vchild < p && vchild != vrank) {
       Request sr =
-          isend_bytes(buf, bytes, (vchild + root) % p, 0, ch, comm, is_device(buf));
+          isend_bytes(a.recvbuf, bytes, (vchild + a.root) % p, 0, ch, comm, a.rkind);
       wait(sr);
     }
   }
 }
 
-void Mpi::reduce(const void* sendbuf, void* recvbuf, std::size_t count, Datatype dt,
-                 ReduceOp op, int root, Comm& comm) {
-  sendbuf = resolve({.coll = Coll::Reduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
-                     .count = count, .dt = dt, .root = root}, comm).sendbuf;
+void Mpi::run_reduce(const CollArgs& a, Comm& comm) {
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
-  const std::size_t bytes = count * dt.size();
+  const std::size_t bytes = a.bytes();
   const int me = comm.rank();
-  const bool dev = is_device(sendbuf) || is_device(recvbuf);
-  require(reduce_defined(dt.base, op), "Mpi::reduce: op not defined for datatype");
+  require(reduce_defined(a.dt.base, a.redop), "Mpi::reduce: op not defined for datatype");
 
-  // Accumulator: recvbuf at root, scratch elsewhere.
+  // Accumulator: recvbuf at root, host scratch elsewhere. Each child's vector
+  // is reduced into it as it lands; its send waits until every child's has.
   std::unique_ptr<std::byte[]> scratch;
-  void* acc = recvbuf;
-  if (me != root) {
+  void* acc = a.recvbuf;
+  if (me != a.root) {
     scratch = uninit(bytes);
     acc = scratch.get();
   }
-  copy_if_distinct(acc, sendbuf, bytes);
+  copy_if_distinct(acc, a.sendbuf, bytes);
 
-  const auto inbox = uninit(bytes);
-  const int vrank = (me - root + p) % p;
+  const int vrank = (me - a.root + p) % p;
   int mask = 1;
   while (mask < p) {
     if ((vrank & mask) == 0) {
       const int vsrc = vrank | mask;
       if (vsrc < p) {
-        Request rr = irecv_bytes(inbox.get(), bytes, (vsrc + root) % p, 0, ch,
-                                 comm, dev);
+        Request rr = irecv_bytes(acc, bytes, (vsrc + a.root) % p, 0, ch, comm,
+                                 receive_kind(a), fabric::ReduceSpec{a.dt.base, a.redop});
         wait(rr);
-        throw_if_error(apply_reduce(dt.base, op, inbox.get(), acc, count * dt.count),
-                       "Mpi::reduce");
       }
     } else {
+      // Only non-roots send, from their host accumulator.
       const int vdst = vrank ^ mask;
       Request sr =
-          isend_bytes(acc, bytes, (vdst + root) % p, 0, ch, comm, is_device(acc));
+          isend_bytes(acc, bytes, (vdst + a.root) % p, 0, ch, comm, MemKind::Host);
       wait(sr);
       break;
     }
     mask <<= 1;
   }
-  if (me == root && op == ReduceOp::Avg) {
-    throw_if_error(scale_inplace(dt.base, recvbuf, count * dt.count, 1.0 / p),
+  if (me == a.root && a.redop == ReduceOp::Avg) {
+    throw_if_error(scale_inplace(a.dt.base, a.recvbuf, a.count * a.dt.count, 1.0 / p),
                    "Mpi::reduce avg");
   }
 }
 
-void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
-                    Datatype dt, ReduceOp op, Comm& comm) {
-  sendbuf = resolve({.coll = Coll::Allreduce, .sendbuf = sendbuf, .recvbuf = recvbuf,
-                     .count = count, .dt = dt}, comm).sendbuf;
+void Mpi::run_allreduce(const CollArgs& a, Comm& comm) {
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
-  const std::size_t elem = dt.size();
-  const std::size_t bytes = count * elem;
-  const std::size_t n_elems = count * dt.count;
+  void* recvbuf = a.recvbuf;
+  const std::size_t bytes = a.bytes();
+  const std::size_t n_elems = a.count * a.dt.count;
   const int me = comm.rank();
-  const bool dev = is_device(sendbuf) || is_device(recvbuf);
-  require(reduce_defined(dt.base, op), "Mpi::allreduce: op not defined for datatype");
+  require(reduce_defined(a.dt.base, a.redop),
+          "Mpi::allreduce: op not defined for datatype");
 
-  copy_if_distinct(recvbuf, sendbuf, bytes);
+  copy_if_distinct(recvbuf, a.sendbuf, bytes);
   if (p == 1) return;  // also the avg of one contribution
 
   const int pof2 = floor_pow2(p);
@@ -205,14 +223,14 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
   int eff_rank;  // -1 when sitting out
   if (me < 2 * rem) {
     if (me % 2 == 0) {
-      Request sr =
-          isend_bytes(recvbuf, bytes, me + 1, 1, ch, comm, is_device(recvbuf));
+      Request sr = isend_bytes(recvbuf, bytes, me + 1, 1, ch, comm, a.rkind);
       wait(sr);
       eff_rank = -1;
     } else {
-      Request rr = irecv_bytes(inbox.get(), bytes, me - 1, 1, ch, comm, dev);
+      Request rr =
+          irecv_bytes(inbox.get(), bytes, me - 1, 1, ch, comm, receive_kind(a));
       wait(rr);
-      throw_if_error(apply_reduce(dt.base, op, inbox.get(), recvbuf, n_elems),
+      throw_if_error(apply_reduce(a.dt.base, a.redop, inbox.get(), recvbuf, n_elems),
                      "Mpi::allreduce fold");
       eff_rank = me / 2;
     }
@@ -227,12 +245,12 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
       // Recursive doubling over the pof2 effective ranks.
       for (int mask = 1; mask < pof2; mask <<= 1) {
         const int partner = real_rank(eff_rank ^ mask);
-        Request rr = irecv_bytes(inbox.get(), bytes, partner, 2, ch, comm, dev);
-        Request sr =
-            isend_bytes(recvbuf, bytes, partner, 2, ch, comm, is_device(recvbuf));
+        Request rr =
+            irecv_bytes(inbox.get(), bytes, partner, 2, ch, comm, receive_kind(a));
+        Request sr = isend_bytes(recvbuf, bytes, partner, 2, ch, comm, a.rkind);
         wait(sr);
         wait(rr);
-        throw_if_error(apply_reduce(dt.base, op, inbox.get(), recvbuf, n_elems),
+        throw_if_error(apply_reduce(a.dt.base, a.redop, inbox.get(), recvbuf, n_elems),
                        "Mpi::allreduce rd");
       }
     } else {
@@ -245,7 +263,7 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
         const auto ub = static_cast<std::size_t>(b);
         return base_elems * ub + (ub < extra ? ub : extra);
       };
-      const std::size_t esz = datatype_size(dt.base);
+      const std::size_t esz = datatype_size(a.dt.base);
 
       // Active block range [lo, hi) in block units; halves every step.
       int lo = 0;
@@ -279,9 +297,10 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
         // The kept and sent halves are disjoint, so the partner's half is
         // reduced straight into the kept range as it lands.
         Request rr = irecv_bytes(at(recvbuf, keep_off), keep_elems * esz, partner,
-                                 3, ch, comm, dev, fabric::ReduceSpec{dt.base, op});
-        const std::byte* sb = at(recvbuf, send_off);
-        Request sr = isend_bytes(sb, send_b, partner, 3, ch, comm, is_device(sb));
+                                 3, ch, comm, receive_kind(a),
+                                 fabric::ReduceSpec{a.dt.base, a.redop});
+        Request sr = isend_bytes(at(recvbuf, send_off), send_b, partner, 3, ch, comm,
+                                 a.rkind);
         wait(sr);
         wait(rr);
         lo = keep_lo;
@@ -308,9 +327,10 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
         const std::size_t p_off = block_off_elems(plo) * esz;
         const std::size_t p_b = (block_off_elems(phi) - block_off_elems(plo)) * esz;
 
-        Request rr = irecv_bytes(at(recvbuf, p_off), p_b, partner, 4, ch, comm, dev);
-        const std::byte* sb = at(recvbuf, my_off);
-        Request sr = isend_bytes(sb, my_b, partner, 4, ch, comm, is_device(sb));
+        Request rr = irecv_bytes(at(recvbuf, p_off), p_b, partner, 4, ch, comm,
+                                 receive_kind(a));
+        Request sr =
+            isend_bytes(at(recvbuf, my_off), my_b, partner, 4, ch, comm, a.rkind);
         wait(sr);
         wait(rr);
         lo = std::min(lo, plo);
@@ -322,34 +342,28 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
   // Unfold: effective ranks push the final vector back to folded partners.
   if (me < 2 * rem) {
     if (me % 2 == 1) {
-      Request sr =
-          isend_bytes(recvbuf, bytes, me - 1, 5, ch, comm, is_device(recvbuf));
+      Request sr = isend_bytes(recvbuf, bytes, me - 1, 5, ch, comm, a.rkind);
       wait(sr);
     } else {
-      Request rr = irecv_bytes(recvbuf, bytes, me + 1, 5, ch, comm, dev);
+      Request rr = irecv_bytes(recvbuf, bytes, me + 1, 5, ch, comm, receive_kind(a));
       wait(rr);
     }
   }
 
-  if (op == ReduceOp::Avg) {
-    throw_if_error(scale_inplace(dt.base, recvbuf, n_elems, 1.0 / p),
+  if (a.redop == ReduceOp::Avg) {
+    throw_if_error(scale_inplace(a.dt.base, recvbuf, n_elems, 1.0 / p),
                    "Mpi::allreduce avg");
   }
 }
 
-void Mpi::allgather(const void* sendbuf, std::size_t sendcount, Datatype sendtype,
-                    void* recvbuf, std::size_t recvcount, Datatype recvtype,
-                    Comm& comm) {
-  sendbuf = resolve({.coll = Coll::Allgather, .sendbuf = sendbuf, .recvbuf = recvbuf,
-                     .count = sendcount, .dt = sendtype, .rcount = recvcount,
-                     .rdt = recvtype}, comm).sendbuf;
+void Mpi::run_allgather(const CollArgs& a, Comm& comm) {
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const int me = comm.rank();
-  const std::size_t block = recvcount * recvtype.size();
-  const bool dev = is_device(sendbuf) || is_device(recvbuf);
+  void* recvbuf = a.recvbuf;
+  const std::size_t block = a.rcount * a.rdt.size();
 
-  copy_if_distinct(at(recvbuf, static_cast<std::size_t>(me) * block), sendbuf,
+  copy_if_distinct(at(recvbuf, static_cast<std::size_t>(me) * block), a.sendbuf,
                    block);
   if (p == 1) return;
 
@@ -368,8 +382,8 @@ void Mpi::allgather(const void* sendbuf, std::size_t sendcount, Datatype sendtyp
       const std::size_t want =
           std::min(have, static_cast<std::size_t>(p) - have);
       Request rr = irecv_bytes(tmp + have * block, want * block, src, step, ch, comm,
-                               dev);
-      Request sr = isend_bytes(tmp, want * block, dst, step, ch, comm, false);
+                               receive_kind(a));
+      Request sr = isend_bytes(tmp, want * block, dst, step, ch, comm, MemKind::Host);
       wait(sr);
       wait(rr);
       have += want;
@@ -390,30 +404,25 @@ void Mpi::allgather(const void* sendbuf, std::size_t sendcount, Datatype sendtyp
       const int recv_block = (me - s - 1 + p) % p;
       Request rr = irecv_bytes(
           at(recvbuf, static_cast<std::size_t>(recv_block) * block), block, left,
-          s, ch, comm, dev);
-      const std::byte* sb = at(recvbuf, static_cast<std::size_t>(send_block) * block);
-      Request sr = isend_bytes(sb, block, right, s, ch, comm, is_device(sb));
+          s, ch, comm, receive_kind(a));
+      Request sr =
+          isend_bytes(at(recvbuf, static_cast<std::size_t>(send_block) * block), block,
+                      right, s, ch, comm, a.rkind);
       wait(sr);
       wait(rr);
     }
   }
 }
 
-void Mpi::allgatherv(const void* sendbuf, std::size_t sendcount, Datatype sendtype,
-                     void* recvbuf, std::span<const std::size_t> recvcounts,
-                     std::span<const std::size_t> displs, Datatype recvtype,
-                     Comm& comm) {
-  sendbuf = resolve({.coll = Coll::Allgatherv, .sendbuf = sendbuf, .recvbuf = recvbuf,
-                     .count = sendcount, .dt = sendtype, .rdt = recvtype,
-                     .rcounts = recvcounts, .rdispls = displs}, comm).sendbuf;
+void Mpi::run_allgatherv(const CollArgs& a, Comm& comm) {
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const int me = comm.rank();
-  const std::size_t esz = recvtype.size();
-  const bool dev = is_device(sendbuf) || is_device(recvbuf);
+  void* recvbuf = a.recvbuf;
+  const std::size_t esz = a.rdt.size();
 
   const auto ume = static_cast<std::size_t>(me);
-  copy_if_distinct(at(recvbuf, displs[ume] * esz), sendbuf, recvcounts[ume] * esz);
+  copy_if_distinct(at(recvbuf, a.rdispls[ume] * esz), a.sendbuf, a.rcounts[ume] * esz);
   if (p == 1) return;
 
   // Ring with per-owner block sizes.
@@ -422,124 +431,74 @@ void Mpi::allgatherv(const void* sendbuf, std::size_t sendcount, Datatype sendty
   for (int s = 0; s < p - 1; ++s) {
     const auto send_block = static_cast<std::size_t>((me - s + p) % p);
     const auto recv_block = static_cast<std::size_t>((me - s - 1 + p) % p);
-    Request rr = irecv_bytes(at(recvbuf, displs[recv_block] * esz),
-                             recvcounts[recv_block] * esz, left, s, ch, comm, dev);
-    const std::byte* sb = at(recvbuf, displs[send_block] * esz);
-    Request sr = isend_bytes(sb, recvcounts[send_block] * esz, right, s, ch, comm,
-                             is_device(sb));
+    Request rr = irecv_bytes(at(recvbuf, a.rdispls[recv_block] * esz),
+                             a.rcounts[recv_block] * esz, left, s, ch, comm,
+                             receive_kind(a));
+    Request sr = isend_bytes(at(recvbuf, a.rdispls[send_block] * esz),
+                             a.rcounts[send_block] * esz, right, s, ch, comm, a.rkind);
     wait(sr);
     wait(rr);
   }
 }
 
-/// The rooted block collectives, one body for the plain and the v-form
-/// (from the call's resolved arguments): every rank's block moves between
-/// the root and its owner.
-struct CollectiveOps {
-  static void gather(Mpi& m, const CollArgs& args, Comm& comm) {
-    const CollArgs a = resolve(args, comm);
-    const fabric::ChannelId ch = comm.next_collective_channel();
-    const int me = comm.rank();
-    if (me != a.root) {
-      Request sr = m.isend_bytes(a.sendbuf, a.bytes(), a.root, 0, ch, comm,
-                                 m.is_device(a.sendbuf));
-      m.wait(sr);
-      return;
-    }
-    const std::size_t esz = a.rdt.size();
-    const bool dev = m.is_device(a.sendbuf) || m.is_device(a.recvbuf);
-    std::vector<Request> reqs;
-    for (int r = 0; r < comm.size(); ++r) {
-      const Block b = a.recv_block(r);
-      std::byte* dst = at(a.recvbuf, b.off * esz);
-      if (r == me) {
-        copy_if_distinct(dst, a.sendbuf, b.count * esz);
-      } else {
-        reqs.push_back(m.irecv_bytes(dst, b.count * esz, r, 0, ch, comm, dev));
-      }
-    }
-    m.waitall(reqs);
+/// The rooted block collectives, one body for the plain and the v-form:
+/// every rank's block moves between the root and its owner.
+void Mpi::run_gather(const CollArgs& a, Comm& comm) {
+  const fabric::ChannelId ch = comm.next_collective_channel();
+  const int me = comm.rank();
+  if (me != a.root) {
+    Request sr = isend_bytes(a.sendbuf, a.bytes(), a.root, 0, ch, comm, a.skind);
+    wait(sr);
+    return;
   }
-
-  static void scatter(Mpi& m, const CollArgs& args, Comm& comm) {
-    const CollArgs a = resolve(args, comm);
-    const fabric::ChannelId ch = comm.next_collective_channel();
-    const int me = comm.rank();
-    if (me != a.root) {
-      Request rr = m.irecv_bytes(a.recvbuf, a.rcount * a.rdt.size(), a.root, 0, ch,
-                                 comm, m.is_device(a.recvbuf));
-      m.wait(rr);
-      return;
+  const std::size_t esz = a.rdt.size();
+  std::vector<Request> reqs;
+  for (int r = 0; r < comm.size(); ++r) {
+    const Block b = a.recv_block(r);
+    std::byte* dst = at(a.recvbuf, b.off * esz);
+    if (r == me) {
+      copy_if_distinct(dst, a.sendbuf, b.count * esz);
+    } else {
+      reqs.push_back(irecv_bytes(dst, b.count * esz, r, 0, ch, comm, receive_kind(a)));
     }
-    const std::size_t esz = a.dt.size();
-    std::vector<Request> reqs;
-    for (int r = 0; r < comm.size(); ++r) {
-      const Block b = a.send_block(r);
-      const std::byte* src = at(a.sendbuf, b.off * esz);
-      if (r == me) {
-        copy_if_distinct(a.recvbuf, src, b.count * esz);
-      } else {
-        reqs.push_back(
-            m.isend_bytes(src, b.count * esz, r, 0, ch, comm, m.is_device(src)));
-      }
-    }
-    m.waitall(reqs);
   }
-};
-
-void Mpi::gather(const void* sendbuf, std::size_t sendcount, Datatype sendtype,
-                 void* recvbuf, std::size_t recvcount, Datatype recvtype, int root,
-                 Comm& comm) {
-  CollectiveOps::gather(*this, {.coll = Coll::Gather, .sendbuf = sendbuf,
-                                .recvbuf = recvbuf, .count = sendcount, .dt = sendtype,
-                                .rcount = recvcount, .rdt = recvtype, .root = root},
-                        comm);
+  waitall(reqs);
 }
 
-void Mpi::gatherv(const void* sendbuf, std::size_t sendcount, Datatype sendtype,
-                  void* recvbuf, std::span<const std::size_t> recvcounts,
-                  std::span<const std::size_t> displs, Datatype recvtype, int root,
-                  Comm& comm) {
-  CollectiveOps::gather(*this, {.coll = Coll::Gatherv, .sendbuf = sendbuf,
-                                .recvbuf = recvbuf, .count = sendcount, .dt = sendtype,
-                                .rdt = recvtype, .root = root, .rcounts = recvcounts,
-                                .rdispls = displs},
-                        comm);
+void Mpi::run_scatter(const CollArgs& a, Comm& comm) {
+  const fabric::ChannelId ch = comm.next_collective_channel();
+  const int me = comm.rank();
+  if (me != a.root) {
+    // Priced by the receive buffer alone: a non-root's sendbuf is not
+    // significant.
+    Request rr =
+        irecv_bytes(a.recvbuf, a.rcount * a.rdt.size(), a.root, 0, ch, comm, a.rkind);
+    wait(rr);
+    return;
+  }
+  const std::size_t esz = a.dt.size();
+  std::vector<Request> reqs;
+  for (int r = 0; r < comm.size(); ++r) {
+    const Block b = a.send_block(r);
+    const std::byte* src = at(a.sendbuf, b.off * esz);
+    if (r == me) {
+      copy_if_distinct(a.recvbuf, src, b.count * esz);
+    } else {
+      reqs.push_back(isend_bytes(src, b.count * esz, r, 0, ch, comm, a.skind));
+    }
+  }
+  waitall(reqs);
 }
 
-void Mpi::scatter(const void* sendbuf, std::size_t sendcount, Datatype sendtype,
-                  void* recvbuf, std::size_t recvcount, Datatype recvtype, int root,
-                  Comm& comm) {
-  CollectiveOps::scatter(*this, {.coll = Coll::Scatter, .sendbuf = sendbuf,
-                                 .recvbuf = recvbuf, .count = sendcount, .dt = sendtype,
-                                 .rcount = recvcount, .rdt = recvtype, .root = root},
-                         comm);
-}
-
-void Mpi::scatterv(const void* sendbuf, std::span<const std::size_t> sendcounts,
-                   std::span<const std::size_t> displs, Datatype sendtype,
-                   void* recvbuf, std::size_t recvcount, Datatype recvtype,
-                   int root, Comm& comm) {
-  CollectiveOps::scatter(*this, {.coll = Coll::Scatterv, .sendbuf = sendbuf,
-                                 .recvbuf = recvbuf, .dt = sendtype, .rcount = recvcount,
-                                 .rdt = recvtype, .root = root, .scounts = sendcounts,
-                                 .sdispls = displs},
-                         comm);
-}
-
-void Mpi::alltoall(const void* sendbuf, std::size_t sendcount, Datatype sendtype,
-                   void* recvbuf, std::size_t recvcount, Datatype recvtype,
-                   Comm& comm) {
-  const CollArgs a = resolve({.coll = Coll::Alltoall, .sendbuf = sendbuf,
-                              .recvbuf = recvbuf, .count = sendcount, .dt = sendtype,
-                              .rcount = recvcount, .rdt = recvtype}, comm);
+void Mpi::run_alltoall(const CollArgs& a, Comm& comm) {
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const int me = comm.rank();
+  // A snapshot is host scratch, as resolve() classified the sentinel.
   std::unique_ptr<std::byte[]> snapshot;
-  sendbuf = send_data(a, p, snapshot);
-  const std::size_t block = recvcount * recvtype.size();
-  const bool dev = is_device(sendbuf) || is_device(recvbuf);
+  const void* sendbuf = send_data(a, p, snapshot);
+  void* recvbuf = a.recvbuf;
+  const std::size_t block = a.rcount * a.rdt.size();
 
   copy_if_distinct(at(recvbuf, static_cast<std::size_t>(me) * block),
                    at(sendbuf, static_cast<std::size_t>(me) * block), block);
@@ -551,12 +510,12 @@ void Mpi::alltoall(const void* sendbuf, std::size_t sendcount, Datatype sendtype
     for (int s = 1; s < p; ++s) {
       const int src = (me - s + p) % p;
       reqs.push_back(irecv_bytes(at(recvbuf, static_cast<std::size_t>(src) * block),
-                                 block, src, 0, ch, comm, dev));
+                                 block, src, 0, ch, comm, receive_kind(a)));
     }
     for (int s = 1; s < p; ++s) {
       const int dst = (me + s) % p;
-      const std::byte* sb = at(sendbuf, static_cast<std::size_t>(dst) * block);
-      reqs.push_back(isend_bytes(sb, block, dst, 0, ch, comm, is_device(sb)));
+      reqs.push_back(isend_bytes(at(sendbuf, static_cast<std::size_t>(dst) * block),
+                                 block, dst, 0, ch, comm, a.skind));
     }
     waitall(reqs);
     return;
@@ -566,65 +525,52 @@ void Mpi::alltoall(const void* sendbuf, std::size_t sendcount, Datatype sendtype
     const int dst = (me + s) % p;
     const int src = (me - s + p) % p;
     Request rr = irecv_bytes(at(recvbuf, static_cast<std::size_t>(src) * block),
-                             block, src, s, ch, comm, dev);
-    const std::byte* sb = at(sendbuf, static_cast<std::size_t>(dst) * block);
-    Request sr = isend_bytes(sb, block, dst, s, ch, comm, is_device(sb));
+                             block, src, s, ch, comm, receive_kind(a));
+    Request sr = isend_bytes(at(sendbuf, static_cast<std::size_t>(dst) * block), block,
+                             dst, s, ch, comm, a.skind);
     wait(sr);
     wait(rr);
   }
 }
 
-void Mpi::alltoallv(const void* sendbuf, std::span<const std::size_t> sendcounts,
-                    std::span<const std::size_t> sdispls, Datatype sendtype,
-                    void* recvbuf, std::span<const std::size_t> recvcounts,
-                    std::span<const std::size_t> rdispls, Datatype recvtype,
-                    Comm& comm) {
-  const CollArgs a = resolve({.coll = Coll::Alltoallv, .sendbuf = sendbuf,
-                              .recvbuf = recvbuf, .dt = sendtype, .rdt = recvtype,
-                              .scounts = sendcounts, .sdispls = sdispls,
-                              .rcounts = recvcounts, .rdispls = rdispls}, comm);
+void Mpi::run_alltoallv(const CollArgs& a, Comm& comm) {
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const int me = comm.rank();
   std::unique_ptr<std::byte[]> snapshot;
-  sendbuf = send_data(a, p, snapshot);
+  const void* sendbuf = send_data(a, p, snapshot);
   const std::size_t ssz = a.dt.size();
-  const std::size_t rsz = recvtype.size();
-  const bool dev = is_device(sendbuf) || is_device(recvbuf);
+  const std::size_t rsz = a.rdt.size();
   const auto src = [&](int r) { return at(sendbuf, a.send_block(r).off * ssz); };
-  const auto dst = [&](int r) { return at(recvbuf, a.recv_block(r).off * rsz); };
+  const auto dst = [&](int r) { return at(a.recvbuf, a.recv_block(r).off * rsz); };
 
   std::memcpy(dst(me), src(me), a.send_block(me).count * ssz);
   std::vector<Request> reqs;
   reqs.reserve(static_cast<std::size_t>(2 * (p - 1)));
   for (int r = 0; r < p; ++r) {
     if (r == me) continue;
-    reqs.push_back(irecv_bytes(dst(r), a.recv_block(r).count * rsz, r, 0, ch, comm, dev));
+    reqs.push_back(irecv_bytes(dst(r), a.recv_block(r).count * rsz, r, 0, ch, comm,
+                               receive_kind(a)));
   }
   for (int r = 0; r < p; ++r) {
     if (r == me) continue;
-    reqs.push_back(isend_bytes(src(r), a.send_block(r).count * ssz, r, 0, ch, comm,
-                               is_device(src(r))));
+    reqs.push_back(
+        isend_bytes(src(r), a.send_block(r).count * ssz, r, 0, ch, comm, a.skind));
   }
   waitall(reqs);
 }
 
-void Mpi::reduce_scatter_block(const void* sendbuf, void* recvbuf,
-                               std::size_t recvcount, Datatype dt, ReduceOp op,
-                               Comm& comm) {
-  resolve({.coll = Coll::ReduceScatterBlock, .sendbuf = sendbuf, .recvbuf = recvbuf,
-           .count = recvcount, .dt = dt}, comm);
+void Mpi::run_reduce_scatter_block(const CollArgs& a, Comm& comm) {
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const int me = comm.rank();
-  const std::size_t block = recvcount * dt.size();
-  const std::size_t block_elems = recvcount * dt.count;
-  const bool dev = is_device(sendbuf) || is_device(recvbuf);
-  require(reduce_defined(dt.base, op),
+  const std::size_t block = a.bytes();
+  const std::size_t block_elems = a.count * a.dt.count;
+  require(reduce_defined(a.dt.base, a.redop),
           "Mpi::reduce_scatter_block: op not defined for datatype");
 
   if (p == 1) {
-    std::memcpy(recvbuf, sendbuf, block);
+    std::memcpy(a.recvbuf, a.sendbuf, block);
     return;
   }
 
@@ -638,80 +584,71 @@ void Mpi::reduce_scatter_block(const void* sendbuf, void* recvbuf,
   const int right = (me + 1) % p;
   const int left = (me - 1 + p) % p;
   const std::byte* send =
-      at(sendbuf, static_cast<std::size_t>((me - 1 + p) % p) * block);
+      at(a.sendbuf, static_cast<std::size_t>((me - 1 + p) % p) * block);
   for (int s = 0; s < p - 1; ++s) {
     const auto recv_block = static_cast<std::size_t>((me - s - 2 + 2 * p) % p);
     std::byte* out = s == p - 2
-                         ? static_cast<std::byte*>(recvbuf)
+                         ? static_cast<std::byte*>(a.recvbuf)
                          : slots.get() + static_cast<std::size_t>(s % 2) * block;
-    const fabric::ReduceSpec with_mine{dt.base, op, at(sendbuf, recv_block * block)};
-    Request rr = irecv_bytes(out, block, left, s, ch, comm, dev, with_mine);
-    Request sr = isend_bytes(send, block, right, s, ch, comm, false);
+    const fabric::ReduceSpec with_mine{a.dt.base, a.redop,
+                                       at(a.sendbuf, recv_block * block)};
+    Request rr = irecv_bytes(out, block, left, s, ch, comm, receive_kind(a), with_mine);
+    Request sr = isend_bytes(send, block, right, s, ch, comm, MemKind::Host);
     wait(sr);
     wait(rr);
     send = out;
   }
-  if (op == ReduceOp::Avg) {
-    throw_if_error(scale_inplace(dt.base, recvbuf, block_elems, 1.0 / p),
+  if (a.redop == ReduceOp::Avg) {
+    throw_if_error(scale_inplace(a.dt.base, a.recvbuf, block_elems, 1.0 / p),
                    "Mpi::reduce_scatter_block avg");
   }
 }
 
-void Mpi::scan(const void* sendbuf, void* recvbuf, std::size_t count, Datatype dt,
-               ReduceOp op, Comm& comm) {
-  sendbuf = resolve({.coll = Coll::Scan, .sendbuf = sendbuf, .recvbuf = recvbuf,
-                     .count = count, .dt = dt}, comm).sendbuf;
+void Mpi::run_scan(const CollArgs& a, Comm& comm) {
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const int me = comm.rank();
-  const std::size_t bytes = count * dt.size();
-  const bool dev = is_device(sendbuf) || is_device(recvbuf);
-  require(op != ReduceOp::Avg, "Mpi::scan: MPI defines no Avg scan");
-  require(reduce_defined(dt.base, op), "Mpi::scan: op not defined for datatype");
+  const std::size_t bytes = a.bytes();
+  require(a.redop != ReduceOp::Avg, "Mpi::scan: MPI defines no Avg scan");
+  require(reduce_defined(a.dt.base, a.redop), "Mpi::scan: op not defined for datatype");
 
-  copy_if_distinct(recvbuf, sendbuf, bytes);
-  if (me > 0) {
-    const auto inbox = uninit(bytes);
-    Request rr = irecv_bytes(inbox.get(), bytes, me - 1, 0, ch, comm, dev);
+  if (me == 0) {
+    copy_if_distinct(a.recvbuf, a.sendbuf, bytes);
+  } else {
+    // recvbuf = prefix of ranks < me op my contribution, as the prefix lands.
+    Request rr = irecv_bytes(a.recvbuf, bytes, me - 1, 0, ch, comm, receive_kind(a),
+                             fabric::ReduceSpec{a.dt.base, a.redop, a.sendbuf});
     wait(rr);
-    // recvbuf = inbox (prefix of ranks < me) op my contribution.
-    throw_if_error(apply_reduce(dt.base, op, inbox.get(), recvbuf,
-                                count * dt.count),
-                   "Mpi::scan");
   }
   if (me < p - 1) {
-    Request sr = isend_bytes(recvbuf, bytes, me + 1, 0, ch, comm, is_device(recvbuf));
+    Request sr = isend_bytes(a.recvbuf, bytes, me + 1, 0, ch, comm, a.rkind);
     wait(sr);
   }
 }
 
-void Mpi::exscan(const void* sendbuf, void* recvbuf, std::size_t count,
-                 Datatype dt, ReduceOp op, Comm& comm) {
-  sendbuf = resolve({.coll = Coll::Exscan, .sendbuf = sendbuf, .recvbuf = recvbuf,
-                     .count = count, .dt = dt}, comm).sendbuf;
+void Mpi::run_exscan(const CollArgs& a, Comm& comm) {
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const int me = comm.rank();
-  const std::size_t bytes = count * dt.size();
-  const bool dev = is_device(sendbuf) || is_device(recvbuf);
-  require(op != ReduceOp::Avg, "Mpi::exscan: MPI defines no Avg scan");
-  require(reduce_defined(dt.base, op),
+  const std::size_t bytes = a.bytes();
+  require(a.redop != ReduceOp::Avg, "Mpi::exscan: MPI defines no Avg scan");
+  require(reduce_defined(a.dt.base, a.redop),
           "Mpi::exscan: op not defined for datatype");
 
   // Linear chain: the value forwarded to rank r+1 is op(prefix, mine); the
   // value *received* is the exclusive prefix.
   const auto mine = uninit(bytes);
-  std::memcpy(mine.get(), sendbuf, bytes);
+  std::memcpy(mine.get(), a.sendbuf, bytes);
   if (me > 0) {
-    Request rr = irecv_bytes(recvbuf, bytes, me - 1, 0, ch, comm, dev);
+    Request rr = irecv_bytes(a.recvbuf, bytes, me - 1, 0, ch, comm, receive_kind(a));
     wait(rr);
     // forward = recvbuf (prefix) op mine.
-    throw_if_error(apply_reduce(dt.base, op, recvbuf, mine.get(),
-                                count * dt.count),
-                   "Mpi::exscan");
+    throw_if_error(
+        apply_reduce(a.dt.base, a.redop, a.recvbuf, mine.get(), a.count * a.dt.count),
+        "Mpi::exscan");
   }
   if (me < p - 1) {
-    Request sr = isend_bytes(mine.get(), bytes, me + 1, 0, ch, comm, false);
+    Request sr = isend_bytes(mine.get(), bytes, me + 1, 0, ch, comm, MemKind::Host);
     wait(sr);
   }
   // Rank 0's recvbuf stays untouched (undefined per MPI).

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "device/buffer_registry.hpp"
-
 namespace mpixccl::mini {
 
 Mpi::Mpi(fabric::RankContext& ctx, const sim::MpiProfile& profile,
@@ -31,29 +29,25 @@ Mpi::Mpi(fabric::RankContext& ctx, const sim::MpiProfile& profile,
   }
 }
 
-bool Mpi::is_device(const void* p) const {
-  return device::BufferRegistry::instance().lookup(p).has_value();
-}
-
-const sim::LinkParams& Mpi::link_to(int peer_world, bool device) const {
+const sim::LinkParams& Mpi::link_to(int peer_world, MemKind kind) const {
   const sim::Topology& topo = ctx_->topology();
   const bool intra = topo.same_node(ctx_->rank(), peer_world);
-  if (!device) return intra ? prof_.host_intra : prof_.host_inter;
+  if (kind == MemKind::Host) return intra ? prof_.host_intra : prof_.host_inter;
   if (!intra) return prof_.dev_inter;
   return dev_sub_links_[static_cast<std::size_t>(
       topo.deepest_common_depth(ctx_->rank(), peer_world))];
 }
 
 const sim::LinkParams& Mpi::device_link_to(int peer_world) const {
-  return link_to(peer_world, true);
+  return link_to(peer_world, MemKind::Device);
 }
 
-fabric::CostFn Mpi::make_cost_fn(bool device_buf) {
+fabric::CostFn Mpi::make_cost_fn(MemKind kind) {
   // The receive side prices the transfer; it resolves the link when the
   // source rank is known (wildcards) and adds the rendezvous handshake for
   // large messages.
-  return [this, device_buf](int src_world, std::size_t bytes) {
-    const sim::LinkParams& link = link_to(src_world, device_buf);
+  return [this, kind](int src_world, std::size_t bytes) {
+    const sim::LinkParams& link = link_to(src_world, kind);
     double cost = link.cost_us(bytes);
     if (bytes > prof_.eager_threshold) cost += prof_.rndv_rtt_us;
     return cost;
@@ -61,10 +55,10 @@ fabric::CostFn Mpi::make_cost_fn(bool device_buf) {
 }
 
 Request Mpi::isend_bytes(const void* buf, std::size_t bytes, int dst, int tag,
-                         fabric::ChannelId channel, Comm& comm, bool device_buf) {
+                         fabric::ChannelId channel, Comm& comm, MemKind kind) {
   clock().advance(prof_.per_op_us);
   const int dst_world = comm.world_rank(dst);
-  const sim::LinkParams& link = link_to(dst_world, device_buf);
+  const sim::LinkParams& link = link_to(dst_world, kind);
   fabric::SendPolicy policy;
   policy.rendezvous = bytes > prof_.eager_threshold;
   policy.eager_complete_us = link.alpha_us;  // injection cost only
@@ -74,35 +68,33 @@ Request Mpi::isend_bytes(const void* buf, std::size_t bytes, int dst, int tag,
 }
 
 Request Mpi::irecv_bytes(void* buf, std::size_t bytes, int src, int tag,
-                         fabric::ChannelId channel, Comm& comm, bool device_buf,
+                         fabric::ChannelId channel, Comm& comm, MemKind kind,
                          std::optional<fabric::ReduceSpec> reduce) {
   clock().advance(prof_.per_op_us);
   const int src_world = (src == kAnySource) ? fabric::kAnySource : comm.world_rank(src);
   auto pending =
       ctx_->endpoint().post_recv(src_world, tag, channel, buf, bytes, clock().now(),
-                                 make_cost_fn(device_buf), reduce);
+                                 make_cost_fn(kind), reduce);
   return Request::from_recv(std::move(pending), &comm);
 }
 
 Request Mpi::isend(const void* buf, std::size_t count, Datatype dt, int dst,
-                   int tag, Comm& comm) {
+                   int tag, Comm& comm, MemKind kind) {
   require(tag >= 0, "Mpi::isend: tag must be non-negative");
-  return isend_bytes(buf, count * dt.size(), dst, tag, comm.p2p_channel(), comm,
-                     is_device(buf));
+  return isend_bytes(buf, count * dt.size(), dst, tag, comm.p2p_channel(), comm, kind);
 }
 
 Request Mpi::irecv(void* buf, std::size_t count, Datatype dt, int src, int tag,
-                   Comm& comm) {
+                   Comm& comm, MemKind kind) {
   require(tag >= 0 || tag == kAnyTag, "Mpi::irecv: bad tag");
-  return irecv_bytes(buf, count * dt.size(), src, tag, comm.p2p_channel(), comm,
-                     is_device(buf));
+  return irecv_bytes(buf, count * dt.size(), src, tag, comm.p2p_channel(), comm, kind);
 }
 
 Request Mpi::irecv_reduce(void* buf, std::size_t count, Datatype dt, ReduceOp op,
-                          int src, int tag, Comm& comm) {
+                          int src, int tag, Comm& comm, MemKind kind) {
   require(tag >= 0 || tag == kAnyTag, "Mpi::irecv_reduce: bad tag");
-  return irecv_bytes(buf, count * dt.size(), src, tag, comm.p2p_channel(), comm,
-                     is_device(buf), fabric::ReduceSpec{dt.base, op});
+  return irecv_bytes(buf, count * dt.size(), src, tag, comm.p2p_channel(), comm, kind,
+                     fabric::ReduceSpec{dt.base, op});
 }
 
 void Mpi::send(const void* buf, std::size_t count, Datatype dt, int dst, int tag,
@@ -188,8 +180,10 @@ Comm Mpi::split(Comm& comm, int color, int key) {
 }
 
 double Mpi::max_over_ranks(double value, Comm& comm) {
+  // Two host locals: no buffer to classify.
   double out = 0.0;
-  allreduce(&value, &out, 1, kDouble, ReduceOp::Max, comm);
+  run({.coll = Coll::Allreduce, .sendbuf = &value, .recvbuf = &out, .count = 1,
+       .dt = kDouble, .redop = ReduceOp::Max}, comm);
   return out;
 }
 

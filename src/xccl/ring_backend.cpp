@@ -158,18 +158,16 @@ sim::TimeUs RingCclBackend::allreduce_tree(const void* sendbuf, void* recvbuf,
   const int me = comm.rank();
   if (sendbuf != recvbuf) std::memcpy(recvbuf, sendbuf, bytes);
 
-  const auto inbox = uninit(bytes);
   sim::TimeUs t = t0;
-  // Reduce phase.
+  // Reduce phase: each child's vector is reduced into recvbuf as it lands;
+  // the send to the parent follows the last child.
   int mask = 1;
   while (mask < p) {
     if ((me & mask) == 0) {
       const int src = me | mask;
       if (src < p) {
-        t = step_exchange(comm, ch, 1, -1, nullptr, 0, src, inbox.get(), bytes, t,
-                          /*tree_hop=*/true);
-        throw_if_error(apply_reduce(dt, op, inbox.get(), recvbuf, count),
-                       "xccl allreduce");
+        t = step_exchange(comm, ch, 1, -1, nullptr, 0, src, recvbuf, bytes, t,
+                          /*tree_hop=*/true, fabric::ReduceSpec{dt, op});
       }
     } else {
       t = step_exchange(comm, ch, 1, me ^ mask, recvbuf, bytes, -1, nullptr, 0, t,
@@ -403,7 +401,7 @@ sim::TimeUs RingCclBackend::reduce_tree(const void* sendbuf, void* recvbuf,
   }
   std::memcpy(acc, sendbuf, bytes);
 
-  const auto inbox = uninit(bytes);
+  // Each child's vector is reduced into the accumulator as it lands.
   const int vrank = (me - root + p) % p;
   sim::TimeUs t = t0;
   int mask = 1;
@@ -411,10 +409,8 @@ sim::TimeUs RingCclBackend::reduce_tree(const void* sendbuf, void* recvbuf,
     if ((vrank & mask) == 0) {
       const int vsrc = vrank | mask;
       if (vsrc < p) {
-        t = step_exchange(comm, ch, 1, -1, nullptr, 0, (vsrc + root) % p,
-                          inbox.get(), bytes, t, true);
-        throw_if_error(apply_reduce(dt, op, inbox.get(), acc, count),
-                       "xccl reduce");
+        t = step_exchange(comm, ch, 1, -1, nullptr, 0, (vsrc + root) % p, acc, bytes,
+                          t, true, fabric::ReduceSpec{dt, op});
       }
     } else {
       t = step_exchange(comm, ch, 1, ((vrank ^ mask) + root) % p, acc, bytes, -1,

@@ -1,7 +1,8 @@
 // The collective entry check (mpi/coll_args.hpp) per rank, without a world:
 // what each MPI_IN_PLACE row resolves to, which ranks may pass the sentinel,
-// and the errors for arguments MPI calls erroneous. Forms only one rank can
-// commit (in place at a non-root) are checked here, where no peer waits.
+// the errors for arguments MPI calls erroneous, and the memory kind it gives
+// each buffer. Forms only one rank can commit (in place at a non-root) are
+// checked here, where no peer waits.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "device/buffer_registry.hpp"
 #include "mpi/coll_args.hpp"
 
 namespace mpixccl::mini {
@@ -46,6 +48,8 @@ void expect_same(const CollArgs& x, const CollArgs& y) {
   EXPECT_EQ(x.scounts.data(), y.scounts.data());
   EXPECT_EQ(x.sdispls.data(), y.sdispls.data());
   EXPECT_EQ(x.snapshot, y.snapshot);
+  EXPECT_EQ(x.skind, y.skind);
+  EXPECT_EQ(x.rkind, y.rkind);
 }
 
 /// Resolve on `rank`, check that resolving again changes nothing, return it.
@@ -217,6 +221,54 @@ TEST(EntryCheck, SendAndReceiveBlocksMustMatch) {
   EXPECT_NO_THROW((void)resolve({.coll = Coll::Allgather, .sendbuf = sb, .recvbuf = rb,
                                  .count = 2, .dt = contiguous(2, kFloat), .rcount = 4,
                                  .rdt = kFloat}, 0, kSize));
+}
+
+/// Registers `recv_mem` as device memory for one test's lifetime.
+struct DeviceRecvMem {
+  DeviceRecvMem() {
+    device::BufferRegistry::instance().add(rb, sizeof recv_mem, Vendor::Nvidia, 0);
+  }
+  ~DeviceRecvMem() { device::BufferRegistry::instance().remove(rb); }
+};
+
+TEST(BufferKinds, EachBufferIsClassifiedAndResolvedBuffersShareTheirKind) {
+  const DeviceRecvMem device_recv;
+  const CollArgs apart = resolved(
+      {.coll = Coll::Allreduce, .sendbuf = sb, .recvbuf = rb, .count = 4, .dt = kFloat},
+      0);
+  EXPECT_EQ(apart.skind, MemKind::Host);
+  EXPECT_EQ(apart.rkind, MemKind::Device);
+  EXPECT_TRUE(apart.device());
+
+  // The sentinel resolves onto the receive buffer (or its block) and takes
+  // its kind.
+  for (Coll c : {Coll::Allreduce, Coll::Allgather}) {
+    const CollArgs a = resolved({.coll = c, .sendbuf = kInPlace, .recvbuf = rb,
+                                 .count = 4, .dt = kFloat, .rcount = 4, .rdt = kFloat},
+                                1);
+    EXPECT_EQ(a.skind, MemKind::Device);
+    EXPECT_EQ(a.rkind, MemKind::Device);
+  }
+  // A snapshot call keeps the sentinel, which is host memory.
+  const CollArgs snap = resolved({.coll = Coll::Alltoall, .sendbuf = kInPlace,
+                                  .recvbuf = rb, .rcount = 2, .rdt = kFloat},
+                                 0);
+  EXPECT_EQ(snap.skind, MemKind::Host);
+  EXPECT_EQ(snap.rkind, MemKind::Device);
+  // The scatter root's receive block lies in its send buffer.
+  const CollArgs scat = resolved({.coll = Coll::Scatter, .sendbuf = sb,
+                                  .recvbuf = kInPlace, .count = 2, .dt = kFloat,
+                                  .root = 2},
+                                 2);
+  EXPECT_EQ(scat.skind, MemKind::Host);
+  EXPECT_EQ(scat.rkind, MemKind::Host);
+  // A null buffer (bcast's send side) is host memory.
+  const CollArgs bc = resolved(
+      {.coll = Coll::Bcast, .recvbuf = rb, .count = 4, .dt = kFloat, .root = 0}, 3);
+  EXPECT_EQ(bc.skind, MemKind::Host);
+  EXPECT_EQ(bc.rkind, MemKind::Device);
+  EXPECT_EQ(classify(rb + 5), MemKind::Device);
+  EXPECT_EQ(classify(kInPlace), MemKind::Host);
 }
 
 }  // namespace

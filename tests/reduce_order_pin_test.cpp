@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -199,6 +200,53 @@ TEST(ReduceOrderPin, MpiReduceScatterBlockDeviceRendezvous) {
       kMpiRsbRendezvous);
 }
 
+/// MiniMPI reduce of `n` elements to `root` on 1x5 (an uneven binomial
+/// tree); only the root's output is defined.
+RankBody mpi_reduce_body(std::size_t n, int root, DataType dt, ReduceOp op) {
+  return [=](fabric::RankContext& ctx) {
+    mini::Mpi mpi(ctx, ctx.profile().mpi);
+    const auto in = seeded_input(dt, n, ctx.rank());
+    std::vector<std::byte> out(in.size());
+    mpi.reduce(in.data(), out.data(), n, mini::Datatype{dt, 1}, op, root,
+               mpi.comm_world());
+    if (ctx.rank() != root) out.clear();
+    return out;
+  };
+}
+
+/// MiniMPI scan of `n` elements on 1x5 (a linear chain).
+RankBody mpi_scan_body(std::size_t n, DataType dt, ReduceOp op) {
+  return [=](fabric::RankContext& ctx) {
+    mini::Mpi mpi(ctx, ctx.profile().mpi);
+    const auto in = seeded_input(dt, n, ctx.rank());
+    std::vector<std::byte> out(in.size());
+    mpi.scan(in.data(), out.data(), n, mini::Datatype{dt, 1}, op, mpi.comm_world());
+    return out;
+  };
+}
+
+constexpr std::size_t kTreeElems = 3001;
+constexpr Pins kMpiReduceTree = {15880845989317456542u, 8673845274525843330u,
+                                 5345842855434938898u, 14280479057098048172u};
+constexpr Pins kMpiScanChain = {10059000799355118562u, 5173702143362568653u,
+                                2207045433088129104u, 8232792322688631954u};
+
+TEST(ReduceOrderPin, MpiReduceTree) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return run_world(1, 5, mpi_reduce_body(kTreeElems, 2, dt, op));
+      },
+      kMpiReduceTree);
+}
+
+TEST(ReduceOrderPin, MpiScanChain) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return run_world(1, 5, mpi_scan_body(kTreeElems, dt, op));
+      },
+      kMpiScanChain);
+}
+
 // ---- CCL ring -----------------------------------------------------------------
 
 using CclBody = std::function<std::vector<std::byte>(
@@ -262,23 +310,46 @@ TEST(ReduceOrderPin, CclRingAllreduceInPlace) {
       kRingDivisible);
 }
 
+/// CCL reduce of `n` elements to rank 1.
+CclBody ccl_reduce_body(std::size_t n, DataType dt, ReduceOp op) {
+  return [=](xccl::CclBackend& b, xccl::CclComm& comm, fabric::RankContext& ctx) {
+    const auto in = seeded_input(dt, n, ctx.rank());
+    std::vector<std::byte> out(in.size());
+    EXPECT_EQ(b.reduce(in.data(), out.data(), n, dt, op, 1, comm, ctx.stream()),
+              XcclResult::Success);
+    if (ctx.rank() != 1) out.clear();  // only the root's output is defined
+    return out;
+  };
+}
+
 TEST(ReduceOrderPin, CclRingReduce) {
-  constexpr std::size_t n = 100003;
   expect_pinned(
-      [](DataType dt, ReduceOp op) {
-        return run_ccl([&](xccl::CclBackend& b, xccl::CclComm& comm,
-                           fabric::RankContext& ctx) {
-          const auto in = seeded_input(dt, n, ctx.rank());
-          std::vector<std::byte> out(in.size());
-          EXPECT_EQ(b.reduce(in.data(), out.data(), n, dt, op, 1, comm,
-                             ctx.stream()),
-                    XcclResult::Success);
-          if (ctx.rank() != 1) out.clear();  // only the root's output is defined
-          return out;
-        });
-      },
+      [](DataType dt, ReduceOp op) { return run_ccl(ccl_reduce_body(100003, dt, op)); },
       {1211379818709410102u, 8959720559587145714u, 11977931997019391823u,
        12394947554799368492u});
+}
+
+// kTreeElems elements are below the tree threshold for both widths; 1x5
+// makes the binomial tree uneven.
+constexpr Pins kCclTreeAllreduce = {7127452085818087874u, 3956607966774656522u,
+                                    16876766965893994534u, 16389766665308531300u};
+constexpr Pins kCclTreeReduce = {9589012821403678381u, 8673845274525843330u,
+                                 4550085890181786588u, 14280479057098048172u};
+
+TEST(ReduceOrderPin, CclTreeAllreduce) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return run_world(1, 5, with_ccl(ccl_allreduce_body(kTreeElems, false, dt, op)));
+      },
+      kCclTreeAllreduce);
+}
+
+TEST(ReduceOrderPin, CclTreeReduce) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return run_world(1, 5, with_ccl(ccl_reduce_body(kTreeElems, dt, op)));
+      },
+      kCclTreeReduce);
 }
 
 /// CCL reduce_scatter of `block` elements per rank; in place is NCCL's
@@ -356,8 +427,8 @@ std::uint64_t hier_allreduce(int nodes, int dpn, std::size_t n, Recv where,
     void* recv = where == Recv::Device  ? dev_recv.get()
                  : where == Recv::Host  ? static_cast<void*>(host_recv.data())
                                         : dev_send.get();
-    EXPECT_TRUE(engine.allreduce(dev_send.get(), recv, n, mini::Datatype{dt, 1}, op,
-                                 mpi.comm_world()));
+    EXPECT_TRUE(engine.allreduce(engine.prepare(mpi.comm_world()), dev_send.get(), recv,
+                                 n, mini::Datatype{dt, 1}, op, mpi.comm_world()));
     std::vector<std::byte> out(bytes);
     std::memcpy(out.data(), recv, bytes);
     return out;
@@ -423,7 +494,8 @@ void expect_timed(int nodes, int dpn, const RankBody& body, std::uint64_t hash,
   EXPECT_EQ(o.hash, hash);
   ASSERT_EQ(o.clocks.size(), clocks.size());
   for (std::size_t r = 0; r < clocks.size(); ++r) {
-    EXPECT_EQ(o.clocks[r], clocks[r]) << "rank " << r;
+    EXPECT_EQ(o.clocks[r], clocks[r]) << "rank " << r << ": " << std::hexfloat
+                                      << o.clocks[r];
   }
 }
 
@@ -467,6 +539,411 @@ TEST(VirtualTimePin, CclReduceScatterP4) {
 TEST(VirtualTimePin, CclReduceScatterInPlaceP4) {
   expect_timed(1, 4, with_ccl(ccl_reduce_scatter_body(kRsBlock, true, kF32, kSum)),
                kRingReduceScatter[0], std::vector<double>(4, 0x1.32ff51e400765p+10));
+}
+
+TEST(VirtualTimePin, MpiReduceTree) {
+  expect_timed(1, 5, mpi_reduce_body(kTreeElems, 2, kF32, kSum), kMpiReduceTree[0],
+               {0x1.6666666666666p+0, 0x1.6666666666666p+0, 0x1.ccdd2f1a9fbe8p+2,
+                0x1.6666666666666p+0, 0x1.e671529a485cdp+1});
+}
+
+TEST(VirtualTimePin, MpiScanChain) {
+  expect_timed(1, 5, mpi_scan_body(kTreeElems, kF32, kSum), kMpiScanChain[0],
+               {0x1.6666666666666p+0, 0x1.e671529a485cdp+1, 0x1.8cd7b900aec34p+2,
+                0x1.133b645a1cac1p+3, 0x1.333e1f671529bp+3});
+}
+
+TEST(VirtualTimePin, CclTreeAllreduce) {
+  expect_timed(1, 5, with_ccl(ccl_allreduce_body(kTreeElems, false, kF32, kSum)),
+               kCclTreeAllreduce[0], {0x1.3341a37daeb8ep+10, 0x1.3341a37daeb8ep+10,
+                                      0x1.3341a37daeb8ep+10, 0x1.3341a37daeb8ep+10,
+    0x1.32b66cfe747b4p+10});
+}
+
+TEST(VirtualTimePin, CclTreeReduce) {
+  expect_timed(1, 5, with_ccl(ccl_reduce_body(kTreeElems, kF32, kSum)),
+               kCclTreeReduce[0], {0x1.3270d1bed75c7p+10, 0x1.3270d1bed75c7p+10,
+                                   0x1.31e59b3f9d1edp+10, 0x1.322b367f3a3dap+10,
+    0x1.31e59b3f9d1edp+10});
+}
+
+// ---- MiniMPI under mixed memory kinds --------------------------------------
+// Each call runs twice on ranks entering 5 us apart: send buffers in host
+// memory with receive buffers in device memory, then the reverse. MiniMPI
+// prices a send by the kind of the buffer it sends from (call-local scratch
+// is host memory) and a receive by the kind of either caller buffer, so
+// moving a step onto another buffer, or pricing it by another buffer's kind,
+// moves a clock.
+
+/// One caller buffer of `bytes`, in host or device memory.
+class CallerBuf {
+ public:
+  CallerBuf(fabric::RankContext& ctx, std::size_t bytes, bool device)
+      : bytes_(bytes), host_(device ? 0 : bytes) {
+    if (device) dev_ = device::DeviceBuffer(ctx.device(), bytes);
+  }
+  [[nodiscard]] std::byte* get() {
+    return dev_.size() > 0 ? static_cast<std::byte*>(dev_.get()) : host_.data();
+  }
+  [[nodiscard]] std::vector<std::byte> read() { return {get(), get() + bytes_}; }
+
+ private:
+  std::size_t bytes_;
+  device::DeviceBuffer dev_;
+  std::vector<std::byte> host_;
+};
+
+/// One MiniMPI call over a float send buffer and a float receive buffer.
+/// An in-place call has only the receive buffer, which starts with the
+/// rank's input, and alternates its kind by rank.
+struct MixedCall {
+  std::size_t send_elems = 0;
+  std::size_t recv_elems = 0;
+  std::function<void(mini::Mpi&, const float* send, float* recv, int rank)> run;
+  bool in_place = false;
+};
+
+RankBody mixed(const MixedCall& call, bool send_device) {
+  return [=](fabric::RankContext& ctx) {
+    mini::Mpi mpi(ctx, ctx.profile().mpi);
+    ctx.clock().advance(5.0 * ctx.rank());
+    const bool recv_device = call.in_place ? send_device == (ctx.rank() % 2 == 0)
+                                           : !send_device;
+    const std::size_t send_elems = call.in_place ? 0 : call.send_elems;
+    const auto in = seeded_input(kF32, send_elems, ctx.rank());
+    CallerBuf send(ctx, std::max<std::size_t>(in.size(), 1), send_device);
+    CallerBuf recv(ctx, call.recv_elems * sizeof(float), recv_device);
+    if (call.in_place) {
+      const auto own = seeded_input(kF32, call.recv_elems, ctx.rank());
+      std::memcpy(recv.get(), own.data(), own.size());
+    } else {
+      std::memcpy(send.get(), in.data(), in.size());
+      std::memset(recv.get(), 0, call.recv_elems * sizeof(float));
+    }
+    call.run(mpi, reinterpret_cast<const float*>(send.get()),
+             reinterpret_cast<float*>(recv.get()), ctx.rank());
+    return recv.read();
+  };
+}
+
+struct TimedPin {
+  std::uint64_t hash;
+  std::vector<double> clocks;
+};
+
+/// Pins `call` on `nodes` x `dpn` with host send buffers, then device ones.
+void expect_mixed(int nodes, int dpn, const MixedCall& call, const TimedPin& host_send,
+                  const TimedPin& device_send) {
+  {
+    SCOPED_TRACE("host send, device receive");
+    expect_timed(nodes, dpn, mixed(call, false), host_send.hash, host_send.clocks);
+  }
+  {
+    SCOPED_TRACE("device send, host receive");
+    expect_timed(nodes, dpn, mixed(call, true), device_send.hash, device_send.clocks);
+  }
+}
+
+using mini::kFloat;
+
+MixedCall allreduce_call(std::size_t n) {
+  return {n, n, [n](mini::Mpi& m, const float* s, float* r, int) {
+            m.allreduce(s, r, n, kFloat, kSum, m.comm_world());
+          }};
+}
+
+MixedCall reduce_call(std::size_t n, int root) {
+  return {n, n, [n, root](mini::Mpi& m, const float* s, float* r, int) {
+            m.reduce(s, r, n, kFloat, kSum, root, m.comm_world());
+          }};
+}
+
+/// Per-rank counts and their prefix displacements.
+struct VBlocks {
+  std::vector<std::size_t> counts, displs;
+  std::size_t total = 0;
+  explicit VBlocks(std::vector<std::size_t> c) : counts(std::move(c)) {
+    for (const std::size_t n : counts) {
+      displs.push_back(total);
+      total += n;
+    }
+  }
+};
+
+const VBlocks& ragged() {
+  static const VBlocks v({100, 2000, 300, 5000});
+  return v;
+}
+
+// 1000 floats are below the recursive-doubling cutoff, 12347 above it; 1x3
+// folds one rank pair.
+TEST(VirtualTimePin, MpiMixedAllreduceRd) {
+  expect_mixed(2, 2, allreduce_call(1000),
+               {2742731009051984613u,
+                {0x1.98f0f0f0f0f0ep+4, 0x1.97fffffffffffp+4, 0x1.90f0f0f0f0f0ep+4,
+                 0x1.8ffffffffffffp+4}},
+               {2742731009051984613u,
+                {0x1.98f0f0f0f0f0ep+4, 0x1.8a8a8a8a8a8a8p+4, 0x1.8a8a8a8a8a8a8p+4,
+                 0x1.7c24242424242p+4}});
+}
+
+TEST(VirtualTimePin, MpiMixedAllreduceRdFold) {
+  expect_mixed(1, 3, allreduce_call(1000),
+               {5770488381969734759u,
+                {0x1.337b7b7b7b7b8p+4, 0x1.328a8a8a8a8a9p+4, 0x1.ep+3}},
+               {5770488381969734759u,
+                {0x1.337b7b7b7b7b8p+4, 0x1.0757575757576p+4, 0x1.c6f6f6f6f6f7p+3}});
+}
+
+TEST(VirtualTimePin, MpiMixedAllreduceRabenseifner) {
+  expect_mixed(2, 2, allreduce_call(12347),
+               {8900498962944867741u,
+                {0x1.6e0b71d83ea51p+5, 0x1.6f7f56609e0ebp+5, 0x1.6e0b71d83ea51p+5,
+                 0x1.6f7f56609e0ebp+5}},
+               {8900498962944867741u,
+                {0x1.684c232d6adb8p+5, 0x1.6f7f56609e0ebp+5, 0x1.684c232d6adb8p+5,
+                 0x1.6f7f56609e0ebp+5}});
+}
+
+TEST(VirtualTimePin, MpiMixedAllreduceRabenseifnerFold) {
+  expect_mixed(1, 3, allreduce_call(12347),
+               {5876252944310238512u,
+                {0x1.116e59defdb6p+5, 0x1.116e59defdb6p+5, 0x1.b271005c857b4p+4}},
+               {5876252944310238512u,
+                {0x1.116e59defdb6p+5, 0x1.116e59defdb6p+5, 0x1.b271005c857b4p+4}});
+}
+
+TEST(VirtualTimePin, MpiMixedReduceRoot0) {
+  expect_mixed(2, 2, reduce_call(5000, 0),
+               {17969639183198319859u,
+                {0x1.e64e4e4e4e4e4p+4, 0x1.730303030303p+3, 0x1.e64e4e4e4e4e4p+4,
+                 0x1.5981818181818p+4}},
+               {17969639183198319859u,
+                {0x1.e64e4e4e4e4e4p+4, 0x1.730303030303p+3, 0x1.e64e4e4e4e4e4p+4,
+                 0x1.5981818181818p+4}});
+}
+
+TEST(VirtualTimePin, MpiMixedReduceRoot3) {
+  expect_mixed(2, 2, reduce_call(5000, 3),
+               {1281943838460023547u,
+                {0x1.7cccccccccccdp+4, 0x1.04ccccccccccdp+5, 0x1.2cccccccccccdp+4,
+                 0x1.04ccccccccccdp+5}},
+               {1281943838460023547u,
+                {0x1.7cccccccccccdp+4, 0x1.04ccccccccccdp+5, 0x1.2cccccccccccdp+4,
+                 0x1.04ccccccccccdp+5}});
+}
+
+TEST(VirtualTimePin, MpiMixedBcast) {
+  const MixedCall call{0, 5000,
+                       [](mini::Mpi& m, const float*, float* r, int) {
+                         m.bcast(r, 5000, kFloat, 1, m.comm_world());
+                       },
+                       true};
+  expect_mixed(2, 2, call,
+               {9092511284856644253u,
+                {0x1.dbbbbbbbbbbbcp+4, 0x1.dbbbbbbbbbbbcp+4, 0x1.dbbbbbbbbbbbcp+4,
+                 0x1.dbbbbbbbbbbbcp+4}},
+               {9092511284856644253u,
+                {0x1.dbbbbbbbbbbbcp+4, 0x1.dbbbbbbbbbbbcp+4, 0x1.dbbbbbbbbbbbcp+4,
+                 0x1.dbbbbbbbbbbbcp+4}});
+}
+
+MixedCall allgather_call(std::size_t block) {
+  return {block, 4 * block, [block](mini::Mpi& m, const float* s, float* r, int) {
+            m.allgather(s, block, kFloat, r, block, kFloat, m.comm_world());
+          }};
+}
+
+// 4 x 250 floats gather by Bruck, 4 x 5000 by the ring.
+TEST(VirtualTimePin, MpiMixedAllgatherBruck) {
+  expect_mixed(2, 2, allgather_call(250),
+               {17365209809169811701u,
+                {0x1.943c3c3c3c3c3p+4, 0x1.8799999999999p+4, 0x1.85d5d5d5d5d5dp+4,
+                 0x1.7933333333333p+4}},
+               {17365209809169811701u,
+                {0x1.943c3c3c3c3c3p+4, 0x1.8799999999999p+4, 0x1.85d5d5d5d5d5dp+4,
+                 0x1.7933333333333p+4}});
+}
+
+TEST(VirtualTimePin, MpiMixedAllgatherRing) {
+  expect_mixed(2, 2, allgather_call(5000),
+               {13710298797204370725u,
+                {0x1.60cccccccccccp+5, 0x1.4f27272727272p+5, 0x1.4f27272727272p+5,
+                 0x1.60cccccccccccp+5}},
+               {13710298797204370725u,
+                {0x1.60cccccccccccp+5, 0x1.4f27272727272p+5, 0x1.4f27272727272p+5,
+                 0x1.60cccccccccccp+5}});
+}
+
+TEST(VirtualTimePin, MpiMixedAllgatherv) {
+  const VBlocks& v = ragged();
+  const MixedCall call{5000, v.total, [&v](mini::Mpi& m, const float* s, float* r,
+                                           int rank) {
+                         m.allgatherv(s, v.counts[static_cast<std::size_t>(rank)], kFloat,
+                                      r, v.counts, v.displs, kFloat, m.comm_world());
+                       }};
+  expect_mixed(2, 2, call,
+               {1832735246720346029u,
+                {0x1.2a5a5a5a5a5a6p+5, 0x1.4f27272727272p+5, 0x1.4f27272727272p+5,
+                 0x1.1599999999999p+5}},
+               {1832735246720346029u,
+                {0x1.2a5a5a5a5a5a6p+5, 0x1.4f27272727272p+5, 0x1.4f27272727272p+5,
+                 0x1.0830303030303p+5}});
+}
+
+TEST(VirtualTimePin, MpiMixedGather) {
+  const MixedCall call{3000, 12000, [](mini::Mpi& m, const float* s, float* r, int) {
+                         m.gather(s, 3000, kFloat, r, 3000, kFloat, 2, m.comm_world());
+                       }};
+  expect_mixed(2, 2, call,
+               {607023239869051872u,
+                {0x1.7333333333333p+1, 0x1.f99999999999ap+2, 0x1.346c6c6c6c6c7p+4,
+                 0x1.0666666666666p+4}},
+               {607023239869051872u,
+                {0x1.0666666666667p+2, 0x1.2333333333334p+3, 0x1.346c6c6c6c6c7p+4,
+                 0x1.319999999999ap+4}});
+}
+
+TEST(VirtualTimePin, MpiMixedGatherv) {
+  const VBlocks& v = ragged();
+  const MixedCall call{5000, v.total, [&v](mini::Mpi& m, const float* s, float* r,
+                                           int rank) {
+                         m.gatherv(s, v.counts[static_cast<std::size_t>(rank)], kFloat, r,
+                                   v.counts, v.displs, kFloat, 1, m.comm_world());
+                       }};
+  expect_mixed(2, 2, call,
+               {14205333813305501511u,
+                {0x1.6666666666666p+0, 0x1.7cccccccccccdp+4, 0x1.9cccccccccccdp+3,
+                 0x1.7cccccccccccdp+4}},
+               {14205333813305501511u,
+                {0x1.0666666666667p+2, 0x1.7cccccccccccdp+4, 0x1.c333333333334p+3,
+                 0x1.7cccccccccccdp+4}});
+}
+
+TEST(VirtualTimePin, MpiMixedScatter) {
+  const MixedCall call{12000, 3000, [](mini::Mpi& m, const float* s, float* r, int) {
+                         m.scatter(s, 3000, kFloat, r, 3000, kFloat, 1, m.comm_world());
+                       }};
+  expect_mixed(2, 2, call,
+               {4916195569984012607u,
+                {0x1.28d8d8d8d8d8ep+3, 0x1.3666666666667p+3, 0x1.f333333333334p+3,
+                 0x1.499999999999ap+4}},
+               {4916195569984012607u,
+                {0x1.d99999999999ap+2, 0x1.5cccccccccccep+3, 0x1.acccccccccccdp+3,
+                 0x1.2666666666666p+4}});
+}
+
+TEST(VirtualTimePin, MpiMixedScatterv) {
+  const VBlocks& v = ragged();
+  const MixedCall call{v.total, 5000, [&v](mini::Mpi& m, const float* s, float* r,
+                                           int rank) {
+                         m.scatterv(s, v.counts, v.displs, kFloat, r,
+                                    v.counts[static_cast<std::size_t>(rank)], kFloat, 2,
+                                    m.comm_world());
+                       }};
+  expect_mixed(2, 2, call,
+               {11526219996276165158u,
+                {0x1.c4ccccccccccdp+3, 0x1p+4, 0x1.5981818181818p+4,
+                 0x1.5981818181818p+4}},
+               {11526219996276165158u,
+                {0x1.9d55555555556p+3, 0x1.c444444444445p+3, 0x1.4444444444444p+4,
+                 0x1.4444444444444p+4}});
+}
+
+MixedCall alltoall_call(std::size_t block, bool in_place) {
+  return {4 * block, 4 * block,
+          [block, in_place](mini::Mpi& m, const float* s, float* r, int) {
+            m.alltoall(in_place ? mini::kInPlace : s, block, kFloat, r, block, kFloat,
+                       m.comm_world());
+          },
+          in_place};
+}
+
+// 1000-float blocks are eager and posted at once; 5000-float blocks go
+// pairwise. In place, every block is sent from a host snapshot.
+TEST(VirtualTimePin, MpiMixedAlltoallEager) {
+  expect_mixed(2, 2, alltoall_call(1000, false),
+               {15224032413741900238u,
+                {0x1.64cccccccccccp+4, 0x1.7333333333332p+4, 0x1.7a8a8a8a8a8a7p+4,
+                 0x1.57fffffffffffp+4}},
+               {15224032413741900238u,
+                {0x1.64cccccccccccp+4, 0x1.7333333333332p+4, 0x1.7a8a8a8a8a8a7p+4,
+                 0x1.7999999999998p+4}});
+}
+
+TEST(VirtualTimePin, MpiMixedAlltoallPairwise) {
+  expect_mixed(2, 2, alltoall_call(5000, false),
+               {4146521395482159432u,
+                {0x1.60cccccccccccp+5, 0x1.60cccccccccccp+5, 0x1.60cccccccccccp+5,
+                 0x1.60cccccccccccp+5}},
+               {4146521395482159432u,
+                {0x1.60cccccccccccp+5, 0x1.60cccccccccccp+5, 0x1.60cccccccccccp+5,
+                 0x1.60cccccccccccp+5}});
+}
+
+TEST(VirtualTimePin, MpiMixedAlltoallInPlace) {
+  expect_mixed(2, 2, alltoall_call(5000, true),
+               {4146521395482159432u,
+                {0x1.42aaaaaaaaaaap+5, 0x1.42aaaaaaaaaaap+5, 0x1.42aaaaaaaaaaap+5,
+                 0x1.42aaaaaaaaaaap+5}},
+               {4146521395482159432u,
+                {0x1.49dddddddddddp+5, 0x1.49dddddddddddp+5, 0x1.49dddddddddddp+5,
+                 0x1.49dddddddddddp+5}});
+}
+
+TEST(VirtualTimePin, MpiMixedAlltoallv) {
+  // Rank s sends 500 * (1 + (s + 2d) % 4) floats to rank d.
+  const auto count = [](int s, int d) {
+    return static_cast<std::size_t>(500 * (1 + (s + 2 * d) % 4));
+  };
+  const MixedCall call{8000, 8000, [count](mini::Mpi& m, const float* s, float* r,
+                                           int rank) {
+                         std::vector<std::size_t> sc, sd, rc, rd;
+                         std::size_t so = 0, ro = 0;
+                         for (int peer = 0; peer < 4; ++peer) {
+                           sc.push_back(count(rank, peer));
+                           sd.push_back(so);
+                           so += sc.back();
+                           rc.push_back(count(peer, rank));
+                           rd.push_back(ro);
+                           ro += rc.back();
+                         }
+                         m.alltoallv(s, sc, sd, kFloat, r, rc, rd, kFloat,
+                                     m.comm_world());
+                       }};
+  expect_mixed(2, 2, call,
+               {13538730772980253913u,
+                {0x1.6ccccccccccccp+4, 0x1.7333333333332p+4, 0x1.7b7b7b7b7b7b6p+4,
+                 0x1.57fffffffffffp+4}},
+               {13538730772980253913u,
+                {0x1.6ccccccccccccp+4, 0x1.7333333333332p+4, 0x1.7b7b7b7b7b7b6p+4,
+                 0x1.7999999999998p+4}});
+}
+
+TEST(VirtualTimePin, MpiMixedScan) {
+  const MixedCall call{5000, 5000, [](mini::Mpi& m, const float* s, float* r, int) {
+                         m.scan(s, r, 5000, kFloat, kSum, m.comm_world());
+                       }};
+  expect_mixed(2, 2, call,
+               {2227181038239494711u,
+                {0x1.730303030303p+3, 0x1.464e4e4e4e4e5p+4, 0x1.afcfcfcfcfcfdp+4,
+                 0x1.afcfcfcfcfcfdp+4}},
+               {2227181038239494711u,
+                {0x1.730303030303p+3, 0x1.464e4e4e4e4e5p+4, 0x1.afcfcfcfcfcfdp+4,
+                 0x1.afcfcfcfcfcfdp+4}});
+}
+
+TEST(VirtualTimePin, MpiMixedExscan) {
+  const MixedCall call{5000, 5000, [](mini::Mpi& m, const float* s, float* r, int) {
+                         m.exscan(s, r, 5000, kFloat, kSum, m.comm_world());
+                       }};
+  expect_mixed(2, 2, call,
+               {4299216208507449872u,
+                {0x1.730303030303p+3, 0x1.464e4e4e4e4e5p+4, 0x1.afcfcfcfcfcfdp+4,
+                 0x1.afcfcfcfcfcfdp+4}},
+               {4299216208507449872u,
+                {0x1.730303030303p+3, 0x1.464e4e4e4e4e5p+4, 0x1.afcfcfcfcfcfdp+4,
+                 0x1.afcfcfcfcfcfdp+4}});
 }
 
 }  // namespace
