@@ -16,11 +16,9 @@ namespace mpixccl::fabric {
 
 namespace {
 
-/// Waits on transfers up to this size spin before parking: their peer is
-/// usually a few microseconds away, and a futex sleep plus wake-up costs
-/// more than that. Larger transfers park at once, so long waits never burn
-/// a core another rank thread needs.
-constexpr std::size_t kSpinMaxBytes = 64 * 1024;
+static_assert(kShareChunkBytes % datatype_size(DataType::DoubleComplex) == 0,
+              "a shared-move chunk must hold whole elements of the widest datatype");
+
 /// Polls of the state word before a small-transfer wait parks.
 constexpr int kSpinPolls = 2000;
 /// Every this many polls the spinner yields its core instead of pausing:
@@ -53,14 +51,65 @@ inline void cpu_relax() {
 #endif
 }
 
+/// Poll `i` of a spin: a pause, or every kYieldEvery polls a yield, since
+/// the thread it waits for may be queued behind it on the same core.
+inline void spin_pause(int i) {
+  if (i % kYieldEvery == 0) {
+    std::this_thread::yield();
+  } else {
+    cpu_relax();
+  }
+}
+
+/// A matched payload's move: dst = src, or for a receive-reduce
+/// dst = op(src, local).
+struct PayloadMove {
+  std::byte* dst = nullptr;
+  const std::byte* src = nullptr;
+  const std::byte* local = nullptr;  ///< null: a plain copy
+  DataType base = DataType::Byte;
+  ReduceOp op = ReduceOp::Sum;
+
+  /// Moves bytes [off, off + n); a reduce range holds whole elements.
+  void run(std::size_t off, std::size_t n) const {
+    if (local == nullptr) {
+      std::memcpy(dst + off, src + off, n);
+    } else {  // (base, op) and `local` were validated at post time
+      (void)apply_reduce(base, op, src + off, local + off, dst + off,
+                         n / datatype_size(base));
+    }
+  }
+};
+
 }  // namespace
 
 /// One-shot completion shared by a handle and the thread that closes its
 /// match. The result (or error) is written before the state word publishes
 /// it, so a waiter that reads a final state also sees the result.
+///
+/// Before resolving, the closing thread may publish a shared move through
+/// the cell (state kShared): it and the waiter then claim the payload's
+/// chunks from one counter, so the party that would otherwise sleep moves
+/// its share of the bytes. Each finished chunk is counted with release; the
+/// closer acquires the full count before it resolves the cell.
 class CompletionCell {
  public:
   explicit CompletionCell(std::size_t bytes) : spin_(bytes <= kSpinMaxBytes) {}
+
+  /// Runs `m` over `bytes` (at least kShareMinBytes) together with this
+  /// cell's waiter, and returns once every chunk has landed. Publishing
+  /// wakes a parked waiter; one that arrives later takes whatever chunks
+  /// are left, and none at all is fine: the caller then moves them all.
+  void share(const PayloadMove& m, std::size_t bytes) {
+    move_ = m;
+    bytes_ = bytes;
+    chunks_ = (bytes + kShareChunkBytes - 1) / kShareChunkBytes;
+    publish(kShared);
+    claim_chunks();
+    for (int i = 1; moved_.load(std::memory_order_acquire) < chunks_; ++i) {
+      spin_pause(i);  // the waiter's last chunk is in flight
+    }
+  }
 
   void set_value(const RecvResult& r) {
     result_ = r;
@@ -71,20 +120,14 @@ class CompletionCell {
     publish(kError);
   }
 
-  /// Blocks until published; rethrows a published error.
+  /// Blocks until resolved, moving chunks of a shared move meanwhile;
+  /// rethrows a published error.
   RecvResult get() {
-    std::uint32_t s = state_.load(std::memory_order_acquire);
-    for (int i = 1; s == kPending && spin_ && i <= kSpinPolls; ++i) {
-      if (i % kYieldEvery == 0) {
-        std::this_thread::yield();
-      } else {
-        cpu_relax();
-      }
-      s = state_.load(std::memory_order_acquire);
-    }
-    while (s == kPending) {
-      state_.wait(kPending, std::memory_order_acquire);
-      s = state_.load(std::memory_order_acquire);
+    std::uint32_t s = await(kPending, spin_);
+    if (s == kShared) {
+      claim_chunks();
+      // The closer has at most one chunk left before it resolves the cell.
+      s = await(kShared, true);
     }
     if (s == kError) std::rethrow_exception(error_);
     return result_;
@@ -94,6 +137,32 @@ class CompletionCell {
   static constexpr std::uint32_t kPending = 0;
   static constexpr std::uint32_t kValue = 1;
   static constexpr std::uint32_t kError = 2;
+  static constexpr std::uint32_t kShared = 3;
+
+  /// Waits until the state leaves `from` (spinning first if `spin`), and
+  /// returns the new state.
+  std::uint32_t await(std::uint32_t from, bool spin) {
+    std::uint32_t s = state_.load(std::memory_order_acquire);
+    for (int i = 1; s == from && spin && i <= kSpinPolls; ++i) {
+      spin_pause(i);
+      s = state_.load(std::memory_order_acquire);
+    }
+    while (s == from) {
+      state_.wait(from, std::memory_order_acquire);
+      s = state_.load(std::memory_order_acquire);
+    }
+    return s;
+  }
+
+  /// Claims and moves chunks of the shared move until none is left.
+  void claim_chunks() {
+    for (std::size_t c = next_.fetch_add(1, std::memory_order_relaxed); c < chunks_;
+         c = next_.fetch_add(1, std::memory_order_relaxed)) {
+      const std::size_t off = c * kShareChunkBytes;
+      move_.run(off, std::min(kShareChunkBytes, bytes_ - off));
+      moved_.fetch_add(1, std::memory_order_release);
+    }
+  }
 
   void publish(std::uint32_t s) {
     // seq_cst, not release: libstdc++'s notify skips the futex wake when it
@@ -108,6 +177,12 @@ class CompletionCell {
   const bool spin_;
   RecvResult result_;
   std::exception_ptr error_;
+  // The shared move: written before kShared is published, then read-only.
+  PayloadMove move_;
+  std::size_t bytes_ = 0;
+  std::size_t chunks_ = 0;
+  std::atomic<std::size_t> next_{0};   ///< next unclaimed chunk
+  std::atomic<std::size_t> moved_{0};  ///< chunks landed
 };
 
 sim::TimeUs PendingSend::wait(sim::VirtualClock& clock) {
@@ -127,30 +202,36 @@ RecvResult PendingRecv::wait(sim::VirtualClock& clock) {
   return r;
 }
 
-void Endpoint::complete(const PostedRecv& r, const PostedSend& s) {
+void Endpoint::complete(const PostedRecv& r, const PostedSend& s, CompletionCell* peer) {
   auto fail = [&](const std::string& what) {
     auto err = std::make_exception_ptr(Error(what));
     r.done->set_error(err);
     if (s.done) s.done->set_error(err);
   };
+  PayloadMove m{.dst = static_cast<std::byte*>(r.buf),
+                .src = static_cast<const std::byte*>(s.data)};
   if (r.reduce) {
     if (s.bytes != r.capacity) {
       fail("fabric: receive-reduce size mismatch (got " + std::to_string(s.bytes) +
            " bytes, posted " + std::to_string(r.capacity) + ")");
       return;
     }
-    // (base, op) and `local` were validated at post time, so this cannot fail.
-    if (s.bytes > 0) {
-      const void* local = r.reduce->local != nullptr ? r.reduce->local : r.buf;
-      (void)apply_reduce(r.reduce->base, r.reduce->op, s.data, local, r.buf,
-                         s.bytes / datatype_size(r.reduce->base));
-    }
+    m.local = static_cast<const std::byte*>(r.reduce->local != nullptr ? r.reduce->local
+                                                                        : r.buf);
+    m.base = r.reduce->base;
+    m.op = r.reduce->op;
   } else if (s.bytes > r.capacity) {
     fail("fabric: message truncation (got " + std::to_string(s.bytes) +
          " bytes, capacity " + std::to_string(r.capacity) + ")");
     return;
-  } else if (s.bytes > 0 && r.buf != s.data) {  // an in-place self move copies nothing
-    std::memcpy(r.buf, s.data, s.bytes);
+  }
+  // An in-place self move copies nothing.
+  if (s.bytes > 0 && (r.reduce || r.buf != s.data)) {
+    if (peer != nullptr && s.bytes >= kShareMinBytes) {
+      peer->share(m, s.bytes);
+    } else {
+      m.run(0, s.bytes);
+    }
   }
 
   const sim::TimeUs base =
@@ -197,7 +278,7 @@ PendingSend Endpoint::deliver(int src, int tag, ChannelId channel, const void* d
   PostedRecv r = std::move(*it);
   pending_.erase(it);
   lock.unlock();
-  complete(r, s);
+  complete(r, s, r.done.get());
   return handle;
 }
 
@@ -242,7 +323,7 @@ PendingRecv Endpoint::post_recv(int src, int tag, ChannelId channel, void* buf,
   const PostedSend s = std::move(*it);
   unexpected_.erase(it);
   lock.unlock();
-  complete(r, s);
+  complete(r, s, s.done.get());  // null for an eager send: nobody waits on it
   return handle;
 }
 

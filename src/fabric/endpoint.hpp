@@ -7,18 +7,28 @@
 // resolves (MPI's isend/irecv contract). Matching runs under the receiving
 // endpoint's mutex and is closed by whichever thread completes the pair
 // (the sender if a recv was pending, the receiver if the send was
-// unexpected); that thread then moves the payload once, from the send
-// buffer straight into the receive buffer, outside the mutex: one memcpy,
-// or, for a receive-reduce, one apply_reduce that combines the payload with
-// a local operand as it lands (buf = op(payload, local)), so a reduction
-// step needs no staging inbox. The local operand is the posted buffer
-// itself or a separate range the receiver owns (its own input block, read
-// where it lies, so the reduction needs no working copy of the input
-// either); the closing thread reads it, so it must stay unchanged until the
-// receive resolves. A receive-reduce payload must fill the posted buffer
-// exactly, and its (datatype, op) pair and local range are validated when
-// it is posted, so the closing thread never throws.
+// unexpected). The payload then moves once, from the send buffer straight
+// into the receive buffer, outside the mutex: a memcpy, or, for a
+// receive-reduce, an apply_reduce that combines the payload with a local
+// operand as it lands (buf = op(payload, local)), so a reduction step needs
+// no staging inbox. The local operand is the posted buffer itself or a
+// separate range the receiver owns (its own input block, read where it
+// lies, so the reduction needs no working copy of the input either); it is
+// read until the receive resolves, so it must stay unchanged until then. A
+// receive-reduce payload must fill the posted buffer exactly, and its
+// (datatype, op) pair and local range are validated when it is posted, so
+// the move never throws.
 //
+// Who moves the bytes:
+// - Below kShareMinBytes, the closing thread moves the whole payload.
+// - From kShareMinBytes up, if the other party has a handle to wait on (a
+//   posted receive, or a rendezvous send), the move is shared: the closing
+//   thread publishes it through the other party's completion cell, and both
+//   threads claim kShareChunkBytes chunks from one counter until none is
+//   left. A waiter parked on the cell is woken to help; one that arrives
+//   late takes what is left. The closer resolves both handles once every
+//   chunk has landed. Each element is still op(payload[i], local[i]), so
+//   the output does not depend on who moved which chunk.
 // - A rendezvous payload is never copied before the match: its sender
 //   cannot resolve until the receiver has the bytes.
 // - An eager sender resolves at post time and may reuse its buffer at once,
@@ -27,7 +37,8 @@
 // Handles resolve through a one-shot completion cell: the closing thread
 // publishes the result (or error), and the waiter spins briefly on small
 // transfers before parking in std::atomic::wait. The resolved virtual
-// completion times synchronize the two ranks' clocks.
+// completion times synchronize the two ranks' clocks; they do not depend on
+// how the bytes moved.
 
 #include <cstddef>
 #include <deque>
@@ -39,6 +50,16 @@
 #include "sim/time.hpp"
 
 namespace mpixccl::fabric {
+
+/// Waits on transfers up to this size spin before parking: their peer is
+/// usually a few microseconds away, and a futex sleep plus wake-up costs
+/// more than that. Larger transfers park at once, so long waits never burn
+/// a core another rank thread needs.
+inline constexpr std::size_t kSpinMaxBytes = 64 * 1024;
+/// A shared move is claimed in chunks of this size (the last may be short).
+inline constexpr std::size_t kShareChunkBytes = 64 * 1024;
+/// Payloads from this size up are moved by both parties of the match.
+inline constexpr std::size_t kShareMinBytes = 2 * kShareChunkBytes;
 
 class CompletionCell;
 
@@ -142,10 +163,11 @@ class Endpoint {
            (r.tag == kAnyTag || r.tag == s.tag);
   }
 
-  /// Complete a matched pair: copy (or reduce) the payload, price the
-  /// transfer, resolve both handles. Called without mu_: the pair is off
-  /// both queues.
-  static void complete(const PostedRecv& r, const PostedSend& s);
+  /// Complete a matched pair: copy (or reduce) the payload, sharing a
+  /// large move with the other party's waiter through `peer` (its cell, or
+  /// null when nobody waits), price the transfer, resolve both handles.
+  /// Called without mu_: the pair is off both queues.
+  static void complete(const PostedRecv& r, const PostedSend& s, CompletionCell* peer);
 
   int rank_;
   mutable std::mutex mu_;

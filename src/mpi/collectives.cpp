@@ -210,11 +210,10 @@ void Mpi::run_allreduce(const CollArgs& a, Comm& comm) {
   // Recursive doubling for small vectors, Rabenseifner above.
   const bool rd = bytes <= kAllreduceRdMaxBytes ||
                   n_elems < static_cast<std::size_t>(pof2) || pof2 == 1;
-  // The fold and recursive doubling stage each incoming vector in an inbox
-  // (recursive doubling sends the very vector it reduces into); the
-  // Rabenseifner halving reduces straight into the kept range instead.
-  const bool folded_into = me < 2 * rem && me % 2 == 1;
-  const auto inbox = (rd || folded_into) ? uninit(bytes) : nullptr;
+  // Recursive doubling stages each incoming vector in an inbox: it sends the
+  // very vector it reduces into. The fold and the Rabenseifner halving
+  // reduce straight into recvbuf as the payload lands.
+  const auto inbox = rd ? uninit(bytes) : nullptr;
 
   // Fold phase for non-power-of-two sizes (MPICH scheme): the first 2*rem
   // ranks pair up; even ranks push their vector to the odd partner and sit
@@ -227,11 +226,9 @@ void Mpi::run_allreduce(const CollArgs& a, Comm& comm) {
       wait(sr);
       eff_rank = -1;
     } else {
-      Request rr =
-          irecv_bytes(inbox.get(), bytes, me - 1, 1, ch, comm, receive_kind(a));
+      Request rr = irecv_bytes(recvbuf, bytes, me - 1, 1, ch, comm, receive_kind(a),
+                               fabric::ReduceSpec{a.dt.base, a.redop});
       wait(rr);
-      throw_if_error(apply_reduce(a.dt.base, a.redop, inbox.get(), recvbuf, n_elems),
-                     "Mpi::allreduce fold");
       eff_rank = me / 2;
     }
   } else {

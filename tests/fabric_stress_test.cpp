@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "fabric/endpoint.hpp"
 #include "fabric/world.hpp"
 #include "mpi/mpi.hpp"
 #include "sim/profiles.hpp"
@@ -201,6 +202,71 @@ TEST(FabricStress, HandOffSoakLosesNoWakeUp) {
         mpi.send(buf.data(), buf.size(), kInt, partner, 2, comm);
       }
     }
+  });
+}
+
+TEST(FabricStress, SharedMoveSoakLosesNoWakeUp) {
+  // Pairs (0<->1, 2<->3) pass payloads of two and a half chunks, which both
+  // parties of the match move. A small token fixes the match order: on even
+  // rounds the receiver posts, sends the token and parks, so the sender's
+  // match publishes the move to a parked receiver; on odd rounds the
+  // sender's rendezvous send is queued and parked on before the receiver
+  // posts. Every other pair of rounds the receiver reduces the payload into
+  // its accumulator instead of copying it. A lost wake-up hangs the test; a
+  // chunk moved twice, or not at all, fails the check.
+  fabric::World world(fabric::WorldConfig{sim::thetagpu(), 1, 4});
+  world.run([](fabric::RankContext& ctx) {
+    Mpi mpi(ctx, ctx.profile().mpi);
+    Comm& comm = mpi.comm_world();
+    const int me = mpi.rank();
+    const int partner = me ^ 1;
+    constexpr int kIters = 2000;
+    constexpr std::size_t kCount =
+        (fabric::kShareMinBytes + fabric::kShareChunkBytes / 2) / sizeof(double) + 3;
+    std::vector<double> buf(kCount);
+    int token = 0;
+    // A wrong element is recorded, not asserted on the spot: a receiver that
+    // left the loop would hang its sender.
+    int bad_round = -1;
+    std::size_t bad_elem = 0;
+    for (int i = 0; i < kIters; ++i) {
+      const bool recv_first = i % 2 == 0;
+      const bool reduce = (i / 2) % 2 == 1;
+      if (me % 2 == 0) {
+        for (std::size_t j = 0; j < kCount; ++j) buf[j] = static_cast<double>(i + j);
+        if (recv_first) {
+          mpi.recv(&token, 1, kInt, partner, 1, comm);
+          mpi.send(buf.data(), kCount, kDouble, partner, 2, comm);
+        } else {
+          Request s = mpi.isend(buf.data(), kCount, kDouble, partner, 2, comm);
+          mpi.send(&token, 1, kInt, partner, 1, comm);
+          mpi.wait(s);
+        }
+      } else {
+        for (std::size_t j = 0; j < kCount; ++j) buf[j] = reduce ? 0.5 * j : -1.0;
+        auto post = [&] {
+          return reduce ? mpi.irecv_reduce(buf.data(), kCount, kDouble, ReduceOp::Sum,
+                                           partner, 2, comm)
+                        : mpi.irecv(buf.data(), kCount, kDouble, partner, 2, comm);
+        };
+        Request r;
+        if (recv_first) {
+          r = post();
+          mpi.send(&token, 1, kInt, partner, 1, comm);
+        } else {
+          mpi.recv(&token, 1, kInt, partner, 1, comm);
+          r = post();
+        }
+        mpi.wait(r);
+        for (std::size_t j = 0; j < kCount && bad_round < 0; ++j) {
+          if (buf[j] != static_cast<double>(i + j) + (reduce ? 0.5 * j : 0.0)) {
+            bad_round = i;
+            bad_elem = j;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(bad_round, -1) << "rank " << me << " first wrong element " << bad_elem;
   });
 }
 

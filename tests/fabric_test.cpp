@@ -5,10 +5,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <exception>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/reduce.hpp"
@@ -471,6 +475,199 @@ TEST(RecvReduce, PartlyOverlappingLocalIsRejectedAtPostNamingBothRanges) {
     EXPECT_TRUE(r.valid());
   }
   EXPECT_EQ(ep.pending_recv_count(), 2u);
+}
+
+// ---- Shared moves: both parties of a large match move chunks ---------------
+
+/// What both handles of one matched rendezvous pair resolved to.
+struct PairOutcome {
+  RecvResult recv;
+  std::exception_ptr recv_error;
+  sim::TimeUs send_done = 0.0;
+  std::exception_ptr send_error;
+};
+
+/// Runs one rendezvous pair on endpoint 0 with the party that does not close
+/// the match already waiting on its own thread: with `recv_first` the
+/// receiver waits and the sender closes, otherwise the reverse. Priced at
+/// max(10, 4) + 1 + bytes / 1000.
+PairOutcome run_pair(bool recv_first, const void* payload, std::size_t bytes, void* buf,
+                     std::size_t capacity, std::optional<ReduceSpec> reduce) {
+  Endpoint ep(0);
+  const SendPolicy rndv{.rendezvous = true, .eager_complete_us = 0.0};
+  PairOutcome o;
+  auto wait_recv = [&](PendingRecv& r) {
+    sim::VirtualClock clock;
+    try {
+      o.recv = r.wait(clock);
+    } catch (...) {
+      o.recv_error = std::current_exception();
+    }
+  };
+  auto wait_send = [&](PendingSend& s) {
+    sim::VirtualClock clock;
+    try {
+      o.send_done = s.wait(clock);
+    } catch (...) {
+      o.send_error = std::current_exception();
+    }
+  };
+  auto post_recv = [&] {
+    return ep.post_recv(1, 0, 3, buf, capacity, 4.0, flat_cost(1.0, 1000.0), reduce);
+  };
+  auto deliver = [&] { return ep.deliver(1, 0, 3, payload, bytes, 10.0, rndv); };
+  // Long enough for the waiter to park before the closer publishes.
+  constexpr auto kLetItPark = std::chrono::milliseconds(1);
+  if (recv_first) {
+    PendingRecv r = post_recv();
+    std::thread waiter([&] { wait_recv(r); });
+    std::this_thread::sleep_for(kLetItPark);
+    PendingSend s = deliver();
+    wait_send(s);
+    waiter.join();
+  } else {
+    PendingSend s = deliver();
+    std::thread waiter([&] { wait_send(s); });
+    std::this_thread::sleep_for(kLetItPark);
+    PendingRecv r = post_recv();
+    wait_recv(r);
+    waiter.join();
+  }
+  return o;
+}
+
+/// `n` elements of `dt` with finite values small enough that no sum of two
+/// overflows, from a seed.
+std::vector<std::byte> sample(DataType dt, std::size_t n, std::uint64_t seed) {
+  std::vector<std::byte> out(n * datatype_size(dt));
+  std::uint64_t x = seed;
+  auto put = [&](std::size_t i, auto v) { std::memcpy(&out[i * sizeof(v)], &v, sizeof(v)); };
+  for (std::size_t i = 0; i < n; ++i) {
+    x = splitmix64(x);
+    const auto small = static_cast<std::int64_t>(x % 101) - 50;
+    const double real = static_cast<double>(static_cast<std::int64_t>(x % 20001) - 10000) / 64;
+    switch (dt) {
+      case DataType::Int8: put(i, static_cast<std::int8_t>(small)); break;
+      case DataType::Uint8: put(i, static_cast<std::uint8_t>(small + 50)); break;
+      case DataType::Int32: put(i, static_cast<std::int32_t>(small)); break;
+      case DataType::Uint32: put(i, static_cast<std::uint32_t>(small + 50)); break;
+      case DataType::Int64: put(i, small); break;
+      case DataType::Uint64: put(i, static_cast<std::uint64_t>(small + 50)); break;
+      case DataType::Float16:
+      case DataType::BFloat16:
+        // Sign, then an exponent field below half its range: finite.
+        put(i, static_cast<std::uint16_t>(x & 0xBFFF));
+        break;
+      case DataType::Float32: put(i, static_cast<float>(real)); break;
+      case DataType::Float64: put(i, real); break;
+      case DataType::FloatComplex:
+        put(2 * i, static_cast<float>(real));
+        put(2 * i + 1, static_cast<float>(-real / 3));
+        break;
+      case DataType::DoubleComplex:
+        put(2 * i, real);
+        put(2 * i + 1, -real / 3);
+        break;
+      case DataType::Byte: put(i, static_cast<std::uint8_t>(x)); break;
+    }
+  }
+  return out;
+}
+
+constexpr DataType kReducible[] = {
+    DataType::Int8,    DataType::Uint8,    DataType::Int32,        DataType::Uint32,
+    DataType::Int64,   DataType::Uint64,   DataType::Float16,      DataType::BFloat16,
+    DataType::Float32, DataType::Float64,  DataType::FloatComplex, DataType::DoubleComplex};
+
+/// Payload sizes around the sharing threshold, for element size `e`: one
+/// element short of two chunks (moved whole), exactly two chunks, one
+/// element more, and a size that is no multiple of the chunk.
+std::vector<std::size_t> sizes_around_threshold(std::size_t e) {
+  return {kShareMinBytes - e, kShareMinBytes, kShareMinBytes + e,
+          kShareMinBytes + kShareChunkBytes / 2 + 3 * e};
+}
+
+enum class MoveKind { Copy, ReduceInPlace, ReduceWithLocal };
+
+TEST(SharedMove, ByteExactAgainstASerialMoveForEveryDatatypeSizeAndOrder) {
+  for (const DataType dt : kReducible) {
+    const std::size_t e = datatype_size(dt);
+    for (const std::size_t bytes : sizes_around_threshold(e)) {
+      const std::size_t n = bytes / e;
+      const std::vector<std::byte> payload = sample(dt, n, 1);
+      const std::vector<std::byte> local = sample(dt, n, 2);
+      for (const MoveKind kind :
+           {MoveKind::Copy, MoveKind::ReduceInPlace, MoveKind::ReduceWithLocal}) {
+        // The serial reference: one memcpy, or one apply_reduce over it all.
+        std::vector<std::byte> want = payload;
+        if (kind != MoveKind::Copy) {
+          ASSERT_EQ(apply_reduce(dt, ReduceOp::Sum, payload.data(), local.data(),
+                                 want.data(), n),
+                    XcclResult::Success);
+        }
+        for (const bool recv_first : {true, false}) {
+          SCOPED_TRACE(std::string(to_string(dt)) + " " + std::to_string(bytes) +
+                       " B kind " + std::to_string(static_cast<int>(kind)) +
+                       (recv_first ? " receive first" : " send first"));
+          std::vector<std::byte> buf(bytes, std::byte{0x5a});
+          std::optional<ReduceSpec> reduce;
+          if (kind == MoveKind::ReduceInPlace) {
+            buf = local;
+            reduce = ReduceSpec{dt, ReduceOp::Sum};
+          } else if (kind == MoveKind::ReduceWithLocal) {
+            reduce = ReduceSpec{dt, ReduceOp::Sum, local.data()};
+          }
+          const PairOutcome o =
+              run_pair(recv_first, payload.data(), bytes, buf.data(), bytes, reduce);
+          ASSERT_FALSE(o.recv_error);
+          ASSERT_FALSE(o.send_error);
+          EXPECT_EQ(o.recv.bytes, bytes);
+          // Priced as before: max(10, 4) + 1 + bytes / 1000 MB/s.
+          const double t = 11.0 + static_cast<double>(bytes) / 1000.0;
+          EXPECT_DOUBLE_EQ(o.recv.completion, t);
+          EXPECT_DOUBLE_EQ(o.send_done, t);
+          EXPECT_EQ(std::memcmp(buf.data(), want.data(), bytes), 0);
+          EXPECT_EQ(local, sample(dt, n, 2)) << "the local operand was written";
+        }
+      }
+    }
+  }
+}
+
+TEST(SharedMove, LargeInPlaceSelfMoveCopiesNothing) {
+  // The payload is the posted buffer itself; a memcpy onto itself would be
+  // undefined (and a sanitizer error).
+  const std::size_t bytes = kShareMinBytes + kShareChunkBytes / 2;
+  std::vector<std::byte> buf = sample(DataType::Byte, bytes, 3);
+  const std::vector<std::byte> before = buf;
+  for (const bool recv_first : {true, false}) {
+    const PairOutcome o =
+        run_pair(recv_first, buf.data(), bytes, buf.data(), bytes, std::nullopt);
+    ASSERT_FALSE(o.recv_error);
+    ASSERT_FALSE(o.send_error);
+    EXPECT_EQ(buf, before);
+  }
+}
+
+TEST(SharedMove, ErrorsShareNothingAndFailBothHandles) {
+  const std::size_t big = 4 * kShareChunkBytes;
+  const std::size_t small = 3 * kShareChunkBytes;
+  const std::vector<std::byte> payload = sample(DataType::Float64, big / 8, 4);
+  for (const bool recv_first : {true, false}) {
+    SCOPED_TRACE(recv_first ? "receive first" : "send first");
+    // Truncation: a plain receive posted for three chunks gets four.
+    std::vector<std::byte> buf(big, std::byte{0});
+    PairOutcome o = run_pair(recv_first, payload.data(), big, buf.data(), small,
+                             std::nullopt);
+    EXPECT_TRUE(o.recv_error);
+    EXPECT_TRUE(o.send_error);
+    EXPECT_EQ(buf, std::vector<std::byte>(big, std::byte{0}));
+    // Size mismatch: a receive-reduce posted for four chunks gets three.
+    o = run_pair(recv_first, payload.data(), small, buf.data(), big, kSumF64);
+    EXPECT_TRUE(o.recv_error);
+    EXPECT_TRUE(o.send_error);
+    EXPECT_EQ(buf, std::vector<std::byte>(big, std::byte{0}));
+  }
 }
 
 TEST(World, RunsAllRanksAndPropagatesExceptions) {
