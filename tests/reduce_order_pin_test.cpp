@@ -200,8 +200,8 @@ TEST(ReduceOrderPin, MpiReduceScatterBlockDeviceRendezvous) {
       kMpiRsbRendezvous);
 }
 
-/// MiniMPI reduce of `n` elements to `root` on 1x5 (an uneven binomial
-/// tree); only the root's output is defined.
+/// MiniMPI reduce of `n` elements to `root` (an uneven binomial tree on 1x5
+/// and 1x6); only the root's output is defined.
 RankBody mpi_reduce_body(std::size_t n, int root, DataType dt, ReduceOp op) {
   return [=](fabric::RankContext& ctx) {
     mini::Mpi mpi(ctx, ctx.profile().mpi);
@@ -310,14 +310,14 @@ TEST(ReduceOrderPin, CclRingAllreduceInPlace) {
       kRingDivisible);
 }
 
-/// CCL reduce of `n` elements to rank 1.
-CclBody ccl_reduce_body(std::size_t n, DataType dt, ReduceOp op) {
+/// CCL reduce of `n` elements to `root`.
+CclBody ccl_reduce_body(std::size_t n, DataType dt, ReduceOp op, int root = 1) {
   return [=](xccl::CclBackend& b, xccl::CclComm& comm, fabric::RankContext& ctx) {
     const auto in = seeded_input(dt, n, ctx.rank());
     std::vector<std::byte> out(in.size());
-    EXPECT_EQ(b.reduce(in.data(), out.data(), n, dt, op, 1, comm, ctx.stream()),
+    EXPECT_EQ(b.reduce(in.data(), out.data(), n, dt, op, root, comm, ctx.stream()),
               XcclResult::Success);
-    if (ctx.rank() != 1) out.clear();  // only the root's output is defined
+    if (ctx.rank() != root) out.clear();  // only the root's output is defined
     return out;
   };
 }
@@ -505,14 +505,16 @@ constexpr ReduceOp kSum = ReduceOp::Sum;
 // Hashes reuse the Float32 Sum entries of the ReduceOrderPin sets above.
 TEST(VirtualTimePin, MpiReduceScatterBlockDeviceEager) {
   expect_timed(2, 2, mpi_rsb_device(kEagerBlock, kF32, kSum), kMpiRsbEager[0],
-               {0x1.db33333333332p+4, 0x1.e28a8a8a8a8a7p+4, 0x1.f0f0f0f0f0f0dp+4,
+               {0x1.db33333333332p+4, 0x1.e28a8a8a8a8a7p+4,
+                0x1.f0f0f0f0f0f0dp+4,
                 0x1.b79f9f9f9f9f9p+4});
 }
 
 TEST(VirtualTimePin, MpiReduceScatterBlockDeviceRendezvous) {
   expect_timed(2, 2, mpi_rsb_device(kRendezvousBlock, kF32, kSum),
                kMpiRsbRendezvous[0],
-               {0x1.4667ef9db22d1p+6, 0x1.2ece560418937p+6, 0x1.2ece560418937p+6,
+               {0x1.4667ef9db22d1p+6, 0x1.2ece560418937p+6,
+                0x1.2ece560418937p+6,
                 0x1.4667ef9db22d1p+6});
 }
 
@@ -543,14 +545,18 @@ TEST(VirtualTimePin, CclReduceScatterInPlaceP4) {
 
 TEST(VirtualTimePin, MpiReduceTree) {
   expect_timed(1, 5, mpi_reduce_body(kTreeElems, 2, kF32, kSum), kMpiReduceTree[0],
-               {0x1.6666666666666p+0, 0x1.6666666666666p+0, 0x1.ccdd2f1a9fbe8p+2,
-                0x1.6666666666666p+0, 0x1.e671529a485cdp+1});
+               {0x1.6666666666666p+0, 0x1.6666666666666p+0,
+                0x1.ccdd2f1a9fbe8p+2,
+                0x1.6666666666666p+0,
+                0x1.e671529a485cdp+1});
 }
 
 TEST(VirtualTimePin, MpiScanChain) {
   expect_timed(1, 5, mpi_scan_body(kTreeElems, kF32, kSum), kMpiScanChain[0],
-               {0x1.6666666666666p+0, 0x1.e671529a485cdp+1, 0x1.8cd7b900aec34p+2,
-                0x1.133b645a1cac1p+3, 0x1.333e1f671529bp+3});
+               {0x1.6666666666666p+0, 0x1.e671529a485cdp+1,
+                0x1.8cd7b900aec34p+2,
+                0x1.133b645a1cac1p+3,
+                0x1.333e1f671529bp+3});
 }
 
 TEST(VirtualTimePin, CclTreeAllreduce) {
@@ -565,6 +571,78 @@ TEST(VirtualTimePin, CclTreeReduce) {
                kCclTreeReduce[0], {0x1.3270d1bed75c7p+10, 0x1.3270d1bed75c7p+10,
                                    0x1.31e59b3f9d1edp+10, 0x1.322b367f3a3dap+10,
     0x1.31e59b3f9d1edp+10});
+}
+
+// ---- Tree and ring schedules shared by several collectives ---------------------
+// Bcast, reduce and the tree allreduce walk one binomial tree; allgather, the
+// ring allreduce and the ring reduce walk one ring. These pin the clocks of
+// the walks the cases above leave unpinned: non-power-of-two trees with a
+// nonzero root, and the ring allgather on its own.
+
+/// CCL broadcast of `n` floats from `root` (below the tree threshold).
+CclBody ccl_bcast_body(std::size_t n, int root) {
+  return [=](xccl::CclBackend& b, xccl::CclComm& comm, fabric::RankContext& ctx) {
+    auto buf = seeded_input(kF32, n, ctx.rank());
+    EXPECT_EQ(b.broadcast(buf.data(), n, kF32, root, comm, ctx.stream()),
+              XcclResult::Success);
+    return buf;
+  };
+}
+
+/// CCL allgather of `block` floats per rank.
+CclBody ccl_allgather_body(std::size_t block) {
+  return [=](xccl::CclBackend& b, xccl::CclComm& comm, fabric::RankContext& ctx) {
+    const auto in = seeded_input(kF32, block, ctx.rank());
+    std::vector<std::byte> out(in.size() * static_cast<std::size_t>(ctx.size()));
+    EXPECT_EQ(b.all_gather(in.data(), out.data(), block, kF32, comm, ctx.stream()),
+              XcclResult::Success);
+    return out;
+  };
+}
+
+/// MiniMPI broadcast of `n` floats from `root`.
+RankBody mpi_bcast_body(std::size_t n, int root) {
+  return [=](fabric::RankContext& ctx) {
+    mini::Mpi mpi(ctx, ctx.profile().mpi);
+    auto buf = seeded_input(kF32, n, ctx.rank());
+    mpi.bcast(buf.data(), n, mini::Datatype{kF32, 1}, root, mpi.comm_world());
+    return buf;
+  };
+}
+
+TEST(VirtualTimePin, CclTreeBcastRoot3) {
+  expect_timed(1, 5, with_ccl(ccl_bcast_body(kTreeElems, 3)), 9430688217020027311u,
+               {0x1.3270d1bed75c7p+10, 0x1.3270d1bed75c7p+10, 0x1.31e59b3f9d1edp+10,
+                0x1.3270d1bed75c7p+10, 0x1.3270d1bed75c7p+10});
+}
+
+TEST(VirtualTimePin, CclRingAllgatherP3) {
+  expect_timed(1, 3, with_ccl(ccl_allgather_body(5000)), 13779001312133207524u,
+               std::vector<double>(3, 0x1.323f7b5e11168p+10));
+}
+
+TEST(VirtualTimePin, CclRingAllgatherP4) {
+  expect_timed(1, 4, with_ccl(ccl_allgather_body(5000)), 13710298797204370725u,
+               std::vector<double>(4, 0x1.328f390d19a1cp+10));
+}
+
+TEST(VirtualTimePin, CclRingReduceRoot2) {
+  expect_timed(1, 4, with_ccl(ccl_reduce_body(100003, kF32, kSum, 2)),
+               1211379818709410102u,
+               {0x1.33746d30009dcp+10, 0x1.33e9887c00c53p+10, 0x1.345ea3c800ecap+10,
+                0x1.345ea3c800ecap+10});
+}
+
+TEST(VirtualTimePin, MpiTreeBcastRoot3) {
+  expect_timed(1, 5, mpi_bcast_body(kTreeElems, 3), 9430688217020027311u,
+               {0x1.4cd242e6bdc8p+2, 0x1.8cd7b900aec34p+2, 0x1.333e1f671529ap+1,
+                0x1.0ccccccccccccp+2, 0x1.4cd242e6bdc8p+2});
+}
+
+TEST(VirtualTimePin, MpiTreeReduceP6Root5) {
+  expect_timed(1, 6, mpi_reduce_body(kTreeElems, 5, kF32, kSum), 12536753764802874765u,
+               {0x1.6666666666666p+0, 0x1.e671529a485cdp+1, 0x1.6666666666666p+0,
+                0x1.e671529a485cdp+1, 0x1.6666666666666p+0, 0x1.ccdd2f1a9fbe8p+2});
 }
 
 // ---- MiniMPI under mixed memory kinds --------------------------------------
