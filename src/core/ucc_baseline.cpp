@@ -2,16 +2,10 @@
 
 #include <cstring>
 
+#include "common/schedule.hpp"
 #include "core/xccl_mpi.hpp"
 
 namespace mpixccl::core {
-
-namespace {
-const std::byte* cat(const void* p, std::size_t off) {
-  return static_cast<const std::byte*>(p) + off;
-}
-std::byte* mat(void* p, std::size_t off) { return static_cast<std::byte*>(p) + off; }
-}  // namespace
 
 UccBaseline::UccBaseline(fabric::RankContext& ctx)
     : ctx_(&ctx),
@@ -55,34 +49,11 @@ void UccBaseline::run_on_ucp(const std::function<void()>& op) {
   }
 }
 
-xccl::CclComm& UccBaseline::ccl_comm(
-    mini::Comm& comm, xccl::CclBackend& backend,
-    std::map<fabric::ChannelId, xccl::CclComm>& cache) {
-  const fabric::ChannelId key = comm.p2p_channel();
-  auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-  xccl::UniqueId id{};
-  if (comm.rank() == 0) {
-    id = xccl::UniqueId::derive(key ^ (&cache == &compose_comms_ ? 0x77 : 0),
-                                ++seq_);
-  }
-  mpi_.bcast(&id, sizeof(id), mini::kByte, 0, comm);
-  std::vector<int> world_ranks(static_cast<std::size_t>(comm.size()));
-  for (int r = 0; r < comm.size(); ++r) {
-    world_ranks[static_cast<std::size_t>(r)] = comm.world_rank(r);
-  }
-  xccl::CclComm cc;
-  throw_if_error(backend.comm_init_rank(cc, comm.size(), id, comm.rank(),
-                                        world_ranks),
-                 "UccBaseline comm init");
-  return cache.emplace(key, std::move(cc)).first->second;
-}
-
 void UccBaseline::builtin(mini::CollArgs a, mini::Comm& comm) {
   a = mini::resolve(a, comm);
   if (use_ccl(a)) {
     ctx_->clock().advance(ucc_.per_op_us);
-    xccl::CclComm& cc = ccl_comm(comm, *coll_backend_, coll_comms_);
+    xccl::CclComm& cc = cached_ccl_comm(coll_comms_, mpi_, *coll_backend_, comm, 0, seq_);
     throw_if_error(launch_builtin(*coll_backend_, cc, ctx_->stream(), a), "ucc builtin");
     ctx_->stream().synchronize(ctx_->clock());
     return;
@@ -105,7 +76,8 @@ void UccBaseline::alltoall(const void* sendbuf, std::size_t sendcount,
   if (a.device() && !a.snapshot && coll_backend_->capabilities().can_move(st.base) &&
       st.size() == rt.size()) {
     ctx_->clock().advance(ucc_.per_op_us);
-    xccl::CclComm& cc = ccl_comm(comm, *compose_backend_, compose_comms_);
+    xccl::CclComm& cc =
+        cached_ccl_comm(compose_comms_, mpi_, *compose_backend_, comm, 0x77, seq_);
     const int p = comm.size();
     const int me = comm.rank();
     const std::size_t sblock = sendcount * st.size();
@@ -113,19 +85,19 @@ void UccBaseline::alltoall(const void* sendbuf, std::size_t sendcount,
     // Per-peer phases (no cross-peer batching): p-1 sequential exchange
     // groups, each paying the compose alpha — the UCC Alltoall weakness the
     // paper measures.
-    std::memcpy(mat(recvbuf, static_cast<std::size_t>(me) * rblock),
-                cat(sendbuf, static_cast<std::size_t>(me) * sblock), sblock);
+    std::memcpy(at(recvbuf, static_cast<std::size_t>(me) * rblock),
+                at(sendbuf, static_cast<std::size_t>(me) * sblock), sblock);
     for (int s = 1; s < p; ++s) {
       const int dst = (me + s) % p;
       const int src = (me - s + p) % p;
       throw_if_error(compose_backend_->group_start(), "ucc alltoall");
       throw_if_error(
-          compose_backend_->send(cat(sendbuf, static_cast<std::size_t>(dst) * sblock),
+          compose_backend_->send(at(sendbuf, static_cast<std::size_t>(dst) * sblock),
                                  sendcount * st.count, st.base, dst, cc,
                                  ctx_->stream()),
           "ucc alltoall send");
       throw_if_error(
-          compose_backend_->recv(mat(recvbuf, static_cast<std::size_t>(src) * rblock),
+          compose_backend_->recv(at(recvbuf, static_cast<std::size_t>(src) * rblock),
                                  recvcount * rt.count, rt.base, src, cc,
                                  ctx_->stream()),
           "ucc alltoall recv");

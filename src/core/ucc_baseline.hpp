@@ -66,8 +66,6 @@ class UccBaseline {
   [[nodiscard]] bool spans_nodes() const;
   /// Run a UCP-path collective with UCC's layer overheads applied.
   void run_on_ucp(const std::function<void()>& op);
-  xccl::CclComm& ccl_comm(mini::Comm& comm, xccl::CclBackend& backend,
-                          std::map<fabric::ChannelId, xccl::CclComm>& cache);
 
   fabric::RankContext* ctx_;
   mini::Mpi mpi_;  ///< Open MPI + UCX cost profile

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/log.hpp"
+#include "common/schedule.hpp"
 #include "obs/analyze.hpp"
 #include "obs/fleet.hpp"
 #include "obs/metrics.hpp"
@@ -14,10 +15,6 @@
 namespace mpixccl::core {
 
 namespace {
-const std::byte* cat(const void* p, std::size_t off) {
-  return static_cast<const std::byte*>(p) + off;
-}
-std::byte* mat(void* p, std::size_t off) { return static_cast<std::byte*>(p) + off; }
 
 /// The tuning and telemetry op of an MPI collective: a v-form shares the
 /// op of its base collective except allgatherv and alltoallv.
@@ -57,9 +54,6 @@ XcclMpi::XcclMpi(fabric::RankContext& ctx, XcclMpiOptions options)
   backend_ = xccl::make_backend(kind, ctx, cp);
   hier_ = std::make_unique<hier::HierEngine>(mpi_);
   if (options_.hier_levels) hier_->set_levels(*options_.hier_levels);
-  if (options_.hier_single_copy_min) {
-    hier_->set_single_copy_min(*options_.hier_single_copy_min);
-  }
   auto& reg = obs::Registry::instance();
   ctr_plan_hit_ = &reg.counter("plan.cache.hit");
   ctr_plan_miss_ = &reg.counter("plan.cache.miss");
@@ -169,28 +163,6 @@ EnginePick XcclMpi::pick_classified(CollOp op, std::size_t bytes,
   return pick_table(op, bytes);
 }
 
-xccl::CclComm& XcclMpi::ccl_comm(mini::Comm& comm) {
-  const fabric::ChannelId key = comm.p2p_channel();
-  auto it = ccl_comms_.find(key);
-  if (it != ccl_comms_.end()) return it->second;
-
-  // Collective creation, mirroring the real bootstrap: the root generates a
-  // unique id and broadcasts it over MPI; everyone joins.
-  xccl::UniqueId id{};
-  if (comm.rank() == 0) id = xccl::UniqueId::derive(key, ++ccl_comm_seq_);
-  mpi_.bcast(&id, sizeof(id), mini::kByte, 0, comm);
-
-  std::vector<int> world_ranks(static_cast<std::size_t>(comm.size()));
-  for (int r = 0; r < comm.size(); ++r) {
-    world_ranks[static_cast<std::size_t>(r)] = comm.world_rank(r);
-  }
-  xccl::CclComm cc;
-  throw_if_error(
-      backend_->comm_init_rank(cc, comm.size(), id, comm.rank(), world_ranks),
-      "XcclMpi: CCL communicator bootstrap");
-  return ccl_comms_.emplace(key, std::move(cc)).first->second;
-}
-
 // ---- Plan/execute split -----------------------------------------------------
 
 std::shared_ptr<const Plan> XcclMpi::plan_for(const mini::CollArgs& a,
@@ -254,7 +226,7 @@ std::shared_ptr<Plan> XcclMpi::build_plan(const PlanKey& key, CollOp op,
   // the bootstrap or the splits. Both resolutions are collective on first
   // use, which is safe exactly because builds are rank-uniform (above).
   if (plan->pick.engine == Engine::Xccl) {
-    plan->ccl = &ccl_comm(comm);
+    plan->ccl = &cached_ccl_comm(ccl_comms_, mpi_, *backend_, comm, 0, ccl_comm_seq_);
   } else if (plan->pick.engine == Engine::Hier) {
     plan->hier = &hier_->prepare(comm);
     plan->hier_epoch = hier_->config_epoch();
@@ -335,6 +307,24 @@ void XcclMpi::complete(OpRecord& rec, const EnginePick& pick,
 }
 
 // ---- The dispatch ladder ----------------------------------------------------
+
+xccl::CclComm& cached_ccl_comm(CclCommCache& cache, mini::Mpi& mpi, xccl::CclBackend& b,
+                               mini::Comm& comm, fabric::ChannelId salt,
+                               std::uint64_t& seq) {
+  const fabric::ChannelId key = comm.p2p_channel();
+  if (auto it = cache.find(key); it != cache.end()) return it->second;
+  xccl::UniqueId id{};
+  if (comm.rank() == 0) id = xccl::UniqueId::derive(key ^ salt, ++seq);
+  mpi.bcast(&id, sizeof(id), mini::kByte, 0, comm);
+  std::vector<int> world_ranks(static_cast<std::size_t>(comm.size()));
+  for (int r = 0; r < comm.size(); ++r) {
+    world_ranks[static_cast<std::size_t>(r)] = comm.world_rank(r);
+  }
+  xccl::CclComm cc;
+  throw_if_error(b.comm_init_rank(cc, comm.size(), id, comm.rank(), world_ranks),
+                 "CCL communicator bootstrap");
+  return cache.emplace(key, std::move(cc)).first->second;
+}
 
 XcclResult launch_builtin(xccl::CclBackend& b, xccl::CclComm& cc, device::Stream& s,
                           const mini::CollArgs& a) {
@@ -611,7 +601,8 @@ XcclResult XcclMpi::x_group(obs::SpanName name, const mini::CollArgs& a,
   if (!caps.can_move(st.base) || !caps.can_move(rt.base)) {
     return XcclResult::UnsupportedDatatype;
   }
-  xccl::CclComm& cc = ccl_comm(comm);
+  xccl::CclComm& cc =
+      cached_ccl_comm(ccl_comms_, mpi_, *backend_, comm, 0, ccl_comm_seq_);
   device::Stream& stream = context().stream();
   // The error names the group's stage, built only on failure.
   const auto check = [name](XcclResult r, std::string_view step) {
@@ -623,12 +614,12 @@ XcclResult XcclMpi::x_group(obs::SpanName name, const mini::CollArgs& a,
   obs::Span span(rank(), context().clock(), name);
   check(backend_->group_start(), "group_start");
   for (const P2pMove& m : sends) {
-    check(backend_->send(cat(a.sendbuf, m.off * st.size()), m.count * st.count, st.base,
+    check(backend_->send(at(a.sendbuf, m.off * st.size()), m.count * st.count, st.base,
                          m.peer, cc, stream),
           "send");
   }
   for (const P2pMove& m : recvs) {
-    check(backend_->recv(mat(a.recvbuf, m.off * rt.size()), m.count * rt.count, rt.base,
+    check(backend_->recv(at(a.recvbuf, m.off * rt.size()), m.count * rt.count, rt.base,
                          m.peer, cc, stream),
           "recv");
   }

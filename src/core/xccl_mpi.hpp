@@ -71,6 +71,18 @@ struct Dispatch {
 XcclResult launch_builtin(xccl::CclBackend& b, xccl::CclComm& cc, device::Stream& s,
                           const mini::CollArgs& a);
 
+/// CCL communicators keyed by the p2p channel of the MPI communicator they
+/// span.
+using CclCommCache = std::map<fabric::ChannelId, xccl::CclComm>;
+
+/// The CCL communicator over `comm` from `cache`, bootstrapped on first use
+/// as a real launcher does: comm rank 0 derives the unique id from the
+/// channel xor `salt` and its next `seq`, broadcasts it over `mpi`, and
+/// every rank joins with its world ranks. Collective on first use.
+xccl::CclComm& cached_ccl_comm(CclCommCache& cache, mini::Mpi& mpi, xccl::CclBackend& b,
+                               mini::Comm& comm, fabric::ChannelId salt,
+                               std::uint64_t& seq);
+
 /// How one dispatch ended: the engine that served it and the virtual time
 /// its result is ready (the stream tail for an unsynchronized xCCL launch).
 struct Completion {
@@ -111,9 +123,6 @@ struct XcclMpiOptions {
   /// see sim::parse_level_spec; "node" forces flat two-level). Overrides
   /// both the world topology's chain and MPIXCCL_HIER_LEVELS.
   std::optional<std::string> hier_levels;
-  /// Single-copy vs copy-in-copy-out switchover for deep (>2-level) chains;
-  /// overrides MPIXCCL_HIER_SINGLE_COPY_MIN.
-  std::optional<std::size_t> hier_single_copy_min;
 };
 
 class XcclMpi {
@@ -374,7 +383,6 @@ class XcclMpi {
   void compose(mini::CollArgs a, mini::Comm& comm);
 
   /// Get or create (collectively!) the CCL communicator for `comm`.
-  xccl::CclComm& ccl_comm(mini::Comm& comm);
 
   /// One collective call's record under construction: the decision it
   /// becomes, opened at call entry (rank, op, bytes, enter time, fleet
@@ -424,7 +432,7 @@ class XcclMpi {
   tune::AdaptiveTable adaptive_;  ///< online overlay; empty until adopted
   std::unique_ptr<xccl::CclBackend> backend_;
   std::unique_ptr<hier::HierEngine> hier_;
-  std::map<fabric::ChannelId, xccl::CclComm> ccl_comms_;
+  CclCommCache ccl_comms_;
   std::uint64_t ccl_comm_seq_ = 0;
   PlanCache plans_;
   // Cached registry counter refs (stable across Registry::reset): the plan

@@ -7,6 +7,7 @@
 
 #include "common/log.hpp"
 #include "common/reduce.hpp"
+#include "common/schedule.hpp"
 #include "common/status.hpp"
 #include "obs/obs.hpp"
 #include "sim/trace.hpp"
@@ -21,10 +22,6 @@ constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
   return (a + b - 1) / b;
 }
 
-const std::byte* cat(const void* p, std::size_t off) {
-  return static_cast<const std::byte*>(p) + off;
-}
-std::byte* mat(void* p, std::size_t off) { return static_cast<std::byte*>(p) + off; }
 
 /// Avg accumulates as Sum through the stages; the caller divides once at the
 /// end (the same convention the flat paths use, so results stay comparable).
@@ -76,16 +73,6 @@ HierEngine::HierEngine(mini::Mpi& mpi) : mpi_(&mpi) {
   levels_ = topo.sub_levels();
   if (const char* env = std::getenv("MPIXCCL_HIER_LEVELS"); env != nullptr) {
     levels_ = sim::parse_level_spec(env, topo.devices_per_node());
-  }
-  if (const char* env = std::getenv("MPIXCCL_HIER_SINGLE_COPY_MIN");
-      env != nullptr) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == nullptr || *end != '\0' || *env == '\0') {
-      throw Error(std::string("HierSingleCopyMin: malformed size '") + env +
-                  "'");
-    }
-    single_copy_min_ = static_cast<std::size_t>(v);
   }
 }
 
@@ -259,8 +246,7 @@ struct AllreduceShape {
 };
 
 AllreduceShape allreduce_shape(std::size_t elems, std::size_t esz,
-                               const std::vector<int>& dims,
-                               std::size_t single_copy_min) {
+                               const std::vector<int>& dims) {
   AllreduceShape s;
   const std::size_t bytes = elems * esz;
   std::size_t grain = 1;
@@ -272,7 +258,7 @@ AllreduceShape allreduce_shape(std::size_t elems, std::size_t esz,
   // Deep chains pay one shard latency per level; below the single-copy
   // threshold the copy-in-copy-out ladder (whole-message leader hops) is
   // cheaper. Two-level chains keep the single-copy schedules at every size.
-  if (dims.size() > 2 && bytes < single_copy_min) {
+  if (dims.size() > 2 && bytes < HierEngine::kSingleCopyMinBytes) {
     s.mode = ArMode::Cico;
     return s;
   }
@@ -300,8 +286,7 @@ std::size_t HierEngine::reserve_allreduce(const HierComms& hc,
                                           std::size_t elems, DataType base) {
   if (!hc.usable || elems == 0) return 0;
   const std::size_t esz = datatype_size(base);
-  const AllreduceShape s =
-      allreduce_shape(elems, esz, hc.dims, single_copy_min_);
+  const AllreduceShape s = allreduce_shape(elems, esz, hc.dims);
   if (s.mode == ArMode::Cico) {
     scratch(stage_, 2 * elems * esz);
     return stage_.size();
@@ -351,8 +336,7 @@ bool HierEngine::run_allreduce(HierComms& hc, const mini::CollArgs& a,
   const std::size_t elems = a.count * a.dt.count;
   const std::size_t esz = datatype_size(a.dt.base);
   const std::size_t bytes = elems * esz;
-  const AllreduceShape shape =
-      allreduce_shape(elems, esz, hc.dims, single_copy_min_);
+  const AllreduceShape shape = allreduce_shape(elems, esz, hc.dims);
 
   if (shape.mode == ArMode::Cico) {
     cico_allreduce(a, elems, stage_op(a.redop), hc);
@@ -868,7 +852,7 @@ bool HierEngine::run_allgather(HierComms& hc, const mini::CollArgs& a) {
   }
   // Local reorder from chain-major to comm-rank-major.
   for (std::size_t g = 0; g < p; ++g) {
-    std::memcpy(mat(a.recvbuf, g * blk),
+    std::memcpy(at(a.recvbuf, g * blk),
                 full + chain_index(static_cast<int>(g), hc.dims, p) * blk, blk);
   }
   return true;
@@ -895,7 +879,7 @@ bool HierEngine::run_reduce_scatter_block(HierComms& hc, const mini::CollArgs& a
   std::byte* tmp = scratch(ws_, p * blk);
   for (std::size_t g = 0; g < p; ++g) {
     std::memcpy(tmp + chain_index(static_cast<int>(g), hc.dims, p) * blk,
-                cat(a.sendbuf, g * blk), blk);
+                at(a.sendbuf, g * blk), blk);
   }
 
   // Reduce-scatter from the innermost dim out: whole columns ride the fast

@@ -23,7 +23,7 @@
 //                  copy-in-copy-out ladder (reduce to each level's leader,
 //                  allreduce among top leaders, broadcast back) instead of
 //                  paying per-level shard latencies; the switchover is
-//                  MPIXCCL_HIER_SINGLE_COPY_MIN.
+//                  kSingleCopyMinBytes.
 //   Bcast          root scatters segments down its own node's chain, each
 //                  rank broadcasts its segment over the network to its peer
 //                  column, nodes reassemble with per-level allgathers (small
@@ -60,7 +60,7 @@ namespace mpixccl::hier {
 class HierEngine {
  public:
   /// Reads MPIXCCL_HIER_LEVELS (overriding the world topology's own level
-  /// chain) and MPIXCCL_HIER_SINGLE_COPY_MIN.
+  /// chain).
   explicit HierEngine(mini::Mpi& mpi);
 
   /// Per-level subcommunicator chain for one parent communicator, ordered
@@ -127,10 +127,6 @@ class HierEngine {
   }
   /// Monotonic counter, bumped by every effective set_levels change.
   [[nodiscard]] std::uint64_t config_epoch() const { return epoch_; }
-  /// Message sizes below this switch deep (>2-level) chains from the
-  /// single-copy shard schedules to the copy-in-copy-out leader ladder.
-  [[nodiscard]] std::size_t single_copy_min() const { return single_copy_min_; }
-  void set_single_copy_min(std::size_t bytes) { single_copy_min_ = bytes; }
 
   /// Cached subcommunicator chains built at the *current* epoch (tests,
   /// `mpixccl topo`). Entries from earlier epochs stay allocated (persistent
@@ -150,7 +146,8 @@ class HierEngine {
   /// Bcast switches from leader-bcast to scatter + multi-root bcast +
   /// allgather at this size.
   static constexpr std::size_t kBcastScatterMinBytes = 1 << 16;
-  /// Default single-copy vs copy-in-copy-out switchover (deep chains only).
+  /// Message sizes below this switch deep (>2-level) chains from the
+  /// single-copy shard schedules to the copy-in-copy-out leader ladder.
   static constexpr std::size_t kSingleCopyMinBytes = 8192;
 
  private:
@@ -186,7 +183,6 @@ class HierEngine {
   mini::Mpi* mpi_;
   std::vector<sim::TopoLevel> levels_;  ///< active chain, outer-to-inner
   std::uint64_t epoch_ = 0;
-  std::size_t single_copy_min_ = kSingleCopyMinBytes;
   std::map<std::pair<fabric::ChannelId, std::uint64_t>, HierComms> cache_;
   device::DeviceBuffer ws_;      ///< padded working copy
   device::DeviceBuffer stage_;   ///< per-stage shard / segment staging

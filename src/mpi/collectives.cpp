@@ -23,9 +23,12 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <ranges>
+#include <utility>
 #include <vector>
 
 #include "common/reduce.hpp"
+#include "common/schedule.hpp"
 #include "mpi/mpi.hpp"
 
 namespace mpixccl::mini {
@@ -37,25 +40,6 @@ namespace {
 constexpr std::size_t kAllreduceRdMaxBytes = 32768;
 /// Below/at this *total* gathered size allgather uses Bruck.
 constexpr std::size_t kAllgatherBruckMaxBytes = 32768;
-
-int floor_pow2(int n) {
-  int p = 1;
-  while (p * 2 <= n) p *= 2;
-  return p;
-}
-
-std::byte* at(void* base, std::size_t offset) {
-  return static_cast<std::byte*>(base) + offset;
-}
-const std::byte* at(const void* base, std::size_t offset) {
-  return static_cast<const std::byte*>(base) + offset;
-}
-
-/// Call-local scratch, left uninitialised: every user writes each byte
-/// before reading it.
-std::unique_ptr<std::byte[]> uninit(std::size_t bytes) {
-  return std::make_unique_for_overwrite<std::byte[]>(bytes);
-}
 
 /// memcpy that tolerates dst == src (MPI_IN_PLACE resolutions).
 void copy_if_distinct(void* dst, const void* src, std::size_t n) {
@@ -107,8 +91,8 @@ void Mpi::run(const CollArgs& a, Comm& comm) {
     case Coll::Gatherv: return run_gather(a, comm);
     case Coll::Scatter:
     case Coll::Scatterv: return run_scatter(a, comm);
-    case Coll::Allgather: return run_allgather(a, comm);
-    case Coll::Allgatherv: return run_allgatherv(a, comm);
+    case Coll::Allgather:
+    case Coll::Allgatherv: return run_allgather(a, comm);
     case Coll::Alltoall: return run_alltoall(a, comm);
     case Coll::Alltoallv: return run_alltoallv(a, comm);
     case Coll::ReduceScatterBlock: return run_reduce_scatter_block(a, comm);
@@ -122,29 +106,15 @@ void Mpi::run_bcast(const CollArgs& a, Comm& comm) {
   const int p = comm.size();
   if (p == 1) return;
   const std::size_t bytes = a.bytes();
-  const int me = comm.rank();
-  const int vrank = (me - a.root + p) % p;  // virtual rank: root is 0
-
-  // Receive from parent, then forward down the binomial tree.
-  int recv_mask = 1;
-  while (recv_mask < p) {
-    if (vrank & recv_mask) {
-      const int parent = (((vrank ^ recv_mask) + a.root) % p);
-      Request rr = irecv_bytes(a.recvbuf, bytes, parent, 0, ch, comm, receive_kind(a));
-      wait(rr);
-      break;
-    }
-    recv_mask <<= 1;
+  const BinomialTree tree(p, a.root, comm.rank());
+  if (tree.parent() >= 0) {
+    Request rr = irecv_bytes(a.recvbuf, bytes, tree.parent(), 0, ch, comm,
+                             receive_kind(a));
+    wait(rr);
   }
-  // `recv_mask` is now this rank's lowest set bit (or >= p for the root).
-  int send_mask = (vrank == 0) ? floor_pow2(p) : (recv_mask >> 1);
-  for (; send_mask > 0; send_mask >>= 1) {
-    const int vchild = vrank | send_mask;
-    if (vchild < p && vchild != vrank) {
-      Request sr =
-          isend_bytes(a.recvbuf, bytes, (vchild + a.root) % p, 0, ch, comm, a.rkind);
-      wait(sr);
-    }
+  for (const int child : tree.children()) {
+    Request sr = isend_bytes(a.recvbuf, bytes, child, 0, ch, comm, a.rkind);
+    wait(sr);
   }
 }
 
@@ -165,25 +135,16 @@ void Mpi::run_reduce(const CollArgs& a, Comm& comm) {
   }
   copy_if_distinct(acc, a.sendbuf, bytes);
 
-  const int vrank = (me - a.root + p) % p;
-  int mask = 1;
-  while (mask < p) {
-    if ((vrank & mask) == 0) {
-      const int vsrc = vrank | mask;
-      if (vsrc < p) {
-        Request rr = irecv_bytes(acc, bytes, (vsrc + a.root) % p, 0, ch, comm,
-                                 receive_kind(a), fabric::ReduceSpec{a.dt.base, a.redop});
-        wait(rr);
-      }
-    } else {
-      // Only non-roots send, from their host accumulator.
-      const int vdst = vrank ^ mask;
-      Request sr =
-          isend_bytes(acc, bytes, (vdst + a.root) % p, 0, ch, comm, MemKind::Host);
-      wait(sr);
-      break;
-    }
-    mask <<= 1;
+  const BinomialTree tree(p, a.root, me);
+  for (const int child : std::views::reverse(tree.children())) {
+    Request rr = irecv_bytes(acc, bytes, child, 0, ch, comm, receive_kind(a),
+                             fabric::ReduceSpec{a.dt.base, a.redop});
+    wait(rr);
+  }
+  if (tree.parent() >= 0) {
+    // Only non-roots send, from their host accumulator.
+    Request sr = isend_bytes(acc, bytes, tree.parent(), 0, ch, comm, MemKind::Host);
+    wait(sr);
   }
   if (me == a.root && a.redop == ReduceOp::Avg) {
     throw_if_error(scale_inplace(a.dt.base, a.recvbuf, a.count * a.dt.count, 1.0 / p),
@@ -353,24 +314,29 @@ void Mpi::run_allreduce(const CollArgs& a, Comm& comm) {
   }
 }
 
+/// One body for allgather and allgatherv: a block is CollArgs::recv_block.
 void Mpi::run_allgather(const CollArgs& a, Comm& comm) {
   const fabric::ChannelId ch = comm.next_collective_channel();
   const int p = comm.size();
   const int me = comm.rank();
   void* recvbuf = a.recvbuf;
-  const std::size_t block = a.rcount * a.rdt.size();
+  const std::size_t esz = a.rdt.size();
+  auto block = [&](int r) {
+    const Block b = a.recv_block(r);
+    return std::pair{at(recvbuf, b.off * esz), b.count * esz};
+  };
 
-  copy_if_distinct(at(recvbuf, static_cast<std::size_t>(me) * block), a.sendbuf,
-                   block);
+  const auto [mine, bytes] = block(me);
+  copy_if_distinct(mine, a.sendbuf, bytes);
   if (p == 1) return;
 
-  const std::size_t total = block * static_cast<std::size_t>(p);
-  if (total <= kAllgatherBruckMaxBytes) {
+  const std::size_t total = bytes * static_cast<std::size_t>(p);
+  if (a.coll == Coll::Allgather && total <= kAllgatherBruckMaxBytes) {
     // Bruck: log2(p) rounds over a rotated scratch copy.
     const auto tmp_mem = uninit(total);
     std::byte* tmp = tmp_mem.get();
     // Rotate so my block is first.
-    std::memcpy(tmp, at(recvbuf, static_cast<std::size_t>(me) * block), block);
+    std::memcpy(tmp, mine, bytes);
     std::size_t have = 1;  // blocks held, contiguous from tmp[0]
     int step = 1;
     while (have < static_cast<std::size_t>(p)) {
@@ -378,9 +344,9 @@ void Mpi::run_allgather(const CollArgs& a, Comm& comm) {
       const int src = (me + step) % p;
       const std::size_t want =
           std::min(have, static_cast<std::size_t>(p) - have);
-      Request rr = irecv_bytes(tmp + have * block, want * block, src, step, ch, comm,
+      Request rr = irecv_bytes(tmp + have * bytes, want * bytes, src, step, ch, comm,
                                receive_kind(a));
-      Request sr = isend_bytes(tmp, want * block, dst, step, ch, comm, MemKind::Host);
+      Request sr = isend_bytes(tmp, want * bytes, dst, step, ch, comm, MemKind::Host);
       wait(sr);
       wait(rr);
       have += want;
@@ -388,51 +354,19 @@ void Mpi::run_allgather(const CollArgs& a, Comm& comm) {
     }
     // Un-rotate into recvbuf.
     for (int b = 0; b < p; ++b) {
-      const int owner = (me + b) % p;
-      std::memcpy(at(recvbuf, static_cast<std::size_t>(owner) * block),
-                  tmp + static_cast<std::size_t>(b) * block, block);
+      std::memcpy(block((me + b) % p).first, tmp + static_cast<std::size_t>(b) * bytes,
+                  bytes);
     }
-  } else {
-    // Ring: p-1 steps, forwarding the newest block.
-    const int right = (me + 1) % p;
-    const int left = (me - 1 + p) % p;
-    for (int s = 0; s < p - 1; ++s) {
-      const int send_block = (me - s + p) % p;
-      const int recv_block = (me - s - 1 + p) % p;
-      Request rr = irecv_bytes(
-          at(recvbuf, static_cast<std::size_t>(recv_block) * block), block, left,
-          s, ch, comm, receive_kind(a));
-      Request sr =
-          isend_bytes(at(recvbuf, static_cast<std::size_t>(send_block) * block), block,
-                      right, s, ch, comm, a.rkind);
-      wait(sr);
-      wait(rr);
-    }
+    return;
   }
-}
-
-void Mpi::run_allgatherv(const CollArgs& a, Comm& comm) {
-  const fabric::ChannelId ch = comm.next_collective_channel();
-  const int p = comm.size();
-  const int me = comm.rank();
-  void* recvbuf = a.recvbuf;
-  const std::size_t esz = a.rdt.size();
-
-  const auto ume = static_cast<std::size_t>(me);
-  copy_if_distinct(at(recvbuf, a.rdispls[ume] * esz), a.sendbuf, a.rcounts[ume] * esz);
-  if (p == 1) return;
-
-  // Ring with per-owner block sizes.
-  const int right = (me + 1) % p;
-  const int left = (me - 1 + p) % p;
-  for (int s = 0; s < p - 1; ++s) {
-    const auto send_block = static_cast<std::size_t>((me - s + p) % p);
-    const auto recv_block = static_cast<std::size_t>((me - s - 1 + p) % p);
-    Request rr = irecv_bytes(at(recvbuf, a.rdispls[recv_block] * esz),
-                             a.rcounts[recv_block] * esz, left, s, ch, comm,
-                             receive_kind(a));
-    Request sr = isend_bytes(at(recvbuf, a.rdispls[send_block] * esz),
-                             a.rcounts[send_block] * esz, right, s, ch, comm, a.rkind);
+  // Ring: p-1 steps, forwarding the newest block.
+  const Ring ring(p, me);
+  for (int s = 0; s < ring.steps(); ++s) {
+    const RingStep st = ring.allgather(s);
+    const auto [rbuf, rbytes] = block(st.recv);
+    const auto [sbuf, sbytes] = block(st.send);
+    Request rr = irecv_bytes(rbuf, rbytes, ring.left(), s, ch, comm, receive_kind(a));
+    Request sr = isend_bytes(sbuf, sbytes, ring.right(), s, ch, comm, a.rkind);
     wait(sr);
     wait(rr);
   }
@@ -578,19 +512,19 @@ void Mpi::run_reduce_scatter_block(const CollArgs& a, Comm& comm) {
   // step lands in recvbuf. Every send is priced as a host send: the slots
   // are host memory, and step 0 is priced like the steps after it.
   const auto slots = uninit(p > 2 ? 2 * block : 0);
-  const int right = (me + 1) % p;
-  const int left = (me - 1 + p) % p;
+  const Ring ring(p, me);
   const std::byte* send =
-      at(a.sendbuf, static_cast<std::size_t>((me - 1 + p) % p) * block);
-  for (int s = 0; s < p - 1; ++s) {
-    const auto recv_block = static_cast<std::size_t>((me - s - 2 + 2 * p) % p);
+      at(a.sendbuf, static_cast<std::size_t>(ring.reduce_scatter(0).send) * block);
+  for (int s = 0; s < ring.steps(); ++s) {
+    const auto recv_block = static_cast<std::size_t>(ring.reduce_scatter(s).recv);
     std::byte* out = s == p - 2
                          ? static_cast<std::byte*>(a.recvbuf)
                          : slots.get() + static_cast<std::size_t>(s % 2) * block;
     const fabric::ReduceSpec with_mine{a.dt.base, a.redop,
                                        at(a.sendbuf, recv_block * block)};
-    Request rr = irecv_bytes(out, block, left, s, ch, comm, receive_kind(a), with_mine);
-    Request sr = isend_bytes(send, block, right, s, ch, comm, MemKind::Host);
+    Request rr =
+        irecv_bytes(out, block, ring.left(), s, ch, comm, receive_kind(a), with_mine);
+    Request sr = isend_bytes(send, block, ring.right(), s, ch, comm, MemKind::Host);
     wait(sr);
     wait(rr);
     send = out;

@@ -235,14 +235,13 @@ class Mpi {
   void resolve_and_run(const CollArgs& a, Comm& comm) { run(resolve(a, comm), comm); }
 
   // The algorithms behind run(), one per collective (the rooted block
-  // collectives share one body for the plain and the v-form).
+  // collectives and allgather share one body for the plain and the v-form).
   void run_bcast(const CollArgs& a, Comm& comm);
   void run_reduce(const CollArgs& a, Comm& comm);
   void run_allreduce(const CollArgs& a, Comm& comm);
   void run_gather(const CollArgs& a, Comm& comm);
   void run_scatter(const CollArgs& a, Comm& comm);
   void run_allgather(const CollArgs& a, Comm& comm);
-  void run_allgatherv(const CollArgs& a, Comm& comm);
   void run_alltoall(const CollArgs& a, Comm& comm);
   void run_alltoallv(const CollArgs& a, Comm& comm);
   void run_reduce_scatter_block(const CollArgs& a, Comm& comm);

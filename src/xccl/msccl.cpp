@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/reduce.hpp"
+#include "common/schedule.hpp"
 
 namespace mpixccl::xccl {
 
@@ -298,7 +299,7 @@ sim::TimeUs MscclBackend::run_allreduce_program(const MscclAlgorithm& algo,
   const auto n_sends = static_cast<std::size_t>(
       std::count_if(prog.begin(), prog.end(),
                     [](const MscclInstr& in) { return in.op == MscclInstr::Op::Send; }));
-  const auto staging = std::make_unique_for_overwrite<std::byte[]>(n_sends * chunk_bytes);
+  const auto staging = uninit(n_sends * chunk_bytes);
 
   std::size_t i = 0;
   while (i < prog.size()) {

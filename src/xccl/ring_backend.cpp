@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <ranges>
 #include <vector>
 
 #include "common/reduce.hpp"
+#include "common/schedule.hpp"
 
 namespace mpixccl::xccl {
 
@@ -18,23 +20,22 @@ constexpr int kMaxPipelineChunks = 16;
 
 constexpr double kCommInitUs = 1200.0;  // one-time communicator setup cost
 
-int floor_pow2(int n) {
-  int p = 1;
-  while (p * 2 <= n) p *= 2;
-  return p;
+/// Elements per block when a ring splits `count` elements into `p` equal
+/// blocks, the last ones padded.
+std::size_t ring_block_count(std::size_t count, int p) {
+  const auto up = static_cast<std::size_t>(p);
+  return (count + up - 1) / up;
 }
 
-std::byte* at(void* base, std::size_t off) {
-  return static_cast<std::byte*>(base) + off;
-}
-const std::byte* at(const void* base, std::size_t off) {
-  return static_cast<const std::byte*>(base) + off;
-}
-
-/// Call-local scratch, left uninitialised: every user writes each byte
-/// before reading it.
-std::unique_ptr<std::byte[]> uninit(std::size_t bytes) {
-  return std::make_unique_for_overwrite<std::byte[]>(bytes);
+/// `count` elements of `src` followed by zeros up to `padded` elements: a
+/// ring's p equal blocks. Every rank pads with zeros and the reduced pad is
+/// never copied out, so any op may combine them.
+std::unique_ptr<std::byte[]> padded_copy(const void* src, std::size_t count,
+                                         std::size_t padded, std::size_t esz) {
+  auto out = uninit(padded * esz);
+  std::memcpy(out.get(), src, count * esz);
+  std::memset(out.get() + count * esz, 0, (padded - count) * esz);
+  return out;
 }
 
 }  // namespace
@@ -148,54 +149,6 @@ sim::TimeUs RingCclBackend::step_exchange(CclComm& comm, fabric::ChannelId ch,
 
 // ---- AllReduce -------------------------------------------------------------
 
-sim::TimeUs RingCclBackend::allreduce_tree(const void* sendbuf, void* recvbuf,
-                                           std::size_t count, DataType dt,
-                                           ReduceOp op, CclComm& comm,
-                                           fabric::ChannelId ch, sim::TimeUs t0) {
-  // Binomial reduce to comm rank 0 followed by binomial broadcast.
-  const std::size_t bytes = count * datatype_size(dt);
-  const int p = comm.nranks();
-  const int me = comm.rank();
-  if (sendbuf != recvbuf) std::memcpy(recvbuf, sendbuf, bytes);
-
-  sim::TimeUs t = t0;
-  // Reduce phase: each child's vector is reduced into recvbuf as it lands;
-  // the send to the parent follows the last child.
-  int mask = 1;
-  while (mask < p) {
-    if ((me & mask) == 0) {
-      const int src = me | mask;
-      if (src < p) {
-        t = step_exchange(comm, ch, 1, -1, nullptr, 0, src, recvbuf, bytes, t,
-                          /*tree_hop=*/true, fabric::ReduceSpec{dt, op});
-      }
-    } else {
-      t = step_exchange(comm, ch, 1, me ^ mask, recvbuf, bytes, -1, nullptr, 0, t,
-                        true);
-      break;
-    }
-    mask <<= 1;
-  }
-  // Broadcast phase (root = 0).
-  int recv_mask = 1;
-  while (recv_mask < p) {
-    if (me & recv_mask) {
-      t = step_exchange(comm, ch, 2, -1, nullptr, 0, me ^ recv_mask, recvbuf, bytes,
-                        t, true);
-      break;
-    }
-    recv_mask <<= 1;
-  }
-  int send_mask = (me == 0) ? floor_pow2(p) : (recv_mask >> 1);
-  for (; send_mask > 0; send_mask >>= 1) {
-    const int child = me | send_mask;
-    if (child < p && child != me) {
-      t = step_exchange(comm, ch, 2, child, recvbuf, bytes, -1, nullptr, 0, t, true);
-    }
-  }
-  return t;
-}
-
 sim::TimeUs RingCclBackend::ring_reduce_scatter(const void* input,
                                                 std::size_t block_count, DataType dt,
                                                 ReduceOp op, CclComm& comm,
@@ -205,21 +158,32 @@ sim::TimeUs RingCclBackend::ring_reduce_scatter(const void* input,
   // block the previous step produced (step 0 sends an input block) and
   // reduces the left neighbour's block with this rank's input block as it
   // lands. The input is only read, so it is never copied.
-  const int p = comm.nranks();
-  const int me = comm.rank();
   const std::size_t block = block_count * datatype_size(dt);
-
-  const int right = (me + 1) % p;
-  const int left = (me - 1 + p) % p;
-  const void* send = at(input, static_cast<std::size_t>((me - 1 + p) % p) * block);
+  const Ring ring(comm.nranks(), comm.rank());
+  const void* send =
+      at(input, static_cast<std::size_t>(ring.reduce_scatter(0).send) * block);
   sim::TimeUs t = t0;
-  for (int s = 0; s < p - 1; ++s) {
-    const auto recv_block = static_cast<std::size_t>((me - s - 2 + 2 * p) % p);
+  for (int s = 0; s < ring.steps(); ++s) {
+    const auto recv_block = static_cast<std::size_t>(ring.reduce_scatter(s).recv);
     std::byte* out = land(s, recv_block);
     const void* local = at(input, recv_block * block);
-    t = step_exchange(comm, ch, 10 + s, right, send, block, left, out, block, t,
-                      false, fabric::ReduceSpec{dt, op, local});
+    t = step_exchange(comm, ch, 10 + s, ring.right(), send, block, ring.left(), out,
+                      block, t, false, fabric::ReduceSpec{dt, op, local});
     send = out;
+  }
+  return t;
+}
+
+sim::TimeUs RingCclBackend::ring_allgather(std::byte* buf, std::size_t block, int tag0,
+                                           CclComm& comm, fabric::ChannelId ch,
+                                           sim::TimeUs t0) {
+  const Ring ring(comm.nranks(), comm.rank());
+  auto blk = [&](int b) { return buf + static_cast<std::size_t>(b) * block; };
+  sim::TimeUs t = t0;
+  for (int s = 0; s < ring.steps(); ++s) {
+    const RingStep st = ring.allgather(s);
+    t = step_exchange(comm, ch, tag0 + s, ring.right(), blk(st.send), block,
+                      ring.left(), blk(st.recv), block, t, false);
   }
   return t;
 }
@@ -229,25 +193,18 @@ sim::TimeUs RingCclBackend::allreduce_ring(const void* sendbuf, void* recvbuf,
                                            ReduceOp op, CclComm& comm,
                                            fabric::ChannelId ch, sim::TimeUs t0) {
   // Ring reduce-scatter over ceil(count/p)-sized blocks, then ring allgather.
-  const int p = comm.nranks();
-  const int me = comm.rank();
   const std::size_t esz = datatype_size(dt);
-  const std::size_t up = static_cast<std::size_t>(p);
-  const std::size_t block_count = (count + up - 1) / up;
-  const std::size_t padded = block_count * up;
+  const std::size_t block_count = ring_block_count(count, comm.nranks());
+  const std::size_t padded = block_count * static_cast<std::size_t>(comm.nranks());
 
   // The working area is recvbuf itself unless the blocks need a pad; the
-  // reduce-scatter then reads sendbuf where it lies. A padded input is
-  // copied once, with zero pad elements on every rank; the reduced pad is
-  // never copied out, so any op may combine them.
-  std::unique_ptr<std::byte[]> padded_copy;
+  // reduce-scatter then reads sendbuf where it lies.
+  std::unique_ptr<std::byte[]> pad;
   std::byte* ws = static_cast<std::byte*>(recvbuf);
   const void* input = sendbuf;
   if (padded != count) {
-    padded_copy = uninit(padded * esz);
-    ws = padded_copy.get();
-    std::memcpy(ws, sendbuf, count * esz);
-    std::memset(ws + count * esz, 0, (padded - count) * esz);
+    pad = padded_copy(sendbuf, count, padded, esz);
+    ws = pad.get();
     input = ws;
   }
   const std::size_t block = block_count * esz;
@@ -257,14 +214,7 @@ sim::TimeUs RingCclBackend::allreduce_ring(const void* sendbuf, void* recvbuf,
 
   // Ring allgather of the reduced blocks: it fills every block of ws the
   // reduce-scatter left unwritten.
-  const int right = (me + 1) % p;
-  const int left = (me - 1 + p) % p;
-  for (int s = 0; s < p - 1; ++s) {
-    const auto send_block = static_cast<std::size_t>((me - s + p) % p);
-    const auto recv_block = static_cast<std::size_t>((me - s - 1 + p) % p);
-    t = step_exchange(comm, ch, 100 + s, right, ws + send_block * block, block,
-                      left, ws + recv_block * block, block, t, false);
-  }
+  t = ring_allgather(ws, block, 100, comm, ch, t);
   if (ws != recvbuf) std::memcpy(recvbuf, ws, count * esz);
   return t;
 }
@@ -278,19 +228,18 @@ XcclResult RingCclBackend::all_reduce(const void* sendbuf, void* recvbuf,
   const fabric::ChannelId ch = comm.next_op_channel();
   const sim::TimeUs t0 = begin_op(stream);
 
+  const int p = comm.nranks();
   sim::TimeUs t;
-  if (comm.nranks() == 1) {
-    if (sendbuf != recvbuf) std::memcpy(recvbuf, sendbuf, bytes);
-    t = t0;
-  } else if (bytes <= prof_.tree_threshold ||
-             count < static_cast<std::size_t>(comm.nranks())) {
-    t = allreduce_tree(sendbuf, recvbuf, count, dt, op, comm, ch, t0);
+  if (p == 1 || bytes <= prof_.tree_threshold || count < static_cast<std::size_t>(p)) {
+    // Binomial reduce to comm rank 0, then binomial broadcast from it (one
+    // rank: only the copy).
+    t = reduce_tree(sendbuf, recvbuf, count, dt, op, 0, comm, ch, t0);
+    t = bcast_tree(recvbuf, bytes, 0, /*tag=*/2, comm, ch, t);
   } else {
     t = allreduce_ring(sendbuf, recvbuf, count, dt, op, comm, ch, t0);
   }
   if (op == ReduceOp::Avg) {
-    throw_if_error(scale_inplace(dt, recvbuf, count, 1.0 / comm.nranks()),
-                   "xccl allreduce avg");
+    throw_if_error(scale_inplace(dt, recvbuf, count, 1.0 / p), "xccl allreduce avg");
   }
   stream.advance_tail_to(t + quirk_extra(comm, bytes));
   return XcclResult::Success;
@@ -298,29 +247,16 @@ XcclResult RingCclBackend::all_reduce(const void* sendbuf, void* recvbuf,
 
 // ---- Broadcast --------------------------------------------------------------
 
-sim::TimeUs RingCclBackend::bcast_tree(void* buf, std::size_t bytes, int root,
+sim::TimeUs RingCclBackend::bcast_tree(void* buf, std::size_t bytes, int root, int tag,
                                        CclComm& comm, fabric::ChannelId ch,
                                        sim::TimeUs t0) {
-  const int p = comm.nranks();
-  const int me = comm.rank();
-  const int vrank = (me - root + p) % p;
+  const BinomialTree tree(comm.nranks(), root, comm.rank());
   sim::TimeUs t = t0;
-  int recv_mask = 1;
-  while (recv_mask < p) {
-    if (vrank & recv_mask) {
-      const int parent = ((vrank ^ recv_mask) + root) % p;
-      t = step_exchange(comm, ch, 1, -1, nullptr, 0, parent, buf, bytes, t, true);
-      break;
-    }
-    recv_mask <<= 1;
+  if (tree.parent() >= 0) {
+    t = step_exchange(comm, ch, tag, -1, nullptr, 0, tree.parent(), buf, bytes, t, true);
   }
-  int send_mask = (vrank == 0) ? floor_pow2(p) : (recv_mask >> 1);
-  for (; send_mask > 0; send_mask >>= 1) {
-    const int vchild = vrank | send_mask;
-    if (vchild < p && vchild != vrank) {
-      t = step_exchange(comm, ch, 1, (vchild + root) % p, buf, bytes, -1, nullptr,
-                        0, t, true);
-    }
+  for (const int child : tree.children()) {
+    t = step_exchange(comm, ch, tag, child, buf, bytes, -1, nullptr, 0, t, true);
   }
   return t;
 }
@@ -331,10 +267,10 @@ sim::TimeUs RingCclBackend::bcast_ring(void* buf, std::size_t bytes, int root,
   // Chunked pipelined ring: rank k forwards chunk c as soon as it arrives,
   // so completion ~ t0 + (k-1) hops + n/bw instead of (p-1) * n/bw.
   const int p = comm.nranks();
-  const int me = comm.rank();
-  const int vrank = (me - root + p) % p;
-  const int right = (vrank + 1 < p) ? (me + 1) % p : -1;  // tail sends nothing
-  const int left = (vrank > 0) ? (me - 1 + p) % p : -1;   // root receives nothing
+  const int vrank = (comm.rank() - root + p) % p;
+  const Ring ring(p, comm.rank());
+  const int right = (vrank + 1 < p) ? ring.right() : -1;  // tail sends nothing
+  const int left = (vrank > 0) ? ring.left() : -1;        // root receives nothing
 
   const int nchunks = static_cast<int>(std::clamp<std::size_t>(
       bytes / kPipelineChunkBytes, 1, kMaxPipelineChunks));
@@ -376,7 +312,7 @@ XcclResult RingCclBackend::broadcast(void* buf, std::size_t count, DataType dt,
   sim::TimeUs t = t0;
   if (comm.nranks() > 1) {
     t = (bytes <= prof_.tree_threshold)
-            ? bcast_tree(buf, bytes, root, comm, ch, t0)
+            ? bcast_tree(buf, bytes, root, /*tag=*/1, comm, ch, t0)
             : bcast_ring(buf, bytes, root, comm, ch, t0);
   }
   stream.advance_tail_to(t + quirk_extra(comm, bytes));
@@ -385,39 +321,22 @@ XcclResult RingCclBackend::broadcast(void* buf, std::size_t count, DataType dt,
 
 // ---- Reduce -----------------------------------------------------------------
 
-sim::TimeUs RingCclBackend::reduce_tree(const void* sendbuf, void* recvbuf,
+sim::TimeUs RingCclBackend::reduce_tree(const void* sendbuf, void* acc,
                                         std::size_t count, DataType dt, ReduceOp op,
                                         int root, CclComm& comm,
                                         fabric::ChannelId ch, sim::TimeUs t0) {
-  const int p = comm.nranks();
-  const int me = comm.rank();
   const std::size_t bytes = count * datatype_size(dt);
-
-  std::unique_ptr<std::byte[]> scratch;
-  void* acc = recvbuf;
-  if (me != root) {
-    scratch = uninit(bytes);
-    acc = scratch.get();
-  }
-  std::memcpy(acc, sendbuf, bytes);
-
-  // Each child's vector is reduced into the accumulator as it lands.
-  const int vrank = (me - root + p) % p;
+  if (sendbuf != acc) std::memcpy(acc, sendbuf, bytes);
+  // Each child's vector is reduced into the accumulator as it lands; the
+  // send to the parent follows the last child.
+  const BinomialTree tree(comm.nranks(), root, comm.rank());
   sim::TimeUs t = t0;
-  int mask = 1;
-  while (mask < p) {
-    if ((vrank & mask) == 0) {
-      const int vsrc = vrank | mask;
-      if (vsrc < p) {
-        t = step_exchange(comm, ch, 1, -1, nullptr, 0, (vsrc + root) % p, acc, bytes,
-                          t, true, fabric::ReduceSpec{dt, op});
-      }
-    } else {
-      t = step_exchange(comm, ch, 1, ((vrank ^ mask) + root) % p, acc, bytes, -1,
-                        nullptr, 0, t, true);
-      break;
-    }
-    mask <<= 1;
+  for (const int child : std::views::reverse(tree.children())) {
+    t = step_exchange(comm, ch, 1, -1, nullptr, 0, child, acc, bytes, t, true,
+                      fabric::ReduceSpec{dt, op});
+  }
+  if (tree.parent() >= 0) {
+    t = step_exchange(comm, ch, 1, tree.parent(), acc, bytes, -1, nullptr, 0, t, true);
   }
   return t;
 }
@@ -435,21 +354,21 @@ XcclResult RingCclBackend::reduce(const void* sendbuf, void* recvbuf,
   const int me = comm.rank();
 
   sim::TimeUs t;
-  if (p == 1) {
-    if (sendbuf != recvbuf) std::memcpy(recvbuf, sendbuf, bytes);
-    t = t0;
-  } else if (bytes <= prof_.tree_threshold ||
-             count < static_cast<std::size_t>(p)) {
-    t = reduce_tree(sendbuf, recvbuf, count, dt, op, root, comm, ch, t0);
+  if (p == 1 || bytes <= prof_.tree_threshold || count < static_cast<std::size_t>(p)) {
+    // The accumulator: recvbuf at the root, scratch elsewhere.
+    std::unique_ptr<std::byte[]> scratch;
+    void* acc = recvbuf;
+    if (me != root) {
+      scratch = uninit(bytes);
+      acc = scratch.get();
+    }
+    t = reduce_tree(sendbuf, acc, count, dt, op, root, comm, ch, t0);
   } else {
     // Ring reduce-scatter, then every rank ships its reduced block to root.
     const std::size_t esz = datatype_size(dt);
-    const std::size_t up = static_cast<std::size_t>(p);
-    const std::size_t block_count = (count + up - 1) / up;
-    const std::size_t padded = block_count * up * esz;
-    const auto scratch = uninit(padded);
-    std::memcpy(scratch.get(), sendbuf, count * esz);
-    std::memset(scratch.get() + count * esz, 0, padded - count * esz);
+    const std::size_t block_count = ring_block_count(count, p);
+    const auto scratch =
+        padded_copy(sendbuf, count, block_count * static_cast<std::size_t>(p), esz);
     const std::size_t block = block_count * esz;
     t = ring_reduce_scatter(
         scratch.get(), block_count, dt, op, comm, ch, t0,
@@ -483,22 +402,13 @@ XcclResult RingCclBackend::all_gather(const void* sendbuf, void* recvbuf,
                                       CclComm& comm, device::Stream& stream) {
   if (!comm.valid()) return XcclResult::InvalidUsage;
   if (auto r = check_move(dt); !ok(r)) return r;
-  const int p = comm.nranks();
-  const int me = comm.rank();
   const std::size_t block = sendcount * datatype_size(dt);
   const fabric::ChannelId ch = comm.next_op_channel();
-  sim::TimeUs t = begin_op(stream);
+  const sim::TimeUs t0 = begin_op(stream);
 
-  std::memcpy(at(recvbuf, static_cast<std::size_t>(me) * block), sendbuf, block);
-  const int right = (me + 1) % p;
-  const int left = (me - 1 + p) % p;
-  for (int s = 0; s < p - 1; ++s) {
-    const auto send_block = static_cast<std::size_t>((me - s + p) % p);
-    const auto recv_block = static_cast<std::size_t>((me - s - 1 + p) % p);
-    t = step_exchange(comm, ch, s, right, at(recvbuf, send_block * block), block,
-                      left, at(recvbuf, recv_block * block), block, t, false);
-  }
-  stream.advance_tail_to(t);
+  std::byte* buf = static_cast<std::byte*>(recvbuf);
+  std::memcpy(buf + static_cast<std::size_t>(comm.rank()) * block, sendbuf, block);
+  stream.advance_tail_to(ring_allgather(buf, block, 0, comm, ch, t0));
   return XcclResult::Success;
 }
 

@@ -101,20 +101,24 @@ class RingCclBackend : public CclBackend {
     device::Stream* stream;
   };
 
-  // Algorithm bodies (correctness + timing).
-  sim::TimeUs allreduce_tree(const void* sendbuf, void* recvbuf, std::size_t count,
-                             DataType dt, ReduceOp op, CclComm& comm,
-                             fabric::ChannelId ch, sim::TimeUs t0);
+  // Algorithm bodies (correctness + timing). The tree and ring walks come
+  // from common/schedule.hpp.
   sim::TimeUs allreduce_ring(const void* sendbuf, void* recvbuf, std::size_t count,
                              DataType dt, ReduceOp op, CclComm& comm,
                              fabric::ChannelId ch, sim::TimeUs t0);
-  sim::TimeUs bcast_tree(void* buf, std::size_t bytes, int root, CclComm& comm,
+  sim::TimeUs bcast_tree(void* buf, std::size_t bytes, int root, int tag, CclComm& comm,
                          fabric::ChannelId ch, sim::TimeUs t0);
   sim::TimeUs bcast_ring(void* buf, std::size_t bytes, int root, CclComm& comm,
                          fabric::ChannelId ch, sim::TimeUs t0);
-  sim::TimeUs reduce_tree(const void* sendbuf, void* recvbuf, std::size_t count,
+  /// Binomial reduce of `sendbuf` into `acc` (copied first unless they are
+  /// the same buffer); on return the root's `acc` holds the result.
+  sim::TimeUs reduce_tree(const void* sendbuf, void* acc, std::size_t count,
                           DataType dt, ReduceOp op, int root, CclComm& comm,
                           fabric::ChannelId ch, sim::TimeUs t0);
+  /// Ring allgather over p blocks of `block` bytes in `buf`, this rank's own
+  /// block already in place; step s uses tag `tag0 + s`.
+  sim::TimeUs ring_allgather(std::byte* buf, std::size_t block, int tag0, CclComm& comm,
+                             fabric::ChannelId ch, sim::TimeUs t0);
   /// Where step `s` of a ring reduce-scatter lands the partial result for
   /// block `b`; the next step forwards it from there.
   using LandFn = std::function<std::byte*(int s, std::size_t b)>;

@@ -178,11 +178,21 @@ TEST(FabricStress, HandOffSoakLosesNoWakeUp) {
     constexpr int kIters = 25000;
     std::vector<int> big(80 * 1024 / sizeof(int));
     std::vector<int> small(1);
+    // A wrong value is recorded, not asserted on the spot: a rank that left
+    // the loop would hang its partners in their next receive.
+    int bad_round = -1;
+    const char* bad_check = "";
+    auto check = [&](bool ok, int round, const char* what) {
+      if (!ok && bad_round < 0) {
+        bad_round = round;
+        bad_check = what;
+      }
+    };
     for (int i = 0; i < kIters; ++i) {
       const int mine = me * kIters + i;
       int got = -1;
       mpi.sendrecv(&mine, 1, kInt, right, 0, &got, 1, kInt, left, 0, comm);
-      ASSERT_EQ(got, left * kIters + i) << "ring shift " << i;
+      check(got == left * kIters + i, i, "ring shift");
 
       // The even rank serves both ends of the buffer; the odd rank checks
       // them and answers with both bumped.
@@ -191,17 +201,16 @@ TEST(FabricStress, HandOffSoakLosesNoWakeUp) {
         buf.front() = buf.back() = mine;
         mpi.send(buf.data(), buf.size(), kInt, partner, 1, comm);
         mpi.recv(buf.data(), buf.size(), kInt, partner, 2, comm);
-        ASSERT_EQ(buf.front(), mine + 1) << "ping-pong " << i;
-        ASSERT_EQ(buf.back(), mine + 1) << "ping-pong " << i;
+        check(buf.front() == mine + 1 && buf.back() == mine + 1, i, "ping-pong answer");
       } else {
         mpi.recv(buf.data(), buf.size(), kInt, partner, 1, comm);
         const int v = buf.front();
-        ASSERT_EQ(v, partner * kIters + i) << "ping-pong " << i;
-        ASSERT_EQ(buf.back(), v) << "ping-pong " << i;
+        check(v == partner * kIters + i && buf.back() == v, i, "ping-pong request");
         buf.front() = buf.back() = v + 1;
         mpi.send(buf.data(), buf.size(), kInt, partner, 2, comm);
       }
     }
+    EXPECT_EQ(bad_round, -1) << "rank " << me << " first wrong " << bad_check;
   });
 }
 

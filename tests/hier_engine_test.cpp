@@ -408,9 +408,10 @@ TEST(HierDispatch, ReconfigInvalidatesCommCacheAndPlans) {
 }
 
 TEST(HierDispatch, SmallMessageCopyInCopyOutOnDeepChains) {
-  // Below MPIXCCL_HIER_SINGLE_COPY_MIN a deep chain uses the copy-in-
+  // Below HierEngine::kSingleCopyMinBytes a deep chain uses the copy-in-
   // copy-out ladder instead of per-level reduce-scatter; results must agree
-  // with the flat oracle either way, and the threshold is adjustable.
+  // with the flat oracle either way.
+  static_assert(hier::HierEngine::kSingleCopyMinBytes == 2048 * sizeof(float));
   fabric::World world(
       fabric::WorldConfig{sim::thetagpu(), 2, 8, "socket:2,numa:2"});
   world.run([&](fabric::RankContext& ctx) {
@@ -419,8 +420,6 @@ TEST(HierDispatch, SmallMessageCopyInCopyOutOnDeepChains) {
     XcclMpi rt(ctx, opt);
     auto& dev = rt.context().device();
     auto& comm = rt.comm_world();
-    EXPECT_EQ(rt.hier().single_copy_min(),
-              hier::HierEngine::kSingleCopyMinBytes);
 
     const auto check = [&](std::size_t count) {
       SCOPED_TRACE("count=" + std::to_string(count));
@@ -437,13 +436,8 @@ TEST(HierDispatch, SmallMessageCopyInCopyOutOnDeepChains) {
       expect_buffers_agree(got.as<float>(), ref.as<float>(), count);
     };
     check(64);    // 256 B: CICO ladder
-    check(2047);  // 8188 B: just under the default switchover
+    check(2047);  // 8188 B: just under the switchover
     check(2048);  // 8192 B: first single-copy size
-
-    // Raise the switchover so a 64 KB message takes the CICO path too.
-    rt.hier().set_single_copy_min(1 << 20);
-    check(16384);
-    rt.hier().set_single_copy_min(hier::HierEngine::kSingleCopyMinBytes);
   });
 }
 
@@ -456,9 +450,7 @@ TEST(HierDispatch, VirtualLevelsViaOptions) {
     XcclMpiOptions opt;
     opt.tuning = TuningTable::uniform(Engine::Hier);
     opt.hier_levels = "quad:2";
-    opt.hier_single_copy_min = std::size_t{1024};
     XcclMpi rt(ctx, opt);
-    EXPECT_EQ(rt.hier().single_copy_min(), 1024u);
     auto& dev = rt.context().device();
     const std::size_t count = 4096;
     device::DeviceBuffer send = make_filled<float>(dev, count, rt.rank());
