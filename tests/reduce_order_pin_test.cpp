@@ -645,6 +645,45 @@ TEST(VirtualTimePin, MpiTreeReduceP6Root5) {
                 0x1.e671529a485cdp+1, 0x1.6666666666666p+0, 0x1.ccdd2f1a9fbe8p+2});
 }
 
+// ---- CCL point-to-point outside a group ---------------------------------------
+// A lone send or recv is priced like a group of one: one launch, a start at
+// max(clock, stream tail), and a receive that shares its link with nothing.
+
+/// Rank 0 sends `n` floats to rank 1 with a lone CCL send; rank 1 receives
+/// them with a lone recv.
+CclBody ccl_send_recv_body(std::size_t n) {
+  return [=](xccl::CclBackend& b, xccl::CclComm& comm, fabric::RankContext& ctx) {
+    auto buf = seeded_input(kF32, n, ctx.rank());
+    const XcclResult r =
+        ctx.rank() == 0 ? b.send(buf.data(), n, kF32, 1, comm, ctx.stream())
+                        : b.recv(buf.data(), n, kF32, 0, comm, ctx.stream());
+    EXPECT_EQ(r, XcclResult::Success);
+    return buf;
+  };
+}
+
+// 1024 floats (4 KiB) are below MiniMPI's eager threshold; 262144 floats
+// (1 MiB) are a rendezvous-sized transfer that both ends of the match move.
+TEST(VirtualTimePin, CclLoneSendRecvIntraEager) {
+  expect_timed(1, 2, with_ccl(ccl_send_recv_body(1024)), 3588488042480741285u,
+               std::vector<double>(2, 0x1.32fb8355bc721p+10));
+}
+
+TEST(VirtualTimePin, CclLoneSendRecvIntraRendezvous) {
+  expect_timed(1, 2, with_ccl(ccl_send_recv_body(262144)), 7245092183247821389u,
+               std::vector<double>(2, 0x1.34e355bc720b8p+10));
+}
+
+TEST(VirtualTimePin, CclLoneSendRecvInterEager) {
+  expect_timed(2, 1, with_ccl(ccl_send_recv_body(1024)), 3588488042480741285u,
+               std::vector<double>(2, 0x1.332e5p+10));
+}
+
+TEST(VirtualTimePin, CclLoneSendRecvInterRendezvous) {
+  expect_timed(2, 1, with_ccl(ccl_send_recv_body(262144)), 7245092183247821389u,
+               std::vector<double>(2, 0x1.417p+10));
+}
+
 // ---- MiniMPI under mixed memory kinds --------------------------------------
 // Each call runs twice on ranks entering 5 us apart: send buffers in host
 // memory with receive buffers in device memory, then the reverse. MiniMPI
