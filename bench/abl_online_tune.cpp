@@ -149,8 +149,8 @@ PlatformRun run_platform(const sim::SystemProfile& prof) {
     }
 
     // Freeze (the settling step reverts any in-flight exploration), then
-    // time the *dispatched* path — whatever the adaptive table converged
-    // onto, not a forced engine.
+    // time the *dispatched* path — whatever the tuner rewrote the table to,
+    // not a forced engine.
     tuner.freeze();
     tuner.step(rt, comm);
     for (const std::size_t bytes : kSizes) {

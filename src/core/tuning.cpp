@@ -118,6 +118,40 @@ void TuningTable::set_rules(CollOp op, std::vector<Entry> entries) {
   rules_[op] = std::move(entries);
 }
 
+void TuningTable::set_range(CollOp op, std::size_t lo, std::size_t hi,
+                            Engine engine) {
+  require(lo <= hi, "TuningTable::set_range: lo > hi");
+  struct Interval {
+    std::size_t lo, hi;
+    Engine engine;
+  };
+  std::vector<Entry>& rules = rules_[op];
+  if (rules.empty()) rules.push_back(Entry{SIZE_MAX, Engine::Xccl});
+  std::vector<Interval> out;
+  std::size_t start = 0;
+  for (const Entry& e : rules) {
+    const Interval iv{start, e.max_bytes, e.engine};
+    start = e.max_bytes + 1;  // wraps after the SIZE_MAX tail; never read
+    if (iv.hi < lo || iv.lo > hi) {
+      out.push_back(iv);
+      continue;
+    }
+    if (iv.lo < lo) out.push_back({iv.lo, lo - 1, iv.engine});
+    if (iv.hi > hi) out.push_back({hi + 1, iv.hi, iv.engine});
+  }
+  out.push_back({lo, hi, engine});
+  std::sort(out.begin(), out.end(),
+            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+  rules.clear();
+  for (const Interval& iv : out) {
+    if (!rules.empty() && rules.back().engine == iv.engine) {
+      rules.back().max_bytes = iv.hi;  // merge with the previous interval
+    } else {
+      rules.push_back(Entry{iv.hi, iv.engine});
+    }
+  }
+}
+
 const std::vector<TuningTable::Entry>* TuningTable::rules(CollOp op) const {
   auto it = rules_.find(op);
   return it == rules_.end() ? nullptr : &it->second;

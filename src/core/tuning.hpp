@@ -128,6 +128,13 @@ class TuningTable {
   /// final entry is extended to SIZE_MAX).
   void set_rules(CollOp op, std::vector<Entry> entries);
 
+  /// Rewrite the rules so every message in [lo, hi] selects `engine` while
+  /// selection outside the range is unchanged: the covering rules are split
+  /// at the range edges and adjacent same-engine intervals are merged back.
+  /// An op without rules starts from the implicit catch-all {SIZE_MAX, Xccl}.
+  /// This is how the online tuner (src/tune/) rewrites a runtime's table.
+  void set_range(CollOp op, std::size_t lo, std::size_t hi, Engine engine);
+
   [[nodiscard]] const std::vector<Entry>* rules(CollOp op) const;
 
   /// Human/machine-readable round trip, e.g.

@@ -33,7 +33,6 @@ namespace {
 TuningTable resolve_tuning(const XcclMpiOptions& options,
                            const sim::SystemProfile& profile) {
   if (options.tuning) return *options.tuning;
-  if (options.tuning_file) return TuningTable::load_file(*options.tuning_file);
   if (const char* env = std::getenv("MPIXCCL_TUNING_FILE"); env != nullptr) {
     return TuningTable::load_file(env);
   }
@@ -100,18 +99,16 @@ bool XcclMpi::set_hier_levels(const std::string& spec) {
 
 std::size_t XcclMpi::retune_range(CollOp op, std::size_t lo, std::size_t hi,
                                   Engine engine) {
-  if (!adaptive_.manages(op)) adapt_op(op);
-  adaptive_.set_range(op, lo, hi, engine);
+  tuning_.set_range(op, lo, hi, engine);
   // Targeted invalidation: a plan survives iff its validity band still sits
-  // inside a single effective rule whose engine matches the plan's original
-  // table choice. Only Hybrid device plans consulted the table; everything
-  // else decided independently of it and is untouched.
-  const auto* rules = effective_rules(op);
+  // inside a single rule whose engine matches the plan's original table
+  // choice. Only Hybrid device plans consulted the table; everything else
+  // decided independently of it and is untouched.
+  const std::vector<TuningTable::Entry>& rules = *tuning_.rules(op);
   const std::size_t dropped = plans_.invalidate_if([&](const Plan& p) {
     if (p.key.op != op) return false;
     if (p.mode != Mode::Hybrid || !p.key.device) return false;
-    if (rules == nullptr) return true;
-    for (const TuningTable::Entry& e : *rules) {
+    for (const TuningTable::Entry& e : rules) {
       if (p.min_bytes <= e.max_bytes) {
         return p.max_bytes > e.max_bytes || e.engine != p.pick.table_choice;
       }
@@ -122,13 +119,8 @@ std::size_t XcclMpi::retune_range(CollOp op, std::size_t lo, std::size_t hi,
   return dropped;
 }
 
-void XcclMpi::clear_adaptive() {
-  if (adaptive_.empty()) return;
-  adaptive_.clear();
-  invalidate_plans();
-}
-
-EnginePick XcclMpi::pick_from_entry(CollOp op, const TuningTable::Entry& e) {
+EnginePick XcclMpi::pick_table(CollOp op, std::size_t bytes) const {
+  const TuningTable::Entry e = tuning_.select_entry(op, bytes);
   EnginePick pick;
   pick.table_choice = e.engine;
   pick.breakpoint = e.max_bytes;
@@ -140,13 +132,6 @@ EnginePick XcclMpi::pick_from_entry(CollOp op, const TuningTable::Entry& e) {
     pick.reason = obs::FallbackReason::HierOpUnsupported;
   }
   return pick;
-}
-
-EnginePick XcclMpi::pick_table(CollOp op, std::size_t bytes) const {
-  if (adaptive_.manages(op)) {
-    return pick_from_entry(op, adaptive_.select_entry(op, bytes));
-  }
-  return pick_from_entry(op, tuning_.select_entry(op, bytes));
 }
 
 EnginePick XcclMpi::pick_classified(CollOp op, std::size_t bytes,
@@ -208,7 +193,7 @@ std::shared_ptr<Plan> XcclMpi::build_plan(const PlanKey& key, CollOp op,
   // thus this plan's engine) holds. Only Hybrid device dispatches consult
   // the table; everything else decides independently of the byte count.
   if (options_.mode == Mode::Hybrid && key.device) {
-    if (const auto* rules = effective_rules(op); rules != nullptr) {
+    if (const auto* rules = tuning_.rules(op); rules != nullptr) {
       std::size_t lo = 0;
       for (const TuningTable::Entry& e : *rules) {
         // select_entry extends the last rule to SIZE_MAX.

@@ -15,7 +15,9 @@
 //      automatic error handling, e.g. MPI_DOUBLE_COMPLEX for FFT codes on
 //      NCCL, or anything non-float on HCCL).
 //   3. Hybrid selection — consult the tuning table (offline-tuned message
-//      size thresholds) to pick MPI vs xCCL in Hybrid mode.
+//      size thresholds) to pick MPI vs xCCL in Hybrid mode. There is one
+//      table per runtime; the online tuner (src/tune/) rewrites byte ranges
+//      of it in place through retune_range().
 //   4. Communicator maintenance — lazily create and cache one CCL
 //      communicator per MPI communicator (unique id generated at the root
 //      and broadcast over MPI, like the real bootstrap).
@@ -43,7 +45,6 @@
 #include "mpi/mpi.hpp"
 #include "obs/decision.hpp"
 #include "sim/trace.hpp"
-#include "tune/adaptive.hpp"
 #include "xccl/backend.hpp"
 
 namespace mpixccl::obs {
@@ -110,12 +111,10 @@ struct XcclMpiOptions {
   /// Backend override (e.g. force MSCCL on an NVIDIA system); default is
   /// the vendor-native CCL.
   std::optional<xccl::CclKind> backend;
-  /// Tuning table override; default is TuningTable::default_for(profile).
+  /// Tuning table override (TuningTable::load_file reads a saved one). Without
+  /// it the table comes from the file MPIXCCL_TUNING_FILE names, else from
+  /// TuningTable::default_for(profile).
   std::optional<TuningTable> tuning;
-  /// Load the tuning table from this file (lower precedence than `tuning`;
-  /// higher than the built-in defaults). The MPIXCCL_TUNING_FILE environment
-  /// variable has the lowest file precedence.
-  std::optional<std::string> tuning_file;
   /// Disable the automatic MPI fallback (capability errors then surface as
   /// exceptions) — only for testing the fallback machinery itself.
   bool allow_fallback = true;
@@ -139,11 +138,10 @@ class XcclMpi {
   [[nodiscard]] const XcclMpiOptions& options() const { return options_; }
   [[nodiscard]] const TuningTable& tuning() const { return tuning_; }
   /// Swapping the table (or mode) changes what future picks would decide,
-  /// so both invalidate every cached plan. A new static table also drops the
-  /// adaptive overlay: its arms were seeded from the table being replaced.
+  /// so both invalidate every cached plan. The new table replaces any
+  /// ranges the online tuner retuned.
   void set_tuning(TuningTable t) {
     tuning_ = std::move(t);
-    adaptive_.clear();
     invalidate_plans();
   }
   void set_mode(Mode m) {
@@ -158,32 +156,14 @@ class XcclMpi {
   /// never serve another dispatch. Returns true on an effective change.
   bool set_hier_levels(const std::string& spec);
 
-  // ---- Adaptive tuning overlay (driven by tune::OnlineTuner) ---------------
-  /// The per-runtime overlay the online controller rewrites. Hybrid device
-  /// dispatches consult it before the static table.
-  [[nodiscard]] const tune::AdaptiveTable& adaptive() const { return adaptive_; }
-  /// Copy the static rules for `op` into the overlay (behavior-neutral: the
-  /// seeded rules select exactly what the static table would). Idempotent:
-  /// an already-managed op keeps its overlay — a repeated adopt must never
-  /// wipe retunes applied earlier in the same directive batch.
-  void adapt_op(CollOp op) {
-    if (!adaptive_.manages(op)) adaptive_.adopt(op, tuning_.rules(op));
-  }
-  /// Point every message in [lo, hi] at `engine` (adopting `op` first if
-  /// needed), purging only the cached plans whose pick the rewrite changed.
-  /// Must be called uniformly on every rank sharing a communicator — a
-  /// divergent overlay would send ranks down different engine channels.
-  /// Returns the number of plans purged.
+  // ---- Online retuning (driven by tune::OnlineTuner) -----------------------
+  /// Point every message in [lo, hi] at `engine` in this runtime's table,
+  /// purging only the cached plans whose pick the rewrite changed. Must be
+  /// called uniformly on every rank sharing a communicator — a divergent
+  /// table would send ranks down different engine channels. Returns the
+  /// number of plans purged.
   std::size_t retune_range(CollOp op, std::size_t lo, std::size_t hi,
                            Engine engine);
-  /// Drop the overlay, reverting to the static table (full plan flush).
-  void clear_adaptive();
-  /// Overlay rules when the op is managed, else the static table's.
-  [[nodiscard]] const std::vector<TuningTable::Entry>* effective_rules(
-      CollOp op) const {
-    if (const auto* r = adaptive_.rules(op)) return r;
-    return tuning_.rules(op);
-  }
 
   // ---- Communicators (delegate to MiniMPI) --------------------------------
   mini::Comm dup(mini::Comm& comm) { return mpi_.dup(comm); }
@@ -334,10 +314,8 @@ class XcclMpi {
  private:
   friend class Persistent;
 
-  /// Wrap one matched rule into a pick, remapping unsupported hier choices
-  /// to Xccl (recorded as a redirect).
-  static EnginePick pick_from_entry(CollOp op, const TuningTable::Entry& e);
-  /// Consult the tuning table (the adaptive overlay shadows the static one).
+  /// The tuning table's pick, remapping unsupported hier choices to Xccl
+  /// (recorded as a redirect).
   [[nodiscard]] EnginePick pick_table(CollOp op, std::size_t bytes) const;
 
   /// Decide the engine for a collective touching `bytes` bytes once the
@@ -428,8 +406,7 @@ class XcclMpi {
 
   mini::Mpi mpi_;
   XcclMpiOptions options_;
-  TuningTable tuning_;
-  tune::AdaptiveTable adaptive_;  ///< online overlay; empty until adopted
+  TuningTable tuning_;  ///< offline-tuned; the online tuner rewrites it in place
   std::unique_ptr<xccl::CclBackend> backend_;
   std::unique_ptr<hier::HierEngine> hier_;
   CclCommCache ccl_comms_;

@@ -69,7 +69,6 @@ constexpr FallbackReason fallback_reason_of(XcclResult r) {
 /// before the mutation, `engine` the one it points at after.
 enum class TuneAudit : std::uint8_t {
   None,       ///< not an audit record: a normal dispatch decision
-  Adopt,      ///< arm cell created; static rules copied into the overlay
   Explore,    ///< epsilon-greedy trial install (or its revert)
   Switch,     ///< challenger beat the leader past hysteresis; promoted
   Eliminate,  ///< successive halving retired an arm's engine
@@ -78,7 +77,6 @@ enum class TuneAudit : std::uint8_t {
 constexpr std::string_view to_string(TuneAudit a) {
   switch (a) {
     case TuneAudit::None: return "none";
-    case TuneAudit::Adopt: return "adopt";
     case TuneAudit::Explore: return "explore";
     case TuneAudit::Switch: return "switch";
     case TuneAudit::Eliminate: return "eliminate";

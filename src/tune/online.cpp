@@ -1,6 +1,5 @@
 #include "tune/online.hpp"
 
-#include <set>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -121,14 +120,10 @@ void OnlineTuner::observe(core::XcclMpi& rt) {
         CellState c;
         c.op = op;
         c.band = band;
-        // The engine the effective table currently points this range at is
-        // the incumbent leader the challengers must beat.
-        const core::TuningTable::Entry seed =
-            rt.adaptive().manages(op)
-                ? rt.adaptive().select_entry(op, band_lo_bytes(band) + 1)
-                : rt.tuning().select_entry(op, band_lo_bytes(band) + 1);
-        c.leader = seed.engine;
-        c.installed = seed.engine;
+        // The engine the table currently points this range at is the
+        // incumbent leader the challengers must beat.
+        c.leader = rt.tuning().select(op, band_lo_bytes(band) + 1);
+        c.installed = c.leader;
         for (core::Engine e : kEngines) {
           ArmState& a = c.arms[arm_index(e)];
           a.engine = e;
@@ -151,23 +146,12 @@ void OnlineTuner::observe(core::XcclMpi& rt) {
   }
 }
 
-std::string OnlineTuner::decide(core::XcclMpi& rt) {
+std::string OnlineTuner::decide() {
   std::ostringstream batch;
   const bool halving = steps_ % config_.halving_every == 0;
-  // Ops already adopted earlier in THIS batch: decide() never mutates rt, so
-  // rt.adaptive().manages() cannot go true mid-loop — without this set, every
-  // cell of a new op would emit its own adopt, and adopt #2 would wipe the
-  // retune an explore directive between them just installed.
-  std::set<core::CollOp> adopted;
   for (auto& [key, c] : cells_) {
     const std::string op_name(to_string(c.op));
     ArmState& leader_arm = c.arms[arm_index(c.leader)];
-    // Newly created cell: adopt the op into every rank's overlay first so
-    // later range rewrites start from identical seeds.
-    if (!rt.adaptive().manages(c.op) && adopted.insert(c.op).second) {
-      batch << "adopt " << op_name << ' ' << c.band << ' '
-            << to_string(c.leader) << '\n';
-    }
 
     // --- Evaluate an exploration in flight --------------------------------
     if (c.exploring) {
@@ -275,14 +259,7 @@ void OnlineTuner::apply(const std::string& directives, core::XcclMpi& rt,
     obs::TuneAudit kind = obs::TuneAudit::None;
     core::Engine from = core::Engine::Mpi;
     core::Engine to = core::Engine::Mpi;
-    if (verb == "adopt") {
-      std::string leader;
-      ls >> leader;
-      require(!ls.fail(), "OnlineTuner: malformed directive '" + line + "'");
-      kind = obs::TuneAudit::Adopt;
-      from = to = engine_from_token(leader);
-      rt.adapt_op(op);
-    } else if (verb == "explore" || verb == "switch") {
+    if (verb == "explore" || verb == "switch") {
       std::string from_tok, to_tok;
       ls >> from_tok >> to_tok;
       require(!ls.fail(), "OnlineTuner: malformed directive '" + line + "'");
@@ -348,7 +325,7 @@ void OnlineTuner::step(core::XcclMpi& rt, mini::Comm& comm) {
   const bool root = comm.rank() == 0;
   if (root && !frozen_) {
     observe(rt);
-    batch = decide(rt);
+    batch = decide();
   } else if (root) {
     // Frozen: settle. Revert any in-flight exploration so the table points
     // every cell at its leader — a frozen measurement must time the

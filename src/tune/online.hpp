@@ -4,9 +4,10 @@
 // breakpoints once; production systems never get that luxury again after a
 // topology or workload shift. The OnlineTuner watches the live per-
 // (collective, engine, size-band) latency distributions and runtime-fallback
-// counters in obs::Registry, and rewrites the per-runtime AdaptiveTable so
-// each (collective, size-band) arm converges onto the engine that is
-// actually fastest here and now.
+// counters in obs::Registry, and rewrites byte ranges of the runtime's one
+// TuningTable in place (XcclMpi::retune_range) so each (collective,
+// size-band) arm converges onto the engine that is actually fastest here
+// and now. A new cell's leader is the engine the table already picks.
 //
 // Per (collective, size-band) cell the controller runs a three-armed bandit
 // over {flat-MPI, flat-xCCL, hier}:
@@ -153,7 +154,7 @@ class OnlineTuner {
   // Rank 0 only: refresh arm stats from the registry, then
   // decide this round's mutations as a serialized directive batch.
   void observe(core::XcclMpi& rt);
-  [[nodiscard]] std::string decide(core::XcclMpi& rt);
+  [[nodiscard]] std::string decide();
   // All ranks: apply the broadcast batch; rank 0 also writes audit records
   // and bumps the tune.* metrics (they are process-wide).
   void apply(const std::string& directives, core::XcclMpi& rt, bool audit);

@@ -149,11 +149,12 @@ sim::TimeUs RingCclBackend::step_exchange(CclComm& comm, fabric::ChannelId ch,
 
 // ---- AllReduce -------------------------------------------------------------
 
+template <class Land>
 sim::TimeUs RingCclBackend::ring_reduce_scatter(const void* input,
                                                 std::size_t block_count, DataType dt,
                                                 ReduceOp op, CclComm& comm,
                                                 fabric::ChannelId ch, sim::TimeUs t0,
-                                                const LandFn& land) {
+                                                const Land& land) {
   // Standard NCCL-style ring over p input blocks: each step forwards the
   // block the previous step produced (step 0 sends an input block) and
   // reduces the left neighbour's block with this rank's input block as it
@@ -451,21 +452,8 @@ XcclResult RingCclBackend::send(const void* buf, std::size_t count, DataType dt,
   if (!comm.valid()) return XcclResult::InvalidUsage;
   if (peer < 0 || peer >= comm.nranks()) return XcclResult::InvalidArgument;
   if (auto r = check_move(dt); !ok(r)) return r;
-  const std::size_t bytes = count * datatype_size(dt);
-
-  if (group_depth_ > 0) {
-    group_queue_.push_back(QueuedP2p{true, buf, nullptr, bytes,
-                                     comm.world_rank(peer), &comm, &stream});
-    return XcclResult::Success;
-  }
-  const sim::TimeUs t0 = begin_op(stream);
-  fabric::SendPolicy policy{.rendezvous = true, .eager_complete_us = 0.0};
-  auto ps = ctx().endpoint_of(comm.world_rank(peer))
-                .deliver(ctx().rank(), 0, comm.p2p_channel(), buf, bytes, t0,
-                         policy);
-  sim::VirtualClock scratch;
-  stream.advance_tail_to(ps.wait(scratch));
-  return XcclResult::Success;
+  return enqueue_p2p(QueuedP2p{true, buf, nullptr, count * datatype_size(dt),
+                               comm.world_rank(peer), &comm, &stream});
 }
 
 XcclResult RingCclBackend::recv(void* buf, std::size_t count, DataType dt, int peer,
@@ -473,20 +461,14 @@ XcclResult RingCclBackend::recv(void* buf, std::size_t count, DataType dt, int p
   if (!comm.valid()) return XcclResult::InvalidUsage;
   if (peer < 0 || peer >= comm.nranks()) return XcclResult::InvalidArgument;
   if (auto r = check_move(dt); !ok(r)) return r;
-  const std::size_t bytes = count * datatype_size(dt);
+  return enqueue_p2p(QueuedP2p{false, nullptr, buf, count * datatype_size(dt),
+                               comm.world_rank(peer), &comm, &stream});
+}
 
-  if (group_depth_ > 0) {
-    group_queue_.push_back(QueuedP2p{false, nullptr, buf, bytes,
-                                     comm.world_rank(peer), &comm, &stream});
-    return XcclResult::Success;
-  }
-  const sim::TimeUs t0 = begin_op(stream);
-  auto cost = [this](int sw, std::size_t b) { return p2p_cost(sw, b, 1); };
-  auto pr = ctx().endpoint().post_recv(comm.world_rank(peer), 0,
-                                       comm.p2p_channel(), buf, bytes, t0, cost);
-  sim::VirtualClock scratch;
-  stream.advance_tail_to(pr.wait(scratch).completion);
-  return XcclResult::Success;
+XcclResult RingCclBackend::enqueue_p2p(const QueuedP2p& op) {
+  group_start();
+  group_queue_.push_back(op);
+  return group_end();
 }
 
 // ---- Group calls ----------------------------------------------------------------

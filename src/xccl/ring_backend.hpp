@@ -15,7 +15,6 @@
 //      at stream synchronization, exactly like a real CCL kernel.
 
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -100,6 +99,9 @@ class RingCclBackend : public CclBackend {
     CclComm* comm;
     device::Stream* stream;
   };
+  /// Queue one send or recv and flush it through group_end(): outside a
+  /// group the op runs at once as a group of one, inside one it waits.
+  XcclResult enqueue_p2p(const QueuedP2p& op);
 
   // Algorithm bodies (correctness + timing). The tree and ring walks come
   // from common/schedule.hpp.
@@ -119,15 +121,16 @@ class RingCclBackend : public CclBackend {
   /// block already in place; step s uses tag `tag0 + s`.
   sim::TimeUs ring_allgather(std::byte* buf, std::size_t block, int tag0, CclComm& comm,
                              fabric::ChannelId ch, sim::TimeUs t0);
-  /// Where step `s` of a ring reduce-scatter lands the partial result for
-  /// block `b`; the next step forwards it from there.
-  using LandFn = std::function<std::byte*(int s, std::size_t b)>;
   /// Ring reduce-scatter of `input` (p blocks of block_count elements, read
   /// in place): on return, block `me` is fully reduced at land(p - 2, me).
+  /// `land(s, b)` is the std::byte* where step `s` lands the partial result
+  /// for block `b`; the next step forwards it from there. Defined in the .cpp,
+  /// its only user.
+  template <class Land>
   sim::TimeUs ring_reduce_scatter(const void* input, std::size_t block_count,
                                   DataType dt, ReduceOp op, CclComm& comm,
                                   fabric::ChannelId ch, sim::TimeUs t0,
-                                  const LandFn& land);
+                                  const Land& land);
 
   CclKind kind_;
   sim::CclProfile prof_;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include "core/xccl_mpi.hpp"
@@ -77,35 +78,35 @@ TEST(TuningFile, SaveLoadRoundTrip) {
 }
 
 TEST(TuningFile, OptionsFileDrivesDispatch) {
+  // The deployment path: MPIXCCL_TUNING_FILE names the table when the
+  // options carry none.
   const std::string path = "/tmp/mpixccl_tuning_mpi_only.tbl";
   TuningTable::uniform(Engine::Mpi).save_file(path);
-
+  setenv("MPIXCCL_TUNING_FILE", path.c_str(), 1);
   fabric::run_world(sim::thetagpu(), 1, [&](fabric::RankContext& ctx) {
-    XcclMpiOptions opts;
-    opts.tuning_file = path;
-    XcclMpi rt(ctx, opts);
+    XcclMpi rt(ctx);
     device::DeviceBuffer buf(ctx.device(), 4u << 20);
     rt.allreduce(buf.get(), buf.get(), 1 << 20, mini::kFloat, ReduceOp::Sum,
                  rt.comm_world());
     // The file says "mpi everywhere": even 4 MB routes to the MPI engine.
     EXPECT_EQ(rt.last_dispatch().engine, Engine::Mpi);
   });
+  unsetenv("MPIXCCL_TUNING_FILE");
   std::remove(path.c_str());
 }
 
 TEST(TuningFile, ExplicitTableBeatsFile) {
   const std::string path = "/tmp/mpixccl_tuning_loser.tbl";
   TuningTable::uniform(Engine::Mpi).save_file(path);
+  setenv("MPIXCCL_TUNING_FILE", path.c_str(), 1);  // lower precedence
   fabric::run_world(sim::thetagpu(), 1, [&](fabric::RankContext& ctx) {
-    XcclMpiOptions opts;
-    opts.tuning = TuningTable::uniform(Engine::Xccl);
-    opts.tuning_file = path;  // lower precedence
-    XcclMpi rt(ctx, opts);
+    XcclMpi rt(ctx, {.tuning = TuningTable::uniform(Engine::Xccl)});
     device::DeviceBuffer buf(ctx.device(), 1024);
     rt.allreduce(buf.get(), buf.get(), 16, mini::kFloat, ReduceOp::Sum,
                  rt.comm_world());
     EXPECT_EQ(rt.last_dispatch().engine, Engine::Xccl);
   });
+  unsetenv("MPIXCCL_TUNING_FILE");
   std::remove(path.c_str());
 }
 

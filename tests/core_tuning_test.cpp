@@ -158,6 +158,85 @@ TEST(TuningTable, DefaultsEncodePaperCrossovers) {
   EXPECT_EQ(habana.select(CollOp::Allreduce, 65536), Engine::Mpi);
 }
 
+// ---- Range rewrites (the online tuner's edit) --------------------------------
+
+std::vector<Engine> engines_of(const TuningTable& t, CollOp op,
+                               const std::vector<std::size_t>& probes) {
+  std::vector<Engine> out;
+  for (std::size_t b : probes) out.push_back(t.select(op, b));
+  return out;
+}
+
+TEST(TuningTable, SetRangeOnOpWithoutRulesStartsFromCatchAll) {
+  TuningTable t;
+  t.set_range(CollOp::Bcast, 0, 1024, Engine::Mpi);
+  // Outside the range the implicit {SIZE_MAX, Xccl} still selects.
+  EXPECT_EQ(engines_of(t, CollOp::Bcast, {0, 1024, 1025, SIZE_MAX}),
+            (std::vector<Engine>{Engine::Mpi, Engine::Mpi, Engine::Xccl,
+                                 Engine::Xccl}));
+  ASSERT_NE(t.rules(CollOp::Bcast), nullptr);
+  EXPECT_EQ(t.rules(CollOp::Bcast)->size(), 2u);
+}
+
+TEST(TuningTable, SetRangeSplitsCoveringRule) {
+  TuningTable t;
+  t.set_rules(CollOp::Allreduce, {{SIZE_MAX, Engine::Xccl}});
+  t.set_range(CollOp::Allreduce, 4097, 65536, Engine::Mpi);
+  EXPECT_EQ(engines_of(t, CollOp::Allreduce, {4096, 4097, 65536, 65537}),
+            (std::vector<Engine>{Engine::Xccl, Engine::Mpi, Engine::Mpi,
+                                 Engine::Xccl}));
+  // Three rules now: [0,4096]=xccl, (4096,65536]=mpi, rest xccl.
+  ASSERT_NE(t.rules(CollOp::Allreduce), nullptr);
+  EXPECT_EQ(t.rules(CollOp::Allreduce)->size(), 3u);
+}
+
+TEST(TuningTable, SetRangeAtZeroAndSizeMaxEdges) {
+  TuningTable t;
+  t.set_range(CollOp::Allreduce, 0, 4096, Engine::Mpi);
+  EXPECT_EQ(engines_of(t, CollOp::Allreduce, {0, 4096, 4097}),
+            (std::vector<Engine>{Engine::Mpi, Engine::Mpi, Engine::Xccl}));
+  t.set_range(CollOp::Allreduce, 1 << 20, SIZE_MAX, Engine::Hier);
+  EXPECT_EQ(t.select(CollOp::Allreduce, SIZE_MAX), Engine::Hier);
+  EXPECT_EQ(t.select(CollOp::Allreduce, (1 << 20) - 1), Engine::Xccl);
+}
+
+TEST(TuningTable, SetRangeMergesAdjacentSameEngine) {
+  TuningTable t;
+  t.set_range(CollOp::Allreduce, 0, 4096, Engine::Mpi);
+  t.set_range(CollOp::Allreduce, 4097, 65536, Engine::Mpi);
+  // Adjacent mpi intervals merge back into one rule + the xccl tail.
+  ASSERT_NE(t.rules(CollOp::Allreduce), nullptr);
+  EXPECT_EQ(t.rules(CollOp::Allreduce)->size(), 2u);
+  EXPECT_EQ(t.select(CollOp::Allreduce, 65536), Engine::Mpi);
+  // Rewriting the whole line merges everything into one catch-all.
+  t.set_range(CollOp::Allreduce, 0, SIZE_MAX, Engine::Xccl);
+  EXPECT_EQ(t.rules(CollOp::Allreduce)->size(), 1u);
+}
+
+TEST(TuningTable, SetRangeRejectsInvertedRange) {
+  TuningTable t;
+  t.set_rules(CollOp::Bcast, {{1024, Engine::Mpi}, {SIZE_MAX, Engine::Xccl}});
+  EXPECT_THROW(t.set_range(CollOp::Bcast, 10, 5, Engine::Hier), Error);
+  // The rejected rewrite left the rules as they were.
+  EXPECT_EQ(t.rules(CollOp::Bcast)->size(), 2u);
+  EXPECT_EQ(t.select(CollOp::Bcast, 8), Engine::Mpi);
+  // An op without rules gains none from a rejected rewrite.
+  EXPECT_THROW(t.set_range(CollOp::Scan, 10, 5, Engine::Mpi), Error);
+  EXPECT_EQ(t.rules(CollOp::Scan), nullptr);
+}
+
+TEST(TuningTable, SetRangeSerializeRoundTrip) {
+  TuningTable t;
+  t.set_range(CollOp::Allreduce, 0, 16384, Engine::Mpi);
+  t.set_range(CollOp::Allreduce, 1 << 20, (4 << 20) - 1, Engine::Hier);
+  const TuningTable back = TuningTable::deserialize(t.serialize());
+  EXPECT_EQ(back.serialize(), t.serialize());
+  EXPECT_EQ(engines_of(back, CollOp::Allreduce,
+                       {16384, 16385, 1 << 20, (4 << 20) - 1, 4 << 20}),
+            (std::vector<Engine>{Engine::Mpi, Engine::Xccl, Engine::Hier,
+                                 Engine::Hier, Engine::Xccl}));
+}
+
 TEST(OfflineTuner, FindsTheAllreduceCrossover) {
   fabric::World world(fabric::WorldConfig{sim::thetagpu(), 1, 0});
   world.run([](fabric::RankContext& ctx) {

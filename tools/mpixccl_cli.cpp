@@ -177,7 +177,7 @@ int cmd_train(const Args& args) {
 /// from a deliberately mis-tuned static table (everything forced onto flat
 /// MPI), runs an allreduce workload across the size bands while stepping an
 /// OnlineTuner each iteration, then prints the per-arm report, the switch
-/// history and the adaptive table the controller converged onto.
+/// history and the tuning table the controller rewrote in place.
 int cmd_tune_online(const Args& args) {
   const sim::SystemProfile prof =
       sim::profile_by_name(get(args, "system", "thetagpu"));
@@ -218,7 +218,7 @@ int cmd_tune_online(const Args& args) {
     tuner.step(rt, comm);
     if (ctx.rank() == 0) {
       report = tuner.report();
-      table = rt.adaptive().serialize();
+      table = rt.tuning().serialize();
     }
   });
   std::printf("online tuning on %s (%d nodes x 2 devices), %d steps, "
