@@ -19,6 +19,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -111,30 +112,81 @@ void expect_pinned(const std::function<std::uint64_t(DataType, ReduceOp)>& run,
 
 // ---- MiniMPI ------------------------------------------------------------------
 
-std::uint64_t mpi_allreduce(int p, DataType dt, ReduceOp op) {
-  // 12347 elements: above the recursive-doubling cutoff for both widths,
-  // and uneven over the Rabenseifner blocks.
-  constexpr std::size_t n = 12347;
-  return run_world(1, p, [&](fabric::RankContext& ctx) {
+/// MiniMPI allreduce of `n` elements.
+RankBody mpi_allreduce_body(std::size_t n, DataType dt, ReduceOp op) {
+  return [=](fabric::RankContext& ctx) {
     mini::Mpi mpi(ctx, ctx.profile().mpi);
     const auto in = seeded_input(dt, n, ctx.rank());
     std::vector<std::byte> out(in.size());
     mpi.allreduce(in.data(), out.data(), n, mini::Datatype{dt, 1}, op,
                   mpi.comm_world());
     return out;
-  });
+  };
+}
+
+// 1000 elements are below the recursive-doubling cutoff for both widths;
+// 12347 are above it, and uneven over the Rabenseifner blocks.
+constexpr std::size_t kRdElems = 1000;
+constexpr std::size_t kRabenseifnerElems = 12347;
+
+std::uint64_t mpi_allreduce(int p, std::size_t n, DataType dt, ReduceOp op) {
+  return run_world(1, p, mpi_allreduce_body(n, dt, op));
 }
 
 TEST(ReduceOrderPin, MpiRabenseifnerPow2) {
-  expect_pinned([](DataType dt, ReduceOp op) { return mpi_allreduce(4, dt, op); },
-                {8900498962944867741u, 10000427933831206341u, 2375842224501179685u,
-                 12799791567985898925u});
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return mpi_allreduce(4, kRabenseifnerElems, dt, op);
+      },
+      {8900498962944867741u, 10000427933831206341u, 2375842224501179685u,
+       12799791567985898925u});
 }
 
 TEST(ReduceOrderPin, MpiRabenseifnerFold) {
-  expect_pinned([](DataType dt, ReduceOp op) { return mpi_allreduce(6, dt, op); },
-                {11063737505989860037u, 14810102615626681477u, 15198401943788592785u,
-                 10201974437612220641u});
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return mpi_allreduce(6, kRabenseifnerElems, dt, op);
+      },
+      {11063737505989860037u, 14810102615626681477u, 15198401943788592785u,
+       10201974437612220641u});
+}
+
+// 1x8 walks three masks; 1x7 folds three rank pairs onto four.
+constexpr Pins kMpiRdP8 = {15599482699020704245u, 9139236106521192597u,
+                           592611167782241381u, 2554862324712750565u};
+constexpr Pins kMpiRdFoldP7 = {12368417950569494676u, 11791311817226909849u,
+                               13505338763125832075u, 16314724724167777164u};
+constexpr Pins kMpiRabenseifnerP8 = {7602622749829631573u, 6769656348905107045u,
+                                     16994624358295701717u, 14379141850028768757u};
+constexpr Pins kMpiRabenseifnerFoldP7 = {1086597443419186814u, 2398030102270054023u,
+                                         11301519404645808893u, 9835286503970669442u};
+
+TEST(ReduceOrderPin, MpiRecursiveDoublingP8) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) { return mpi_allreduce(8, kRdElems, dt, op); },
+      kMpiRdP8);
+}
+
+TEST(ReduceOrderPin, MpiRecursiveDoublingFoldP7) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) { return mpi_allreduce(7, kRdElems, dt, op); },
+      kMpiRdFoldP7);
+}
+
+TEST(ReduceOrderPin, MpiRabenseifnerP8) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return mpi_allreduce(8, kRabenseifnerElems, dt, op);
+      },
+      kMpiRabenseifnerP8);
+}
+
+TEST(ReduceOrderPin, MpiRabenseifnerFoldP7) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return mpi_allreduce(7, kRabenseifnerElems, dt, op);
+      },
+      kMpiRabenseifnerFoldP7);
 }
 
 TEST(ReduceOrderPin, MpiReduceScatterBlock) {
@@ -411,13 +463,24 @@ TEST(ReduceOrderPin, CclRingReduceScatterInPlaceP2) {
 
 enum class Recv { Device, Host, InPlace };
 
-/// Hier allreduce of `n` elements on `nodes` x `dpn`, with the receive
-/// buffer in device memory, in host memory, or aliased to a device sendbuf.
-std::uint64_t hier_allreduce(int nodes, int dpn, std::size_t n, Recv where,
-                             DataType dt, ReduceOp op) {
-  return run_world(nodes, dpn, [&](fabric::RankContext& ctx) {
+/// The level chain a hier case runs on: `levels` replaces the topology's
+/// sub-node levels when not empty, and the engine must build `path` from it.
+struct Chain {
+  std::string levels;
+  std::string path;
+};
+
+/// Hier allreduce of `n` elements, with the receive buffer in device memory,
+/// in host memory, or aliased to a device sendbuf.
+RankBody hier_allreduce_body(std::size_t n, Recv where, DataType dt, ReduceOp op,
+                             const Chain& chain = {}) {
+  return [=](fabric::RankContext& ctx) {
     mini::Mpi mpi(ctx, ctx.profile().mpi);
     hier::HierEngine engine(mpi);
+    if (!chain.levels.empty()) engine.set_levels(chain.levels);
+    if (!chain.path.empty()) {
+      EXPECT_EQ(engine.prepare(mpi.comm_world()).level_path, chain.path);
+    }
     const auto in = seeded_input(dt, n, ctx.rank());
     const std::size_t bytes = in.size();
     device::DeviceBuffer dev_send(ctx.device(), bytes);
@@ -432,7 +495,12 @@ std::uint64_t hier_allreduce(int nodes, int dpn, std::size_t n, Recv where,
     std::vector<std::byte> out(bytes);
     std::memcpy(out.data(), recv, bytes);
     return out;
-  });
+  };
+}
+
+std::uint64_t hier_allreduce(int nodes, int dpn, std::size_t n, Recv where,
+                             DataType dt, ReduceOp op) {
+  return run_world(nodes, dpn, hier_allreduce_body(n, where, dt, op));
 }
 
 /// The receive buffer's placement must not change a single output bit.
@@ -472,6 +540,46 @@ TEST(ReduceOrderPin, HierPipelinedInPlace) {
         return hier_allreduce(2, 2, 300000, Recv::InPlace, dt, op);
       },
       kHierPipelined);
+}
+
+// 2x4 walks two masks on dim 0 (node(4)); 2^19 elements split into four
+// chunks, and one more element pads every chunk. 2x8 under a socket:2,numa:2
+// spec walks a chain of four dims.
+constexpr std::size_t kPipeElems = std::size_t{1} << 19;
+const Chain k2x4{"", "node(4).net(2)"};
+const Chain kFourDims{"socket:2,numa:2", "numa(2).socket(2).node(2).net(2)"};
+constexpr Pins kHierPipelined2x4 = {11875441484696932741u, 11399770090942268885u,
+                                    616364365949862741u, 6679937247721013317u};
+constexpr Pins kHierPipelined2x4Padded = {15590091891334382197u, 6829828722833790741u,
+                                          6484586584836593029u, 10053445762270210853u};
+constexpr Pins kHierPipelinedFourDims = {1465468185045922981u, 14891318781833148165u,
+                                         14341213804957728933u, 8173421678603633317u};
+
+TEST(ReduceOrderPin, HierPipelined2x4) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return run_world(2, 4,
+                         hier_allreduce_body(kPipeElems, Recv::Device, dt, op, k2x4));
+      },
+      kHierPipelined2x4);
+}
+
+TEST(ReduceOrderPin, HierPipelined2x4Padded) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return run_world(
+            2, 4, hier_allreduce_body(kPipeElems + 1, Recv::Device, dt, op, k2x4));
+      },
+      kHierPipelined2x4Padded);
+}
+
+TEST(ReduceOrderPin, HierPipelinedFourDims) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return run_world(
+            2, 8, hier_allreduce_body(kPipeElems, Recv::Device, dt, op, kFourDims));
+      },
+      kHierPipelinedFourDims);
 }
 
 TEST(ReduceOrderPin, HierStagedNonPow2) {
@@ -571,6 +679,64 @@ TEST(VirtualTimePin, CclTreeReduce) {
                kCclTreeReduce[0], {0x1.3270d1bed75c7p+10, 0x1.3270d1bed75c7p+10,
                                    0x1.31e59b3f9d1edp+10, 0x1.322b367f3a3dap+10,
     0x1.31e59b3f9d1edp+10});
+}
+
+// ---- Butterfly walks ------------------------------------------------------------
+// MiniMPI's recursive doubling and Rabenseifner, and the hier engine's
+// pipelined allreduce, walk one butterfly. These pin the clocks of walks with
+// more than one mask per dim, a fold of three rank pairs, and every
+// pipelined chain shape above.
+
+TEST(VirtualTimePin, MpiRecursiveDoublingP8) {
+  expect_timed(1, 8, mpi_allreduce_body(kRdElems, kF32, kSum), kMpiRdP8[0],
+               std::vector<double>(8, 0x1.f99999999999ap+2));
+}
+
+TEST(VirtualTimePin, MpiRecursiveDoublingFoldP7) {
+  expect_timed(1, 7, mpi_allreduce_body(kRdElems, kF32, kSum), kMpiRdFoldP7[0],
+               {0x1.0cccccccccccdp+3, 0x1.0222222222222p+3, 0x1.1777777777778p+3,
+                0x1.0cccccccccccdp+3, 0x1.1777777777778p+3, 0x1.0cccccccccccdp+3,
+                0x1.cp+2});
+}
+
+TEST(VirtualTimePin, MpiRabenseifnerP8) {
+  expect_timed(1, 8, mpi_allreduce_body(kRabenseifnerElems, kF32, kSum),
+               kMpiRabenseifnerP8[0],
+               {0x1.96740da740da6p+4, 0x1.9676c8b43958p+4, 0x1.967983c131d5ap+4,
+                0x1.967983c131d5ap+4, 0x1.96740da740da6p+4, 0x1.9676c8b43958p+4,
+                0x1.967983c131d5ap+4, 0x1.967983c131d5ap+4});
+}
+
+TEST(VirtualTimePin, MpiRabenseifnerFoldP7) {
+  expect_timed(1, 7, mpi_allreduce_body(kRabenseifnerElems, kF32, kSum),
+               kMpiRabenseifnerFoldP7[0],
+               {0x1.19a485cd7b9p+5, 0x1.19a485cd7b9p+5, 0x1.19a3d70a3d709p+5,
+                0x1.19a3d70a3d709p+5, 0x1.19a485cd7b9p+5, 0x1.19a485cd7b9p+5,
+                0x1.b7d44f3078262p+4});
+}
+
+TEST(VirtualTimePin, HierPipelined2x2) {
+  expect_timed(2, 2, hier_allreduce_body(300000, Recv::Device, kF32, kSum),
+               kHierPipelined[0], std::vector<double>(4, 0x1.1c73ba2086ed7p+7));
+}
+
+TEST(VirtualTimePin, HierPipelined2x4) {
+  expect_timed(2, 4, hier_allreduce_body(kPipeElems, Recv::Device, kF32, kSum, k2x4),
+               kHierPipelined2x4[0], std::vector<double>(8, 0x1.89559071b967bp+7));
+}
+
+TEST(VirtualTimePin, HierPipelined2x4Padded) {
+  expect_timed(2, 4,
+               hier_allreduce_body(kPipeElems + 1, Recv::Device, kF32, kSum, k2x4),
+               kHierPipelined2x4Padded[0],
+               std::vector<double>(8, 0x1.8957575757578p+7));
+}
+
+TEST(VirtualTimePin, HierPipelinedFourDims) {
+  expect_timed(2, 8,
+               hier_allreduce_body(kPipeElems, Recv::Device, kF32, kSum, kFourDims),
+               kHierPipelinedFourDims[0],
+               std::vector<double>(16, 0x1.b431ef6003db5p+7));
 }
 
 // ---- Tree and ring schedules shared by several collectives ---------------------
