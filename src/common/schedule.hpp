@@ -1,7 +1,8 @@
 #pragma once
 // Collective schedules, written once: which peer a rank talks to at each
-// step of a binomial tree or a ring, and which block it moves. MiniMPI's
-// algorithms and the CCL backends' tree and ring collectives both walk
+// step of a binomial tree, a ring or a recursive halving/doubling butterfly,
+// and which block or range it moves. MiniMPI's algorithms, the CCL backends'
+// tree and ring collectives and the hier engine's pipelined allreduce walk
 // these; each engine keeps its own exchange primitive, post order and
 // pricing. tests/common_schedule_test.cpp checks the schedules on their own,
 // with no fabric, for every communicator size up to 64 and every root.
@@ -11,6 +12,7 @@
 
 #include <array>
 #include <cstddef>
+#include <initializer_list>
 #include <memory>
 #include <span>
 
@@ -117,6 +119,122 @@ class Ring {
 
   int p_;
   int me_;
+};
+
+/// MPICH's fold of `p` ranks onto pof2, the largest power of two not above
+/// p. The first 2 * rem ranks (rem = p - pof2) pair up: the even rank of a
+/// pair pushes its vector to the odd one and sits out, the odd one reduces
+/// it in and acts as effective rank me / 2. Ranks from 2 * rem on act as
+/// me - rem. The unfold sends each odd rank's result back to its partner.
+class Pow2Fold {
+ public:
+  enum class Role { Push, Receive, Direct };
+
+  Pow2Fold(int p, int me) : pof2_(floor_pow2(p)), rem_(p - pof2_), me_(me) {}
+
+  [[nodiscard]] int pof2() const { return pof2_; }
+  [[nodiscard]] Role role() const {
+    if (me_ >= 2 * rem_) return Role::Direct;
+    return me_ % 2 == 0 ? Role::Push : Role::Receive;
+  }
+  /// The other rank of this rank's pair (not for Direct).
+  [[nodiscard]] int partner() const { return me_ % 2 == 0 ? me_ + 1 : me_ - 1; }
+  /// This rank's effective rank; -1 when it pushes and sits out.
+  [[nodiscard]] int eff() const {
+    const Role r = role();
+    return r == Role::Direct ? me_ - rem_ : r == Role::Receive ? me_ / 2 : -1;
+  }
+  /// The rank that acts as effective rank `eff`.
+  [[nodiscard]] int real(int eff) const { return eff < rem_ ? eff * 2 + 1 : eff + rem_; }
+
+ private:
+  int pof2_;
+  int rem_;
+  int me_;
+};
+
+/// A half-open range [lo, hi) in the caller's unit (blocks or elements).
+struct Range {
+  std::size_t lo;
+  std::size_t hi;
+
+  [[nodiscard]] constexpr std::size_t size() const { return hi - lo; }
+  constexpr bool operator==(const Range&) const = default;
+};
+
+/// One butterfly step: exchange with the partner whose digit along dim
+/// `dim` differs from this rank's in bit `mask`. A halving step sends half
+/// the held range and reduces the partner's other half in; a doubling step
+/// sends the held range and receives the partner's next to it.
+struct ButterflyStep {
+  int dim;
+  int mask;
+  bool halving;
+};
+
+/// The halves of a range at a halving step.
+struct Halves {
+  Range keep;
+  Range send;
+};
+
+/// Split `r` at lo + (hi - lo) / 2. The upper rank of the pair (its digit
+/// has the step's mask bit set) keeps the upper half; the lower one keeps
+/// the lower half.
+constexpr Halves halve(Range r, bool upper) {
+  const std::size_t mid = r.lo + r.size() / 2;
+  const Range lower{r.lo, mid};
+  const Range higher{mid, r.hi};
+  return upper ? Halves{higher, lower} : Halves{lower, higher};
+}
+
+/// The partner's range at a doubling step, as large as `r` and adjacent to
+/// it: below it for the upper rank of the pair, above it for the lower.
+constexpr Range mirror(Range r, bool upper) {
+  return upper ? Range{r.lo - r.size(), r.lo} : Range{r.hi, r.hi + r.size()};
+}
+
+/// The range held after step `s`: the kept half of a halving step, or the
+/// held range joined with the partner's at a doubling step.
+constexpr Range after(Range r, ButterflyStep s, bool upper) {
+  if (s.halving) return halve(r, upper).keep;
+  const Range m = mirror(r, upper);
+  return upper ? Range{m.lo, r.hi} : Range{r.lo, m.hi};
+}
+
+/// Recursive halving, then recursive doubling, over a chain of power-of-two
+/// dims, innermost first (one dim of pof2 is MPICH's butterfly). The steps
+/// halve over dim 0 .. D-1, masks from dims[j] / 2 down to 1, then double
+/// over dim D-1 .. 0, masks from 1 up to dims[j] / 2: a reduce-scatter to
+/// 1 / prod(dims) of the range, then an allgather back to all of it.
+class Butterfly {
+ public:
+  /// An int rank spans at most 31 bits, each halved once and doubled once.
+  static constexpr int kMaxSteps = 62;
+
+  explicit Butterfly(std::span<const int> dims) {
+    const int d = static_cast<int>(dims.size());
+    for (int j = 0; j < d; ++j) {
+      for (int m = dims[j] >> 1; m > 0; m >>= 1) push({j, m, true});
+    }
+    for (int j = d; j-- > 0;) {
+      for (int m = 1; m < dims[j]; m <<= 1) push({j, m, false});
+    }
+  }
+  Butterfly(std::initializer_list<int> dims)
+      : Butterfly(std::span<const int>(dims.begin(), dims.size())) {}
+
+  [[nodiscard]] int steps() const { return n_; }
+  /// Step k, 0 <= k < steps().
+  [[nodiscard]] ButterflyStep step(int k) const {
+    return steps_[static_cast<std::size_t>(k)];
+  }
+
+ private:
+  void push(ButterflyStep s) { steps_[static_cast<std::size_t>(n_++)] = s; }
+
+  int n_ = 0;
+  std::array<ButterflyStep, kMaxSteps> steps_{};
 };
 
 }  // namespace mpixccl

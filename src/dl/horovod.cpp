@@ -67,8 +67,7 @@ class XcclMpiComm final : public CommRuntime {
     opts.backend = backend;
     rt_ = std::make_unique<core::XcclMpi>(ctx, std::move(opts));
     if (tune::online_tuning_enabled()) {
-      tuner_ = std::make_unique<tune::OnlineTuner>(
-          tune::OnlineTunerConfig::from_env());
+      tuner_ = std::make_unique<tune::OnlineTuner>();
     }
   }
   void tune_step() override {

@@ -27,7 +27,35 @@ constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
 /// end (the same convention the flat paths use, so results stay comparable).
 ReduceOp stage_op(ReduceOp op) { return op == ReduceOp::Avg ? ReduceOp::Sum : op; }
 
-bool avg_supported(DataType dt) { return is_floating(dt) || is_complex(dt); }
+/// Whether the stages can reduce `a`: its op is defined for the datatype as
+/// a stage reduces it, and an Avg's final division is.
+bool stage_reducible(const mini::CollArgs& a) {
+  if (!reduce_defined(a.dt.base, stage_op(a.redop))) return false;
+  return a.redop != ReduceOp::Avg || is_floating(a.dt.base) || is_complex(a.dt.base);
+}
+
+/// `rank`'s digit per dim of the chain.
+std::vector<int> digits_of(int rank, const std::vector<int>& dims) {
+  std::vector<int> r(dims.size());
+  int q = rank;
+  for (std::size_t j = 0; j < dims.size(); ++j) {
+    r[j] = q % dims[j];
+    q /= dims[j];
+  }
+  return r;
+}
+
+/// Whether my digits in every dim below j match those of rank `root`. A
+/// per-level schedule rooted there runs dim j's stage among exactly these
+/// ranks: the subtree a bcast has reached by then, or the leaders a reduce
+/// has gathered into.
+bool on_root_path(const HierEngine::HierComms& hc, int root, std::size_t j) {
+  for (std::size_t i = 0; i < j; ++i) {
+    if (hc.coord[i] != root % hc.dims[i]) return false;
+    root /= hc.dims[i];
+  }
+  return true;
+}
 
 using obs::SpanName;
 using mini::Coll;
@@ -328,8 +356,7 @@ bool HierEngine::run(HierComms& hc, const mini::CollArgs& a, mini::Comm& comm) {
 
 bool HierEngine::run_allreduce(HierComms& hc, const mini::CollArgs& a,
                                mini::Comm& comm) {
-  if (!reduce_defined(a.dt.base, stage_op(a.redop))) return false;
-  if (a.redop == ReduceOp::Avg && !avg_supported(a.dt.base)) return false;
+  if (!stage_reducible(a)) return false;
   if (!hc.usable) return false;
   if (a.count == 0) return true;
 
@@ -430,12 +457,6 @@ void HierEngine::cico_allreduce(const mini::CollArgs& a, std::size_t elems,
   // XHC-style copy-in-copy-out: whole messages hop leader-to-leader instead
   // of paying one shard exchange (alpha + rendezvous each) per level. A rank
   // participates at step j iff it is the digit-0 leader of every deeper dim.
-  auto leader_through = [&hc](std::size_t j) {
-    for (std::size_t i = 0; i < j; ++i) {
-      if (hc.coord[i] != 0) return false;
-    }
-    return true;
-  };
 
   std::byte* stg = scratch(stage_, 2 * bytes);
   std::byte* half[2] = {stg, stg + bytes};
@@ -444,7 +465,7 @@ void HierEngine::cico_allreduce(const mini::CollArgs& a, std::size_t elems,
   int pp = 0;
   for (std::size_t j = 0; j + 1 < D; ++j) {
     auto span = stage(*mpi_, SpanName::AllreduceCicoReduce, hc.level_ids[j]);
-    if (leader_through(j)) {
+    if (on_root_path(hc, 0, j)) {
       mpi_->run(stage_args(Coll::Reduce, cur, cur_kind, half[pp], kDev, elems, dtb, op),
                 hc.comms[j]);
       cur = half[pp];
@@ -454,7 +475,7 @@ void HierEngine::cico_allreduce(const mini::CollArgs& a, std::size_t elems,
   }
   {
     auto span = stage(*mpi_, SpanName::AllreduceCicoAr, hc.level_ids[D - 1]);
-    if (leader_through(D - 1)) {
+    if (on_root_path(hc, 0, D - 1)) {
       mpi_->run(stage_args(Coll::Allreduce, cur, cur_kind, a.recvbuf, a.rkind, elems,
                            dtb, op),
                 hc.comms[D - 1]);
@@ -462,7 +483,7 @@ void HierEngine::cico_allreduce(const mini::CollArgs& a, std::size_t elems,
   }
   for (std::size_t j = D - 1; j-- > 0;) {
     auto span = stage(*mpi_, SpanName::AllreduceCicoBcast, hc.level_ids[j]);
-    if (leader_through(j)) {
+    if (on_root_path(hc, 0, j)) {
       mpi_->run({.coll = Coll::Bcast, .recvbuf = a.recvbuf, .count = elems, .dt = dtb,
                  .rkind = a.rkind},
                 hc.comms[j]);
@@ -491,31 +512,22 @@ void HierEngine::pipelined_allreduce(std::byte* ws, std::size_t unit,
   // halving/doubling. At most one exchange per dim is outstanding, so no
   // link's bandwidth is double-booked.
   //
-  // A chunk's position is one counter: step s < D is halving (reduce-
-  // scatter) over dim s; step s >= D is doubling (allgather) over dim
-  // 2D-1-s; step 2D is done.
+  // A chunk's position is its next step in the butterfly over the dims.
   struct Chunk {
-    std::size_t base = 0;  ///< chunk origin in ws, elems
-    std::size_t off = 0;   ///< current segment offset within the chunk, elems
-    std::size_t len = 0;   ///< current segment length, elems
-    std::size_t step = 0;
-    int mask = 0;
+    Range seg;  ///< the segment it holds, elems of ws
+    int k = 0;  ///< next step; bf.steps() when done
     int tag = 0;
     mini::Request sreq, rreq;  ///< the in-flight exchange (any dim)
-    std::size_t keep_off = 0, keep_len = 0;
-    std::size_t grow_off = 0, grow_len = 0;
     bool pending = false;
   };
-  const std::size_t kDone = 2 * D;
-  auto cur_dim = [D](const Chunk& c) {
-    return c.step < D ? c.step : 2 * D - 1 - c.step;
+  const Butterfly bf(hc.dims);
+  auto dim_of = [&bf](const Chunk& c) {
+    return static_cast<std::size_t>(bf.step(c.k).dim);
   };
 
   std::vector<Chunk> cs(chunks);
   for (std::size_t c = 0; c < chunks; ++c) {
-    cs[c].base = c * unit;
-    cs[c].len = unit;
-    cs[c].mask = hc.dims[0] >> 1;
+    cs[c].seg = {c * unit, (c + 1) * unit};
     cs[c].tag = static_cast<int>(c) * 1000;
   }
 
@@ -530,83 +542,68 @@ void HierEngine::pipelined_allreduce(std::byte* ws, std::size_t unit,
     return cost;
   };
 
+  auto upper = [&](const Chunk& c) {
+    const ButterflyStep s = bf.step(c.k);
+    return (hc.coord[static_cast<std::size_t>(s.dim)] & s.mask) != 0;
+  };
+
   auto post = [&](Chunk& c) -> double {
-    const std::size_t j = cur_dim(c);
+    const ButterflyStep s = bf.step(c.k);
+    const auto j = static_cast<std::size_t>(s.dim);
     mini::Comm& sub = hc.comms[j];
-    const int digit = hc.coord[j];
-    std::byte* cb = ws + c.base * esz;
-    const int partner = digit ^ c.mask;
-    if (c.step < D) {  // halving: send one half, reduce into the kept one
-      const std::size_t half = c.len / 2;
-      c.keep_off = ((digit & c.mask) == 0) ? c.off : c.off + half;
-      c.keep_len = half;
-      const std::size_t send = ((digit & c.mask) == 0) ? c.off + half : c.off;
-      c.rreq = mpi_->irecv_reduce(cb + c.keep_off * esz, half, dtb, op, partner,
-                                  c.tag, sub, kDev);
-      c.sreq = mpi_->isend(cb + send * esz, half, dtb, partner, c.tag, sub, kDev);
-      ++c.tag;
-      c.pending = true;
-      return est_cost(half, j);
+    const int partner = hc.coord[j] ^ s.mask;
+    auto at_seg = [&](Range r) { return ws + r.lo * esz; };
+    std::size_t xfer = c.seg.size();
+    if (s.halving) {  // send one half, reduce into the kept one
+      const Halves h = halve(c.seg, upper(c));
+      xfer = h.keep.size();
+      c.rreq = mpi_->irecv_reduce(at_seg(h.keep), xfer, dtb, op, partner, c.tag, sub,
+                                  kDev);
+      c.sreq = mpi_->isend(at_seg(h.send), xfer, dtb, partner, c.tag, sub, kDev);
+    } else {  // receive the partner's segment straight into place
+      c.rreq = mpi_->irecv(at_seg(mirror(c.seg, upper(c))), xfer, dtb, partner, c.tag,
+                           sub, kDev);
+      c.sreq = mpi_->isend(at_seg(c.seg), xfer, dtb, partner, c.tag, sub, kDev);
     }
-    // Doubling: receive the partner's segment straight into place.
-    const std::size_t poff =
-        ((digit & c.mask) == 0) ? c.off + c.len : c.off - c.len;
-    c.grow_off = std::min(c.off, poff);
-    c.grow_len = c.len * 2;
-    c.rreq = mpi_->irecv(cb + poff * esz, c.len, dtb, partner, c.tag, sub, kDev);
-    c.sreq = mpi_->isend(cb + c.off * esz, c.len, dtb, partner, c.tag, sub, kDev);
     ++c.tag;
     c.pending = true;
-    return est_cost(c.len, j);
+    return est_cost(xfer, j);
   };
 
   auto complete = [&](Chunk& c) {
-    const std::size_t j = cur_dim(c);
     // Per-level attribution for the fleet skew tables: the wait below is the
-    // time this rank spent blocked on dim j's exchange (a late partner at
+    // time this rank spent blocked on this dim's exchange (a late partner at
     // that level shows up here), and completes are issued sequentially, so
     // the spans never overlap even when chunks pipeline.
-    auto span = stage(*mpi_, SpanName::AllreducePipe, hc.level_ids[j]);
+    auto span = stage(*mpi_, SpanName::AllreducePipe, hc.level_ids[dim_of(c)]);
     mpi_->wait(c.sreq);
     mpi_->wait(c.rreq);
     c.pending = false;
-    if (c.step < D) {
-      c.off = c.keep_off;
-      c.len = c.keep_len;
-      c.mask >>= 1;
-      if (c.mask == 0) {
-        ++c.step;
-        c.mask = (c.step < D) ? hc.dims[c.step] >> 1 : 1;
-      }
-    } else {
-      c.off = c.grow_off;
-      c.len = c.grow_len;
-      c.mask <<= 1;
-      if (c.mask == hc.dims[j]) {
-        ++c.step;
-        c.mask = 1;
-      }
-    }
+    c.seg = after(c.seg, bf.step(c.k), upper(c));
+    ++c.k;
   };
 
   // Scheduler. Chunk steps evolve identically on every rank (the loop only
   // branches on shared deterministic state — steps and chain-derived cost
   // estimates), so partners always meet at the same exchange in the same
   // order: no handshake is needed and no deadlock is possible.
+  auto ready_on = [&](const Chunk& c, std::size_t j) {
+    return !c.pending && c.k < bf.steps() && dim_of(c) == j;
+  };
   auto next_for_dim = [&](std::size_t j) -> Chunk* {
     if (j == 0) {
       // Drain tails (the final doubling) before opening new heads, keeping
       // in-flight scratch bounded and the pipeline short.
       for (auto& c : cs) {
-        if (!c.pending && c.step == kDone - 1) return &c;
+        if (ready_on(c, 0) && !bf.step(c.k).halving) return &c;
       }
       for (auto& c : cs) {
-        if (!c.pending && c.step == 0) return &c;
+        if (ready_on(c, 0) && bf.step(c.k).halving) return &c;
       }
       return nullptr;
     }
     for (auto& c : cs) {
-      if (!c.pending && c.step < kDone && cur_dim(c) == j) return &c;
+      if (ready_on(c, j)) return &c;
     }
     return nullptr;
   };
@@ -639,21 +636,6 @@ void HierEngine::pipelined_allreduce(std::byte* ws, std::size_t unit,
 
 // ---- Bcast ------------------------------------------------------------------
 
-namespace {
-
-/// `root`'s digit per dim of the chain.
-std::vector<int> digits_of(int rank, const std::vector<int>& dims) {
-  std::vector<int> r(dims.size());
-  int q = rank;
-  for (std::size_t j = 0; j < dims.size(); ++j) {
-    r[j] = q % dims[j];
-    q /= dims[j];
-  }
-  return r;
-}
-
-}  // namespace
-
 bool HierEngine::run_bcast(HierComms& hc, const mini::CollArgs& a,
                            mini::Comm& comm) {
   if (!hc.usable) return false;
@@ -666,21 +648,13 @@ bool HierEngine::run_bcast(HierComms& hc, const mini::CollArgs& a,
   const std::size_t D = hc.dims.size();
 
   const std::vector<int> r = digits_of(a.root, hc.dims);
-  // Participants at step j are the ranks whose deeper digits all match the
-  // root's: exactly the subtree the data has reached by then.
-  auto on_root_path = [&](std::size_t j) {
-    for (std::size_t i = 0; i < j; ++i) {
-      if (hc.coord[i] != r[i]) return false;
-    }
-    return true;
-  };
 
   if (bytes < kBcastScatterMinBytes) {
     // Leader chain: the root's column carries the message across each
     // boundary from the outermost in, then every group fans out locally.
     for (std::size_t j = D; j-- > 0;) {
       auto span = stage(*mpi_, SpanName::BcastLeader, hc.level_ids[j]);
-      if (on_root_path(j)) {
+      if (on_root_path(hc, a.root, j)) {
         mini::CollArgs leg = a;  // the same bcast, rooted at this level's digit
         leg.root = r[j];
         mpi_->run(leg, hc.comms[j]);
@@ -718,7 +692,7 @@ bool HierEngine::run_bcast(HierComms& hc, const mini::CollArgs& a,
   for (std::size_t j = D - 1; j-- > 0;) {
     std::byte* dst = pp[(D - 2 - j) % 2];
     auto span = stage(*mpi_, SpanName::BcastScatter, hc.level_ids[j]);
-    if (hc.coord[D - 1] == r[D - 1] && on_root_path(j)) {
+    if (hc.coord[D - 1] == r[D - 1] && on_root_path(hc, a.root, j)) {
       mpi_->run(stage_args(Coll::Scatter, src, kDev, dst, kDev, stride[j] * seg, dtb,
                            ReduceOp::Sum, r[j]),
                 hc.comms[j]);
@@ -753,8 +727,7 @@ bool HierEngine::run_bcast(HierComms& hc, const mini::CollArgs& a,
 
 bool HierEngine::run_reduce(HierComms& hc, const mini::CollArgs& a,
                             mini::Comm& comm) {
-  if (!reduce_defined(a.dt.base, stage_op(a.redop))) return false;
-  if (a.redop == ReduceOp::Avg && !avg_supported(a.dt.base)) return false;
+  if (!stage_reducible(a)) return false;
   if (!hc.usable) return false;
   if (a.count == 0) return true;
 
@@ -763,12 +736,6 @@ bool HierEngine::run_reduce(HierComms& hc, const mini::CollArgs& a,
   const int me = comm.rank();
 
   const std::vector<int> r = digits_of(a.root, hc.dims);
-  auto on_root_path = [&](std::size_t j) {
-    for (std::size_t i = 0; i < j; ++i) {
-      if (hc.coord[i] != r[i]) return false;
-    }
-    return true;
-  };
 
   // Reduce toward the root's digit at each level from the innermost out.
   // The true root accumulates straight into recvbuf at every step; other
@@ -781,7 +748,7 @@ bool HierEngine::run_reduce(HierComms& hc, const mini::CollArgs& a,
   const mini::MemKind dst_kind = me == a.root ? a.rkind : kDev;
   for (std::size_t j = 0; j < D; ++j) {
     auto span = stage(*mpi_, SpanName::Reduce, hc.level_ids[j]);
-    if (on_root_path(j)) {
+    if (on_root_path(hc, a.root, j)) {
       mpi_->run(stage_args(Coll::Reduce, cur, cur_kind, dst, dst_kind, a.count, a.dt,
                            stage_op(a.redop), r[j]),
                 hc.comms[j]);
@@ -824,8 +791,7 @@ bool HierEngine::run_allgather(HierComms& hc, const mini::CollArgs& a) {
   if (blk == 0) return true;
 
   const std::size_t D = hc.dims.size();
-  std::size_t p = 1;
-  for (int d : hc.dims) p *= static_cast<std::size_t>(d);
+  const std::size_t p = hc.size();
   const std::size_t selems = a.count * a.dt.count;
   const mini::Datatype stb{a.dt.base, 1};
 
@@ -862,16 +828,14 @@ bool HierEngine::run_allgather(HierComms& hc, const mini::CollArgs& a) {
 
 bool HierEngine::run_reduce_scatter_block(HierComms& hc, const mini::CollArgs& a,
                                           mini::Comm& comm) {
-  if (!reduce_defined(a.dt.base, stage_op(a.redop))) return false;
-  if (a.redop == ReduceOp::Avg && !avg_supported(a.dt.base)) return false;
+  if (!stage_reducible(a)) return false;
   if (!hc.usable) return false;
   if (a.count == 0) return true;
 
   const std::size_t relems = a.count * a.dt.count;
   const std::size_t blk = relems * datatype_size(a.dt.base);
   const std::size_t D = hc.dims.size();
-  std::size_t p = 1;
-  for (int d : hc.dims) p *= static_cast<std::size_t>(d);
+  const std::size_t p = hc.size();
   const mini::Datatype dtb{a.dt.base, 1};
 
   // Permute the p input blocks into chain-major order so each level's

@@ -81,6 +81,11 @@ class HierEngine {
     std::vector<mini::Comm> comms;    ///< per-dim subcommunicator (rank = digit)
     std::vector<sim::LinkParams> links;  ///< est. link class per dim
     std::string level_path;           ///< e.g. "numa(2).socket(2).node(2).net(2)"
+
+    /// Ranks in the chain: the product of dims.
+    [[nodiscard]] std::size_t size() const {
+      return static_cast<std::size_t>(nodes) * static_cast<std::size_t>(per_node);
+    }
   };
 
   /// Resolve (building the collective splits and caching them on first use)

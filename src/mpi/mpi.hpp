@@ -205,7 +205,6 @@ class Mpi {
   // Nonblocking collectives: the algorithm runs at call time; the request
   // carries the virtual completion time (see DESIGN.md: the MPI path does
   // not model collective/compute overlap; the xCCL path does, via streams).
-  Request ibcast(void* buf, std::size_t count, Datatype dt, int root, Comm& comm);
   Request iallreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                      Datatype dt, ReduceOp op, Comm& comm);
   Request ibarrier(Comm& comm);

@@ -1,7 +1,6 @@
 #include "tune/online.hpp"
 
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "common/log.hpp"
@@ -35,28 +34,6 @@ core::Engine engine_from_token(const std::string& s) {
   throw Error("OnlineTuner: unknown engine token '" + s + "'");
 }
 
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0') {
-    throw Error(std::string("OnlineTuner: malformed ") + name + "='" + v + "'");
-  }
-  return parsed;
-}
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0') {
-    throw Error(std::string("OnlineTuner: malformed ") + name + "='" + v + "'");
-  }
-  return parsed;
-}
-
 std::size_t arm_index(core::Engine e) { return static_cast<std::size_t>(e); }
 
 }  // namespace
@@ -66,23 +43,6 @@ bool online_tuning_enabled() {
   if (v == nullptr) return false;
   const std::string s(v);
   return !(s.empty() || s == "0" || s == "off" || s == "false");
-}
-
-OnlineTunerConfig OnlineTunerConfig::from_env() {
-  OnlineTunerConfig c;
-  c.epsilon = env_double("MPIXCCL_TUNE_EPSILON", c.epsilon);
-  c.min_samples = env_u64("MPIXCCL_TUNE_MIN_SAMPLES", c.min_samples);
-  c.min_improvement =
-      env_double("MPIXCCL_TUNE_MIN_IMPROVEMENT", c.min_improvement);
-  c.eliminate_factor =
-      env_double("MPIXCCL_TUNE_ELIM_FACTOR", c.eliminate_factor);
-  c.halving_every = env_u64("MPIXCCL_TUNE_HALVING", c.halving_every);
-  c.seed = env_u64("MPIXCCL_TUNE_SEED", c.seed);
-  require(c.epsilon >= 0.0 && c.epsilon <= 1.0,
-          "OnlineTuner: MPIXCCL_TUNE_EPSILON must be in [0, 1]");
-  require(c.halving_every > 0,
-          "OnlineTuner: MPIXCCL_TUNE_HALVING must be positive");
-  return c;
 }
 
 std::size_t band_lo_bytes(std::size_t band) {
@@ -96,7 +56,11 @@ std::size_t band_hi_bytes(std::size_t band) {
 }
 
 OnlineTuner::OnlineTuner(OnlineTunerConfig config)
-    : config_(config), rng_(make_rng(config.seed, /*stream=*/0xad417)) {}
+    : config_(config), rng_(make_rng(config.seed, /*stream=*/0xad417)) {
+  require(config.epsilon >= 0.0 && config.epsilon <= 1.0,
+          "OnlineTuner: epsilon must be in [0, 1]");
+  require(config.halving_every > 0, "OnlineTuner: halving_every must be positive");
+}
 
 CellState& OnlineTuner::cell(core::CollOp op, std::size_t band) {
   return cells_[{op, band}];
@@ -395,7 +359,7 @@ std::string OnlineTuner::report() const {
 // ---- C-shaped API ----------------------------------------------------------
 
 mpixcclTuner_t mpixcclTunerCreate() {
-  return new OnlineTuner(OnlineTunerConfig::from_env());
+  return new OnlineTuner();
 }
 
 void mpixcclTunerStep(mpixcclTuner_t tuner, core::XcclMpi* rt,

@@ -54,10 +54,6 @@ struct OnlineTunerConfig {
   double eliminate_factor = 2.5; ///< halving: retire arms slower than best*this
   std::uint64_t halving_every = 4;  ///< steps between elimination checkpoints
   std::uint64_t seed = 0x5eedULL;   ///< exploration RNG seed (rank 0 only)
-
-  /// Defaults overridden by the MPIXCCL_TUNE_* environment knobs:
-  /// EPSILON, MIN_SAMPLES, MIN_IMPROVEMENT, ELIM_FACTOR, HALVING, SEED.
-  static OnlineTunerConfig from_env();
 };
 
 /// Byte range of obs size band `band` (see obs::size_band_of): the range an

@@ -349,34 +349,20 @@ TEST(OnlineTuner, HierArmPreEliminatedForUnsupportedOps) {
   });
 }
 
-TEST(OnlineTunerConfigEnv, ParsesAndValidates) {
-  setenv("MPIXCCL_TUNE_EPSILON", "0.25", 1);
-  setenv("MPIXCCL_TUNE_MIN_SAMPLES", "12", 1);
-  setenv("MPIXCCL_TUNE_MIN_IMPROVEMENT", "0.2", 1);
-  setenv("MPIXCCL_TUNE_ELIM_FACTOR", "3.5", 1);
-  setenv("MPIXCCL_TUNE_HALVING", "6", 1);
-  setenv("MPIXCCL_TUNE_SEED", "99", 1);
-  const OnlineTunerConfig c = OnlineTunerConfig::from_env();
-  EXPECT_DOUBLE_EQ(c.epsilon, 0.25);
-  EXPECT_EQ(c.min_samples, 12u);
-  EXPECT_DOUBLE_EQ(c.min_improvement, 0.2);
-  EXPECT_DOUBLE_EQ(c.eliminate_factor, 3.5);
-  EXPECT_EQ(c.halving_every, 6u);
-  EXPECT_EQ(c.seed, 99u);
-
-  setenv("MPIXCCL_TUNE_EPSILON", "1.5", 1);
-  EXPECT_THROW(OnlineTunerConfig::from_env(), Error);
-  setenv("MPIXCCL_TUNE_EPSILON", "abc", 1);
-  EXPECT_THROW(OnlineTunerConfig::from_env(), Error);
-  unsetenv("MPIXCCL_TUNE_EPSILON");
-  setenv("MPIXCCL_TUNE_HALVING", "0", 1);
-  EXPECT_THROW(OnlineTunerConfig::from_env(), Error);
-  for (const char* k :
-       {"MPIXCCL_TUNE_MIN_SAMPLES", "MPIXCCL_TUNE_MIN_IMPROVEMENT",
-        "MPIXCCL_TUNE_ELIM_FACTOR", "MPIXCCL_TUNE_HALVING",
-        "MPIXCCL_TUNE_SEED"}) {
-    unsetenv(k);
-  }
+TEST(OnlineTuner, ConstructorValidatesConfig) {
+  const auto with = [](double epsilon, std::uint64_t halving_every) {
+    OnlineTunerConfig c;
+    c.epsilon = epsilon;
+    c.halving_every = halving_every;
+    return c;
+  };
+  EXPECT_NO_THROW(OnlineTuner{with(0.0, 1)});
+  EXPECT_NO_THROW(OnlineTuner{with(1.0, 1)});
+  EXPECT_THROW(OnlineTuner{with(1.5, 4)}, Error);
+  EXPECT_THROW(OnlineTuner{with(-0.1, 4)}, Error);
+  EXPECT_THROW(OnlineTuner{with(0.1, 0)}, Error);
+  const OnlineTuner defaults;
+  EXPECT_EQ(defaults.config().seed, 0x5eedu);
 }
 
 TEST(OnlineTunerConfigEnv, MasterSwitchParsing) {

@@ -199,7 +199,7 @@ int cmd_tune_online(const Args& args) {
   world.run([&](fabric::RankContext& ctx) {
     core::XcclMpi rt(ctx, {.tuning = mistuned});
     auto& comm = rt.comm_world();
-    tune::OnlineTuner tuner(tune::OnlineTunerConfig::from_env());
+    tune::OnlineTuner tuner;
     device::DeviceBuffer send(ctx.device(), 4u << 20);
     device::DeviceBuffer recv(ctx.device(), 4u << 20);
     for (int s = 0; s < steps; ++s) {
