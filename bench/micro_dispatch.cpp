@@ -10,19 +10,27 @@
 //                           fleet profiling off, and with tracing on
 //   * oneshot allreduce     full dispatch per call (cache-hit steady state)
 //   * persistent start/wait the same collective through a prebuilt handle
+//   * oneshot allreduce 1x4 the one-shot call on four ranks at once, where
+//                           every rank thread takes its peers' match locks
+//   * registry lookup 4t    one buffer classification with four threads
+//                           classifying at the same time
 //
 // Emits mpixccl.bench.v1 via MPIXCCL_BENCH_JSON; the committed
 // BENCH_dispatch.json baseline gates regressions through `mpixccl perf diff`
 // (with wide thresholds — host time on shared CI is noisy).
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/plan.hpp"
 #include "core/xccl_mpi.hpp"
+#include "device/buffer_registry.hpp"
 #include "device/device.hpp"
 #include "fabric/world.hpp"
 #include "obs/decision.hpp"
@@ -54,6 +62,62 @@ double median_ns(int reps, int iters, F&& body) {
   }
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
+}
+
+/// Rank 0's median per-call ns of a warm one-shot 4 KB allreduce on
+/// thetagpu with `ranks` ranks on one node.
+double oneshot_allreduce_ns(const core::TuningTable& table, int ranks, int reps,
+                            int iters) {
+  double ns = 0.0;
+  fabric::World world(fabric::WorldConfig{sim::thetagpu(), 1, ranks});
+  world.run([&](fabric::RankContext& ctx) {
+    core::XcclMpi rt(ctx, {.tuning = table});
+    auto& comm = rt.comm_world();
+    device::DeviceBuffer send(ctx.device(), kBytes);
+    device::DeviceBuffer recv(ctx.device(), kBytes);
+    const std::size_t count = kBytes / sizeof(float);
+    auto call = [&] {
+      rt.allreduce(send.get(), recv.get(), count, mini::kFloat, ReduceOp::Sum, comm);
+    };
+    call();  // warm the plan cache so the loop measures the hit path
+    const double one = median_ns(reps, iters, call);
+    if (ctx.rank() == 0) ns = one;
+  });
+  return ns;
+}
+
+/// Median per-lookup ns of thread 0 while `threads` threads classify the
+/// same mix at once: interior pointers of 16 registered allocations and 16
+/// host pointers.
+double registry_lookup_ns(int threads, int reps, int iters) {
+  constexpr std::size_t kAllocs = 16;
+  auto& reg = device::BufferRegistry::instance();
+  std::vector<std::vector<std::byte>> mem(kAllocs, std::vector<std::byte>(kBytes));
+  std::array<std::byte, kAllocs> host{};
+  std::vector<const void*> ptrs;
+  for (std::size_t i = 0; i < kAllocs; ++i) {
+    reg.add(mem[i].data(), kBytes, Vendor::Nvidia, static_cast<int>(i));
+    ptrs.push_back(mem[i].data() + i * 97);
+    ptrs.push_back(&host[i]);
+  }
+  std::atomic<int> ready{0};
+  double ns = 0.0;
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < threads) std::this_thread::yield();
+      std::size_t i = 0;
+      volatile bool sink = false;
+      const double one = median_ns(reps, iters, [&] {
+        sink = reg.lookup(ptrs[i++ % ptrs.size()]).has_value();
+      });
+      if (t == 0) ns = one;
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  for (auto& m : mem) reg.remove(m.data());
+  return ns;
 }
 
 }  // namespace
@@ -159,6 +223,13 @@ int main() {
     }
   });
 
+  // --- Contended: four rank threads on the small-message path at once -------
+  // The rows above keep contention out on purpose; these two put it back:
+  // the one-shot call with every rank taking its peers' match locks, and
+  // buffer classification with four threads reading the registry.
+  const double oneshot_4_ns = oneshot_allreduce_ns(table, 4, reps, e2e_iters);
+  const double lookup_4_ns = registry_lookup_ns(4, reps, iters);
+
   omb::print_series_table(
       "dispatch overhead", "ns",
       {{"select_entry", {{kBytes, select_ns}}},
@@ -167,7 +238,9 @@ int main() {
        {"span_off", {{kBytes, span_off_ns}}},
        {"span_traced", {{kBytes, span_traced_ns}}},
        {"oneshot_allreduce", {{kBytes, oneshot_ns}}},
-       {"persistent_start_wait", {{kBytes, persistent_ns}}}});
+       {"persistent_start_wait", {{kBytes, persistent_ns}}},
+       {"oneshot_allreduce_1x4", {{kBytes, oneshot_4_ns}}},
+       {"registry_lookup_4t", {{kBytes, lookup_4_ns}}}});
 
   std::printf("per-call: oneshot=%.0fns persistent=%.0fns (%.2fx)\n\n",
               oneshot_ns, persistent_ns, oneshot_ns / persistent_ns);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 
 namespace mpixccl::fmt {
 
@@ -29,6 +30,13 @@ std::string json_escape(std::string_view s) {
     }
   }
   return out;
+}
+
+std::string byte_range(const void* p, std::size_t n) {
+  const auto x = reinterpret_cast<std::uintptr_t>(p);
+  std::ostringstream os;
+  os << std::hex << "[0x" << x << ", 0x" << x + n << ")";
+  return os.str();
 }
 
 std::string json_double(double v) {

@@ -18,6 +18,10 @@ std::string size_label(std::size_t bytes);
 /// into documents verbatim otherwise.
 std::string json_escape(std::string_view s);
 
+/// "[0xfirst, 0xlast)": a byte range in hex, for errors that name the
+/// ranges a call rejected.
+std::string byte_range(const void* p, std::size_t n);
+
 /// Shortest decimal text that round-trips the double exactly (escalating
 /// %.15g → %.17g). Use for JSON numbers that must survive a parse/re-emit
 /// cycle, e.g. trace timestamps past ~1 s of virtual time where %.6g

@@ -10,6 +10,7 @@
 // without UCC, instantiate mini::Mpi directly with that profile.
 
 #include <functional>
+#include <map>
 #include <memory>
 
 #include "mpi/mpi.hpp"

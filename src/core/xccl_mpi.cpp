@@ -279,7 +279,7 @@ void XcclMpi::complete(OpRecord& rec, const EnginePick& pick,
   obs::fleet::dispatch_exit(done, log);
   auto& reg = obs::Registry::instance();
   reg.record_call(done.op, done.engine, done.rank, done.bytes);
-  reg.record_latency(done.op, done.engine, done.bytes, done.elapsed_us());
+  reg.record_latency(done.op, done.engine, done.rank, done.bytes, done.elapsed_us());
   if (done.fell_back) {
     reg.record_fallback(done.op, done.table_choice, done.rank, done.bytes);
   }

@@ -8,9 +8,10 @@
 // paper's Fig. 2). Device allocations are plain host memory registered here;
 // unregistered pointers classify as host memory.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 
@@ -26,11 +27,20 @@ struct BufferInfo {
 };
 
 /// Thread-safe pointer->allocation map. Process-wide singleton.
+///
+/// Every rank thread classifies its buffers here at each collective entry,
+/// so a lookup takes no lock and writes no shared line: it checks the
+/// published generation against the one of the immutable, base-sorted
+/// snapshot its thread last read, and searches that snapshot. Only the first
+/// lookup after a change takes the mutex, to pick up the new snapshot, which
+/// add/remove build by copying under it. A snapshot is freed once no thread
+/// holds it, so at most one per thread, plus the current one, is alive.
 class BufferRegistry {
  public:
   static BufferRegistry& instance();
 
   /// Record an allocation [ptr, ptr+size) owned by (vendor, device_id).
+  /// Throws if the range overlaps a live allocation, naming both ranges.
   void add(const void* ptr, std::size_t size, Vendor vendor, int device_id);
 
   /// Remove a previously added allocation (exact base pointer).
@@ -46,11 +56,21 @@ class BufferRegistry {
   /// Number of live registered allocations (tests / leak checks).
   [[nodiscard]] std::size_t live_count() const;
 
- private:
-  BufferRegistry() = default;
+  /// Snapshots not yet freed, the current one included (tests).
+  [[nodiscard]] static std::size_t retained_snapshots();
 
-  mutable std::mutex mu_;
-  std::map<std::uintptr_t, BufferInfo> by_base_;
+ private:
+  struct Snapshot;
+
+  BufferRegistry();
+
+  /// Publishes `next` as the current snapshot. Called under mu_.
+  void publish(std::shared_ptr<const Snapshot> next);
+
+  mutable std::mutex mu_;  ///< serializes add/remove and snapshot pick-ups
+  std::shared_ptr<const Snapshot> current_;
+  /// On a line of its own: every lookup reads it, only add/remove write it.
+  alignas(64) std::atomic<std::uint64_t> generation_{0};
 };
 
 }  // namespace mpixccl::device

@@ -5,11 +5,12 @@
 #include <cstdint>
 #include <cstring>
 #include <exception>
-#include <sstream>
+#include <mutex>
 #include <string>
-#include <thread>
 
+#include "common/format.hpp"
 #include "common/reduce.hpp"
+#include "common/spin.hpp"
 #include "common/status.hpp"
 
 namespace mpixccl::fabric {
@@ -21,10 +22,6 @@ static_assert(kShareChunkBytes % datatype_size(DataType::DoubleComplex) == 0,
 
 /// Polls of the state word before a small-transfer wait parks.
 constexpr int kSpinPolls = 2000;
-/// Every this many polls the spinner yields its core instead of pausing:
-/// when threads outnumber free cores, the peer it waits for may be queued
-/// behind it on the same core.
-constexpr int kYieldEvery = 32;
 
 /// True when [a, a + n) and [b, b + n) share a byte without being the same
 /// range. A null `a` (no separate operand) never overlaps.
@@ -33,32 +30,6 @@ bool partly_overlap(const void* a, const void* b, std::size_t n) {
   const auto x = reinterpret_cast<std::uintptr_t>(a);
   const auto y = reinterpret_cast<std::uintptr_t>(b);
   return x < y + n && y < x + n;
-}
-
-/// "[first, last)" of a byte range, in hex.
-std::string range_string(const void* p, std::size_t n) {
-  const auto x = reinterpret_cast<std::uintptr_t>(p);
-  std::ostringstream os;
-  os << std::hex << "[0x" << x << ", 0x" << x + n << ")";
-  return os.str();
-}
-
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-/// Poll `i` of a spin: a pause, or every kYieldEvery polls a yield, since
-/// the thread it waits for may be queued behind it on the same core.
-inline void spin_pause(int i) {
-  if (i % kYieldEvery == 0) {
-    std::this_thread::yield();
-  } else {
-    cpu_relax();
-  }
 }
 
 /// A matched payload's move: dst = src, or for a receive-reduce
@@ -260,18 +231,25 @@ PendingSend Endpoint::deliver(int src, int tag, ChannelId channel, const void* d
   PendingSend handle = s.done ? PendingSend(s.done)
                               : PendingSend(sender_ready + policy.eager_complete_us);
 
+  auto posted = [&] {
+    return std::find_if(pending_.begin(), pending_.end(),
+                        [&](const PostedRecv& r) { return matches(r, s); });
+  };
   std::unique_lock lock(mu_);
-  const auto it = std::find_if(pending_.begin(), pending_.end(),
-                               [&](const PostedRecv& r) { return matches(r, s); });
-  if (it == pending_.end()) {
+  auto it = posted();
+  if (it == pending_.end() && !s.done && bytes > 0) {
     // An eager sender owns its buffer again once deliver returns, so an
-    // unmatched eager payload is buffered here, before any receiver can
-    // see the entry.
-    if (!s.done && bytes > 0) {
-      s.buffered = std::make_unique_for_overwrite<std::byte[]>(bytes);
-      std::memcpy(s.buffered.get(), data, bytes);
-      s.data = s.buffered.get();
-    }
+    // unmatched eager payload is buffered before any receiver can see the
+    // entry. The copy runs outside the lock; a receive posted meanwhile
+    // takes the buffered copy.
+    lock.unlock();
+    s.buffered = std::make_unique_for_overwrite<std::byte[]>(bytes);
+    std::memcpy(s.buffered.get(), data, bytes);
+    s.data = s.buffered.get();
+    lock.lock();
+    it = posted();
+  }
+  if (it == pending_.end()) {
     unexpected_.push_back(std::move(s));
     return handle;
   }
@@ -298,8 +276,8 @@ PendingRecv Endpoint::post_recv(int src, int tag, ChannelId channel, void* buf,
   }
   if (reduce && partly_overlap(reduce->local, buf, capacity)) {
     throw Error("Endpoint::post_recv: receive-reduce local operand " +
-                range_string(reduce->local, capacity) +
-                " partly overlaps the posted buffer " + range_string(buf, capacity));
+                fmt::byte_range(reduce->local, capacity) +
+                " partly overlaps the posted buffer " + fmt::byte_range(buf, capacity));
   }
 
   PostedRecv r{.src = src,

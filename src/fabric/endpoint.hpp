@@ -3,21 +3,22 @@
 // ordering semantics (FIFO, non-overtaking per (src, tag, channel)).
 //
 // Buffer ownership: a send buffer belongs to the fabric until its
-// PendingSend resolves, and a receive buffer until its PendingRecv
-// resolves (MPI's isend/irecv contract). Matching runs under the receiving
-// endpoint's mutex and is closed by whichever thread completes the pair
-// (the sender if a recv was pending, the receiver if the send was
-// unexpected). The payload then moves once, from the send buffer straight
-// into the receive buffer, outside the mutex: a memcpy, or, for a
-// receive-reduce, an apply_reduce that combines the payload with a local
-// operand as it lands (buf = op(payload, local)), so a reduction step needs
-// no staging inbox. The local operand is the posted buffer itself or a
-// separate range the receiver owns (its own input block, read where it
-// lies, so the reduction needs no working copy of the input either); it is
-// read until the receive resolves, so it must stay unchanged until then. A
-// receive-reduce payload must fill the posted buffer exactly, and its
-// (datatype, op) pair and local range are validated when it is posted, so
-// the move never throws.
+// PendingSend resolves, and a receive buffer until its PendingRecv resolves
+// (MPI's isend/irecv contract). Matching runs under the receiving endpoint's
+// match lock and is closed by whichever thread completes the pair (the
+// sender if a recv was pending, the receiver if the send was unexpected).
+// The lock is a SpinLock (common/spin.hpp): it guards only a queue scan and
+// a push or erase, shorter than a futex sleep and wake-up. The payload then
+// moves once, from the send buffer straight into the receive buffer, outside
+// the lock: a memcpy, or, for a receive-reduce, an apply_reduce that
+// combines the payload with a local operand as it lands (buf = op(payload,
+// local)), so a reduction step needs no staging inbox. The local operand is
+// the posted buffer itself or a separate range the receiver owns (its own
+// input block, read where it lies, so the reduction needs no working copy of
+// the input either); it is read until the receive resolves, so it must stay
+// unchanged until then. A receive-reduce payload must fill the posted buffer
+// exactly, and its (datatype, op) pair and local range are validated when it
+// is posted, so the move never throws.
 //
 // Who moves the bytes:
 // - Below kShareMinBytes, the closing thread moves the whole payload.
@@ -33,6 +34,8 @@
 //   cannot resolve until the receiver has the bytes.
 // - An eager sender resolves at post time and may reuse its buffer at once,
 //   so an eager payload is buffered, but only when no receive is posted.
+//   The copy runs outside the lock, which is then taken again; a receive
+//   posted meanwhile takes the buffered copy.
 //
 // Handles resolve through a one-shot completion cell: the closing thread
 // publishes the result (or error), and the waiter spins briefly on small
@@ -43,9 +46,9 @@
 #include <cstddef>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 
+#include "common/spin.hpp"
 #include "fabric/message.hpp"
 #include "sim/time.hpp"
 
@@ -104,7 +107,9 @@ class PendingRecv {
   std::shared_ptr<CompletionCell> cell_;
 };
 
-class Endpoint {
+/// Cache-line aligned: every rank thread writes its peers' match locks, so
+/// two endpoints must not share a line.
+class alignas(64) Endpoint {
  public:
   explicit Endpoint(int rank) : rank_(rank) {}
 
@@ -170,7 +175,7 @@ class Endpoint {
   static void complete(const PostedRecv& r, const PostedSend& s, CompletionCell* peer);
 
   int rank_;
-  mutable std::mutex mu_;
+  mutable SpinLock mu_;
   std::deque<PostedSend> unexpected_;
   std::deque<PostedRecv> pending_;
 };

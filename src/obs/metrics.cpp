@@ -180,6 +180,16 @@ void Histogram::reset() {
   sum_.store(0.0, std::memory_order_relaxed);
 }
 
+HistogramSnapshot ShardedHistogram::snapshot() const {
+  HistogramSnapshot m;
+  for (const Shard& s : shards_) m = merge_histograms(m, s.h.snapshot());
+  return m;
+}
+
+void ShardedHistogram::reset() {
+  for (Shard& s : shards_) s.h.reset();
+}
+
 Registry& Registry::instance() {
   static Registry r;
   return r;
@@ -190,18 +200,14 @@ void Registry::record_call(core::CollOp op, core::Engine engine, int rank,
   CollCell& c = cell(op, engine);
   c.calls.add(1, rank);
   c.bytes.add(bytes, rank);
-  c.size_hist.observe(static_cast<double>(bytes));
+  c.size_hist.observe(static_cast<double>(bytes), rank);
 }
 
-void Registry::record_latency(core::CollOp op, core::Engine engine, double us) {
-  cell(op, engine).latency_us_hist.observe(us);
-}
-
-void Registry::record_latency(core::CollOp op, core::Engine engine,
+void Registry::record_latency(core::CollOp op, core::Engine engine, int rank,
                               std::size_t bytes, double us) {
   CollCell& c = cell(op, engine);
-  c.latency_us_hist.observe(us);
-  c.band_latency_us[size_band_of(bytes)].observe(us);
+  c.latency_us_hist.observe(us, rank);
+  c.band_latency_us[size_band_of(bytes)].observe(us, rank);
 }
 
 void Registry::record_fallback(core::CollOp op, core::Engine table_choice,

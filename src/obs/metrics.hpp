@@ -6,10 +6,11 @@
 // paper's hybrid tuning story is argued from (who served what, at which
 // sizes, at what cost).
 //
-// Hot-path discipline: recording is lock-free. Counters shard their atomics
-// so concurrent rank threads do not bounce one cache line; histograms are
-// plain relaxed atomic arrays. Locks are only taken for name registration
-// (first use of a named metric) and snapshots, which merge the shards.
+// Hot-path discipline: recording is lock-free. Counters and the per-call
+// histograms shard by rank so concurrent rank threads do not bounce one
+// cache line; named and local histograms are plain relaxed atomic arrays.
+// Locks are only taken for name registration (first use of a named metric)
+// and snapshots, which merge the shards in shard order.
 //
 // The registry aggregates across ranks (records carry no rank label beyond
 // the shard index); per-rank counters live in XcclMpi's PathStats, per-rank
@@ -175,6 +176,30 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
+/// A Histogram per rank shard, for the per-call tables every rank thread
+/// records into: rank r writes shard r % kShards, so concurrent ranks write
+/// distinct cache lines. snapshot() merges the shards in shard order, so
+/// with one rank per shard its sum does not depend on how the ranks
+/// interleaved. The shards are inline, not allocated on first use: heap
+/// shards made every omb_large set-up about 15 ms slower.
+class ShardedHistogram {
+ public:
+  static constexpr std::size_t kShards = Counter::kShards;
+
+  void observe(double v, int shard_hint) {
+    shards_[static_cast<std::size_t>(shard_hint) & (kShards - 1)].h.observe(v);
+  }
+
+  [[nodiscard]] HistogramSnapshot snapshot() const;
+  void reset();
+
+ private:
+  struct alignas(64) Shard {
+    Histogram h;
+  };
+  std::array<Shard, kShards> shards_{};
+};
+
 /// One (collective, engine) row of the merged snapshot.
 struct CollRow {
   core::CollOp op = core::CollOp::Allreduce;
@@ -183,8 +208,8 @@ struct CollRow {
   std::uint64_t bytes = 0;
   HistogramSnapshot size_hist;        ///< message bytes per call
   HistogramSnapshot latency_us_hist;  ///< virtual microseconds per call
-  /// Latency split by message-size band (index by size_band_of); filled by
-  /// the byte-aware record_latency overload, empty bands render as nothing.
+  /// Latency split by message-size band (index by size_band_of); empty
+  /// bands render as nothing.
   std::array<HistogramSnapshot, kSizeBands> band_latency_us;
 };
 
@@ -237,15 +262,15 @@ class Registry {
   static Registry& instance();
 
   // ---- Hot path: fixed per-(collective, engine) tables ----------------------
+  // Each takes the calling rank, which picks the shard it writes.
   /// One dispatched collective call of `bytes` message bytes.
   void record_call(core::CollOp op, core::Engine engine, int rank,
                    std::size_t bytes);
-  /// Completed call latency in virtual microseconds.
-  void record_latency(core::CollOp op, core::Engine engine, double us);
-  /// Byte-aware variant: also files the sample under its message-size band
-  /// (the per-(collective, engine, size-band) rows `mpixccl top` ranks).
-  void record_latency(core::CollOp op, core::Engine engine, std::size_t bytes,
-                      double us);
+  /// Completed call latency in virtual microseconds, filed also under the
+  /// call's message-size band (the per-(collective, engine, size-band) rows
+  /// `mpixccl top` ranks).
+  void record_latency(core::CollOp op, core::Engine engine, int rank,
+                      std::size_t bytes, double us);
   /// One call routed to `table_choice` that fell back to MPI at runtime.
   void record_fallback(core::CollOp op, core::Engine table_choice, int rank,
                        std::size_t bytes);
@@ -288,9 +313,9 @@ class Registry {
   struct CollCell {
     Counter calls;
     Counter bytes;
-    Histogram size_hist;
-    Histogram latency_us_hist;
-    std::array<Histogram, kSizeBands> band_latency_us;
+    ShardedHistogram size_hist;
+    ShardedHistogram latency_us_hist;
+    std::array<ShardedHistogram, kSizeBands> band_latency_us;
     std::array<Counter, kSizeBands> band_fallbacks;
   };
 

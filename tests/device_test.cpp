@@ -3,6 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/format.hpp"
+#include "common/status.hpp"
 #include "device/buffer_registry.hpp"
 #include "device/device.hpp"
 #include "device/stream.hpp"
@@ -50,6 +59,120 @@ TEST(BufferRegistry, HostPointersUnclassified) {
   int local = 0;
   EXPECT_EQ(BufferRegistry::instance().vendor_of(&local), Vendor::Host);
   EXPECT_EQ(BufferRegistry::instance().vendor_of(nullptr), Vendor::Host);
+}
+
+/// The message of the Error `f` throws; empty if it throws none.
+template <typename F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BufferRegistry, OverlappingAddThrowsNamingBothRanges) {
+  auto& reg = BufferRegistry::instance();
+  std::vector<std::byte> mem(2048);
+  std::byte* p = mem.data();
+  reg.add(p, 1024, Vendor::Nvidia, 0);
+  const std::string what = error_of([&] { reg.add(p + 512, 1024, Vendor::Nvidia, 1); });
+  EXPECT_NE(what.find(fmt::byte_range(p + 512, 1024)), std::string::npos) << what;
+  EXPECT_NE(what.find(fmt::byte_range(p, 1024)), std::string::npos) << what;
+  // The live allocation still answers for its interior.
+  const auto info = reg.lookup(p + 600);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->base, p);
+  EXPECT_EQ(info->device_id, 0);
+  reg.remove(p);
+}
+
+TEST(BufferRegistry, RejectedAddLeavesNothingBehindRemove) {
+  auto& reg = BufferRegistry::instance();
+  std::vector<std::byte> mem(2048);
+  std::byte* p = mem.data();
+  const std::size_t live = reg.live_count();
+  reg.add(p, 1024, Vendor::Nvidia, 0);
+  EXPECT_THROW(reg.add(p + 512, 1024, Vendor::Nvidia, 1), Error);
+  reg.remove(p);
+  EXPECT_FALSE(reg.lookup(p + 1200).has_value());
+  EXPECT_FALSE(reg.lookup(p + 600).has_value());
+  EXPECT_EQ(reg.live_count(), live);
+}
+
+TEST(BufferRegistry, ReAddingALiveBaseOrInteriorThrows) {
+  auto& reg = BufferRegistry::instance();
+  std::vector<std::byte> mem(2048);
+  std::byte* p = mem.data();
+  reg.add(p, 1024, Vendor::Nvidia, 0);
+  const std::string base = error_of([&] { reg.add(p, 64, Vendor::Nvidia, 0); });
+  EXPECT_NE(base.find(fmt::byte_range(p, 64)), std::string::npos) << base;
+  EXPECT_NE(base.find(fmt::byte_range(p, 1024)), std::string::npos) << base;
+  const std::string inner = error_of([&] { reg.add(p + 512, 64, Vendor::Nvidia, 0); });
+  EXPECT_NE(inner.find(fmt::byte_range(p + 512, 64)), std::string::npos) << inner;
+  // Interior pointers of the live range still read as device, with its size.
+  for (const std::size_t off : {0u, 100u, 600u, 1023u}) {
+    const auto info = reg.lookup(p + off);
+    ASSERT_TRUE(info.has_value()) << off;
+    EXPECT_EQ(info->size, 1024u);
+  }
+  // Adjacent ranges do not overlap.
+  reg.add(p + 1024, 1024, Vendor::Nvidia, 1);
+  EXPECT_EQ(reg.lookup(p + 1024)->device_id, 1);
+  EXPECT_EQ(reg.lookup(p + 1023)->device_id, 0);
+  reg.remove(p + 1024);
+  reg.remove(p);
+}
+
+TEST(BufferRegistry, LookupsRacingAddRemoveNeverMisclassify) {
+  // Readers classify interior pointers of allocations that stay live, host
+  // pointers that are never registered, and pointers into allocations a
+  // writer adds and removes 10k times meanwhile. A live interior pointer
+  // must always read as device and a host pointer never; the churned ones
+  // may read either way, but as device only with their own base. Retained
+  // snapshots stay bounded: each thread holds at most the one it last read.
+  constexpr int kReaders = 3;
+  constexpr int kCycles = 10000;
+  constexpr std::size_t kBytes = 256;
+  auto& reg = BufferRegistry::instance();
+  std::vector<std::vector<std::byte>> live(4, std::vector<std::byte>(kBytes));
+  std::vector<std::vector<std::byte>> churn(4, std::vector<std::byte>(kBytes));
+  std::array<std::byte, 64> host{};
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    reg.add(live[i].data(), kBytes, Vendor::Amd, static_cast<int>(i));
+  }
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      for (std::size_t n = static_cast<std::size_t>(t); !done.load(); ++n) {
+        const std::size_t k = n % 4;
+        const std::byte* in = live[k].data() + (n * 37) % kBytes;
+        const auto a = reg.lookup(in);
+        if (!a || a->base != live[k].data() || a->size != kBytes) bad.fetch_add(1);
+        if (reg.lookup(&host[n % host.size()])) bad.fetch_add(1);
+        const std::byte* c = churn[k].data() + (n * 13) % kBytes;
+        const auto b = reg.lookup(c);
+        if (b && b->base != churn[k].data()) bad.fetch_add(1);
+      }
+    });
+  }
+  std::size_t most_retained = 0;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    std::vector<std::byte>& m = churn[static_cast<std::size_t>(cycle) % churn.size()];
+    reg.add(m.data(), kBytes, Vendor::Nvidia, cycle);
+    reg.remove(m.data());
+    most_retained = std::max(most_retained, BufferRegistry::retained_snapshots());
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  // The current snapshot, one per reader, and the writer's own.
+  EXPECT_LE(most_retained, static_cast<std::size_t>(kReaders) + 2);
+  for (auto& m : live) reg.remove(m.data());
+  EXPECT_LE(BufferRegistry::retained_snapshots(), 2u);
 }
 
 TEST(Stream, SerializesWork) {

@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <deque>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -277,6 +283,134 @@ TEST(FabricStress, SharedMoveSoakLosesNoWakeUp) {
     }
     EXPECT_EQ(bad_round, -1) << "rank " << me << " first wrong element " << bad_elem;
   });
+}
+
+TEST(FabricStress, MatchLockSoakDeliversEachMessageOnceInOrder) {
+  // Three sender threads deliver into one endpoint while its owner posts
+  // receives, up to four outstanding, of four kinds drawn from a seeded
+  // stream: (src, tag), (src, kAnyTag), (kAnySource, tag) and both
+  // wildcards. The senders deliver in rounds of kBatch messages each, and
+  // start a round when the owner has taken every message of the last one,
+  // so deliveries race its posts instead of filling the queue first. Every
+  // fifth send is a rendezvous, waited on at the end of its round. The owner
+  // posts a receive only while more messages it can match remain than
+  // receives are outstanding, so every receive completes. Checked after the
+  // loop: each message landed exactly once, and for each (src, tag) the
+  // receives, in posting order, got that pair's messages in send order.
+  constexpr int kSenders = 3;
+  constexpr int kTags = 3;
+  constexpr int kBatch = 30;
+  constexpr int kPerSender = 200 * kBatch;
+  constexpr std::size_t kWindow = 4;
+  fabric::Endpoint ep(0);
+  std::atomic<int> taken{0};
+
+  std::vector<std::thread> senders;
+  for (int src = 1; src <= kSenders; ++src) {
+    senders.emplace_back([&, src] {
+      std::vector<std::int64_t> payload(kPerSender);
+      sim::VirtualClock clock;
+      for (int i = 0; i < kPerSender; i += kBatch) {
+        while (taken.load() < i * kSenders) std::this_thread::yield();
+        std::vector<fabric::PendingSend> rendezvous;
+        for (int j = i; j < i + kBatch; ++j) {
+          payload[static_cast<std::size_t>(j)] = std::int64_t{src} * kPerSender + j;
+          const bool rndv = j % 5 == 0;
+          fabric::PendingSend h =
+              ep.deliver(src, j % kTags, 1, &payload[static_cast<std::size_t>(j)],
+                         sizeof(std::int64_t), 0.0, fabric::SendPolicy{.rendezvous = rndv});
+          if (rndv) rendezvous.push_back(std::move(h));
+        }
+        for (fabric::PendingSend& h : rendezvous) h.wait(clock);
+      }
+    });
+  }
+
+  // Messages of (src, tag) in the current round that no finished receive
+  // has taken yet.
+  std::array<std::array<int, kTags>, kSenders + 1> left{};
+  auto open_round = [&](int round) {
+    for (int src = 1; src <= kSenders; ++src) {
+      for (int j = round * kBatch; j < (round + 1) * kBatch; ++j) ++left[src][j % kTags];
+    }
+  };
+  auto remaining = [&](int src, int tag) {
+    int n = 0;
+    for (int s = 1; s <= kSenders; ++s) {
+      for (int t = 0; t < kTags; ++t) {
+        if ((src == kAnySource || src == s) && (tag == kAnyTag || tag == t)) n += left[s][t];
+      }
+    }
+    return n;
+  };
+  struct Posted {
+    fabric::PendingRecv handle;
+    std::size_t slot;
+  };
+  std::deque<Posted> window;
+  std::array<std::int64_t, kWindow> slots{};
+  std::array<bool, kWindow> busy{};
+  std::vector<char> seen(static_cast<std::size_t>((kSenders + 1) * kPerSender), 0);
+  std::array<std::array<int, kTags>, kSenders + 1> last{};
+  for (auto& per_src : last) per_src.fill(-1);
+  // The first wrong delivery, checked after the loop: an assertion here
+  // would leave the senders' rendezvous waits hanging.
+  std::string bad;
+  sim::VirtualClock clock;
+  auto finish_oldest = [&] {
+    Posted p = std::move(window.front());
+    window.pop_front();
+    const fabric::RecvResult r = p.handle.wait(clock);
+    const std::int64_t v = slots[p.slot];
+    busy[p.slot] = false;
+    const int src = static_cast<int>(v / kPerSender);
+    const int i = static_cast<int>(v % kPerSender);
+    if (r.src != src || r.tag != i % kTags || src < 1 || src > kSenders) {
+      if (bad.empty()) {
+        bad = "payload " + std::to_string(v) + " arrived as (" + std::to_string(r.src) +
+              ", " + std::to_string(r.tag) + ")";
+      }
+      return;
+    }
+    char& once = seen[static_cast<std::size_t>(v)];
+    if (once != 0 && bad.empty()) bad = "message " + std::to_string(v) + " landed twice";
+    once = 1;
+    int& prev = last[static_cast<std::size_t>(src)][static_cast<std::size_t>(r.tag)];
+    if (i <= prev && bad.empty()) {
+      bad = "(" + std::to_string(src) + ", " + std::to_string(r.tag) + ") message " +
+            std::to_string(i) + " overtook " + std::to_string(prev);
+    }
+    prev = i;
+    --left[static_cast<std::size_t>(src)][static_cast<std::size_t>(r.tag)];
+    taken.fetch_add(1);
+  };
+
+  auto rng = make_rng(29, 0);
+  int opened = 0;
+  while (taken.load() < kSenders * kPerSender) {
+    if (taken.load() == opened * kSenders * kBatch) open_round(opened++);
+    const auto src = static_cast<int>(rng() % (kSenders + 1));
+    const auto tag = static_cast<int>(rng() % (kTags + 1));
+    const int want_src = src == 0 ? kAnySource : src;
+    const int want_tag = tag == kTags ? kAnyTag : tag;
+    const bool can_post = window.size() < kWindow &&
+                          remaining(want_src, want_tag) > static_cast<int>(window.size());
+    if (can_post && (window.empty() || rng() % 3 != 0)) {
+      const auto k = static_cast<std::size_t>(std::find(busy.begin(), busy.end(), false) -
+                                              busy.begin());
+      busy[k] = true;
+      window.push_back(
+          {ep.post_recv(want_src, want_tag, 1, &slots[k], sizeof(std::int64_t), 0.0, nullptr),
+           k});
+    } else if (!window.empty()) {
+      finish_oldest();
+    }
+  }
+  for (std::thread& t : senders) t.join();
+  EXPECT_EQ(bad, "");
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), kSenders * kPerSender);
+  EXPECT_EQ(ep.unexpected_count(), 0u);
+  EXPECT_EQ(ep.pending_recv_count(), 0u);
 }
 
 }  // namespace

@@ -212,10 +212,10 @@ TEST(TopReport, RanksBandsByTotalTime) {
   reg.reset();
   for (int i = 0; i < 4; ++i) {
     reg.record_call(core::CollOp::Allreduce, core::Engine::Xccl, 0, 2u << 20);
-    reg.record_latency(core::CollOp::Allreduce, core::Engine::Xccl, 2u << 20,
+    reg.record_latency(core::CollOp::Allreduce, core::Engine::Xccl, 0, 2u << 20,
                        1000.0);
     reg.record_call(core::CollOp::Bcast, core::Engine::Mpi, 0, 512);
-    reg.record_latency(core::CollOp::Bcast, core::Engine::Mpi, 512, 5.0);
+    reg.record_latency(core::CollOp::Bcast, core::Engine::Mpi, 0, 512, 5.0);
   }
   const std::string report = top_report(reg.snapshot());
   const auto hot = report.find("allreduce");
@@ -347,7 +347,7 @@ TEST(SaveMetricsJson, FlightRecorderRidesAlong) {
   reg.reset();
   fr.clear();
   reg.record_call(core::CollOp::Allreduce, core::Engine::Xccl, 0, 4096);
-  reg.record_latency(core::CollOp::Allreduce, core::Engine::Xccl, 4096, 33.0);
+  reg.record_latency(core::CollOp::Allreduce, core::Engine::Xccl, 0, 4096, 33.0);
   fr.record(rec(0.0, 33.0));
   const std::string path = "/tmp/mpixccl_analyze_metrics_test.json";
   save_metrics_json(path);

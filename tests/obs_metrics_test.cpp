@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "obs/metrics.hpp"
 
 namespace mpixccl::obs {
@@ -194,8 +198,8 @@ TEST(Registry, ByteAwareLatencyFeedsBandsAndJson) {
   reg.reset();
   reg.record_call(core::CollOp::Allreduce, core::Engine::Xccl, 0, 1024);
   reg.record_call(core::CollOp::Allreduce, core::Engine::Xccl, 0, 2u << 20);
-  reg.record_latency(core::CollOp::Allreduce, core::Engine::Xccl, 1024, 10.0);
-  reg.record_latency(core::CollOp::Allreduce, core::Engine::Xccl, 2u << 20,
+  reg.record_latency(core::CollOp::Allreduce, core::Engine::Xccl, 0, 1024, 10.0);
+  reg.record_latency(core::CollOp::Allreduce, core::Engine::Xccl, 0, 2u << 20,
                      900.0);
 
   const MetricsSnapshot snap = reg.snapshot();
@@ -219,6 +223,62 @@ TEST(Registry, ByteAwareLatencyFeedsBandsAndJson) {
   reg.reset();
 }
 
+TEST(Registry, ShardedHistogramsMergeTheSameWhateverTheInterleaving) {
+  // Four rank threads record fixed per-rank latencies in an order a seeded
+  // schedule dictates, one sample per turn. The values mix magnitudes, so a
+  // sum taken in arrival order would differ from schedule to schedule; the
+  // rank shards merged in shard order give the same bits every time.
+  constexpr int kRanks = 4;
+  constexpr int kPerRank = 200;
+  auto value = [](int rank, int j) {
+    return (j % 7 == 0 ? 1.0e15 : 1.0) * (1.0 + 0.1 * rank) + 0.37 * j;
+  };
+  auto& reg = Registry::instance();
+  auto run = [&](std::uint64_t seed) {
+    std::vector<int> turns;
+    for (int r = 0; r < kRanks; ++r) turns.insert(turns.end(), kPerRank, r);
+    auto rng = make_rng(seed);
+    std::shuffle(turns.begin(), turns.end(), rng);
+    reg.reset();
+    std::atomic<std::size_t> turn{0};
+    std::vector<std::thread> ranks;
+    for (int r = 0; r < kRanks; ++r) {
+      ranks.emplace_back([&, r] {
+        for (int j = 0; j < kPerRank; ++j) {
+          std::size_t t = turn.load();
+          while (turns[t] != r) {
+            std::this_thread::yield();
+            t = turn.load();
+          }
+          reg.record_call(core::CollOp::Allreduce, core::Engine::Mpi, r, 64);
+          reg.record_latency(core::CollOp::Allreduce, core::Engine::Mpi, r, 64,
+                             value(r, j));
+          turn.store(t + 1);
+        }
+      });
+    }
+    for (std::thread& t : ranks) t.join();
+    const MetricsSnapshot snap = reg.snapshot();
+    reg.reset();
+    return snap;
+  };
+  const MetricsSnapshot first = run(1);
+  ASSERT_EQ(first.collectives.size(), 1u);
+  const HistogramSnapshot& want = first.collectives[0].latency_us_hist;
+  EXPECT_EQ(want.count, std::uint64_t{kRanks} * kPerRank);
+  for (std::uint64_t seed = 2; seed <= 6; ++seed) {
+    const MetricsSnapshot snap = run(seed);
+    ASSERT_EQ(snap.collectives.size(), 1u);
+    for (const HistogramSnapshot* h :
+         {&snap.collectives[0].latency_us_hist, &snap.collectives[0].band_latency_us[0]}) {
+      EXPECT_EQ(h->count, want.count) << "seed " << seed;
+      EXPECT_EQ(h->buckets, want.buckets) << "seed " << seed;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(h->sum), std::bit_cast<std::uint64_t>(want.sum))
+          << "seed " << seed << ": " << h->sum << " vs " << want.sum;
+    }
+  }
+}
+
 TEST(Snapshot, ExtraFieldsRideAlongInJson) {
   auto& reg = Registry::instance();
   reg.reset();
@@ -239,8 +299,8 @@ TEST(Registry, CollectiveTableAndEngineAggregates) {
   reg.record_call(core::CollOp::Allreduce, core::Engine::Mpi, 1, 1024);
   reg.record_call(core::CollOp::Allreduce, core::Engine::Xccl, 0, 1 << 20);
   reg.record_call(core::CollOp::Bcast, core::Engine::Hier, 2, 4096);
-  reg.record_latency(core::CollOp::Allreduce, core::Engine::Mpi, 12.0);
-  reg.record_latency(core::CollOp::Allreduce, core::Engine::Mpi, 18.0);
+  reg.record_latency(core::CollOp::Allreduce, core::Engine::Mpi, 0, 1024, 12.0);
+  reg.record_latency(core::CollOp::Allreduce, core::Engine::Mpi, 1, 1024, 18.0);
 
   EXPECT_EQ(reg.engine_calls(core::Engine::Mpi), 2u);
   EXPECT_EQ(reg.engine_calls(core::Engine::Xccl), 1u);
@@ -306,7 +366,7 @@ TEST(Registry, JsonAndCsvRendering) {
   auto& reg = Registry::instance();
   reg.reset();
   reg.record_call(core::CollOp::Allreduce, core::Engine::Xccl, 0, 4096);
-  reg.record_latency(core::CollOp::Allreduce, core::Engine::Xccl, 50.0);
+  reg.record_latency(core::CollOp::Allreduce, core::Engine::Xccl, 0, 4096, 50.0);
   reg.counter("render.count").add(2, 0);
 
   const std::string json = reg.snapshot().to_json();
