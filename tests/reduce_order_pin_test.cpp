@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -28,6 +29,7 @@
 #include "hier/hier.hpp"
 #include "mpi/mpi.hpp"
 #include "sim/profiles.hpp"
+#include "sim/trace.hpp"
 #include "xccl/backend.hpp"
 
 namespace mpixccl {
@@ -1227,6 +1229,332 @@ TEST(VirtualTimePin, MpiMixedExscan) {
                {4299216208507449872u,
                 {0x1.730303030303p+3, 0x1.464e4e4e4e4e5p+4, 0x1.afcfcfcfcfcfdp+4,
                  0x1.afcfcfcfcfcfdp+4}});
+}
+
+// ---- Hier staged schedules ----------------------------------------------------
+// The hier engine composes every collective but the pipelined allreduce from
+// per-level stages. These pin the output bytes and every rank's clock of each
+// composition, and, under tracing, the stage spans every rank closes: a
+// rewrite of the schedules must issue the same stages, on the same dims, in
+// the same order, under the same spans.
+
+/// expect_timed with tracing on, which also pins the stage spans each rank
+/// closes (name and level, in closing order, space-separated): every rank
+/// closes the same ones.
+void expect_staged(int nodes, int dpn, const RankBody& body, std::uint64_t hash,
+                   const std::vector<double>& clocks, std::string_view spans) {
+  sim::Trace& trace = sim::Trace::instance();
+  trace.clear();
+  sim::Trace::set_enabled(true);
+  expect_timed(nodes, dpn, body, hash, clocks);
+  sim::Trace::set_enabled(false);
+  std::vector<std::string> got(static_cast<std::size_t>(nodes * dpn));
+  for (const sim::TraceEvent& e : trace.events()) {
+    if (!e.is_stage()) continue;
+    std::string& s = got.at(static_cast<std::size_t>(e.rank));
+    if (!s.empty()) s += ' ';
+    s += e.name();
+  }
+  trace.clear();
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    EXPECT_EQ(got[r], spans) << "rank " << r;
+  }
+}
+
+/// One hier collective of `count` elements (per block for allgather and
+/// reduce_scatter_block) on `chain`: seeded input in device memory, the
+/// receive buffer zeroed in device or host memory. A bcast root's receive
+/// buffer starts with its input.
+struct HierCall {
+  mini::Coll coll;
+  std::size_t count;
+  int root = 0;
+  Chain chain{};
+  Recv where = Recv::Device;
+};
+
+RankBody hier_body(const HierCall& call, DataType dt, ReduceOp op) {
+  return [=](fabric::RankContext& ctx) {
+    mini::Mpi mpi(ctx, ctx.profile().mpi);
+    hier::HierEngine engine(mpi);
+    if (!call.chain.levels.empty()) engine.set_levels(call.chain.levels);
+    mini::Comm& comm = mpi.comm_world();
+    hier::HierEngine::HierComms& hc = engine.prepare(comm);
+    if (!call.chain.path.empty()) EXPECT_EQ(hc.level_path, call.chain.path);
+    const auto p = static_cast<std::size_t>(ctx.size());
+    const bool bcast = call.coll == mini::Coll::Bcast;
+    const std::size_t send_elems =
+        call.coll == mini::Coll::ReduceScatterBlock ? call.count * p : call.count;
+    const std::size_t recv_elems =
+        call.coll == mini::Coll::Allgather ? call.count * p : call.count;
+    const auto in = seeded_input(dt, send_elems, ctx.rank());
+    device::DeviceBuffer send(ctx.device(), in.size());
+    std::memcpy(send.get(), in.data(), in.size());
+    const std::size_t recv_bytes = recv_elems * datatype_size(dt);
+    CallerBuf recv(ctx, recv_bytes, call.where == Recv::Device);
+    std::memset(recv.get(), 0, recv_bytes);
+    if (bcast && ctx.rank() == call.root) std::memcpy(recv.get(), in.data(), in.size());
+    const mini::Datatype t{dt, 1};
+    const mini::CollArgs a =
+        mini::resolve({.coll = call.coll, .sendbuf = bcast ? nullptr : send.get(),
+                       .recvbuf = recv.get(), .count = call.count, .dt = t,
+                       .rcount = call.count, .rdt = t, .redop = op, .root = call.root},
+                      comm);
+    EXPECT_TRUE(engine.run(hc, a, comm));
+    return recv.read();
+  };
+}
+
+std::uint64_t hier_call(int nodes, int dpn, const HierCall& call, DataType dt,
+                        ReduceOp op) {
+  return run_world(nodes, dpn, hier_body(call, dt, op));
+}
+
+// Staged allreduce: 3x2 has a network dim of three; 2x4 runs 5 elements, fewer
+// than its 8 ranks, over power-of-two dims; 3x8 under socket:2,numa:2
+// reduce-scatters up three dims before the network allreduce.
+const Chain kStagedThreeNodes{"socket:2,numa:2", "numa(2).socket(2).node(2).net(3)"};
+constexpr std::size_t kFewElems = 5;
+constexpr Pins kHierStagedFew = {14445194993870565557u, 7747830969163382725u,
+                                  7961996953360630309u, 5493033881485969061u};
+constexpr Pins kHierStagedDeep = {446013614538185477u, 1724528210974828789u,
+                                   2932426471209046373u, 4459164138542489013u};
+
+TEST(ReduceOrderPin, HierStagedFewerElemsThanRanks) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return run_world(2, 4,
+                         hier_allreduce_body(kFewElems, Recv::Device, dt, op, k2x4));
+      },
+      kHierStagedFew);
+}
+
+TEST(ReduceOrderPin, HierStagedFourDims) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return run_world(
+            3, 8, hier_allreduce_body(20000, Recv::Device, dt, op, kStagedThreeNodes));
+      },
+      kHierStagedDeep);
+}
+
+TEST(VirtualTimePin, HierStaged3x2) {
+  expect_staged(3, 2, hier_allreduce_body(20000, Recv::Device, kF32, kSum),
+                14266296702806471349u,
+                {0x1.41861d2764d57p+6, 0x1.41861d2764d57p+6, 0x1.41861d2764d57p+6,
+                 0x1.41861d2764d57p+6, 0x1.1452e9f431a23p+6, 0x1.1452e9f431a23p+6},
+                "hier.comm_setup allreduce.rs.node allreduce.ar.net allreduce.ag.node");
+}
+
+TEST(VirtualTimePin, HierStagedFewerElemsThanRanks) {
+  expect_staged(2, 4, hier_allreduce_body(kFewElems, Recv::Device, kF32, kSum, k2x4),
+                kHierStagedFew[0],
+                {0x1.a67215ecf7348p+5, 0x1.9f40ef037e5f9p+5, 0x1.a6742236b192bp+5,
+                 0x1.9f41f5285b8ebp+5, 0x1.a67215ecf7348p+5, 0x1.9f40ef037e5f9p+5,
+                 0x1.a6742236b192bp+5, 0x1.9f41f5285b8ebp+5},
+                "hier.comm_setup allreduce.rs.node allreduce.ar.net allreduce.ag.node");
+}
+
+TEST(VirtualTimePin, HierStagedFourDims) {
+  expect_staged(3, 8,
+                hier_allreduce_body(20000, Recv::Device, kF32, kSum, kStagedThreeNodes),
+                kHierStagedDeep[0],
+                {0x1.09e1b39f24433p+7, 0x1.09e1b39f24433p+7, 0x1.09e1b39f24433p+7,
+                 0x1.09e1b39f24433p+7, 0x1.09e2b9c401724p+7, 0x1.09e2b9c401724p+7,
+                 0x1.09e2b9c401724p+7, 0x1.09e2b9c401724p+7, 0x1.0761b39f24433p+7,
+                 0x1.0761b39f24433p+7, 0x1.0761b39f24433p+7, 0x1.0761b39f24433p+7,
+                 0x1.0762b9c401724p+7, 0x1.0762b9c401724p+7, 0x1.0762b9c401724p+7,
+                 0x1.0762b9c401724p+7, 0x1.00fb4d38bddccp+7, 0x1.00fb4d38bddccp+7,
+                 0x1.00fb4d38bddccp+7, 0x1.00fb4d38bddccp+7, 0x1.00fc535d9b0bep+7,
+                 0x1.00fc535d9b0bep+7, 0x1.00fc535d9b0bep+7, 0x1.00fc535d9b0bep+7},
+                "hier.comm_setup allreduce.rs.numa allreduce.rs.socket "
+                "allreduce.rs.node allreduce.ar.net allreduce.ag.node "
+                "allreduce.ag.socket allreduce.ag.numa");
+}
+
+// Copy-in-copy-out: 1000 elements are below 8 KiB at both widths, on the
+// four-dim 2x8 chain; the receive buffer in device memory, then host memory.
+constexpr std::size_t kCicoElems = 1000;
+constexpr Pins kHierCico = {17506299938572710053u, 383910846857822661u,
+                             4608804275210532517u, 1692826046695610821u};
+
+TEST(ReduceOrderPin, HierCicoDeviceRecv) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return run_world(
+            2, 8, hier_allreduce_body(kCicoElems, Recv::Device, dt, op, kFourDims));
+      },
+      kHierCico);
+}
+
+TEST(ReduceOrderPin, HierCicoHostRecv) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return run_world(
+            2, 8, hier_allreduce_body(kCicoElems, Recv::Host, dt, op, kFourDims));
+      },
+      kHierCico);
+}
+
+TEST(VirtualTimePin, HierCicoDeviceRecv) {
+  expect_staged(2, 8,
+                hier_allreduce_body(kCicoElems, Recv::Device, kF32, kSum, kFourDims),
+                kHierCico[0],
+                {0x1.6c60bce5db9e5p+6, 0x1.6c9cf92217da9p+6, 0x1.6c9cf92217da9p+6,
+                 0x1.6cd9355e5416dp+6, 0x1.6c9cf92217da9p+6, 0x1.6cd9355e5416dp+6,
+                 0x1.6cd9355e5416dp+6, 0x1.6d15719a90531p+6, 0x1.6c60bce5db9e5p+6,
+                 0x1.6c9cf92217da9p+6, 0x1.6c9cf92217da9p+6, 0x1.6cd9355e5416dp+6,
+                 0x1.6c9cf92217da9p+6, 0x1.6cd9355e5416dp+6, 0x1.6cd9355e5416dp+6,
+                 0x1.6d15719a90531p+6},
+                "hier.comm_setup allreduce.cico_reduce.numa "
+                "allreduce.cico_reduce.socket allreduce.cico_reduce.node "
+                "allreduce.cico_ar.net allreduce.cico_bcast.node "
+                "allreduce.cico_bcast.socket allreduce.cico_bcast.numa");
+}
+
+TEST(VirtualTimePin, HierCicoHostRecv) {
+  expect_staged(2, 8, hier_allreduce_body(kCicoElems, Recv::Host, kF32, kSum, kFourDims),
+                kHierCico[0],
+                {0x1.4bfa567f7537ep+6, 0x1.4d4fabd4ca8d3p+6, 0x1.4d4fabd4ca8d3p+6,
+                 0x1.4ea5012a1fe28p+6, 0x1.4d4fabd4ca8d3p+6, 0x1.4ea5012a1fe28p+6,
+                 0x1.4ea5012a1fe28p+6, 0x1.4ffa567f7537dp+6, 0x1.4bfa567f7537ep+6,
+                 0x1.4d4fabd4ca8d3p+6, 0x1.4d4fabd4ca8d3p+6, 0x1.4ea5012a1fe28p+6,
+                 0x1.4d4fabd4ca8d3p+6, 0x1.4ea5012a1fe28p+6, 0x1.4ea5012a1fe28p+6,
+                 0x1.4ffa567f7537dp+6},
+                "hier.comm_setup allreduce.cico_reduce.numa "
+                "allreduce.cico_reduce.socket allreduce.cico_reduce.node "
+                "allreduce.cico_ar.net allreduce.cico_bcast.node "
+                "allreduce.cico_bcast.socket allreduce.cico_bcast.numa");
+}
+
+// Bcast from rank 11 of the four-dim 2x8 chain: 1000 floats take the leader
+// chain; 20001 floats (above 64 KiB, and uneven over the 8 segments) take the
+// scatter, the per-column network bcast and the reassembly allgather.
+constexpr int kHierRoot = 11;
+
+TEST(VirtualTimePin, HierLeaderBcast) {
+  expect_staged(2, 8,
+                hier_body({mini::Coll::Bcast, 1000, kHierRoot, kFourDims}, kF32, kSum),
+                8289260473193010277u,
+                {0x1.2dc1afc43f206p+6, 0x1.2d85738802e42p+6, 0x1.2d85738802e42p+6,
+                 0x1.2d49374bc6a7ep+6, 0x1.2dfdec007b5cap+6, 0x1.2dc1afc43f206p+6,
+                 0x1.2dc1afc43f206p+6, 0x1.2d85738802e42p+6, 0x1.2bc1afc43f206p+6,
+                 0x1.2b85738802e42p+6, 0x1.2b85738802e42p+6, 0x1.2b49374bc6a7ep+6,
+                 0x1.2bfdec007b5cap+6, 0x1.2bc1afc43f206p+6, 0x1.2bc1afc43f206p+6,
+                 0x1.2b85738802e42p+6},
+                "hier.comm_setup bcast.leader.net bcast.leader.node "
+                "bcast.leader.socket bcast.leader.numa");
+}
+
+TEST(VirtualTimePin, HierMultiRootBcast) {
+  expect_staged(2, 8,
+                hier_body({mini::Coll::Bcast, 20001, kHierRoot, kFourDims}, kF32, kSum),
+                16770634618224457829u,
+                {0x1.9987b5ca45268p+6, 0x1.9a1e5bcc70476p+6, 0x1.9987b5ca45268p+6,
+                 0x1.9a1e5bcc70476p+6, 0x1.9987b5ca45268p+6, 0x1.9a1e5bcc70476p+6,
+                 0x1.9987b5ca45268p+6, 0x1.9a1e5bcc70476p+6, 0x1.948732b7d68fp+6,
+                 0x1.951dd8ba01afep+6, 0x1.948732b7d68fp+6, 0x1.951dd8ba01afep+6,
+                 0x1.948732b7d68fp+6, 0x1.951dd8ba01afep+6, 0x1.948732b7d68fp+6,
+                 0x1.951dd8ba01afep+6},
+                "hier.comm_setup bcast.scatter.node bcast.scatter.socket "
+                "bcast.scatter.numa bcast.net bcast.ag.numa bcast.ag.socket "
+                "bcast.ag.node");
+}
+
+// Reduce of 5000 elements to rank 11 of the four-dim 2x8 chain, whose
+// receive buffer is host memory.
+const HierCall kHierReduce{mini::Coll::Reduce, 5000, kHierRoot, kFourDims, Recv::Host};
+constexpr Pins kHierReducePins = {3351551753258105940u, 11442777290590830546u,
+                                   7535759240682429555u, 397323552537406352u};
+
+TEST(ReduceOrderPin, HierReduceRoot11) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) { return hier_call(2, 8, kHierReduce, dt, op); },
+      kHierReducePins);
+}
+
+TEST(VirtualTimePin, HierReduceRoot11) {
+  expect_staged(2, 8, hier_body(kHierReduce, kF32, kSum),
+                kHierReducePins[0],
+                {0x1.0da3f5e166851p+6, 0x1.28045641c6e57p+6, 0x1.07a91499b8709p+6,
+                 0x1.5a227ea79d5fdp+6, 0x1.0da6022b20e35p+6, 0x1.2806628b8143bp+6,
+                 0x1.0a0d6eb66478dp+6, 0x1.4266c2ebe1a41p+6, 0x1.0da3f5e166851p+6,
+                 0x1.22b506f277962p+6, 0x1.07a91499b8709p+6, 0x1.5a227ea79d5fdp+6,
+                 0x1.0da6022b20e35p+6, 0x1.2806628b8143bp+6, 0x1.0a0d6eb66478dp+6,
+                 0x1.3d17739c9254cp+6},
+                "hier.comm_setup reduce.numa reduce.socket reduce.node reduce.net");
+}
+
+// Allgather and reduce_scatter_block of 300-element blocks on the four-dim
+// 2x8 chain.
+const HierCall kHierRsb{mini::Coll::ReduceScatterBlock, 300, 0, kFourDims};
+constexpr Pins kHierRsbPins = {17237779197862394844u, 15507719278995253815u,
+                                4004176705795671451u, 11544066700909902771u};
+
+TEST(ReduceOrderPin, HierReduceScatterBlock) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) { return hier_call(2, 8, kHierRsb, dt, op); },
+      kHierRsbPins);
+}
+
+TEST(VirtualTimePin, HierReduceScatterBlock) {
+  expect_staged(2, 8, hier_body(kHierRsb, kF32, kSum),
+                kHierRsbPins[0],
+                {0x1.3daa8e656fad1p+6, 0x1.4143a4ec9aaf2p+6, 0x1.41429ec7bd8p+6,
+                 0x1.44dc38615719ap+6, 0x1.3da6f8e469883p+6, 0x1.4140927e0321cp+6,
+                 0x1.4140927e0321dp+6, 0x1.44da2c179cbb6p+6, 0x1.3daa8e656fad1p+6,
+                 0x1.4143a4ec9aaf2p+6, 0x1.41429ec7bd8p+6, 0x1.44dc38615719ap+6,
+                 0x1.3da6f8e469883p+6, 0x1.4140927e0321cp+6, 0x1.4140927e0321dp+6,
+                 0x1.44da2c179cbb6p+6},
+                "hier.comm_setup rs.numa rs.socket rs.node rs.net");
+}
+
+TEST(VirtualTimePin, HierAllgather) {
+  expect_staged(2, 8, hier_body({mini::Coll::Allgather, 300, 0, kFourDims}, kF32, kSum),
+                9635394431047032357u,
+                {0x1.3daa8e656fad2p+6, 0x1.4143a4ec9aaf2p+6, 0x1.41429ec7bd8p+6,
+                 0x1.44dc38615719ap+6, 0x1.3da6f8e469883p+6, 0x1.4140927e0321dp+6,
+                 0x1.4140927e0321dp+6, 0x1.44da2c179cbb7p+6, 0x1.3daa8e656fad2p+6,
+                 0x1.4143a4ec9aaf2p+6, 0x1.41429ec7bd8p+6, 0x1.44dc38615719ap+6,
+                 0x1.3da6f8e469883p+6, 0x1.4140927e0321dp+6, 0x1.4140927e0321dp+6,
+                 0x1.44da2c179cbb7p+6},
+                "hier.comm_setup allgather.net allgather.node allgather.socket "
+                "allgather.numa");
+}
+
+// The scratch a fresh engine keeps resident for a plan of each pinned
+// allreduce shape (what reserve_allreduce reports), per Float32 element
+// count. A rewrite of the stage layout may shrink it, never grow it.
+struct Resident {
+  int nodes, dpn;
+  std::size_t elems;
+  Chain chain;
+  std::size_t at_most;
+};
+
+TEST(HierResidentBytes, NoPinnedShapeGrows) {
+  const std::vector<Resident> shapes = {
+      {3, 2, 20000, {}, 160000},
+      {2, 4, kFewElems, k2x4, 48},
+      {3, 8, 20000, kStagedThreeNodes, 160000},
+      {2, 8, kCicoElems, kFourDims, 8000},
+      {2, 2, 300000, {}, 1200000},
+  };
+  for (const Resident& s : shapes) {
+    std::vector<std::size_t> got(static_cast<std::size_t>(s.nodes * s.dpn));
+    fabric::World world(fabric::WorldConfig{sim::thetagpu(), s.nodes, s.dpn});
+    world.run([&](fabric::RankContext& ctx) {
+      mini::Mpi mpi(ctx, ctx.profile().mpi);
+      hier::HierEngine engine(mpi);
+      if (!s.chain.levels.empty()) engine.set_levels(s.chain.levels);
+      got[static_cast<std::size_t>(ctx.rank())] =
+          engine.reserve_allreduce(engine.prepare(mpi.comm_world()), s.elems, kF32);
+    });
+    for (std::size_t r = 0; r < got.size(); ++r) {
+      EXPECT_LE(got[r], s.at_most) << s.nodes << "x" << s.dpn << " " << s.elems
+                                   << " elems, rank " << r;
+    }
+  }
 }
 
 }  // namespace
