@@ -9,7 +9,8 @@
 //   * span off / traced     one hier level span (obs::Span) with tracing and
 //                           fleet profiling off, and with tracing on
 //   * oneshot allreduce     full dispatch per call (cache-hit steady state)
-//   * persistent start/wait the same collective through a prebuilt handle
+//   * persistent start/wait the same collective through a prebuilt handle,
+//                           its batches alternating with the one-shot ones
 //   * oneshot allreduce 1x4 the one-shot call on four ranks at once, where
 //                           every rank thread takes its peers' match locks
 //   * registry lookup 4t    one buffer classification with four threads
@@ -25,6 +26,7 @@
 #include <chrono>
 #include <cstdio>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -50,18 +52,39 @@ double now_ns() {
       .count();
 }
 
+/// Per-call ns of one batch of `iters` calls of `body`.
+template <typename F>
+double batch_ns(int iters, F& body) {
+  const double t0 = now_ns();
+  for (int i = 0; i < iters; ++i) body();
+  return (now_ns() - t0) / iters;
+}
+
+double median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
 /// Median per-call ns over `reps` batches of `iters` calls of `body`.
 template <typename F>
 double median_ns(int reps, int iters, F&& body) {
   std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(reps));
+  for (int r = 0; r < reps; ++r) samples.push_back(batch_ns(iters, body));
+  return median(samples);
+}
+
+/// median_ns of `a` and of `b`, measured under one load: each repetition
+/// runs one batch of each, and which runs first alternates.
+template <typename A, typename B>
+std::pair<double, double> paired_median_ns(int reps, int iters, A&& a, B&& b) {
+  std::vector<double> sa;
+  std::vector<double> sb;
   for (int r = 0; r < reps; ++r) {
-    const double t0 = now_ns();
-    for (int i = 0; i < iters; ++i) body();
-    samples.push_back((now_ns() - t0) / iters);
+    if (r % 2 == 0) sa.push_back(batch_ns(iters, a));
+    sb.push_back(batch_ns(iters, b));
+    if (r % 2 == 1) sa.push_back(batch_ns(iters, a));
   }
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  return {median(sa), median(sb)};
 }
 
 /// Rank 0's median per-call ns of a warm one-shot 4 KB allreduce on
@@ -202,21 +225,23 @@ int main() {
     device::DeviceBuffer recv(ctx.device(), kBytes);
     const std::size_t count = kBytes / sizeof(float);
 
-    // Warm the plan cache so the one-shot loop measures the hit path.
+    // Warm the plan cache so the one-shot batches measure the hit path.
     rt.allreduce(send.get(), recv.get(), count, mini::kFloat, ReduceOp::Sum,
                  comm);
-    const double one = median_ns(reps, e2e_iters, [&] {
-      rt.allreduce(send.get(), recv.get(), count, mini::kFloat, ReduceOp::Sum,
-                   comm);
-    });
-
     core::Persistent h = rt.allreduce_init(send.as<float>(), recv.as<float>(),
                                            count, mini::kFloat, ReduceOp::Sum,
                                            comm);
-    const double per = median_ns(reps, e2e_iters, [&] {
-      h.start();
-      h.wait();
-    });
+    // One batch of each per repetition, so the two medians see the same load.
+    const auto [one, per] = paired_median_ns(
+        reps, e2e_iters,
+        [&] {
+          rt.allreduce(send.get(), recv.get(), count, mini::kFloat, ReduceOp::Sum,
+                       comm);
+        },
+        [&] {
+          h.start();
+          h.wait();
+        });
     if (ctx.rank() == 0) {
       oneshot_ns = one;
       persistent_ns = per;

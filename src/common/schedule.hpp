@@ -4,8 +4,9 @@
 // and which block or range it moves. MiniMPI's algorithms, the CCL backends'
 // tree and ring collectives and the hier engine's pipelined allreduce walk
 // these; each engine keeps its own exchange primitive, post order and
-// pricing. tests/common_schedule_test.cpp checks the schedules on their own,
-// with no fabric, for every communicator size up to 64 and every root.
+// pricing. MixedRadix numbers the ranks of the hier engine's dim chain.
+// tests/common_schedule_test.cpp checks the schedules on their own, with no
+// fabric, for every communicator size up to 64 and every root.
 //
 // Also here: the byte-offset and scratch helpers every engine uses on raw
 // buffers.
@@ -235,6 +236,42 @@ class Butterfly {
 
   int n_ = 0;
   std::array<ButterflyStep, kMaxSteps> steps_{};
+};
+
+/// Mixed-radix rank numbering over a chain of dims, innermost first: rank
+/// g's digit at dim j is g / stride(j) % dims[j], and dim j's subgroup joins
+/// the ranks that differ in that digit only. A view: it allocates nothing.
+class MixedRadix {
+ public:
+  explicit MixedRadix(std::span<const int> dims) : dims_(dims) {}
+
+  /// The product of the dims below j (j <= dims.size()).
+  [[nodiscard]] int stride(std::size_t j) const {
+    int s = 1;
+    for (std::size_t i = 0; i < j; ++i) s *= dims_[i];
+    return s;
+  }
+  [[nodiscard]] int size() const { return stride(dims_.size()); }
+  [[nodiscard]] int digit(int g, std::size_t j) const { return g / stride(j) % dims_[j]; }
+  /// Whether g's digits below dim j equal root's: the one rank per group of
+  /// stride(j) consecutive ranks that runs dim j's stage of a schedule rooted
+  /// at `root` (the subtree a bcast has reached, the leader a reduce fed).
+  [[nodiscard]] bool on_root_path(int g, int root, std::size_t j) const {
+    return g % stride(j) == root % stride(j);
+  }
+  /// Rank g's block in chain-major order, digit 0 varying slowest: what
+  /// per-dim allgathers from the outermost dim in assemble.
+  [[nodiscard]] std::size_t chain_index(int g) const {
+    std::size_t idx = 0;
+    for (const int d : dims_) {
+      idx = idx * static_cast<std::size_t>(d) + static_cast<std::size_t>(g % d);
+      g /= d;
+    }
+    return idx;
+  }
+
+ private:
+  std::span<const int> dims_;
 };
 
 }  // namespace mpixccl

@@ -1,7 +1,10 @@
 #include "dl/horovod.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/ucc_baseline.hpp"
@@ -206,12 +209,16 @@ std::unique_ptr<CommRuntime> make_comm(fabric::RankContext& ctx,
 }  // namespace
 
 std::size_t default_fusion_bytes() {
-  if (const char* env = std::getenv("MPIXCCL_FUSION_BYTES"); env != nullptr) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<std::size_t>(v);
+  const char* raw = std::getenv("MPIXCCL_FUSION_BYTES");
+  const std::string_view env = raw == nullptr ? "" : raw;
+  if (env.empty()) return 2u << 20;
+  std::size_t v = 0;
+  const auto [end, ec] = std::from_chars(env.data(), env.data() + env.size(), v);
+  if (ec != std::errc{} || end != env.data() + env.size() || v == 0) {
+    throw Error("MPIXCCL_FUSION_BYTES='" + std::string(env) +
+                "' is not a positive count of bytes");
   }
-  return 2u << 20;
+  return v;
 }
 
 TrainerResult run_training(const sim::SystemProfile& profile, int nodes,

@@ -26,8 +26,8 @@
 namespace mpixccl::dl {
 
 /// Horovod fusion-buffer threshold in bytes: the MPIXCCL_FUSION_BYTES
-/// environment variable when set to a positive integer, else 2 MB
-/// (Horovod's own default).
+/// environment variable, a positive decimal byte count, or 2 MB (Horovod's
+/// own default) when it is unset or empty. Any other value throws Error.
 std::size_t default_fusion_bytes();
 
 struct TrainerConfig {

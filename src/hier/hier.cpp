@@ -1,6 +1,7 @@
 #include "hier/hier.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -34,29 +35,6 @@ bool stage_reducible(const mini::CollArgs& a) {
   return a.redop != ReduceOp::Avg || is_floating(a.dt.base) || is_complex(a.dt.base);
 }
 
-/// `rank`'s digit per dim of the chain.
-std::vector<int> digits_of(int rank, const std::vector<int>& dims) {
-  std::vector<int> r(dims.size());
-  int q = rank;
-  for (std::size_t j = 0; j < dims.size(); ++j) {
-    r[j] = q % dims[j];
-    q /= dims[j];
-  }
-  return r;
-}
-
-/// Whether my digits in every dim below j match those of rank `root`. A
-/// per-level schedule rooted there runs dim j's stage among exactly these
-/// ranks: the subtree a bcast has reached by then, or the leaders a reduce
-/// has gathered into.
-bool on_root_path(const HierEngine::HierComms& hc, int root, std::size_t j) {
-  for (std::size_t i = 0; i < j; ++i) {
-    if (hc.coord[i] != root % hc.dims[i]) return false;
-    root /= hc.dims[i];
-  }
-  return true;
-}
-
 using obs::SpanName;
 using mini::Coll;
 
@@ -64,13 +42,27 @@ using mini::Coll;
 /// memory, and so is an allreduce's working copy.
 constexpr mini::MemKind kDev = mini::MemKind::Device;
 
+/// A stage's input and the memory kind MiniMPI prices it by.
+struct Src {
+  const void* p;
+  mini::MemKind kind;
+};
+
+/// A stage's output; the engine's own scratch is device memory.
+struct Dst {
+  void* p;
+  mini::MemKind kind = kDev;
+
+  /// What a stage wrote is the next stage's input.
+  operator Src() const { return {p, kind}; }
+};
+
 /// One stage's resolved arguments: `n` elements of `dt` on each side (per
-/// block for the block collectives), with the kinds of both buffers given.
-mini::CollArgs stage_args(Coll c, const void* s, mini::MemKind sk, void* r,
-                          mini::MemKind rk, std::size_t n, mini::Datatype dt,
+/// block for the block collectives).
+mini::CollArgs stage_args(Coll c, Src s, Dst d, std::size_t n, mini::Datatype dt,
                           ReduceOp op = ReduceOp::Sum, int root = 0) {
-  return {.coll = c, .sendbuf = s, .recvbuf = r, .count = n, .dt = dt, .rcount = n,
-          .rdt = dt, .redop = op, .root = root, .skind = sk, .rkind = rk};
+  return {.coll = c, .sendbuf = s.p, .recvbuf = d.p, .count = n, .dt = dt, .rcount = n,
+          .rdt = dt, .redop = op, .root = root, .skind = s.kind, .rkind = d.kind};
 }
 
 /// A stage span on this rank's track, optionally at one level of the chain.
@@ -168,6 +160,7 @@ HierEngine::HierComms& HierEngine::prepare(mini::Comm& comm) {
 
   if (blocked) {
     const int me = comm.rank();
+    hc.rank = me;
     hc.per_node = L;
     hc.nodes = p / L;
 
@@ -254,6 +247,107 @@ std::byte* HierEngine::scratch(device::DeviceBuffer& buf, std::size_t bytes) {
   return static_cast<std::byte*>(buf.get());
 }
 
+// ---- Level walks -------------------------------------------------------------
+// Every staged collective composes four walks, each one loop over the dims
+// [lo, hi) its caller names: reduce-scatter up the chain, allgather across
+// it, reduce toward a root's digit, bcast or scatter from a root's digit.
+// Dim j's stage runs on hc.comms[j] under a span of the caller's name at
+// dim j's level; a rank that sits a rooted stage out still opens the span.
+
+namespace {
+
+using HierComms = HierEngine::HierComms;
+
+/// Where a walk's stages land: dim j's stage writes into half[j % 2], and
+/// the walk's last stage into `last` when one is given.
+struct Landing {
+  Dst half[2];
+  Dst last{nullptr};
+
+  /// Every stage lands in `d`.
+  static Landing all(Dst d) { return {{d, d}, d}; }
+  [[nodiscard]] Dst at(std::size_t j, bool final) const {
+    return final && last.p != nullptr ? last : half[j % 2];
+  }
+};
+
+/// The caller's part of a walk: the span its stages open, the dims [lo, hi)
+/// it covers, and its stages' datatype and op.
+struct Walk {
+  SpanName name;
+  std::size_t lo;
+  std::size_t hi;
+  mini::Datatype dt;
+  ReduceOp op = ReduceOp::Sum;
+};
+
+/// Reduce-scatter, innermost dim first: dim j's stage keeps a 1/dims[j]
+/// block of the n elements entering it. Returns where the last block landed.
+Dst reduce_scatter_up(mini::Mpi& mpi, HierComms& hc, const Walk& w, Src src,
+                      std::size_t n, const Landing& land) {
+  Dst dst{nullptr};
+  for (std::size_t j = w.lo; j < w.hi; ++j) {
+    n /= static_cast<std::size_t>(hc.dims[j]);
+    dst = land.at(j, j + 1 == w.hi);
+    auto span = stage(mpi, w.name, hc.level_ids[j]);
+    mpi.run(stage_args(Coll::ReduceScatterBlock, src, dst, n, w.dt, w.op), hc.comms[j]);
+    src = dst;
+  }
+  return dst;
+}
+
+/// Allgather, outermost dim first when `down`: dim j's stage gathers
+/// dims[j] blocks of n elements into the next stage's block.
+void allgather_across(mini::Mpi& mpi, HierComms& hc, const Walk& w, bool down, Src src,
+                      std::size_t n, const Landing& land) {
+  for (std::size_t k = w.lo; k < w.hi; ++k) {
+    const std::size_t j = down ? w.hi - 1 - (k - w.lo) : k;
+    const Dst dst = land.at(j, k + 1 == w.hi);
+    auto span = stage(mpi, w.name, hc.level_ids[j]);
+    mpi.run(stage_args(Coll::Allgather, src, dst, n, w.dt), hc.comms[j]);
+    src = dst;
+    n *= static_cast<std::size_t>(hc.dims[j]);
+  }
+}
+
+/// Reduce n elements toward `root`'s digit, innermost dim first. A rank runs
+/// dim j's stage while its digits below j equal the root's (it leads the
+/// groups reduced so far), reading src first and dst after: MiniMPI's reduce
+/// accepts it aliased. Returns whether this rank holds the reduced block.
+bool reduce_toward(mini::Mpi& mpi, HierComms& hc, const Walk& w, int root, Src src,
+                   Dst dst, std::size_t n) {
+  const MixedRadix rx(hc.dims);
+  for (std::size_t j = w.lo; j < w.hi; ++j) {
+    auto span = stage(mpi, w.name, hc.level_ids[j]);
+    if (!rx.on_root_path(hc.rank, root, j)) continue;
+    mpi.run(stage_args(Coll::Reduce, src, dst, n, w.dt, w.op, rx.digit(root, j)),
+            hc.comms[j]);
+    src = dst;
+  }
+  return rx.on_root_path(hc.rank, root, w.hi);
+}
+
+/// Bcast n elements in place (c = Bcast), or scatter the root's n elements
+/// dims[j] ways per stage (c = Scatter), from `root`'s digit, outermost dim
+/// first. A rank runs dim j's stage once its digits below j equal the
+/// root's and only if it is a `holder`. Returns where dim lo's stage lands.
+Dst bcast_from(mini::Mpi& mpi, HierComms& hc, const Walk& w, Coll c, int root,
+               bool holder, Src src, std::size_t n, const Landing& land) {
+  const MixedRadix rx(hc.dims);
+  for (std::size_t j = w.hi; j-- > w.lo;) {
+    if (c == Coll::Scatter) n /= static_cast<std::size_t>(hc.dims[j]);
+    const Dst dst = land.at(j, j == w.lo);
+    auto span = stage(mpi, w.name, hc.level_ids[j]);
+    if (!holder || !rx.on_root_path(hc.rank, root, j)) continue;
+    mpi.run(stage_args(c, src, dst, n, w.dt, ReduceOp::Sum, rx.digit(root, j)),
+            hc.comms[j]);
+    src = dst;
+  }
+  return land.at(w.lo, true);
+}
+
+}  // namespace
+
 // ---- Allreduce --------------------------------------------------------------
 
 namespace {
@@ -270,27 +364,33 @@ struct AllreduceShape {
   ArMode mode = ArMode::Staged;
   std::size_t chunks = 1;
   std::size_t unit = 0;
-  std::size_t padded = 0;
+  std::size_t padded = 0;  ///< elements of the working copy; 0 for Cico
+  /// Elements of each region of the stage scratch. Staged: the two halves
+  /// the reduce-scatter alternates between (dim 0's and dim 1's shards) and
+  /// the top allreduce's output. Cico: the leaders' accumulator.
+  std::array<std::size_t, 3> stage{};
+
+  [[nodiscard]] std::size_t stage_elems() const {
+    return stage[0] + stage[1] + stage[2];
+  }
 };
 
 AllreduceShape allreduce_shape(std::size_t elems, std::size_t esz,
                                const std::vector<int>& dims) {
   AllreduceShape s;
   const std::size_t bytes = elems * esz;
-  std::size_t grain = 1;
-  bool all_pof2 = true;
-  for (int d : dims) {
-    grain *= static_cast<std::size_t>(d);
-    all_pof2 = all_pof2 && is_pof2(d);
-  }
+  const MixedRadix rx(dims);
+  const std::size_t D = dims.size();
   // Deep chains pay one shard latency per level; below the single-copy
   // threshold the copy-in-copy-out ladder (whole-message leader hops) is
   // cheaper. Two-level chains keep the single-copy schedules at every size.
-  if (dims.size() > 2 && bytes < HierEngine::kSingleCopyMinBytes) {
+  if (D > 2 && bytes < HierEngine::kSingleCopyMinBytes) {
     s.mode = ArMode::Cico;
+    s.stage[0] = elems;
     return s;
   }
-  if (all_pof2 && elems >= grain) {
+  const auto grain = static_cast<std::size_t>(rx.size());
+  if (std::ranges::all_of(dims, is_pof2) && elems >= grain) {
     s.mode = ArMode::Pipelined;
     if (bytes >= HierEngine::kPipelineMinBytes) {
       s.chunks = std::min(
@@ -301,11 +401,60 @@ AllreduceShape allreduce_shape(std::size_t elems, std::size_t esz,
     s.chunks = ceil_div(elems, s.unit);  // drop now-empty tail chunks
     s.padded = s.unit * s.chunks;
   } else {
-    const std::size_t within = grain / static_cast<std::size_t>(dims.back());
+    const auto within = static_cast<std::size_t>(rx.stride(D - 1));
     s.unit = ceil_div(elems, within) * within;
     s.padded = s.unit;
+    const std::size_t shard0 = s.padded / static_cast<std::size_t>(dims[0]);
+    s.stage = {shard0, D > 2 ? shard0 / static_cast<std::size_t>(dims[1]) : 0,
+               s.padded / within};
   }
   return s;
+}
+
+/// Staged shard recursion for non-power-of-two dims: reduce-scatter up the
+/// chain, allreduce at the top, allgather back down into the working copy.
+void staged_allreduce(mini::Mpi& mpi, HierComms& hc, std::byte* ws, std::byte* stg,
+                      const AllreduceShape& shape, DataType base, ReduceOp op) {
+  const std::size_t esz = datatype_size(base);
+  const mini::Datatype dtb{base, 1};
+  const std::size_t D = hc.dims.size();
+  std::byte* half1 = stg + shape.stage[0] * esz;
+  std::byte* out = half1 + shape.stage[1] * esz;
+
+  const Dst shard = reduce_scatter_up(mpi, hc, {SpanName::AllreduceRs, 0, D - 1, dtb, op},
+                                      {ws, kDev}, shape.padded, {{{stg}, {half1}}});
+  {
+    auto span = stage(mpi, SpanName::AllreduceAr, hc.level_ids[D - 1]);
+    mpi.run(stage_args(Coll::Allreduce, shard, {out}, shape.stage[2], dtb, op),
+            hc.comms[D - 1]);
+  }
+  // Dim j's allgather rebuilds the block dim j - 1's reduce-scatter kept,
+  // in the other half from the one it reads.
+  allgather_across(mpi, hc, {SpanName::AllreduceAg, 0, D - 1, dtb}, true, {out, kDev},
+                   shape.stage[2], {{{half1}, {stg}}, {ws}});
+}
+
+/// Copy-in-copy-out ladder for small messages on deep chains (XHC-style):
+/// whole messages hop leader to leader instead of paying one shard exchange
+/// (alpha + rendezvous each) per level. Reduce to the digit-0 leaders, run
+/// the allreduce among the node leaders, bcast back down.
+void cico_allreduce(mini::Mpi& mpi, HierComms& hc, const mini::CollArgs& a,
+                    std::size_t elems, ReduceOp op, std::byte* acc) {
+  const mini::Datatype dtb{a.dt.base, 1};
+  const std::size_t D = hc.dims.size();
+  const Dst out{a.recvbuf, a.rkind};
+  const bool leader =
+      reduce_toward(mpi, hc, {SpanName::AllreduceCicoReduce, 0, D - 1, dtb, op}, 0,
+                    {a.sendbuf, a.skind}, {acc}, elems);
+  {
+    auto span = stage(mpi, SpanName::AllreduceCicoAr, hc.level_ids[D - 1]);
+    if (leader) {
+      mpi.run(stage_args(Coll::Allreduce, {acc, kDev}, out, elems, dtb, op),
+              hc.comms[D - 1]);
+    }
+  }
+  bcast_from(mpi, hc, {SpanName::AllreduceCicoBcast, 0, D - 1, dtb}, Coll::Bcast, 0, true,
+             out, elems, Landing::all(out));
 }
 
 }  // namespace
@@ -315,22 +464,10 @@ std::size_t HierEngine::reserve_allreduce(const HierComms& hc,
   if (!hc.usable || elems == 0) return 0;
   const std::size_t esz = datatype_size(base);
   const AllreduceShape s = allreduce_shape(elems, esz, hc.dims);
-  if (s.mode == ArMode::Cico) {
-    scratch(stage_, 2 * elems * esz);
-    return stage_.size();
-  }
   scratch(ws_, s.padded * esz);
-  if (s.mode == ArMode::Pipelined) return ws_.size();
-  // Staged: one shard per chain step, plus the top-level allreduce output.
-  std::size_t total = 0;
-  std::size_t cur = s.padded;
-  for (std::size_t j = 0; j + 1 < hc.dims.size(); ++j) {
-    cur /= static_cast<std::size_t>(hc.dims[j]);
-    total += cur;
-  }
-  total += cur;
-  scratch(stage_, total * esz);
-  return ws_.size() + stage_.size();
+  scratch(stage_, s.stage_elems() * esz);
+  // Count only the buffers this shape uses: other plans share the engine's.
+  return (s.padded > 0 ? ws_.size() : 0) + (s.stage_elems() > 0 ? stage_.size() : 0);
 }
 
 bool HierEngine::allreduce(HierComms& hc, const void* sendbuf, void* recvbuf,
@@ -366,7 +503,8 @@ bool HierEngine::run_allreduce(HierComms& hc, const mini::CollArgs& a,
   const AllreduceShape shape = allreduce_shape(elems, esz, hc.dims);
 
   if (shape.mode == ArMode::Cico) {
-    cico_allreduce(a, elems, stage_op(a.redop), hc);
+    cico_allreduce(*mpi_, hc, a, elems, stage_op(a.redop),
+                   scratch(stage_, shape.stage_elems() * esz));
   } else {
     // Working copy: recvbuf itself when no pad is needed and it is device
     // memory (every exchange is priced by its buffer's kind, so a host
@@ -387,7 +525,8 @@ bool HierEngine::run_allreduce(HierComms& hc, const mini::CollArgs& a,
       pipelined_allreduce(ws, shape.unit, shape.chunks, a.dt.base, stage_op(a.redop),
                           hc);
     } else {
-      staged_allreduce(ws, shape.padded, a.dt.base, stage_op(a.redop), hc);
+      staged_allreduce(*mpi_, hc, ws, scratch(stage_, shape.stage_elems() * esz), shape,
+                       a.dt.base, stage_op(a.redop));
     }
     if (ws != a.recvbuf) std::memcpy(a.recvbuf, ws, bytes);
   }
@@ -398,97 +537,6 @@ bool HierEngine::run_allreduce(HierComms& hc, const mini::CollArgs& a,
                    "HierEngine::allreduce avg");
   }
   return true;
-}
-
-void HierEngine::staged_allreduce(std::byte* ws, std::size_t padded,
-                                  DataType base, ReduceOp op, HierComms& hc) {
-  const std::size_t esz = datatype_size(base);
-  const mini::Datatype dtb{base, 1};
-  const std::size_t D = hc.dims.size();
-
-  // Shard sizes up the chain and their offsets in the stage buffer. Level j
-  // reduce-scatters its input into a 1/dims[j] shard; the top dim runs a
-  // whole-shard allreduce; allgathers rebuild on the way back down.
-  std::vector<std::size_t> shard(D - 1);
-  std::vector<std::size_t> off(D - 1);
-  std::size_t total = 0;
-  std::size_t cur = padded;
-  for (std::size_t j = 0; j + 1 < D; ++j) {
-    cur /= static_cast<std::size_t>(hc.dims[j]);
-    shard[j] = cur;
-    off[j] = total;
-    total += cur;
-  }
-  const std::size_t out_off = total;
-  std::byte* stg = scratch(stage_, (total + shard[D - 2]) * esz);
-
-  const std::byte* buf = ws;
-  for (std::size_t j = 0; j + 1 < D; ++j) {
-    auto span = stage(*mpi_, SpanName::AllreduceRs, hc.level_ids[j]);
-    mpi_->run(stage_args(Coll::ReduceScatterBlock, buf, kDev, stg + off[j] * esz, kDev,
-                         shard[j], dtb, op),
-              hc.comms[j]);
-    buf = stg + off[j] * esz;
-  }
-  std::byte* out = stg + out_off * esz;
-  {
-    auto span = stage(*mpi_, SpanName::AllreduceAr, hc.level_ids[D - 1]);
-    mpi_->run(stage_args(Coll::Allreduce, buf, kDev, out, kDev, shard[D - 2], dtb, op),
-              hc.comms[D - 1]);
-  }
-  const std::byte* src = out;
-  for (std::size_t j = D - 1; j-- > 0;) {
-    std::byte* dst = (j == 0) ? ws : stg + off[j - 1] * esz;
-    auto span = stage(*mpi_, SpanName::AllreduceAg, hc.level_ids[j]);
-    mpi_->run(stage_args(Coll::Allgather, src, kDev, dst, kDev, shard[j], dtb),
-              hc.comms[j]);
-    src = dst;
-  }
-}
-
-void HierEngine::cico_allreduce(const mini::CollArgs& a, std::size_t elems,
-                                ReduceOp op, HierComms& hc) {
-  const DataType base = a.dt.base;
-  const std::size_t esz = datatype_size(base);
-  const std::size_t bytes = elems * esz;
-  const mini::Datatype dtb{base, 1};
-  const std::size_t D = hc.dims.size();
-
-  // XHC-style copy-in-copy-out: whole messages hop leader-to-leader instead
-  // of paying one shard exchange (alpha + rendezvous each) per level. A rank
-  // participates at step j iff it is the digit-0 leader of every deeper dim.
-
-  std::byte* stg = scratch(stage_, 2 * bytes);
-  std::byte* half[2] = {stg, stg + bytes};
-  const void* cur = a.sendbuf;
-  mini::MemKind cur_kind = a.skind;
-  int pp = 0;
-  for (std::size_t j = 0; j + 1 < D; ++j) {
-    auto span = stage(*mpi_, SpanName::AllreduceCicoReduce, hc.level_ids[j]);
-    if (on_root_path(hc, 0, j)) {
-      mpi_->run(stage_args(Coll::Reduce, cur, cur_kind, half[pp], kDev, elems, dtb, op),
-                hc.comms[j]);
-      cur = half[pp];
-      cur_kind = kDev;
-      pp ^= 1;
-    }
-  }
-  {
-    auto span = stage(*mpi_, SpanName::AllreduceCicoAr, hc.level_ids[D - 1]);
-    if (on_root_path(hc, 0, D - 1)) {
-      mpi_->run(stage_args(Coll::Allreduce, cur, cur_kind, a.recvbuf, a.rkind, elems,
-                           dtb, op),
-                hc.comms[D - 1]);
-    }
-  }
-  for (std::size_t j = D - 1; j-- > 0;) {
-    auto span = stage(*mpi_, SpanName::AllreduceCicoBcast, hc.level_ids[j]);
-    if (on_root_path(hc, 0, j)) {
-      mpi_->run({.coll = Coll::Bcast, .recvbuf = a.recvbuf, .count = elems, .dt = dtb,
-                 .rkind = a.rkind},
-                hc.comms[j]);
-    }
-  }
 }
 
 void HierEngine::pipelined_allreduce(std::byte* ws, std::size_t unit,
@@ -646,20 +694,14 @@ bool HierEngine::run_bcast(HierComms& hc, const mini::CollArgs& a,
   const std::size_t bytes = elems * esz;
   const mini::Datatype dtb{a.dt.base, 1};
   const std::size_t D = hc.dims.size();
-
-  const std::vector<int> r = digits_of(a.root, hc.dims);
+  const MixedRadix rx(hc.dims);
 
   if (bytes < kBcastScatterMinBytes) {
     // Leader chain: the root's column carries the message across each
     // boundary from the outermost in, then every group fans out locally.
-    for (std::size_t j = D; j-- > 0;) {
-      auto span = stage(*mpi_, SpanName::BcastLeader, hc.level_ids[j]);
-      if (on_root_path(hc, a.root, j)) {
-        mini::CollArgs leg = a;  // the same bcast, rooted at this level's digit
-        leg.root = r[j];
-        mpi_->run(leg, hc.comms[j]);
-      }
-    }
+    const Dst buf{a.recvbuf, a.rkind};
+    bcast_from(*mpi_, hc, {SpanName::BcastLeader, 0, D, a.dt}, Coll::Bcast, a.root, true,
+               buf, a.count, Landing::all(buf));
     return true;
   }
 
@@ -667,58 +709,37 @@ bool HierEngine::run_bcast(HierComms& hc, const mini::CollArgs& a,
   // rank broadcasts its own segment over the network to its peer column
   // (keeping all NICs busy at once), and nodes reassemble with per-level
   // allgathers.
-  std::vector<std::size_t> stride(D);
-  stride[0] = 1;
-  for (std::size_t j = 1; j < D; ++j) {
-    stride[j] = stride[j - 1] * static_cast<std::size_t>(hc.dims[j - 1]);
-  }
-  const std::size_t within = stride[D - 1];  // ranks per node block
+  const auto within = static_cast<std::size_t>(rx.stride(D - 1));  // ranks per node
   const std::size_t seg = ceil_div(elems, within);
   const std::size_t padded = seg * within;
   std::byte* ws = scratch(ws_, padded * esz);
-  const std::size_t bmax = stride[D - 2] * seg;  // largest scattered block
+  const std::size_t bmax = static_cast<std::size_t>(rx.stride(D - 2)) * seg;
   std::byte* stg = scratch(stage_, 2 * bmax * esz);
-  std::byte* pp[2] = {stg, stg + bmax * esz};
+  std::byte* half1 = stg + bmax * esz;  // each half holds the largest block
 
   if (comm.rank() == a.root) {
     std::memcpy(ws, a.recvbuf, bytes);
     std::memset(ws + bytes, 0, (padded - elems) * esz);
   }
 
-  // Scatter chain on the root's node, outermost within-node dim first. The
-  // receive slot alternates by step so late joiners land in the same buffer
-  // the chain's holders send from.
-  const std::byte* src = ws;
-  for (std::size_t j = D - 1; j-- > 0;) {
-    std::byte* dst = pp[(D - 2 - j) % 2];
-    auto span = stage(*mpi_, SpanName::BcastScatter, hc.level_ids[j]);
-    if (hc.coord[D - 1] == r[D - 1] && on_root_path(hc, a.root, j)) {
-      mpi_->run(stage_args(Coll::Scatter, src, kDev, dst, kDev, stride[j] * seg, dtb,
-                           ReduceOp::Sum, r[j]),
-                hc.comms[j]);
-      src = dst;
-    }
-  }
+  // Scatter on the root's node, outermost within-node dim first; the stages
+  // land by dim, so every rank's segment ends up in the same half.
+  const int root_node = rx.digit(a.root, D - 1);
+  const Dst segbuf = bcast_from(*mpi_, hc, {SpanName::BcastScatter, 0, D - 1, dtb},
+                                Coll::Scatter, a.root, hc.coord[D - 1] == root_node,
+                                {ws, kDev}, padded, {{{stg}, {half1}}});
 
   // Every rank's own segment crosses the network once, down its column.
-  std::byte* segbuf = pp[(D - 2) % 2];
   {
     auto span = stage(*mpi_, SpanName::Bcast, hc.level_ids[D - 1]);
-    mpi_->run({.coll = Coll::Bcast, .recvbuf = segbuf, .count = seg, .dt = dtb,
-               .root = r[D - 1], .rkind = kDev},
+    mpi_->run(stage_args(Coll::Bcast, segbuf, segbuf, seg, dtb, ReduceOp::Sum, root_node),
               hc.comms[D - 1]);
   }
 
   // Reassemble: allgather from the innermost dim out (concatenation by
   // digit j rebuilds contiguous within-node order at each step).
-  const std::byte* asrc = segbuf;
-  for (std::size_t j = 0; j + 1 < D; ++j) {
-    std::byte* dst = (j == D - 2) ? ws : (asrc == pp[0] ? pp[1] : pp[0]);
-    auto span = stage(*mpi_, SpanName::BcastAg, hc.level_ids[j]);
-    mpi_->run(stage_args(Coll::Allgather, asrc, kDev, dst, kDev, stride[j] * seg, dtb),
-              hc.comms[j]);
-    asrc = dst;
-  }
+  allgather_across(*mpi_, hc, {SpanName::BcastAg, 0, D - 1, dtb}, false, segbuf, seg,
+                   {{{half1}, {stg}}, {ws}});
   std::memcpy(a.recvbuf, ws, bytes);
   return true;
 }
@@ -731,32 +752,15 @@ bool HierEngine::run_reduce(HierComms& hc, const mini::CollArgs& a,
   if (!hc.usable) return false;
   if (a.count == 0) return true;
 
-  const std::size_t bytes = a.bytes();
-  const std::size_t D = hc.dims.size();
-  const int me = comm.rank();
-
-  const std::vector<int> r = digits_of(a.root, hc.dims);
-
   // Reduce toward the root's digit at each level from the innermost out.
   // The true root accumulates straight into recvbuf at every step; other
-  // leaders stage into scratch (and feed it forward — mini::reduce accepts
-  // the aliased sendbuf, the same contract the 2-level engine relied on).
-  const void* cur = a.sendbuf;
-  mini::MemKind cur_kind = a.skind;
-  std::byte* dst =
-      (me == a.root) ? static_cast<std::byte*>(a.recvbuf) : scratch(stage_, bytes);
-  const mini::MemKind dst_kind = me == a.root ? a.rkind : kDev;
-  for (std::size_t j = 0; j < D; ++j) {
-    auto span = stage(*mpi_, SpanName::Reduce, hc.level_ids[j]);
-    if (on_root_path(hc, a.root, j)) {
-      mpi_->run(stage_args(Coll::Reduce, cur, cur_kind, dst, dst_kind, a.count, a.dt,
-                           stage_op(a.redop), r[j]),
-                hc.comms[j]);
-      cur = dst;
-      cur_kind = dst_kind;
-    }
-  }
-  if (me == a.root && a.redop == ReduceOp::Avg) {
+  // leaders stage into scratch.
+  const bool root = comm.rank() == a.root;
+  const Dst acc = root ? Dst{a.recvbuf, a.rkind} : Dst{scratch(stage_, a.bytes())};
+  reduce_toward(*mpi_, hc,
+                {SpanName::Reduce, 0, hc.dims.size(), a.dt, stage_op(a.redop)}, a.root,
+                {a.sendbuf, a.skind}, acc, a.count);
+  if (root && a.redop == ReduceOp::Avg) {
     throw_if_error(scale_inplace(a.dt.base, a.recvbuf, a.count * a.dt.count,
                                  1.0 / static_cast<double>(comm.size())),
                    "HierEngine::reduce avg");
@@ -766,24 +770,6 @@ bool HierEngine::run_reduce(HierComms& hc, const mini::CollArgs& a,
 
 // ---- Allgather --------------------------------------------------------------
 
-namespace {
-
-/// Block index of comm rank `g` in the chain-major layout the staged
-/// allgather/reduce-scatter produce: digit 0 varies slowest.
-std::size_t chain_index(int g, const std::vector<int>& dims, std::size_t p) {
-  std::size_t idx = 0;
-  std::size_t span = p;
-  int q = g;
-  for (int d : dims) {
-    span /= static_cast<std::size_t>(d);
-    idx += static_cast<std::size_t>(q % d) * span;
-    q /= d;
-  }
-  return idx;
-}
-
-}  // namespace
-
 bool HierEngine::run_allgather(HierComms& hc, const mini::CollArgs& a) {
   const std::size_t blk = a.bytes();
   if (blk != a.rcount * a.rdt.size()) return false;
@@ -792,34 +778,21 @@ bool HierEngine::run_allgather(HierComms& hc, const mini::CollArgs& a) {
 
   const std::size_t D = hc.dims.size();
   const std::size_t p = hc.size();
-  const std::size_t selems = a.count * a.dt.count;
-  const mini::Datatype stb{a.dt.base, 1};
 
   // Gather from the outermost dim in: each rank's block crosses the slowest
   // link exactly once, and every inner step exchanges whole columns on
   // progressively faster links.
   const std::size_t imax = p / static_cast<std::size_t>(hc.dims[0]);
   std::byte* stg = scratch(stage_, 2 * imax * blk);
-  std::byte* pp[2] = {stg, stg + imax * blk};
   std::byte* full = scratch(ws_, p * blk);
-  const std::byte* src = static_cast<const std::byte*>(a.sendbuf);
-  mini::MemKind src_kind = a.skind;
-  std::size_t cnt = 1;
-  int slot = 0;
-  for (std::size_t j = D; j-- > 0;) {
-    std::byte* dst = (j == 0) ? full : pp[slot];
-    auto span = stage(*mpi_, SpanName::Allgather, hc.level_ids[j]);
-    mpi_->run(stage_args(Coll::Allgather, src, src_kind, dst, kDev, selems * cnt, stb),
-              hc.comms[j]);
-    src = dst;
-    src_kind = kDev;
-    slot ^= 1;
-    cnt *= static_cast<std::size_t>(hc.dims[j]);
-  }
+  allgather_across(*mpi_, hc, {SpanName::Allgather, 0, D, {a.dt.base, 1}}, true,
+                   {a.sendbuf, a.skind}, a.count * a.dt.count,
+                   {{{stg}, {stg + imax * blk}}, {full}});
   // Local reorder from chain-major to comm-rank-major.
+  const MixedRadix rx(hc.dims);
   for (std::size_t g = 0; g < p; ++g) {
     std::memcpy(at(a.recvbuf, g * blk),
-                full + chain_index(static_cast<int>(g), hc.dims, p) * blk, blk);
+                full + rx.chain_index(static_cast<int>(g)) * blk, blk);
   }
   return true;
 }
@@ -836,13 +809,13 @@ bool HierEngine::run_reduce_scatter_block(HierComms& hc, const mini::CollArgs& a
   const std::size_t blk = relems * datatype_size(a.dt.base);
   const std::size_t D = hc.dims.size();
   const std::size_t p = hc.size();
-  const mini::Datatype dtb{a.dt.base, 1};
 
   // Permute the p input blocks into chain-major order so each level's
   // reduce-scatter keeps a contiguous slice.
   std::byte* tmp = scratch(ws_, p * blk);
+  const MixedRadix rx(hc.dims);
   for (std::size_t g = 0; g < p; ++g) {
-    std::memcpy(tmp + chain_index(static_cast<int>(g), hc.dims, p) * blk,
+    std::memcpy(tmp + rx.chain_index(static_cast<int>(g)) * blk,
                 at(a.sendbuf, g * blk), blk);
   }
 
@@ -850,21 +823,9 @@ bool HierEngine::run_reduce_scatter_block(HierComms& hc, const mini::CollArgs& a
   // links, and only my 1/prod(inner dims) slice crosses each boundary.
   const std::size_t imax = p / static_cast<std::size_t>(hc.dims[0]);
   std::byte* stg = scratch(stage_, 2 * imax * blk);
-  std::byte* pp[2] = {stg, stg + imax * blk};
-  const std::byte* src = tmp;
-  std::size_t cnt = p;
-  int slot = 0;
-  for (std::size_t j = 0; j < D; ++j) {
-    cnt /= static_cast<std::size_t>(hc.dims[j]);
-    const bool last = j == D - 1;
-    std::byte* dst = last ? static_cast<std::byte*>(a.recvbuf) : pp[slot];
-    auto span = stage(*mpi_, SpanName::Rs, hc.level_ids[j]);
-    mpi_->run(stage_args(Coll::ReduceScatterBlock, src, kDev, dst, last ? a.rkind : kDev,
-                         relems * cnt, dtb, stage_op(a.redop)),
-              hc.comms[j]);
-    src = dst;
-    slot ^= 1;
-  }
+  reduce_scatter_up(*mpi_, hc,
+                    {SpanName::Rs, 0, D, {a.dt.base, 1}, stage_op(a.redop)}, {tmp, kDev},
+                    relems * p, {{{stg}, {stg + imax * blk}}, {a.recvbuf, a.rkind}});
   if (a.redop == ReduceOp::Avg) {
     throw_if_error(scale_inplace(a.dt.base, a.recvbuf, relems,
                                  1.0 / static_cast<double>(comm.size())),

@@ -7,32 +7,31 @@
 // split but sub-node levels (NUMA domain, socket, cache group, or virtual
 // levels from MPIXCCL_HIER_LEVELS) whose link classes differ by up to 8.5x
 // in bandwidth. The HierEngine decomposes the communicator into an n-level
-// chain of per-level subcommunicators (the XHC / HiCCL shape) and composes
-// each collective from per-level stages so the bulk of the traffic stays on
-// the fastest links and only a 1/group-size shard crosses each slower
-// boundary:
+// chain of per-level subcommunicators (the XHC / HiCCL shape) so the bulk
+// of the traffic stays on the fastest links and only a 1/group-size shard
+// crosses each slower boundary. As in HiCCL, every collective but the
+// pipelined allreduce is composed from four level walks, each one loop over
+// a range of dims with one MiniMPI stage per dim: reduce-scatter up the
+// chain, allgather across it (either direction), reduce toward a root's
+// digit, and bcast or scatter from a root's digit.
 //
-//   Allreduce      reduce-scatter up the chain (leaf group first, network
-//                  last), allgather back down. For power-of-two level sizes
-//                  this runs as an n-level recursive-halving/doubling
-//                  schedule, and large messages are split into chunks whose
-//                  exchanges pipeline across level links: while one chunk's
-//                  shard crosses level k+1, another chunk's halving/doubling
-//                  proceeds on level k (all link classes busy at once).
-//                  Small messages on deep chains switch to an XHC-style
-//                  copy-in-copy-out ladder (reduce to each level's leader,
-//                  allreduce among top leaders, broadcast back) instead of
-//                  paying per-level shard latencies; the switchover is
-//                  kSingleCopyMinBytes.
-//   Bcast          root scatters segments down its own node's chain, each
-//                  rank broadcasts its segment over the network to its peer
-//                  column, nodes reassemble with per-level allgathers (small
-//                  messages skip the scatter: per-level leader bcasts).
-//   Reduce         per-level reduce toward the root's digit at each level,
-//                  network reduce among the final leaders.
-//   Allgather      allgather from the outermost level inward, local reorder.
+//   Allreduce      staged: reduce-scatter up, allreduce over the network
+//                  dim, allgather back down. For power-of-two level sizes
+//                  it runs instead as an n-level recursive halving/doubling
+//                  whose chunks pipeline across level links (one chunk's
+//                  shard crosses level k+1 while another's halving runs on
+//                  level k). Below kSingleCopyMinBytes deep chains take the
+//                  XHC-style copy-in-copy-out ladder: reduce to root 0,
+//                  allreduce among the node leaders, bcast from root 0.
+//   Bcast          small: bcast from the root's digit (leader chain). Large:
+//                  scatter from the root's digit on its node, each rank's
+//                  segment bcast over the network to its peer column, then
+//                  allgather across the node, innermost dim first.
+//   Reduce         reduce toward the root's digit.
+//   Allgather      allgather across the chain, outermost dim first, then a
+//                  local reorder.
 //   ReduceScatter  local permutation grouping blocks by level digits, then
-//                  per-level reduce-scatter from the innermost level out.
+//                  reduce-scatter up the chain.
 //
 // Subcommunicators are built lazily via mini::Mpi::split from the comm
 // layout and cached per (parent communicator, level-config epoch); changing
@@ -73,6 +72,7 @@ class HierEngine {
   struct HierComms {
     bool usable = false;
     std::uint64_t epoch = 0;  ///< level-config epoch this chain was built at
+    int rank = 0;             ///< my rank, numbered by my digits (MixedRadix)
     int nodes = 0;            ///< N (size of the network dim)
     int per_node = 0;         ///< L (ranks per node block)
     std::vector<int> dims;            ///< per-dim sizes, innermost first
@@ -166,16 +166,6 @@ class HierEngine {
   /// into the kept half as it lands.
   void pipelined_allreduce(std::byte* ws, std::size_t unit, std::size_t chunks,
                            DataType base, ReduceOp op, HierComms& hc);
-
-  /// Staged shard recursion for non-power-of-two dims: reduce-scatter up
-  /// the chain, allreduce at the top, allgather back down.
-  void staged_allreduce(std::byte* ws, std::size_t padded, DataType base,
-                        ReduceOp op, HierComms& hc);
-
-  /// Copy-in-copy-out ladder for small messages on deep chains: reduce to
-  /// each level's leader, allreduce among node leaders, bcast back down.
-  void cico_allreduce(const mini::CollArgs& a, std::size_t elems, ReduceOp op,
-                      HierComms& hc);
 
   // The schedules behind run(), one per collective.
   bool run_allreduce(HierComms& hc, const mini::CollArgs& a, mini::Comm& comm);

@@ -40,9 +40,10 @@ std::size_t arm_index(core::Engine e) { return static_cast<std::size_t>(e); }
 
 bool online_tuning_enabled() {
   const char* v = std::getenv("MPIXCCL_TUNE_ONLINE");
-  if (v == nullptr) return false;
-  const std::string s(v);
-  return !(s.empty() || s == "0" || s == "off" || s == "false");
+  const std::string s = v == nullptr ? "" : v;
+  if (s.empty() || s == "0" || s == "off" || s == "false") return false;
+  if (s == "1" || s == "on" || s == "yes" || s == "true") return true;
+  throw Error("MPIXCCL_TUNE_ONLINE='" + s + "' is none of 1, on, yes, true, 0, off, false");
 }
 
 std::size_t band_lo_bytes(std::size_t band) {

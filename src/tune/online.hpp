@@ -43,8 +43,9 @@
 
 namespace mpixccl::tune {
 
-/// Master switch: MPIXCCL_TUNE_ONLINE=1 turns the controller on in the
-/// trainer and CLI surfaces (unset, "0" or "off" leave it off).
+/// Master switch: MPIXCCL_TUNE_ONLINE=1 (or on, yes, true) turns the
+/// controller on in the trainer and CLI surfaces; unset, empty, 0, off or
+/// false leave it off, and any other value throws Error naming it.
 [[nodiscard]] bool online_tuning_enabled();
 
 struct OnlineTunerConfig {

@@ -1,8 +1,9 @@
-// The binomial tree, the ring and the butterfly of common/schedule.hpp,
-// checked on their own: no fabric, no buffers, every communicator size 1..64,
-// every root and every power-of-two chain of up to 64 ranks. The engines
-// (MiniMPI, the CCL backends and the hier engine) walk these schedules, so a
-// property proved here holds for every collective built on them.
+// The binomial tree, the ring, the butterfly and the mixed-radix chain
+// numbering of common/schedule.hpp, checked on their own: no fabric, no
+// buffers, every communicator size 1..64, every root and every chain of up
+// to 64 ranks. The engines (MiniMPI, the CCL backends and the hier engine)
+// walk these schedules, so a property proved here holds for every collective
+// built on them.
 
 #include "common/schedule.hpp"
 
@@ -210,14 +211,15 @@ std::string chain_name(const std::vector<int>& dims) {
   return s;
 }
 
-/// Every chain of power-of-two dims of at least 2 whose product is at most
-/// `limit`, innermost first, starting with the empty chain.
-std::vector<std::vector<int>> pow2_chains(int limit) {
+/// Every chain of dims of at least 2 (powers of two only when `pow2`) whose
+/// product is at most `limit`, innermost first, starting with the empty
+/// chain.
+std::vector<std::vector<int>> chains(int limit, bool pow2) {
   std::vector<std::vector<int>> out{{}};
   for (std::size_t i = 0; i < out.size(); ++i) {
     int prod = 1;
     for (const int d : out[i]) prod *= d;
-    for (int d = 2; prod * d <= limit; d *= 2) {
+    for (int d = 2; prod * d <= limit; d = pow2 ? d * 2 : d + 1) {
       std::vector<int> next = out[i];
       next.push_back(d);
       out.push_back(std::move(next));
@@ -403,21 +405,18 @@ TEST(Butterfly, RabenseifnerReducesEveryContributionExactlyOnce) {
 }
 
 TEST(Butterfly, ChainWalkReducesEveryElementExactlyOnce) {
-  // The hier engine's per-chunk walk: rank g's digit along dim j is
-  // (g / stride_j) % dims[j], and its partner differs in that digit only.
+  // The hier engine's per-chunk walk: rank g's partner differs from it in
+  // the step's MixedRadix digit only.
   // A chunk holds 3 * prod(dims) elements, the smallest that is not a power
   // of two and still halves evenly at every step.
-  for (const std::vector<int>& dims : pow2_chains(kMaxRanks)) {
+  for (const std::vector<int>& dims : chains(kMaxRanks, true)) {
     SCOPED_TRACE(chain_name(dims));
-    std::vector<int> stride{1};
-    for (const int d : dims) stride.push_back(stride.back() * d);
-    const int n = stride.back();
+    const MixedRadix rx(dims);
+    const int n = rx.size();
     const std::size_t unit = 3 * u(n);
-    const auto digit = [&](int g, int j) {
-      return g / stride[u(j)] % dims[u(j)];
-    };
+    const auto digit = [&](int g, int j) { return rx.digit(g, u(j)); };
     const auto peer = [&](int g, int j, int d) {
-      return g + (d - digit(g, j)) * stride[u(j)];
+      return g + (d - digit(g, j)) * rx.stride(u(j));
     };
     Held held(u(n));
     for (int g = 0; g < n; ++g) held[u(g)].assign(unit, 1ull << g);
@@ -426,6 +425,47 @@ TEST(Butterfly, ChainWalkReducesEveryElementExactlyOnce) {
       EXPECT_EQ(ranges[u(g)], (Range{0, unit})) << "rank " << g;
       for (std::size_t i = 0; i < unit; ++i) {
         ASSERT_EQ(held[u(g)][i], all_bits(n)) << "rank " << g << " element " << i;
+      }
+    }
+  }
+}
+
+TEST(MixedRadix, DigitsRecomposeAndChainIndexIsABijection) {
+  for (const std::vector<int>& dims : chains(kMaxRanks, false)) {
+    SCOPED_TRACE(chain_name(dims));
+    const MixedRadix rx(dims);
+    const int p = rx.size();
+    std::vector<bool> hit(u(p));
+    for (int g = 0; g < p; ++g) {
+      int rank = 0;
+      for (std::size_t j = 0; j < dims.size(); ++j) {
+        rank += rx.digit(g, j) * rx.stride(j);
+      }
+      EXPECT_EQ(rank, g);
+      const std::size_t i = rx.chain_index(g);
+      ASSERT_LT(i, u(p)) << "rank " << g;
+      EXPECT_FALSE(hit[i]) << "rank " << g << " shares block " << i;
+      hit[i] = true;
+    }
+  }
+}
+
+TEST(MixedRadix, RootPathHoldsOneRankPerLevelGroup) {
+  // A level-j group is the stride(j) consecutive ranks that share every
+  // digit from j up: the ranks dim j's stage of a rooted schedule serves.
+  for (const std::vector<int>& dims : chains(kMaxRanks, false)) {
+    const MixedRadix rx(dims);
+    const int p = rx.size();
+    for (int root = 0; root < p; ++root) {
+      SCOPED_TRACE(chain_name(dims) + " root " + std::to_string(root));
+      for (std::size_t j = 0; j <= dims.size(); ++j) {
+        EXPECT_TRUE(rx.on_root_path(root, root, j)) << "level " << j;
+        const int group = rx.stride(j);
+        std::vector<int> on_path(u(p / group));
+        for (int g = 0; g < p; ++g) on_path[u(g / group)] += rx.on_root_path(g, root, j);
+        for (std::size_t k = 0; k < on_path.size(); ++k) {
+          EXPECT_EQ(on_path[k], 1) << "level " << j << " group " << k;
+        }
       }
     }
   }

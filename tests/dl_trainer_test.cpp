@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/xccl_mpi.hpp"
@@ -148,6 +150,27 @@ TEST(Trainer, FusionBytesControlsBucketCount) {
             static_cast<int>(per_tensor.model.layers.size()));
   EXPECT_LT(r_f.buckets_per_step, r_pt.buckets_per_step);
   EXPECT_GT(r_f.images_per_sec, 0.0);
+}
+
+TEST(Trainer, FusionBytesEnvParsing) {
+  unsetenv("MPIXCCL_FUSION_BYTES");
+  EXPECT_EQ(default_fusion_bytes(), 2u << 20);
+  setenv("MPIXCCL_FUSION_BYTES", "", 1);
+  EXPECT_EQ(default_fusion_bytes(), 2u << 20);
+  setenv("MPIXCCL_FUSION_BYTES", "4096", 1);
+  EXPECT_EQ(default_fusion_bytes(), 4096u);
+  // A malformed value fails loudly, naming the variable and the value.
+  for (const char* bad : {"2M", "0", "abc", "-5", " 5", "99999999999999999999999"}) {
+    setenv("MPIXCCL_FUSION_BYTES", bad, 1);
+    try {
+      (void)default_fusion_bytes();
+      ADD_FAILURE() << "'" << bad << "' did not throw";
+    } catch (const Error& e) {
+      const std::string want = std::string("MPIXCCL_FUSION_BYTES='") + bad + "'";
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+    }
+  }
+  unsetenv("MPIXCCL_FUSION_BYTES");
 }
 
 TEST(Trainer, FusedBucketReductionMatchesPerTensor) {

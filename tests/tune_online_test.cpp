@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "core/xccl_mpi.hpp"
@@ -375,6 +376,19 @@ TEST(OnlineTunerConfigEnv, MasterSwitchParsing) {
   for (const char* on : {"1", "on", "yes"}) {
     setenv("MPIXCCL_TUNE_ONLINE", on, 1);
     EXPECT_TRUE(online_tuning_enabled()) << "'" << on << "'";
+  }
+  setenv("MPIXCCL_TUNE_ONLINE", "true", 1);
+  EXPECT_TRUE(online_tuning_enabled());
+  // A misspelt value fails loudly, naming the variable and the value.
+  for (const char* bad : {"of", "2", "ON", "yes "}) {
+    setenv("MPIXCCL_TUNE_ONLINE", bad, 1);
+    try {
+      (void)online_tuning_enabled();
+      ADD_FAILURE() << "'" << bad << "' did not throw";
+    } catch (const Error& e) {
+      const std::string want = std::string("MPIXCCL_TUNE_ONLINE='") + bad + "'";
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+    }
   }
   unsetenv("MPIXCCL_TUNE_ONLINE");
 }
