@@ -202,10 +202,10 @@ TEST(AllreduceInput, HierStaged) {
 
 // 1000 floats are below 8 KiB on the four-dim 2x8 chain: copy-in-copy-out.
 TEST(AllreduceInput, HierCico) {
-  expect_whole_output(2, 8, 1000, Form::Separate, kDevice, hier_allreduce("socket:2,numa:2"));
-  expect_whole_output(2, 8, 1000, Form::Separate, kDeviceToHost,
-                      hier_allreduce("socket:2,numa:2"));
-  expect_whole_output(2, 8, 1000, Form::InPlace, kDevice, hier_allreduce("socket:2,numa:2"));
+  const Call cico = hier_allreduce("socket:2,numa:2");
+  expect_whole_output(2, 8, 1000, Form::Separate, kDevice, cico);
+  expect_whole_output(2, 8, 1000, Form::Separate, kDeviceToHost, cico);
+  expect_whole_output(2, 8, 1000, Form::InPlace, kDevice, cico);
 }
 
 }  // namespace

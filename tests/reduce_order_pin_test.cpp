@@ -31,6 +31,7 @@
 #include "sim/profiles.hpp"
 #include "sim/trace.hpp"
 #include "xccl/backend.hpp"
+#include "xccl/msccl.hpp"
 
 namespace mpixccl {
 namespace {
@@ -1520,6 +1521,180 @@ TEST(VirtualTimePin, HierAllgather) {
                  0x1.44da2c179cbb7p+6},
                 "hier.comm_setup allgather.net allgather.node allgather.socket "
                 "allgather.numa");
+}
+
+// ---- MSCCL programs -------------------------------------------------------------
+// The MSCCL interpreter runs a program's steps over the chunks of a working
+// area. These pin the built-in all-pairs program on 4 and 8 ranks, a
+// three-chunk all-pairs program over a count three does not divide (its last
+// chunk is short), and a two-chunk star whose leaves receive the sums into
+// place: where a receive lands must not move an output bit or a clock.
+
+using xccl::MscclAlgorithm;
+using xccl::MscclInstr;
+
+/// A program over `nchunks` chunks for every allreduce size on p ranks.
+MscclAlgorithm program(const std::string& name, int p, int nchunks) {
+  MscclAlgorithm a;
+  a.name = name;
+  a.nranks = p;
+  a.nchunks = nchunks;
+  a.programs.resize(static_cast<std::size_t>(p));
+  return a;
+}
+
+/// All-pairs over `nchunks` chunks: every rank sends each chunk to every
+/// peer, then reduces each peer's chunks into its own.
+MscclAlgorithm chunked_allpairs(int p, int nchunks) {
+  MscclAlgorithm a = program("allpairs_chunked", p, nchunks);
+  for (int r = 0; r < p; ++r) {
+    auto& prog = a.programs[static_cast<std::size_t>(r)];
+    for (int step = 0; step < 2; ++step) {
+      for (int peer = 0; peer < p; ++peer) {
+        for (int c = 0; c < nchunks && peer != r; ++c) {
+          prog.push_back(step == 0 ? MscclInstr{MscclInstr::Op::Send, peer, c, c, 0}
+                                   : MscclInstr{MscclInstr::Op::RecvReduceCopy, peer, c,
+                                                c, 1});
+        }
+      }
+    }
+  }
+  return a;
+}
+
+/// Star over `nchunks` chunks: every other rank sends its chunks to rank 0,
+/// which reduces them in and sends the sums back into place.
+MscclAlgorithm chunked_star(int p, int nchunks) {
+  MscclAlgorithm a = program("star_chunked", p, nchunks);
+  auto leaf = [&a](int r) -> auto& { return a.programs[static_cast<std::size_t>(r)]; };
+  for (int r = 1; r < p; ++r) {
+    for (int c = 0; c < nchunks; ++c) {
+      a.programs[0].push_back({MscclInstr::Op::RecvReduceCopy, r, c, c, 0});
+      leaf(r).push_back({MscclInstr::Op::Send, 0, c, c, 0});
+    }
+  }
+  for (int r = 1; r < p; ++r) {
+    for (int c = 0; c < nchunks; ++c) {
+      a.programs[0].push_back({MscclInstr::Op::Send, r, c, c, 1});
+      leaf(r).push_back({MscclInstr::Op::Recv, 0, c, c, 1});
+    }
+  }
+  return a;
+}
+
+/// Builds the program a case registers on p ranks; null runs the built-in
+/// all-pairs window.
+using MakeProgram = std::function<MscclAlgorithm(int p)>;
+
+/// MSCCL allreduce of `n` elements through the program `make` builds.
+RankBody msccl_allreduce_body(std::size_t n, const MakeProgram& make, DataType dt,
+                              ReduceOp op) {
+  return [=](fabric::RankContext& ctx) {
+    xccl::MscclBackend backend(ctx, *ctx.profile().msccl);
+    xccl::CclComm comm;
+    EXPECT_EQ(backend.comm_init_rank(comm, ctx.size(), xccl::UniqueId::derive(7, 2),
+                                     ctx.rank()),
+              XcclResult::Success);
+    if (make) backend.register_algorithm(make(ctx.size()));
+    EXPECT_TRUE(
+        backend.algorithm_for(xccl::BuiltinColl::AllReduce, ctx.size(),
+                              n * datatype_size(dt))
+            .has_value());
+    const auto in = seeded_input(dt, n, ctx.rank());
+    std::vector<std::byte> out(in.size());
+    EXPECT_EQ(backend.all_reduce(in.data(), out.data(), n, dt, op, comm, ctx.stream()),
+              XcclResult::Success);
+    ctx.stream().synchronize(ctx.clock());
+    return out;
+  };
+}
+
+// 10000 elements sit inside the built-in window at both widths; 10001 leave
+// a short last chunk under three chunks and under two.
+constexpr std::size_t kMscclElems = 10000;
+constexpr std::size_t kMscclOddElems = 10001;
+const MakeProgram kBuiltin{};
+const MakeProgram kAllpairs3 = [](int p) { return chunked_allpairs(p, 3); };
+const MakeProgram kStar2 = [](int p) { return chunked_star(p, 2); };
+constexpr Pins kMscclAllpairsP4 = {2614943789805321806u, 4414979598976200541u,
+                                   6218266727819554868u, 7850574872876988589u};
+constexpr Pins kMscclAllpairsP8 = {15894698314875787496u, 5391271227858943797u,
+                                   16647150937817314041u, 16861351247601283813u};
+constexpr Pins kMscclAllpairs3P4 = {5590177738613104330u, 6862263978571728781u,
+                                    5518922986086899848u, 2118763608771494717u};
+constexpr Pins kMscclAllpairs3P8 = {12001172808130626194u, 10629946264459943221u,
+                                    9183349061163134825u, 5607639458479164517u};
+constexpr Pins kMscclStar2P4 = {9150044244906016309u, 6862263978571728781u,
+                                16923967828400195261u, 2118763608771494717u};
+
+std::uint64_t msccl_allreduce(int p, std::size_t n, const MakeProgram& make, DataType dt,
+                              ReduceOp op) {
+  return run_world(1, p, msccl_allreduce_body(n, make, dt, op));
+}
+
+TEST(ReduceOrderPin, MscclAllpairsP4) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return msccl_allreduce(4, kMscclElems, kBuiltin, dt, op);
+      },
+      kMscclAllpairsP4);
+}
+
+TEST(ReduceOrderPin, MscclAllpairsP8) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return msccl_allreduce(8, kMscclElems, kBuiltin, dt, op);
+      },
+      kMscclAllpairsP8);
+}
+
+TEST(ReduceOrderPin, MscclAllpairsShortChunkP4) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return msccl_allreduce(4, kMscclOddElems, kAllpairs3, dt, op);
+      },
+      kMscclAllpairs3P4);
+}
+
+TEST(ReduceOrderPin, MscclAllpairsShortChunkP8) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return msccl_allreduce(8, kMscclOddElems, kAllpairs3, dt, op);
+      },
+      kMscclAllpairs3P8);
+}
+
+TEST(ReduceOrderPin, MscclStarShortChunkP4) {
+  expect_pinned(
+      [](DataType dt, ReduceOp op) {
+        return msccl_allreduce(4, kMscclOddElems, kStar2, dt, op);
+      },
+      kMscclStar2P4);
+}
+
+TEST(VirtualTimePin, MscclAllpairsP4) {
+  expect_timed(1, 4, msccl_allreduce_body(kMscclElems, kBuiltin, kF32, kSum),
+               kMscclAllpairsP4[0], std::vector<double>(4, 0x1.342ab425d8097p+10));
+}
+
+TEST(VirtualTimePin, MscclAllpairsP8) {
+  expect_timed(1, 8, msccl_allreduce_body(kMscclElems, kBuiltin, kF32, kSum),
+               kMscclAllpairsP8[0], std::vector<double>(8, 0x1.3485c67a6f8d8p+10));
+}
+
+TEST(VirtualTimePin, MscclAllpairsShortChunkP4) {
+  expect_timed(1, 4, msccl_allreduce_body(kMscclOddElems, kAllpairs3, kF32, kSum),
+               kMscclAllpairs3P4[0], std::vector<double>(4, 0x1.342ab7a51d3b1p+10));
+}
+
+TEST(VirtualTimePin, MscclAllpairsShortChunkP8) {
+  expect_timed(1, 8, msccl_allreduce_body(kMscclOddElems, kAllpairs3, kF32, kSum),
+               kMscclAllpairs3P8[0], std::vector<double>(8, 0x1.3485cea36656bp+10));
+}
+
+TEST(VirtualTimePin, MscclStarShortChunkP4) {
+  expect_timed(1, 4, msccl_allreduce_body(kMscclOddElems, kStar2, kF32, kSum),
+               kMscclStar2P4[0], std::vector<double>(4, 0x1.3487e3cb15e86p+10));
 }
 
 // The scratch a fresh engine keeps resident for a plan of each pinned
