@@ -10,7 +10,6 @@
 //   3. the versioned mpixccl.fleet.v1 snapshot itself, written to
 //      MPIXCCL_FLEET_OUT when set (CI validates the document's shape).
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -29,12 +28,6 @@
 using namespace mpixccl;
 
 namespace {
-
-double now_ns() {
-  return std::chrono::duration<double, std::nano>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 core::TuningTable three_engine_table() {
   core::TuningTable table;
@@ -68,12 +61,12 @@ int main() {
       device::DeviceBuffer send(ctx.device(), 4096);
       device::DeviceBuffer recv(ctx.device(), 4096);
       const auto run = [&] {
-        const double t0 = now_ns();
+        const double t0 = bench::now_ns();
         for (int i = 0; i < host_iters; ++i) {
           rt.allreduce(send.get(), recv.get(), 1024, mini::kFloat,
                        ReduceOp::Sum, comm);
         }
-        return (now_ns() - t0) / host_iters;
+        return (bench::now_ns() - t0) / host_iters;
       };
       rt.allreduce(send.get(), recv.get(), 1024, mini::kFloat, ReduceOp::Sum,
                    comm);  // warm the plan cache

@@ -7,12 +7,11 @@
 //      cost alone;
 //   2. one-shot vs persistent (host ns): steady-state dispatch overhead per
 //      call once the plan cache is warm (virtual time cannot see this —
-//      the same bytes move either way);
+//      the same bytes move either way), as medians over alternating batches
+//      of each;
 //   3. fused vs per-tensor gradients (img/sec): the Horovod trainer with
 //      bucket fusion + persistent handles against one allreduce per layer.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -25,22 +24,13 @@
 
 using namespace mpixccl;
 
-namespace {
-
-double now_ns() {
-  return std::chrono::duration<double, std::nano>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 int main() {
   bench::header("Ablation: persistent collectives",
                 "plan cache + start/wait hot path + gradient fusion");
 
   const sim::SystemProfile prof = sim::thetagpu();
   const int replays = bench::fast_mode() ? 4 : 16;
+  const int reps = 9;
   const int host_iters = bench::fast_mode() ? 200 : 1000;
 
   core::TuningTable table;
@@ -90,21 +80,21 @@ int main() {
     const std::size_t count = 1024;
     rt.allreduce(send.get(), recv.get(), count, mini::kFloat, ReduceOp::Sum,
                  comm);  // warm the plan cache
-    double t0 = now_ns();
-    for (int i = 0; i < host_iters; ++i) {
-      rt.allreduce(send.get(), recv.get(), count, mini::kFloat, ReduceOp::Sum,
-                   comm);
-    }
-    const double one = (now_ns() - t0) / host_iters;
     core::Persistent h = rt.allreduce_init(send.as<float>(), recv.as<float>(),
                                            count, mini::kFloat, ReduceOp::Sum,
                                            comm);
-    t0 = now_ns();
-    for (int i = 0; i < host_iters; ++i) {
-      h.start();
-      h.wait();
-    }
-    const double per = (now_ns() - t0) / host_iters;
+    // Batches of one-shot and persistent calls alternate, so both medians
+    // see the same load on the machine.
+    const auto [one, per] = bench::paired_median_ns(
+        reps, host_iters,
+        [&] {
+          rt.allreduce(send.get(), recv.get(), count, mini::kFloat, ReduceOp::Sum,
+                       comm);
+        },
+        [&] {
+          h.start();
+          h.wait();
+        });
     if (ctx.rank() == 0) {
       oneshot_ns = one;
       persistent_ns = per;

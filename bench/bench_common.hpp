@@ -8,9 +8,13 @@
 // MPIXCCL_BENCH_FAST=1 shrinks sweeps and iteration counts (used by CI and
 // the smoke loop); default sweeps mirror the paper's figures.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "omb/harness.hpp"
@@ -90,6 +94,50 @@ inline std::vector<std::pair<std::string, omb::Series>> named(
     out.emplace_back(std::string(to_string(flavor)), series);
   }
   return out;
+}
+
+// ---- Host-time batches ------------------------------------------------------
+
+/// The host steady clock, in ns.
+inline double now_ns() {
+  return std::chrono::duration<double, std::nano>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Per-call ns of one batch of `iters` calls of `body`.
+template <typename F>
+double batch_ns(int iters, F& body) {
+  const double t0 = now_ns();
+  for (int i = 0; i < iters; ++i) body();
+  return (now_ns() - t0) / iters;
+}
+
+inline double median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+/// Median per-call ns over `reps` batches of `iters` calls of `body`.
+template <typename F>
+double median_ns(int reps, int iters, F&& body) {
+  std::vector<double> samples;
+  for (int r = 0; r < reps; ++r) samples.push_back(batch_ns(iters, body));
+  return median(samples);
+}
+
+/// median_ns of `a` and of `b`, measured under one load: each repetition
+/// runs one batch of each, and which runs first alternates.
+template <typename A, typename B>
+std::pair<double, double> paired_median_ns(int reps, int iters, A&& a, B&& b) {
+  std::vector<double> sa;
+  std::vector<double> sb;
+  for (int r = 0; r < reps; ++r) {
+    if (r % 2 == 0) sa.push_back(batch_ns(iters, a));
+    sb.push_back(batch_ns(iters, b));
+    if (r % 2 == 1) sa.push_back(batch_ns(iters, a));
+  }
+  return {median(sa), median(sb)};
 }
 
 }  // namespace mpixccl::bench

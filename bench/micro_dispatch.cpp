@@ -20,10 +20,8 @@
 // BENCH_dispatch.json baseline gates regressions through `mpixccl perf diff`
 // (with wide thresholds — host time on shared CI is noisy).
 
-#include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <utility>
@@ -46,47 +44,6 @@ namespace {
 
 constexpr std::size_t kBytes = 4096;  ///< the size class every series uses
 
-double now_ns() {
-  return std::chrono::duration<double, std::nano>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Per-call ns of one batch of `iters` calls of `body`.
-template <typename F>
-double batch_ns(int iters, F& body) {
-  const double t0 = now_ns();
-  for (int i = 0; i < iters; ++i) body();
-  return (now_ns() - t0) / iters;
-}
-
-double median(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
-
-/// Median per-call ns over `reps` batches of `iters` calls of `body`.
-template <typename F>
-double median_ns(int reps, int iters, F&& body) {
-  std::vector<double> samples;
-  for (int r = 0; r < reps; ++r) samples.push_back(batch_ns(iters, body));
-  return median(samples);
-}
-
-/// median_ns of `a` and of `b`, measured under one load: each repetition
-/// runs one batch of each, and which runs first alternates.
-template <typename A, typename B>
-std::pair<double, double> paired_median_ns(int reps, int iters, A&& a, B&& b) {
-  std::vector<double> sa;
-  std::vector<double> sb;
-  for (int r = 0; r < reps; ++r) {
-    if (r % 2 == 0) sa.push_back(batch_ns(iters, a));
-    sb.push_back(batch_ns(iters, b));
-    if (r % 2 == 1) sa.push_back(batch_ns(iters, a));
-  }
-  return {median(sa), median(sb)};
-}
-
 /// Rank 0's median per-call ns of a warm one-shot 4 KB allreduce on
 /// thetagpu with `ranks` ranks on one node.
 double oneshot_allreduce_ns(const core::TuningTable& table, int ranks, int reps,
@@ -103,7 +60,7 @@ double oneshot_allreduce_ns(const core::TuningTable& table, int ranks, int reps,
       rt.allreduce(send.get(), recv.get(), count, mini::kFloat, ReduceOp::Sum, comm);
     };
     call();  // warm the plan cache so the loop measures the hit path
-    const double one = median_ns(reps, iters, call);
+    const double one = bench::median_ns(reps, iters, call);
     if (ctx.rank() == 0) ns = one;
   });
   return ns;
@@ -132,7 +89,7 @@ double registry_lookup_ns(int threads, int reps, int iters) {
       while (ready.load() < threads) std::this_thread::yield();
       std::size_t i = 0;
       volatile bool sink = false;
-      const double one = median_ns(reps, iters, [&] {
+      const double one = bench::median_ns(reps, iters, [&] {
         sink = reg.lookup(ptrs[i++ % ptrs.size()]).has_value();
       });
       if (t == 0) ns = one;
@@ -160,7 +117,7 @@ int main() {
                    {1u << 20, core::Engine::Hier},
                    {SIZE_MAX, core::Engine::Xccl}});
   volatile int sink = 0;
-  const double select_ns = median_ns(reps, iters, [&] {
+  const double select_ns = bench::median_ns(reps, iters, [&] {
     sink = static_cast<int>(
         table.select_entry(core::CollOp::Allreduce, kBytes).engine);
   });
@@ -177,12 +134,12 @@ int main() {
   const core::PlanKey probe{core::CollOp::Allreduce, DataType::Float32,
                             ReduceOp::Sum, true, core::plan_size_class(kBytes),
                             1};
-  const double find_ns = median_ns(reps, iters, [&] {
+  const double find_ns = bench::median_ns(reps, iters, [&] {
     sink = cache.find(probe, kBytes) != nullptr;
   });
 
   obs::DecisionLog::instance().set_enabled(true);
-  const double push_ns = median_ns(reps, iters, [&] {
+  const double push_ns = bench::median_ns(reps, iters, [&] {
     obs::DispatchDecision d;
     d.op = core::CollOp::Allreduce;
     d.bytes = kBytes;
@@ -203,9 +160,9 @@ int main() {
     obs::Span span(0, clock, obs::SpanName::AllreducePipe, node);
     clock.advance(1.0);
   };
-  const double span_off_ns = median_ns(reps, iters, stage_span);
+  const double span_off_ns = bench::median_ns(reps, iters, stage_span);
   sim::Trace::set_enabled(true);
-  const double span_traced_ns = median_ns(reps, iters, stage_span);
+  const double span_traced_ns = bench::median_ns(reps, iters, stage_span);
   sim::Trace::instance().clear();
   sim::Trace::set_enabled(was_tracing);
   obs::fleet::set_profiling(was_profiling);
@@ -232,7 +189,7 @@ int main() {
                                            count, mini::kFloat, ReduceOp::Sum,
                                            comm);
     // One batch of each per repetition, so the two medians see the same load.
-    const auto [one, per] = paired_median_ns(
+    const auto [one, per] = bench::paired_median_ns(
         reps, e2e_iters,
         [&] {
           rt.allreduce(send.get(), recv.get(), count, mini::kFloat, ReduceOp::Sum,

@@ -2,9 +2,10 @@
 // The one spin policy of the runtime: how a thread waits for another rank
 // thread that is a few hundred nanoseconds away. A pause per poll, and every
 // kYieldEvery polls a yield, since the thread it waits for may be queued
-// behind it on the same core when threads outnumber free cores. The fabric's
-// completion cells spin this way before they park, and SpinLock spins this
-// way without ever parking.
+// behind it on the same core when threads outnumber free cores. Every wait
+// on a fabric completion cell spins this way for a bounded number of polls,
+// whatever the transfer's size, before it parks; SpinLock spins this way
+// without ever parking.
 
 #include <atomic>
 #include <thread>

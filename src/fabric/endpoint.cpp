@@ -20,7 +20,7 @@ namespace {
 static_assert(kShareChunkBytes % datatype_size(DataType::DoubleComplex) == 0,
               "a shared-move chunk must hold whole elements of the widest datatype");
 
-/// Polls of the state word before a small-transfer wait parks.
+/// Polls of the state word before a wait parks.
 constexpr int kSpinPolls = 2000;
 
 /// True when [a, a + n) and [b, b + n) share a byte without being the same
@@ -65,8 +65,6 @@ struct PayloadMove {
 /// closer acquires the full count before it resolves the cell.
 class CompletionCell {
  public:
-  explicit CompletionCell(std::size_t bytes) : spin_(bytes <= kSpinMaxBytes) {}
-
   /// Runs `m` over `bytes` (at least kShareMinBytes) together with this
   /// cell's waiter, and returns once every chunk has landed. Publishing
   /// wakes a parked waiter; one that arrives later takes whatever chunks
@@ -94,11 +92,11 @@ class CompletionCell {
   /// Blocks until resolved, moving chunks of a shared move meanwhile;
   /// rethrows a published error.
   RecvResult get() {
-    std::uint32_t s = await(kPending, spin_);
+    std::uint32_t s = await(kPending);
     if (s == kShared) {
       claim_chunks();
       // The closer has at most one chunk left before it resolves the cell.
-      s = await(kShared, true);
+      s = await(kShared);
     }
     if (s == kError) std::rethrow_exception(error_);
     return result_;
@@ -110,11 +108,11 @@ class CompletionCell {
   static constexpr std::uint32_t kError = 2;
   static constexpr std::uint32_t kShared = 3;
 
-  /// Waits until the state leaves `from` (spinning first if `spin`), and
-  /// returns the new state.
-  std::uint32_t await(std::uint32_t from, bool spin) {
+  /// Waits until the state leaves `from`, spinning kSpinPolls polls before
+  /// it parks whatever the transfer's size, and returns the new state.
+  std::uint32_t await(std::uint32_t from) {
     std::uint32_t s = state_.load(std::memory_order_acquire);
-    for (int i = 1; s == from && spin && i <= kSpinPolls; ++i) {
+    for (int i = 1; s == from && i <= kSpinPolls; ++i) {
       spin_pause(i);
       s = state_.load(std::memory_order_acquire);
     }
@@ -145,7 +143,6 @@ class CompletionCell {
   }
 
   std::atomic<std::uint32_t> state_{kPending};
-  const bool spin_;
   RecvResult result_;
   std::exception_ptr error_;
   // The shared move: written before kShared is published, then read-only.
@@ -227,7 +224,7 @@ PendingSend Endpoint::deliver(int src, int tag, ChannelId channel, const void* d
                .sender_ready = sender_ready,
                .buffered = nullptr,
                .done = nullptr};
-  if (policy.rendezvous) s.done = std::make_shared<CompletionCell>(bytes);
+  if (policy.rendezvous) s.done = std::make_shared<CompletionCell>();
   PendingSend handle = s.done ? PendingSend(s.done)
                               : PendingSend(sender_ready + policy.eager_complete_us);
 
@@ -288,7 +285,7 @@ PendingRecv Endpoint::post_recv(int src, int tag, ChannelId channel, void* buf,
                .recv_ready = recv_ready,
                .cost = std::move(cost),
                .reduce = reduce,
-               .done = std::make_shared<CompletionCell>(capacity)};
+               .done = std::make_shared<CompletionCell>()};
   PendingRecv handle(r.done);
 
   std::unique_lock lock(mu_);

@@ -38,10 +38,14 @@
 //   posted meanwhile takes the buffered copy.
 //
 // Handles resolve through a one-shot completion cell: the closing thread
-// publishes the result (or error), and the waiter spins briefly on small
-// transfers before parking in std::atomic::wait. The resolved virtual
-// completion times synchronize the two ranks' clocks; they do not depend on
-// how the bytes moved.
+// publishes the result (or error), and the waiter spins briefly before
+// parking in std::atomic::wait, whatever the transfer's size. A small
+// transfer's peer is usually a few microseconds away, less than a futex
+// sleep and wake-up; a large one's closer publishes its shared move about
+// as soon, and a waiter still awake claims chunks at once. A wait that
+// outlasts the spin parks, so long waits do not burn a core another rank
+// thread needs. The resolved virtual completion times synchronize the two
+// ranks' clocks; they do not depend on how the bytes moved.
 
 #include <cstddef>
 #include <deque>
@@ -54,11 +58,6 @@
 
 namespace mpixccl::fabric {
 
-/// Waits on transfers up to this size spin before parking: their peer is
-/// usually a few microseconds away, and a futex sleep plus wake-up costs
-/// more than that. Larger transfers park at once, so long waits never burn
-/// a core another rank thread needs.
-inline constexpr std::size_t kSpinMaxBytes = 64 * 1024;
 /// A shared move is claimed in chunks of this size (the last may be short).
 inline constexpr std::size_t kShareChunkBytes = 64 * 1024;
 /// Payloads from this size up are moved by both parties of the match.

@@ -411,10 +411,11 @@ AllreduceShape allreduce_shape(std::size_t elems, std::size_t esz,
   return s;
 }
 
-/// Staged shard recursion for non-power-of-two dims: reduce-scatter up the
-/// chain, allreduce at the top, allgather back down into the working copy.
-void staged_allreduce(mini::Mpi& mpi, HierComms& hc, std::byte* ws, std::byte* stg,
-                      const AllreduceShape& shape, DataType base, ReduceOp op) {
+/// Staged shard recursion for non-power-of-two dims: reduce-scatter `in` up
+/// the chain, allreduce at the top, allgather back down into the working copy.
+void staged_allreduce(mini::Mpi& mpi, HierComms& hc, Src in, std::byte* ws,
+                      std::byte* stg, const AllreduceShape& shape, DataType base,
+                      ReduceOp op) {
   const std::size_t esz = datatype_size(base);
   const mini::Datatype dtb{base, 1};
   const std::size_t D = hc.dims.size();
@@ -422,7 +423,7 @@ void staged_allreduce(mini::Mpi& mpi, HierComms& hc, std::byte* ws, std::byte* s
   std::byte* out = half1 + shape.stage[1] * esz;
 
   const Dst shard = reduce_scatter_up(mpi, hc, {SpanName::AllreduceRs, 0, D - 1, dtb, op},
-                                      {ws, kDev}, shape.padded, {{{stg}, {half1}}});
+                                      in, shape.padded, {{{stg}, {half1}}});
   {
     auto span = stage(mpi, SpanName::AllreduceAr, hc.level_ids[D - 1]);
     mpi.run(stage_args(Coll::Allreduce, shard, {out}, shape.stage[2], dtb, op),
@@ -514,19 +515,25 @@ bool HierEngine::run_allreduce(HierComms& hc, const mini::CollArgs& a,
     std::byte* ws = (shape.padded == elems && a.rkind == kDev)
                         ? static_cast<std::byte*>(a.recvbuf)
                         : scratch(ws_, shape.padded * esz);
-    if (ws != a.sendbuf) std::memcpy(ws, a.sendbuf, bytes);
-    if (shape.padded > elems) {
+    // The first exchange reads the input where it lies and writes the
+    // working copy. The input is copied in first only when the schedule
+    // reads past its end (a pad) or it is host memory (reading it would
+    // price that exchange on a host link).
+    Src in{a.sendbuf, a.skind};
+    if (shape.padded > elems || a.skind != kDev) {
+      if (ws != a.sendbuf) std::memcpy(ws, a.sendbuf, bytes);
       std::memset(ws + bytes, 0, (shape.padded - elems) * esz);
+      in = {ws, kDev};
     }
     if (shape.mode == ArMode::Pipelined) {
       // One span for the whole pipelined schedule: its per-level exchanges
       // interleave, so per-stage spans would overlap and mislead.
       auto span = stage(*mpi_, SpanName::AllreducePipelined);
-      pipelined_allreduce(ws, shape.unit, shape.chunks, a.dt.base, stage_op(a.redop),
-                          hc);
+      pipelined_allreduce(static_cast<const std::byte*>(in.p), ws, shape.unit,
+                          shape.chunks, a.dt.base, stage_op(a.redop), hc);
     } else {
-      staged_allreduce(*mpi_, hc, ws, scratch(stage_, shape.stage_elems() * esz), shape,
-                       a.dt.base, stage_op(a.redop));
+      staged_allreduce(*mpi_, hc, in, ws, scratch(stage_, shape.stage_elems() * esz),
+                       shape, a.dt.base, stage_op(a.redop));
     }
     if (ws != a.recvbuf) std::memcpy(a.recvbuf, ws, bytes);
   }
@@ -539,9 +546,9 @@ bool HierEngine::run_allreduce(HierComms& hc, const mini::CollArgs& a,
   return true;
 }
 
-void HierEngine::pipelined_allreduce(std::byte* ws, std::size_t unit,
-                                     std::size_t chunks, DataType base,
-                                     ReduceOp op, HierComms& hc) {
+void HierEngine::pipelined_allreduce(const std::byte* in, std::byte* ws,
+                                     std::size_t unit, std::size_t chunks,
+                                     DataType base, ReduceOp op, HierComms& hc) {
   const std::size_t esz = datatype_size(base);
   const mini::Datatype dtb{base, 1};
   const std::size_t D = hc.dims.size();
@@ -601,13 +608,16 @@ void HierEngine::pipelined_allreduce(std::byte* ws, std::size_t unit,
     mini::Comm& sub = hc.comms[j];
     const int partner = hc.coord[j] ^ s.mask;
     auto at_seg = [&](Range r) { return ws + r.lo * esz; };
+    // A chunk's first step reads the input; later steps read what the
+    // earlier ones wrote into ws.
+    const std::byte* held = c.k == 0 ? in : ws;
     std::size_t xfer = c.seg.size();
-    if (s.halving) {  // send one half, reduce into the kept one
+    if (s.halving) {  // send one half, reduce the partner's with the kept one
       const Halves h = halve(c.seg, upper(c));
       xfer = h.keep.size();
       c.rreq = mpi_->irecv_reduce(at_seg(h.keep), xfer, dtb, op, partner, c.tag, sub,
-                                  kDev);
-      c.sreq = mpi_->isend(at_seg(h.send), xfer, dtb, partner, c.tag, sub, kDev);
+                                  kDev, held + h.keep.lo * esz);
+      c.sreq = mpi_->isend(held + h.send.lo * esz, xfer, dtb, partner, c.tag, sub, kDev);
     } else {  // receive the partner's segment straight into place
       c.rreq = mpi_->irecv(at_seg(mirror(c.seg, upper(c))), xfer, dtb, partner, c.tag,
                            sub, kDev);

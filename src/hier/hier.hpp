@@ -160,12 +160,15 @@ class HierEngine {
   /// pay the allocation).
   std::byte* scratch(device::DeviceBuffer& buf, std::size_t bytes);
 
-  /// n-level recursive-halving/doubling allreduce over the padded working
-  /// buffer (requires power-of-two dims), chunked and pipelined across
-  /// level links. Each halving step reduces the partner's half straight
-  /// into the kept half as it lands.
-  void pipelined_allreduce(std::byte* ws, std::size_t unit, std::size_t chunks,
-                           DataType base, ReduceOp op, HierComms& hc);
+  /// n-level recursive-halving/doubling allreduce of `in` into the padded
+  /// working buffer `ws` (requires power-of-two dims), chunked and
+  /// pipelined across level links. Each halving step reduces the partner's
+  /// half with the kept half straight into ws as it lands; a chunk's first
+  /// step reads its halves from `in` (ws itself when the input was copied
+  /// in), so the input is never staged.
+  void pipelined_allreduce(const std::byte* in, std::byte* ws, std::size_t unit,
+                           std::size_t chunks, DataType base, ReduceOp op,
+                           HierComms& hc);
 
   // The schedules behind run(), one per collective.
   bool run_allreduce(HierComms& hc, const mini::CollArgs& a, mini::Comm& comm);

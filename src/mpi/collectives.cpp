@@ -166,21 +166,29 @@ void Mpi::run_allreduce(const CollArgs& a, Comm& comm) {
   require(reduce_defined(a.dt.base, a.redop),
           "Mpi::allreduce: op not defined for datatype");
 
-  copy_if_distinct(recvbuf, a.sendbuf, bytes);
-  if (p == 1) return;  // also the avg of one contribution
+  // `in` is this rank's current vector: the input, read where it lies, until
+  // the first step that writes recvbuf, and recvbuf from then on. Every send
+  // is priced by recvbuf's kind, so an input of another kind is copied in
+  // first; so is a single rank's (also the avg of one contribution).
+  const void* in = a.sendbuf;
+  if (p == 1 || a.skind != a.rkind) {
+    copy_if_distinct(recvbuf, a.sendbuf, bytes);
+    in = recvbuf;
+  }
+  if (p == 1) return;
 
   const Pow2Fold fold(p, comm.rank());
   const int pof2 = fold.pof2();
-  const fabric::ReduceSpec reduce_spec{a.dt.base, a.redop};
 
   // Fold the ranks beyond pof2 onto their partners.
   if (fold.role() == Pow2Fold::Role::Push) {
-    Request sr = isend_bytes(recvbuf, bytes, fold.partner(), 1, ch, comm, a.rkind);
+    Request sr = isend_bytes(in, bytes, fold.partner(), 1, ch, comm, a.rkind);
     wait(sr);
   } else if (fold.role() == Pow2Fold::Role::Receive) {
     Request rr = irecv_bytes(recvbuf, bytes, fold.partner(), 1, ch, comm,
-                             receive_kind(a), reduce_spec);
+                             receive_kind(a), fabric::ReduceSpec{a.dt.base, a.redop, in});
     wait(rr);
+    in = recvbuf;
   }
 
   // Recursive doubling for small vectors, Rabenseifner above, both over the
@@ -199,11 +207,13 @@ void Mpi::run_allreduce(const CollArgs& a, Comm& comm) {
       const int partner = fold.real(eff ^ s.mask);
       Request rr =
           irecv_bytes(inbox.get(), bytes, partner, 2, ch, comm, receive_kind(a));
-      Request sr = isend_bytes(recvbuf, bytes, partner, 2, ch, comm, a.rkind);
+      Request sr = isend_bytes(in, bytes, partner, 2, ch, comm, a.rkind);
       wait(sr);
       wait(rr);
-      throw_if_error(apply_reduce(a.dt.base, a.redop, inbox.get(), recvbuf, n_elems),
-                     "Mpi::allreduce rd");
+      throw_if_error(
+          apply_reduce(a.dt.base, a.redop, inbox.get(), in, recvbuf, n_elems),
+          "Mpi::allreduce rd");
+      in = recvbuf;
     }
   } else if (eff >= 0) {
     // Rabenseifner: reduce-scatter by recursive halving, then allgather by
@@ -214,6 +224,7 @@ void Mpi::run_allreduce(const CollArgs& a, Comm& comm) {
     const std::size_t esz = datatype_size(a.dt.base);
     auto elem = [&](std::size_t b) { return base_elems * b + std::min(b, extra); };
     auto buf = [&](Range r) { return at(recvbuf, elem(r.lo) * esz); };
+    auto from = [&](Range r) { return at(in, elem(r.lo) * esz); };
     auto len = [&](Range r) { return (elem(r.hi) - elem(r.lo)) * esz; };
 
     Range r{0, static_cast<std::size_t>(pof2)};
@@ -225,11 +236,12 @@ void Mpi::run_allreduce(const CollArgs& a, Comm& comm) {
       Request sr;
       if (s.halving) {
         // The kept and sent halves are disjoint, so the partner's half is
-        // reduced straight into the kept one as it lands.
+        // reduced with this rank's kept half straight into recvbuf as it lands.
         const Halves h = halve(r, upper);
         rr = irecv_bytes(buf(h.keep), len(h.keep), partner, 3, ch, comm,
-                         receive_kind(a), reduce_spec);
-        sr = isend_bytes(buf(h.send), len(h.send), partner, 3, ch, comm, a.rkind);
+                         receive_kind(a),
+                         fabric::ReduceSpec{a.dt.base, a.redop, from(h.keep)});
+        sr = isend_bytes(from(h.send), len(h.send), partner, 3, ch, comm, a.rkind);
       } else {
         const Range theirs = mirror(r, upper);
         rr = irecv_bytes(buf(theirs), len(theirs), partner, 4, ch, comm,
@@ -239,6 +251,7 @@ void Mpi::run_allreduce(const CollArgs& a, Comm& comm) {
       wait(sr);
       wait(rr);
       r = after(r, s, upper);
+      in = recvbuf;
     }
   }
 

@@ -91,10 +91,11 @@ Request Mpi::irecv(void* buf, std::size_t count, Datatype dt, int src, int tag,
 }
 
 Request Mpi::irecv_reduce(void* buf, std::size_t count, Datatype dt, ReduceOp op,
-                          int src, int tag, Comm& comm, MemKind kind) {
+                          int src, int tag, Comm& comm, MemKind kind,
+                          const void* local) {
   require(tag >= 0 || tag == kAnyTag, "Mpi::irecv_reduce: bad tag");
   return irecv_bytes(buf, count * dt.size(), src, tag, comm.p2p_channel(), comm, kind,
-                     fabric::ReduceSpec{dt.base, op});
+                     fabric::ReduceSpec{dt.base, op, local});
 }
 
 void Mpi::send(const void* buf, std::size_t count, Datatype dt, int dst, int tag,

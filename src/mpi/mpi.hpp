@@ -75,16 +75,21 @@ class Mpi {
   Request irecv(void* buf, std::size_t count, Datatype dt, int src, int tag,
                 Comm& comm, MemKind kind);
   /// Receive-reduce: like irecv, but the matching message (exactly `count`
-  /// elements) is combined into `buf` as buf = op(buf, message) where it
-  /// lands, with no staging copy. `buf` must stay disjoint from every send
-  /// buffer in flight until the request completes. Throws at post time when
-  /// `op` is not defined for `dt`.
+  /// elements) is combined as it lands, buf = op(message, local), with no
+  /// staging copy. `local` is `count` elements the caller owns: `buf` itself
+  /// when null or equal to it, else a range disjoint from it (such as the
+  /// caller's input, read where it lies); it is read until the request
+  /// completes, so it must not change until then. `buf` must stay disjoint
+  /// from every send buffer in flight until the request completes. Throws at
+  /// post time when `op` is not defined for `dt`, or when `local` partly
+  /// overlaps `buf`.
   Request irecv_reduce(void* buf, std::size_t count, Datatype dt, ReduceOp op,
                        int src, int tag, Comm& comm) {
     return irecv_reduce(buf, count, dt, op, src, tag, comm, classify(buf));
   }
   Request irecv_reduce(void* buf, std::size_t count, Datatype dt, ReduceOp op,
-                       int src, int tag, Comm& comm, MemKind kind);
+                       int src, int tag, Comm& comm, MemKind kind,
+                       const void* local = nullptr);
   RecvStatus wait(Request& req);
   void waitall(std::span<Request> reqs);
   /// MPI_Sendrecv.

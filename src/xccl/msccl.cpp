@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "common/reduce.hpp"
@@ -269,13 +270,14 @@ sim::TimeUs MscclBackend::run_allreduce_program(const MscclAlgorithm& algo,
   const std::size_t chunk_count = (count + un - 1) / un;
   const std::size_t chunk_bytes = chunk_count * esz;
 
-  // Working area: chunks [0, nchunks) alias the output buffer (padded into
-  // scratch space when count does not divide evenly); chunks
+  // Working area: chunks [0, nchunks) hold the message, its last chunk
+  // padded with zeros when count does not divide evenly; chunks
   // [nchunks, 2*nchunks) are scratch.
-  std::vector<std::byte> work(chunk_bytes * un * 2, std::byte{0});
-  std::memcpy(work.data(), sendbuf, bytes);
+  const auto work = uninit(chunk_bytes * un * 2);
+  std::memcpy(work.get(), sendbuf, bytes);
+  std::memset(work.get() + bytes, 0, chunk_bytes * un - bytes);
   auto chunk_ptr = [&](int c) {
-    return work.data() + static_cast<std::size_t>(c) * chunk_bytes;
+    return work.get() + static_cast<std::size_t>(c) * chunk_bytes;
   };
   auto chunk_len = [&](int c) {
     // Last data chunk may be short; scratch chunks are full-size.
@@ -287,7 +289,6 @@ sim::TimeUs MscclBackend::run_allreduce_program(const MscclAlgorithm& algo,
   const fabric::ChannelId ch = comm.next_op_channel();
   sim::TimeUs t = t0;
   sim::VirtualClock scratch_clock;
-  std::vector<std::byte> inbox(chunk_bytes);
 
   // Send completions are collected across the whole program and folded into
   // the final time: waiting per step would deadlock, since a rendezvous send
@@ -333,6 +334,10 @@ sim::TimeUs MscclBackend::run_allreduce_program(const MscclAlgorithm& algo,
       }
     }
     // Phase B: complete all receives; concurrent arrivals share the link.
+    // Each lands in its chunk at the match: a Recv as a copy, a
+    // RecvReduceCopy reduced with the chunk. A receive-reduce must be
+    // posted at the payload's exact size, which is its chunk's length (a
+    // program sends and reduces the same chunk index).
     sim::TimeUs step_end = t;
     for (std::size_t k = i; k < end; ++k) {
       const auto& in = prog[k];
@@ -345,24 +350,23 @@ sim::TimeUs MscclBackend::run_allreduce_program(const MscclAlgorithm& algo,
       auto cost = [this, step_recvs](int sw, std::size_t b) {
         return tree_hop_cost(sw, b * std::max<std::size_t>(step_recvs, 1));
       };
-      auto pr = ctx().endpoint().post_recv(comm.world_rank(in.peer), 0, ch,
-                                           inbox.data(), chunk_bytes, t, cost);
-      const fabric::RecvResult res = pr.wait(scratch_clock);
-      step_end = std::max(step_end, res.completion);
-      if (in.op == MscclInstr::Op::Recv) {
-        std::memcpy(chunk_ptr(in.dst_chunk), inbox.data(), res.bytes);
-      } else {
-        const std::size_t n = res.bytes / esz;
-        throw_if_error(apply_reduce(dt, op, inbox.data(), chunk_ptr(in.dst_chunk), n),
-                       "msccl recv-reduce");
+      std::optional<fabric::ReduceSpec> reduce;
+      std::size_t capacity = chunk_bytes;
+      if (in.op == MscclInstr::Op::RecvReduceCopy) {
+        reduce = fabric::ReduceSpec{dt, op};
+        capacity = chunk_len(in.dst_chunk);
       }
+      auto pr = ctx().endpoint().post_recv(comm.world_rank(in.peer), 0, ch,
+                                           chunk_ptr(in.dst_chunk), capacity, t, cost,
+                                           reduce);
+      step_end = std::max(step_end, pr.wait(scratch_clock).completion);
     }
     t = step_end;
     i = end;
   }
   for (auto& s : all_sends) t = std::max(t, s.wait(scratch_clock));
 
-  std::memcpy(recvbuf, work.data(), bytes);
+  std::memcpy(recvbuf, work.get(), bytes);
   return t;
 }
 
