@@ -286,6 +286,20 @@ sim::TimeUs MscclBackend::run_allreduce_program(const MscclAlgorithm& algo,
   };
 
   const auto& prog = algo.programs[static_cast<std::size_t>(comm.rank())];
+  // The length of the payload a receive from `peer` lands: that of the chunk
+  // its matching send carries, the peer's next send to this rank (one
+  // channel and one tag, so each peer's messages match in program order).
+  std::vector<std::size_t> next_send(algo.programs.size(), 0);
+  auto payload_len = [&](int peer) {
+    const auto& theirs = algo.programs[static_cast<std::size_t>(peer)];
+    std::size_t& j = next_send[static_cast<std::size_t>(peer)];
+    while (j < theirs.size() && (theirs[j].op != MscclInstr::Op::Send ||
+                                 theirs[j].peer != comm.rank())) {
+      ++j;
+    }
+    require(j < theirs.size(), "msccl: a receive has no matching send");
+    return chunk_len(theirs[j++].src_chunk);
+  };
   const fabric::ChannelId ch = comm.next_op_channel();
   sim::TimeUs t = t0;
   sim::VirtualClock scratch_clock;
@@ -335,9 +349,8 @@ sim::TimeUs MscclBackend::run_allreduce_program(const MscclAlgorithm& algo,
     }
     // Phase B: complete all receives; concurrent arrivals share the link.
     // Each lands in its chunk at the match: a Recv as a copy, a
-    // RecvReduceCopy reduced with the chunk. A receive-reduce must be
-    // posted at the payload's exact size, which is its chunk's length (a
-    // program sends and reduces the same chunk index).
+    // RecvReduceCopy reduced with the chunk, posted at the payload's exact
+    // size as the fabric requires of a receive-reduce.
     sim::TimeUs step_end = t;
     for (std::size_t k = i; k < end; ++k) {
       const auto& in = prog[k];
@@ -351,14 +364,10 @@ sim::TimeUs MscclBackend::run_allreduce_program(const MscclAlgorithm& algo,
         return tree_hop_cost(sw, b * std::max<std::size_t>(step_recvs, 1));
       };
       std::optional<fabric::ReduceSpec> reduce;
-      std::size_t capacity = chunk_bytes;
-      if (in.op == MscclInstr::Op::RecvReduceCopy) {
-        reduce = fabric::ReduceSpec{dt, op};
-        capacity = chunk_len(in.dst_chunk);
-      }
+      if (in.op == MscclInstr::Op::RecvReduceCopy) reduce = fabric::ReduceSpec{dt, op};
       auto pr = ctx().endpoint().post_recv(comm.world_rank(in.peer), 0, ch,
-                                           chunk_ptr(in.dst_chunk), capacity, t, cost,
-                                           reduce);
+                                           chunk_ptr(in.dst_chunk), payload_len(in.peer),
+                                           t, cost, reduce);
       step_end = std::max(step_end, pr.wait(scratch_clock).completion);
     }
     t = step_end;
