@@ -59,6 +59,34 @@ void MscclAlgorithm::validate() const {
                 "MscclAlgorithm: peer out of range");
       }
     }
+    // Scratch chunks start undefined: each must be written (recv or copy
+    // into it) before it is read (sent, copied from or recv-reduced into).
+    // Walk the program as the interpreter runs it: per step, the sends and
+    // copies in order, then the receives in order.
+    std::vector<bool> written(static_cast<std::size_t>(nchunks), false);
+    auto read = [&](int c) {
+      require(c < nchunks || written[static_cast<std::size_t>(c - nchunks)],
+              "MscclAlgorithm: scratch chunk read before it is written");
+    };
+    auto write = [&](int c) {
+      if (c >= nchunks) written[static_cast<std::size_t>(c - nchunks)] = true;
+    };
+    for (std::size_t i = 0, end = 0; i < prog.size(); i = end) {
+      while (end < prog.size() && prog[end].step == prog[i].step) ++end;
+      for (std::size_t k = i; k < end; ++k) {
+        const auto& in = prog[k];
+        if (in.op == MscclInstr::Op::Send) read(in.src_chunk);
+        if (in.op == MscclInstr::Op::Copy) {
+          read(in.src_chunk);
+          write(in.dst_chunk);
+        }
+      }
+      for (std::size_t k = i; k < end; ++k) {
+        const auto& in = prog[k];
+        if (in.op == MscclInstr::Op::RecvReduceCopy) read(in.dst_chunk);
+        if (in.op == MscclInstr::Op::Recv) write(in.dst_chunk);
+      }
+    }
   }
 }
 

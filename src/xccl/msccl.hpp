@@ -46,8 +46,16 @@ struct MscclAlgorithm {
   static MscclAlgorithm allpairs_allreduce(int nranks, std::size_t min_bytes,
                                            std::size_t max_bytes);
 
-  /// Validate shape (program count, chunk indices, peer ranges). Throws
-  /// Error on malformed algorithms.
+  /// Validate shape (program count, chunk indices, peer ranges) and that
+  /// each program writes a scratch chunk before it reads it. Throws Error on
+  /// malformed algorithms.
+  ///
+  /// Chunks [0, nchunks) hold the rank's input, the last one zero-padded
+  /// to full size; they hold the output when the program ends. Scratch
+  /// chunks [nchunks, 2*nchunks) start undefined: a program must recv or
+  /// copy into one before it sends it, copies from it or recv-reduces into
+  /// it. Bytes of a chunk that a shorter recv or copy does not reach stay
+  /// as they were.
   void validate() const;
 
   /// Parse the textual algorithm format (the stand-in for MSCCL-XML):

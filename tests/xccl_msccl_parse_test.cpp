@@ -80,6 +80,31 @@ TEST(MscclParse, RejectsMalformedInput) {
                Error);
 }
 
+TEST(MscclParse, RejectsScratchChunkReadBeforeWritten) {
+  // nchunks=1: chunk 1 is scratch. Each read of it comes before any write,
+  // counting a step's sends and copies before its receives.
+  const std::string head =
+      "algorithm x allreduce nranks=2 nchunks=1\nrank 1\n"
+      "  recv peer=0 chunk=0 step=0\nrank 0\n";
+  for (const char* body : {"  send peer=1 chunk=1 step=0\n",
+                           "  copy src=1 dst=0 step=0\n",
+                           "  recvreduce peer=1 chunk=1 step=0\n",
+                           "  recv peer=1 chunk=1 step=0\n"
+                           "  send peer=1 chunk=1 step=0\n"}) {
+    EXPECT_THROW(MscclAlgorithm::parse(head + body), Error) << body;
+  }
+  // Written first, by a copy or a receive (an earlier step's or the same
+  // step's), the scratch chunk may then be read.
+  for (const char* body : {"  copy src=0 dst=1 step=0\n"
+                           "  send peer=1 chunk=1 step=0\n",
+                           "  recv peer=1 chunk=1 step=0\n"
+                           "  send peer=1 chunk=1 step=1\n",
+                           "  recv peer=1 chunk=1 step=0\n"
+                           "  recvreduce peer=1 chunk=1 step=0\n"}) {
+    EXPECT_NO_THROW(MscclAlgorithm::parse(head + body)) << body;
+  }
+}
+
 TEST(MscclParse, FileLoadAndExecute) {
   const std::string path = "/tmp/mpixccl_star3.msccl";
   {

@@ -29,18 +29,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The rows compared per workload: BENCHMARK.json's end-to-end metrics when it
-# is present, then the CPU cost per call this tool measures.
-DEFAULT_ROWS = [("setup_s", "lower"), ("calls_per_s", "higher"),
-                ("host_call_us.p50", "lower"), ("peak_rss_mb", "lower")]
+# The rows compared per workload: BENCHMARK.json's end-to-end metrics, then
+# the CPU cost per call this tool measures.
 CPU_ROW = ("cpu_us_per_call", "lower")
 
 
 def rows() -> list:
-    spec = ROOT / "BENCHMARK.json"
-    if not spec.is_file():
-        return DEFAULT_ROWS + [CPU_ROW]
-    doc = json.loads(spec.read_text())
+    doc = json.loads((ROOT / "BENCHMARK.json").read_text())
     return [(m["name"], m["better"]) for m in doc["end_to_end"]] + [CPU_ROW]
 
 
@@ -79,7 +74,6 @@ def main() -> None:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--seed-base", type=int, required=True)
-    ap.add_argument("--json", help="also write every run's points to this file")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -120,10 +114,6 @@ def main() -> None:
               f"{c.get('host_steal_pct', float('nan')):>11.2f} "
               f"{b['cpu_us_per_call']:>11.1f} {c['cpu_us_per_call']:>11.1f} "
               f"{int(b.get('failed', 0)):>9} {int(c.get('failed', 0)):>9}")
-    if args.json:
-        Path(args.json).write_text(json.dumps(
-            [{"seed": s, "order": o, "base": b, "cand": c} for s, o, b, c in runs],
-            indent=1))
     if any(r["exit"] != 0 for _, _, b, c in runs for r in (b, c)):
         sys.exit("bench_pairs: a run exited nonzero (a failed call)")
 
